@@ -5,70 +5,38 @@ an exact Monte Carlo mirror of the same channel model, and parameter-sweep
 plumbing that reproduces the reference experiments as CSV tables.
 """
 
-from .model import (ChannelRealization, DerivedConstants, SchemeDecision,
-                    SnrTuple, SystemParams, dbi_to_linear, dbm_to_watts,
-                    decide_dynamic_ps, decide_improved, decide_static_equal,
-                    derive_constants, downlink_snrs, outage_indicator,
-                    snr_tuple, uplink_snrs)
-from .montecarlo import (McConfig, McEstimate, mc_capacity, mc_energy_outage,
-                         mc_outage, relative_error)
-from .numerics import (QuadratureRule, bessel_k1, integrate_gc,
-                       sample_exponential)
-from .outage import (CaseFourGeometry, Scenario, case4_geometry, cdf_t2,
-                     cdf_t3, diversity_slope, energy_outage, outage_capacity,
-                     outage_dynamic_ps, outage_improved, p_case1, p_case2,
-                     p_case3, p_case4)
+from .model import (DerivedConstants, SystemParams, dbi_to_linear, dbm_to_watts,
+                    derive_constants)
+from .montecarlo import McConfig, McEstimate, mc_energy_outage, mc_outage, relative_error
+from .outage import (diversity_slope, energy_outage, outage_capacity,
+                     outage_dynamic_ps, outage_improved)
 from .sweeps import SchemeSpec, SweepResult, SweepRow, SweepSpec, fig, run_sweep
 from .validation import CriterionResult, all_passed, report_csv, run_all
 
 __all__ = [
-    "CaseFourGeometry",
-    "ChannelRealization",
     "CriterionResult",
     "DerivedConstants",
     "McConfig",
     "McEstimate",
-    "QuadratureRule",
-    "Scenario",
-    "SchemeDecision",
     "SchemeSpec",
-    "SnrTuple",
     "SweepResult",
     "SweepRow",
     "SweepSpec",
     "SystemParams",
     "all_passed",
-    "bessel_k1",
-    "case4_geometry",
-    "cdf_t2",
-    "cdf_t3",
     "dbi_to_linear",
     "dbm_to_watts",
-    "decide_dynamic_ps",
-    "decide_improved",
-    "decide_static_equal",
     "derive_constants",
     "diversity_slope",
-    "downlink_snrs",
     "energy_outage",
     "fig",
-    "integrate_gc",
-    "mc_capacity",
     "mc_energy_outage",
     "mc_outage",
     "outage_capacity",
     "outage_dynamic_ps",
     "outage_improved",
-    "outage_indicator",
-    "p_case1",
-    "p_case2",
-    "p_case3",
-    "p_case4",
     "relative_error",
     "report_csv",
     "run_all",
     "run_sweep",
-    "sample_exponential",
-    "snr_tuple",
-    "uplink_snrs",
 ]

@@ -106,13 +106,9 @@ class DerivedConstants:
     kernels) reads these instead of redoing unit conversions.
     """
 
-    lambda_big_a: float   # composite antenna/path factor for the A link
-    lambda_big_b: float
-    z_a: float            # d_i^alpha / Lambda_i
+    z_a: float            # d_i^alpha / Lambda_i, Lambda_i the antenna/path factor
     z_b: float
     varpi: float          # gamma_th * sigma^2 / P
-    x_factor_a: float     # downlink SNR coefficient, carries (1-theta)^2
-    x_factor_b: float     # downlink SNR coefficient, carries theta^2
     y_big: float          # eta*beta*P / ((1-2*beta)*sigma^2*Z_A*Z_B)
     c_a: float            # gamma_th * Z_A / X_B
     c_b: float            # gamma_th * Z_B / X_A
@@ -128,47 +124,24 @@ class DerivedConstants:
     b_o: float            # varpi^2 * Z_A * Z_B + gamma_th / Y
 
 
-@dataclass(frozen=True)
-class ChannelRealization:
-    """One draw of the two squared channel gains |h_A|^2, |h_B|^2."""
-
-    gain_sq_a: float
-    gain_sq_b: float
-
-    def __post_init__(self) -> None:
-        for v in (self.gain_sq_a, self.gain_sq_b):
-            if not (math.isfinite(v) and v >= 0.0):
-                raise ValueError("squared channel gains must be finite and nonnegative")
+def _harvest_gain(params: SystemParams) -> float:
+    """eta*beta*P / ((1-2*beta)*sigma^2): broadcast SNR per unit harvested gain."""
+    beta = params.time_split
+    return params.eh_efficiency * beta * params.tx_power_w \
+        / ((1.0 - 2.0 * beta) * params.noise_w)
 
 
-@dataclass(frozen=True)
-class SchemeDecision:
-    """Control variables chosen by a relay scheme for one realization."""
+def broadcast_factors(params: SystemParams, z_a: float, z_b: float, theta) -> tuple:
+    """Downlink SNR coefficients (X_A, X_B) at weight theta (scalar or array).
 
-    rho_a: float   # power-splitting ratio of the A link, in [0, 1]
-    rho_b: float   # power-splitting ratio of the B link, in [0, 1]
-    theta: float   # broadcast power allocation ratio, in (0, 1)
-
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.rho_a <= 1.0 and 0.0 <= self.rho_b <= 1.0):
-            raise ValueError("power-splitting ratios must lie in [0, 1]")
-        if not 0.0 < self.theta < 1.0:
-            raise ValueError("theta must lie strictly inside (0, 1)")
-
-
-@dataclass(frozen=True)
-class SnrTuple:
-    """The four link SNRs that jointly decide a system outage."""
-
-    uplink_a: float
-    uplink_b: float
-    downlink_a: float
-    downlink_b: float
-
-    def __post_init__(self) -> None:
-        for v in (self.uplink_a, self.uplink_b, self.downlink_a, self.downlink_b):
-            if not (math.isfinite(v) and v >= 0.0):
-                raise ValueError("SNRs must be finite and nonnegative")
+    X_A carries (1-theta)^2 and X_B carries theta^2, both normalized by the
+    total broadcast weight theta^2 + (1-theta)^2.
+    """
+    harvest_gain = _harvest_gain(params)
+    mix = theta ** 2 + (1.0 - theta) ** 2
+    x_a = harvest_gain * (1.0 - theta) ** 2 / (z_a * mix)
+    x_b = harvest_gain * theta ** 2 / (z_b * mix)
+    return x_a, x_b
 
 
 def derive_constants(params: SystemParams, theta: float) -> DerivedConstants:
@@ -194,12 +167,8 @@ def derive_constants(params: SystemParams, theta: float) -> DerivedConstants:
     gamma_th = params.snr_threshold
     varpi = gamma_th * n_w / p_w
 
-    beta = params.time_split
-    harvest_gain = params.eh_efficiency * beta * p_w / ((1.0 - 2.0 * beta) * n_w)
-    mix = theta ** 2 + (1.0 - theta) ** 2
-    x_factor_a = harvest_gain * (1.0 - theta) ** 2 / (z_a * mix)
-    x_factor_b = harvest_gain * theta ** 2 / (z_b * mix)
-    y_big = harvest_gain / (z_a * z_b)
+    x_factor_a, x_factor_b = broadcast_factors(params, z_a, z_b, theta)
+    y_big = _harvest_gain(params) / (z_a * z_b)
 
     c_a = gamma_th * z_a / x_factor_b
     c_b = gamma_th * z_b / x_factor_a
@@ -217,9 +186,7 @@ def derive_constants(params: SystemParams, theta: float) -> DerivedConstants:
     b_o = varpi ** 2 * z_a * z_b + gamma_th / y_big
 
     consts = DerivedConstants(
-        lambda_big_a=lambda_big_a, lambda_big_b=lambda_big_b,
-        z_a=z_a, z_b=z_b, varpi=varpi,
-        x_factor_a=x_factor_a, x_factor_b=x_factor_b, y_big=y_big,
+        z_a=z_a, z_b=z_b, varpi=varpi, y_big=y_big,
         c_a=c_a, c_b=c_b, d_ratio_a=d_ratio_a, d_ratio_b=d_ratio_b,
         e_a=e_a, e_b=e_b, delta_a=delta_a, delta_b=delta_b,
         a_rate_a=a_rate_a, a_rate_b=a_rate_b, a_o=a_o, b_o=b_o,
@@ -230,107 +197,99 @@ def derive_constants(params: SystemParams, theta: float) -> DerivedConstants:
     return consts
 
 
-def uplink_snrs(params: SystemParams, consts: DerivedConstants,
-                ch: ChannelRealization, dec: SchemeDecision) -> tuple[float, float]:
-    """SNRs of the terminal-to-relay links after power splitting."""
-    scale = params.tx_power_w / params.noise_w
-    up_a = ch.gain_sq_a * (1.0 - dec.rho_a) * scale / consts.z_a
-    up_b = ch.gain_sq_b * (1.0 - dec.rho_b) * scale / consts.z_b
-    return up_a, up_b
-
-
-def _x_factors(params: SystemParams, consts: DerivedConstants,
-               theta) -> tuple:
-    """Downlink SNR coefficients for an arbitrary theta (scalar or array)."""
-    beta = params.time_split
-    harvest_gain = params.eh_efficiency * beta * params.tx_power_w \
-        / ((1.0 - 2.0 * beta) * params.noise_w)
-    mix = theta ** 2 + (1.0 - theta) ** 2
-    x_a = harvest_gain * (1.0 - theta) ** 2 / (consts.z_a * mix)
-    x_b = harvest_gain * theta ** 2 / (consts.z_b * mix)
-    return x_a, x_b
-
-
-def downlink_snrs(params: SystemParams, consts: DerivedConstants,
-                  ch: ChannelRealization, dec: SchemeDecision) -> tuple[float, float]:
-    """SNRs of the relay broadcast as decoded at A and B.
-
-    The coefficients are rebuilt from dec.theta so the result always
-    matches the decision being evaluated, independent of the theta the
-    constants were derived with.
-    """
-    x_a, x_b = _x_factors(params, consts, dec.theta)
-    harvest = dec.rho_a * ch.gain_sq_a / consts.z_a + dec.rho_b * ch.gain_sq_b / consts.z_b
-    down_a = x_a * ch.gain_sq_a * harvest
-    down_b = x_b * ch.gain_sq_b * harvest
-    return down_a, down_b
-
-
-def snr_tuple(params: SystemParams, consts: DerivedConstants,
-              ch: ChannelRealization, dec: SchemeDecision) -> SnrTuple:
-    """Convenience wrapper bundling the four link SNRs of one realization."""
-    up_a, up_b = uplink_snrs(params, consts, ch, dec)
-    down_a, down_b = downlink_snrs(params, consts, ch, dec)
-    return SnrTuple(uplink_a=up_a, uplink_b=up_b, downlink_a=down_a, downlink_b=down_b)
-
-
-def decide_static_equal(params: SystemParams, consts: DerivedConstants,
-                        rho_fixed: float) -> SchemeDecision:
-    """Channel-independent baseline: both links split at rho_fixed, theta 0.5."""
-    if not 0.0 <= rho_fixed <= 1.0:
-        raise ValueError("rho_fixed must lie in [0, 1]")
-    return SchemeDecision(rho_a=rho_fixed, rho_b=rho_fixed, theta=0.5)
-
-
-def decide_dynamic_ps(params: SystemParams, consts: DerivedConstants,
-                      ch: ChannelRealization, theta: float) -> SchemeDecision:
-    """Per-realization splitting: harvest everything beyond decode feasibility."""
-    if not 0.0 < theta < 1.0:
-        raise ValueError("theta must lie strictly inside (0, 1)")
-    rho_a = _optimal_rho(ch.gain_sq_a, consts.varpi * consts.z_a)
-    rho_b = _optimal_rho(ch.gain_sq_b, consts.varpi * consts.z_b)
-    return SchemeDecision(rho_a=rho_a, rho_b=rho_b, theta=theta)
-
-
-def _optimal_rho(gain_sq: float, knee: float) -> float:
-    # A zero gain cannot support decoding at all; harvest nothing.
-    if gain_sq <= 0.0:
-        return 0.0
-    return max(1.0 - knee / gain_sq, 0.0)
-
-
-# Smallest admissible values of an open-interval theta; used when one channel
-# vanishes so the optimizer formula returns a boundary value.
+# Extreme admissible values of the open-interval theta; a single vanishing
+# gain is nudged onto them so the optimizer formula stays inside (0, 1).
 _THETA_LO = float(np.nextafter(0.0, 1.0))
 _THETA_HI = float(np.nextafter(1.0, 0.0))
 
+# Relative slack on the uplink threshold comparison.  The adaptive schemes
+# harvest everything above decode feasibility, which parks the true uplink
+# SNR exactly on the threshold; a handful of ulps of slack makes that
+# boundary resolve to success (the model's inclusive convention) instead of
+# depending on rounding direction.  True sub-threshold events sit a
+# continuum away, so the slack does not bias them measurably.
+_UPLINK_SLACK = 16.0 * float(np.finfo(np.float64).eps)
 
-def decide_improved(params: SystemParams, consts: DerivedConstants,
-                    ch: ChannelRealization) -> SchemeDecision:
-    """Joint splitting and broadcast-weight choice for one realization.
 
-    The weight equalizes the two downlink SNRs.  When both gains vanish the
-    outcome is an outage for every theta, so the symmetric 0.5 is returned
-    for determinism; a single vanishing gain is nudged off the boundary to
-    keep theta inside its open interval.
+def scheme_controls(consts: DerivedConstants, scheme_id: str, canon: dict, g_a, g_b):
+    """Control variables a relay scheme chooses for arrays of realizations.
+
+    g_a and g_b are the squared channel gains |h_A|^2 and |h_B|^2; canon
+    holds the scheme's validated arguments ("rho" for static_equal, "theta"
+    for dynamic_ps).  Returns (decode_a, decode_b, harvest_a, harvest_b,
+    theta) where decode is the 1-rho fraction left for information and
+    harvest is rho*g/Z, the harvested-power term of each link.
+
+    static_equal splits both links at one fixed rho with theta 0.5.  The
+    adaptive schemes harvest everything beyond decode feasibility; their
+    fractions are computed as min(knee/g, 1) rather than via 1-rho so the
+    saturated uplink product g*decode reproduces the knee exactly instead
+    of through a cancellation.  improved also picks the theta that
+    equalizes the two downlink SNRs; when both gains vanish every theta is
+    an outage and the symmetric 0.5 is returned for determinism.
     """
-    base = decide_dynamic_ps(params, consts, ch, theta=0.5)
-    root_a = math.sqrt(ch.gain_sq_a) * math.sqrt(consts.z_b)
-    root_b = math.sqrt(ch.gain_sq_b) * math.sqrt(consts.z_a)
-    denom = root_a + root_b
-    if denom == 0.0:
-        theta = 0.5
+    if scheme_id == "static_equal":
+        rho = canon["rho"]
+        decode_a = decode_b = 1.0 - rho
+        harvest_a = rho * g_a / consts.z_a
+        harvest_b = rho * g_b / consts.z_b
+        return decode_a, decode_b, harvest_a, harvest_b, 0.5
+
+    knee_a = consts.varpi * consts.z_a
+    knee_b = consts.varpi * consts.z_b
+    with np.errstate(divide="ignore"):
+        decode_a = np.minimum(knee_a / g_a, 1.0)
+        decode_b = np.minimum(knee_b / g_b, 1.0)
+    harvest_a = np.maximum(g_a - knee_a, 0.0) / consts.z_a
+    harvest_b = np.maximum(g_b - knee_b, 0.0) / consts.z_b
+
+    if scheme_id == "dynamic_ps":
+        theta = canon["theta"]
     else:
-        theta = min(max(root_a / denom, _THETA_LO), _THETA_HI)
-    return SchemeDecision(rho_a=base.rho_a, rho_b=base.rho_b, theta=theta)
+        side_a = np.sqrt(g_a * consts.z_b)
+        side_b = np.sqrt(g_b * consts.z_a)
+        denom = side_a + side_b
+        safe = np.where(denom > 0.0, denom, 1.0)
+        theta = np.where(denom > 0.0, side_a / safe, 0.5)
+        theta = np.clip(theta, _THETA_LO, _THETA_HI)
+    return decode_a, decode_b, harvest_a, harvest_b, theta
 
 
-def outage_indicator(params: SystemParams, consts: DerivedConstants,
-                     snrs: SnrTuple) -> bool:
-    """True when any of the four links misses the decoding threshold.
+def link_snrs(params: SystemParams, consts: DerivedConstants, g_a, g_b,
+              controls) -> tuple:
+    """The four link SNRs (uplink_a, uplink_b, downlink_a, downlink_b).
 
-    Equality counts as success; ties have probability zero but the
-    convention is pinned for reproducibility.
+    controls is the tuple scheme_controls returns.  The broadcast runs on
+    the pooled harvest of both links; with a rectenna sensitivity set, a
+    link whose harvested RF power stays below it contributes nothing.
     """
-    worst = min(snrs.uplink_a, snrs.uplink_b, snrs.downlink_a, snrs.downlink_b)
-    return worst < params.snr_threshold
+    decode_a, decode_b, harvest_a, harvest_b, theta = controls
+    snr_scale = params.tx_power_w / params.noise_w
+    up_a = g_a * decode_a * snr_scale / consts.z_a
+    up_b = g_b * decode_b * snr_scale / consts.z_b
+
+    if params.circuit_sensitivity_dbm is not None:
+        floor = params.sensitivity_w
+        tx = params.tx_power_w
+        harvest_a = np.where(tx * harvest_a >= floor, harvest_a, 0.0)
+        harvest_b = np.where(tx * harvest_b >= floor, harvest_b, 0.0)
+
+    x_a, x_b = broadcast_factors(params, consts.z_a, consts.z_b, theta)
+    pooled = harvest_a + harvest_b
+    down_a = x_a * g_a * pooled
+    down_b = x_b * g_b * pooled
+    return up_a, up_b, down_a, down_b
+
+
+def in_outage(params: SystemParams, snrs):
+    """True where any of the four links misses the decoding threshold.
+
+    Equality counts as success; the uplinks compare against a threshold
+    lowered by _UPLINK_SLACK so the knee splits of the adaptive schemes
+    resolve to success regardless of rounding direction.
+    """
+    up_a, up_b, down_a, down_b = snrs
+    gamma_th = params.snr_threshold
+    uplink_bar = gamma_th * (1.0 - _UPLINK_SLACK)
+    return np.logical_not((up_a >= uplink_bar) & (up_b >= uplink_bar)
+                          & (down_a >= gamma_th) & (down_b >= gamma_th))

@@ -15,21 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import SystemParams, _THETA_HI, _THETA_LO, _x_factors, derive_constants
+from .model import (SystemParams, derive_constants, in_outage, link_snrs,
+                    scheme_controls)
 from .numerics import sample_exponential
-from .outage import outage_capacity
 
 BLOCK_TRIALS = 1 << 18
 
 _MASK64 = (1 << 64) - 1
-
-# Relative slack on the uplink threshold comparison.  The adaptive schemes
-# harvest everything above decode feasibility, which parks the true uplink
-# SNR exactly on the threshold; a handful of ulps of slack makes that
-# boundary resolve to success (the model's inclusive convention) instead of
-# depending on rounding direction.  True sub-threshold events sit a
-# continuum away, so the slack does not bias them measurably.
-_UPLINK_SLACK = 16.0 * float(np.finfo(np.float64).eps)
 
 _SCHEME_IDS = ("static_equal", "dynamic_ps", "improved")
 
@@ -99,70 +91,14 @@ def _parse_scheme_args(scheme_id: str, scheme_args) -> dict:
     return canon
 
 
-def _scheme_controls(consts, scheme_id: str, canon: dict, g_a, g_b):
-    """Vectorized control variables for one block of realizations.
-
-    Returns (decode_a, decode_b, harvest_a, harvest_b, theta) where decode
-    is the 1-rho fraction left for information and harvest is rho*g/Z, the
-    harvested-power term of each link.  The adaptive fractions are computed
-    as min(knee/g, 1) rather than via 1-rho so the saturated uplink product
-    g*decode reproduces the knee exactly instead of through a cancellation.
-    """
-    if scheme_id == "static_equal":
-        rho = canon["rho"]
-        decode_a = decode_b = 1.0 - rho
-        harvest_a = rho * g_a / consts.z_a
-        harvest_b = rho * g_b / consts.z_b
-        return decode_a, decode_b, harvest_a, harvest_b, 0.5
-
-    knee_a = consts.varpi * consts.z_a
-    knee_b = consts.varpi * consts.z_b
-    with np.errstate(divide="ignore"):
-        decode_a = np.minimum(knee_a / g_a, 1.0)
-        decode_b = np.minimum(knee_b / g_b, 1.0)
-    harvest_a = np.maximum(g_a - knee_a, 0.0) / consts.z_a
-    harvest_b = np.maximum(g_b - knee_b, 0.0) / consts.z_b
-
-    if scheme_id == "dynamic_ps":
-        theta = canon["theta"]
-    else:
-        side_a = np.sqrt(g_a * consts.z_b)
-        side_b = np.sqrt(g_b * consts.z_a)
-        denom = side_a + side_b
-        safe = np.where(denom > 0.0, denom, 1.0)
-        theta = np.where(denom > 0.0, side_a / safe, 0.5)
-        theta = np.clip(theta, _THETA_LO, _THETA_HI)
-    return decode_a, decode_b, harvest_a, harvest_b, theta
-
-
 def _outage_block(params: SystemParams, consts, scheme_id: str, canon: dict,
                   seed: int, block_index: int, count: int) -> int:
     rng = _block_rng(seed, block_index)
     g_a = sample_exponential(rng, params.fading_mean_a, count)
     g_b = sample_exponential(rng, params.fading_mean_b, count)
-    decode_a, decode_b, harvest_a, harvest_b, theta = _scheme_controls(
-        consts, scheme_id, canon, g_a, g_b)
-
-    snr_scale = params.tx_power_w / params.noise_w
-    up_a = g_a * decode_a * snr_scale / consts.z_a
-    up_b = g_b * decode_b * snr_scale / consts.z_b
-
-    if params.circuit_sensitivity_dbm is not None:
-        floor = params.sensitivity_w
-        tx = params.tx_power_w
-        harvest_a = np.where(tx * harvest_a >= floor, harvest_a, 0.0)
-        harvest_b = np.where(tx * harvest_b >= floor, harvest_b, 0.0)
-
-    x_a, x_b = _x_factors(params, consts, theta)
-    pooled = harvest_a + harvest_b
-    down_a = x_a * g_a * pooled
-    down_b = x_b * g_b * pooled
-
-    gamma_th = params.snr_threshold
-    uplink_bar = gamma_th * (1.0 - _UPLINK_SLACK)
-    ok = ((up_a >= uplink_bar) & (up_b >= uplink_bar)
-          & (down_a >= gamma_th) & (down_b >= gamma_th))
-    return count - int(np.count_nonzero(ok))
+    controls = scheme_controls(consts, scheme_id, canon, g_a, g_b)
+    snrs = link_snrs(params, consts, g_a, g_b, controls)
+    return int(np.count_nonzero(in_outage(params, snrs)))
 
 
 def _block_layout(trials: int) -> list[tuple[int, int]]:
@@ -220,13 +156,6 @@ def mc_energy_outage(params: SystemParams, cfg: McConfig) -> McEstimate:
         return int(np.count_nonzero((power_a < floor) & (power_b < floor)))
 
     return _estimate(_run_blocks(worker, cfg), cfg.trials)
-
-
-def mc_capacity(params: SystemParams, scheme_id: str, scheme_args,
-                cfg: McConfig) -> float:
-    """Outage capacity with the simulated outage probability plugged in."""
-    est = mc_outage(params, scheme_id, scheme_args, cfg)
-    return outage_capacity(params, est.probability)
 
 
 def relative_error(analytic: float, mc: McEstimate) -> float:

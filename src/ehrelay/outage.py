@@ -392,28 +392,6 @@ def _improved_window_mass(consts: DerivedConstants, gamma_th: float,
     return cdf_t2(consts, upper) - cdf_t2(consts, lower)
 
 
-def _improved_window_mass_deriv(consts: DerivedConstants, gamma_th: float,
-                                t: float) -> float:
-    """Derivative in t of the window mass, in closed form.
-
-    Only valid strictly inside (0, integration bound), where both window
-    edges are finite.
-    """
-    upper, lower = _improved_window(consts, gamma_th, t)
-    d_upper = -1.0 / (consts.varpi * consts.z_a * consts.z_b * t * t)
-    den = 1.0 - (gamma_th / consts.y_big) * t
-    d_lower = 2.0 * consts.varpi * (gamma_th / consts.y_big) / (den * den)
-    rate_a = consts.a_rate_a
-    rate_b = consts.a_rate_b
-    gap = rate_a - rate_b
-    if abs(gap) <= 1e-9 * max(rate_a, rate_b):
-        return rate_a ** 2 * (d_upper * upper * math.exp(-rate_a * upper)
-                              - d_lower * lower * math.exp(-rate_a * lower))
-    scale = rate_a * rate_b / gap
-    return scale * (d_upper * (math.exp(-rate_b * upper) - math.exp(-rate_a * upper))
-                    - d_lower * (math.exp(-rate_b * lower) - math.exp(-rate_a * lower)))
-
-
 def _quantile_t3(consts: DerivedConstants, v: float, t_hi: float) -> float:
     """Value of the reciprocal gain product whose CDF equals v, below t_hi."""
     hi = t_hi
@@ -482,30 +460,19 @@ def energy_outage(params: SystemParams, consts: DerivedConstants) -> float:
     return miss_a * miss_b
 
 
-def diversity_slope(params: SystemParams, scheme, snr_grid,
-                    theta: float = 0.5) -> float:
+def diversity_slope(params: SystemParams, evaluate, snr_grid) -> float:
     """Least-squares slope of -log10(outage) against log10(transmit SNR).
 
     snr_grid lists transmit-SNR points in dB, ascending, at least three of
     them; each point rescales the transmit power against the fixed noise
-    floor.  scheme is "dynamic_ps", "improved", or a callable mapping params
-    to an outage probability (used for synthetic slope checks).
+    floor.  evaluate maps params to an outage probability, for example
+    outage_improved or lambda p: outage_dynamic_ps(p, 0.5).
     """
     grid = [float(v) for v in snr_grid]
     if len(grid) < 3:
         raise ValueError("snr_grid needs at least 3 points")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("snr_grid must be strictly ascending")
-
-    if callable(scheme):
-        evaluate = scheme
-    elif scheme == "dynamic_ps":
-        def evaluate(p: SystemParams) -> float:
-            return outage_dynamic_ps(p, theta)
-    elif scheme == "improved":
-        evaluate = outage_improved
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
 
     decades = []
     neg_log_out = []

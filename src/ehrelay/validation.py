@@ -19,9 +19,8 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from .model import (ChannelRealization, SystemParams, _x_factors,
-                    decide_dynamic_ps, decide_improved, derive_constants,
-                    downlink_snrs, uplink_snrs)
+from .model import (SystemParams, broadcast_factors, derive_constants,
+                    link_snrs, scheme_controls)
 from .montecarlo import McConfig, mc_energy_outage, mc_outage, relative_error
 from .outage import (CaseFourGeometry, Scenario, _boundary_gain_a,
                      _boundary_gain_b, case4_geometry, cdf_t2, cdf_t3,
@@ -143,20 +142,18 @@ def criterion_theta_optimality() -> CriterionResult:
     params = SystemParams()
     consts = derive_constants(params, 0.5)
     rng = np.random.default_rng(41)
-    grid = np.linspace(0.001, 0.999, 999)
-    x_a, x_b = _x_factors(params, consts, grid)
-    worst = math.inf
-    for _ in range(200):
-        ch = ChannelRealization(float(rng.exponential(params.fading_mean_a)),
-                                float(rng.exponential(params.fading_mean_b)))
-        dec = decide_improved(params, consts, ch)
-        best = min(downlink_snrs(params, consts, ch, dec))
-        harvest = (dec.rho_a * ch.gain_sq_a / consts.z_a
-                   + dec.rho_b * ch.gain_sq_b / consts.z_b)
-        grid_best = float((np.minimum(x_a * ch.gain_sq_a, x_b * ch.gain_sq_b)
-                           * harvest).max())
-        if grid_best > 0.0:
-            worst = min(worst, (best - grid_best) / grid_best)
+    g_a, g_b = rng.exponential((params.fading_mean_a, params.fading_mean_b),
+                               size=(200, 2)).T
+    controls = scheme_controls(consts, "improved", {}, g_a, g_b)
+    _, _, down_a, down_b = link_snrs(params, consts, g_a, g_b, controls)
+    best = np.minimum(down_a, down_b)
+    grid = np.linspace(0.001, 0.999, 999)[:, None]
+    x_a, x_b = broadcast_factors(params, consts.z_a, consts.z_b, grid)
+    pooled = controls[2] + controls[3]
+    grid_best = (np.minimum(x_a * g_a, x_b * g_b) * pooled).max(axis=0)
+    resolved = grid_best > 0.0
+    worst = float(((best[resolved] - grid_best[resolved]) / grid_best[resolved])
+                  .min(initial=math.inf))
     grid_ok = worst >= -1e-9
     curve = [row.analytic_outage for row in fig(4, mc=McConfig(trials=4096, seed=43)).rows]
     shape_ok = _unimodal(curve, "min")
@@ -171,12 +168,11 @@ def criterion_rho_optimality() -> CriterionResult:
     params = SystemParams()
     consts = derive_constants(params, 0.5)
     gamma_th = params.snr_threshold
-    x_a, x_b = _x_factors(params, consts, 0.5)
     rng = np.random.default_rng(53)
     knee_a = consts.varpi * consts.z_a
     knee_b = consts.varpi * consts.z_b
-    beaten = 0
-    uplink_ok = True
+    gains = []
+    scalings = []
     for _ in range(200):
         g_a = float(rng.exponential(params.fading_mean_a))
         while g_a <= knee_a:
@@ -184,21 +180,26 @@ def criterion_rho_optimality() -> CriterionResult:
         g_b = float(rng.exponential(params.fading_mean_b))
         while g_b <= knee_b:
             g_b = float(rng.exponential(params.fading_mean_b))
-        ch = ChannelRealization(g_a, g_b)
-        dec = decide_dynamic_ps(params, consts, ch, 0.5)
-        best = min(downlink_snrs(params, consts, ch, dec))
-        draws = rng.random((1000, 2))
-        harvest = (draws[:, 0] * dec.rho_a * g_a / consts.z_a
-                   + draws[:, 1] * dec.rho_b * g_b / consts.z_b)
-        sampled_best = float((np.minimum(x_a * g_a, x_b * g_b) * harvest).max())
-        if sampled_best > best * (1.0 + 1e-12):
-            beaten += 1
-        for excess in (1e-6, 0.5, 1.0):
-            over_a = replace(dec, rho_a=dec.rho_a + (1.0 - dec.rho_a) * excess)
-            over_b = replace(dec, rho_b=dec.rho_b + (1.0 - dec.rho_b) * excess)
-            up_a, _ = uplink_snrs(params, consts, ch, over_a)
-            _, up_b = uplink_snrs(params, consts, ch, over_b)
-            uplink_ok &= up_a < gamma_th and up_b < gamma_th
+        gains.append((g_a, g_b))
+        scalings.append(rng.random((1000, 2)))
+    g_a, g_b = np.array(gains).T
+    controls = scheme_controls(consts, "dynamic_ps", {"theta": 0.5}, g_a, g_b)
+    decode_a, decode_b, harvest_a, harvest_b, theta = controls
+    _, _, down_a, down_b = link_snrs(params, consts, g_a, g_b, controls)
+    best = np.minimum(down_a, down_b)
+    # A smaller split harvests a fraction of each knee-split harvest term.
+    draws = np.array(scalings)
+    harvest = draws[:, :, 0] * harvest_a[:, None] + draws[:, :, 1] * harvest_b[:, None]
+    x_a, x_b = broadcast_factors(params, consts.z_a, consts.z_b, theta)
+    sampled_best = (np.minimum(x_a * g_a, x_b * g_b)[:, None] * harvest).max(axis=1)
+    beaten = int(np.count_nonzero(sampled_best > best * (1.0 + 1e-12)))
+    uplink_ok = True
+    for excess in (1e-6, 0.5, 1.0):
+        # Splitting past the knee leaves (1 - excess) of the decode fraction.
+        over = (decode_a * (1.0 - excess), decode_b * (1.0 - excess),
+                harvest_a, harvest_b, theta)
+        up_a, up_b, _, _ = link_snrs(params, consts, g_a, g_b, over)
+        uplink_ok &= bool(np.all(up_a < gamma_th) and np.all(up_b < gamma_th))
     detail = (f"realizations beaten by sampled splits={beaten}/200; "
               f"over-split uplink always below threshold={uplink_ok}")
     return CriterionResult(6, "split-ratio-optimality",
@@ -217,8 +218,8 @@ def criterion_diversity() -> CriterionResult:
     """Both adaptive schemes show unit diversity order over 40-70 dB."""
     params = replace(SystemParams(), **_DIVERSITY_GEOMETRY)
     grid = (40.0, 50.0, 60.0, 70.0)
-    slope_dyn = diversity_slope(params, "dynamic_ps", grid)
-    slope_imp = diversity_slope(params, "improved", grid)
+    slope_dyn = diversity_slope(params, lambda p: outage_dynamic_ps(p, 0.5), grid)
+    slope_imp = diversity_slope(params, outage_improved, grid)
     passed = 0.8 <= slope_dyn <= 1.2 and 0.8 <= slope_imp <= 1.2
     return CriterionResult(7, "diversity-gain", passed,
                            f"slope dynamic={_fmt(slope_dyn)}; improved={_fmt(slope_imp)}")

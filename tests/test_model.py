@@ -1,26 +1,21 @@
-"""Core model: parameter handling, derived constants, scheme decisions."""
+"""Core model: parameter handling, derived constants, the physics kernel."""
 
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ehrelay import (
-    ChannelRealization,
-    SchemeDecision,
-    SnrTuple,
+from ehrelay.model import (
     SystemParams,
+    broadcast_factors,
     dbi_to_linear,
     dbm_to_watts,
-    decide_dynamic_ps,
-    decide_improved,
-    decide_static_equal,
     derive_constants,
-    downlink_snrs,
-    outage_indicator,
-    snr_tuple,
-    uplink_snrs,
+    in_outage,
+    link_snrs,
+    scheme_controls,
 )
 
 # Frozen by scripts/compute_reference_values.py (mpmath, 50 digits),
@@ -43,6 +38,13 @@ REF_B_O = 0.0007886357059752339
 
 DEFAULTS = SystemParams()
 CONSTS = derive_constants(DEFAULTS, 0.5)
+DYNAMIC = {"theta": 0.5}
+
+
+def _split(g_a, g_b, rho_a, rho_b):
+    """Kernel controls for explicit power-splitting ratios at theta 0.5."""
+    return (1.0 - rho_a, 1.0 - rho_b,
+            rho_a * g_a / CONSTS.z_a, rho_b * g_b / CONSTS.z_b, 0.5)
 
 
 def test_unit_conversions():
@@ -67,13 +69,14 @@ def test_normalized_threshold_is_three_picounits():
 
 
 def test_derived_constants_reference_point():
+    x_factor_a, x_factor_b = broadcast_factors(DEFAULTS, CONSTS.z_a, CONSTS.z_b, 0.5)
     got = {
-        "lambda_big_a": CONSTS.lambda_big_a,
-        "lambda_big_b": CONSTS.lambda_big_b,
+        "lambda_big_a": DEFAULTS.dist_a ** DEFAULTS.path_loss_exp / CONSTS.z_a,
+        "lambda_big_b": DEFAULTS.dist_b ** DEFAULTS.path_loss_exp / CONSTS.z_b,
         "z_a": CONSTS.z_a,
         "z_b": CONSTS.z_b,
-        "x_factor_a": CONSTS.x_factor_a,
-        "x_factor_b": CONSTS.x_factor_b,
+        "x_factor_a": x_factor_a,
+        "x_factor_b": x_factor_b,
         "y_big": CONSTS.y_big,
         "c_a": CONSTS.c_a,
         "c_b": CONSTS.c_b,
@@ -112,14 +115,15 @@ def test_symmetric_geometry_collapses_link_constants():
     c = derive_constants(sym, 0.5)
     assert c.z_a == pytest.approx(c.z_b, rel=1e-15)
     assert c.delta_a == pytest.approx(c.delta_b, rel=1e-15)
-    assert c.x_factor_a == pytest.approx(c.x_factor_b, rel=1e-15)
+    x_a, x_b = broadcast_factors(sym, c.z_a, c.z_b, 0.5)
+    assert x_a == pytest.approx(x_b, rel=1e-15)
 
 
 def test_half_theta_mix_identity():
     # At theta = 0.5 both broadcast factors reduce to hg / (2 z_i).
-    assert CONSTS.x_factor_a * CONSTS.z_a == pytest.approx(
-        CONSTS.x_factor_b * CONSTS.z_b, rel=1e-12)
-    assert CONSTS.x_factor_a * CONSTS.z_a == pytest.approx(
+    x_a, x_b = broadcast_factors(DEFAULTS, CONSTS.z_a, CONSTS.z_b, 0.5)
+    assert x_a * CONSTS.z_a == pytest.approx(x_b * CONSTS.z_b, rel=1e-12)
+    assert x_a * CONSTS.z_a == pytest.approx(
         CONSTS.y_big * CONSTS.z_a * CONSTS.z_b / 2.0, rel=1e-12)
 
 
@@ -149,45 +153,52 @@ def test_derive_constants_theta_domain():
         derive_constants(DEFAULTS, 1.0)
 
 
-def test_realization_and_decision_validation():
-    with pytest.raises(ValueError):
-        ChannelRealization(gain_sq_a=-1.0, gain_sq_b=1.0)
-    with pytest.raises(ValueError):
-        ChannelRealization(gain_sq_a=math.nan, gain_sq_b=1.0)
-    with pytest.raises(ValueError):
-        SchemeDecision(rho_a=1.1, rho_b=0.5, theta=0.5)
-    with pytest.raises(ValueError):
-        SchemeDecision(rho_a=0.5, rho_b=0.5, theta=1.0)
-    with pytest.raises(ValueError):
-        SnrTuple(uplink_a=-1.0, uplink_b=0.0, downlink_a=0.0, downlink_b=0.0)
-
-
 def test_uplink_boundary_values():
-    ch = ChannelRealization(gain_sq_a=CONSTS.varpi * CONSTS.z_a,
-                            gain_sq_b=CONSTS.varpi * CONSTS.z_b)
-    dec = SchemeDecision(rho_a=0.0, rho_b=0.0, theta=0.5)
-    up_a, up_b = uplink_snrs(DEFAULTS, CONSTS, ch, dec)
+    g_a = CONSTS.varpi * CONSTS.z_a
+    g_b = CONSTS.varpi * CONSTS.z_b
+    up_a, up_b, _, _ = link_snrs(DEFAULTS, CONSTS, g_a, g_b, _split(g_a, g_b, 0.0, 0.0))
     assert up_a == pytest.approx(DEFAULTS.snr_threshold, rel=1e-12)
     assert up_b == pytest.approx(DEFAULTS.snr_threshold, rel=1e-12)
 
-    all_harvest = SchemeDecision(rho_a=1.0, rho_b=1.0, theta=0.5)
-    up_a, up_b = uplink_snrs(DEFAULTS, CONSTS, ch, all_harvest)
+    up_a, up_b, _, _ = link_snrs(DEFAULTS, CONSTS, g_a, g_b, _split(g_a, g_b, 1.0, 1.0))
     assert up_a == 0.0 and up_b == 0.0
 
 
 def test_uplink_reference_value():
     # P / sigma^2 is exactly 1e12 at the reference point, so the value is
     # forced by the frozen z_a literal.
-    ch = ChannelRealization(gain_sq_a=DEFAULTS.fading_mean_a, gain_sq_b=1.0)
-    dec = SchemeDecision(rho_a=0.3, rho_b=0.0, theta=0.5)
-    up_a, _ = uplink_snrs(DEFAULTS, CONSTS, ch, dec)
+    g_a = DEFAULTS.fading_mean_a
+    up_a, _, _, _ = link_snrs(DEFAULTS, CONSTS, g_a, 1.0, _split(g_a, 1.0, 0.3, 0.0))
     assert up_a == pytest.approx(0.7e12 / REF_Z_A, rel=1e-12)
 
 
+def test_uplink_boundary_convention():
+    """Adaptive knee splits decode whatever way the uplink product rounds.
+
+    Without the uplink slack a few percent of these gains land one ulp
+    below the threshold and would count as uplink outages.
+    """
+    rng = np.random.default_rng(2024)
+    knee_a = CONSTS.varpi * CONSTS.z_a
+    knee_b = CONSTS.varpi * CONSTS.z_b
+    g_a = knee_a * (1.0 + 10.0 * rng.random(10_000))
+    g_b = knee_b * (1.0 + 10.0 * rng.random(10_000))
+    for scheme_id, canon in (("dynamic_ps", DYNAMIC), ("improved", {})):
+        controls = scheme_controls(CONSTS, scheme_id, canon, g_a, g_b)
+        up_a, up_b, _, _ = link_snrs(DEFAULTS, CONSTS, g_a, g_b, controls)
+        # Infinite downlinks leave the uplinks alone to decide the outage.
+        assert not in_outage(DEFAULTS, (up_a, np.inf, np.inf, np.inf)).any(), scheme_id
+        assert not in_outage(DEFAULTS, (np.inf, up_b, np.inf, np.inf)).any(), scheme_id
+
+    dead = np.zeros(1)
+    for scheme_id, canon in (("dynamic_ps", DYNAMIC), ("improved", {})):
+        controls = scheme_controls(CONSTS, scheme_id, canon, dead, dead)
+        assert np.all(controls[4] == 0.5)
+        assert in_outage(DEFAULTS, link_snrs(DEFAULTS, CONSTS, dead, dead, controls)).all()
+
+
 def test_downlink_zero_without_harvest():
-    ch = ChannelRealization(gain_sq_a=2.0, gain_sq_b=1.0)
-    dec = SchemeDecision(rho_a=0.0, rho_b=0.0, theta=0.5)
-    down_a, down_b = downlink_snrs(DEFAULTS, CONSTS, ch, dec)
+    _, _, down_a, down_b = link_snrs(DEFAULTS, CONSTS, 2.0, 1.0, _split(2.0, 1.0, 0.0, 0.0))
     assert down_a == 0.0 and down_b == 0.0
 
 
@@ -195,69 +206,67 @@ def test_downlink_reference_pair():
     """Downlink pair at gains (2, 1) with the optimal split ratios."""
     rho_a = 1.0 - REF_VARPI * REF_Z_A / 2.0
     rho_b = 1.0 - REF_VARPI * REF_Z_B
-    ch = ChannelRealization(gain_sq_a=2.0, gain_sq_b=1.0)
-    dec = SchemeDecision(rho_a=rho_a, rho_b=rho_b, theta=0.5)
     harvest = rho_a * 2.0 / REF_Z_A + rho_b * 1.0 / REF_Z_B
-    down_a, down_b = downlink_snrs(DEFAULTS, CONSTS, ch, dec)
+    _, _, down_a, down_b = link_snrs(DEFAULTS, CONSTS, 2.0, 1.0,
+                                     _split(2.0, 1.0, rho_a, rho_b))
     assert down_a == pytest.approx(REF_X_FACTOR_A * 2.0 * harvest, rel=1e-12)
     assert down_b == pytest.approx(REF_X_FACTOR_B * 1.0 * harvest, rel=1e-12)
 
 
 def test_static_equal_decision():
-    assert decide_static_equal(DEFAULTS, CONSTS, 0.5) == SchemeDecision(0.5, 0.5, 0.5)
-    assert decide_static_equal(DEFAULTS, CONSTS, 0.0) == SchemeDecision(0.0, 0.0, 0.5)
-    assert decide_static_equal(DEFAULTS, CONSTS, 0.7) == SchemeDecision(0.7, 0.7, 0.5)
+    for rho in (0.5, 0.0, 0.7):
+        controls = scheme_controls(CONSTS, "static_equal", {"rho": rho}, 2.0, 1.0)
+        assert controls == _split(2.0, 1.0, rho, rho)
 
 
 def test_dynamic_split_knee_values():
     knee_a = CONSTS.varpi * CONSTS.z_a
     knee_b = CONSTS.varpi * CONSTS.z_b
-    at_knee = ChannelRealization(gain_sq_a=knee_a, gain_sq_b=knee_b)
-    dec = decide_dynamic_ps(DEFAULTS, CONSTS, at_knee, 0.5)
-    assert dec.rho_a == 0.0 and dec.rho_b == 0.0
+    # The kernel reports 1 - rho as the decode fraction and rho*g/Z as the
+    # harvest term, so rho == 0 reads as decode 1 with nothing harvested.
+    decode_a, decode_b, harvest_a, harvest_b, _ = scheme_controls(
+        CONSTS, "dynamic_ps", DYNAMIC, knee_a, knee_b)
+    assert decode_a == 1.0 and decode_b == 1.0
+    assert harvest_a == 0.0 and harvest_b == 0.0
 
-    doubled = ChannelRealization(gain_sq_a=2.0 * knee_a, gain_sq_b=2.0 * knee_b)
-    dec = decide_dynamic_ps(DEFAULTS, CONSTS, doubled, 0.5)
-    assert dec.rho_a == pytest.approx(0.5, rel=1e-12)
-    assert dec.rho_b == pytest.approx(0.5, rel=1e-12)
+    decode_a, decode_b, _, _, _ = scheme_controls(
+        CONSTS, "dynamic_ps", DYNAMIC, 2.0 * knee_a, 2.0 * knee_b)
+    assert 1.0 - decode_a == pytest.approx(0.5, rel=1e-12)
+    assert 1.0 - decode_b == pytest.approx(0.5, rel=1e-12)
 
-    below = ChannelRealization(gain_sq_a=0.5 * knee_a, gain_sq_b=0.1 * knee_b)
-    dec = decide_dynamic_ps(DEFAULTS, CONSTS, below, 0.5)
-    assert dec.rho_a == 0.0 and dec.rho_b == 0.0
+    decode_a, decode_b, harvest_a, harvest_b, _ = scheme_controls(
+        CONSTS, "dynamic_ps", DYNAMIC, 0.5 * knee_a, 0.1 * knee_b)
+    assert decode_a == 1.0 and decode_b == 1.0
+    assert harvest_a == 0.0 and harvest_b == 0.0
+
+
+def _improved_theta(g_a, g_b):
+    return float(scheme_controls(CONSTS, "improved", {}, g_a, g_b)[4])
 
 
 def test_improved_theta_special_points():
     # Gains scaled so g_a * z_b equals g_b * z_a give the symmetric split.
-    ch = ChannelRealization(gain_sq_a=1.0, gain_sq_b=REF_Z_B / REF_Z_A)
-    dec = decide_improved(DEFAULTS, CONSTS, ch)
-    assert dec.theta == pytest.approx(0.5, rel=1e-12)
+    assert _improved_theta(1.0, REF_Z_B / REF_Z_A) == pytest.approx(0.5, rel=1e-12)
 
-    vanishing_b = ChannelRealization(gain_sq_a=1.0, gain_sq_b=1e-30)
-    dec = decide_improved(DEFAULTS, CONSTS, vanishing_b)
-    assert dec.theta > 0.999999
-    assert dec.theta < 1.0
+    theta = _improved_theta(1.0, 1e-30)
+    assert theta > 0.999999
+    assert theta < 1.0
 
 
 def test_improved_theta_reference_value():
-    ch = ChannelRealization(gain_sq_a=2.0, gain_sq_b=1.0)
-    dec = decide_improved(DEFAULTS, CONSTS, ch)
     want = math.sqrt(2.0 * REF_Z_B) / (math.sqrt(2.0 * REF_Z_B) + math.sqrt(REF_Z_A))
-    assert dec.theta == pytest.approx(want, rel=1e-12)
+    assert _improved_theta(2.0, 1.0) == pytest.approx(want, rel=1e-12)
 
 
 def test_outage_indicator_inclusive_threshold():
     g = DEFAULTS.snr_threshold
-    at = SnrTuple(uplink_a=g, uplink_b=g, downlink_a=g, downlink_b=g)
-    assert outage_indicator(DEFAULTS, CONSTS, at) is False
-    one_low = SnrTuple(uplink_a=g / 2.0, uplink_b=1e9, downlink_a=1e9, downlink_b=1e9)
-    assert outage_indicator(DEFAULTS, CONSTS, one_low) is True
+    assert not in_outage(DEFAULTS, (g, g, g, g))
+    assert in_outage(DEFAULTS, (g / 2.0, 1e9, 1e9, 1e9))
 
 
 def test_outage_indicator_vanishing_threshold():
     tiny_rate = dataclasses.replace(DEFAULTS, rate_bps_hz=1e-9)
-    c = derive_constants(tiny_rate, 0.5)
-    snrs = SnrTuple(uplink_a=1e-6, uplink_b=1e-6, downlink_a=1e-6, downlink_b=1e-6)
-    assert outage_indicator(tiny_rate, c, snrs) is False
+    assert not in_outage(tiny_rate, (1e-6, 1e-6, 1e-6, 1e-6))
 
 
 def test_scale_consistency():
@@ -265,13 +274,11 @@ def test_scale_consistency():
     shifted = dataclasses.replace(DEFAULTS, tx_power_dbm=37.0, noise_dbm=-83.0)
     c2 = derive_constants(shifted, 0.5)
     assert c2.varpi == pytest.approx(CONSTS.varpi, rel=1e-12)
-    ch = ChannelRealization(gain_sq_a=0.8, gain_sq_b=1.7)
-    dec1 = decide_dynamic_ps(DEFAULTS, CONSTS, ch, 0.5)
-    dec2 = decide_dynamic_ps(shifted, c2, ch, 0.5)
-    s1 = snr_tuple(DEFAULTS, CONSTS, ch, dec1)
-    s2 = snr_tuple(shifted, c2, ch, dec2)
-    for a, b in zip((s1.uplink_a, s1.uplink_b, s1.downlink_a, s1.downlink_b),
-                    (s2.uplink_a, s2.uplink_b, s2.downlink_a, s2.downlink_b)):
+    s1 = link_snrs(DEFAULTS, CONSTS, 0.8, 1.7,
+                   scheme_controls(CONSTS, "dynamic_ps", DYNAMIC, 0.8, 1.7))
+    s2 = link_snrs(shifted, c2, 0.8, 1.7,
+                   scheme_controls(c2, "dynamic_ps", DYNAMIC, 0.8, 1.7))
+    for a, b in zip(s1, s2):
         assert b == pytest.approx(a, rel=1e-9)
 
 
@@ -283,19 +290,20 @@ def test_scale_consistency():
 )
 def test_split_ratio_optimality(extra_a, extra_b, shrink_a, shrink_b):
     """No feasible smaller split beats the knee split; larger splits break the uplink."""
-    ch = ChannelRealization(gain_sq_a=CONSTS.varpi * CONSTS.z_a + extra_a,
-                            gain_sq_b=CONSTS.varpi * CONSTS.z_b + extra_b)
-    best = decide_dynamic_ps(DEFAULTS, CONSTS, ch, 0.5)
-    candidate = SchemeDecision(rho_a=shrink_a * best.rho_a,
-                               rho_b=shrink_b * best.rho_b, theta=0.5)
-    opt = downlink_snrs(DEFAULTS, CONSTS, ch, best)
-    sub = downlink_snrs(DEFAULTS, CONSTS, ch, candidate)
+    g_a = CONSTS.varpi * CONSTS.z_a + extra_a
+    g_b = CONSTS.varpi * CONSTS.z_b + extra_b
+    best = scheme_controls(CONSTS, "dynamic_ps", DYNAMIC, g_a, g_b)
+    decode_a, decode_b, harvest_a, harvest_b, theta = best
+    # Shrinking a split ratio shrinks its harvest term in proportion.
+    candidate = (decode_a, decode_b, shrink_a * harvest_a, shrink_b * harvest_b, theta)
+    opt = link_snrs(DEFAULTS, CONSTS, g_a, g_b, best)[2:]
+    sub = link_snrs(DEFAULTS, CONSTS, g_a, g_b, candidate)[2:]
     assert min(sub) <= min(opt) * (1.0 + 1e-12)
 
-    if best.rho_a < 1.0:
-        over = SchemeDecision(rho_a=best.rho_a + 0.5 * (1.0 - best.rho_a),
-                              rho_b=best.rho_b, theta=0.5)
-        up_a, _ = uplink_snrs(DEFAULTS, CONSTS, ch, over)
+    if decode_a > 0.0:
+        # rho_a + (1 - rho_a) / 2 leaves half the decode fraction.
+        over = (0.5 * decode_a, decode_b, harvest_a, harvest_b, theta)
+        up_a, _, _, _ = link_snrs(DEFAULTS, CONSTS, g_a, g_b, over)
         assert up_a < DEFAULTS.snr_threshold
 
 
@@ -304,9 +312,8 @@ def test_split_ratio_optimality(extra_a, extra_b, shrink_a, shrink_b):
     g_b=st.floats(min_value=1e-12, max_value=20.0),
 )
 def test_improved_weight_equalizes_downlinks(g_a, g_b):
-    ch = ChannelRealization(gain_sq_a=g_a, gain_sq_b=g_b)
-    dec = decide_improved(DEFAULTS, CONSTS, ch)
-    down_a, down_b = downlink_snrs(DEFAULTS, CONSTS, ch, dec)
+    controls = scheme_controls(CONSTS, "improved", {}, g_a, g_b)
+    _, _, down_a, down_b = link_snrs(DEFAULTS, CONSTS, g_a, g_b, controls)
     # Extreme gain ratios park theta within ~5e-8 of 1, where the 1-theta
     # cancellation caps the achievable equality at roughly eps/(1-theta).
     assert down_a == pytest.approx(down_b, rel=1e-6, abs=1e-30)
@@ -322,11 +329,9 @@ def test_improved_weight_equalizes_downlinks(g_a, g_b):
 )
 def test_downlinks_nondecreasing_in_split_ratios(g_a, g_b, rho_a, rho_b,
                                                  bump_a, bump_b):
-    ch = ChannelRealization(gain_sq_a=g_a, gain_sq_b=g_b)
-    lo = SchemeDecision(rho_a=rho_a, rho_b=rho_b, theta=0.5)
-    hi = SchemeDecision(rho_a=rho_a + bump_a * (1.0 - rho_a),
-                        rho_b=rho_b + bump_b * (1.0 - rho_b), theta=0.5)
-    d_lo = downlink_snrs(DEFAULTS, CONSTS, ch, lo)
-    d_hi = downlink_snrs(DEFAULTS, CONSTS, ch, hi)
+    lo = _split(g_a, g_b, rho_a, rho_b)
+    hi = _split(g_a, g_b, rho_a + bump_a * (1.0 - rho_a), rho_b + bump_b * (1.0 - rho_b))
+    d_lo = link_snrs(DEFAULTS, CONSTS, g_a, g_b, lo)[2:]
+    d_hi = link_snrs(DEFAULTS, CONSTS, g_a, g_b, hi)[2:]
     assert d_hi[0] >= d_lo[0] * (1.0 - 1e-12)
     assert d_hi[1] >= d_lo[1] * (1.0 - 1e-12)

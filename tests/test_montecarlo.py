@@ -12,7 +12,6 @@ from ehrelay import (
     SystemParams,
     energy_outage,
     derive_constants,
-    mc_capacity,
     mc_energy_outage,
     mc_outage,
     outage_capacity,
@@ -168,7 +167,8 @@ class TestAgreement:
 
     def test_capacity_composes_outage(self):
         cfg = McConfig(trials=200_000, seed=5)
-        cap = mc_capacity(DEFAULTS, "dynamic_ps", {"theta": 0.5}, cfg)
+        cap = outage_capacity(
+            DEFAULTS, mc_outage(DEFAULTS, "dynamic_ps", {"theta": 0.5}, cfg).probability)
         est = mc_outage(DEFAULTS, "dynamic_ps", {"theta": 0.5}, cfg)
         assert cap == outage_capacity(DEFAULTS, est.probability)
         analytic_cap = outage_capacity(

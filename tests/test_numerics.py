@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ehrelay import QuadratureRule, bessel_k1, integrate_gc, sample_exponential
+from ehrelay.numerics import QuadratureRule, bessel_k1, integrate_gc, sample_exponential
 
 # Frozen by scripts/compute_reference_values.py (mpmath besselk).
 K1_REFERENCE = {

@@ -9,15 +9,8 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 from ehrelay import (
-    CaseFourGeometry,
     McConfig,
-    QuadratureRule,
-    Scenario,
     SystemParams,
-    bessel_k1,
-    case4_geometry,
-    cdf_t2,
-    cdf_t3,
     derive_constants,
     diversity_slope,
     energy_outage,
@@ -25,16 +18,22 @@ from ehrelay import (
     outage_capacity,
     outage_dynamic_ps,
     outage_improved,
+)
+from ehrelay.numerics import QuadratureRule, bessel_k1
+from ehrelay.outage import (
+    CaseFourGeometry,
+    Scenario,
+    _exp_curve_integral,
+    _improved_window,
+    _improved_window_mass,
+    case4_geometry,
+    cdf_t2,
+    cdf_t3,
+    improved_integration_bound,
     p_case1,
     p_case2,
     p_case3,
     p_case4,
-)
-from ehrelay.outage import (
-    _exp_curve_integral,
-    _improved_window_mass,
-    _improved_window_mass_deriv,
-    improved_integration_bound,
 )
 
 # Frozen by scripts/compute_reference_values.py: adaptive integration of the
@@ -237,6 +236,27 @@ def test_cdfs_nondecreasing_on_dense_grids():
     assert np.all(np.diff(t3_vals) >= 0.0)
 
 
+def _window_mass_deriv(consts, gamma_th, t):
+    """Derivative in t of the decode-window mass, in closed form.
+
+    Only valid strictly inside (0, integration bound), where both window
+    edges are finite.
+    """
+    upper, lower = _improved_window(consts, gamma_th, t)
+    d_upper = -1.0 / (consts.varpi * consts.z_a * consts.z_b * t * t)
+    den = 1.0 - (gamma_th / consts.y_big) * t
+    d_lower = 2.0 * consts.varpi * (gamma_th / consts.y_big) / (den * den)
+    rate_a = consts.a_rate_a
+    rate_b = consts.a_rate_b
+    gap = rate_a - rate_b
+    if abs(gap) <= 1e-9 * max(rate_a, rate_b):
+        return rate_a ** 2 * (d_upper * upper * math.exp(-rate_a * upper)
+                              - d_lower * lower * math.exp(-rate_a * lower))
+    scale = rate_a * rate_b / gap
+    return scale * (d_upper * (math.exp(-rate_b * upper) - math.exp(-rate_a * upper))
+                    - d_lower * (math.exp(-rate_b * lower) - math.exp(-rate_a * lower)))
+
+
 def test_window_mass_derivative_matches_finite_differences():
     """Closed-form derivative of the decode-window mass, checked by FD.
 
@@ -254,7 +274,7 @@ def test_window_mass_derivative_matches_finite_differences():
         h = t * 1e-5
         fd = (_improved_window_mass(c, gamma, t + h)
               - _improved_window_mass(c, gamma, t - h)) / (2.0 * h)
-        cf = _improved_window_mass_deriv(c, gamma, t)
+        cf = _window_mass_deriv(c, gamma, t)
         if abs(cf) >= 1e-8:
             resolved += 1
             assert fd == pytest.approx(cf, rel=1e-4)
