@@ -26,6 +26,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.special
 from scipy.optimize import brentq
 
 from . import numerics
@@ -352,6 +353,33 @@ def cdf_t2(consts: DerivedConstants, t: float) -> float:
     return 1.0 - math.exp(-rate_b * t) + (rate_b / gap) * diff
 
 
+def cdf_t2_array(consts: DerivedConstants, t: np.ndarray) -> np.ndarray:
+    """cdf_t2 over an array of t, the same branches elementwise.
+
+    The closed forms keep calling the scalar twin, which is faster for one
+    point.  np.exp and math.exp differ in the last bit on some inputs, so
+    the twins agree to a few ulps, not bitwise.
+    """
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0.0):
+        raise ValueError("cdf_t2 requires t >= 0")
+    out = np.ones_like(t)
+    finite = ~np.isinf(t)
+    t = t[finite]
+    rate_a = consts.a_rate_a
+    rate_b = consts.a_rate_b
+    gap = rate_a - rate_b
+    if abs(gap) <= 1e-9 * max(rate_a, rate_b):
+        out[finite] = 1.0 - np.exp(-rate_b * t) - rate_b * t * np.exp(-rate_a * t)
+        return out
+    if rate_a <= rate_b:
+        diff = -np.exp(-rate_a * t) * np.expm1(-(rate_b - rate_a) * t)
+    else:
+        diff = np.exp(-rate_b * t) * np.expm1(-(rate_a - rate_b) * t)
+    out[finite] = 1.0 - np.exp(-rate_b * t) + (rate_b / gap) * diff
+    return out
+
+
 def cdf_t3(consts: DerivedConstants, t: float) -> float:
     """CDF of the reciprocal gain product 1/(g_A*g_B)."""
     if not t > 0.0:
@@ -362,6 +390,26 @@ def cdf_t3(consts: DerivedConstants, t: float) -> float:
     lam_b = consts.z_b / consts.a_rate_b
     z = math.sqrt(4.0 / (lam_a * lam_b * t))
     return z * numerics.bessel_k1(z)
+
+
+def cdf_t3_array(consts: DerivedConstants, t: np.ndarray) -> np.ndarray:
+    """cdf_t3 over an array of t, bit-identical to the scalar twin.
+
+    K1 comes straight from scipy.special.k1: numerics.bessel_k1 is scalar
+    and warns on each underflow, while for this CDF an underflowed K1 is the
+    correct value 0 of a deep left tail.  t = inf is masked out because
+    z * K1(z) at z = 0 is 0 * inf.
+    """
+    t = np.asarray(t, dtype=float)
+    if not np.all(t > 0.0):
+        raise ValueError("cdf_t3 requires t > 0")
+    out = np.ones_like(t)
+    finite = ~np.isinf(t)
+    lam_a = consts.z_a / consts.a_rate_a
+    lam_b = consts.z_b / consts.a_rate_b
+    z = np.sqrt(4.0 / (lam_a * lam_b * t[finite]))
+    out[finite] = z * scipy.special.k1(z)
+    return out
 
 
 def improved_integration_bound(consts: DerivedConstants, gamma_th: float) -> float:

@@ -12,7 +12,6 @@ import io
 import math
 import sys
 import time
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -23,9 +22,10 @@ from .model import (SystemParams, broadcast_factors, derive_constants,
                     link_snrs, scheme_controls)
 from .montecarlo import McConfig, mc_energy_outage, mc_outage, relative_error
 from .outage import (CaseFourGeometry, Scenario, _boundary_gain_a,
-                     _boundary_gain_b, case4_geometry, cdf_t2, cdf_t3,
-                     diversity_slope, energy_outage, outage_capacity,
-                     outage_dynamic_ps, outage_improved, p_case4)
+                     _boundary_gain_b, case4_geometry, cdf_t2_array,
+                     cdf_t3_array, diversity_slope, energy_outage,
+                     outage_capacity, outage_dynamic_ps, outage_improved,
+                     p_case4)
 from .sweeps import SchemeSpec, SweepSpec, fig, run_sweep
 
 
@@ -56,8 +56,7 @@ def _unimodal(seq, mode: str) -> bool:
 
 def _ks_statistic(sorted_samples, cdf) -> float:
     n = len(sorted_samples)
-    values = np.fromiter((cdf(float(x)) for x in sorted_samples),
-                         dtype=float, count=n)
+    values = cdf(sorted_samples)
     ranks = np.arange(1, n + 1, dtype=float) / n
     gaps = np.maximum(np.abs(values - ranks), np.abs(values - ranks + 1.0 / n))
     return float(gaps.max())
@@ -239,27 +238,23 @@ def criterion_variable_change_cdfs() -> CriterionResult:
     worst_ks = 0.0
     mono_ok = True
     limits_ok = True
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        for _, params in settings:
-            consts = derive_constants(params, 0.5)
-            g_a = rng.exponential(params.fading_mean_a, n)
-            g_b = rng.exponential(params.fading_mean_b, n)
-            pair_sum = np.sort(g_a / consts.z_a + g_b / consts.z_b)
-            worst_ks = max(worst_ks,
-                           _ks_statistic(pair_sum, lambda t: cdf_t2(consts, t)))
-            with np.errstate(divide="ignore"):
-                inv_prod = np.sort(1.0 / (rng.exponential(params.fading_mean_a, n)
-                                          * rng.exponential(params.fading_mean_b, n)))
-            worst_ks = max(worst_ks,
-                           _ks_statistic(inv_prod, lambda t: cdf_t3(consts, t)))
-            grid_2 = [cdf_t2(consts, float(t))
-                      for t in np.geomspace(1e-12, 10.0, 10_000)]
-            grid_3 = [cdf_t3(consts, float(t))
-                      for t in np.geomspace(1e-8, 1e12, 10_000)]
-            for series in (grid_2, grid_3):
-                mono_ok &= all(b >= a - 1e-12 for a, b in zip(series, series[1:]))
-                limits_ok &= series[0] <= 1e-6 and 1.0 - series[-1] <= 1e-6
+    for _, params in settings:
+        consts = derive_constants(params, 0.5)
+        g_a = rng.exponential(params.fading_mean_a, n)
+        g_b = rng.exponential(params.fading_mean_b, n)
+        pair_sum = np.sort(g_a / consts.z_a + g_b / consts.z_b)
+        worst_ks = max(worst_ks,
+                       _ks_statistic(pair_sum, lambda t: cdf_t2_array(consts, t)))
+        with np.errstate(divide="ignore"):
+            inv_prod = np.sort(1.0 / (rng.exponential(params.fading_mean_a, n)
+                                      * rng.exponential(params.fading_mean_b, n)))
+        worst_ks = max(worst_ks,
+                       _ks_statistic(inv_prod, lambda t: cdf_t3_array(consts, t)))
+        grid_2 = cdf_t2_array(consts, np.geomspace(1e-12, 10.0, 10_000))
+        grid_3 = cdf_t3_array(consts, np.geomspace(1e-8, 1e12, 10_000))
+        for series in (grid_2, grid_3):
+            mono_ok &= bool(np.all(series[1:] >= series[:-1] - 1e-12))
+            limits_ok &= bool(series[0] <= 1e-6 and 1.0 - series[-1] <= 1e-6)
     passed = worst_ks <= 0.002 and mono_ok and limits_ok
     detail = (f"max KS={_fmt(worst_ks)} over 3 settings x 2 CDFs; "
               f"monotone={mono_ok}; limits={limits_ok}")

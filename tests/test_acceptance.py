@@ -6,9 +6,13 @@ criteria reuse the exact implementations behind the `validate` CLI command,
 so the CLI and this gate can never drift apart.
 """
 
-import pytest
+import warnings
 
-import ehrelay.numerics
+import pytest
+import scipy.special
+
+from ehrelay.model import SystemParams, derive_constants
+from ehrelay.outage import cdf_t3
 from ehrelay.validation import (
     CRITERIA,
     criterion_capacity_shapes,
@@ -30,6 +34,8 @@ def _check(criterion):
     result = criterion()
     status = "PASS" if result.passed else "FAIL"
     print(f"[{status}] criterion {result.index}: {result.name}: {result.detail}")
+    # A numpy bool here would not serialize to JSON in a run report.
+    assert type(result.passed) is bool
     assert result.passed, f"criterion {result.index} ({result.name}): {result.detail}"
 
 
@@ -68,7 +74,9 @@ def test_criterion_07_diversity_slopes():
 
 
 def test_criterion_08_change_of_variable_cdfs():
-    _check(criterion_variable_change_cdfs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _check(criterion_variable_change_cdfs)
 
 
 def test_criterion_09_success_region_oracle():
@@ -88,9 +96,15 @@ def test_criterion_12_determinism():
 
 
 def test_gate_detects_an_injected_defect(monkeypatch):
-    """Corrupting a low-level kernel must flip the CDF criterion to FAIL."""
-    true_k1 = ehrelay.numerics.bessel_k1
-    monkeypatch.setattr(ehrelay.numerics, "bessel_k1",
-                        lambda x: 1.05 * true_k1(x))
+    """Corrupting a low-level kernel must flip the CDF criterion to FAIL.
+
+    scipy.special.k1 is the one K1 both the scalar closed-form CDF and the
+    gate's array CDF evaluate, so the defect reaches both paths.
+    """
+    consts = derive_constants(SystemParams(), 0.5)
+    clean = cdf_t3(consts, 1.0)
+    true_k1 = scipy.special.k1
+    monkeypatch.setattr(scipy.special, "k1", lambda x: 1.05 * true_k1(x))
+    assert cdf_t3(consts, 1.0) == pytest.approx(1.05 * clean, rel=1e-12)
     result = criterion_variable_change_cdfs()
     assert not result.passed

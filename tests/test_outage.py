@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -28,7 +29,9 @@ from ehrelay.outage import (
     _improved_window_mass,
     case4_geometry,
     cdf_t2,
+    cdf_t2_array,
     cdf_t3,
+    cdf_t3_array,
     improved_integration_bound,
     p_case1,
     p_case2,
@@ -197,6 +200,8 @@ def test_integration_bound():
 def test_cdf_t2_reference_and_limits():
     for t, want in REF_CDF_T2.items():
         assert cdf_t2(CONSTS, t) == pytest.approx(want, rel=1e-12)
+    assert cdf_t2_array(CONSTS, np.array(list(REF_CDF_T2))).tolist() \
+        == pytest.approx(list(REF_CDF_T2.values()), rel=1e-12)
     assert cdf_t2(CONSTS, 0.0) == 0.0
     assert cdf_t2(CONSTS, 1.0) == pytest.approx(1.0, abs=1e-12)
 
@@ -218,10 +223,64 @@ def test_cdf_t2_near_equal_rates_are_stable():
 def test_cdf_t3_reference_and_limits():
     for t, want in REF_CDF_T3.items():
         assert cdf_t3(CONSTS, t) == pytest.approx(want, rel=1e-12)
+    assert cdf_t3_array(CONSTS, np.array(list(REF_CDF_T3))).tolist() \
+        == pytest.approx(list(REF_CDF_T3.values()), rel=1e-12)
     # Unit fading means make the t=1 value exactly 2 K1(2).
     assert cdf_t3(CONSTS, 1.0) == pytest.approx(2.0 * bessel_k1(2.0), rel=1e-12)
     assert cdf_t3(CONSTS, 1e10) == pytest.approx(1.0, abs=1e-6)
     assert cdf_t3(CONSTS, 2e-3) < 1e-6
+
+
+T2_RATE_SETTINGS = {
+    "distinct": CONSTS,
+    "distinct-swapped": dataclasses.replace(CONSTS, a_rate_a=CONSTS.a_rate_b,
+                                            a_rate_b=CONSTS.a_rate_a),
+    "equal": dataclasses.replace(CONSTS, a_rate_b=CONSTS.a_rate_a),
+    "near-equal": dataclasses.replace(CONSTS,
+                                      a_rate_b=CONSTS.a_rate_a * (1.0 + 1e-12)),
+}
+T3_SETTINGS = {
+    "defaults": CONSTS,
+    "equal-rates": derive_constants(_with(dist_b=5.0), 0.5),
+    "unequal-means": derive_constants(
+        _with(fading_mean_a=0.7, fading_mean_b=1.3), 0.5),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("setting", sorted(T2_RATE_SETTINGS))
+def test_cdf_t2_array_agrees_with_scalar(setting):
+    consts = T2_RATE_SETTINGS[setting]
+    t = np.concatenate([np.geomspace(1e-12, 1e3, 200_000), [0.0, math.inf]])
+    got = cdf_t2_array(consts, t)
+    want = np.array([cdf_t2(consts, float(x)) for x in t])
+    assert got.shape == t.shape
+    assert np.max(np.abs(got - want)) <= 4.0 * np.finfo(float).eps
+    assert got[-2] == 0.0 and got[-1] == 1.0
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("setting", sorted(T3_SETTINGS))
+def test_cdf_t3_array_is_bit_identical_to_scalar(setting):
+    consts = T3_SETTINGS[setting]
+    t = np.append(np.geomspace(1e-10, 1e14, 200_000), math.inf)
+    got = cdf_t3_array(consts, t)
+    with warnings.catch_warnings():
+        # The scalar twin flags each K1 underflow of the deep left tail.
+        warnings.simplefilter("ignore", RuntimeWarning)
+        want = np.array([cdf_t3(consts, float(x)) for x in t])
+    assert got.shape == t.shape
+    assert np.array_equal(got, want)
+    assert got[-1] == 1.0
+
+
+@pytest.mark.filterwarnings("error")
+def test_cdf_array_twins_reject_out_of_domain_t():
+    with pytest.raises(ValueError):
+        cdf_t2_array(CONSTS, np.array([1e-3, -1e-300]))
+    for bad in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError):
+            cdf_t3_array(CONSTS, np.array([1.0, bad]))
 
 
 def test_cdfs_nondecreasing_on_dense_grids():
