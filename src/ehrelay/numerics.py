@@ -86,4 +86,10 @@ def sample_exponential(rng: np.random.Generator, mean: float, size=None):
     if not mean > 0.0:
         raise ValueError("mean must be strictly positive")
     u = rng.random(size)
-    return -mean * np.log1p(-u)
+    if size is None:
+        return -mean * np.log1p(-u)
+    # Same bits as -mean * np.log1p(-u), without two sample-sized temporaries.
+    np.negative(u, out=u)
+    np.log1p(u, out=u)
+    u *= -mean
+    return u

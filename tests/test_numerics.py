@@ -141,11 +141,21 @@ def test_sampler_scalar_and_validation():
     rng = np.random.default_rng(7)
     one = sample_exponential(rng, 0.25)
     assert np.ndim(one) == 0
+    assert one == -0.25 * np.log1p(-np.random.default_rng(7).random())
     assert float(one) >= 0.0
     with pytest.raises(ValueError):
         sample_exponential(rng, 0.0)
     with pytest.raises(ValueError):
         sample_exponential(rng, -1.0)
+
+
+@pytest.mark.parametrize("n", [1, 7, 16_384, 262_144])
+@pytest.mark.parametrize("mean", [1e-3, 0.25, 1.0, 3.7])
+def test_sampler_is_bitwise_log1p_inversion(n, mean):
+    draws = sample_exponential(np.random.default_rng(2024), mean, size=n)
+    reference = -mean * np.log1p(-np.random.default_rng(2024).random(n))
+    assert draws.dtype == reference.dtype
+    assert np.array_equal(draws.view(np.uint64), reference.view(np.uint64))
 
 
 @given(mean=st.floats(min_value=1e-3, max_value=1e3))
