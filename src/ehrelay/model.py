@@ -147,10 +147,15 @@ def broadcast_factors(params: SystemParams, z_a: float, z_b: float, theta) -> tu
 def derive_constants(params: SystemParams, theta: float) -> DerivedConstants:
     """Evaluate every derived symbol for the given power allocation ratio.
 
-    Raises ValueError for theta outside the open interval (0, 1).
+    Raises ValueError for theta outside the open interval (0, 1), for a
+    rate whose SNR threshold rounds to 0, and for a transmit power so low
+    that the decode knees round onto the uplink floor.
     """
     if not 0.0 < theta < 1.0:
         raise ValueError("theta must lie strictly inside (0, 1)")
+    if params.snr_threshold == 0.0:
+        raise ValueError(f"rate_bps_hz={params.rate_bps_hz!r} is too small: "
+                         "the SNR threshold 2**rate - 1 rounds to 0")
 
     alpha = params.path_loss_exp
     wavelength = params.wavelength_m
@@ -185,16 +190,20 @@ def derive_constants(params: SystemParams, theta: float) -> DerivedConstants:
     a_o = varpi ** 2 * z_a * z_b * gamma_th / y_big
     b_o = varpi ** 2 * z_a * z_b + gamma_th / y_big
 
-    consts = DerivedConstants(
+    # The discriminant exceeds varpi^2, so each knee sits strictly above
+    # the decode boundary unless the harvest term drowns in rounding.
+    if not (delta_a > varpi * z_a and delta_b > varpi * z_b):
+        raise ValueError(
+            f"tx_power_dbm={params.tx_power_dbm!r} against noise_dbm="
+            f"{params.noise_dbm!r} at theta={theta!r} leaves no harvest "
+            "margin: the decode knees round onto the uplink floor")
+
+    return DerivedConstants(
         z_a=z_a, z_b=z_b, varpi=varpi, y_big=y_big,
         c_a=c_a, c_b=c_b, d_ratio_a=d_ratio_a, d_ratio_b=d_ratio_b,
         e_a=e_a, e_b=e_b, delta_a=delta_a, delta_b=delta_b,
         a_rate_a=a_rate_a, a_rate_b=a_rate_b, a_o=a_o, b_o=b_o,
     )
-    # The discriminant exceeds varpi^2, so each knee sits strictly above
-    # the decode boundary; anything else means broken inputs.
-    assert consts.delta_a > varpi * z_a and consts.delta_b > varpi * z_b
-    return consts
 
 
 # Extreme admissible values of the open-interval theta; a single vanishing

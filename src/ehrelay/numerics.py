@@ -8,7 +8,6 @@ analysis and the one validated in tests are the same object.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -63,21 +62,16 @@ def integrate_gc(rule: QuadratureRule, a: float, b: float,
 def bessel_k1(x: float) -> float:
     """Modified Bessel function of the second kind, order one.
 
-    Valid for x > 0.  Underflow to zero (x beyond roughly 700) is flagged
-    with a RuntimeWarning because callers treat the value as a survival
-    probability factor.
+    Valid for x > 0.  Beyond x of roughly 700 the value underflows to 0,
+    which is the correct value of the deep left tail of cdf_t3, its caller.
     """
     if not x > 0.0:
         raise ValueError("bessel_k1 requires x > 0")
-    value = float(scipy.special.k1(x))
-    if value == 0.0:
-        warnings.warn(f"bessel_k1 underflowed to 0 at x={x!r}", RuntimeWarning,
-                      stacklevel=2)
-    return value
+    return float(scipy.special.k1(x))
 
 
-def sample_exponential(rng: np.random.Generator, mean: float, size=None):
-    """Draw exponential variates by inversion from rng.random().
+def sample_exponential(rng: np.random.Generator, mean: float, size) -> np.ndarray:
+    """Draw an array of exponential variates by inversion from rng.random().
 
     Inversion keeps the draw count per trial fixed at one uniform, which is
     what makes sharded Monte Carlo runs bit-reproducible.  log1p keeps
@@ -86,8 +80,6 @@ def sample_exponential(rng: np.random.Generator, mean: float, size=None):
     if not mean > 0.0:
         raise ValueError("mean must be strictly positive")
     u = rng.random(size)
-    if size is None:
-        return -mean * np.log1p(-u)
     # Same bits as -mean * np.log1p(-u), without two sample-sized temporaries.
     np.negative(u, out=u)
     np.log1p(u, out=u)

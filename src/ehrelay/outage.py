@@ -24,6 +24,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 import scipy.special
@@ -74,22 +75,17 @@ def _boundary_gain_b(consts: DerivedConstants, gain_a: float) -> float:
     return consts.c_b / gain_a + consts.e_b - consts.d_ratio_b * gain_a
 
 
-def _knee_crossing_b(consts: DerivedConstants) -> float:
-    """B gain above which the A-side broadcast boundary sinks under A's knee.
+# Every curved edge is one side of the boundary g_x >= c/g_y + e - d_ratio*g_y:
+# (c_a, e_a, d_ratio_a) bounds g_A over g_B, (c_b, e_b, d_ratio_b) the mirror.
+# The helpers below take one side's constants.
 
-    Positive root of boundary_gain_a(g_B) = delta_a; the same point bounds
-    the curved edge of the case-four region on the B axis.
+def _knee_crossing(c: float, e: float, d_ratio: float, delta: float) -> float:
+    """y gain above which the boundary sinks under the x knee g_x = delta.
+
+    The same point bounds the curved edge of the case-four region on y.
     """
-    gap = consts.e_a - consts.delta_a
-    return (gap + math.sqrt(gap * gap + 4.0 * consts.d_ratio_a * consts.c_a)) \
-        / (2.0 * consts.d_ratio_a)
-
-
-def _knee_crossing_a(consts: DerivedConstants) -> float:
-    """Mirror of _knee_crossing_b: boundary_gain_b(g_A) = delta_b root."""
-    gap = consts.e_b - consts.delta_b
-    return (gap + math.sqrt(gap * gap + 4.0 * consts.d_ratio_b * consts.c_b)) \
-        / (2.0 * consts.d_ratio_b)
+    gap = e - delta
+    return (gap + math.sqrt(gap * gap + 4.0 * d_ratio * c)) / (2.0 * d_ratio)
 
 
 def _rule(params: SystemParams) -> QuadratureRule:
@@ -163,45 +159,54 @@ def _exp_curve_integral(rule: QuadratureRule, c_over: float, k_lin: float,
     return total
 
 
-def p_case1(params: SystemParams, consts: DerivedConstants) -> float:
-    """Success mass of the strip where only the A gain clears its knee.
+def _slab(lam_x: float, lam_y: float, x_from: float, lo: float, hi: float) -> float:
+    """P(g_x >= x_from) * P(lo <= g_y < hi) for exponential gains."""
+    return math.exp(-x_from / lam_x) * (math.exp(-lo / lam_y)
+                                        - math.exp(-hi / lam_y))
 
-    The B gain runs between uplink feasibility and its knee; the A gain must
-    clear both its own knee and the B-bound broadcast boundary.  Past the
-    crossing where that boundary sinks under the knee the inner mass is a
-    bare exponential, integrated in closed form; only the curved head goes
-    through the quadrature rule.
+
+def _strip(rule: QuadratureRule, lam_x: float, lam_y: float, c: float,
+           e: float, d_ratio: float, lo: float, hi: float, x_cap: float) -> float:
+    """Mass of {lo <= g_y < hi, c/g_y + e - d_ratio*g_y <= g_x < x_cap}.
+
+    x_cap = inf leaves g_x unbounded above; the subtracted slab is then 0.0.
     """
-    lam_a = params.fading_mean_a
-    lam_b = params.fading_mean_b
-    lo = consts.varpi * consts.z_b
-    hi = consts.delta_b
     if not hi > lo:
         return 0.0
-    kink = min(max(_knee_crossing_b(consts), lo), hi)
-    head = math.exp(-consts.e_a / lam_a) / lam_b \
-        * _exp_curve_integral(_rule(params), consts.c_a / lam_a,
-                              1.0 / lam_b - consts.d_ratio_a / lam_a, lo, kink)
-    tail = math.exp(-consts.delta_a / lam_a) \
-        * (math.exp(-kink / lam_b) - math.exp(-hi / lam_b))
-    return _clamp_unit(head + tail)
+    part = math.exp(-e / lam_x) / lam_y * _exp_curve_integral(
+        rule, c / lam_x, 1.0 / lam_y - d_ratio / lam_x, lo, hi)
+    return part - _slab(lam_x, lam_y, x_cap, lo, hi)
+
+
+def _one_knee(params: SystemParams, lam_x: float, lam_y: float, c: float, e: float,
+              d_ratio: float, delta_x: float, floor_y: float, delta_y: float) -> float:
+    """Success mass of the strip where only the x gain clears its knee.
+
+    g_y runs from uplink feasibility floor_y to its knee delta_y; g_x must
+    clear its knee delta_x and the boundary.  Past the knee crossing the
+    inner mass is a bare exponential, a slab in closed form; only the
+    curved head goes through the quadrature rule.
+    """
+    if not delta_y > floor_y:
+        return 0.0
+    kink = min(max(_knee_crossing(c, e, d_ratio, delta_x), floor_y), delta_y)
+    head = _strip(_rule(params), lam_x, lam_y, c, e, d_ratio, floor_y, kink,
+                  math.inf)
+    return _clamp_unit(head + _slab(lam_x, lam_y, delta_x, kink, delta_y))
+
+
+def p_case1(params: SystemParams, consts: DerivedConstants) -> float:
+    """Success mass of the strip where only the A gain clears its knee."""
+    return _one_knee(params, params.fading_mean_a, params.fading_mean_b,
+                     consts.c_a, consts.e_a, consts.d_ratio_a, consts.delta_a,
+                     consts.varpi * consts.z_b, consts.delta_b)
 
 
 def p_case2(params: SystemParams, consts: DerivedConstants) -> float:
     """Mirror of p_case1 with the roles of the two terminals swapped."""
-    lam_a = params.fading_mean_a
-    lam_b = params.fading_mean_b
-    lo = consts.varpi * consts.z_a
-    hi = consts.delta_a
-    if not hi > lo:
-        return 0.0
-    kink = min(max(_knee_crossing_a(consts), lo), hi)
-    head = math.exp(-consts.e_b / lam_b) / lam_a \
-        * _exp_curve_integral(_rule(params), consts.c_b / lam_b,
-                              1.0 / lam_a - consts.d_ratio_b / lam_b, lo, kink)
-    tail = math.exp(-consts.delta_b / lam_b) \
-        * (math.exp(-kink / lam_a) - math.exp(-hi / lam_a))
-    return _clamp_unit(head + tail)
+    return _one_knee(params, params.fading_mean_b, params.fading_mean_a,
+                     consts.c_b, consts.e_b, consts.d_ratio_b, consts.delta_b,
+                     consts.varpi * consts.z_a, consts.delta_a)
 
 
 def p_case3(params: SystemParams, consts: DerivedConstants) -> float:
@@ -223,8 +228,8 @@ def case4_geometry(params: SystemParams, consts: DerivedConstants) -> CaseFourGe
     q2 = _boundary_gain_a(consts, y1)
 
     # Larger quadratic root of each curve meeting the opposite knee line.
-    x_delta = _knee_crossing_a(consts)
-    y_delta = _knee_crossing_b(consts)
+    x_delta = _knee_crossing(consts.c_b, consts.e_b, consts.d_ratio_b, y1)
+    y_delta = _knee_crossing(consts.c_a, consts.e_a, consts.d_ratio_a, x1)
 
     c_sum = consts.c_a + consts.c_b
     x_plus = (consts.c_b * consts.e_a
@@ -263,35 +268,11 @@ def p_case4(params: SystemParams, consts: DerivedConstants,
     lam_a = params.fading_mean_a
     lam_b = params.fading_mean_b
     rule = _rule(params)
-
-    def slab_a(gain_a: float, lo: float, hi: float) -> float:
-        # P(g_A >= gain_a) * P(lo <= g_B < hi)
-        return math.exp(-gain_a / lam_a) * (math.exp(-lo / lam_b)
-                                            - math.exp(-hi / lam_b))
-
-    def slab_b(gain_b: float, lo: float, hi: float) -> float:
-        return math.exp(-gain_b / lam_b) * (math.exp(-lo / lam_a)
-                                            - math.exp(-hi / lam_a))
-
-    def strip_over_b(lo: float, hi: float, a_cap: float) -> float:
-        # Mass of {lo <= g_B < hi, boundary_a(g_B) <= g_A < a_cap}.
-        if not hi > lo:
-            return 0.0
-        part = math.exp(-consts.e_a / lam_a) / lam_b \
-            * _exp_curve_integral(rule, consts.c_a / lam_a,
-                                  1.0 / lam_b - consts.d_ratio_a / lam_a,
-                                  lo, hi)
-        return part - slab_a(a_cap, lo, hi)
-
-    def strip_over_a(lo: float, hi: float, b_cap: float) -> float:
-        # Mass of {lo <= g_A < hi, boundary_b(g_A) <= g_B < b_cap}.
-        if not hi > lo:
-            return 0.0
-        part = math.exp(-consts.e_b / lam_b) / lam_a \
-            * _exp_curve_integral(rule, consts.c_b / lam_b,
-                                  1.0 / lam_a - consts.d_ratio_b / lam_b,
-                                  lo, hi)
-        return part - slab_b(b_cap, lo, hi)
+    # strip_over_b(lo, hi, a_cap) spans lo <= g_B < hi; strip_over_a mirrors it.
+    strip_over_b = partial(_strip, rule, lam_a, lam_b, consts.c_a, consts.e_a,
+                           consts.d_ratio_a)
+    strip_over_a = partial(_strip, rule, lam_b, lam_a, consts.c_b, consts.e_b,
+                           consts.d_ratio_b)
 
     if geom.scenario is Scenario.TwoLow:
         value = strip_over_b(geom.y_delta, geom.y1, geom.x1)
@@ -319,6 +300,10 @@ def outage_dynamic_ps(params: SystemParams, theta: float) -> float:
     rejected so convergence studies can evaluate deliberately coarse orders.
     """
     consts = derive_constants(params, theta)
+    # P(both uplinks decodable) bounds the success mass of every case; below
+    # half an ulp of 1 the outage rounds to 1.0 (and the strips overflow).
+    if math.exp(-consts.varpi * (consts.a_rate_a + consts.a_rate_b)) < 2.0 ** -54:
+        return 1.0
     success = (p_case1(params, consts)
                + p_case2(params, consts)
                + p_case3(params, consts)
@@ -395,10 +380,10 @@ def cdf_t3(consts: DerivedConstants, t: float) -> float:
 def cdf_t3_array(consts: DerivedConstants, t: np.ndarray) -> np.ndarray:
     """cdf_t3 over an array of t, bit-identical to the scalar twin.
 
-    K1 comes straight from scipy.special.k1: numerics.bessel_k1 is scalar
-    and warns on each underflow, while for this CDF an underflowed K1 is the
-    correct value 0 of a deep left tail.  t = inf is masked out because
-    z * K1(z) at z = 0 is 0 * inf.
+    K1 comes straight from scipy.special.k1, because numerics.bessel_k1 is
+    scalar; an underflowed K1 is the correct value 0 of the deep left tail
+    in both twins.  t = inf is masked out because z * K1(z) at z = 0 is
+    0 * inf.
     """
     t = np.asarray(t, dtype=float)
     if not np.all(t > 0.0):
@@ -469,8 +454,6 @@ def outage_improved(params: SystemParams) -> float:
     """
     consts = derive_constants(params, 0.5)
     gamma_th = params.snr_threshold
-    if gamma_th == 0.0:
-        return 0.0
     t_max = improved_integration_bound(consts, gamma_th)
     if not math.isfinite(t_max):
         return 0.0

@@ -113,13 +113,14 @@ def test_bessel_small_argument_limit():
     assert 1e-6 * bessel_k1(1e-6) == pytest.approx(1.0, abs=1e-5)
 
 
+@pytest.mark.filterwarnings("error")
 def test_bessel_domain_and_underflow():
     with pytest.raises(ValueError):
         bessel_k1(0.0)
     with pytest.raises(ValueError):
         bessel_k1(-1.0)
-    with pytest.warns(RuntimeWarning):
-        assert bessel_k1(800.0) == 0.0
+    # Underflow is the correct 0 of cdf_t3's deep left tail, not an event.
+    assert bessel_k1(800.0) == 0.0
 
 
 def test_bessel_monotone_and_log_convex():
@@ -139,14 +140,10 @@ def test_sampler_mean_and_support():
 
 def test_sampler_scalar_and_validation():
     rng = np.random.default_rng(7)
-    one = sample_exponential(rng, 0.25)
-    assert np.ndim(one) == 0
-    assert one == -0.25 * np.log1p(-np.random.default_rng(7).random())
-    assert float(one) >= 0.0
     with pytest.raises(ValueError):
-        sample_exponential(rng, 0.0)
+        sample_exponential(rng, 0.0, 4)
     with pytest.raises(ValueError):
-        sample_exponential(rng, -1.0)
+        sample_exponential(rng, -1.0, 4)
 
 
 @pytest.mark.parametrize("n", [1, 7, 16_384, 262_144])

@@ -2,7 +2,6 @@
 
 import dataclasses
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -38,6 +37,7 @@ from ehrelay.outage import (
     p_case3,
     p_case4,
 )
+from ehrelay.validation import _oracle_case4
 
 # Frozen by scripts/compute_reference_values.py: adaptive integration of the
 # exact case integrands, root-finding on the boundary equations, and a 2-D
@@ -165,6 +165,28 @@ def test_case4_invariant_under_role_swap():
         p_case4(DEFAULTS, CONSTS, GEOMETRY), rel=1e-12)
 
 
+# One point per single-curve layout; no figure, gate or benchmark point
+# lands in either.  The oracle masses are 1.595e-3 (TwoLow) and 4.311e-3.
+SINGLE_CURVE_POINTS = {
+    Scenario.TwoLow: (dict(dist_a=5.0, dist_b=2.0, fading_mean_a=400.0,
+                           fading_mean_b=150.0), 0.1),
+    Scenario.TwoHigh: (dict(dist_a=2.0, dist_b=2.0, fading_mean_a=400.0,
+                            fading_mean_b=50.0), 0.9),
+}
+
+
+@pytest.mark.parametrize("layout", sorted(SINGLE_CURVE_POINTS, key=lambda s: s.name))
+def test_case4_single_curve_layouts_match_oracle(layout):
+    overrides, theta = SINGLE_CURVE_POINTS[layout]
+    p = _with(tx_power_dbm=-70.0, rate_bps_hz=2.0, quad_order=40, **overrides)
+    c = derive_constants(p, theta)
+    geom = case4_geometry(p, c)
+    assert geom.scenario is layout
+    want = _oracle_case4(p, c, geom)
+    assert want > 1e-3
+    assert p_case4(p, c, geom) == pytest.approx(want, rel=1e-7)
+
+
 def test_dynamic_outage_reference_point():
     assert outage_dynamic_ps(DEFAULTS, 0.5) == pytest.approx(
         REF_OUTAGE_DYNAMIC, abs=2e-5)
@@ -174,6 +196,18 @@ def test_dynamic_outage_reference_point():
 
 def test_dynamic_outage_vanishing_threshold():
     assert outage_dynamic_ps(_with(rate_bps_hz=1e-9), 0.5) < 1e-6
+
+
+@pytest.mark.filterwarnings("error")
+def test_closed_forms_stay_probabilities_at_low_transmit_power():
+    # Down here the success mass drowns in rounding: the case strips would
+    # overflow, so outage_dynamic_ps must report the rounded 1.0 instead.
+    for tx in [*np.arange(-130.0, 7.6, 2.5), -150.0, -200.0]:
+        p = _with(tx_power_dbm=float(tx))
+        for theta in (0.05, 0.2, 0.5, 0.8, 0.95):
+            assert 0.0 <= outage_dynamic_ps(p, theta) <= 1.0, (tx, theta)
+        assert 0.0 <= outage_improved(p) <= 1.0, tx
+    assert outage_dynamic_ps(_with(tx_power_dbm=-150.0), 0.5) == 1.0
 
 
 def test_improved_outage_reference_points():
@@ -265,10 +299,7 @@ def test_cdf_t3_array_is_bit_identical_to_scalar(setting):
     consts = T3_SETTINGS[setting]
     t = np.append(np.geomspace(1e-10, 1e14, 200_000), math.inf)
     got = cdf_t3_array(consts, t)
-    with warnings.catch_warnings():
-        # The scalar twin flags each K1 underflow of the deep left tail.
-        warnings.simplefilter("ignore", RuntimeWarning)
-        want = np.array([cdf_t3(consts, float(x)) for x in t])
+    want = np.array([cdf_t3(consts, float(x)) for x in t])
     assert got.shape == t.shape
     assert np.array_equal(got, want)
     assert got[-1] == 1.0

@@ -13,8 +13,10 @@ from ehrelay import (
     SchemeSpec,
     SweepSpec,
     SystemParams,
+    derive_constants,
     fig,
     outage_dynamic_ps,
+    outage_improved,
     run_sweep,
 )
 from ehrelay.cli import main
@@ -274,6 +276,23 @@ class TestCli:
         bad.write_text(json.dumps({"nonsense": 1}))
         assert main(["params", "--config", str(bad)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,value,field,cause", [
+        ("--rate", "1e-17", "rate_bps_hz", "rounds to 0"),
+        ("--tx-power-dbm", "-300", "tx_power_dbm", "knees round"),
+    ])
+    def test_degenerate_constants_raise_value_error(self, flag, value, field,
+                                                    cause, capsys):
+        params = SystemParams(**{field: float(value)})
+        with pytest.raises(ValueError, match=cause):
+            derive_constants(params, 0.5)
+        with pytest.raises(ValueError, match=cause):
+            outage_dynamic_ps(params, 0.5)
+        with pytest.raises(ValueError, match=cause):
+            outage_improved(params)
+        assert main(["params", flag, value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and cause in err
 
     def test_validate_exit_codes(self, monkeypatch, capsys):
         passing = [CriterionResult(index=i, name=f"check_{i}", passed=True,
