@@ -21,27 +21,15 @@ from .validation import all_passed, report_csv, run_all
 _SYSTEM_FIELDS = {f.name for f in dataclasses.fields(SystemParams)}
 _MC_FIELDS = {"trials", "seed", "shards"}
 
+# Every SystemParams field has an override flag --<destination> (dashed);
+# the destination is the field name unless renamed here.
+_RENAMED = {"rate_bps_hz": "rate", "time_split": "beta", "quad_order": "m",
+            "circuit_sensitivity_dbm": "sensitivity_dbm"}
 # flag destination -> SystemParams field
-_OVERRIDE_FLAGS = {
-    "tx_power_dbm": "tx_power_dbm",
-    "noise_dbm": "noise_dbm",
-    "rate": "rate_bps_hz",
-    "beta": "time_split",
-    "dist_a": "dist_a",
-    "dist_b": "dist_b",
-    "ref_dist": "ref_dist",
-    "carrier_freq_hz": "carrier_freq_hz",
-    "path_loss_exp": "path_loss_exp",
-    "eh_efficiency": "eh_efficiency",
-    "block_duration": "block_duration",
-    "gain_a_dbi": "gain_a_dbi",
-    "gain_b_dbi": "gain_b_dbi",
-    "gain_relay_dbi": "gain_relay_dbi",
-    "fading_mean_a": "fading_mean_a",
-    "fading_mean_b": "fading_mean_b",
-    "m": "quad_order",
-    "sensitivity_dbm": "circuit_sensitivity_dbm",
-}
+_OVERRIDE_FLAGS = {_RENAMED.get(f.name, f.name): f.name
+                   for f in dataclasses.fields(SystemParams)}
+_FLAG_HELP = {"rate": "transmission rate in bit/s/Hz", "beta": "time allocation ratio",
+              "m": "quadrature order", "sensitivity_dbm": "rectenna circuit sensitivity"}
 
 _DEFAULT_SCHEMES = ("improved", "dynamic_ps:theta=0.5", "static_equal:rho=0.5")
 
@@ -65,39 +53,26 @@ def _parse_values(text: str) -> tuple:
     return values
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
+def _add_common_flags(parser: argparse.ArgumentParser, *, mc: bool,
+                      theta: bool) -> None:
+    """Register only the flags the subcommand reads; others are usage errors."""
     parser.add_argument("--config", metavar="PATH",
                         help="JSON file with SystemParams/McConfig fields")
-    parser.add_argument("--seed", type=int, help="simulation seed")
-    parser.add_argument("--trials", type=int, help="Monte Carlo trials per point")
-    parser.add_argument("--shards", type=int, help="parallel simulation shards")
+    if mc:
+        parser.add_argument("--seed", type=int, help="simulation seed")
+        parser.add_argument("--trials", type=int, help="Monte Carlo trials per point")
+        parser.add_argument("--shards", type=int, help="parallel simulation shards")
     parser.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
     parser.add_argument("--json", action="store_true",
                         help="emit JSON instead of CSV")
     group = parser.add_argument_group("parameter overrides")
-    group.add_argument("--tx-power-dbm", type=float, dest="tx_power_dbm")
-    group.add_argument("--noise-dbm", type=float, dest="noise_dbm")
-    group.add_argument("--rate", type=float, dest="rate",
-                       help="transmission rate in bit/s/Hz")
-    group.add_argument("--beta", type=float, dest="beta",
-                       help="time allocation ratio")
-    group.add_argument("--dist-a", type=float, dest="dist_a")
-    group.add_argument("--dist-b", type=float, dest="dist_b")
-    group.add_argument("--ref-dist", type=float, dest="ref_dist")
-    group.add_argument("--carrier-freq-hz", type=float, dest="carrier_freq_hz")
-    group.add_argument("--path-loss-exp", type=float, dest="path_loss_exp")
-    group.add_argument("--eh-efficiency", type=float, dest="eh_efficiency")
-    group.add_argument("--block-duration", type=float, dest="block_duration")
-    group.add_argument("--gain-a-dbi", type=float, dest="gain_a_dbi")
-    group.add_argument("--gain-b-dbi", type=float, dest="gain_b_dbi")
-    group.add_argument("--gain-relay-dbi", type=float, dest="gain_relay_dbi")
-    group.add_argument("--fading-mean-a", type=float, dest="fading_mean_a")
-    group.add_argument("--fading-mean-b", type=float, dest="fading_mean_b")
-    group.add_argument("--m", type=int, dest="m", help="quadrature order")
-    group.add_argument("--sensitivity-dbm", type=float, dest="sensitivity_dbm",
-                       help="rectenna circuit sensitivity")
-    group.add_argument("--theta", type=float, dest="theta",
-                       help="broadcast weight used where a scheme omits it")
+    for dest, field in _OVERRIDE_FLAGS.items():
+        group.add_argument("--" + dest.replace("_", "-"), dest=dest,
+                           type=int if field == "quad_order" else float,
+                           help=_FLAG_HELP.get(dest))
+    if theta:
+        group.add_argument("--theta", type=float, dest="theta",
+                           help="broadcast weight used where a scheme omits it")
 
 
 def _load_config(path: str | None) -> dict:
@@ -118,8 +93,11 @@ def _resolve(args) -> tuple[SystemParams, McConfig, float, dict]:
     config = _load_config(args.config)
     system: dict = {k: v for k, v in config.items() if k in _SYSTEM_FIELDS}
     mc: dict = {k: v for k, v in config.items() if k in _MC_FIELDS}
-    if system.get("quad_order") is not None:
-        system["quad_order"] = int(system["quad_order"])
+    order = system.get("quad_order")
+    if order is not None:
+        if order != int(order):
+            raise ValueError(f"quad_order must be an integer, got {order!r}")
+        system["quad_order"] = int(order)
     for flag, field in _OVERRIDE_FLAGS.items():
         value = getattr(args, flag, None)
         if value is not None:
@@ -215,13 +193,13 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="scheme spec such as improved, "
                               "dynamic_ps:theta=0.3, static_equal:rho=0.5 "
                               "(repeatable; default all three)")
-    _add_common_flags(p_sweep)
+    _add_common_flags(p_sweep, mc=True, theta=True)
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_fig = sub.add_parser("fig", help="reproduce a canned experiment table")
     p_fig.add_argument("n", type=int, choices=range(3, 10),
                        help="experiment index (3-9)")
-    _add_common_flags(p_fig)
+    _add_common_flags(p_fig, mc=True, theta=False)
     p_fig.set_defaults(func=cmd_fig)
 
     p_val = sub.add_parser("validate", help="run the acceptance criteria suite")
@@ -230,7 +208,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_val.set_defaults(func=cmd_validate)
 
     p_par = sub.add_parser("params", help="print resolved derived constants")
-    _add_common_flags(p_par)
+    _add_common_flags(p_par, mc=False, theta=True)
     p_par.set_defaults(func=cmd_params)
 
     return parser

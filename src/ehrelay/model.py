@@ -9,8 +9,10 @@ power and decoding from the rest; the broadcast weights the two re-encoded
 messages by a power allocation ratio theta.
 
 All arithmetic below is carried out in linear units (watts, dimensionless
-gains).  dBm / dBi inputs are converted exactly once, when derived constants
-are built.
+gains).  SystemParams converts its dBm / dBi inputs on every read, through
+properties: link_constants reads them once per configuration, link_snrs
+once per call (once per Monte Carlo chunk), and in_outage likewise rederives
+the SNR threshold from the rate on every call.
 """
 
 from __future__ import annotations
@@ -31,6 +33,12 @@ def dbm_to_watts(value_dbm: float) -> float:
 def dbi_to_linear(gain_dbi: float) -> float:
     """Convert an antenna gain from dBi to a linear ratio."""
     return 10.0 ** (gain_dbi / 10.0)
+
+
+# Fields given in dB units, with their conversion to linear units.
+_DB_FIELDS = {"tx_power_dbm": dbm_to_watts, "noise_dbm": dbm_to_watts,
+               "circuit_sensitivity_dbm": dbm_to_watts, "gain_a_dbi": dbi_to_linear,
+               "gain_b_dbi": dbi_to_linear, "gain_relay_dbi": dbi_to_linear}
 
 
 @dataclass(frozen=True)
@@ -61,6 +69,22 @@ class SystemParams:
     circuit_sensitivity_dbm: float | None = None  # rectenna threshold P_th; None = ideal
 
     def __post_init__(self) -> None:
+        if not (isinstance(self.quad_order, (int, np.integer)) and self.quad_order >= 1):
+            raise ValueError("quad_order must be an integer >= 1")
+        for name, value in vars(self).items():
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+        for name, to_linear in _DB_FIELDS.items():
+            value = getattr(self, name)
+            if value is None:
+                continue
+            try:
+                linear = to_linear(value)
+            except OverflowError:
+                linear = math.inf
+            if not 0.0 < linear < math.inf:
+                raise ValueError(f"{name}={value!r} is out of range: in linear "
+                                 f"units it rounds to {linear!r}")
         if not 0.0 < self.time_split < 0.5:
             raise ValueError("time_split must lie strictly between 0 and 0.5")
         if not 0.0 < self.eh_efficiency <= 1.0:
@@ -70,8 +94,6 @@ class SystemParams:
                      "fading_mean_b", "rate_bps_hz"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be strictly positive")
-        if not (isinstance(self.quad_order, (int, np.integer)) and self.quad_order >= 1):
-            raise ValueError("quad_order must be an integer >= 1")
 
     @property
     def snr_threshold(self) -> float:
@@ -99,60 +121,45 @@ class SystemParams:
 
 
 @dataclass(frozen=True)
-class DerivedConstants:
-    """Precomputed linear-unit symbols for one (params, theta) configuration.
+class LinkConstants:
+    """Precomputed linear-unit symbols of one configuration, free of theta.
 
-    Everything downstream (closed forms, region geometry, Monte Carlo
-    kernels) reads these instead of redoing unit conversions.
+    The simulator, the improved scheme's closed form and the energy outage
+    read only these; the dynamic-PS closed form adds a theta part on top.
     """
 
     z_a: float            # d_i^alpha / Lambda_i, Lambda_i the antenna/path factor
     z_b: float
     varpi: float          # gamma_th * sigma^2 / P
-    y_big: float          # eta*beta*P / ((1-2*beta)*sigma^2*Z_A*Z_B)
-    c_a: float            # gamma_th * Z_A / X_B
-    c_b: float            # gamma_th * Z_B / X_A
+    knee_a: float         # varpi * Z_A: below it the A uplink cannot decode
+    knee_b: float
+    harvest_gain: float   # eta*beta*P / ((1-2*beta)*sigma^2): broadcast SNR per harvest
+    y_big: float          # harvest_gain / (Z_A*Z_B)
     d_ratio_a: float      # Z_A / Z_B
     d_ratio_b: float      # Z_B / Z_A
     e_a: float            # 2 * varpi * Z_A
     e_b: float            # 2 * varpi * Z_B
-    delta_a: float        # decode-feasibility knee of the A link
-    delta_b: float
     a_rate_a: float       # Z_A / fading_mean_a
     a_rate_b: float
     a_o: float            # varpi^2 * Z_A * Z_B * gamma_th / Y
     b_o: float            # varpi^2 * Z_A * Z_B + gamma_th / Y
 
 
-def _harvest_gain(params: SystemParams) -> float:
-    """eta*beta*P / ((1-2*beta)*sigma^2): broadcast SNR per unit harvested gain."""
-    beta = params.time_split
-    return params.eh_efficiency * beta * params.tx_power_w \
-        / ((1.0 - 2.0 * beta) * params.noise_w)
+@dataclass(frozen=True)
+class DerivedConstants(LinkConstants):
+    """LinkConstants plus the symbols of one power allocation ratio theta."""
+
+    c_a: float            # gamma_th * Z_A / X_B
+    c_b: float            # gamma_th * Z_B / X_A
+    delta_a: float        # decode-feasibility knee of the A link
+    delta_b: float
 
 
-def broadcast_factors(params: SystemParams, z_a: float, z_b: float, theta) -> tuple:
-    """Downlink SNR coefficients (X_A, X_B) at weight theta (scalar or array).
+def link_constants(params: SystemParams) -> LinkConstants:
+    """Evaluate every derived symbol that does not depend on theta.
 
-    X_A carries (1-theta)^2 and X_B carries theta^2, both normalized by the
-    total broadcast weight theta^2 + (1-theta)^2.
+    Raises ValueError for a rate whose SNR threshold rounds to 0.
     """
-    harvest_gain = _harvest_gain(params)
-    mix = theta ** 2 + (1.0 - theta) ** 2
-    x_a = harvest_gain * (1.0 - theta) ** 2 / (z_a * mix)
-    x_b = harvest_gain * theta ** 2 / (z_b * mix)
-    return x_a, x_b
-
-
-def derive_constants(params: SystemParams, theta: float) -> DerivedConstants:
-    """Evaluate every derived symbol for the given power allocation ratio.
-
-    Raises ValueError for theta outside the open interval (0, 1), for a
-    rate whose SNR threshold rounds to 0, and for a transmit power so low
-    that the decode knees round onto the uplink floor.
-    """
-    if not 0.0 < theta < 1.0:
-        raise ValueError("theta must lie strictly inside (0, 1)")
     if params.snr_threshold == 0.0:
         raise ValueError(f"rate_bps_hz={params.rate_bps_hz!r} is too small: "
                          "the SNR threshold 2**rate - 1 rounds to 0")
@@ -171,39 +178,61 @@ def derive_constants(params: SystemParams, theta: float) -> DerivedConstants:
     n_w = params.noise_w
     gamma_th = params.snr_threshold
     varpi = gamma_th * n_w / p_w
+    beta = params.time_split
+    harvest_gain = params.eh_efficiency * beta * p_w / ((1.0 - 2.0 * beta) * n_w)
+    y_big = harvest_gain / (z_a * z_b)
 
-    x_factor_a, x_factor_b = broadcast_factors(params, z_a, z_b, theta)
-    y_big = _harvest_gain(params) / (z_a * z_b)
+    return LinkConstants(
+        z_a=z_a, z_b=z_b, varpi=varpi, knee_a=varpi * z_a, knee_b=varpi * z_b,
+        harvest_gain=harvest_gain, y_big=y_big,
+        d_ratio_a=z_a / z_b, d_ratio_b=z_b / z_a,
+        e_a=2.0 * varpi * z_a, e_b=2.0 * varpi * z_b,
+        a_rate_a=z_a / params.fading_mean_a, a_rate_b=z_b / params.fading_mean_b,
+        a_o=varpi ** 2 * z_a * z_b * gamma_th / y_big,
+        b_o=varpi ** 2 * z_a * z_b + gamma_th / y_big,
+    )
 
-    c_a = gamma_th * z_a / x_factor_b
-    c_b = gamma_th * z_b / x_factor_a
-    d_ratio_a = z_a / z_b
-    d_ratio_b = z_b / z_a
-    e_a = 2.0 * varpi * z_a
-    e_b = 2.0 * varpi * z_b
 
+def broadcast_factors(consts: LinkConstants, theta) -> tuple:
+    """Downlink SNR coefficients (X_A, X_B) at weight theta (scalar or array).
+
+    X_A carries (1-theta)^2 and X_B carries theta^2, both normalized by the
+    total broadcast weight theta^2 + (1-theta)^2.
+    """
+    mix = theta ** 2 + (1.0 - theta) ** 2
+    x_a = consts.harvest_gain * (1.0 - theta) ** 2 / (consts.z_a * mix)
+    x_b = consts.harvest_gain * theta ** 2 / (consts.z_b * mix)
+    return x_a, x_b
+
+
+def derive_constants(params: SystemParams, theta: float) -> DerivedConstants:
+    """LinkConstants plus the theta part, for the dynamic-PS closed form.
+
+    Raises ValueError for theta outside the open interval (0, 1), for a
+    rate whose SNR threshold rounds to 0, and for a transmit power so low
+    that the decode knees round onto the uplink floor.
+    """
+    if not 0.0 < theta < 1.0:
+        raise ValueError("theta must lie strictly inside (0, 1)")
+    link = link_constants(params)
+    z_a, z_b, varpi = link.z_a, link.z_b, link.varpi
+    gamma_th = params.snr_threshold
+    x_factor_a, x_factor_b = broadcast_factors(link, theta)
     delta_a = 0.5 * (varpi + math.sqrt(varpi ** 2 + 4.0 * gamma_th / (z_a * x_factor_a))) * z_a
     delta_b = 0.5 * (varpi + math.sqrt(varpi ** 2 + 4.0 * gamma_th / (z_b * x_factor_b))) * z_b
 
-    a_rate_a = z_a / params.fading_mean_a
-    a_rate_b = z_b / params.fading_mean_b
-    a_o = varpi ** 2 * z_a * z_b * gamma_th / y_big
-    b_o = varpi ** 2 * z_a * z_b + gamma_th / y_big
-
     # The discriminant exceeds varpi^2, so each knee sits strictly above
     # the decode boundary unless the harvest term drowns in rounding.
-    if not (delta_a > varpi * z_a and delta_b > varpi * z_b):
+    if not (delta_a > link.knee_a and delta_b > link.knee_b):
         raise ValueError(
             f"tx_power_dbm={params.tx_power_dbm!r} against noise_dbm="
             f"{params.noise_dbm!r} at theta={theta!r} leaves no harvest "
             "margin: the decode knees round onto the uplink floor")
 
-    return DerivedConstants(
-        z_a=z_a, z_b=z_b, varpi=varpi, y_big=y_big,
-        c_a=c_a, c_b=c_b, d_ratio_a=d_ratio_a, d_ratio_b=d_ratio_b,
-        e_a=e_a, e_b=e_b, delta_a=delta_a, delta_b=delta_b,
-        a_rate_a=a_rate_a, a_rate_b=a_rate_b, a_o=a_o, b_o=b_o,
-    )
+    return DerivedConstants(**vars(link),
+                            c_a=gamma_th * z_a / x_factor_b,
+                            c_b=gamma_th * z_b / x_factor_a,
+                            delta_a=delta_a, delta_b=delta_b)
 
 
 # Extreme admissible values of the open-interval theta; a single vanishing
@@ -220,7 +249,7 @@ _THETA_HI = float(np.nextafter(1.0, 0.0))
 _UPLINK_SLACK = 16.0 * float(np.finfo(np.float64).eps)
 
 
-def scheme_controls(consts: DerivedConstants, scheme_id: str, canon: dict, g_a, g_b):
+def scheme_controls(consts: LinkConstants, scheme_id: str, canon: dict, g_a, g_b):
     """Control variables a relay scheme chooses for arrays of realizations.
 
     g_a and g_b are the squared channel gains |h_A|^2 and |h_B|^2; canon
@@ -244,13 +273,11 @@ def scheme_controls(consts: DerivedConstants, scheme_id: str, canon: dict, g_a, 
         harvest_b = rho * g_b / consts.z_b
         return decode_a, decode_b, harvest_a, harvest_b, 0.5
 
-    knee_a = consts.varpi * consts.z_a
-    knee_b = consts.varpi * consts.z_b
     with np.errstate(divide="ignore"):
-        decode_a = np.minimum(knee_a / g_a, 1.0)
-        decode_b = np.minimum(knee_b / g_b, 1.0)
-    harvest_a = np.maximum(g_a - knee_a, 0.0) / consts.z_a
-    harvest_b = np.maximum(g_b - knee_b, 0.0) / consts.z_b
+        decode_a = np.minimum(consts.knee_a / g_a, 1.0)
+        decode_b = np.minimum(consts.knee_b / g_b, 1.0)
+    harvest_a = np.maximum(g_a - consts.knee_a, 0.0) / consts.z_a
+    harvest_b = np.maximum(g_b - consts.knee_b, 0.0) / consts.z_b
 
     if scheme_id == "dynamic_ps":
         theta = canon["theta"]
@@ -264,7 +291,7 @@ def scheme_controls(consts: DerivedConstants, scheme_id: str, canon: dict, g_a, 
     return decode_a, decode_b, harvest_a, harvest_b, theta
 
 
-def link_snrs(params: SystemParams, consts: DerivedConstants, g_a, g_b,
+def link_snrs(params: SystemParams, consts: LinkConstants, g_a, g_b,
               controls) -> tuple:
     """The four link SNRs (uplink_a, uplink_b, downlink_a, downlink_b).
 
@@ -283,7 +310,7 @@ def link_snrs(params: SystemParams, consts: DerivedConstants, g_a, g_b,
         harvest_a = np.where(tx * harvest_a >= floor, harvest_a, 0.0)
         harvest_b = np.where(tx * harvest_b >= floor, harvest_b, 0.0)
 
-    x_a, x_b = broadcast_factors(params, consts.z_a, consts.z_b, theta)
+    x_a, x_b = broadcast_factors(consts, theta)
     pooled = harvest_a + harvest_b
     down_a = x_a * g_a * pooled
     down_b = x_b * g_b * pooled

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (SystemParams, derive_constants, in_outage, link_snrs,
+from .model import (SystemParams, in_outage, link_constants, link_snrs,
                     scheme_controls)
 from .numerics import sample_exponential
 
@@ -99,11 +99,17 @@ def _parse_scheme_args(scheme_id: str, scheme_args) -> dict:
     return canon
 
 
-def _outage_block(params: SystemParams, consts, scheme_id: str, canon: dict,
-                  seed: int, block_index: int, count: int) -> int:
+def _block_gains(params: SystemParams, seed: int, block_index: int, count: int) -> tuple:
+    """The block's gains g_A then g_B, the only draws its stream makes."""
     rng = _block_rng(seed, block_index)
     g_a = sample_exponential(rng, params.fading_mean_a, count)
     g_b = sample_exponential(rng, params.fading_mean_b, count)
+    return g_a, g_b
+
+
+def _outage_block(params: SystemParams, consts, scheme_id: str, canon: dict,
+                  seed: int, block_index: int, count: int) -> int:
+    g_a, g_b = _block_gains(params, seed, block_index, count)
     hits = 0
     for start in range(0, count, CHUNK_TRIALS):
         a = g_a[start:start + CHUNK_TRIALS]
@@ -141,7 +147,7 @@ def mc_outage(params: SystemParams, scheme_id: str, scheme_args,
               cfg: McConfig) -> McEstimate:
     """Estimate the system outage probability of a scheme by simulation."""
     canon = _parse_scheme_args(scheme_id, scheme_args)
-    consts = derive_constants(params, 0.5)
+    consts = link_constants(params)
 
     def worker(block_index: int, count: int) -> int:
         return _outage_block(params, consts, scheme_id, canon,
@@ -151,22 +157,21 @@ def mc_outage(params: SystemParams, scheme_id: str, scheme_args,
 
 
 def mc_energy_outage(params: SystemParams, cfg: McConfig) -> McEstimate:
-    """Estimate the probability that both links miss the rectenna threshold."""
+    """Estimate the probability that both links miss the rectenna threshold.
+
+    Links harvest under the knee split; link_snrs's rectenna test decides.
+    """
     if params.circuit_sensitivity_dbm is None:
         raise ValueError("mc_energy_outage requires circuit_sensitivity_dbm")
-    consts = derive_constants(params, 0.5)
-    knee_a = consts.varpi * consts.z_a
-    knee_b = consts.varpi * consts.z_b
+    consts = link_constants(params)
     floor = params.sensitivity_w
     tx = params.tx_power_w
 
     def worker(block_index: int, count: int) -> int:
-        rng = _block_rng(cfg.seed, block_index)
-        g_a = sample_exponential(rng, params.fading_mean_a, count)
-        g_b = sample_exponential(rng, params.fading_mean_b, count)
-        power_a = tx * np.maximum(g_a - knee_a, 0.0) / consts.z_a
-        power_b = tx * np.maximum(g_b - knee_b, 0.0) / consts.z_b
-        return int(np.count_nonzero((power_a < floor) & (power_b < floor)))
+        g_a, g_b = _block_gains(params, cfg.seed, block_index, count)
+        harvest_a = np.maximum(g_a - consts.knee_a, 0.0) / consts.z_a
+        harvest_b = np.maximum(g_b - consts.knee_b, 0.0) / consts.z_b
+        return int(np.count_nonzero((tx * harvest_a < floor) & (tx * harvest_b < floor)))
 
     return _estimate(_run_blocks(worker, cfg), cfg.trials)
 

@@ -31,7 +31,8 @@ import scipy.special
 from scipy.optimize import brentq
 
 from . import numerics
-from .model import DerivedConstants, SystemParams, derive_constants
+from .model import (DerivedConstants, LinkConstants, SystemParams,
+                    derive_constants, link_constants)
 from .numerics import QuadratureRule, integrate_gc
 
 
@@ -199,14 +200,14 @@ def p_case1(params: SystemParams, consts: DerivedConstants) -> float:
     """Success mass of the strip where only the A gain clears its knee."""
     return _one_knee(params, params.fading_mean_a, params.fading_mean_b,
                      consts.c_a, consts.e_a, consts.d_ratio_a, consts.delta_a,
-                     consts.varpi * consts.z_b, consts.delta_b)
+                     consts.knee_b, consts.delta_b)
 
 
 def p_case2(params: SystemParams, consts: DerivedConstants) -> float:
     """Mirror of p_case1 with the roles of the two terminals swapped."""
     return _one_knee(params, params.fading_mean_b, params.fading_mean_a,
                      consts.c_b, consts.e_b, consts.d_ratio_b, consts.delta_b,
-                     consts.varpi * consts.z_a, consts.delta_a)
+                     consts.knee_a, consts.delta_a)
 
 
 def p_case3(params: SystemParams, consts: DerivedConstants) -> float:
@@ -291,6 +292,12 @@ def p_case4(params: SystemParams, consts: DerivedConstants,
     return _clamp_unit(value)
 
 
+def _uplinks_hopeless(consts: LinkConstants) -> bool:
+    """True where P(both uplinks decode), a bound on every scheme's success, is
+    below half an ulp of 1: outage rounds to 1.0 and the closed forms overflow."""
+    return math.exp(-consts.varpi * (consts.a_rate_a + consts.a_rate_b)) < 2.0 ** -54
+
+
 def outage_dynamic_ps(params: SystemParams, theta: float) -> float:
     """System outage probability of the per-channel power-splitting scheme.
 
@@ -300,9 +307,7 @@ def outage_dynamic_ps(params: SystemParams, theta: float) -> float:
     rejected so convergence studies can evaluate deliberately coarse orders.
     """
     consts = derive_constants(params, theta)
-    # P(both uplinks decodable) bounds the success mass of every case; below
-    # half an ulp of 1 the outage rounds to 1.0 (and the strips overflow).
-    if math.exp(-consts.varpi * (consts.a_rate_a + consts.a_rate_b)) < 2.0 ** -54:
+    if _uplinks_hopeless(consts):
         return 1.0
     success = (p_case1(params, consts)
                + p_case2(params, consts)
@@ -311,7 +316,7 @@ def outage_dynamic_ps(params: SystemParams, theta: float) -> float:
     return _clamp_unit(1.0 - success)
 
 
-def cdf_t2(consts: DerivedConstants, t: float) -> float:
+def cdf_t2(consts: LinkConstants, t: float) -> float:
     """CDF of the combined uplink variable g_A/Z_A + g_B/Z_B.
 
     Distinct-rate and equal-rate closed forms; the distinct branch is
@@ -338,7 +343,7 @@ def cdf_t2(consts: DerivedConstants, t: float) -> float:
     return 1.0 - math.exp(-rate_b * t) + (rate_b / gap) * diff
 
 
-def cdf_t2_array(consts: DerivedConstants, t: np.ndarray) -> np.ndarray:
+def cdf_t2_array(consts: LinkConstants, t: np.ndarray) -> np.ndarray:
     """cdf_t2 over an array of t, the same branches elementwise.
 
     The closed forms keep calling the scalar twin, which is faster for one
@@ -365,7 +370,7 @@ def cdf_t2_array(consts: DerivedConstants, t: np.ndarray) -> np.ndarray:
     return out
 
 
-def cdf_t3(consts: DerivedConstants, t: float) -> float:
+def cdf_t3(consts: LinkConstants, t: float) -> float:
     """CDF of the reciprocal gain product 1/(g_A*g_B)."""
     if not t > 0.0:
         raise ValueError("cdf_t3 requires t > 0")
@@ -377,7 +382,7 @@ def cdf_t3(consts: DerivedConstants, t: float) -> float:
     return z * numerics.bessel_k1(z)
 
 
-def cdf_t3_array(consts: DerivedConstants, t: np.ndarray) -> np.ndarray:
+def cdf_t3_array(consts: LinkConstants, t: np.ndarray) -> np.ndarray:
     """cdf_t3 over an array of t, bit-identical to the scalar twin.
 
     K1 comes straight from scipy.special.k1, because numerics.bessel_k1 is
@@ -397,7 +402,7 @@ def cdf_t3_array(consts: DerivedConstants, t: np.ndarray) -> np.ndarray:
     return out
 
 
-def improved_integration_bound(consts: DerivedConstants, gamma_th: float) -> float:
+def improved_integration_bound(consts: LinkConstants, gamma_th: float) -> float:
     """Largest t3 for which the decode window of t2 can be nonempty.
 
     The first candidate is the positive root of the window-collapse
@@ -409,7 +414,7 @@ def improved_integration_bound(consts: DerivedConstants, gamma_th: float) -> flo
     return min(root, consts.y_big / gamma_th)
 
 
-def _improved_window(consts: DerivedConstants, gamma_th: float,
+def _improved_window(consts: LinkConstants, gamma_th: float,
                      t: float) -> tuple[float, float]:
     """Decode window (upper, lower) of t2 at a given t3 value."""
     upper = 1.0 / (consts.varpi * consts.z_a * consts.z_b * t) + consts.varpi
@@ -418,14 +423,14 @@ def _improved_window(consts: DerivedConstants, gamma_th: float,
     return upper, lower
 
 
-def _improved_window_mass(consts: DerivedConstants, gamma_th: float,
+def _improved_window_mass(consts: LinkConstants, gamma_th: float,
                           t: float) -> float:
     """Probability that t2 falls inside the decode window at t3 = t."""
     upper, lower = _improved_window(consts, gamma_th, t)
     return cdf_t2(consts, upper) - cdf_t2(consts, lower)
 
 
-def _quantile_t3(consts: DerivedConstants, v: float, t_hi: float) -> float:
+def _quantile_t3(consts: LinkConstants, v: float, t_hi: float) -> float:
     """Value of the reciprocal gain product whose CDF equals v, below t_hi."""
     hi = t_hi
     lo = 0.5 * t_hi
@@ -449,10 +454,12 @@ def outage_improved(params: SystemParams) -> float:
     mass, which keeps the exactly known tail term out of the quadrature sum
     and lets the default order resolve every regime the sweeps visit.
 
-    Derived constants are evaluated at the symmetric allocation; every field
-    this expression touches is independent of the allocation ratio.
+    The scheme picks theta per realization, so only the theta-free link
+    constants enter.
     """
-    consts = derive_constants(params, 0.5)
+    consts = link_constants(params)
+    if _uplinks_hopeless(consts):
+        return 1.0
     gamma_th = params.snr_threshold
     t_max = improved_integration_bound(consts, gamma_th)
     if not math.isfinite(t_max):
@@ -478,7 +485,7 @@ def outage_capacity(params: SystemParams, p_out: float) -> float:
     return (1.0 - p_out) * params.rate_bps_hz * effective_time
 
 
-def energy_outage(params: SystemParams, consts: DerivedConstants) -> float:
+def energy_outage(params: SystemParams, consts: LinkConstants) -> float:
     """Probability that neither link delivers usable harvested power.
 
     A link is dead when its received RF power under the adaptive split stays

@@ -14,7 +14,7 @@ import io
 import json
 from dataclasses import dataclass, field, replace
 
-from .model import SystemParams, derive_constants
+from .model import SystemParams, link_constants
 from .montecarlo import (McConfig, _parse_scheme_args, mc_energy_outage,
                          mc_outage, relative_error)
 from .outage import (energy_outage, outage_capacity, outage_dynamic_ps,
@@ -43,6 +43,8 @@ class SchemeSpec:
 
 @dataclass(frozen=True)
 class SweepRow:
+    """One table row; its fields, in order, are the CSV_COLUMNS."""
+
     param_value: float
     scheme_id: str
     analytic_outage: float | None
@@ -110,27 +112,12 @@ class SweepResult:
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
         for row in self.rows:
-            writer.writerow([
-                _cell(row.param_value),
-                row.scheme_id,
-                _cell(row.analytic_outage),
-                _cell(row.mc_outage),
-                _cell(row.mc_std_error),
-                _cell(row.capacity),
-                _cell(row.relative_error),
-            ])
+            writer.writerow([v if isinstance(v, str) else _cell(v)
+                             for v in vars(row).values()])
         return buf.getvalue()
 
     def to_json(self) -> str:
-        payload = [{
-            "param": row.param_value,
-            "scheme": row.scheme_id,
-            "analytic": row.analytic_outage,
-            "mc": row.mc_outage,
-            "mc_stderr": row.mc_std_error,
-            "capacity": row.capacity,
-            "rel_err": row.relative_error,
-        } for row in self.rows]
+        payload = [dict(zip(CSV_COLUMNS, vars(row).values())) for row in self.rows]
         return json.dumps(payload, indent=2) + "\n"
 
 
@@ -193,8 +180,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
                 relative_error=rel,
             ))
         if spec.swept_param == "sensitivity":
-            consts = derive_constants(point, 0.5)
-            closed = energy_outage(point, consts)
+            closed = energy_outage(point, link_constants(point))
             est = mc_energy_outage(point, spec.mc)
             rel = None
             if est.probability > 0.0:

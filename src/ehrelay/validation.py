@@ -19,7 +19,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from .model import (SystemParams, broadcast_factors, derive_constants,
-                    link_snrs, scheme_controls)
+                    link_constants, link_snrs, scheme_controls)
 from .montecarlo import McConfig, mc_energy_outage, mc_outage, relative_error
 from .outage import (CaseFourGeometry, Scenario, _boundary_gain_a,
                      _boundary_gain_b, case4_geometry, cdf_t2_array,
@@ -139,7 +139,7 @@ def criterion_scheme_ordering() -> CriterionResult:
 def criterion_theta_optimality() -> CriterionResult:
     """The closed-form broadcast weight maximizes the weaker downlink SNR."""
     params = SystemParams()
-    consts = derive_constants(params, 0.5)
+    consts = link_constants(params)
     rng = np.random.default_rng(41)
     g_a, g_b = rng.exponential((params.fading_mean_a, params.fading_mean_b),
                                size=(200, 2)).T
@@ -147,7 +147,7 @@ def criterion_theta_optimality() -> CriterionResult:
     _, _, down_a, down_b = link_snrs(params, consts, g_a, g_b, controls)
     best = np.minimum(down_a, down_b)
     grid = np.linspace(0.001, 0.999, 999)[:, None]
-    x_a, x_b = broadcast_factors(params, consts.z_a, consts.z_b, grid)
+    x_a, x_b = broadcast_factors(consts, grid)
     pooled = controls[2] + controls[3]
     grid_best = (np.minimum(x_a * g_a, x_b * g_b) * pooled).max(axis=0)
     resolved = grid_best > 0.0
@@ -165,19 +165,17 @@ def criterion_theta_optimality() -> CriterionResult:
 def criterion_rho_optimality() -> CriterionResult:
     """No feasible split pair beats the knee splits; pushing past them kills the uplink."""
     params = SystemParams()
-    consts = derive_constants(params, 0.5)
+    consts = link_constants(params)
     gamma_th = params.snr_threshold
     rng = np.random.default_rng(53)
-    knee_a = consts.varpi * consts.z_a
-    knee_b = consts.varpi * consts.z_b
     gains = []
     scalings = []
     for _ in range(200):
         g_a = float(rng.exponential(params.fading_mean_a))
-        while g_a <= knee_a:
+        while g_a <= consts.knee_a:
             g_a = float(rng.exponential(params.fading_mean_a))
         g_b = float(rng.exponential(params.fading_mean_b))
-        while g_b <= knee_b:
+        while g_b <= consts.knee_b:
             g_b = float(rng.exponential(params.fading_mean_b))
         gains.append((g_a, g_b))
         scalings.append(rng.random((1000, 2)))
@@ -189,7 +187,7 @@ def criterion_rho_optimality() -> CriterionResult:
     # A smaller split harvests a fraction of each knee-split harvest term.
     draws = np.array(scalings)
     harvest = draws[:, :, 0] * harvest_a[:, None] + draws[:, :, 1] * harvest_b[:, None]
-    x_a, x_b = broadcast_factors(params, consts.z_a, consts.z_b, theta)
+    x_a, x_b = broadcast_factors(consts, theta)
     sampled_best = (np.minimum(x_a * g_a, x_b * g_b)[:, None] * harvest).max(axis=1)
     beaten = int(np.count_nonzero(sampled_best > best * (1.0 + 1e-12)))
     uplink_ok = True
@@ -239,7 +237,7 @@ def criterion_variable_change_cdfs() -> CriterionResult:
     mono_ok = True
     limits_ok = True
     for _, params in settings:
-        consts = derive_constants(params, 0.5)
+        consts = link_constants(params)
         g_a = rng.exponential(params.fading_mean_a, n)
         g_b = rng.exponential(params.fading_mean_b, n)
         pair_sum = np.sort(g_a / consts.z_a + g_b / consts.z_b)
@@ -380,8 +378,7 @@ def criterion_energy_outage() -> CriterionResult:
     gaps = []
     for sensitivity in (-30.0, -20.0, -10.0):
         params = replace(base, circuit_sensitivity_dbm=sensitivity)
-        consts = derive_constants(params, 0.5)
-        closed = energy_outage(params, consts)
+        closed = energy_outage(params, link_constants(params))
         est = mc_energy_outage(params, cfg)
         gap = abs(closed - est.probability)
         passed &= gap <= 3.0 * est.std_error

@@ -14,6 +14,7 @@ from ehrelay.model import (
     dbm_to_watts,
     derive_constants,
     in_outage,
+    link_constants,
     link_snrs,
     scheme_controls,
 )
@@ -69,7 +70,7 @@ def test_normalized_threshold_is_three_picounits():
 
 
 def test_derived_constants_reference_point():
-    x_factor_a, x_factor_b = broadcast_factors(DEFAULTS, CONSTS.z_a, CONSTS.z_b, 0.5)
+    x_factor_a, x_factor_b = broadcast_factors(CONSTS, 0.5)
     got = {
         "lambda_big_a": DEFAULTS.dist_a ** DEFAULTS.path_loss_exp / CONSTS.z_a,
         "lambda_big_b": DEFAULTS.dist_b ** DEFAULTS.path_loss_exp / CONSTS.z_b,
@@ -115,13 +116,13 @@ def test_symmetric_geometry_collapses_link_constants():
     c = derive_constants(sym, 0.5)
     assert c.z_a == pytest.approx(c.z_b, rel=1e-15)
     assert c.delta_a == pytest.approx(c.delta_b, rel=1e-15)
-    x_a, x_b = broadcast_factors(sym, c.z_a, c.z_b, 0.5)
+    x_a, x_b = broadcast_factors(c, 0.5)
     assert x_a == pytest.approx(x_b, rel=1e-15)
 
 
 def test_half_theta_mix_identity():
     # At theta = 0.5 both broadcast factors reduce to hg / (2 z_i).
-    x_a, x_b = broadcast_factors(DEFAULTS, CONSTS.z_a, CONSTS.z_b, 0.5)
+    x_a, x_b = broadcast_factors(CONSTS, 0.5)
     assert x_a * CONSTS.z_a == pytest.approx(x_b * CONSTS.z_b, rel=1e-12)
     assert x_a * CONSTS.z_a == pytest.approx(
         CONSTS.y_big * CONSTS.z_a * CONSTS.z_b / 2.0, rel=1e-12)
@@ -144,6 +145,37 @@ def test_params_validation():
         SystemParams(quad_order=0)
     with pytest.raises(ValueError):
         SystemParams(quad_order=2.5)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("tx_power_dbm", math.nan),
+    ("tx_power_dbm", math.inf),
+    ("noise_dbm", -math.inf),
+    ("gain_relay_dbi", math.nan),
+    ("dist_a", math.inf),
+    ("fading_mean_b", math.inf),
+    ("rate_bps_hz", math.inf),
+    ("circuit_sensitivity_dbm", math.nan),
+    # Finite dB values whose linear value rounds to 0 or overflows.
+    ("tx_power_dbm", -3400.0),
+    ("noise_dbm", 4000.0),
+    ("gain_a_dbi", -4000.0),
+    ("circuit_sensitivity_dbm", -3400.0),
+])
+def test_params_reject_non_finite_and_unrepresentable_values(field, value):
+    with pytest.raises(ValueError, match=field):
+        SystemParams(**{field: value})
+
+
+@pytest.mark.parametrize("theta", [0.05, 0.5, 0.95])
+def test_link_constants_are_the_theta_free_part(theta):
+    link = link_constants(DEFAULTS)
+    full = derive_constants(DEFAULTS, theta)
+    for f in dataclasses.fields(link):
+        assert getattr(full, f.name) == getattr(link, f.name), f.name
+    assert link.knee_a == link.varpi * link.z_a
+    assert link.knee_b == link.varpi * link.z_b
+    assert link.y_big == link.harvest_gain / (link.z_a * link.z_b)
 
 
 def test_derive_constants_theta_domain():

@@ -123,6 +123,16 @@ class TestBlockEvaluation:
         assert est.probability == REF_HITS_ENERGY / REF_TRIALS
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("params", [DEFAULTS, GATED], ids=["ideal", "gated-20dBm"])
+@pytest.mark.parametrize("scheme_id", SCHEMES)
+def test_hopeless_transmit_power_is_a_sure_outage(params, scheme_id):
+    # No scheme here has a theta whose knees could round away, so nothing
+    # may refuse the point: every uplink misses, and the outage is 1.0.
+    point = dataclasses.replace(params, tx_power_dbm=-260.0)
+    assert mc_outage(point, scheme_id, None, McConfig(trials=4096, seed=1)).probability == 1.0
+
+
 class TestEstimator:
     def test_std_error_is_binomial(self):
         est = mc_outage(DEFAULTS, "dynamic_ps", {"theta": 0.5},

@@ -210,6 +210,14 @@ def test_closed_forms_stay_probabilities_at_low_transmit_power():
     assert outage_dynamic_ps(_with(tx_power_dbm=-150.0), 0.5) == 1.0
 
 
+@pytest.mark.filterwarnings("error")
+def test_improved_outage_is_one_far_below_the_noise():
+    # Below about -815 dBm here b_o**2 of the window bound overflows; the
+    # hopeless-uplink guard answers first.
+    for tx in (-300.0, -1000.0, -1600.0):
+        assert outage_improved(_with(tx_power_dbm=tx)) == 1.0
+
+
 def test_improved_outage_reference_points():
     for dbm, want in REF_IMPROVED.items():
         got = outage_improved(_with(tx_power_dbm=dbm))

@@ -288,11 +288,36 @@ class TestCli:
             derive_constants(params, 0.5)
         with pytest.raises(ValueError, match=cause):
             outage_dynamic_ps(params, 0.5)
-        with pytest.raises(ValueError, match=cause):
-            outage_improved(params)
+        if field == "rate_bps_hz":
+            with pytest.raises(ValueError, match=cause):
+                outage_improved(params)
+        else:
+            # The improved scheme has no fixed theta and never reads the
+            # dynamic-PS knees; at -300 dBm its outage rounds to 1.0.
+            assert outage_improved(params) == 1.0
         assert main(["params", flag, value]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and cause in err
+
+    @pytest.mark.parametrize("argv", [
+        ["fig", "3", "--theta", "0.9"],
+        ["params", "--trials", "5", "--shards", "3"],
+        ["validate", "--seed", "3"],
+    ])
+    def test_flags_a_subcommand_ignores_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_config_rejects_fractional_quad_order(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"quad_order": 10.7}))
+        assert main(["params", "--config", str(config)]) == 2
+        assert "quad_order must be an integer" in capsys.readouterr().err
+        config.write_text(json.dumps({"quad_order": 12.0}))
+        assert main(["params", "--json", "--config", str(config)]) == 0
+        assert json.loads(capsys.readouterr().out)["system"]["quad_order"] == 12
 
     def test_validate_exit_codes(self, monkeypatch, capsys):
         passing = [CriterionResult(index=i, name=f"check_{i}", passed=True,
