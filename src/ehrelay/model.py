@@ -13,6 +13,13 @@ gains).  SystemParams converts its dBm / dBi inputs on every read, through
 properties: link_constants reads them once per configuration, link_snrs
 once per call (once per Monte Carlo chunk), and in_outage likewise rederives
 the SNR threshold from the rate on every call.
+
+The array kernel (scheme_controls, link_snrs, in_outage, in_energy_outage)
+writes into a KernelWorkspace when given one: the Monte Carlo simulator
+keeps one per block, so a chunk allocates no arrays except the five
+temporaries of broadcast_factors under the improved scheme's per-trial
+theta.  Without a workspace each call allocates its results, for scalar
+or array gains alike.
 """
 
 from __future__ import annotations
@@ -94,6 +101,9 @@ class SystemParams:
                      "fading_mean_b", "rate_bps_hz"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be strictly positive")
+        if not self.rate_bps_hz < 1024.0:
+            raise ValueError(f"rate_bps_hz={self.rate_bps_hz!r} is out of range: "
+                             "the SNR threshold 2**rate - 1 overflows from 1024 on")
 
     @property
     def snr_threshold(self) -> float:
@@ -155,24 +165,45 @@ class DerivedConstants(LinkConstants):
     delta_b: float
 
 
+# Inputs every path factor Z depends on besides its own distance and gain.
+_PATH_FIELDS = ("path_loss_exp", "ref_dist", "carrier_freq_hz", "gain_relay_dbi")
+
+
+def _out_of_range(params: SystemParams, symbol: str, fields) -> ValueError:
+    inputs = ", ".join(f"{name}={getattr(params, name)!r}" for name in fields)
+    return ValueError(f"{inputs}: {symbol} leaves the floating-point range")
+
+
 def link_constants(params: SystemParams) -> LinkConstants:
     """Evaluate every derived symbol that does not depend on theta.
 
-    Raises ValueError for a rate whose SNR threshold rounds to 0.
+    Raises ValueError for a rate whose SNR threshold rounds to 0, and,
+    naming the inputs involved, where a path factor, the product of the
+    two or varpi**2 overflows or vanishes, which would otherwise surface
+    as an OverflowError or ZeroDivisionError further on.
     """
     if params.snr_threshold == 0.0:
         raise ValueError(f"rate_bps_hz={params.rate_bps_hz!r} is too small: "
                          "the SNR threshold 2**rate - 1 rounds to 0")
 
     alpha = params.path_loss_exp
-    wavelength = params.wavelength_m
     g_relay = dbi_to_linear(params.gain_relay_dbi)
-    # Close-in path loss factor: free-space at d0, exponent alpha beyond it.
-    common = wavelength ** 2 * params.ref_dist ** (alpha - 2.0) / (4.0 * math.pi) ** 2
-    lambda_big_a = dbi_to_linear(params.gain_a_dbi) * g_relay * common
-    lambda_big_b = dbi_to_linear(params.gain_b_dbi) * g_relay * common
-    z_a = params.dist_a ** alpha / lambda_big_a
-    z_b = params.dist_b ** alpha / lambda_big_b
+
+    def path_factor(dist: float, gain_dbi: float, fields: tuple) -> float:
+        """Z = d^alpha / Lambda, Lambda the close-in antenna/path factor:
+        free-space at d0, exponent alpha beyond it."""
+        try:
+            common = params.wavelength_m ** 2 * params.ref_dist ** (alpha - 2.0) \
+                / (4.0 * math.pi) ** 2
+            z = dist ** alpha / (dbi_to_linear(gain_dbi) * g_relay * common)
+        except (OverflowError, ZeroDivisionError):
+            z = math.inf
+        if not 0.0 < z < math.inf:
+            raise _out_of_range(params, "the path factor Z", fields + _PATH_FIELDS)
+        return z
+
+    z_a = path_factor(params.dist_a, params.gain_a_dbi, ("dist_a", "gain_a_dbi"))
+    z_b = path_factor(params.dist_b, params.gain_b_dbi, ("dist_b", "gain_b_dbi"))
 
     p_w = params.tx_power_w
     n_w = params.noise_w
@@ -180,7 +211,16 @@ def link_constants(params: SystemParams) -> LinkConstants:
     varpi = gamma_th * n_w / p_w
     beta = params.time_split
     harvest_gain = params.eh_efficiency * beta * p_w / ((1.0 - 2.0 * beta) * n_w)
-    y_big = harvest_gain / (z_a * z_b)
+    y_big = harvest_gain / (z_a * z_b) if z_a * z_b > 0.0 else 0.0
+    if not y_big > 0.0:
+        raise _out_of_range(params, "Y = harvest_gain / (Z_A * Z_B)",
+                            ("tx_power_dbm", "noise_dbm", "dist_a", "dist_b",
+                             "gain_a_dbi", "gain_b_dbi", "gain_relay_dbi"))
+    try:
+        varpi_sq = varpi ** 2
+    except OverflowError:
+        raise _out_of_range(params, "varpi**2",
+                            ("tx_power_dbm", "noise_dbm", "rate_bps_hz")) from None
 
     return LinkConstants(
         z_a=z_a, z_b=z_b, varpi=varpi, knee_a=varpi * z_a, knee_b=varpi * z_b,
@@ -188,33 +228,72 @@ def link_constants(params: SystemParams) -> LinkConstants:
         d_ratio_a=z_a / z_b, d_ratio_b=z_b / z_a,
         e_a=2.0 * varpi * z_a, e_b=2.0 * varpi * z_b,
         a_rate_a=z_a / params.fading_mean_a, a_rate_b=z_b / params.fading_mean_b,
-        a_o=varpi ** 2 * z_a * z_b * gamma_th / y_big,
-        b_o=varpi ** 2 * z_a * z_b + gamma_th / y_big,
+        a_o=varpi_sq * z_a * z_b * gamma_th / y_big,
+        b_o=varpi_sq * z_a * z_b + gamma_th / y_big,
     )
+
+
+class KernelWorkspace:
+    """Arrays the kernel below writes into, for batches of one shape.
+
+    scheme_controls, link_snrs, in_outage and in_energy_outage each take one
+    as ws.  Given one, they write every result and temporary into its arrays
+    instead of allocating, so a caller that evaluates batch after batch
+    allocates once.  Each call overwrites what the last call with the same
+    workspace returned; the uplink SNRs overwrite the decode fractions and
+    the downlink SNRs the harvest terms they are computed from.  Without a
+    workspace, each call allocates its own.
+    """
+
+    def __init__(self, shape) -> None:
+        (self.decode_a, self.decode_b, self.harvest_a, self.harvest_b,
+         self.theta, self.pooled, self.scratch) = (np.empty(shape) for _ in range(7))
+        self.up_a, self.up_b = self.decode_a, self.decode_b
+        self.down_a, self.down_b = self.harvest_a, self.harvest_b
+        self.ok = np.empty(shape, dtype=bool)
+        self.flag = np.empty(shape, dtype=bool)
+
+
+def _workspace(*arrays) -> KernelWorkspace:
+    return KernelWorkspace(np.broadcast_shapes(*(np.shape(x) for x in arrays)))
 
 
 def broadcast_factors(consts: LinkConstants, theta) -> tuple:
     """Downlink SNR coefficients (X_A, X_B) at weight theta (scalar or array).
 
     X_A carries (1-theta)^2 and X_B carries theta^2, both normalized by the
-    total broadcast weight theta^2 + (1-theta)^2.
+    total broadcast weight theta^2 + (1-theta)^2.  Each square is taken
+    once, and an array theta's temporaries are updated in place.
     """
-    mix = theta ** 2 + (1.0 - theta) ** 2
-    x_a = consts.harvest_gain * (1.0 - theta) ** 2 / (consts.z_a * mix)
-    x_b = consts.harvest_gain * theta ** 2 / (consts.z_b * mix)
+    x_a = 1.0 - theta
+    x_a **= 2
+    x_b = theta ** 2
+    mix = x_b + x_a
+    x_a *= consts.harvest_gain
+    x_a /= consts.z_a * mix
+    x_b *= consts.harvest_gain
+    x_b /= consts.z_b * mix
     return x_a, x_b
 
 
-def derive_constants(params: SystemParams, theta: float) -> DerivedConstants:
-    """LinkConstants plus the theta part, for the dynamic-PS closed form.
-
-    Raises ValueError for theta outside the open interval (0, 1), for a
-    rate whose SNR threshold rounds to 0, and for a transmit power so low
-    that the decode knees round onto the uplink floor.
-    """
+def check_theta(theta: float) -> None:
+    """Raise ValueError unless the broadcast weight lies inside (0, 1)."""
     if not 0.0 < theta < 1.0:
         raise ValueError("theta must lie strictly inside (0, 1)")
-    link = link_constants(params)
+
+
+def derive_constants(params: SystemParams, theta: float,
+                     link: LinkConstants | None = None) -> DerivedConstants:
+    """LinkConstants plus the theta part, for the dynamic-PS closed form.
+
+    link, if given, is link_constants(params), already built by the caller.
+    Raises ValueError for theta outside the open interval (0, 1), for
+    inputs link_constants rejects, and for a transmit power so low that
+    the decode knees round onto the uplink floor.
+    """
+    check_theta(theta)
+    if link is None:
+        link = link_constants(params)
     z_a, z_b, varpi = link.z_a, link.z_b, link.varpi
     gamma_th = params.snr_threshold
     x_factor_a, x_factor_b = broadcast_factors(link, theta)
@@ -249,7 +328,19 @@ _THETA_HI = float(np.nextafter(1.0, 0.0))
 _UPLINK_SLACK = 16.0 * float(np.finfo(np.float64).eps)
 
 
-def scheme_controls(consts: LinkConstants, scheme_id: str, canon: dict, g_a, g_b):
+def _knee_harvest(consts: LinkConstants, g_a, g_b, ws: KernelWorkspace) -> tuple:
+    """Harvest terms max(g - knee, 0)/Z of the adaptive schemes' knee split."""
+    harvest_a = np.subtract(g_a, consts.knee_a, out=ws.harvest_a)
+    np.maximum(harvest_a, 0.0, out=harvest_a)
+    harvest_a /= consts.z_a
+    harvest_b = np.subtract(g_b, consts.knee_b, out=ws.harvest_b)
+    np.maximum(harvest_b, 0.0, out=harvest_b)
+    harvest_b /= consts.z_b
+    return harvest_a, harvest_b
+
+
+def scheme_controls(consts: LinkConstants, scheme_id: str, canon: dict, g_a, g_b,
+                    ws: KernelWorkspace | None = None):
     """Control variables a relay scheme chooses for arrays of realizations.
 
     g_a and g_b are the squared channel gains |h_A|^2 and |h_B|^2; canon
@@ -266,33 +357,51 @@ def scheme_controls(consts: LinkConstants, scheme_id: str, canon: dict, g_a, g_b
     equalizes the two downlink SNRs; when both gains vanish every theta is
     an outage and the symmetric 0.5 is returned for determinism.
     """
+    if ws is None:
+        ws = _workspace(g_a, g_b)
     if scheme_id == "static_equal":
         rho = canon["rho"]
-        decode_a = decode_b = 1.0 - rho
-        harvest_a = rho * g_a / consts.z_a
-        harvest_b = rho * g_b / consts.z_b
-        return decode_a, decode_b, harvest_a, harvest_b, 0.5
+        harvest_a = np.multiply(g_a, rho, out=ws.harvest_a)
+        harvest_a /= consts.z_a
+        harvest_b = np.multiply(g_b, rho, out=ws.harvest_b)
+        harvest_b /= consts.z_b
+        return 1.0 - rho, 1.0 - rho, harvest_a, harvest_b, 0.5
 
     with np.errstate(divide="ignore"):
-        decode_a = np.minimum(consts.knee_a / g_a, 1.0)
-        decode_b = np.minimum(consts.knee_b / g_b, 1.0)
-    harvest_a = np.maximum(g_a - consts.knee_a, 0.0) / consts.z_a
-    harvest_b = np.maximum(g_b - consts.knee_b, 0.0) / consts.z_b
+        decode_a = np.divide(consts.knee_a, g_a, out=ws.decode_a)
+        decode_b = np.divide(consts.knee_b, g_b, out=ws.decode_b)
+    np.minimum(decode_a, 1.0, out=decode_a)
+    np.minimum(decode_b, 1.0, out=decode_b)
+    harvest_a, harvest_b = _knee_harvest(consts, g_a, g_b, ws)
 
     if scheme_id == "dynamic_ps":
         theta = canon["theta"]
     else:
-        side_a = np.sqrt(g_a * consts.z_b)
-        side_b = np.sqrt(g_b * consts.z_a)
-        denom = side_a + side_b
-        safe = np.where(denom > 0.0, denom, 1.0)
-        theta = np.where(denom > 0.0, side_a / safe, 0.5)
-        theta = np.clip(theta, _THETA_LO, _THETA_HI)
+        side_a = np.multiply(g_a, consts.z_b, out=ws.theta)
+        np.sqrt(side_a, out=side_a)
+        denom = np.multiply(g_b, consts.z_a, out=ws.scratch)
+        np.sqrt(denom, out=denom)
+        denom += side_a
+        # The denominator vanishes only where both gains do; skip the
+        # masking when no realization is such.
+        if denom.min(initial=math.inf) > 0.0:
+            theta = np.divide(side_a, denom, out=side_a)
+        else:
+            positive = denom > 0.0
+            side_a[...] = np.where(positive, side_a / np.where(positive, denom, 1.0), 0.5)
+            theta = side_a
+        np.clip(theta, _THETA_LO, _THETA_HI, out=theta)
     return decode_a, decode_b, harvest_a, harvest_b, theta
 
 
+def _rectenna_on(params: SystemParams, harvest, ws: KernelWorkspace, out):
+    """True where a link's harvested RF power reaches the rectenna sensitivity."""
+    power = np.multiply(harvest, params.tx_power_w, out=ws.scratch)
+    return np.greater_equal(power, params.sensitivity_w, out=out)
+
+
 def link_snrs(params: SystemParams, consts: LinkConstants, g_a, g_b,
-              controls) -> tuple:
+              controls, ws: KernelWorkspace | None = None) -> tuple:
     """The four link SNRs (uplink_a, uplink_b, downlink_a, downlink_b).
 
     controls is the tuple scheme_controls returns.  The broadcast runs on
@@ -300,24 +409,33 @@ def link_snrs(params: SystemParams, consts: LinkConstants, g_a, g_b,
     link whose harvested RF power stays below it contributes nothing.
     """
     decode_a, decode_b, harvest_a, harvest_b, theta = controls
+    if ws is None:
+        ws = _workspace(g_a, g_b, *controls)
     snr_scale = params.tx_power_w / params.noise_w
-    up_a = g_a * decode_a * snr_scale / consts.z_a
-    up_b = g_b * decode_b * snr_scale / consts.z_b
+    up_a = np.multiply(g_a, decode_a, out=ws.up_a)
+    up_a *= snr_scale
+    up_a /= consts.z_a
+    up_b = np.multiply(g_b, decode_b, out=ws.up_b)
+    up_b *= snr_scale
+    up_b /= consts.z_b
 
-    if params.circuit_sensitivity_dbm is not None:
-        floor = params.sensitivity_w
-        tx = params.tx_power_w
-        harvest_a = np.where(tx * harvest_a >= floor, harvest_a, 0.0)
-        harvest_b = np.where(tx * harvest_b >= floor, harvest_b, 0.0)
+    if params.circuit_sensitivity_dbm is None:
+        pooled = np.add(harvest_a, harvest_b, out=ws.pooled)
+    else:
+        pooled = np.multiply(harvest_a, _rectenna_on(params, harvest_a, ws, ws.ok),
+                             out=ws.pooled)
+        pooled += np.multiply(harvest_b, _rectenna_on(params, harvest_b, ws, ws.flag),
+                              out=ws.scratch)
 
     x_a, x_b = broadcast_factors(consts, theta)
-    pooled = harvest_a + harvest_b
-    down_a = x_a * g_a * pooled
-    down_b = x_b * g_b * pooled
+    down_a = np.multiply(x_a, g_a, out=ws.down_a)
+    down_a *= pooled
+    down_b = np.multiply(x_b, g_b, out=ws.down_b)
+    down_b *= pooled
     return up_a, up_b, down_a, down_b
 
 
-def in_outage(params: SystemParams, snrs):
+def in_outage(params: SystemParams, snrs, ws: KernelWorkspace | None = None):
     """True where any of the four links misses the decoding threshold.
 
     Equality counts as success; the uplinks compare against a threshold
@@ -325,7 +443,24 @@ def in_outage(params: SystemParams, snrs):
     resolve to success regardless of rounding direction.
     """
     up_a, up_b, down_a, down_b = snrs
+    if ws is None:
+        ws = _workspace(*snrs)
     gamma_th = params.snr_threshold
     uplink_bar = gamma_th * (1.0 - _UPLINK_SLACK)
-    return np.logical_not((up_a >= uplink_bar) & (up_b >= uplink_bar)
-                          & (down_a >= gamma_th) & (down_b >= gamma_th))
+    ok = np.greater_equal(up_a, uplink_bar, out=ws.ok)
+    ok &= np.greater_equal(up_b, uplink_bar, out=ws.flag)
+    ok &= np.greater_equal(down_a, gamma_th, out=ws.flag)
+    ok &= np.greater_equal(down_b, gamma_th, out=ws.flag)
+    return np.logical_not(ok, out=ok)
+
+
+def in_energy_outage(params: SystemParams, consts: LinkConstants, g_a, g_b,
+                     ws: KernelWorkspace | None = None):
+    """True where neither link's knee-split harvest reaches the rectenna
+    sensitivity, by the rectenna test link_snrs applies."""
+    if ws is None:
+        ws = _workspace(g_a, g_b)
+    harvest_a, harvest_b = _knee_harvest(consts, g_a, g_b, ws)
+    active = _rectenna_on(params, harvest_a, ws, ws.ok)
+    active |= _rectenna_on(params, harvest_b, ws, ws.flag)
+    return np.logical_not(active, out=active)

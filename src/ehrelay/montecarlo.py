@@ -6,12 +6,16 @@ depends only on (seed, trials), never on how blocks are distributed over
 worker threads.  That is what makes estimates bit-identical across shard
 counts and across runs.
 
-Each block draws its gains whole (g_A, then g_B), so its random stream is
-fixed by the block alone.  The physics kernel then runs over consecutive
-CHUNK_TRIALS-sized slices of those gains and sums their integer hit counts.
-The kernel is elementwise, so the counts equal those of one whole-block
-pass; chunking only keeps each kernel temporary small enough to stay in
-cache instead of streaming a block-sized array through memory per step.
+A block of count trials takes g_A from the first count uniforms of its
+stream and g_B from the next count.  It streams them CHUNK_TRIALS at a
+time: g_A from the block generator, and g_B from a second generator seeded
+the same way and advanced past the first count draws (PCG64 jumps ahead in
+O(log count) steps), so chunking never changes which uniform a trial gets.
+Each chunk is drawn into reused arrays, the physics kernel runs in place
+in one reused model.KernelWorkspace, and the integer hit counts are
+summed.  The kernel is elementwise, so the counts equal those of one
+whole-block pass, while a block never holds a block-sized array and its
+working set fits in a core's cache.
 """
 
 from __future__ import annotations
@@ -22,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (SystemParams, in_outage, link_constants, link_snrs,
-                    scheme_controls)
+from .model import (KernelWorkspace, SystemParams, check_theta, in_energy_outage,
+                    in_outage, link_constants, link_snrs, scheme_controls)
 from .numerics import sample_exponential
 
 BLOCK_TRIALS = 1 << 18
@@ -91,32 +95,38 @@ def _parse_scheme_args(scheme_id: str, scheme_args) -> dict:
         canon["rho"] = rho
     elif scheme_id == "dynamic_ps":
         theta = float(args.pop("theta", 0.5))
-        if not 0.0 < theta < 1.0:
-            raise ValueError("theta must lie strictly inside (0, 1)")
+        check_theta(theta)
         canon["theta"] = theta
     if args:
         raise ValueError(f"unsupported arguments for {scheme_id!r}: {sorted(args)}")
     return canon
 
 
-def _block_gains(params: SystemParams, seed: int, block_index: int, count: int) -> tuple:
-    """The block's gains g_A then g_B, the only draws its stream makes."""
-    rng = _block_rng(seed, block_index)
-    g_a = sample_exponential(rng, params.fading_mean_a, count)
-    g_b = sample_exponential(rng, params.fading_mean_b, count)
-    return g_a, g_b
+def _chunks(params: SystemParams, seed: int, block_index: int, count: int):
+    """Yield a block's trials as (g_a, g_b, ws), CHUNK_TRIALS at a time.
+
+    g_a, g_b and the kernel workspace ws are reused from chunk to chunk.
+    """
+    rng_a = _block_rng(seed, block_index)
+    rng_b = _block_rng(seed, block_index)
+    rng_b.bit_generator.advance(count)
+    size = 0
+    for start in range(0, count, CHUNK_TRIALS):
+        m = min(CHUNK_TRIALS, count - start)
+        if m != size:
+            size = m
+            g_a, g_b, ws = np.empty(m), np.empty(m), KernelWorkspace(m)
+        yield (sample_exponential(rng_a, params.fading_mean_a, m, out=g_a),
+               sample_exponential(rng_b, params.fading_mean_b, m, out=g_b), ws)
 
 
 def _outage_block(params: SystemParams, consts, scheme_id: str, canon: dict,
                   seed: int, block_index: int, count: int) -> int:
-    g_a, g_b = _block_gains(params, seed, block_index, count)
     hits = 0
-    for start in range(0, count, CHUNK_TRIALS):
-        a = g_a[start:start + CHUNK_TRIALS]
-        b = g_b[start:start + CHUNK_TRIALS]
-        controls = scheme_controls(consts, scheme_id, canon, a, b)
-        snrs = link_snrs(params, consts, a, b, controls)
-        hits += int(np.count_nonzero(in_outage(params, snrs)))
+    for g_a, g_b, ws in _chunks(params, seed, block_index, count):
+        controls = scheme_controls(consts, scheme_id, canon, g_a, g_b, ws)
+        snrs = link_snrs(params, consts, g_a, g_b, controls, ws)
+        hits += int(np.count_nonzero(in_outage(params, snrs, ws)))
     return hits
 
 
@@ -159,19 +169,16 @@ def mc_outage(params: SystemParams, scheme_id: str, scheme_args,
 def mc_energy_outage(params: SystemParams, cfg: McConfig) -> McEstimate:
     """Estimate the probability that both links miss the rectenna threshold.
 
-    Links harvest under the knee split; link_snrs's rectenna test decides.
+    Links harvest under the knee split; link_snrs's rectenna test decides
+    (model.in_energy_outage).
     """
     if params.circuit_sensitivity_dbm is None:
         raise ValueError("mc_energy_outage requires circuit_sensitivity_dbm")
     consts = link_constants(params)
-    floor = params.sensitivity_w
-    tx = params.tx_power_w
 
     def worker(block_index: int, count: int) -> int:
-        g_a, g_b = _block_gains(params, cfg.seed, block_index, count)
-        harvest_a = np.maximum(g_a - consts.knee_a, 0.0) / consts.z_a
-        harvest_b = np.maximum(g_b - consts.knee_b, 0.0) / consts.z_b
-        return int(np.count_nonzero((tx * harvest_a < floor) & (tx * harvest_b < floor)))
+        return sum(int(np.count_nonzero(in_energy_outage(params, consts, g_a, g_b, ws)))
+                   for g_a, g_b, ws in _chunks(params, cfg.seed, block_index, count))
 
     return _estimate(_run_blocks(worker, cfg), cfg.trials)
 

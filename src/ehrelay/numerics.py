@@ -70,16 +70,18 @@ def bessel_k1(x: float) -> float:
     return float(scipy.special.k1(x))
 
 
-def sample_exponential(rng: np.random.Generator, mean: float, size) -> np.ndarray:
+def sample_exponential(rng: np.random.Generator, mean: float, size,
+                       out: np.ndarray | None = None) -> np.ndarray:
     """Draw an array of exponential variates by inversion from rng.random().
 
     Inversion keeps the draw count per trial fixed at one uniform, which is
     what makes sharded Monte Carlo runs bit-reproducible.  log1p keeps
     accuracy for small uniforms, and u in [0, 1) keeps the result finite.
+    out, a float64 array of shape size, receives the draws if given.
     """
     if not mean > 0.0:
         raise ValueError("mean must be strictly positive")
-    u = rng.random(size)
+    u = rng.random(size, out=out)
     # Same bits as -mean * np.log1p(-u), without two sample-sized temporaries.
     np.negative(u, out=u)
     np.log1p(u, out=u)

@@ -31,7 +31,7 @@ import scipy.special
 from scipy.optimize import brentq
 
 from . import numerics
-from .model import (DerivedConstants, LinkConstants, SystemParams,
+from .model import (DerivedConstants, LinkConstants, SystemParams, check_theta,
                     derive_constants, link_constants)
 from .numerics import QuadratureRule, integrate_gc
 
@@ -306,9 +306,11 @@ def outage_dynamic_ps(params: SystemParams, theta: float) -> float:
     overshoot reaches the percent scale.  The result is clamped rather than
     rejected so convergence studies can evaluate deliberately coarse orders.
     """
-    consts = derive_constants(params, theta)
-    if _uplinks_hopeless(consts):
+    check_theta(theta)
+    link = link_constants(params)
+    if _uplinks_hopeless(link):
         return 1.0
+    consts = derive_constants(params, theta, link)
     success = (p_case1(params, consts)
                + p_case2(params, consts)
                + p_case3(params, consts)

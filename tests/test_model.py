@@ -161,6 +161,9 @@ def test_params_validation():
     ("noise_dbm", 4000.0),
     ("gain_a_dbi", -4000.0),
     ("circuit_sensitivity_dbm", -3400.0),
+    # Finite rates whose SNR threshold 2**rate - 1 overflows.
+    ("rate_bps_hz", 1100.0),
+    ("rate_bps_hz", 2000.0),
 ])
 def test_params_reject_non_finite_and_unrepresentable_values(field, value):
     with pytest.raises(ValueError, match=field):
@@ -283,6 +286,10 @@ def test_improved_theta_special_points():
     theta = _improved_theta(1.0, 1e-30)
     assert theta > 0.999999
     assert theta < 1.0
+
+    # A single vanishing gain is nudged onto the ends of the open interval.
+    assert _improved_theta(1.0, 0.0) == np.nextafter(1.0, 0.0)
+    assert _improved_theta(0.0, 1.0) == np.nextafter(0.0, 1.0)
 
 
 def test_improved_theta_reference_value():

@@ -1,8 +1,9 @@
 """Simulator determinism, estimator statistics, and agreement smoke checks."""
 
 import dataclasses
-
 import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -21,8 +22,8 @@ from ehrelay import (
 )
 from ehrelay.model import in_outage, link_snrs, scheme_controls
 from ehrelay.montecarlo import (BLOCK_TRIALS, CHUNK_TRIALS, _block_layout,
-                                _block_rng, _outage_block, _parse_scheme_args,
-                                _splitmix64)
+                                _block_rng, _chunks, _outage_block,
+                                _parse_scheme_args, _splitmix64)
 from ehrelay.numerics import sample_exponential
 
 REF_OUTAGE_DYNAMIC = 0.00906277031472058
@@ -98,6 +99,28 @@ def _whole_block_hits(params, scheme_id, seed, block_index, count):
     return int(np.count_nonzero(in_outage(params, snrs)))
 
 
+def _whole_block_gains(params, seed, block_index, count):
+    """A block's gains drawn whole from one generator: g_A, then g_B."""
+    rng = _block_rng(seed, block_index)
+    g_a = sample_exponential(rng, params.fading_mean_a, count)
+    g_b = sample_exponential(rng, params.fading_mean_b, count)
+    return g_a, g_b
+
+
+def _whole_block_energy_hits(params, seed, block_index, count):
+    """Both links below the rectenna sensitivity under the knee split, in
+    one pass over the block's whole-drawn gains."""
+    consts = derive_constants(params, 0.5)
+    g_a, g_b = _whole_block_gains(params, seed, block_index, count)
+    harvest_a = np.maximum(g_a - consts.knee_a, 0.0) / consts.z_a
+    harvest_b = np.maximum(g_b - consts.knee_b, 0.0) / consts.z_b
+    tx, floor = params.tx_power_w, params.sensitivity_w
+    return int(np.count_nonzero((tx * harvest_a < floor) & (tx * harvest_b < floor)))
+
+
+BLOCK_COUNTS = (1, CHUNK_TRIALS - 1, CHUNK_TRIALS + 1, 213_568, BLOCK_TRIALS)
+
+
 class TestBlockEvaluation:
     @pytest.mark.parametrize("params", [DEFAULTS, GATED],
                              ids=["ideal", "gated-20dBm"])
@@ -110,6 +133,46 @@ class TestBlockEvaluation:
             chunked = _outage_block(params, consts, scheme_id, canon,
                                     5, 3, count)
             assert chunked == _whole_block_hits(params, scheme_id, 5, 3, count)
+
+    def test_chunk_stream_is_the_whole_block_draws(self):
+        # Distinct means, so a g_A/g_B swap cannot pass.
+        params = dataclasses.replace(DEFAULTS, fading_mean_a=0.7, fading_mean_b=2.5)
+        for count in BLOCK_COUNTS:
+            chunks = [(g_a.copy(), g_b.copy())
+                      for g_a, g_b, _ in _chunks(params, 5, 3, count)]
+            assert [len(a) for a, _ in chunks[:-1]] == [CHUNK_TRIALS] * (len(chunks) - 1)
+            whole_a, whole_b = _whole_block_gains(params, 5, 3, count)
+            assert np.array_equal(np.concatenate([a for a, _ in chunks]), whole_a)
+            assert np.array_equal(np.concatenate([b for _, b in chunks]), whole_b)
+
+    def test_energy_chunks_count_like_the_whole_block(self):
+        # A single-block run is block 0, evaluated by the energy worker.
+        for count in BLOCK_COUNTS:
+            est = mc_energy_outage(GATED, McConfig(trials=count, seed=5))
+            assert est.probability == _whole_block_energy_hits(GATED, 5, 0, count) / count
+
+    def test_block_never_holds_a_block_sized_array(self):
+        # One block-sized float64 array is 2 MiB; streaming in chunks stays
+        # below it (the whole-block draws alone took two).
+        limit = BLOCK_TRIALS * 8
+
+        def peak(run) -> int:
+            run()   # warm up lazy imports and caches outside the trace
+            tracemalloc.start()
+            try:
+                run()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        for params in (DEFAULTS, GATED):
+            consts = derive_constants(params, 0.5)
+            for scheme_id in SCHEMES:
+                canon = _parse_scheme_args(scheme_id, None)
+                assert peak(lambda: _outage_block(params, consts, scheme_id, canon, 5, 3,
+                                                  BLOCK_TRIALS)) < limit, (params, scheme_id)
+        energy = McConfig(trials=BLOCK_TRIALS, seed=5)
+        assert peak(lambda: mc_energy_outage(GATED, energy)) < limit
 
     @pytest.mark.parametrize("scheme_id", SCHEMES)
     def test_outage_hits_are_frozen(self, scheme_id):

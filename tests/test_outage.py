@@ -218,6 +218,19 @@ def test_improved_outage_is_one_far_below_the_noise():
         assert outage_improved(_with(tx_power_dbm=tx)) == 1.0
 
 
+@pytest.mark.filterwarnings("error")
+def test_estimators_agree_on_the_sure_outage_far_below_the_noise():
+    # The dynamic-PS knees round onto the uplink floor down here, but the
+    # outage is exactly 1.0 whatever theta; only an invalid theta raises.
+    params = _with(tx_power_dbm=-300.0)
+    cfg = McConfig(trials=4096, seed=1)
+    assert outage_dynamic_ps(params, 0.5) == 1.0
+    assert outage_improved(params) == 1.0
+    assert mc_outage(params, "dynamic_ps", {"theta": 0.5}, cfg).probability == 1.0
+    with pytest.raises(ValueError, match="theta"):
+        outage_dynamic_ps(params, 1.5)
+
+
 def test_improved_outage_reference_points():
     for dbm, want in REF_IMPROVED.items():
         got = outage_improved(_with(tx_power_dbm=dbm))

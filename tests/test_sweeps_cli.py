@@ -1,6 +1,7 @@
 """Sweep tables, canned experiments, and the command-line interface."""
 
 import csv
+import dataclasses
 import io
 import json
 
@@ -15,11 +16,14 @@ from ehrelay import (
     SystemParams,
     derive_constants,
     fig,
+    mc_energy_outage,
+    mc_outage,
     outage_dynamic_ps,
     outage_improved,
     run_sweep,
 )
 from ehrelay.cli import main
+from ehrelay.model import link_constants
 from ehrelay.sweeps import CSV_COLUMNS, SWEEPABLE_PARAMS, _apply_param
 
 REF_Z_A = 2849.964970428562
@@ -286,18 +290,49 @@ class TestCli:
         params = SystemParams(**{field: float(value)})
         with pytest.raises(ValueError, match=cause):
             derive_constants(params, 0.5)
-        with pytest.raises(ValueError, match=cause):
-            outage_dynamic_ps(params, 0.5)
         if field == "rate_bps_hz":
+            with pytest.raises(ValueError, match=cause):
+                outage_dynamic_ps(params, 0.5)
             with pytest.raises(ValueError, match=cause):
                 outage_improved(params)
         else:
-            # The improved scheme has no fixed theta and never reads the
-            # dynamic-PS knees; at -300 dBm its outage rounds to 1.0.
+            # At -300 dBm both uplinks are hopeless, so both closed forms
+            # round the outage to 1.0 before they read the knees.
+            assert outage_dynamic_ps(params, 0.5) == 1.0
             assert outage_improved(params) == 1.0
         assert main(["params", flag, value]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and cause in err
+
+    @pytest.mark.parametrize("fields,argv", [
+        ({"rate_bps_hz": 1100.0}, ["--rate", "1100"]),
+        ({"rate_bps_hz": 2000.0}, ["--rate", "2000"]),
+        ({"tx_power_dbm": -2000.0}, ["--tx-power-dbm=-2000"]),
+        ({"gain_a_dbi": 3000.0, "gain_b_dbi": 3000.0, "gain_relay_dbi": 3000.0},
+         ["--gain-a-dbi", "3000", "--gain-b-dbi", "3000", "--gain-relay-dbi", "3000"]),
+        ({"dist_a": 1e200, "dist_b": 1e200}, ["--dist-a", "1e200", "--dist-b", "1e200"]),
+    ], ids=["rate-1100", "rate-2000", "tx-power", "antenna-gains", "distances"])
+    def test_out_of_range_inputs_raise_value_error_naming_the_field(
+            self, fields, argv, capsys):
+        # Each overflowed or vanished inside the link constants before.
+        field = next(iter(fields))
+        cfg = McConfig(trials=64, seed=1)
+        entry_points = [
+            link_constants,
+            lambda p: derive_constants(p, 0.5),
+            lambda p: outage_dynamic_ps(p, 0.5),
+            outage_improved,
+            *(lambda p, s=scheme: mc_outage(p, s, None, cfg)
+              for scheme in ("static_equal", "dynamic_ps", "improved")),
+            lambda p: mc_energy_outage(
+                dataclasses.replace(p, circuit_sensitivity_dbm=-20.0), cfg),
+        ]
+        for call in entry_points:
+            with pytest.raises(ValueError, match=field):
+                call(SystemParams(**fields))
+        assert main(["params", *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and field in err
 
     @pytest.mark.parametrize("argv", [
         ["fig", "3", "--theta", "0.9"],
