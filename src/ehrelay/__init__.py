@@ -5,12 +5,12 @@ an exact Monte Carlo mirror of the same channel model, and parameter-sweep
 plumbing that reproduces the reference experiments as CSV tables.
 """
 
-from .model import (DerivedConstants, SystemParams, dbi_to_linear, dbm_to_watts,
-                    derive_constants)
+from .model import (DerivedConstants, SchemeSpec, SystemParams, dbi_to_linear,
+                    dbm_to_watts, derive_constants)
 from .montecarlo import McConfig, McEstimate, mc_energy_outage, mc_outage, relative_error
 from .outage import (diversity_slope, energy_outage, outage_capacity,
                      outage_dynamic_ps, outage_improved)
-from .sweeps import SchemeSpec, SweepResult, SweepRow, SweepSpec, fig, run_sweep
+from .sweeps import SweepResult, SweepRow, SweepSpec, fig, run_sweep
 from .validation import CriterionResult, all_passed, report_csv, run_all
 
 __all__ = [

@@ -13,9 +13,9 @@ import json
 import sys
 from dataclasses import replace
 
-from .model import SystemParams, derive_constants
+from .model import SchemeSpec, SystemParams, derive_constants
 from .montecarlo import McConfig
-from .sweeps import (SWEEPABLE_PARAMS, SchemeSpec, SweepSpec, fig, run_sweep)
+from .sweeps import SWEEPABLE_PARAMS, SweepSpec, fig, run_sweep
 from .validation import all_passed, report_csv, run_all
 
 _SYSTEM_FIELDS = {f.name for f in dataclasses.fields(SystemParams)}
@@ -30,21 +30,6 @@ _OVERRIDE_FLAGS = {_RENAMED.get(f.name, f.name): f.name
                    for f in dataclasses.fields(SystemParams)}
 _FLAG_HELP = {"rate": "transmission rate in bit/s/Hz", "beta": "time allocation ratio",
               "m": "quadrature order", "sensitivity_dbm": "rectenna circuit sensitivity"}
-
-_DEFAULT_SCHEMES = ("improved", "dynamic_ps:theta=0.5", "static_equal:rho=0.5")
-
-
-def _parse_scheme(text: str) -> SchemeSpec:
-    name, _, arg_part = text.partition(":")
-    args = {}
-    if arg_part:
-        for piece in arg_part.split(","):
-            key, sep, value = piece.partition("=")
-            if not sep:
-                raise ValueError(f"bad scheme argument {piece!r}; expected key=value")
-            args[key.strip()] = float(value)
-    return SchemeSpec(name.strip(), args)
-
 
 def _parse_values(text: str) -> tuple:
     values = tuple(float(v) for v in text.split(",") if v.strip())
@@ -72,7 +57,8 @@ def _add_common_flags(parser: argparse.ArgumentParser, *, mc: bool,
                            help=_FLAG_HELP.get(dest))
     if theta:
         group.add_argument("--theta", type=float, dest="theta",
-                           help="broadcast weight used where a scheme omits it")
+                           help="broadcast weight of a dynamic_ps scheme given "
+                                "without one, the default sweep's included")
 
 
 def _load_config(path: str | None) -> dict:
@@ -88,7 +74,7 @@ def _load_config(path: str | None) -> dict:
     return data
 
 
-def _resolve(args) -> tuple[SystemParams, McConfig, float, dict]:
+def _resolve(args) -> tuple[SystemParams, McConfig, dict]:
     """Layer defaults, config file, and flags; track explicit system fields."""
     config = _load_config(args.config)
     system: dict = {k: v for k, v in config.items() if k in _SYSTEM_FIELDS}
@@ -106,10 +92,13 @@ def _resolve(args) -> tuple[SystemParams, McConfig, float, dict]:
         value = getattr(args, field, None)
         if value is not None:
             mc[field] = value
-    params = SystemParams(**system)
-    cfg = McConfig(**mc)
-    theta = args.theta if getattr(args, "theta", None) is not None else 0.5
-    return params, cfg, theta, system
+    return SystemParams(**system), McConfig(**mc), system
+
+
+def _theta(args) -> float:
+    """--theta, or the dynamic_ps default when the flag is absent."""
+    given = {} if args.theta is None else {"theta": args.theta}
+    return SchemeSpec("dynamic_ps", given).canonical()["theta"]
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -125,12 +114,12 @@ def _emit_result(result, args) -> None:
 
 
 def cmd_sweep(args) -> int:
-    params, cfg, theta, _ = _resolve(args)
+    params, cfg, _ = _resolve(args)
     schemes = []
-    for text in args.scheme or _DEFAULT_SCHEMES:
-        scheme = _parse_scheme(text)
-        if scheme.scheme_id == "dynamic_ps" and "theta" not in scheme.args:
-            scheme = SchemeSpec("dynamic_ps", {"theta": theta})
+    for text in args.scheme or ("improved", "dynamic_ps", "static_equal:rho=0.5"):
+        scheme = SchemeSpec.parse(text)
+        if scheme.scheme_id == "dynamic_ps" and not scheme.args:
+            scheme = SchemeSpec("dynamic_ps", {"theta": _theta(args)})
         schemes.append(scheme)
     spec = SweepSpec(swept_param=args.param, values=_parse_values(args.values),
                      schemes=tuple(schemes), base=params, mc=cfg)
@@ -139,7 +128,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_fig(args) -> int:
-    _, cfg, _, system = _resolve(args)
+    _, cfg, system = _resolve(args)
     result = fig(args.n, overrides=system or None, mc=cfg)
     _emit_result(result, args)
     return 0
@@ -158,7 +147,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_params(args) -> int:
-    params, _, theta, _ = _resolve(args)
+    params, _, _ = _resolve(args)
+    theta = _theta(args)
     consts = derive_constants(params, theta)
     if args.json:
         payload = {
@@ -192,7 +182,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--scheme", action="append", metavar="SPEC",
                          help="scheme spec such as improved, "
                               "dynamic_ps:theta=0.3, static_equal:rho=0.5 "
-                              "(repeatable; default all three)")
+                              "(repeatable; default improved, dynamic_ps "
+                              "and static_equal:rho=0.5)")
     _add_common_flags(p_sweep, mc=True, theta=True)
     p_sweep.set_defaults(func=cmd_sweep)
 

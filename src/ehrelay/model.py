@@ -14,6 +14,9 @@ properties: link_constants reads them once per configuration, link_snrs
 once per call (once per Monte Carlo chunk), and in_outage likewise rederives
 the SNR threshold from the rate on every call.
 
+SchemeSpec is the catalogue of relay schemes: each id, its argument with
+default and range, and the "id:arg=value" text form live there only.
+
 The array kernel (scheme_controls, link_snrs, in_outage, in_energy_outage)
 writes into a KernelWorkspace when given one: the Monte Carlo simulator
 keeps one per block, so a chunk allocates no arrays except the five
@@ -25,7 +28,7 @@ or array gains alike.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -339,15 +342,75 @@ def _knee_harvest(consts: LinkConstants, g_a, g_b, ws: KernelWorkspace) -> tuple
     return harvest_a, harvest_b
 
 
+def _check_rho(rho: float) -> None:
+    if not 0.0 <= rho <= 1.0:
+        raise ValueError("rho must lie in [0, 1]")
+
+
+# The relay schemes, each with its control arguments: name -> (default, check).
+_SCHEMES = {"static_equal": {"rho": (0.5, _check_rho)},
+            "dynamic_ps": {"theta": (0.5, check_theta)},
+            "improved": {}}
+
+
+@dataclass(frozen=True)
+class SchemeSpec:
+    """One relay scheme with the control arguments given for it.
+
+    Construction raises ValueError for an unknown scheme, an argument the
+    scheme does not take, or a value out of its range.  The text form is
+    "id" or "id:key=value,...", the values printed to 6 significant digits.
+    """
+
+    scheme_id: str
+    args: dict = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        self.canonical()
+
+    def canonical(self) -> dict:
+        """Every argument of the scheme, defaults filled in: what
+        scheme_controls reads."""
+        if self.scheme_id not in _SCHEMES:
+            raise ValueError(f"unknown scheme_id {self.scheme_id!r}; "
+                             f"expected one of {tuple(_SCHEMES)}")
+        args = dict(self.args)
+        canon = {}
+        for name, (default, check) in _SCHEMES[self.scheme_id].items():
+            canon[name] = float(args.pop(name, default))
+            check(canon[name])
+        if args:
+            raise ValueError(f"unsupported arguments for {self.scheme_id!r}: {sorted(args)}")
+        return canon
+
+    def label(self) -> str:
+        if not self.args:
+            return self.scheme_id
+        parts = ",".join(f"{k}={v:g}" for k, v in sorted(self.args.items()))
+        return f"{self.scheme_id}:{parts}"
+
+    @classmethod
+    def parse(cls, text: str) -> SchemeSpec:
+        """The spec a label() text names."""
+        scheme_id, _, arg_part = text.partition(":")
+        args = {}
+        if arg_part:
+            for piece in arg_part.split(","):
+                key, sep, value = piece.partition("=")
+                if not sep:
+                    raise ValueError(f"bad scheme argument {piece!r}; expected key=value")
+                args[key.strip()] = float(value)
+        return cls(scheme_id.strip(), args)
+
+
 def scheme_controls(consts: LinkConstants, scheme_id: str, canon: dict, g_a, g_b,
                     ws: KernelWorkspace | None = None):
     """Control variables a relay scheme chooses for arrays of realizations.
 
     g_a and g_b are the squared channel gains |h_A|^2 and |h_B|^2; canon
-    holds the scheme's validated arguments ("rho" for static_equal, "theta"
-    for dynamic_ps).  Returns (decode_a, decode_b, harvest_a, harvest_b,
-    theta) where decode is the 1-rho fraction left for information and
-    harvest is rho*g/Z, the harvested-power term of each link.
+    is SchemeSpec(scheme_id, ...).canonical().  Returns (decode_a, decode_b,
+    harvest_a, harvest_b, theta) where decode is the 1-rho fraction left for
+    information and harvest is rho*g/Z, the harvested-power term of each link.
 
     static_equal splits both links at one fixed rho with theta 0.5.  The
     adaptive schemes harvest everything beyond decode feasibility; their

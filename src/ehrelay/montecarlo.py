@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (KernelWorkspace, SystemParams, check_theta, in_energy_outage,
+from .model import (KernelWorkspace, SchemeSpec, SystemParams, in_energy_outage,
                     in_outage, link_constants, link_snrs, scheme_controls)
 from .numerics import sample_exponential
 
@@ -34,8 +34,6 @@ BLOCK_TRIALS = 1 << 18
 CHUNK_TRIALS = 1 << 14
 
 _MASK64 = (1 << 64) - 1
-
-_SCHEME_IDS = ("static_equal", "dynamic_ps", "improved")
 
 
 def _splitmix64(value: int) -> int:
@@ -80,26 +78,6 @@ class McEstimate:
             raise ValueError("probability must lie in [0, 1]")
         if not self.std_error >= 0.0:
             raise ValueError("std_error must be nonnegative")
-
-
-def _parse_scheme_args(scheme_id: str, scheme_args) -> dict:
-    """Validate and canonicalize the per-scheme arguments, failing fast."""
-    if scheme_id not in _SCHEME_IDS:
-        raise ValueError(f"unknown scheme_id {scheme_id!r}; expected one of {_SCHEME_IDS}")
-    args = dict(scheme_args or {})
-    canon: dict = {}
-    if scheme_id == "static_equal":
-        rho = float(args.pop("rho", 0.5))
-        if not 0.0 <= rho <= 1.0:
-            raise ValueError("rho must lie in [0, 1]")
-        canon["rho"] = rho
-    elif scheme_id == "dynamic_ps":
-        theta = float(args.pop("theta", 0.5))
-        check_theta(theta)
-        canon["theta"] = theta
-    if args:
-        raise ValueError(f"unsupported arguments for {scheme_id!r}: {sorted(args)}")
-    return canon
 
 
 def _chunks(params: SystemParams, seed: int, block_index: int, count: int):
@@ -155,8 +133,12 @@ def _estimate(hits: int, trials: int) -> McEstimate:
 
 def mc_outage(params: SystemParams, scheme_id: str, scheme_args,
               cfg: McConfig) -> McEstimate:
-    """Estimate the system outage probability of a scheme by simulation."""
-    canon = _parse_scheme_args(scheme_id, scheme_args)
+    """Estimate the system outage probability of a scheme by simulation.
+
+    scheme_args (a dict, or None for the defaults) is checked as a
+    SchemeSpec before any trial runs.
+    """
+    canon = SchemeSpec(scheme_id, scheme_args or {}).canonical()
     consts = link_constants(params)
 
     def worker(block_index: int, count: int) -> int:

@@ -12,11 +12,10 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
-from .model import SystemParams, link_constants
-from .montecarlo import (McConfig, _parse_scheme_args, mc_energy_outage,
-                         mc_outage, relative_error)
+from .model import SchemeSpec, SystemParams, check_theta, link_constants
+from .montecarlo import McConfig, mc_energy_outage, mc_outage, relative_error
 from .outage import (energy_outage, outage_capacity, outage_dynamic_ps,
                      outage_improved)
 
@@ -25,20 +24,6 @@ SWEEPABLE_PARAMS = ("M", "theta", "tx_power", "dist_a", "rate", "beta",
 
 CSV_COLUMNS = ("param", "scheme", "analytic", "mc", "mc_stderr", "capacity",
                "rel_err")
-
-
-@dataclass(frozen=True)
-class SchemeSpec:
-    """One relay scheme to evaluate, with its fixed control arguments."""
-
-    scheme_id: str
-    args: dict = field(default_factory=dict)
-
-    def label(self) -> str:
-        if not self.args:
-            return self.scheme_id
-        parts = ",".join(f"{k}={v:g}" for k, v in sorted(self.args.items()))
-        return f"{self.scheme_id}:{parts}"
 
 
 @dataclass(frozen=True)
@@ -79,27 +64,12 @@ class SweepSpec:
         if any(b <= a for a, b in zip(values, values[1:])):
             raise ValueError("values must be strictly increasing")
         for v in values:
-            self._check_domain(v)
+            _apply_param(self.base, self.swept_param, v)
         object.__setattr__(self, "values", values)
         schemes = tuple(self.schemes)
         if not schemes:
             raise ValueError("schemes must be nonempty")
-        for scheme in schemes:
-            _parse_scheme_args(scheme.scheme_id, scheme.args)
         object.__setattr__(self, "schemes", schemes)
-
-    def _check_domain(self, v: float) -> None:
-        name = self.swept_param
-        if name == "M" and (v != int(v) or v < 1):
-            raise ValueError("M values must be integers >= 1")
-        if name == "theta" and not 0.0 < v < 1.0:
-            raise ValueError("theta values must lie inside (0, 1)")
-        if name == "dist_a" and not 0.0 < v < self.base.dist_a + self.base.dist_b:
-            raise ValueError("dist_a values must lie inside the terminal separation")
-        if name == "rate" and not v > 0.0:
-            raise ValueError("rate values must be positive")
-        if name == "beta" and not 0.0 < v < 0.5:
-            raise ValueError("beta values must lie inside (0, 0.5)")
 
 
 @dataclass(frozen=True)
@@ -126,9 +96,14 @@ def _cell(value) -> str:
 
 
 def _apply_param(base: SystemParams, name: str, v: float) -> SystemParams:
+    """The operating point at swept value v; raises ValueError where v is
+    out of range, mostly through SystemParams's own checks."""
     if name == "M":
+        if not float(v).is_integer():
+            raise ValueError(f"M values must be integers, got {v!r}")
         return replace(base, quad_order=int(v))
     if name == "theta":
+        check_theta(v)
         return base
     if name == "tx_power":
         return replace(base, tx_power_dbm=v)
@@ -144,13 +119,22 @@ def _apply_param(base: SystemParams, name: str, v: float) -> SystemParams:
     raise ValueError(f"unknown swept parameter {name!r}")
 
 
-def _analytic_outage(params: SystemParams, scheme_id: str, args: dict):
+def _analytic_outage(params: SystemParams, scheme: SchemeSpec):
     """Closed-form outage where one exists; the static baseline has none."""
-    if scheme_id == "dynamic_ps":
-        return outage_dynamic_ps(params, args.get("theta", 0.5))
-    if scheme_id == "improved":
+    if scheme.scheme_id == "dynamic_ps":
+        return outage_dynamic_ps(params, scheme.canonical()["theta"])
+    if scheme.scheme_id == "improved":
         return outage_improved(params)
     return None
+
+
+def _row(v: float, label: str, analytic, est, capacity) -> SweepRow:
+    rel = None
+    if analytic is not None and est.probability > 0.0:
+        rel = relative_error(analytic, est)
+    return SweepRow(param_value=v, scheme_id=label, analytic_outage=analytic,
+                    mc_outage=est.probability, mc_std_error=est.std_error,
+                    capacity=capacity, relative_error=rel)
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
@@ -159,49 +143,26 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     for v in spec.values:
         point = _apply_param(spec.base, spec.swept_param, v)
         for scheme in spec.schemes:
-            args = dict(scheme.args)
             label = scheme.label()
             if spec.swept_param == "theta" and scheme.scheme_id == "dynamic_ps":
-                args["theta"] = v
-                label = scheme.scheme_id
-            est = mc_outage(point, scheme.scheme_id, args, spec.mc)
-            analytic = _analytic_outage(point, scheme.scheme_id, args)
-            outage_for_capacity = analytic if analytic is not None else est.probability
-            rel = None
-            if analytic is not None and est.probability > 0.0:
-                rel = relative_error(analytic, est)
-            rows.append(SweepRow(
-                param_value=v,
-                scheme_id=label,
-                analytic_outage=analytic,
-                mc_outage=est.probability,
-                mc_std_error=est.std_error,
-                capacity=outage_capacity(point, outage_for_capacity),
-                relative_error=rel,
-            ))
+                scheme, label = SchemeSpec("dynamic_ps", {"theta": v}), "dynamic_ps"
+            est = mc_outage(point, scheme.scheme_id, scheme.args, spec.mc)
+            analytic = _analytic_outage(point, scheme)
+            capacity = outage_capacity(point, est.probability if analytic is None
+                                       else analytic)
+            rows.append(_row(v, label, analytic, est, capacity))
         if spec.swept_param == "sensitivity":
             closed = energy_outage(point, link_constants(point))
-            est = mc_energy_outage(point, spec.mc)
-            rel = None
-            if est.probability > 0.0:
-                rel = relative_error(closed, est)
-            rows.append(SweepRow(
-                param_value=v,
-                scheme_id="energy_outage",
-                analytic_outage=closed,
-                mc_outage=est.probability,
-                mc_std_error=est.std_error,
-                capacity=None,
-                relative_error=rel,
-            ))
+            rows.append(_row(v, "energy_outage", closed,
+                             mc_energy_outage(point, spec.mc), None))
     rows.sort(key=lambda r: (r.param_value, r.scheme_id))
     return SweepResult(swept_param=spec.swept_param, rows=tuple(rows))
 
 
-def _default_schemes() -> tuple:
-    return (SchemeSpec("improved"),
-            SchemeSpec("dynamic_ps", {"theta": 0.5}),
-            SchemeSpec("static_equal", {"rho": 0.5}))
+# The schemes of figures 6 to 9.
+_FIG_SCHEMES = (SchemeSpec("improved"),
+                SchemeSpec("dynamic_ps", {"theta": 0.5}),
+                SchemeSpec("static_equal", {"rho": 0.5}))
 
 
 def fig(n: int, overrides: dict | None = None,
@@ -237,19 +198,19 @@ def fig(n: int, overrides: dict | None = None,
         swept = "dist_a"
         values = tuple(float(d) for d in range(2, 19, 2))
         base = replace(base, rate_bps_hz=3.0)
-        schemes = _default_schemes()
+        schemes = _FIG_SCHEMES
     elif n == 7:
         swept = "rate"
         values = tuple(float(u) for u in range(1, 11))
-        schemes = _default_schemes()
+        schemes = _FIG_SCHEMES
     elif n == 8:
         swept = "beta"
         values = tuple(round(0.05 * k, 2) for k in range(1, 10))
         base = replace(base, tx_power_dbm=20.0, rate_bps_hz=5.0)
-        schemes = _default_schemes()
+        schemes = _FIG_SCHEMES
     else:
         swept, values = "sensitivity", (-30.0, -25.0, -20.0, -15.0, -10.0)
-        schemes = _default_schemes()
+        schemes = _FIG_SCHEMES
 
     if overrides:
         base = replace(base, **overrides)

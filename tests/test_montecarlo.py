@@ -20,10 +20,9 @@ from ehrelay import (
     outage_improved,
     relative_error,
 )
-from ehrelay.model import in_outage, link_snrs, scheme_controls
+from ehrelay.model import SchemeSpec, in_outage, link_snrs, scheme_controls
 from ehrelay.montecarlo import (BLOCK_TRIALS, CHUNK_TRIALS, _block_layout,
-                                _block_rng, _chunks, _outage_block,
-                                _parse_scheme_args, _splitmix64)
+                                _block_rng, _chunks, _outage_block, _splitmix64)
 from ehrelay.numerics import sample_exponential
 
 REF_OUTAGE_DYNAMIC = 0.00906277031472058
@@ -90,7 +89,7 @@ class TestDeterminism:
 def _whole_block_hits(params, scheme_id, seed, block_index, count):
     """Evaluate a block's draws in one kernel pass, without chunking."""
     consts = derive_constants(params, 0.5)
-    canon = _parse_scheme_args(scheme_id, None)
+    canon = SchemeSpec(scheme_id).canonical()
     rng = _block_rng(seed, block_index)
     g_a = sample_exponential(rng, params.fading_mean_a, count)
     g_b = sample_exponential(rng, params.fading_mean_b, count)
@@ -127,7 +126,7 @@ class TestBlockEvaluation:
     @pytest.mark.parametrize("scheme_id", SCHEMES)
     def test_chunks_count_like_the_whole_block(self, params, scheme_id):
         consts = derive_constants(params, 0.5)
-        canon = _parse_scheme_args(scheme_id, None)
+        canon = SchemeSpec(scheme_id).canonical()
         for count in (1, CHUNK_TRIALS - 1, CHUNK_TRIALS + 1, 213_568,
                       BLOCK_TRIALS):
             chunked = _outage_block(params, consts, scheme_id, canon,
@@ -168,7 +167,7 @@ class TestBlockEvaluation:
         for params in (DEFAULTS, GATED):
             consts = derive_constants(params, 0.5)
             for scheme_id in SCHEMES:
-                canon = _parse_scheme_args(scheme_id, None)
+                canon = SchemeSpec(scheme_id).canonical()
                 assert peak(lambda: _outage_block(params, consts, scheme_id, canon, 5, 3,
                                                   BLOCK_TRIALS)) < limit, (params, scheme_id)
         energy = McConfig(trials=BLOCK_TRIALS, seed=5)

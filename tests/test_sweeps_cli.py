@@ -8,6 +8,7 @@ import json
 import pytest
 
 import ehrelay.cli
+import ehrelay.sweeps
 from ehrelay import (
     CriterionResult,
     McConfig,
@@ -49,8 +50,56 @@ class TestSchemeSpec:
     def test_label_formats_and_sorts_args(self):
         spec = SchemeSpec("dynamic_ps", {"theta": 0.30})
         assert spec.label() == "dynamic_ps:theta=0.3"
-        multi = SchemeSpec("static_equal", {"rho": 0.5, "alpha": 2.0})
-        assert multi.label() == "static_equal:alpha=2,rho=0.5"
+        static = SchemeSpec("static_equal", {"rho": 0.25})
+        assert static.label() == "static_equal:rho=0.25"
+
+    def test_canonical_fills_defaults(self):
+        assert SchemeSpec("static_equal").canonical() == {"rho": 0.5}
+        assert SchemeSpec("dynamic_ps").canonical() == {"theta": 0.5}
+        assert SchemeSpec("dynamic_ps", {"theta": 0.3}).canonical() == {"theta": 0.3}
+        assert SchemeSpec("improved").canonical() == {}
+
+    @pytest.mark.parametrize("scheme_id,args,match", [
+        ("oracle", {}, "unknown scheme_id 'oracle'"),
+        ("improved", {"rho": 0.5}, r"unsupported arguments for 'improved': \['rho'\]"),
+        ("dynamic_ps", {"rho": 0.5}, "unsupported arguments"),
+        ("static_equal", {"rho": 1.5}, r"rho must lie in \[0, 1\]"),
+        ("dynamic_ps", {"theta": 0.0}, r"theta must lie strictly inside \(0, 1\)"),
+        ("dynamic_ps", {"theta": 1.0}, r"theta must lie strictly inside \(0, 1\)"),
+    ])
+    def test_construction_rejects_bad_specs(self, scheme_id, args, match):
+        with pytest.raises(ValueError, match=match):
+            SchemeSpec(scheme_id, args)
+        with pytest.raises(ValueError, match=match):
+            mc_outage(SystemParams(), scheme_id, args, FAST_MC)
+
+    def test_parse_rejects_malformed_text(self):
+        with pytest.raises(ValueError, match="expected key=value"):
+            SchemeSpec.parse("static_equal:rho")
+        with pytest.raises(ValueError):
+            SchemeSpec.parse("dynamic_ps:theta=high")
+
+    def test_parse_inverts_every_emitted_label(self, monkeypatch, capsys):
+        specs = []
+
+        def capture(spec):
+            specs.append(spec)
+            return run_sweep(spec)
+
+        monkeypatch.setattr(ehrelay.sweeps, "run_sweep", capture)
+        labels = set()
+        for n in range(3, 10):
+            labels |= {r.scheme_id for r in fig(n, mc=McConfig(trials=64, seed=1)).rows
+                       if r.scheme_id != "energy_outage"}
+        assert main(["sweep", "--param", "rate", "--values", "2", "--trials", "64"]) == 0
+        labels |= {row[1] for row in _parse_csv(capsys.readouterr().out)}
+        assert {"dynamic_ps", "improved", "dynamic_ps:theta=0.5",
+                "static_equal:rho=0.3"} <= labels
+        for label in labels:
+            assert SchemeSpec.parse(label).label() == label
+        assert len(specs) == 7
+        for scheme in (s for spec in specs for s in spec.schemes):
+            assert SchemeSpec.parse(scheme.label()) == scheme
 
 
 class TestSweepSpecValidation:
@@ -78,6 +127,25 @@ class TestSweepSpecValidation:
             _spec("beta", (0.5,), improved)
         with pytest.raises(ValueError):
             _spec("rate", (0.0,), improved)
+
+    @pytest.mark.parametrize("param,values", [
+        ("rate", (1.0, 2000.0)),
+        ("sensitivity", (-30.0, 5000.0)),
+        ("tx_power", (10.0, 5000.0)),
+    ])
+    def test_out_of_range_values_fail_before_any_simulation(
+            self, param, values, monkeypatch, capsys):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("Monte Carlo ran before the spec was rejected")
+
+        monkeypatch.setattr(ehrelay.sweeps, "mc_outage", no_simulation)
+        monkeypatch.setattr(ehrelay.sweeps, "mc_energy_outage", no_simulation)
+        with pytest.raises(ValueError):
+            _spec(param, values, (SchemeSpec("improved"),))
+        text = ",".join(f"{v:g}" for v in values)
+        assert main(["sweep", "--param", param, f"--values={text}",
+                     "--trials", "64"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_schemes_validated_up_front(self):
         with pytest.raises(ValueError):
@@ -221,6 +289,22 @@ class TestCli:
         body = _parse_csv(capsys.readouterr().out)
         assert len(body) == 2
         assert body[0][1] == "dynamic_ps:theta=0.5"
+
+    def test_default_sweep_takes_theta_from_the_flag(self, capsys):
+        argv = ["sweep", "--param", "tx_power", "--values", "20",
+                "--trials", "2048", "--seed", "7"]
+        assert main(argv) == 0
+        stock = capsys.readouterr().out
+        explicit = (SchemeSpec("improved"), SchemeSpec("dynamic_ps", {"theta": 0.5}),
+                    SchemeSpec("static_equal", {"rho": 0.5}))
+        assert stock == run_sweep(_spec("tx_power", (20.0,), explicit,
+                                        mc=McConfig(trials=2048, seed=7))).to_csv()
+        assert main(argv + ["--theta", "0.2"]) == 0
+        rows = _parse_csv(capsys.readouterr().out)
+        assert [row[1] for row in rows] == [
+            "dynamic_ps:theta=0.2", "improved", "static_equal:rho=0.5"]
+        point = SystemParams(tx_power_dbm=20.0)
+        assert float(rows[0][2]) == outage_dynamic_ps(point, 0.2)
 
     def test_sweep_json_and_out_file(self, tmp_path):
         target = tmp_path / "sweep.json"
