@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Regenerate the CSV tables behind experiments 3-9.
+"""Regenerate the CSV tables behind the experiments of ehrelay.sweeps.FIGURES.
 
 Each table lands in one file per experiment (fig3.csv ... fig9.csv).  The
 default budget of one million trials per point reproduces the reference
@@ -11,11 +11,10 @@ import os
 import time
 
 from ehrelay import McConfig
-from ehrelay.sweeps import fig
+from ehrelay.sweeps import FIGURES, fig
 
 DEFAULT_TRIALS = 1_000_000
 DEFAULT_SEED = 2024
-ALL_FIGS = (3, 4, 5, 6, 7, 8, 9)
 
 
 def main():
@@ -27,8 +26,8 @@ def main():
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
     parser.add_argument("--shards", type=int, default=4,
                         help="parallel simulation shards")
-    parser.add_argument("--figs", type=int, nargs="*", default=list(ALL_FIGS),
-                        choices=ALL_FIGS, help="subset of experiments to run")
+    parser.add_argument("--figs", type=int, nargs="*", default=list(FIGURES),
+                        choices=tuple(FIGURES), help="subset of experiments to run")
     args = parser.parse_args()
 
     os.makedirs(args.outdir, exist_ok=True)

@@ -15,7 +15,7 @@ from dataclasses import replace
 
 from .model import SchemeSpec, SystemParams, derive_constants
 from .montecarlo import McConfig
-from .sweeps import SWEEPABLE_PARAMS, SweepSpec, fig, run_sweep
+from .sweeps import FIGURES, SWEEPABLE_PARAMS, SweepSpec, fig, run_sweep
 from .validation import all_passed, report_csv, run_all
 
 _SYSTEM_FIELDS = {f.name for f in dataclasses.fields(SystemParams)}
@@ -188,8 +188,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_fig = sub.add_parser("fig", help="reproduce a canned experiment table")
-    p_fig.add_argument("n", type=int, choices=range(3, 10),
-                       help="experiment index (3-9)")
+    p_fig.add_argument("n", type=int, choices=tuple(FIGURES),
+                       help="experiment index")
     _add_common_flags(p_fig, mc=True, theta=False)
     p_fig.set_defaults(func=cmd_fig)
 

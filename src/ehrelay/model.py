@@ -359,7 +359,8 @@ class SchemeSpec:
 
     Construction raises ValueError for an unknown scheme, an argument the
     scheme does not take, or a value out of its range.  The text form is
-    "id" or "id:key=value,...", the values printed to 6 significant digits.
+    "id" or "id:key=value,...", each value in the shortest form that parses
+    back to it.
     """
 
     scheme_id: str
@@ -386,7 +387,8 @@ class SchemeSpec:
     def label(self) -> str:
         if not self.args:
             return self.scheme_id
-        parts = ",".join(f"{k}={v:g}" for k, v in sorted(self.args.items()))
+        parts = ",".join(f"{k}={str(float(v)).removesuffix('.0')}"
+                         for k, v in sorted(self.args.items()))
         return f"{self.scheme_id}:{parts}"
 
     @classmethod

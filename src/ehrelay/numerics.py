@@ -77,10 +77,13 @@ def sample_exponential(rng: np.random.Generator, mean: float, size,
     Inversion keeps the draw count per trial fixed at one uniform, which is
     what makes sharded Monte Carlo runs bit-reproducible.  log1p keeps
     accuracy for small uniforms, and u in [0, 1) keeps the result finite.
-    out, a float64 array of shape size, receives the draws if given.
+    size is the integer count of draws; out, a float64 array of that
+    length, receives them if given.
     """
     if not mean > 0.0:
         raise ValueError("mean must be strictly positive")
+    if not isinstance(size, (int, np.integer)):
+        raise ValueError(f"size must be an integer count of draws, got {size!r}")
     u = rng.random(size, out=out)
     # Same bits as -mean * np.log1p(-u), without two sample-sized temporaries.
     np.negative(u, out=u)

@@ -13,14 +13,19 @@ import csv
 import io
 import json
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .model import SchemeSpec, SystemParams, check_theta, link_constants
 from .montecarlo import McConfig, mc_energy_outage, mc_outage, relative_error
 from .outage import (energy_outage, outage_capacity, outage_dynamic_ps,
                      outage_improved)
 
-SWEEPABLE_PARAMS = ("M", "theta", "tx_power", "dist_a", "rate", "beta",
-                    "sensitivity")
+# Each swept name and the SystemParams field it sets; theta is the
+# dynamic_ps argument and sets none.
+_SWEPT_FIELDS = {"M": "quad_order", "theta": None, "tx_power": "tx_power_dbm",
+                 "dist_a": "dist_a", "rate": "rate_bps_hz", "beta": "time_split",
+                 "sensitivity": "circuit_sensitivity_dbm"}
+SWEEPABLE_PARAMS = tuple(_SWEPT_FIELDS)
 
 CSV_COLUMNS = ("param", "scheme", "analytic", "mc", "mc_stderr", "capacity",
                "rel_err")
@@ -56,8 +61,6 @@ class SweepSpec:
     mc: McConfig
 
     def __post_init__(self) -> None:
-        if self.swept_param not in SWEEPABLE_PARAMS:
-            raise ValueError(f"swept_param must be one of {SWEEPABLE_PARAMS}")
         values = tuple(float(v) for v in self.values)
         if not values:
             raise ValueError("values must be nonempty")
@@ -98,25 +101,24 @@ def _cell(value) -> str:
 def _apply_param(base: SystemParams, name: str, v: float) -> SystemParams:
     """The operating point at swept value v; raises ValueError where v is
     out of range, mostly through SystemParams's own checks."""
-    if name == "M":
-        if not float(v).is_integer():
-            raise ValueError(f"M values must be integers, got {v!r}")
-        return replace(base, quad_order=int(v))
+    if name not in _SWEPT_FIELDS:
+        raise ValueError(f"swept_param must be one of {SWEEPABLE_PARAMS}, got {name!r}")
     if name == "theta":
         check_theta(v)
         return base
-    if name == "tx_power":
-        return replace(base, tx_power_dbm=v)
-    if name == "dist_a":
-        separation = base.dist_a + base.dist_b
-        return replace(base, dist_a=v, dist_b=separation - v)
-    if name == "rate":
-        return replace(base, rate_bps_hz=v)
-    if name == "beta":
-        return replace(base, time_split=v)
-    if name == "sensitivity":
-        return replace(base, circuit_sensitivity_dbm=v)
-    raise ValueError(f"unknown swept parameter {name!r}")
+    if name == "M":
+        if not float(v).is_integer():
+            raise ValueError(f"M values must be integers, got {v!r}")
+        v = int(v)
+    changes = {_SWEPT_FIELDS[name]: v}
+    if name != "dist_a":
+        return replace(base, **changes)
+    separation = base.dist_a + base.dist_b
+    try:
+        return replace(base, **changes, dist_b=separation - v)
+    except ValueError as exc:
+        raise ValueError(f"dist_a={v!r} must lie inside the terminal separation "
+                         f"dist_a + dist_b = {separation!r} ({exc})") from exc
 
 
 def _analytic_outage(params: SystemParams, scheme: SchemeSpec):
@@ -159,61 +161,51 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     return SweepResult(swept_param=spec.swept_param, rows=tuple(rows))
 
 
+class Figure(NamedTuple):
+    """One reference experiment: what it sweeps, over which schemes, and
+    the SystemParams fields it moves off the defaults."""
+
+    swept_param: str
+    values: tuple
+    schemes: tuple
+    changes: dict
+
+
+_DYNAMIC = SchemeSpec("dynamic_ps", {"theta": 0.5})
 # The schemes of figures 6 to 9.
-_FIG_SCHEMES = (SchemeSpec("improved"),
-                SchemeSpec("dynamic_ps", {"theta": 0.5}),
+_FIG_SCHEMES = (SchemeSpec("improved"), _DYNAMIC,
                 SchemeSpec("static_equal", {"rho": 0.5}))
+
+# The reference experiments by figure index: the one definition that fig(),
+# the CLI, the figure script and the acceptance criteria read.
+FIGURES = {
+    3: Figure("M", (2.0, 3.0, 5.0, 10.0, 20.0), (_DYNAMIC,), {}),
+    4: Figure("theta", tuple(round(0.05 * k, 2) for k in range(2, 19)), (_DYNAMIC,), {}),
+    5: Figure("tx_power", (10.0, 15.0, 20.0, 25.0, 30.0),
+              (SchemeSpec("improved"),
+               *(SchemeSpec("dynamic_ps", {"theta": t}) for t in (0.3, 0.5, 0.8)),
+               *(SchemeSpec("static_equal", {"rho": r}) for r in (0.3, 0.5, 0.7))), {}),
+    6: Figure("dist_a", tuple(float(d) for d in range(2, 19, 2)), _FIG_SCHEMES,
+              {"rate_bps_hz": 3.0}),
+    7: Figure("rate", tuple(float(u) for u in range(1, 11)), _FIG_SCHEMES, {}),
+    8: Figure("beta", tuple(round(0.05 * k, 2) for k in range(1, 10)), _FIG_SCHEMES,
+              {"tx_power_dbm": 20.0, "rate_bps_hz": 5.0}),
+    9: Figure("sensitivity", (-30.0, -25.0, -20.0, -15.0, -10.0), _FIG_SCHEMES, {}),
+}
 
 
 def fig(n: int, overrides: dict | None = None,
         mc: McConfig | None = None) -> SweepResult:
-    """Run the sweep behind reference figure n (3 through 9).
+    """Run the sweep behind reference figure n, a key of FIGURES.
 
-    overrides maps SystemParams field names to replacement values and is
-    applied after the figure's own parameter choices, so callers can move
-    any figure to a different operating point.
+    overrides maps SystemParams field names to replacement values and wins
+    over the figure's own parameter choices, so callers can move any figure
+    to a different operating point.
     """
-    if n not in range(3, 10):
-        raise ValueError("figure index must be in 3..9")
-    mc = mc if mc is not None else McConfig()
-    base = SystemParams()
-
-    if n == 3:
-        swept, values = "M", (2.0, 3.0, 5.0, 10.0, 20.0)
-        schemes = (SchemeSpec("dynamic_ps", {"theta": 0.5}),)
-    elif n == 4:
-        swept = "theta"
-        values = tuple(round(0.05 * k, 2) for k in range(2, 19))
-        schemes = (SchemeSpec("dynamic_ps", {"theta": 0.5}),)
-    elif n == 5:
-        swept, values = "tx_power", (10.0, 15.0, 20.0, 25.0, 30.0)
-        schemes = (SchemeSpec("improved"),
-                   SchemeSpec("dynamic_ps", {"theta": 0.3}),
-                   SchemeSpec("dynamic_ps", {"theta": 0.5}),
-                   SchemeSpec("dynamic_ps", {"theta": 0.8}),
-                   SchemeSpec("static_equal", {"rho": 0.3}),
-                   SchemeSpec("static_equal", {"rho": 0.5}),
-                   SchemeSpec("static_equal", {"rho": 0.7}))
-    elif n == 6:
-        swept = "dist_a"
-        values = tuple(float(d) for d in range(2, 19, 2))
-        base = replace(base, rate_bps_hz=3.0)
-        schemes = _FIG_SCHEMES
-    elif n == 7:
-        swept = "rate"
-        values = tuple(float(u) for u in range(1, 11))
-        schemes = _FIG_SCHEMES
-    elif n == 8:
-        swept = "beta"
-        values = tuple(round(0.05 * k, 2) for k in range(1, 10))
-        base = replace(base, tx_power_dbm=20.0, rate_bps_hz=5.0)
-        schemes = _FIG_SCHEMES
-    else:
-        swept, values = "sensitivity", (-30.0, -25.0, -20.0, -15.0, -10.0)
-        schemes = _FIG_SCHEMES
-
-    if overrides:
-        base = replace(base, **overrides)
+    if n not in FIGURES:
+        raise ValueError(f"figure index must be one of {tuple(FIGURES)}, got {n!r}")
+    swept, values, schemes, changes = FIGURES[n]
+    base = replace(SystemParams(), **{**changes, **(overrides or {})})
     spec = SweepSpec(swept_param=swept, values=values, schemes=schemes,
-                     base=base, mc=mc)
+                     base=base, mc=mc if mc is not None else McConfig())
     return run_sweep(spec)

@@ -26,7 +26,7 @@ from .outage import (CaseFourGeometry, Scenario, _boundary_gain_a,
                      cdf_t3_array, diversity_slope, energy_outage,
                      outage_capacity, outage_dynamic_ps, outage_improved,
                      p_case4)
-from .sweeps import SchemeSpec, SweepSpec, fig, run_sweep
+from .sweeps import FIGURES, SchemeSpec, SweepSpec, _analytic_outage, fig, run_sweep
 
 
 @dataclass(frozen=True)
@@ -78,35 +78,35 @@ def criterion_quadrature() -> CriterionResult:
     return CriterionResult(1, "quadrature-fidelity", passed, detail)
 
 
-def criterion_dynamic_agreement() -> CriterionResult:
-    """Closed-form dynamic-split outage tracks simulation over a theta x rate grid."""
+def _agreement(cells, cfg: McConfig) -> tuple:
+    """Worst |closed form - MC| / max(3 se, 5e-3) over (params, scheme)
+    cells, and whether every cell stays within that tolerance."""
     worst = 0.0
     passed = True
-    cfg = McConfig(trials=1_000_000, seed=23, shards=4)
-    for theta in (0.3, 0.5, 0.8):
-        for rate in (1.0, 2.0, 3.0):
-            params = replace(SystemParams(), rate_bps_hz=rate)
-            est = mc_outage(params, "dynamic_ps", {"theta": theta}, cfg)
-            gap = abs(outage_dynamic_ps(params, theta) - est.probability)
-            tol = max(3.0 * est.std_error, 5e-3)
-            worst = max(worst, gap / tol)
-            passed &= gap <= tol
+    for params, scheme in cells:
+        est = mc_outage(params, scheme.scheme_id, scheme.args, cfg)
+        gap = abs(_analytic_outage(params, scheme) - est.probability)
+        tol = max(3.0 * est.std_error, 5e-3)
+        worst = max(worst, gap / tol)
+        passed &= gap <= tol
+    return worst, passed
+
+
+def criterion_dynamic_agreement() -> CriterionResult:
+    """Closed-form dynamic-split outage tracks simulation over a theta x rate grid."""
+    cells = ((replace(SystemParams(), rate_bps_hz=rate),
+              SchemeSpec("dynamic_ps", {"theta": theta}))
+             for theta in (0.3, 0.5, 0.8) for rate in (1.0, 2.0, 3.0))
+    worst, passed = _agreement(cells, McConfig(trials=1_000_000, seed=23, shards=4))
     return CriterionResult(2, "dynamic-ps-agreement", passed,
                            f"max |analytic-mc|/tol={_fmt(worst)} over 9 cells")
 
 
 def criterion_improved_agreement() -> CriterionResult:
     """Closed-form improved-scheme outage tracks simulation over transmit power."""
-    worst = 0.0
-    passed = True
-    cfg = McConfig(trials=1_000_000, seed=29, shards=4)
-    for power in (10.0, 15.0, 20.0, 25.0, 30.0):
-        params = replace(SystemParams(), tx_power_dbm=power)
-        est = mc_outage(params, "improved", {}, cfg)
-        gap = abs(outage_improved(params) - est.probability)
-        tol = max(3.0 * est.std_error, 5e-3)
-        worst = max(worst, gap / tol)
-        passed &= gap <= tol
+    cells = ((replace(SystemParams(), tx_power_dbm=power), SchemeSpec("improved"))
+             for power in (10.0, 15.0, 20.0, 25.0, 30.0))
+    worst, passed = _agreement(cells, McConfig(trials=1_000_000, seed=29, shards=4))
     return CriterionResult(3, "improved-agreement", passed,
                            f"max |analytic-mc|/tol={_fmt(worst)} over 5 powers")
 
@@ -391,31 +391,28 @@ def criterion_energy_outage() -> CriterionResult:
 def criterion_capacity_shapes() -> CriterionResult:
     """Rate, time-split, and distance sweeps show the documented shapes."""
     cfg = McConfig(trials=2048, seed=83)
-    analytic_schemes = ("improved", "dynamic_ps:theta=0.5")
+    analytic_schemes = (SchemeSpec("improved"), SchemeSpec("dynamic_ps", {"theta": 0.5}))
 
     rate_sweep = fig(7, mc=cfg)
     rate_ok = True
     for scheme in analytic_schemes:
-        caps = [r.capacity for r in rate_sweep.rows if r.scheme_id == scheme]
+        caps = [r.capacity for r in rate_sweep.rows if r.scheme_id == scheme.label()]
         rate_ok &= _unimodal(caps, "max")
 
     beta_sweep = fig(8, mc=cfg)
-    base8 = replace(SystemParams(), tx_power_dbm=20.0, rate_bps_hz=5.0)
-    third = replace(base8, time_split=1.0 / 3.0)
+    third = replace(SystemParams(), **{**FIGURES[8].changes, "time_split": 1.0 / 3.0})
     peak_ok = True
     for scheme in analytic_schemes:
-        rows = [r for r in beta_sweep.rows if r.scheme_id == scheme]
-        below = [r.capacity for r in rows if r.param_value < 1.0 / 3.0]
-        if scheme == "improved":
-            cap_third = outage_capacity(third, outage_improved(third))
-        else:
-            cap_third = outage_capacity(third, outage_dynamic_ps(third, 0.5))
+        below = [r.capacity for r in beta_sweep.rows
+                 if r.scheme_id == scheme.label() and r.param_value < 1.0 / 3.0]
+        cap_third = outage_capacity(third, _analytic_outage(third, scheme))
         peak_ok &= cap_third >= max(below) * (1.0 - 1e-12)
 
     dist_sweep = fig(6, mc=cfg)
     dist_ok = True
     for scheme in analytic_schemes:
-        outs = [r.analytic_outage for r in dist_sweep.rows if r.scheme_id == scheme]
+        outs = [r.analytic_outage for r in dist_sweep.rows
+                if r.scheme_id == scheme.label()]
         dist_ok &= _unimodal(outs, "max")
 
     passed = rate_ok and peak_ok and dist_ok
@@ -428,16 +425,14 @@ def criterion_capacity_shapes() -> CriterionResult:
 def criterion_determinism() -> CriterionResult:
     """Identical seeds give identical bytes regardless of shard count."""
     schemes = (SchemeSpec("dynamic_ps", {"theta": 0.5}), SchemeSpec("improved"))
-    outputs = []
-    for shards in (1, 4, 8):
+    outputs = set()
+    # One run per shard count, then a rerun of the first.
+    for shards in (1, 4, 8, 1):
         spec = SweepSpec(swept_param="tx_power", values=(20.0, 30.0),
                          schemes=schemes, base=SystemParams(),
                          mc=McConfig(trials=600_000, seed=91, shards=shards))
-        outputs.append(run_sweep(spec).to_csv())
-    repeat = run_sweep(SweepSpec(swept_param="tx_power", values=(20.0, 30.0),
-                                 schemes=schemes, base=SystemParams(),
-                                 mc=McConfig(trials=600_000, seed=91, shards=1))).to_csv()
-    passed = outputs[0] == outputs[1] == outputs[2] == repeat
+        outputs.add(run_sweep(spec).to_csv())
+    passed = len(outputs) == 1
     return CriterionResult(12, "determinism", passed,
                            f"identical CSV across shards 1/4/8 and rerun={passed}")
 

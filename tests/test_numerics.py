@@ -144,6 +144,10 @@ def test_sampler_scalar_and_validation():
         sample_exponential(rng, 0.0, 4)
     with pytest.raises(ValueError):
         sample_exponential(rng, -1.0, 4)
+    # No caller draws scalars; None used to die inside np.negative.
+    for size in (None, 2.5, (2, 3)):
+        with pytest.raises(ValueError, match="integer count of draws"):
+            sample_exponential(rng, 1.0, size)
 
 
 @pytest.mark.parametrize("n", [1, 7, 16_384, 262_144])

@@ -1,9 +1,12 @@
 """Sweep tables, canned experiments, and the command-line interface."""
 
+import argparse
 import csv
 import dataclasses
+import importlib.util
 import io
 import json
+import pathlib
 
 import pytest
 
@@ -25,7 +28,7 @@ from ehrelay import (
 )
 from ehrelay.cli import main
 from ehrelay.model import link_constants
-from ehrelay.sweeps import CSV_COLUMNS, SWEEPABLE_PARAMS, _apply_param
+from ehrelay.sweeps import CSV_COLUMNS, FIGURES, SWEEPABLE_PARAMS, _apply_param
 
 REF_Z_A = 2849.964970428562
 
@@ -52,6 +55,15 @@ class TestSchemeSpec:
         assert spec.label() == "dynamic_ps:theta=0.3"
         static = SchemeSpec("static_equal", {"rho": 0.25})
         assert static.label() == "static_equal:rho=0.25"
+
+    def test_label_keeps_every_digit_and_round_trips(self):
+        # Equal to six significant digits: only the full digits tell them apart.
+        near = [SchemeSpec("dynamic_ps", {"theta": t}) for t in (0.1234567, 0.12345671)]
+        assert [s.label() for s in near] == ["dynamic_ps:theta=0.1234567",
+                                             "dynamic_ps:theta=0.12345671"]
+        for spec in near + [SchemeSpec("static_equal", {"rho": 1})]:
+            assert SchemeSpec.parse(spec.label()) == spec
+        assert SchemeSpec("static_equal", {"rho": 1}).label() == "static_equal:rho=1"
 
     def test_canonical_fills_defaults(self):
         assert SchemeSpec("static_equal").canonical() == {"rho": 0.5}
@@ -88,7 +100,7 @@ class TestSchemeSpec:
 
         monkeypatch.setattr(ehrelay.sweeps, "run_sweep", capture)
         labels = set()
-        for n in range(3, 10):
+        for n in FIGURES:
             labels |= {r.scheme_id for r in fig(n, mc=McConfig(trials=64, seed=1)).rows
                        if r.scheme_id != "energy_outage"}
         assert main(["sweep", "--param", "rate", "--values", "2", "--trials", "64"]) == 0
@@ -97,7 +109,7 @@ class TestSchemeSpec:
                 "static_equal:rho=0.3"} <= labels
         for label in labels:
             assert SchemeSpec.parse(label).label() == label
-        assert len(specs) == 7
+        assert len(specs) == len(FIGURES)
         for scheme in (s for spec in specs for s in spec.schemes):
             assert SchemeSpec.parse(scheme.label()) == scheme
 
@@ -171,6 +183,12 @@ class TestApplyParam:
         base = SystemParams()
         assert _apply_param(base, "theta", 0.3) == base
 
+    def test_relay_past_the_separation_names_the_swept_field(self, capsys):
+        with pytest.raises(ValueError, match=r"dist_a=20\.0 .*dist_a \+ dist_b = 20\.0"):
+            _apply_param(SystemParams(), "dist_a", 20.0)
+        assert main(["sweep", "--param", "dist_a", "--values", "20"]) == 2
+        assert "dist_a=20.0" in capsys.readouterr().err
+
 
 class TestRunSweep:
     def test_single_value_row_layout(self):
@@ -234,10 +252,42 @@ class TestRunSweep:
 
 class TestFigures:
     def test_index_domain(self):
-        with pytest.raises(ValueError):
-            fig(2)
-        with pytest.raises(ValueError):
-            fig(10)
+        for n in (2, 10):
+            with pytest.raises(ValueError, match=r"one of \(3, 4, 5, 6, 7, 8, 9\)"):
+                fig(n)
+
+    def test_cli_and_script_offer_exactly_the_table(self, monkeypatch, tmp_path):
+        parser = ehrelay.cli._build_parser()
+        sub = next(a for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        index = next(a for a in sub.choices["fig"]._actions if a.dest == "n")
+        assert tuple(index.choices) == tuple(FIGURES)
+
+        path = pathlib.Path(__file__).parents[1] / "scripts" / "reproduce_figures.py"
+        loader = importlib.util.spec_from_file_location("reproduce_figures", path)
+        script = importlib.util.module_from_spec(loader)
+        loader.loader.exec_module(script)
+        ran = []
+
+        def record(n, mc):
+            ran.append(n)
+            return run_sweep(_spec("rate", (2.0,), (SchemeSpec("improved"),)))
+
+        monkeypatch.setattr(script, "fig", record)
+        monkeypatch.setattr("sys.argv", ["reproduce_figures.py", "--outdir", str(tmp_path)])
+        script.main()
+        assert ran == list(FIGURES)
+
+    @pytest.mark.parametrize("n,point", [
+        (6, {"dist_a": 2.0, "dist_b": 18.0}),
+        (8, {"tx_power_dbm": 20.0, "time_split": 0.05}),
+    ])
+    def test_overrides_win_over_the_figure_changes(self, n, point):
+        # Both figures set rate_bps_hz themselves.
+        first = fig(n, overrides={"rate_bps_hz": 4.0}, mc=FAST_MC).rows[0]
+        assert first.scheme_id == "dynamic_ps:theta=0.5"
+        expected = SystemParams(rate_bps_hz=4.0, **point)
+        assert first.analytic_outage == outage_dynamic_ps(expected, 0.5)
 
     def test_quadrature_order_sweep(self):
         result = fig(3, mc=FAST_MC)
