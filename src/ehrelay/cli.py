@@ -51,9 +51,8 @@ def _add_common_flags(parser: argparse.ArgumentParser, *, mc: bool,
     parser.add_argument("--json", action="store_true",
                         help="emit JSON instead of CSV")
     group = parser.add_argument_group("parameter overrides")
-    for dest, field in _OVERRIDE_FLAGS.items():
-        group.add_argument("--" + dest.replace("_", "-"), dest=dest,
-                           type=int if field == "quad_order" else float,
+    for dest in _OVERRIDE_FLAGS:
+        group.add_argument("--" + dest.replace("_", "-"), dest=dest, type=float,
                            help=_FLAG_HELP.get(dest))
     if theta:
         group.add_argument("--theta", type=float, dest="theta",
@@ -79,11 +78,6 @@ def _resolve(args) -> tuple[SystemParams, McConfig, dict]:
     config = _load_config(args.config)
     system: dict = {k: v for k, v in config.items() if k in _SYSTEM_FIELDS}
     mc: dict = {k: v for k, v in config.items() if k in _MC_FIELDS}
-    order = system.get("quad_order")
-    if order is not None:
-        if order != int(order):
-            raise ValueError(f"quad_order must be an integer, got {order!r}")
-        system["quad_order"] = int(order)
     for flag, field in _OVERRIDE_FLAGS.items():
         value = getattr(args, flag, None)
         if value is not None:
@@ -149,21 +143,15 @@ def cmd_validate(args) -> int:
 def cmd_params(args) -> int:
     params, _, _ = _resolve(args)
     theta = _theta(args)
-    consts = derive_constants(params, theta)
+    payload = {"theta": theta, "system": dataclasses.asdict(params),
+               "derived": dataclasses.asdict(derive_constants(params, theta))}
     if args.json:
-        payload = {
-            "theta": theta,
-            "system": dataclasses.asdict(params),
-            "derived": dataclasses.asdict(consts),
-        }
         _emit(json.dumps(payload, indent=2) + "\n", args.out)
         return 0
-    lines = [f"resolved constants at theta = {theta!r}", "", "[system]"]
-    lines += [f"{f.name} = {getattr(params, f.name)!r}"
-              for f in dataclasses.fields(params)]
-    lines += ["", "[derived]"]
-    lines += [f"{f.name} = {getattr(consts, f.name)!r}"
-              for f in dataclasses.fields(consts)]
+    lines = [f"resolved constants at theta = {theta!r}"]
+    for section in ("system", "derived"):
+        lines += ["", f"[{section}]"]
+        lines += [f"{name} = {value!r}" for name, value in payload[section].items()]
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 

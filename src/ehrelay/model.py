@@ -79,10 +79,15 @@ class SystemParams:
     circuit_sensitivity_dbm: float | None = None  # rectenna threshold P_th; None = ideal
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.quad_order, (int, np.integer)) and self.quad_order >= 1):
-            raise ValueError("quad_order must be an integer >= 1")
+        order = self.quad_order
+        integral = isinstance(order, (int, np.integer)) or (
+            isinstance(order, float) and order.is_integer())
+        if not integral or order < 1:
+            raise ValueError(f"quad_order must be an integer >= 1, got {order!r}")
+        object.__setattr__(self, "quad_order", int(order))
         for name, value in vars(self).items():
-            if value is not None and not math.isfinite(value):
+            # quad_order is an int by now, finite however large.
+            if name != "quad_order" and value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
         for name, to_linear in _DB_FIELDS.items():
             value = getattr(self, name)
@@ -107,6 +112,9 @@ class SystemParams:
         if not self.rate_bps_hz < 1024.0:
             raise ValueError(f"rate_bps_hz={self.rate_bps_hz!r} is out of range: "
                              "the SNR threshold 2**rate - 1 overflows from 1024 on")
+        if self.snr_threshold == 0.0:
+            raise ValueError(f"rate_bps_hz={self.rate_bps_hz!r} is too small: "
+                             "the SNR threshold 2**rate - 1 rounds to 0")
 
     @property
     def snr_threshold(self) -> float:
@@ -180,15 +188,11 @@ def _out_of_range(params: SystemParams, symbol: str, fields) -> ValueError:
 def link_constants(params: SystemParams) -> LinkConstants:
     """Evaluate every derived symbol that does not depend on theta.
 
-    Raises ValueError for a rate whose SNR threshold rounds to 0, and,
-    naming the inputs involved, where a path factor, the product of the
-    two or varpi**2 overflows or vanishes, which would otherwise surface
-    as an OverflowError or ZeroDivisionError further on.
+    SystemParams has ruled out an SNR threshold that rounds to 0 or
+    overflows.  Raises ValueError, naming the inputs involved, where a path
+    factor, the product of the two or varpi**2 overflows or vanishes, which
+    would otherwise surface as an OverflowError or ZeroDivisionError.
     """
-    if params.snr_threshold == 0.0:
-        raise ValueError(f"rate_bps_hz={params.rate_bps_hz!r} is too small: "
-                         "the SNR threshold 2**rate - 1 rounds to 0")
-
     alpha = params.path_loss_exp
     g_relay = dbi_to_linear(params.gain_relay_dbi)
 

@@ -198,6 +198,8 @@ def _one_knee(params: SystemParams, lam_x: float, lam_y: float, c: float, e: flo
 
 def p_case1(params: SystemParams, consts: DerivedConstants) -> float:
     """Success mass of the strip where only the A gain clears its knee."""
+    if _uplinks_hopeless(consts):
+        return 0.0
     return _one_knee(params, params.fading_mean_a, params.fading_mean_b,
                      consts.c_a, consts.e_a, consts.d_ratio_a, consts.delta_a,
                      consts.knee_b, consts.delta_b)
@@ -205,6 +207,8 @@ def p_case1(params: SystemParams, consts: DerivedConstants) -> float:
 
 def p_case2(params: SystemParams, consts: DerivedConstants) -> float:
     """Mirror of p_case1 with the roles of the two terminals swapped."""
+    if _uplinks_hopeless(consts):
+        return 0.0
     return _one_knee(params, params.fading_mean_b, params.fading_mean_a,
                      consts.c_b, consts.e_b, consts.d_ratio_b, consts.delta_b,
                      consts.knee_a, consts.delta_a)
@@ -263,7 +267,7 @@ def p_case4(params: SystemParams, consts: DerivedConstants,
     Each non-empty layout is covered by one or two curve-bounded strips plus,
     in the two-curve A-side layout, the rectangle beyond the crossing point.
     """
-    if geom.scenario is Scenario.One:
+    if geom.scenario is Scenario.One or _uplinks_hopeless(consts):
         return 0.0
 
     lam_a = params.fading_mean_a
@@ -294,7 +298,8 @@ def p_case4(params: SystemParams, consts: DerivedConstants,
 
 def _uplinks_hopeless(consts: LinkConstants) -> bool:
     """True where P(both uplinks decode), a bound on every scheme's success, is
-    below half an ulp of 1: outage rounds to 1.0 and the closed forms overflow."""
+    below half an ulp of 1: outage rounds to 1.0 and the closed forms overflow,
+    so p_case1, p_case2 and p_case4 return 0.0, within 2**-54 of their mass."""
     return math.exp(-consts.varpi * (consts.a_rate_a + consts.a_rate_b)) < 2.0 ** -54
 
 
@@ -490,9 +495,11 @@ def outage_capacity(params: SystemParams, p_out: float) -> float:
 def energy_outage(params: SystemParams, consts: LinkConstants) -> float:
     """Probability that neither link delivers usable harvested power.
 
-    A link is dead when its received RF power under the adaptive split stays
-    below the rectenna sensitivity; a missing sensitivity means the ideal
-    zero-threshold circuit.
+    A link is dead when its harvested RF power under the adaptive split is
+    zero (gain at or below the knee) or below the rectenna sensitivity.  A
+    missing sensitivity is the limit as it goes to 0, equal bit for bit to
+    -300 dBm at ordinary powers; mc_energy_outage refuses it, as its test
+    power >= sensitivity would count a zero harvest as alive.
     """
     level = consts.varpi + params.sensitivity_w / params.tx_power_w
     miss_a = -math.expm1(-consts.a_rate_a * level)

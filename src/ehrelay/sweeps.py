@@ -106,10 +106,6 @@ def _apply_param(base: SystemParams, name: str, v: float) -> SystemParams:
     if name == "theta":
         check_theta(v)
         return base
-    if name == "M":
-        if not float(v).is_integer():
-            raise ValueError(f"M values must be integers, got {v!r}")
-        v = int(v)
     changes = {_SWEPT_FIELDS[name]: v}
     if name != "dist_a":
         return replace(base, **changes)

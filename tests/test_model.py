@@ -147,6 +147,22 @@ def test_params_validation():
         SystemParams(quad_order=2.5)
 
 
+def test_quad_order_takes_integral_values_and_stores_an_int():
+    for value in (12, 12.0, np.int64(12)):
+        order = SystemParams(quad_order=value).quad_order
+        assert order == 12 and type(order) is int
+    assert SystemParams(quad_order=12.0) == SystemParams(quad_order=12)
+    # An int is never converted to float, so a huge one raises no OverflowError.
+    assert SystemParams(quad_order=10 ** 400).quad_order == 10 ** 400
+
+
+@pytest.mark.parametrize("value", [2.5, math.nan, math.inf, 0, 0.0, -3, "12", None])
+def test_quad_order_rejects_other_values_naming_them(value):
+    with pytest.raises(ValueError) as exc:
+        SystemParams(quad_order=value)
+    assert str(exc.value) == f"quad_order must be an integer >= 1, got {value!r}"
+
+
 @pytest.mark.parametrize("field,value", [
     ("tx_power_dbm", math.nan),
     ("tx_power_dbm", math.inf),
@@ -161,9 +177,10 @@ def test_params_validation():
     ("noise_dbm", 4000.0),
     ("gain_a_dbi", -4000.0),
     ("circuit_sensitivity_dbm", -3400.0),
-    # Finite rates whose SNR threshold 2**rate - 1 overflows.
+    # Finite rates whose SNR threshold 2**rate - 1 overflows or rounds to 0.
     ("rate_bps_hz", 1100.0),
     ("rate_bps_hz", 2000.0),
+    ("rate_bps_hz", 1e-17),
 ])
 def test_params_reject_non_finite_and_unrepresentable_values(field, value):
     with pytest.raises(ValueError, match=field):

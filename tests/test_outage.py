@@ -19,6 +19,7 @@ from ehrelay import (
     outage_dynamic_ps,
     outage_improved,
 )
+from ehrelay.model import link_constants
 from ehrelay.numerics import QuadratureRule, bessel_k1
 from ehrelay.outage import (
     CaseFourGeometry,
@@ -26,6 +27,7 @@ from ehrelay.outage import (
     _exp_curve_integral,
     _improved_window,
     _improved_window_mass,
+    _uplinks_hopeless,
     case4_geometry,
     cdf_t2,
     cdf_t2_array,
@@ -231,6 +233,41 @@ def test_estimators_agree_on_the_sure_outage_far_below_the_noise():
         outage_dynamic_ps(params, 1.5)
 
 
+def _seeded_box(count, seed=2026):
+    """Points far past the figures: transmit power -130..80 dBm, noise
+    -120..-60 dBm, fading means log-uniform over 0.01..1000, M in
+    {5, 10, 40} and theta in (0.01, 0.99)."""
+    rng = np.random.default_rng(seed)
+    tx = rng.uniform(-130.0, 80.0, count)
+    noise = rng.uniform(-120.0, -60.0, count)
+    means = 10.0 ** rng.uniform(-2.0, 3.0, (2, count))
+    orders = rng.choice((5, 10, 40), count)
+    theta = rng.uniform(0.01, 0.99, count)
+    return [(SystemParams(tx_power_dbm=float(tx[i]), noise_dbm=float(noise[i]),
+                          fading_mean_a=float(means[0, i]),
+                          fading_mean_b=float(means[1, i]), quad_order=int(orders[i])),
+             float(theta[i])) for i in range(count)]
+
+
+@pytest.mark.filterwarnings("error")
+def test_case_masses_are_probabilities_across_the_seeded_box():
+    # Where the uplinks are hopeless the strips of cases 1, 2 and 4 would
+    # overflow; there each mass is 0.0, within 2**-54 of the true one.
+    hopeless = 0
+    for params, theta in _seeded_box(1000):
+        consts = derive_constants(params, theta)
+        cases = (p_case1(params, consts), p_case2(params, consts),
+                 p_case3(params, consts),
+                 p_case4(params, consts, case4_geometry(params, consts)))
+        assert all(type(p) is float and 0.0 <= p <= 1.0 for p in cases), params
+        if _uplinks_hopeless(consts):
+            hopeless += 1
+            assert cases[0] == cases[1] == cases[3] == 0.0, params
+        else:
+            assert outage_dynamic_ps(params, theta) == min(max(1.0 - sum(cases), 0.0), 1.0)
+    assert 0 < hopeless < 1000
+
+
 def test_improved_outage_reference_points():
     for dbm, want in REF_IMPROVED.items():
         got = outage_improved(_with(tx_power_dbm=dbm))
@@ -410,6 +447,14 @@ def test_energy_outage_reference_and_limits():
     assert got == pytest.approx(REF_ENERGY_OUTAGE, rel=1e-9)
     ungated = _with(circuit_sensitivity_dbm=-300.0)
     assert energy_outage(ungated, derive_constants(ungated, 0.5)) < 1e-12
+
+
+@pytest.mark.parametrize("tx_power_dbm", [10.0, 30.0, -20.0])
+def test_missing_sensitivity_is_the_zero_sensitivity_limit(tx_power_dbm):
+    ideal = _with(tx_power_dbm=tx_power_dbm)
+    faint = _with(ideal, circuit_sensitivity_dbm=-300.0)
+    assert energy_outage(ideal, link_constants(ideal)) == \
+        energy_outage(faint, link_constants(faint))
 
 
 def test_energy_outage_symmetric_links_square():

@@ -179,6 +179,10 @@ class TestApplyParam:
         gated = _apply_param(SystemParams(), "sensitivity", -20.0)
         assert gated.circuit_sensitivity_dbm == -20.0
 
+    def test_order_values_are_checked_by_system_params(self):
+        with pytest.raises(ValueError, match="quad_order must be an integer >= 1, got 2.5"):
+            _apply_param(SystemParams(), "M", 2.5)
+
     def test_theta_leaves_system_untouched(self):
         base = SystemParams()
         assert _apply_param(base, "theta", 0.3) == base
@@ -421,15 +425,14 @@ class TestCli:
     ])
     def test_degenerate_constants_raise_value_error(self, flag, value, field,
                                                     cause, capsys):
-        params = SystemParams(**{field: float(value)})
-        with pytest.raises(ValueError, match=cause):
-            derive_constants(params, 0.5)
         if field == "rate_bps_hz":
+            # SystemParams rejects the rate itself, so no constants exist.
             with pytest.raises(ValueError, match=cause):
-                outage_dynamic_ps(params, 0.5)
-            with pytest.raises(ValueError, match=cause):
-                outage_improved(params)
+                SystemParams(**{field: float(value)})
         else:
+            params = SystemParams(**{field: float(value)})
+            with pytest.raises(ValueError, match=cause):
+                derive_constants(params, 0.5)
             # At -300 dBm both uplinks are hopeless, so both closed forms
             # round the outage to 1.0 before they read the knees.
             assert outage_dynamic_ps(params, 0.5) == 1.0
@@ -487,6 +490,33 @@ class TestCli:
         config.write_text(json.dumps({"quad_order": 12.0}))
         assert main(["params", "--json", "--config", str(config)]) == 0
         assert json.loads(capsys.readouterr().out)["system"]["quad_order"] == 12
+
+    def test_integral_float_order_is_stored_as_an_int(self, capsys):
+        assert main(["params", "--m", "7.0", "--json"]) == 0
+        out = capsys.readouterr().out
+        assert '"quad_order": 7,' in out
+        assert main(["params", "--m", "7.0"]) == 0
+        assert "quad_order = 7\n" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        ["params", "--m", "2.5"],
+        ["sweep", "--param", "M", "--values", "2.5", "--trials", "64"],
+    ])
+    def test_fractional_order_fails_naming_quad_order(self, argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "quad_order" in err
+
+    def test_params_text_lists_the_json_payload(self, capsys):
+        assert main(["params", "--json", "--m", "5"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert main(["params", "--m", "5"]) == 0
+        text = capsys.readouterr().out
+        want = [f"resolved constants at theta = {payload['theta']!r}"]
+        for section in ("system", "derived"):
+            want += ["", f"[{section}]"]
+            want += [f"{name} = {value!r}" for name, value in payload[section].items()]
+        assert text == "\n".join(want) + "\n"
 
     def test_validate_exit_codes(self, monkeypatch, capsys):
         passing = [CriterionResult(index=i, name=f"check_{i}", passed=True,
