@@ -45,6 +45,9 @@ def dbi_to_linear(gain_dbi: float) -> float:
     return 10.0 ** (gain_dbi / 10.0)
 
 
+# Types a numeric SystemParams field may hold (bool excepted).
+_REAL_TYPES = (int, float, np.integer, np.floating)
+
 # Fields given in dB units, with their conversion to linear units.
 _DB_FIELDS = {"tx_power_dbm": dbm_to_watts, "noise_dbm": dbm_to_watts,
                "circuit_sensitivity_dbm": dbm_to_watts, "gain_a_dbi": dbi_to_linear,
@@ -80,14 +83,22 @@ class SystemParams:
 
     def __post_init__(self) -> None:
         order = self.quad_order
-        integral = isinstance(order, (int, np.integer)) or (
-            isinstance(order, float) and order.is_integer())
+        integral = not isinstance(order, bool) and (
+            isinstance(order, (int, np.integer))
+            or (isinstance(order, float) and order.is_integer()))
         if not integral or order < 1:
             raise ValueError(f"quad_order must be an integer >= 1, got {order!r}")
         object.__setattr__(self, "quad_order", int(order))
         for name, value in vars(self).items():
-            # quad_order is an int by now, finite however large.
-            if name != "quad_order" and value is not None and not math.isfinite(value):
+            # quad_order is an int by now, finite however large; only the
+            # sensitivity may be None.
+            if name == "quad_order" or (value is None
+                                        and name == "circuit_sensitivity_dbm"):
+                continue
+            # bool is an int subclass, but True is no power or distance.
+            if isinstance(value, bool) or not isinstance(value, _REAL_TYPES):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
+            if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
         for name, to_linear in _DB_FIELDS.items():
             value = getattr(self, name)

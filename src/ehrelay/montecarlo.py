@@ -56,13 +56,17 @@ class McConfig:
     shards: int = 1
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.trials, (int, np.integer)) and self.trials >= 1):
+        if not (_is_integer(self.trials) and self.trials >= 1):
             raise ValueError("trials must be an integer >= 1")
-        if not isinstance(self.seed, (int, np.integer)):
+        if not _is_integer(self.seed):
             raise ValueError("seed must be an integer")
-        if not (isinstance(self.shards, (int, np.integer))
-                and 1 <= self.shards <= self.trials):
+        if not (_is_integer(self.shards) and 1 <= self.shards <= self.trials):
             raise ValueError("shards must be an integer in [1, trials]")
+
+
+def _is_integer(value) -> bool:
+    """An int or numpy integer; bool, an int subclass, is no count or seed."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,9 @@ class QuadratureRule:
 
     Nodes are cos((2m-1)pi/(2M)) on (-1, 1); the weights already absorb the
     sqrt(1 - nu^2) factor that converts the Chebyshev weight into a plain
-    integral, so integrate_gc needs no extra terms.
+    integral, so integrate_gc needs no extra terms.  build() makes one rule
+    per order and hands the same object to every later caller, so its
+    arrays are read-only.
     """
 
     order: int
@@ -32,10 +34,19 @@ class QuadratureRule:
     def build(cls, order: int) -> "QuadratureRule":
         if not (isinstance(order, (int, np.integer)) and order >= 1):
             raise ValueError("quadrature order must be an integer >= 1")
-        m = np.arange(1, order + 1)
-        nodes = np.cos((2.0 * m - 1.0) * np.pi / (2.0 * order))
-        weights = np.pi / (2.0 * order) * np.sqrt(1.0 - nodes ** 2)
-        return cls(order=int(order), nodes=nodes, weights=weights)
+        order = int(order)
+        rule = _RULES.get(order)
+        if rule is None:
+            m = np.arange(1, order + 1)
+            nodes = np.cos((2.0 * m - 1.0) * np.pi / (2.0 * order))
+            weights = np.pi / (2.0 * order) * np.sqrt(1.0 - nodes ** 2)
+            nodes.flags.writeable = False
+            weights.flags.writeable = False
+            rule = _RULES[order] = cls(order=order, nodes=nodes, weights=weights)
+        return rule
+
+
+_RULES: dict[int, QuadratureRule] = {}
 
 
 def integrate_gc(rule: QuadratureRule, a: float, b: float,
@@ -43,7 +54,11 @@ def integrate_gc(rule: QuadratureRule, a: float, b: float,
     """Approximate the integral of f over [a, b] with the given rule.
 
     A degenerate interval integrates to exactly 0; a reversed one is an
-    error rather than a silent sign flip.
+    error rather than a silent sign flip.  rule is normally the one cached
+    rule of its order from QuadratureRule.build.  The sum walks its nodes
+    and weights as Python floats, which give the IEEE results of np.float64
+    scalars at about half the cost: f is called with floats, and a
+    float-valued f gives a float.
     """
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError("integration bounds must be finite")
@@ -54,7 +69,7 @@ def integrate_gc(rule: QuadratureRule, a: float, b: float,
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
     total = 0.0
-    for nu, w in zip(rule.nodes, rule.weights):
+    for nu, w in zip(rule.nodes.tolist(), rule.weights.tolist()):
         total += w * f(half * nu + mid)
     return (b - a) * total
 

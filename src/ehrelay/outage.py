@@ -437,13 +437,27 @@ def _improved_window_mass(consts: LinkConstants, gamma_th: float,
     return cdf_t2(consts, upper) - cdf_t2(consts, lower)
 
 
-def _quantile_t3(consts: LinkConstants, v: float, t_hi: float) -> float:
-    """Value of the reciprocal gain product whose CDF equals v, below t_hi."""
+def _quantile_t3(consts: LinkConstants, v: float, t_hi: float,
+                 ladder: list) -> float:
+    """Value of the reciprocal gain product whose CDF equals v, below t_hi.
+
+    The bracket is the first rung of the halving ladder t_hi * 2**-k,
+    k >= 1, whose CDF is at most v.  ladder holds the (t, cdf_t3) rungs
+    walked so far and grows here as needed, so calls that share it, all
+    with the same t_hi, evaluate each rung once.  Halving is exact, so a
+    shared ladder gives every v the bracket, and brentq the iterates, of a
+    fresh one.
+    """
     hi = t_hi
-    lo = 0.5 * t_hi
-    while cdf_t3(consts, lo) > v:
+    k = 0
+    while True:
+        if k == len(ladder):
+            ladder.append((0.5 * hi, cdf_t3(consts, 0.5 * hi)))
+        lo, cdf_lo = ladder[k]
+        if not cdf_lo > v:
+            break
         hi = lo
-        lo *= 0.5
+        k += 1
     return brentq(lambda t: cdf_t3(consts, t) - v, lo, hi,
                   xtol=1e-30, rtol=1e-15, maxiter=200)
 
@@ -460,6 +474,9 @@ def outage_improved(params: SystemParams) -> float:
     probability scale the rule integrates the deviation from full window
     mass, which keeps the exactly known tail term out of the quadrature sum
     and lets the default order resolve every regime the sweeps visit.
+    Each node inverts the CDF by bracketing on one halving ladder from the
+    bound, built once per call and shared by the nodes, so each rung costs
+    one cdf_t3 evaluation however many nodes pass it.
 
     The scheme picks theta per realization, so only the theta-free link
     constants enter.
@@ -473,9 +490,10 @@ def outage_improved(params: SystemParams) -> float:
         return 0.0
     v_max = cdf_t3(consts, t_max)
     rule = _rule(params)
+    ladder: list = []
 
     def miss_at_quantile(v: float) -> float:
-        t = _quantile_t3(consts, v, t_max)
+        t = _quantile_t3(consts, v, t_max, ladder)
         return 1.0 - _improved_window_mass(consts, gamma_th, t)
 
     missed = integrate_gc(rule, 0.0, v_max, miss_at_quantile)

@@ -164,6 +164,30 @@ def test_quad_order_rejects_other_values_naming_them(value):
 
 
 @pytest.mark.parametrize("field,value", [
+    ("dist_a", "5"),
+    ("tx_power_dbm", True),
+    ("noise_dbm", False),
+    ("circuit_sensitivity_dbm", True),
+    ("rate_bps_hz", np.bool_(True)),
+    ("gain_relay_dbi", None),
+    ("fading_mean_a", [1.0]),
+    ("quad_order", True),
+    ("quad_order", np.bool_(True)),
+])
+def test_params_reject_bools_and_non_real_values_naming_them(field, value):
+    with pytest.raises(ValueError, match=field):
+        SystemParams(**{field: value})
+
+
+def test_params_take_numpy_scalars_and_a_missing_sensitivity():
+    point = SystemParams(tx_power_dbm=np.float64(20.0), dist_a=np.int64(6),
+                         eh_efficiency=np.float32(0.5), quad_order=np.int64(7),
+                         circuit_sensitivity_dbm=None)
+    assert point == SystemParams(tx_power_dbm=20.0, dist_a=6.0,
+                                 eh_efficiency=0.5, quad_order=7)
+
+
+@pytest.mark.parametrize("field,value", [
     ("tx_power_dbm", math.nan),
     ("tx_power_dbm", math.inf),
     ("noise_dbm", -math.inf),

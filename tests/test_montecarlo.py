@@ -243,6 +243,20 @@ class TestEstimator:
         with pytest.raises(ValueError):
             McConfig(trials=100, seed="x")
 
+    @pytest.mark.parametrize("kwargs,field", [
+        ({"trials": True}, "trials"),
+        ({"trials": 100, "seed": False}, "seed"),
+        ({"trials": 100, "shards": True}, "shards"),
+        ({"trials": True, "seed": False, "shards": True}, "trials"),
+    ])
+    def test_config_rejects_bools_naming_the_field(self, kwargs, field):
+        with pytest.raises(ValueError, match=field):
+            McConfig(**kwargs)
+
+    def test_config_takes_numpy_integers(self):
+        cfg = McConfig(trials=np.int64(100), seed=np.int64(3), shards=np.int64(2))
+        assert cfg == McConfig(trials=100, seed=3, shards=2)
+
 
 class TestSchemeArguments:
     def test_unknown_scheme(self):

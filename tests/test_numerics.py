@@ -41,6 +41,41 @@ def test_rule_order_validation():
         QuadratureRule.build(2.5)
 
 
+def test_rule_is_built_once_per_order_and_read_only():
+    rule = QuadratureRule.build(7)
+    assert QuadratureRule.build(7) is rule
+    assert QuadratureRule.build(np.int64(7)) is rule
+    assert QuadratureRule.build(8) is not rule
+    for array in (rule.nodes, rule.weights):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+
+
+def _integrate_over_numpy_scalars(rule, a, b, f):
+    """integrate_gc's sum walked over np.float64 nodes and weights."""
+    half = 0.5 * (b - a)
+    mid = 0.5 * (a + b)
+    total = 0.0
+    for nu, w in zip(rule.nodes, rule.weights):
+        total += w * f(half * nu + mid)
+    return (b - a) * total
+
+
+@pytest.mark.parametrize("order", [1, 5, 10, 20, 40])
+@pytest.mark.parametrize("f,a,b", [
+    (lambda y: math.exp(-(0.3 / y + 2.0 * y)), 0.05, 3.0),
+    (math.sin, -2.0, 1.5),
+    (lambda x: 1.0 / (1.0 + x * x), 0.0, 1e-3),
+    (lambda x: x * x * x - 7.0 * x, -1e5, 3e5),
+])
+def test_float_node_loop_matches_numpy_scalars_bitwise(order, f, a, b):
+    rule = QuadratureRule.build(order)
+    got = integrate_gc(rule, a, b, f)
+    assert type(got) is float
+    assert got.hex() == float(_integrate_over_numpy_scalars(rule, a, b, f)).hex()
+
+
 def test_degenerate_and_invalid_bounds():
     rule = QuadratureRule.build(5)
     assert integrate_gc(rule, 1.0, 1.0, lambda x: 42.0) == 0.0

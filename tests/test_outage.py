@@ -19,6 +19,7 @@ from ehrelay import (
     outage_dynamic_ps,
     outage_improved,
 )
+from ehrelay import outage
 from ehrelay.model import link_constants
 from ehrelay.numerics import QuadratureRule, bessel_k1
 from ehrelay.outage import (
@@ -27,6 +28,7 @@ from ehrelay.outage import (
     _exp_curve_integral,
     _improved_window,
     _improved_window_mass,
+    _quantile_t3,
     _uplinks_hopeless,
     case4_geometry,
     cdf_t2,
@@ -280,6 +282,58 @@ def test_improved_outage_vanishing_threshold():
 
 def test_improved_beats_dynamic_at_reference_point():
     assert outage_improved(DEFAULTS) < outage_dynamic_ps(DEFAULTS, 0.5)
+
+
+LADDER_POINTS = {dbm: link_constants(_with(tx_power_dbm=dbm)) for dbm in (0.0, 30.0, 60.0)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(dbm=st.sampled_from(sorted(LADDER_POINTS)),
+       fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12),
+       order=st.sampled_from(["ascending", "descending", "as drawn"]))
+def test_shared_ladder_gives_the_fresh_ladder_quantile(dbm, fractions, order):
+    consts = LADDER_POINTS[dbm]
+    t_max = improved_integration_bound(consts, DEFAULTS.snr_threshold)
+    v_max = cdf_t3(consts, t_max)
+    if order != "as drawn":
+        fractions = sorted(fractions, reverse=order == "descending")
+    ladder = []
+    for u in fractions:
+        v = u * v_max
+        shared = _quantile_t3(consts, v, t_max, ladder)
+        assert shared.hex() == _quantile_t3(consts, v, t_max, []).hex()
+    assert [t for t, _ in ladder] == [t_max * 2.0 ** -k
+                                      for k in range(1, len(ladder) + 1)]
+
+
+@pytest.mark.parametrize("dbm", sorted(LADDER_POINTS))
+@pytest.mark.parametrize("order", [5, 40])
+def test_improved_outage_evaluates_each_ladder_rung_once(monkeypatch, dbm, order):
+    params = _with(tx_power_dbm=dbm, quad_order=order)
+    want = outage_improved(params)
+    real_brentq = outage.brentq
+    in_brentq = []
+    outside = []
+
+    def cdf_t3_spy(consts, t):
+        if not in_brentq:
+            outside.append(t)
+        return cdf_t3(consts, t)
+
+    def brentq_spy(*args, **kwargs):
+        in_brentq.append(True)
+        try:
+            return real_brentq(*args, **kwargs)
+        finally:
+            in_brentq.pop()
+
+    monkeypatch.setattr(outage, "cdf_t3", cdf_t3_spy)
+    monkeypatch.setattr(outage, "brentq", brentq_spy)
+    assert outage_improved(params) == want
+    # Outside brentq: v_max at the bound, then each rung of the ladder once.
+    t_max = improved_integration_bound(link_constants(params), params.snr_threshold)
+    assert outside == [t_max * 2.0 ** -k for k in range(len(outside))]
+    assert len(outside) >= 2
 
 
 def test_integration_bound():

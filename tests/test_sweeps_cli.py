@@ -491,6 +491,27 @@ class TestCli:
         assert main(["params", "--json", "--config", str(config)]) == 0
         assert json.loads(capsys.readouterr().out)["system"]["quad_order"] == 12
 
+    @pytest.mark.parametrize("command", [
+        ["params"],
+        ["sweep", "--param", "tx_power", "--values", "20"],
+    ])
+    @pytest.mark.parametrize("field,value", [
+        ("dist_a", "5"),
+        ("tx_power_dbm", True),
+        ("quad_order", True),
+        ("noise_dbm", None),
+        ("trials", True),
+        ("seed", False),
+        ("shards", True),
+    ])
+    def test_config_of_the_wrong_type_fails_naming_the_field(
+            self, tmp_path, capsys, command, field, value):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({field: value}))
+        assert main(command + ["--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and field in err
+
     def test_integral_float_order_is_stored_as_an_int(self, capsys):
         assert main(["params", "--m", "7.0", "--json"]) == 0
         out = capsys.readouterr().out
