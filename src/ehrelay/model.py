@@ -98,7 +98,11 @@ class SystemParams:
             # bool is an int subclass, but True is no power or distance.
             if isinstance(value, bool) or not isinstance(value, _REAL_TYPES):
                 raise ValueError(f"{name} must be a real number, got {value!r}")
-            if not math.isfinite(value):
+            try:
+                finite = math.isfinite(value)
+            except OverflowError:  # an int past the float range
+                raise ValueError(f"{name} is out of range: too large for a float") from None
+            if not finite:
                 raise ValueError(f"{name} must be finite, got {value!r}")
         for name, to_linear in _DB_FIELDS.items():
             value = getattr(self, name)

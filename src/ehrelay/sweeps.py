@@ -13,7 +13,6 @@ import csv
 import io
 import json
 from dataclasses import dataclass, replace
-from typing import NamedTuple
 
 from .model import SchemeSpec, SystemParams, check_theta, link_constants
 from .montecarlo import McConfig, mc_energy_outage, mc_outage, relative_error
@@ -51,7 +50,8 @@ class SweepSpec:
     A dist_a sweep moves the relay along the line between the terminals:
     dist_b is adjusted so the terminal separation base.dist_a + base.dist_b
     stays fixed.  A sensitivity sweep additionally reports the energy outage
-    as its own pseudo-scheme row per value.
+    as its own pseudo-scheme row per value.  A theta sweep sets the theta of
+    its dynamic_ps scheme, so it takes at most one.
     """
 
     swept_param: str
@@ -72,6 +72,9 @@ class SweepSpec:
         schemes = tuple(self.schemes)
         if not schemes:
             raise ValueError("schemes must be nonempty")
+        dynamic = [s.label() for s in schemes if s.scheme_id == "dynamic_ps"]
+        if self.swept_param == "theta" and len(dynamic) > 1:
+            raise ValueError(f"a theta sweep takes one dynamic_ps scheme, got {dynamic}")
         object.__setattr__(self, "schemes", schemes)
 
 
@@ -157,36 +160,33 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     return SweepResult(swept_param=spec.swept_param, rows=tuple(rows))
 
 
-class Figure(NamedTuple):
-    """One reference experiment: what it sweeps, over which schemes, and
-    the SystemParams fields it moves off the defaults."""
-
-    swept_param: str
-    values: tuple
-    schemes: tuple
-    changes: dict
-
-
 _DYNAMIC = SchemeSpec("dynamic_ps", {"theta": 0.5})
 # The schemes of figures 6 to 9.
 _FIG_SCHEMES = (SchemeSpec("improved"), _DYNAMIC,
                 SchemeSpec("static_equal", {"rho": 0.5}))
 
+
+def _figure(swept_param: str, values: tuple, schemes: tuple, **changes) -> SweepSpec:
+    """A reference experiment; changes move its operating point off the defaults."""
+    return SweepSpec(swept_param, values, schemes,
+                     base=replace(SystemParams(), **changes), mc=McConfig())
+
+
 # The reference experiments by figure index: the one definition that fig(),
 # the CLI, the figure script and the acceptance criteria read.
 FIGURES = {
-    3: Figure("M", (2.0, 3.0, 5.0, 10.0, 20.0), (_DYNAMIC,), {}),
-    4: Figure("theta", tuple(round(0.05 * k, 2) for k in range(2, 19)), (_DYNAMIC,), {}),
-    5: Figure("tx_power", (10.0, 15.0, 20.0, 25.0, 30.0),
-              (SchemeSpec("improved"),
-               *(SchemeSpec("dynamic_ps", {"theta": t}) for t in (0.3, 0.5, 0.8)),
-               *(SchemeSpec("static_equal", {"rho": r}) for r in (0.3, 0.5, 0.7))), {}),
-    6: Figure("dist_a", tuple(float(d) for d in range(2, 19, 2)), _FIG_SCHEMES,
-              {"rate_bps_hz": 3.0}),
-    7: Figure("rate", tuple(float(u) for u in range(1, 11)), _FIG_SCHEMES, {}),
-    8: Figure("beta", tuple(round(0.05 * k, 2) for k in range(1, 10)), _FIG_SCHEMES,
-              {"tx_power_dbm": 20.0, "rate_bps_hz": 5.0}),
-    9: Figure("sensitivity", (-30.0, -25.0, -20.0, -15.0, -10.0), _FIG_SCHEMES, {}),
+    3: _figure("M", (2.0, 3.0, 5.0, 10.0, 20.0), (_DYNAMIC,)),
+    4: _figure("theta", tuple(round(0.05 * k, 2) for k in range(2, 19)), (_DYNAMIC,)),
+    5: _figure("tx_power", (10.0, 15.0, 20.0, 25.0, 30.0),
+               (SchemeSpec("improved"),
+                *(SchemeSpec("dynamic_ps", {"theta": t}) for t in (0.3, 0.5, 0.8)),
+                *(SchemeSpec("static_equal", {"rho": r}) for r in (0.3, 0.5, 0.7)))),
+    6: _figure("dist_a", tuple(float(d) for d in range(2, 19, 2)), _FIG_SCHEMES,
+               rate_bps_hz=3.0),
+    7: _figure("rate", tuple(float(u) for u in range(1, 11)), _FIG_SCHEMES),
+    8: _figure("beta", tuple(round(0.05 * k, 2) for k in range(1, 10)), _FIG_SCHEMES,
+               tx_power_dbm=20.0, rate_bps_hz=5.0),
+    9: _figure("sensitivity", (-30.0, -25.0, -20.0, -15.0, -10.0), _FIG_SCHEMES),
 }
 
 
@@ -194,14 +194,11 @@ def fig(n: int, overrides: dict | None = None,
         mc: McConfig | None = None) -> SweepResult:
     """Run the sweep behind reference figure n, a key of FIGURES.
 
-    overrides maps SystemParams field names to replacement values and wins
-    over the figure's own parameter choices, so callers can move any figure
-    to a different operating point.
+    overrides maps SystemParams field names to values that replace the
+    figure's own, so callers can move any figure to another operating point.
     """
     if n not in FIGURES:
         raise ValueError(f"figure index must be one of {tuple(FIGURES)}, got {n!r}")
-    swept, values, schemes, changes = FIGURES[n]
-    base = replace(SystemParams(), **{**changes, **(overrides or {})})
-    spec = SweepSpec(swept_param=swept, values=values, schemes=schemes,
-                     base=base, mc=mc if mc is not None else McConfig())
-    return run_sweep(spec)
+    spec = FIGURES[n]
+    return run_sweep(replace(spec, base=replace(spec.base, **(overrides or {})),
+                             mc=mc if mc is not None else spec.mc))

@@ -20,13 +20,12 @@ from scipy.optimize import brentq
 
 from .model import (SystemParams, broadcast_factors, derive_constants,
                     link_constants, link_snrs, scheme_controls)
-from .montecarlo import McConfig, mc_energy_outage, mc_outage, relative_error
+from .montecarlo import McConfig, mc_outage, relative_error
 from .outage import (CaseFourGeometry, Scenario, _boundary_gain_a,
                      _boundary_gain_b, case4_geometry, cdf_t2_array,
-                     cdf_t3_array, diversity_slope, energy_outage,
-                     outage_capacity, outage_dynamic_ps, outage_improved,
-                     p_case4)
-from .sweeps import FIGURES, SchemeSpec, SweepSpec, _analytic_outage, fig, run_sweep
+                     cdf_t3_array, diversity_slope, outage_dynamic_ps,
+                     outage_improved, p_case4)
+from .sweeps import FIGURES, SchemeSpec, SweepSpec, fig, run_sweep
 
 
 @dataclass(frozen=True)
@@ -78,15 +77,14 @@ def criterion_quadrature() -> CriterionResult:
     return CriterionResult(1, "quadrature-fidelity", passed, detail)
 
 
-def _agreement(cells, cfg: McConfig) -> tuple:
-    """Worst |closed form - MC| / max(3 se, 5e-3) over (params, scheme)
-    cells, and whether every cell stays within that tolerance."""
+def _agreement(spec: SweepSpec) -> tuple:
+    """Worst |closed form - MC| / max(3 se, 5e-3) over the cells of a sweep,
+    and whether every cell stays within that tolerance."""
     worst = 0.0
     passed = True
-    for params, scheme in cells:
-        est = mc_outage(params, scheme.scheme_id, scheme.args, cfg)
-        gap = abs(_analytic_outage(params, scheme) - est.probability)
-        tol = max(3.0 * est.std_error, 5e-3)
+    for row in run_sweep(spec).rows:
+        gap = abs(row.analytic_outage - row.mc_outage)
+        tol = max(3.0 * row.mc_std_error, 5e-3)
         worst = max(worst, gap / tol)
         passed &= gap <= tol
     return worst, passed
@@ -94,19 +92,18 @@ def _agreement(cells, cfg: McConfig) -> tuple:
 
 def criterion_dynamic_agreement() -> CriterionResult:
     """Closed-form dynamic-split outage tracks simulation over a theta x rate grid."""
-    cells = ((replace(SystemParams(), rate_bps_hz=rate),
-              SchemeSpec("dynamic_ps", {"theta": theta}))
-             for theta in (0.3, 0.5, 0.8) for rate in (1.0, 2.0, 3.0))
-    worst, passed = _agreement(cells, McConfig(trials=1_000_000, seed=23, shards=4))
+    schemes = tuple(SchemeSpec("dynamic_ps", {"theta": t}) for t in (0.3, 0.5, 0.8))
+    worst, passed = _agreement(SweepSpec("rate", (1.0, 2.0, 3.0), schemes, SystemParams(),
+                                         McConfig(trials=1_000_000, seed=23, shards=4)))
     return CriterionResult(2, "dynamic-ps-agreement", passed,
                            f"max |analytic-mc|/tol={_fmt(worst)} over 9 cells")
 
 
 def criterion_improved_agreement() -> CriterionResult:
     """Closed-form improved-scheme outage tracks simulation over transmit power."""
-    cells = ((replace(SystemParams(), tx_power_dbm=power), SchemeSpec("improved"))
-             for power in (10.0, 15.0, 20.0, 25.0, 30.0))
-    worst, passed = _agreement(cells, McConfig(trials=1_000_000, seed=29, shards=4))
+    worst, passed = _agreement(SweepSpec("tx_power", (10.0, 15.0, 20.0, 25.0, 30.0),
+                                         (SchemeSpec("improved"),), SystemParams(),
+                                         McConfig(trials=1_000_000, seed=29, shards=4)))
     return CriterionResult(3, "improved-agreement", passed,
                            f"max |analytic-mc|/tol={_fmt(worst)} over 5 powers")
 
@@ -371,20 +368,20 @@ def criterion_case4_oracle() -> CriterionResult:
 
 def criterion_energy_outage() -> CriterionResult:
     """Closed-form energy outage matches simulation; gating only hurts."""
-    base = SystemParams()
     cfg = McConfig(trials=1_000_000, seed=71, shards=4)
-    plain = mc_outage(base, "dynamic_ps", {"theta": 0.5}, cfg)
+    plain = mc_outage(SystemParams(), "dynamic_ps", {"theta": 0.5}, cfg)
+    rows = run_sweep(SweepSpec("sensitivity", (-30.0, -20.0, -10.0),
+                               (SchemeSpec("dynamic_ps", {"theta": 0.5}),),
+                               SystemParams(), cfg)).rows
     passed = True
     gaps = []
-    for sensitivity in (-30.0, -20.0, -10.0):
-        params = replace(base, circuit_sensitivity_dbm=sensitivity)
-        closed = energy_outage(params, link_constants(params))
-        est = mc_energy_outage(params, cfg)
-        gap = abs(closed - est.probability)
-        passed &= gap <= 3.0 * est.std_error
-        gaps.append(f"P_th={sensitivity:g}: |gap|={_fmt(gap)} (3se={_fmt(3 * est.std_error)})")
-        gated = mc_outage(params, "dynamic_ps", {"theta": 0.5}, cfg)
-        passed &= gated.probability >= plain.probability
+    # Rows sort by label: per value, the gated scheme, then the energy outage.
+    for gated, energy in zip(rows[::2], rows[1::2]):
+        gap = abs(energy.analytic_outage - energy.mc_outage)
+        passed &= gap <= 3.0 * energy.mc_std_error
+        gaps.append(f"P_th={energy.param_value:g}: |gap|={_fmt(gap)} "
+                    f"(3se={_fmt(3 * energy.mc_std_error)})")
+        passed &= gated.mc_outage >= plain.probability
     return CriterionResult(10, "energy-outage", passed, "; ".join(gaps))
 
 
@@ -400,12 +397,13 @@ def criterion_capacity_shapes() -> CriterionResult:
         rate_ok &= _unimodal(caps, "max")
 
     beta_sweep = fig(8, mc=cfg)
-    third = replace(SystemParams(), **{**FIGURES[8].changes, "time_split": 1.0 / 3.0})
+    third = run_sweep(replace(FIGURES[8], values=(1.0 / 3.0,),
+                              schemes=analytic_schemes, mc=cfg))
     peak_ok = True
     for scheme in analytic_schemes:
         below = [r.capacity for r in beta_sweep.rows
                  if r.scheme_id == scheme.label() and r.param_value < 1.0 / 3.0]
-        cap_third = outage_capacity(third, _analytic_outage(third, scheme))
+        cap_third, = (r.capacity for r in third.rows if r.scheme_id == scheme.label())
         peak_ok &= cap_third >= max(below) * (1.0 - 1e-12)
 
     dist_sweep = fig(6, mc=cfg)

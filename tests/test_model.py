@@ -179,6 +179,13 @@ def test_params_reject_bools_and_non_real_values_naming_them(field, value):
         SystemParams(**{field: value})
 
 
+@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(SystemParams)
+                                   if f.name != "quad_order"])
+def test_params_reject_integers_past_the_float_range_naming_them(field):
+    with pytest.raises(ValueError, match=f"^{field} is out of range"):
+        SystemParams(**{field: 10 ** 400})
+
+
 def test_params_take_numpy_scalars_and_a_missing_sensitivity():
     point = SystemParams(tx_power_dbm=np.float64(20.0), dist_a=np.int64(6),
                          eh_efficiency=np.float32(0.5), quad_order=np.int64(7),

@@ -159,6 +159,20 @@ class TestSweepSpecValidation:
                      "--trials", "64"]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_theta_sweep_takes_one_dynamic_ps_scheme(self, capsys):
+        dynamic = (SchemeSpec("dynamic_ps", {"theta": 0.2}),
+                   SchemeSpec("dynamic_ps", {"theta": 0.9}))
+        with pytest.raises(ValueError, match=r"one dynamic_ps scheme, got "
+                           r"\['dynamic_ps:theta=0.2', 'dynamic_ps:theta=0.9'\]"):
+            _spec("theta", (0.3, 0.6), dynamic)
+        assert main(["sweep", "--param", "theta", "--values", "0.3,0.6",
+                     "--scheme", "dynamic_ps:theta=0.2",
+                     "--scheme", "dynamic_ps:theta=0.9", "--trials", "64"]) == 2
+        assert "dynamic_ps:theta=0.9" in capsys.readouterr().err
+        # One dynamic_ps row next to other schemes, or none at all, still sweeps.
+        _spec("theta", (0.3, 0.6), (dynamic[0], SchemeSpec("improved")))
+        _spec("rate", (1.0,), dynamic)
+
     def test_schemes_validated_up_front(self):
         with pytest.raises(ValueError):
             _spec("rate", (1.0,), ())
@@ -259,6 +273,24 @@ class TestFigures:
         for n in (2, 10):
             with pytest.raises(ValueError, match=r"one of \(3, 4, 5, 6, 7, 8, 9\)"):
                 fig(n)
+
+    def test_each_figure_is_a_sweep_spec_at_its_operating_point(self):
+        moved = {6: SystemParams(rate_bps_hz=3.0),
+                 8: SystemParams(tx_power_dbm=20.0, rate_bps_hz=5.0)}
+        for n, spec in FIGURES.items():
+            assert type(spec) is SweepSpec
+            assert spec.mc == McConfig()
+            assert spec.base == moved.get(n, SystemParams())
+
+    @pytest.mark.parametrize("n", [6, 8])
+    def test_fig_is_run_sweep_on_the_moved_spec(self, n):
+        spec = FIGURES[n]
+        by_hand = SweepSpec(swept_param=spec.swept_param, values=spec.values,
+                            schemes=spec.schemes,
+                            base=dataclasses.replace(spec.base, rate_bps_hz=4.0),
+                            mc=FAST_MC)
+        assert (fig(n, overrides={"rate_bps_hz": 4.0}, mc=FAST_MC).to_csv()
+                == run_sweep(by_hand).to_csv())
 
     def test_cli_and_script_offer_exactly_the_table(self, monkeypatch, tmp_path):
         parser = ehrelay.cli._build_parser()
@@ -497,6 +529,7 @@ class TestCli:
     ])
     @pytest.mark.parametrize("field,value", [
         ("dist_a", "5"),
+        pytest.param("dist_a", 10 ** 400, id="dist_a-10**400"),
         ("tx_power_dbm", True),
         ("quad_order", True),
         ("noise_dbm", None),
