@@ -1,4 +1,4 @@
-"""Quadrature, special functions, and sampling primitives.
+"""Quadrature, root finding, special functions, and sampling primitives.
 
 The closed-form outage expressions reduce every remaining integral to a
 fixed-order Gauss-Chebyshev (first kind) sum, so the rule used by the
@@ -72,6 +72,73 @@ def integrate_gc(rule: QuadratureRule, a: float, b: float,
     for nu, w in zip(rule.nodes.tolist(), rule.weights.tolist()):
         total += w * f(half * nu + mid)
     return (b - a) * total
+
+
+def _brentq(f: Callable[[float], float], lo: float, hi: float, f_lo: float,
+            f_hi: float, xtol: float, rtol: float, maxiter: int) -> float:
+    """Root of f between lo and hi by Brent's method (Brent, 1973).
+
+    A line-by-line port of the C loop behind scipy.optimize.brentq: with
+    f_lo = f(lo) and f_hi = f(hi) it returns the same root, bit for bit,
+    without evaluating f at either end again.  A zero divisor in the step
+    formula bisects, as the IEEE inf or NaN it yields in C fails the step
+    test there.  ValueError for a NaN value of f or ends of one sign;
+    RuntimeError when maxiter iterations do not converge.
+    """
+    xpre, xcur, fpre, fcur = lo, hi, f_lo, f_hi
+    if math.isnan(fpre) or math.isnan(fcur):
+        raise ValueError("f is NaN at a bracket end; solver cannot continue")
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(lo) and f(hi) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:
+                    # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:
+                    # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) \
+                        / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                stry = math.nan
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+        if math.isnan(fcur):
+            raise ValueError(f"f is NaN at x={xcur!r}; solver cannot continue")
+    raise RuntimeError(f"failed to converge after {maxiter} iterations, "
+                       f"value is {xcur!r}")
 
 
 def bessel_k1(x: float) -> float:

@@ -28,12 +28,11 @@ from functools import partial
 
 import numpy as np
 import scipy.special
-from scipy.optimize import brentq
 
 from . import numerics
 from .model import (DerivedConstants, LinkConstants, SystemParams, check_theta,
                     derive_constants, link_constants)
-from .numerics import QuadratureRule, integrate_gc
+from .numerics import QuadratureRule, _brentq, integrate_gc
 
 
 class Scenario(enum.Enum):
@@ -437,16 +436,17 @@ def _improved_window_mass(consts: LinkConstants, gamma_th: float,
     return cdf_t2(consts, upper) - cdf_t2(consts, lower)
 
 
-def _quantile_t3(consts: LinkConstants, v: float, t_hi: float,
+def _quantile_t3(consts: LinkConstants, v: float, t_hi: float, cdf_hi: float,
                  ladder: list) -> float:
     """Value of the reciprocal gain product whose CDF equals v, below t_hi.
 
-    The bracket is the first rung of the halving ladder t_hi * 2**-k,
-    k >= 1, whose CDF is at most v.  ladder holds the (t, cdf_t3) rungs
-    walked so far and grows here as needed, so calls that share it, all
-    with the same t_hi, evaluate each rung once.  Halving is exact, so a
-    shared ladder gives every v the bracket, and brentq the iterates, of a
-    fresh one.
+    cdf_hi is cdf_t3 at t_hi.  The bracket is the first rung of the halving
+    ladder t_hi * 2**-k, k >= 1, whose CDF is at most v.  ladder holds the
+    (t, cdf_t3) rungs walked so far and grows here as needed, so calls that
+    share it, all with the same t_hi, evaluate each rung once.  Halving is
+    exact, so a shared ladder gives every v the bracket, and the Brent
+    solver the iterates, of a fresh one; the solver takes both bracket
+    ends' CDFs from the ladder instead of evaluating them again.
     """
     hi = t_hi
     k = 0
@@ -456,10 +456,10 @@ def _quantile_t3(consts: LinkConstants, v: float, t_hi: float,
         lo, cdf_lo = ladder[k]
         if not cdf_lo > v:
             break
-        hi = lo
+        hi, cdf_hi = lo, cdf_lo
         k += 1
-    return brentq(lambda t: cdf_t3(consts, t) - v, lo, hi,
-                  xtol=1e-30, rtol=1e-15, maxiter=200)
+    return _brentq(lambda t: cdf_t3(consts, t) - v, lo, hi, cdf_lo - v,
+                   cdf_hi - v, xtol=1e-30, rtol=1e-15, maxiter=200)
 
 
 def outage_improved(params: SystemParams) -> float:
@@ -476,7 +476,8 @@ def outage_improved(params: SystemParams) -> float:
     and lets the default order resolve every regime the sweeps visit.
     Each node inverts the CDF by bracketing on one halving ladder from the
     bound, built once per call and shared by the nodes, so each rung costs
-    one cdf_t3 evaluation however many nodes pass it.
+    one cdf_t3 evaluation however many nodes pass it, and the root solver
+    reads its bracket ends' CDFs from the ladder.
 
     The scheme picks theta per realization, so only the theta-free link
     constants enter.
@@ -493,7 +494,7 @@ def outage_improved(params: SystemParams) -> float:
     ladder: list = []
 
     def miss_at_quantile(v: float) -> float:
-        t = _quantile_t3(consts, v, t_max, ladder)
+        t = _quantile_t3(consts, v, t_max, v_max, ladder)
         return 1.0 - _improved_window_mass(consts, gamma_th, t)
 
     missed = integrate_gc(rule, 0.0, v_max, miss_at_quantile)

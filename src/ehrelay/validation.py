@@ -15,8 +15,6 @@ import time
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from .model import (SystemParams, broadcast_factors, derive_constants,
                     link_constants, link_snrs, scheme_controls)
@@ -53,12 +51,23 @@ def _unimodal(seq, mode: str) -> bool:
     return rising and falling
 
 
+# Criterion 8 streams its 1M samples through chunks of this many, so only
+# one sample-sized array is alive at a time.
+_KS_CHUNK = 1 << 16
+
+
 def _ks_statistic(sorted_samples, cdf) -> float:
+    """Kolmogorov-Smirnov distance of sorted samples from cdf, one chunk of
+    samples at a time."""
     n = len(sorted_samples)
-    values = cdf(sorted_samples)
-    ranks = np.arange(1, n + 1, dtype=float) / n
-    gaps = np.maximum(np.abs(values - ranks), np.abs(values - ranks + 1.0 / n))
-    return float(gaps.max())
+    worst = 0.0
+    for lo in range(0, n, _KS_CHUNK):
+        hi = min(lo + _KS_CHUNK, n)
+        values = cdf(sorted_samples[lo:hi])
+        ranks = np.arange(lo + 1, hi + 1, dtype=float) / n
+        gaps = np.maximum(np.abs(values - ranks), np.abs(values - ranks + 1.0 / n))
+        worst = max(worst, float(gaps.max()))
+    return worst
 
 
 def criterion_quadrature() -> CriterionResult:
@@ -219,6 +228,33 @@ def criterion_diversity() -> CriterionResult:
                            f"slope dynamic={_fmt(slope_dyn)}; improved={_fmt(slope_imp)}")
 
 
+def _pair_sum_ks(rng, params: SystemParams, consts, n: int) -> float:
+    """KS distance of n draws of g_A/Z_A + g_B/Z_B from cdf_t2.
+
+    g_B is drawn chunk by chunk, which gives the values of one whole draw.
+    """
+    pair_sum = rng.exponential(params.fading_mean_a, n)
+    pair_sum /= consts.z_a
+    for lo in range(0, n, _KS_CHUNK):
+        hi = min(lo + _KS_CHUNK, n)
+        pair_sum[lo:hi] += rng.exponential(params.fading_mean_b, hi - lo) / consts.z_b
+    pair_sum.sort()
+    return _ks_statistic(pair_sum, lambda t: cdf_t2_array(consts, t))
+
+
+def _inverse_product_ks(rng, params: SystemParams, consts, n: int) -> float:
+    """KS distance of n draws of 1/(g_A*g_B) from cdf_t3, g_B drawn as in
+    _pair_sum_ks."""
+    inv_prod = rng.exponential(params.fading_mean_a, n)
+    for lo in range(0, n, _KS_CHUNK):
+        hi = min(lo + _KS_CHUNK, n)
+        inv_prod[lo:hi] *= rng.exponential(params.fading_mean_b, hi - lo)
+    with np.errstate(divide="ignore"):
+        np.divide(1.0, inv_prod, out=inv_prod)
+    inv_prod.sort()
+    return _ks_statistic(inv_prod, lambda t: cdf_t3_array(consts, t))
+
+
 def criterion_variable_change_cdfs() -> CriterionResult:
     """Both change-of-variable CDFs match sampling and behave like CDFs."""
     settings = (
@@ -235,16 +271,8 @@ def criterion_variable_change_cdfs() -> CriterionResult:
     limits_ok = True
     for _, params in settings:
         consts = link_constants(params)
-        g_a = rng.exponential(params.fading_mean_a, n)
-        g_b = rng.exponential(params.fading_mean_b, n)
-        pair_sum = np.sort(g_a / consts.z_a + g_b / consts.z_b)
-        worst_ks = max(worst_ks,
-                       _ks_statistic(pair_sum, lambda t: cdf_t2_array(consts, t)))
-        with np.errstate(divide="ignore"):
-            inv_prod = np.sort(1.0 / (rng.exponential(params.fading_mean_a, n)
-                                      * rng.exponential(params.fading_mean_b, n)))
-        worst_ks = max(worst_ks,
-                       _ks_statistic(inv_prod, lambda t: cdf_t3_array(consts, t)))
+        worst_ks = max(worst_ks, _pair_sum_ks(rng, params, consts, n),
+                       _inverse_product_ks(rng, params, consts, n))
         grid_2 = cdf_t2_array(consts, np.geomspace(1e-12, 10.0, 10_000))
         grid_3 = cdf_t3_array(consts, np.geomspace(1e-8, 1e12, 10_000))
         for series in (grid_2, grid_3):
@@ -258,6 +286,10 @@ def criterion_variable_change_cdfs() -> CriterionResult:
 
 def _root_toward_zero(f, hi: float) -> float:
     """Root in (0, hi] of a function that is positive near zero, negative at hi."""
+    # The oracle's scipy solvers are imported where used, which keeps
+    # scipy.optimize and scipy.integrate out of every other process.
+    from scipy.optimize import brentq
+
     lo = 0.5 * hi
     while f(lo) <= 0.0:
         lo *= 0.5
@@ -269,6 +301,8 @@ def _root_toward_zero(f, hi: float) -> float:
 
 def _crossing_root(consts, geom: CaseFourGeometry) -> float:
     """Locate the curve crossing by root-finding, independent of its closed form."""
+    from scipy.optimize import brentq
+
     def gap(x: float) -> float:
         return _boundary_gain_a(consts, _boundary_gain_b(consts, x)) - x
 
@@ -292,6 +326,8 @@ def _crossing_root(consts, geom: CaseFourGeometry) -> float:
 
 def _oracle_case4(params: SystemParams, consts, geom: CaseFourGeometry) -> float:
     """Adaptive 2-D integration of the corner success region."""
+    from scipy.integrate import quad
+
     lam_a = params.fading_mean_a
     lam_b = params.fading_mean_b
 

@@ -6,15 +6,21 @@ criteria reuse the exact implementations behind the `validate` CLI command,
 so the CLI and this gate can never drift apart.
 """
 
+import tracemalloc
 import warnings
 
+import numpy as np
 import pytest
 import scipy.special
 
-from ehrelay.model import SystemParams, derive_constants
-from ehrelay.outage import cdf_t3
+from ehrelay.model import SystemParams, derive_constants, link_constants
+from ehrelay.outage import cdf_t2_array, cdf_t3, cdf_t3_array
 from ehrelay.validation import (
+    _KS_CHUNK,
     CRITERIA,
+    _inverse_product_ks,
+    _ks_statistic,
+    _pair_sum_ks,
     criterion_capacity_shapes,
     criterion_case4_oracle,
     criterion_determinism,
@@ -74,9 +80,46 @@ def test_criterion_07_diversity_slopes():
 
 
 def test_criterion_08_change_of_variable_cdfs():
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        _check(criterion_variable_change_cdfs)
+    tracemalloc.start()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _check(criterion_variable_change_cdfs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # One 1M-sample array (8 MiB) plus chunk-sized temporaries; holding
+    # whole-sample temporaries peaked at 77 MiB.
+    assert peak < 16 * 2 ** 20
+
+
+def _one_pass_ks(sorted_samples, cdf) -> float:
+    n = len(sorted_samples)
+    values = cdf(sorted_samples)
+    ranks = np.arange(1, n + 1, dtype=float) / n
+    gaps = np.maximum(np.abs(values - ranks), np.abs(values - ranks + 1.0 / n))
+    return float(gaps.max())
+
+
+@pytest.mark.parametrize("n", [1, _KS_CHUNK - 1, _KS_CHUNK + 1, 3 * _KS_CHUNK + 5])
+def test_streamed_criterion_08_equals_the_one_pass_statistics(n):
+    params = SystemParams(fading_mean_a=0.7, fading_mean_b=1.3)
+    consts = link_constants(params)
+    rng = np.random.default_rng(47)
+    pair_sum = np.sort(rng.exponential(params.fading_mean_a, n) / consts.z_a
+                       + rng.exponential(params.fading_mean_b, n) / consts.z_b)
+    inv_prod = np.sort(1.0 / (rng.exponential(params.fading_mean_a, n)
+                              * rng.exponential(params.fading_mean_b, n)))
+    want_t2 = _one_pass_ks(pair_sum, lambda t: cdf_t2_array(consts, t))
+    want_t3 = _one_pass_ks(inv_prod, lambda t: cdf_t3_array(consts, t))
+
+    assert _ks_statistic(pair_sum, lambda t: cdf_t2_array(consts, t)).hex() \
+        == want_t2.hex()
+    assert _ks_statistic(inv_prod, lambda t: cdf_t3_array(consts, t)).hex() \
+        == want_t3.hex()
+    streamed = np.random.default_rng(47)
+    assert _pair_sum_ks(streamed, params, consts, n).hex() == want_t2.hex()
+    assert _inverse_product_ks(streamed, params, consts, n).hex() == want_t3.hex()
 
 
 def test_criterion_09_success_region_oracle():

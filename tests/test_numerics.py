@@ -1,12 +1,15 @@
-"""Quadrature rule, Bessel K1, and exponential sampling."""
+"""Quadrature rule, Brent root finder, Bessel K1, and exponential sampling."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.optimize import brentq
 
-from ehrelay.numerics import QuadratureRule, bessel_k1, integrate_gc, sample_exponential
+from ehrelay.numerics import (QuadratureRule, _brentq, bessel_k1, integrate_gc,
+                              sample_exponential)
 
 # Frozen by scripts/compute_reference_values.py (mpmath besselk).
 K1_REFERENCE = {
@@ -137,6 +140,102 @@ def test_integration_is_linear(alpha, beta, a, width):
     separate = (alpha * integrate_gc(rule, a, a + width, f)
                 + beta * integrate_gc(rule, a, a + width, g))
     assert combined == pytest.approx(separate, rel=1e-12, abs=1e-12)
+
+
+def _smooth(rng, root):
+    rate, scale, cubic = rng.uniform(0.1, 5.0), 10.0 ** rng.uniform(-3, 3), rng.uniform(0, 2)
+    return lambda x: scale * (math.expm1(rate * (x - root)) + cubic * (x - root) ** 3)
+
+
+def _flat(rng, root):
+    # Plateaus, and values down to the subnormal range, whose step-formula
+    # products underflow to a zero divisor.
+    steep, scale = 10.0 ** rng.uniform(-1, 4), 10.0 ** rng.uniform(-320, 2)
+    return lambda x: scale * math.tanh(steep * (x - root))
+
+
+def _odd_power(rng, root):
+    power = int(rng.choice([3, 5, 7, 9, 15, 31]))
+    return lambda x: (x - root) ** power
+
+
+def _step(rng, root):
+    below, above = -10.0 ** rng.uniform(-3, 3), 10.0 ** rng.uniform(-3, 3)
+    return lambda x: below if x < root else above
+
+
+BRENT_TOLERANCES = [(1e-30, 1e-15), (2e-12, 8.9e-16), (1e-3, 1e-6)]
+
+
+def _outcome(solve):
+    """The root's bits, or the type of the error solving raised."""
+    try:
+        return solve().hex()
+    except (ValueError, RuntimeError) as err:
+        return type(err)
+
+
+def _brent_outcomes(f, lo, hi, xtol, rtol, maxiter):
+    """(port, scipy) outcomes, and the zero divisors the port met."""
+    zero_divisions = 0
+
+    def trace(frame, event, arg):
+        nonlocal zero_divisions
+        if event == "exception" and arg[0] is ZeroDivisionError:
+            zero_divisions += 1
+        return trace
+
+    def enter(frame, event, arg):
+        if frame.f_code is not _brentq.__code__:
+            return None
+        frame.f_trace_lines = False
+        return trace
+
+    f_lo, f_hi = f(lo), f(hi)
+    previous = sys.gettrace()
+    sys.settrace(enter)
+    try:
+        ported = _outcome(lambda: _brentq(f, lo, hi, f_lo, f_hi, xtol, rtol, maxiter))
+    finally:
+        sys.settrace(previous)
+    wanted = _outcome(lambda: brentq(f, lo, hi, xtol=xtol, rtol=rtol, maxiter=maxiter))
+    return ported, wanted, zero_divisions
+
+
+@pytest.mark.parametrize("family", [_smooth, _flat, _odd_power, _step])
+def test_brent_port_matches_scipy_bitwise(family):
+    rng = np.random.default_rng(sum(map(ord, family.__name__)))
+    seen = set()
+    zero_divisions = 0
+    for _ in range(2500):
+        width = 10.0 ** rng.uniform(-6, 2)
+        lo = rng.normal() * 10.0 ** rng.uniform(-3, 3)
+        hi = lo + width
+        # About one bracket in six holds no root.
+        f = family(rng, lo + width * rng.uniform(-0.1, 1.1))
+        for xtol, rtol in BRENT_TOLERANCES:
+            ported, wanted, divisions = _brent_outcomes(f, lo, hi, xtol, rtol, 200)
+            assert ported == wanted, (family.__name__, lo, hi, xtol, rtol)
+            seen.add(ported if isinstance(ported, type) else float)
+            zero_divisions += divisions
+    assert seen == {float, ValueError}
+    if family is _flat:
+        assert zero_divisions > 0
+
+
+def test_brent_port_errors_match_scipy():
+    f = lambda x: math.expm1(x) - 0.5
+    cases = [
+        (f, 1.0, 2.0, 200, ValueError),                            # one sign
+        (lambda x: x if x < 0.0 else math.nan, -1.0, 1.0, 200, ValueError),  # NaN end
+        (lambda x: math.nan if 0.2 < x < 0.8 else x - 0.5, 0.0, 1.0, 200,
+         ValueError),                                              # NaN inside
+        (f, 0.0, 1.0, 3, RuntimeError),                            # out of iterations
+        (lambda x: x - 0.25, 0.0, 0.25, 0, (0.25).hex()),          # zero at an end
+    ]
+    for fn, lo, hi, maxiter, want in cases:
+        ported, wanted, _ = _brent_outcomes(fn, lo, hi, 1e-30, 1e-15, maxiter)
+        assert ported == wanted == want
 
 
 def test_bessel_reference_values():

@@ -300,8 +300,8 @@ def test_shared_ladder_gives_the_fresh_ladder_quantile(dbm, fractions, order):
     ladder = []
     for u in fractions:
         v = u * v_max
-        shared = _quantile_t3(consts, v, t_max, ladder)
-        assert shared.hex() == _quantile_t3(consts, v, t_max, []).hex()
+        shared = _quantile_t3(consts, v, t_max, v_max, ladder)
+        assert shared.hex() == _quantile_t3(consts, v, t_max, v_max, []).hex()
     assert [t for t, _ in ladder] == [t_max * 2.0 ** -k
                                       for k in range(1, len(ladder) + 1)]
 
@@ -311,26 +311,29 @@ def test_shared_ladder_gives_the_fresh_ladder_quantile(dbm, fractions, order):
 def test_improved_outage_evaluates_each_ladder_rung_once(monkeypatch, dbm, order):
     params = _with(tx_power_dbm=dbm, quad_order=order)
     want = outage_improved(params)
-    real_brentq = outage.brentq
-    in_brentq = []
+    real_brentq = outage._brentq
+    brackets = []
     outside = []
+    inside = []
 
     def cdf_t3_spy(consts, t):
-        if not in_brentq:
-            outside.append(t)
+        (inside if brackets else outside).append(t)
         return cdf_t3(consts, t)
 
-    def brentq_spy(*args, **kwargs):
-        in_brentq.append(True)
+    def brentq_spy(f, lo, hi, *args, **kwargs):
+        brackets.append((lo, hi))
         try:
-            return real_brentq(*args, **kwargs)
+            return real_brentq(f, lo, hi, *args, **kwargs)
         finally:
-            in_brentq.pop()
+            ends = brackets.pop()
+            assert not set(inside) & set(ends)
+            inside.clear()
 
     monkeypatch.setattr(outage, "cdf_t3", cdf_t3_spy)
-    monkeypatch.setattr(outage, "brentq", brentq_spy)
+    monkeypatch.setattr(outage, "_brentq", brentq_spy)
     assert outage_improved(params) == want
-    # Outside brentq: v_max at the bound, then each rung of the ladder once.
+    # Outside the solver: v_max at the bound, then each rung of the ladder
+    # once; inside it, never at a bracket end, whose CDF the ladder holds.
     t_max = improved_integration_bound(link_constants(params), params.snr_threshold)
     assert outside == [t_max * 2.0 ** -k for k in range(len(outside))]
     assert len(outside) >= 2
