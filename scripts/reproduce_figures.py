@@ -25,7 +25,8 @@ def main():
                         help="Monte Carlo trials per sweep point")
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
     parser.add_argument("--shards", type=int, default=4,
-                        help="parallel simulation shards")
+                        help="simulation worker processes, at most; "
+                             "the usable cores cap them too")
     parser.add_argument("--figs", type=int, nargs="*", default=list(FIGURES),
                         choices=tuple(FIGURES), help="subset of experiments to run")
     args = parser.parse_args()

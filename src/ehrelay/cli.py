@@ -46,7 +46,9 @@ def _add_common_flags(parser: argparse.ArgumentParser, *, mc: bool,
     if mc:
         parser.add_argument("--seed", type=int, help="simulation seed")
         parser.add_argument("--trials", type=int, help="Monte Carlo trials per point")
-        parser.add_argument("--shards", type=int, help="parallel simulation shards")
+        parser.add_argument("--shards", type=int,
+                            help="simulation worker processes, at most; "
+                                 "the usable cores cap them too")
     parser.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
     parser.add_argument("--json", action="store_true",
                         help="emit JSON instead of CSV")

@@ -3,8 +3,15 @@
 Trials are processed in fixed-size blocks; block k draws from a generator
 seeded with seed XOR splitmix64(k), so the stream belonging to a trial
 depends only on (seed, trials), never on how blocks are distributed over
-worker threads.  That is what makes estimates bit-identical across shard
+worker processes.  That is what makes estimates bit-identical across shard
 counts and across runs.
+
+An estimate runs on min(shards, usable cores, blocks) workers.  One worker
+runs the blocks in the calling process.  More share them, one block per
+task, on a persistent pool of that many forked processes, made on first
+use; each block returns an integer hit count, and the counts are summed.
+A pool process ignores Ctrl-C, which its parent handles, and exits as soon
+as its parent is gone.
 
 A block of count trials takes g_A from the first count uniforms of its
 stream and g_B from the next count.  It streams them CHUNK_TRIALS at a
@@ -20,8 +27,12 @@ working set fits in a core's cache.
 
 from __future__ import annotations
 
+import atexit
 import math
-from concurrent.futures import ThreadPoolExecutor
+import os
+import signal
+import threading
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,7 +60,11 @@ def _block_rng(seed: int, block_index: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class McConfig:
-    """Simulation budget and reproducibility knobs."""
+    """Simulation budget and reproducibility knobs.
+
+    shards caps the worker processes an estimate runs on; the usable cores
+    and the block count cap them too, and no count changes the estimate.
+    """
 
     trials: int = 1_000_000
     seed: int = 0
@@ -112,6 +127,12 @@ def _outage_block(params: SystemParams, consts, scheme_id: str, canon: dict,
     return hits
 
 
+def _energy_block(params: SystemParams, consts, seed: int, block_index: int,
+                  count: int) -> int:
+    return sum(int(np.count_nonzero(in_energy_outage(params, consts, g_a, g_b, ws)))
+               for g_a, g_b, ws in _chunks(params, seed, block_index, count))
+
+
 def _block_layout(trials: int) -> list[tuple[int, int]]:
     full, rest = divmod(trials, BLOCK_TRIALS)
     layout = [(k, BLOCK_TRIALS) for k in range(full)]
@@ -120,12 +141,108 @@ def _block_layout(trials: int) -> list[tuple[int, int]]:
     return layout
 
 
-def _run_blocks(worker, cfg: McConfig) -> int:
+def _usable_cores() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _worker_count(shards: int, cores: int, blocks: int) -> int:
+    """Workers an estimate runs on: no more than its shards, the usable
+    cores or its blocks, since more would only share a core or idle."""
+    return min(shards, cores, blocks)
+
+
+@dataclass
+class _Pool:
+    """The persistent worker processes: their executor, its size, and the
+    pid of the process that made them (a forked child must make its own)."""
+
+    executor: object = None
+    size: int = 0
+    owner: int = 0
+
+
+_POOL = _Pool()
+# Held while an estimate uses the pool, so that a call from another thread
+# cannot replace or drop the pool under it.
+_POOL_LOCK = threading.Lock()
+
+
+def _may_fork() -> bool:
+    """False in a daemonic multiprocessing worker, which may start no process."""
+    import multiprocessing
+    return not multiprocessing.current_process().daemon
+
+
+def _watch_parent(parent: int) -> None:
+    while os.getppid() == parent:
+        time.sleep(0.2)
+    os._exit(1)
+
+
+def _init_worker(parent: int) -> None:
+    """Run in each pool process as it starts: Ctrl-C is the parent's to
+    handle, and an orphan exits rather than wait on its task queue forever."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    threading.Thread(target=_watch_parent, args=(parent,), daemon=True).start()
+
+
+def _pool(workers: int):
+    """The pool, made on first use and remade when a call needs more workers.
+
+    The multiprocessing imports wait until here: most processes never fork.
+    Forked workers start at once, with the package already imported, and a
+    caller's script needs no __main__ guard, as it would under spawn.
+    """
+    if _POOL.owner == os.getpid() and _POOL.size >= workers:
+        return _POOL.executor
+    _drop_pool()
+    import multiprocessing
+    from concurrent.futures.process import ProcessPoolExecutor
+    _POOL.executor = ProcessPoolExecutor(
+        workers, mp_context=multiprocessing.get_context("fork"),
+        initializer=_init_worker, initargs=(os.getpid(),))
+    _POOL.size, _POOL.owner = workers, os.getpid()
+    return _POOL.executor
+
+
+def _drop_pool() -> None:
+    """Shut down this process's pool, if it made one, and forget it."""
+    if _POOL.owner == os.getpid():
+        _POOL.executor.shutdown(cancel_futures=True)
+    _POOL.executor, _POOL.size, _POOL.owner = None, 0, 0
+
+
+# Shut the pool down while the interpreter is whole, not in module teardown.
+atexit.register(_drop_pool)
+
+
+def _run_blocks(block_fn, args: tuple, cfg: McConfig) -> int:
+    """Sum block_fn(*args, seed, block_index, count) over the trial blocks.
+
+    block_fn is a module-level function, so a pool task pickles it by name.
+    """
     layout = _block_layout(cfg.trials)
-    if cfg.shards == 1 or len(layout) == 1:
-        return sum(worker(idx, n) for idx, n in layout)
-    with ThreadPoolExecutor(max_workers=cfg.shards) as pool:
-        return sum(pool.map(lambda item: worker(*item), layout))
+    workers = _worker_count(cfg.shards, _usable_cores(), len(layout))
+    if workers == 1 or not _may_fork():
+        return sum(block_fn(*args, cfg.seed, idx, n) for idx, n in layout)
+    from concurrent.futures.process import BrokenProcessPool
+    with _POOL_LOCK:
+        pool, tasks = _pool(workers), []
+        try:
+            tasks.extend(pool.submit(block_fn, *args, cfg.seed, idx, n)
+                         for idx, n in layout)
+            return sum(task.result() for task in tasks)
+        except BrokenProcessPool:
+            # A pool process died; the next call starts a fresh pool.
+            _drop_pool()
+            raise
+        finally:
+            # After an error or Ctrl-C, the blocks not yet started never run.
+            for task in tasks:
+                task.cancel()
 
 
 def _estimate(hits: int, trials: int) -> McEstimate:
@@ -143,13 +260,9 @@ def mc_outage(params: SystemParams, scheme_id: str, scheme_args,
     SchemeSpec before any trial runs.
     """
     canon = SchemeSpec(scheme_id, scheme_args or {}).canonical()
-    consts = link_constants(params)
-
-    def worker(block_index: int, count: int) -> int:
-        return _outage_block(params, consts, scheme_id, canon,
-                             cfg.seed, block_index, count)
-
-    return _estimate(_run_blocks(worker, cfg), cfg.trials)
+    hits = _run_blocks(_outage_block,
+                       (params, link_constants(params), scheme_id, canon), cfg)
+    return _estimate(hits, cfg.trials)
 
 
 def mc_energy_outage(params: SystemParams, cfg: McConfig) -> McEstimate:
@@ -160,13 +273,8 @@ def mc_energy_outage(params: SystemParams, cfg: McConfig) -> McEstimate:
     """
     if params.circuit_sensitivity_dbm is None:
         raise ValueError("mc_energy_outage requires circuit_sensitivity_dbm")
-    consts = link_constants(params)
-
-    def worker(block_index: int, count: int) -> int:
-        return sum(int(np.count_nonzero(in_energy_outage(params, consts, g_a, g_b, ws)))
-                   for g_a, g_b, ws in _chunks(params, cfg.seed, block_index, count))
-
-    return _estimate(_run_blocks(worker, cfg), cfg.trials)
+    hits = _run_blocks(_energy_block, (params, link_constants(params)), cfg)
+    return _estimate(hits, cfg.trials)
 
 
 def relative_error(analytic: float, mc: McEstimate) -> float:

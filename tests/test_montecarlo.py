@@ -2,7 +2,18 @@
 
 import dataclasses
 import math
+import multiprocessing
+import multiprocessing.connection
+import os
+import signal
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +33,8 @@ from ehrelay import (
 )
 from ehrelay.model import SchemeSpec, in_outage, link_snrs, scheme_controls
 from ehrelay.montecarlo import (BLOCK_TRIALS, CHUNK_TRIALS, _block_layout,
-                                _block_rng, _chunks, _outage_block, _splitmix64)
+                                _block_rng, _chunks, _outage_block, _splitmix64,
+                                _usable_cores, _worker_count)
 from ehrelay.numerics import sample_exponential
 
 REF_OUTAGE_DYNAMIC = 0.00906277031472058
@@ -341,3 +353,185 @@ class TestDegenerateRegimes:
         ungated = dataclasses.replace(DEFAULTS, circuit_sensitivity_dbm=-300.0)
         est = mc_energy_outage(ungated, McConfig(trials=50_000, seed=1))
         assert est.probability == 0.0
+
+
+def _run_script(script: str, stderr=subprocess.PIPE, **popen) -> subprocess.Popen:
+    """Start a fresh interpreter on script, with this ehrelay importable."""
+    import ehrelay
+    src = str(Path(ehrelay.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.Popen([sys.executable, "-c", script], env=env, text=True,
+                            stdout=subprocess.PIPE, stderr=stderr, **popen)
+
+
+def _is_gone(pid: int) -> bool:
+    """No such process, or only its zombie, which nothing may reap here."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="utf-8") as handle:
+            state = handle.read().rsplit(")", 1)[1].split()[0]
+    except FileNotFoundError:
+        return True
+    return state in ("Z", "X")
+
+
+# A pool never holds more processes than there are usable cores, and one
+# of a single process is never made, so the pool tests need two cores.
+needs_two_cores = pytest.mark.skipif(_usable_cores() < 2,
+                                     reason="a pool needs 2 usable cores")
+
+
+class TestWorkerPool:
+    @pytest.mark.parametrize("shards,cores,blocks,workers", [
+        (1, 8, 40, 1),      # one shard runs in-process
+        (8, 8, 1, 1),       # so does one block
+        (4, 2, 40, 2),      # no more workers than cores
+        (8, 16, 3, 3),      # nor than blocks
+        (2, 2, 2, 2),
+    ])
+    def test_worker_count_rule(self, shards, cores, blocks, workers):
+        assert _worker_count(shards, cores, blocks) == workers
+
+    def test_worker_count_never_passes_the_usable_cores(self):
+        cores = _usable_cores()
+        assert 1 <= cores <= os.cpu_count()
+        assert _worker_count(10**6, cores, 10**6) == cores
+
+    def test_one_worker_estimates_start_no_process(self):
+        script = (
+            "import multiprocessing, sys\n"
+            "from ehrelay import McConfig, SystemParams, mc_energy_outage, mc_outage\n"
+            "from ehrelay.montecarlo import BLOCK_TRIALS\n"
+            "gated = SystemParams(circuit_sensitivity_dbm=-20.0)\n"
+            "for cfg in (McConfig(trials=BLOCK_TRIALS, seed=1, shards=8),\n"
+            "            McConfig(trials=3 * BLOCK_TRIALS, seed=1, shards=1)):\n"
+            "    mc_outage(gated, 'improved', None, cfg)\n"
+            "    mc_energy_outage(gated, cfg)\n"
+            "print(len(multiprocessing.active_children()),\n"
+            "      'concurrent.futures.process' in sys.modules)\n"
+        )
+        out, err = _run_script(script).communicate(timeout=300)
+        assert out.split() == ["0", "False"], err
+
+    def test_a_daemonic_worker_estimates_in_process(self):
+        # A multiprocessing.Pool worker may start no process of its own.
+        script = (
+            "import multiprocessing\n"
+            "from ehrelay import McConfig, SystemParams, mc_outage\n"
+            "from ehrelay.montecarlo import BLOCK_TRIALS\n"
+            "def estimate(shards):\n"
+            "    cfg = McConfig(trials=3 * BLOCK_TRIALS, seed=2, shards=shards)\n"
+            "    return mc_outage(SystemParams(), 'improved', None, cfg)\n"
+            "if __name__ == '__main__':\n"
+            "    with multiprocessing.get_context('fork').Pool(1) as callers:\n"
+            "        nested = callers.map(estimate, [2, 8])\n"
+            "    print(nested == [estimate(1)] * 2)\n"
+        )
+        out, err = _run_script(script).communicate(timeout=300)
+        assert out.split() == ["True"], err
+
+    @needs_two_cores
+    @pytest.mark.parametrize("shards", [2, 8])
+    def test_frozen_hits_on_pool_workers(self, shards):
+        # REF_TRIALS spans two blocks, so these run on two pool processes.
+        cfg = McConfig(trials=REF_TRIALS, seed=REF_SEED, shards=shards)
+        for scheme_id in SCHEMES:
+            for params, hits in ((DEFAULTS, REF_HITS_DEFAULT), (GATED, REF_HITS_GATED)):
+                est = mc_outage(params, scheme_id, None, cfg)
+                assert est.probability == hits[scheme_id] / REF_TRIALS
+        est = mc_energy_outage(GATED, cfg)
+        assert est.probability == REF_HITS_ENERGY / REF_TRIALS
+
+    @needs_two_cores
+    def test_multi_block_estimate_is_shard_invariant(self):
+        trials = 4 * BLOCK_TRIALS + 5     # five blocks, striped unevenly
+        runs = {s: (mc_outage(GATED, "improved", None, McConfig(trials, 3, s)),
+                    mc_energy_outage(GATED, McConfig(trials, 3, s)))
+                for s in (1, 2, 3, 8)}
+        assert len(set(runs.values())) == 1
+
+    @needs_two_cores
+    def test_calling_threads_share_the_pool(self):
+        def estimate(shards):
+            cfg = McConfig(trials=2 * BLOCK_TRIALS + 7, seed=8, shards=shards)
+            return mc_outage(GATED, "static_equal", None, cfg)
+
+        want = estimate(2)    # the pool exists before any caller thread
+        with ThreadPoolExecutor(4) as callers:
+            runs = list(callers.map(estimate, [1, 2, 3, 8] * 3, timeout=300))
+        assert runs == [want] * 12
+
+    @needs_two_cores
+    def test_a_broken_pool_raises_and_the_next_call_gets_a_fresh_pool(self):
+        cfg = McConfig(trials=2 * BLOCK_TRIALS, seed=4, shards=2)
+        want = mc_outage(DEFAULTS, "improved", None, cfg)
+        victim = multiprocessing.active_children()[0]
+        os.kill(victim.pid, signal.SIGKILL)
+        assert multiprocessing.connection.wait([victim.sentinel], timeout=30)
+        time.sleep(0.2)    # let the pool see its process die
+        with pytest.raises(BrokenProcessPool):
+            mc_outage(DEFAULTS, "improved", None, cfg)
+        assert mc_outage(DEFAULTS, "improved", None, cfg) == want
+        assert victim.pid not in {p.pid for p in multiprocessing.active_children()}
+
+    @needs_two_cores
+    def test_pool_processes_leave_ctrl_c_to_the_parent(self):
+        cfg = McConfig(trials=2 * BLOCK_TRIALS, seed=6, shards=2)
+        want = mc_outage(DEFAULTS, "dynamic_ps", None, cfg)
+        workers = {p.pid for p in multiprocessing.active_children()}
+        for pid in workers:
+            os.kill(pid, signal.SIGINT)
+        time.sleep(0.2)
+        assert mc_outage(DEFAULTS, "dynamic_ps", None, cfg) == want
+        assert {p.pid for p in multiprocessing.active_children()} == workers
+
+    @needs_two_cores
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
+    @pytest.mark.parametrize("stop", ["sigkill", "ctrl_c"])
+    def test_pool_processes_end_with_their_parent(self, tmp_path, stop):
+        # SIGKILL reaches the parent alone; Ctrl-C reaches its whole
+        # process group, the pool included, which leaves it to the parent.
+        script = (
+            "import multiprocessing\n"
+            "from ehrelay import McConfig, SystemParams, mc_outage\n"
+            "from ehrelay.montecarlo import BLOCK_TRIALS\n"
+            "def run(blocks):\n"
+            "    cfg = McConfig(trials=blocks * BLOCK_TRIALS, seed=1, shards=2)\n"
+            "    mc_outage(SystemParams(), 'improved', None, cfg)\n"
+            "run(2)\n"
+            "print(*(p.pid for p in multiprocessing.active_children()), flush=True)\n"
+            "run(4000)\n"    # far longer than this test waits
+        )
+        # Surviving workers would hold the parent's pipes open, so stderr
+        # goes to a file and stdout is never read to its end.
+        errors = tmp_path / "stderr.txt"
+        with open(errors, "w", encoding="utf-8") as stderr:
+            parent = _run_script(script, stderr=stderr, start_new_session=True)
+        watchdog = threading.Timer(120.0, parent.kill)   # bounds the readline
+        watchdog.start()
+        workers = []
+        try:
+            workers = [int(pid) for pid in parent.stdout.readline().split()]
+            assert len(workers) == 2, errors.read_text(encoding="utf-8")
+            time.sleep(0.5)    # the long estimate is now running on them
+            assert not any(map(_is_gone, workers))
+            if stop == "sigkill":
+                parent.kill()
+            else:
+                os.killpg(parent.pid, signal.SIGINT)
+            # An interrupted estimate waits only for the blocks running.
+            parent.wait(timeout=10)
+        finally:
+            watchdog.cancel()
+            parent.kill()
+            parent.wait(timeout=30)
+            parent.stdout.close()
+            deadline = time.monotonic() + 5.0
+            while not all(map(_is_gone, workers)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            survivors = [pid for pid in workers if not _is_gone(pid)]
+            for pid in survivors:
+                os.kill(pid, signal.SIGKILL)
+        assert not survivors, "pool processes outlived their parent"
+        if stop == "ctrl_c":
+            assert "KeyboardInterrupt" in errors.read_text(encoding="utf-8")
