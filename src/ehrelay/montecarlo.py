@@ -23,6 +23,11 @@ in one reused model.KernelWorkspace, and the integer hit counts are
 summed.  The kernel is elementwise, so the counts equal those of one
 whole-block pass, while a block never holds a block-sized array and its
 working set fits in a core's cache.
+
+mc_outages runs a batch of cells, such as all cells of a sweep, on each
+chunk drawn once, one cell's kernel after another in the one workspace.
+Each cell gets the bits it gets alone; the cells read common random
+numbers, so the errors of one batch's estimates are correlated.
 """
 
 from __future__ import annotations
@@ -43,6 +48,8 @@ from .numerics import sample_exponential
 
 BLOCK_TRIALS = 1 << 18
 CHUNK_TRIALS = 1 << 14
+# The scheme_id of an mc_outages cell that estimates the energy outage.
+ENERGY_OUTAGE = "energy_outage"
 
 _MASK64 = (1 << 64) - 1
 
@@ -117,20 +124,21 @@ def _chunks(params: SystemParams, seed: int, block_index: int, count: int):
                sample_exponential(rng_b, params.fading_mean_b, m, out=g_b), ws)
 
 
-def _outage_block(params: SystemParams, consts, scheme_id: str, canon: dict,
-                  seed: int, block_index: int, count: int) -> int:
-    hits = 0
-    for g_a, g_b, ws in _chunks(params, seed, block_index, count):
-        controls = scheme_controls(consts, scheme_id, canon, g_a, g_b, ws)
-        snrs = link_snrs(params, consts, g_a, g_b, controls, ws)
-        hits += int(np.count_nonzero(in_outage(params, snrs, ws)))
+def _outage_block(cells: tuple, seed: int, block_index: int, count: int) -> list:
+    """Each _prepared cell's outage count over one block, energy outages for
+    ENERGY_OUTAGE; the gains are drawn at the first cell's fading means."""
+    hits = [0] * len(cells)
+    for g_a, g_b, ws in _chunks(cells[0][0], seed, block_index, count):
+        for i, (params, consts, scheme_id, canon) in enumerate(cells):
+            if scheme_id == ENERGY_OUTAGE:
+                outage = in_energy_outage(params, consts, g_a, g_b, ws)
+            else:
+                controls = scheme_controls(consts, scheme_id, canon, g_a, g_b, ws)
+                outage = in_outage(params, link_snrs(params, consts, g_a, g_b,
+                                                     controls, ws), ws)
+            # Reduced to a count before the next cell overwrites ws.
+            hits[i] += int(np.count_nonzero(outage))
     return hits
-
-
-def _energy_block(params: SystemParams, consts, seed: int, block_index: int,
-                  count: int) -> int:
-    return sum(int(np.count_nonzero(in_energy_outage(params, consts, g_a, g_b, ws)))
-               for g_a, g_b, ws in _chunks(params, seed, block_index, count))
 
 
 def _block_layout(trials: int) -> list[tuple[int, int]]:
@@ -219,22 +227,20 @@ def _drop_pool() -> None:
 atexit.register(_drop_pool)
 
 
-def _run_blocks(block_fn, args: tuple, cfg: McConfig) -> int:
-    """Sum block_fn(*args, seed, block_index, count) over the trial blocks.
-
-    block_fn is a module-level function, so a pool task pickles it by name.
-    """
+def _run_blocks(cells: tuple, cfg: McConfig) -> list:
+    """Each cell's outage count, summed over the trial blocks."""
     layout = _block_layout(cfg.trials)
     workers = _worker_count(cfg.shards, _usable_cores(), len(layout))
     if workers == 1 or not _may_fork():
-        return sum(block_fn(*args, cfg.seed, idx, n) for idx, n in layout)
+        counts = [_outage_block(cells, cfg.seed, idx, n) for idx, n in layout]
+        return [sum(column) for column in zip(*counts)]
     from concurrent.futures.process import BrokenProcessPool
     with _POOL_LOCK:
         pool, tasks = _pool(workers), []
         try:
-            tasks.extend(pool.submit(block_fn, *args, cfg.seed, idx, n)
+            tasks.extend(pool.submit(_outage_block, cells, cfg.seed, idx, n)
                          for idx, n in layout)
-            return sum(task.result() for task in tasks)
+            return [sum(column) for column in zip(*(task.result() for task in tasks))]
         except BrokenProcessPool:
             # A pool process died; the next call starts a fresh pool.
             _drop_pool()
@@ -252,6 +258,28 @@ def _estimate(hits: int, trials: int) -> McEstimate:
                       trials=trials)
 
 
+def _prepared(params: SystemParams, scheme_id: str, scheme_args) -> tuple:
+    """A cell checked and made (params, consts, scheme_id, canon)."""
+    if scheme_id == ENERGY_OUTAGE and params.circuit_sensitivity_dbm is None:
+        raise ValueError("energy outage requires circuit_sensitivity_dbm")
+    canon = (None if scheme_id == ENERGY_OUTAGE
+             else SchemeSpec(scheme_id, scheme_args or {}).canonical())
+    return params, link_constants(params), scheme_id, canon
+
+
+def mc_outages(cells, cfg: McConfig) -> list:
+    """One estimate per cell (params, scheme_id, scheme_args), as mc_outage
+    gives it, or as mc_energy_outage where scheme_id is ENERGY_OUTAGE.  All
+    cells are checked before any trial runs, and must share the fading means.
+    """
+    cells = tuple(_prepared(*cell) for cell in cells)
+    if len({(p.fading_mean_a, p.fading_mean_b) for p, *_ in cells}) > 1:
+        raise ValueError("the cells of one batch must share fading_mean_a and fading_mean_b")
+    if not cells:
+        return []
+    return [_estimate(hits, cfg.trials) for hits in _run_blocks(cells, cfg)]
+
+
 def mc_outage(params: SystemParams, scheme_id: str, scheme_args,
               cfg: McConfig) -> McEstimate:
     """Estimate the system outage probability of a scheme by simulation.
@@ -259,22 +287,16 @@ def mc_outage(params: SystemParams, scheme_id: str, scheme_args,
     scheme_args (a dict, or None for the defaults) is checked as a
     SchemeSpec before any trial runs.
     """
-    canon = SchemeSpec(scheme_id, scheme_args or {}).canonical()
-    hits = _run_blocks(_outage_block,
-                       (params, link_constants(params), scheme_id, canon), cfg)
-    return _estimate(hits, cfg.trials)
+    return mc_outages([(params, scheme_id, scheme_args)], cfg)[0]
 
 
 def mc_energy_outage(params: SystemParams, cfg: McConfig) -> McEstimate:
     """Estimate the probability that both links miss the rectenna threshold.
 
     Links harvest under the knee split; link_snrs's rectenna test decides
-    (model.in_energy_outage).
+    (model.in_energy_outage).  params must set circuit_sensitivity_dbm.
     """
-    if params.circuit_sensitivity_dbm is None:
-        raise ValueError("mc_energy_outage requires circuit_sensitivity_dbm")
-    hits = _run_blocks(_energy_block, (params, link_constants(params)), cfg)
-    return _estimate(hits, cfg.trials)
+    return mc_outages([(params, ENERGY_OUTAGE, None)], cfg)[0]
 
 
 def relative_error(analytic: float, mc: McEstimate) -> float:

@@ -5,6 +5,10 @@ schemes; each (value, scheme) pair yields one row holding the closed-form
 outage where one exists, the Monte Carlo estimate, and the outage capacity.
 The CSV serialization is byte-stable for a fixed spec and seed, which the
 determinism checks rely on.
+
+All cells of a sweep are simulated in one montecarlo.mc_outages batch, so
+they read one draw of the gains per block: common random numbers, which
+leave the Monte Carlo errors of the rows of one sweep correlated.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import json
 from dataclasses import dataclass, replace
 
 from .model import SchemeSpec, SystemParams, check_theta, link_constants
-from .montecarlo import McConfig, mc_energy_outage, mc_outage, relative_error
+from .montecarlo import ENERGY_OUTAGE, McConfig, mc_outages, relative_error
 from .outage import (energy_outage, outage_capacity, outage_dynamic_ps,
                      outage_improved)
 
@@ -140,22 +144,28 @@ def _row(v: float, label: str, analytic, est, capacity) -> SweepRow:
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate every (value, scheme) cell of the sweep."""
-    rows = []
+    cells = []    # (value, label, point, scheme), scheme None for the energy row
     for v in spec.values:
         point = _apply_param(spec.base, spec.swept_param, v)
         for scheme in spec.schemes:
             label = scheme.label()
             if spec.swept_param == "theta" and scheme.scheme_id == "dynamic_ps":
                 scheme, label = SchemeSpec("dynamic_ps", {"theta": v}), "dynamic_ps"
-            est = mc_outage(point, scheme.scheme_id, scheme.args, spec.mc)
-            analytic = _analytic_outage(point, scheme)
-            capacity = outage_capacity(point, est.probability if analytic is None
-                                       else analytic)
-            rows.append(_row(v, label, analytic, est, capacity))
+            cells.append((v, label, point, scheme))
         if spec.swept_param == "sensitivity":
-            closed = energy_outage(point, link_constants(point))
-            rows.append(_row(v, "energy_outage", closed,
-                             mc_energy_outage(point, spec.mc), None))
+            cells.append((v, ENERGY_OUTAGE, point, None))
+    estimates = mc_outages([(point, ENERGY_OUTAGE, None) if scheme is None
+                            else (point, scheme.scheme_id, scheme.args)
+                            for _, _, point, scheme in cells], spec.mc)
+    rows = []
+    for (v, label, point, scheme), est in zip(cells, estimates):
+        if scheme is None:
+            rows.append(_row(v, label, energy_outage(point, link_constants(point)),
+                             est, None))
+        else:
+            analytic = _analytic_outage(point, scheme)
+            rows.append(_row(v, label, analytic, est, outage_capacity(
+                point, est.probability if analytic is None else analytic)))
     rows.sort(key=lambda r: (r.param_value, r.scheme_id))
     return SweepResult(swept_param=spec.swept_param, rows=tuple(rows))
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .model import (SystemParams, broadcast_factors, derive_constants,
                     link_constants, link_snrs, scheme_controls)
-from .montecarlo import McConfig, mc_outage, relative_error
+from .montecarlo import McConfig, mc_outage, mc_outages, relative_error
 from .outage import (CaseFourGeometry, Scenario, _boundary_gain_a,
                      _boundary_gain_b, case4_geometry, cdf_t2_array,
                      cdf_t3_array, diversity_slope, outage_dynamic_ps,
@@ -121,9 +121,9 @@ def criterion_scheme_ordering() -> CriterionResult:
     """Improved beats dynamic beats static, or the pair is statistically tied."""
     params = SystemParams()
     cfg = McConfig(trials=10_000_000, seed=31, shards=4)
-    improved = mc_outage(params, "improved", {}, cfg)
-    dynamic = mc_outage(params, "dynamic_ps", {"theta": 0.5}, cfg)
-    static = mc_outage(params, "static_equal", {"rho": 0.5}, cfg)
+    improved, dynamic, static = mc_outages(
+        [(params, "improved", {}), (params, "dynamic_ps", {"theta": 0.5}),
+         (params, "static_equal", {"rho": 0.5})], cfg)
     passed = True
     notes = [f"improved={_fmt(improved.probability)}",
              f"dynamic={_fmt(dynamic.probability)}",

@@ -31,10 +31,12 @@ from ehrelay import (
     outage_improved,
     relative_error,
 )
+from ehrelay import montecarlo, sweeps
 from ehrelay.model import SchemeSpec, in_outage, link_snrs, scheme_controls
-from ehrelay.montecarlo import (BLOCK_TRIALS, CHUNK_TRIALS, _block_layout,
-                                _block_rng, _chunks, _outage_block, _splitmix64,
-                                _usable_cores, _worker_count)
+from ehrelay.montecarlo import (BLOCK_TRIALS, CHUNK_TRIALS, ENERGY_OUTAGE,
+                                _block_layout, _block_rng, _chunks, _outage_block,
+                                _prepared, _splitmix64, _usable_cores,
+                                _worker_count, mc_outages)
 from ehrelay.numerics import sample_exponential
 
 REF_OUTAGE_DYNAMIC = 0.00906277031472058
@@ -131,6 +133,21 @@ def _whole_block_energy_hits(params, seed, block_index, count):
 
 BLOCK_COUNTS = (1, CHUNK_TRIALS - 1, CHUNK_TRIALS + 1, 213_568, BLOCK_TRIALS)
 
+# One block-sized float64 array is 2 MiB; streaming in chunks stays below
+# it (the whole-block draws alone took two).
+ONE_BLOCK_ARRAY = BLOCK_TRIALS * 8
+
+
+def _traced_peak(run) -> int:
+    """Peak bytes that tracemalloc sees run allocate."""
+    run()   # warm up lazy imports and caches outside the trace
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
 
 class TestBlockEvaluation:
     @pytest.mark.parametrize("params", [DEFAULTS, GATED],
@@ -141,8 +158,8 @@ class TestBlockEvaluation:
         canon = SchemeSpec(scheme_id).canonical()
         for count in (1, CHUNK_TRIALS - 1, CHUNK_TRIALS + 1, 213_568,
                       BLOCK_TRIALS):
-            chunked = _outage_block(params, consts, scheme_id, canon,
-                                    5, 3, count)
+            chunked, = _outage_block(((params, consts, scheme_id, canon),),
+                                     5, 3, count)
             assert chunked == _whole_block_hits(params, scheme_id, 5, 3, count)
 
     def test_chunk_stream_is_the_whole_block_draws(self):
@@ -157,33 +174,21 @@ class TestBlockEvaluation:
             assert np.array_equal(np.concatenate([b for _, b in chunks]), whole_b)
 
     def test_energy_chunks_count_like_the_whole_block(self):
-        # A single-block run is block 0, evaluated by the energy worker.
+        # A single-block run is block 0.
         for count in BLOCK_COUNTS:
             est = mc_energy_outage(GATED, McConfig(trials=count, seed=5))
             assert est.probability == _whole_block_energy_hits(GATED, 5, 0, count) / count
 
     def test_block_never_holds_a_block_sized_array(self):
-        # One block-sized float64 array is 2 MiB; streaming in chunks stays
-        # below it (the whole-block draws alone took two).
-        limit = BLOCK_TRIALS * 8
-
-        def peak(run) -> int:
-            run()   # warm up lazy imports and caches outside the trace
-            tracemalloc.start()
-            try:
-                run()
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
         for params in (DEFAULTS, GATED):
             consts = derive_constants(params, 0.5)
             for scheme_id in SCHEMES:
                 canon = SchemeSpec(scheme_id).canonical()
-                assert peak(lambda: _outage_block(params, consts, scheme_id, canon, 5, 3,
-                                                  BLOCK_TRIALS)) < limit, (params, scheme_id)
+                cells = ((params, consts, scheme_id, canon),)
+                assert _traced_peak(lambda: _outage_block(cells, 5, 3, BLOCK_TRIALS)) \
+                    < ONE_BLOCK_ARRAY, (params, scheme_id)
         energy = McConfig(trials=BLOCK_TRIALS, seed=5)
-        assert peak(lambda: mc_energy_outage(GATED, energy)) < limit
+        assert _traced_peak(lambda: mc_energy_outage(GATED, energy)) < ONE_BLOCK_ARRAY
 
     @pytest.mark.parametrize("scheme_id", SCHEMES)
     def test_outage_hits_are_frozen(self, scheme_id):
@@ -195,6 +200,75 @@ class TestBlockEvaluation:
     def test_energy_hits_are_frozen(self):
         est = mc_energy_outage(GATED, McConfig(trials=REF_TRIALS, seed=REF_SEED))
         assert est.probability == REF_HITS_ENERGY / REF_TRIALS
+
+
+# Every scheme on both operating points, and an energy cell.
+MIXED_BATCH = (*((params, scheme_id, None) for params in (DEFAULTS, GATED)
+                 for scheme_id in SCHEMES),
+               (GATED, ENERGY_OUTAGE, None))
+
+
+def _alone(cell, cfg):
+    params, scheme_id, args = cell
+    if scheme_id == ENERGY_OUTAGE:
+        return mc_energy_outage(params, cfg)
+    return mc_outage(params, scheme_id, args, cfg)
+
+
+class TestBatch:
+    @pytest.mark.parametrize("shards", [1, 2, 8])
+    def test_a_mixed_batch_equals_its_cells_alone(self, shards):
+        cfg = McConfig(trials=2 * BLOCK_TRIALS + 12345, seed=7, shards=shards)
+        assert mc_outages(MIXED_BATCH, cfg) == [_alone(c, cfg) for c in MIXED_BATCH]
+
+    def test_a_batch_reproduces_the_frozen_hits(self):
+        cfg = McConfig(trials=REF_TRIALS, seed=REF_SEED)
+        want = [*(REF_HITS_DEFAULT[s] for s in SCHEMES),
+                *(REF_HITS_GATED[s] for s in SCHEMES), REF_HITS_ENERGY]
+        assert [est.probability for est in mc_outages(MIXED_BATCH, cfg)] == \
+            [hits / REF_TRIALS for hits in want]
+
+    def test_an_empty_batch_draws_nothing(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_chunks", _no_draws)
+        assert mc_outages([], McConfig(trials=10)) == []
+
+    @pytest.mark.parametrize("cells,match", [
+        ([(DEFAULTS, "improved", None),
+          (dataclasses.replace(DEFAULTS, fading_mean_b=2.0), "improved", None)],
+         "fading_mean"),
+        ([(GATED, "improved", None), (DEFAULTS, ENERGY_OUTAGE, None)],
+         "circuit_sensitivity_dbm"),
+    ], ids=["fading-means", "ungated-energy"])
+    def test_a_bad_cell_fails_before_any_draw(self, cells, match, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_chunks", _no_draws)
+        with pytest.raises(ValueError, match=match):
+            mc_outages(cells, McConfig(trials=10))
+
+    def test_a_fig5_block_never_holds_a_block_sized_array(self):
+        spec = sweeps.FIGURES[5]
+        cells = tuple(_prepared(dataclasses.replace(spec.base, tx_power_dbm=v),
+                                scheme.scheme_id, scheme.args)
+                      for v in spec.values for scheme in spec.schemes)
+        assert len(cells) == 35
+        assert _traced_peak(lambda: _outage_block(cells, 5, 3, BLOCK_TRIALS)) \
+            < ONE_BLOCK_ARRAY
+
+    def test_a_sweep_draws_each_chunk_once(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            return sample_exponential(*args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "sample_exponential", counted)
+        trials = 3 * CHUNK_TRIALS + 5     # one block of four chunks
+        result = sweeps.fig(5, mc=McConfig(trials=trials, seed=1))
+        assert len(result.rows) == 35
+        assert calls == [CHUNK_TRIALS] * 6 + [5, 5]
+
+
+def _no_draws(*args, **kwargs):
+    raise AssertionError("trials were drawn")
 
 
 @pytest.mark.filterwarnings("error")

@@ -150,8 +150,7 @@ class TestSweepSpecValidation:
         def no_simulation(*args, **kwargs):
             raise AssertionError("Monte Carlo ran before the spec was rejected")
 
-        monkeypatch.setattr(ehrelay.sweeps, "mc_outage", no_simulation)
-        monkeypatch.setattr(ehrelay.sweeps, "mc_energy_outage", no_simulation)
+        monkeypatch.setattr(ehrelay.sweeps, "mc_outages", no_simulation)
         with pytest.raises(ValueError):
             _spec(param, values, (SchemeSpec("improved"),))
         text = ",".join(f"{v:g}" for v in values)
