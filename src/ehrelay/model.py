@@ -10,19 +10,20 @@ messages by a power allocation ratio theta.
 
 All arithmetic below is carried out in linear units (watts, dimensionless
 gains).  SystemParams converts its dBm / dBi inputs on every read, through
-properties: link_constants reads them once per configuration, link_snrs
-once per call (once per Monte Carlo chunk), and in_outage likewise rederives
-the SNR threshold from the rate on every call.
+properties: link_constants reads them once per configuration, the kernel
+once per call (once per stage and Monte Carlo chunk), and the outage tests
+likewise rederive the SNR threshold from the rate on every call.
 
 SchemeSpec is the catalogue of relay schemes: each id, its argument with
 default and range, and the "id:arg=value" text form live there only.
 
-The array kernel (scheme_controls, link_snrs, in_outage, in_energy_outage)
-writes into a KernelWorkspace when given one: the Monte Carlo simulator
-keeps one per block, so a chunk allocates no arrays except the five
-temporaries of broadcast_factors under the improved scheme's per-trial
-theta.  Without a workspace each call allocates its results, for scalar
-or array gains alike.
+The array kernel runs in two stages: split_stage, the theta-free work
+that all schemes at one operating point and power split share, and
+broadcast_stage, which adds a broadcast weight theta and counts outages.
+Both write into a KernelWorkspace: the Monte Carlo simulator keeps one per
+block, so a chunk allocates no arrays.  scheme_controls, link_snrs and
+in_outage are the same code cut at the controls and the SNRs; each call
+allocates its own results, for scalar or array gains alike.
 """
 
 from __future__ import annotations
@@ -258,13 +259,11 @@ def link_constants(params: SystemParams) -> LinkConstants:
 class KernelWorkspace:
     """Arrays the kernel below writes into, for batches of one shape.
 
-    scheme_controls, link_snrs, in_outage and in_energy_outage each take one
-    as ws.  Given one, they write every result and temporary into its arrays
-    instead of allocating, so a caller that evaluates batch after batch
-    allocates once.  Each call overwrites what the last call with the same
-    workspace returned; the uplink SNRs overwrite the decode fractions and
-    the downlink SNRs the harvest terms they are computed from.  Without a
-    workspace, each call allocates its own.
+    Each kernel function writes every result and temporary into its
+    arrays instead of allocating, so a caller that evaluates batch after
+    batch allocates once.  Each call overwrites what the last call with the
+    same workspace returned; the uplink SNRs overwrite the decode fractions,
+    and the downlink SNRs the harvest terms once pooled.
     """
 
     def __init__(self, shape) -> None:
@@ -272,29 +271,31 @@ class KernelWorkspace:
          self.theta, self.pooled, self.scratch) = (np.empty(shape) for _ in range(7))
         self.up_a, self.up_b = self.decode_a, self.decode_b
         self.down_a, self.down_b = self.harvest_a, self.harvest_b
-        self.ok = np.empty(shape, dtype=bool)
-        self.flag = np.empty(shape, dtype=bool)
+        self.ok, self.flag, self.uplink = (np.empty(shape, dtype=bool) for _ in range(3))
 
 
 def _workspace(*arrays) -> KernelWorkspace:
     return KernelWorkspace(np.broadcast_shapes(*(np.shape(x) for x in arrays)))
 
 
-def broadcast_factors(consts: LinkConstants, theta) -> tuple:
+def broadcast_factors(consts: LinkConstants, theta,
+                      ws: KernelWorkspace | None = None) -> tuple:
     """Downlink SNR coefficients (X_A, X_B) at weight theta (scalar or array).
 
     X_A carries (1-theta)^2 and X_B carries theta^2, both normalized by the
     total broadcast weight theta^2 + (1-theta)^2.  Each square is taken
-    once, and an array theta's temporaries are updated in place.
+    once; an array theta's temporaries are updated in place, in ws's down,
+    scratch and theta arrays when given, overwriting theta once read.
     """
-    x_a = 1.0 - theta
+    spare = ws is not None and getattr(theta, "ndim", 0)
+    x_a = np.subtract(1.0, theta, out=ws.down_a) if spare else 1.0 - theta
     x_a **= 2
-    x_b = theta ** 2
-    mix = x_b + x_a
+    x_b = np.square(theta, out=ws.down_b) if spare else theta ** 2
+    mix = np.add(x_b, x_a, out=ws.scratch) if spare else x_b + x_a
     x_a *= consts.harvest_gain
-    x_a /= consts.z_a * mix
+    x_a /= np.multiply(consts.z_a, mix, out=ws.theta) if spare else consts.z_a * mix
     x_b *= consts.harvest_gain
-    x_b /= consts.z_b * mix
+    x_b /= np.multiply(consts.z_b, mix, out=ws.theta) if spare else consts.z_b * mix
     return x_a, x_b
 
 
@@ -348,17 +349,6 @@ _THETA_HI = float(np.nextafter(1.0, 0.0))
 # depending on rounding direction.  True sub-threshold events sit a
 # continuum away, so the slack does not bias them measurably.
 _UPLINK_SLACK = 16.0 * float(np.finfo(np.float64).eps)
-
-
-def _knee_harvest(consts: LinkConstants, g_a, g_b, ws: KernelWorkspace) -> tuple:
-    """Harvest terms max(g - knee, 0)/Z of the adaptive schemes' knee split."""
-    harvest_a = np.subtract(g_a, consts.knee_a, out=ws.harvest_a)
-    np.maximum(harvest_a, 0.0, out=harvest_a)
-    harvest_a /= consts.z_a
-    harvest_b = np.subtract(g_b, consts.knee_b, out=ws.harvest_b)
-    np.maximum(harvest_b, 0.0, out=harvest_b)
-    harvest_b /= consts.z_b
-    return harvest_a, harvest_b
 
 
 def _check_rho(rho: float) -> None:
@@ -424,8 +414,65 @@ class SchemeSpec:
         return cls(scheme_id.strip(), args)
 
 
-def scheme_controls(consts: LinkConstants, scheme_id: str, canon: dict, g_a, g_b,
-                    ws: KernelWorkspace | None = None):
+def stage_keys(scheme_id: str, canon: dict) -> tuple:
+    """(rho, theta) of a scheme with canonical arguments canon: its power
+    split, None for the knee split, and its broadcast weight, None for the
+    per-trial equalizing one."""
+    if scheme_id == "static_equal":
+        return canon["rho"], 0.5
+    return None, canon.get("theta")
+
+
+def stage_point(params: SystemParams) -> tuple:
+    """The values of params that the two stages read, link_constants(params)
+    first: points alike in it, such as points alike but for quad_order, get
+    the same bits from one split_stage."""
+    return (link_constants(params), params.tx_power_w, params.noise_w,
+            params.snr_threshold, params.circuit_sensitivity_dbm is None,
+            params.sensitivity_w)
+
+
+def _power_split(consts: LinkConstants, rho, g_a, g_b, ws: KernelWorkspace) -> tuple:
+    """(decode_a, decode_b, harvest_a, harvest_b) at stage_keys split rho."""
+    if rho is not None:
+        harvest_a = np.multiply(g_a, rho, out=ws.harvest_a)
+        harvest_a /= consts.z_a
+        harvest_b = np.multiply(g_b, rho, out=ws.harvest_b)
+        harvest_b /= consts.z_b
+        return 1.0 - rho, 1.0 - rho, harvest_a, harvest_b
+    with np.errstate(divide="ignore"):
+        decode_a = np.divide(consts.knee_a, g_a, out=ws.decode_a)
+        decode_b = np.divide(consts.knee_b, g_b, out=ws.decode_b)
+    np.minimum(decode_a, 1.0, out=decode_a)
+    np.minimum(decode_b, 1.0, out=decode_b)
+    # The knee split harvests max(g - knee, 0)/Z.
+    harvest_a = np.subtract(g_a, consts.knee_a, out=ws.harvest_a)
+    np.maximum(harvest_a, 0.0, out=harvest_a)
+    harvest_a /= consts.z_a
+    harvest_b = np.subtract(g_b, consts.knee_b, out=ws.harvest_b)
+    np.maximum(harvest_b, 0.0, out=harvest_b)
+    harvest_b /= consts.z_b
+    return decode_a, decode_b, harvest_a, harvest_b
+
+
+def _equalizing_theta(consts: LinkConstants, g_a, g_b, ws: KernelWorkspace):
+    side_a = np.multiply(g_a, consts.z_b, out=ws.theta)
+    np.sqrt(side_a, out=side_a)
+    denom = np.multiply(g_b, consts.z_a, out=ws.scratch)
+    np.sqrt(denom, out=denom)
+    denom += side_a
+    # The denominator vanishes only where both gains do; skip the
+    # masking when no realization is such.
+    if denom.min(initial=math.inf) > 0.0:
+        theta = np.divide(side_a, denom, out=side_a)
+    else:
+        positive = denom > 0.0
+        side_a[...] = np.where(positive, side_a / np.where(positive, denom, 1.0), 0.5)
+        theta = side_a
+    return np.clip(theta, _THETA_LO, _THETA_HI, out=theta)
+
+
+def scheme_controls(consts: LinkConstants, scheme_id: str, canon: dict, g_a, g_b):
     """Control variables a relay scheme chooses for arrays of realizations.
 
     g_a and g_b are the squared channel gains |h_A|^2 and |h_B|^2; canon
@@ -441,41 +488,12 @@ def scheme_controls(consts: LinkConstants, scheme_id: str, canon: dict, g_a, g_b
     equalizes the two downlink SNRs; when both gains vanish every theta is
     an outage and the symmetric 0.5 is returned for determinism.
     """
-    if ws is None:
-        ws = _workspace(g_a, g_b)
-    if scheme_id == "static_equal":
-        rho = canon["rho"]
-        harvest_a = np.multiply(g_a, rho, out=ws.harvest_a)
-        harvest_a /= consts.z_a
-        harvest_b = np.multiply(g_b, rho, out=ws.harvest_b)
-        harvest_b /= consts.z_b
-        return 1.0 - rho, 1.0 - rho, harvest_a, harvest_b, 0.5
-
-    with np.errstate(divide="ignore"):
-        decode_a = np.divide(consts.knee_a, g_a, out=ws.decode_a)
-        decode_b = np.divide(consts.knee_b, g_b, out=ws.decode_b)
-    np.minimum(decode_a, 1.0, out=decode_a)
-    np.minimum(decode_b, 1.0, out=decode_b)
-    harvest_a, harvest_b = _knee_harvest(consts, g_a, g_b, ws)
-
-    if scheme_id == "dynamic_ps":
-        theta = canon["theta"]
-    else:
-        side_a = np.multiply(g_a, consts.z_b, out=ws.theta)
-        np.sqrt(side_a, out=side_a)
-        denom = np.multiply(g_b, consts.z_a, out=ws.scratch)
-        np.sqrt(denom, out=denom)
-        denom += side_a
-        # The denominator vanishes only where both gains do; skip the
-        # masking when no realization is such.
-        if denom.min(initial=math.inf) > 0.0:
-            theta = np.divide(side_a, denom, out=side_a)
-        else:
-            positive = denom > 0.0
-            side_a[...] = np.where(positive, side_a / np.where(positive, denom, 1.0), 0.5)
-            theta = side_a
-        np.clip(theta, _THETA_LO, _THETA_HI, out=theta)
-    return decode_a, decode_b, harvest_a, harvest_b, theta
+    ws = _workspace(g_a, g_b)
+    rho, theta = stage_keys(scheme_id, canon)
+    controls = _power_split(consts, rho, g_a, g_b, ws)
+    if theta is None:
+        theta = _equalizing_theta(consts, g_a, g_b, ws)
+    return (*controls, theta)
 
 
 def _rectenna_on(params: SystemParams, harvest, ws: KernelWorkspace, out):
@@ -484,17 +502,8 @@ def _rectenna_on(params: SystemParams, harvest, ws: KernelWorkspace, out):
     return np.greater_equal(power, params.sensitivity_w, out=out)
 
 
-def link_snrs(params: SystemParams, consts: LinkConstants, g_a, g_b,
-              controls, ws: KernelWorkspace | None = None) -> tuple:
-    """The four link SNRs (uplink_a, uplink_b, downlink_a, downlink_b).
-
-    controls is the tuple scheme_controls returns.  The broadcast runs on
-    the pooled harvest of both links; with a rectenna sensitivity set, a
-    link whose harvested RF power stays below it contributes nothing.
-    """
-    decode_a, decode_b, harvest_a, harvest_b, theta = controls
-    if ws is None:
-        ws = _workspace(g_a, g_b, *controls)
+def _uplinks(params: SystemParams, consts: LinkConstants, g_a, g_b, decode_a,
+             decode_b, ws: KernelWorkspace) -> tuple:
     snr_scale = params.tx_power_w / params.noise_w
     up_a = np.multiply(g_a, decode_a, out=ws.up_a)
     up_a *= snr_scale
@@ -502,49 +511,96 @@ def link_snrs(params: SystemParams, consts: LinkConstants, g_a, g_b,
     up_b = np.multiply(g_b, decode_b, out=ws.up_b)
     up_b *= snr_scale
     up_b /= consts.z_b
+    return up_a, up_b
 
+
+def _pooled(params: SystemParams, harvest_a, harvest_b, ws: KernelWorkspace):
+    """The pooled harvest the broadcast runs on (see link_snrs); when gated,
+    each link's rectenna test stays in ws.ok and ws.flag."""
     if params.circuit_sensitivity_dbm is None:
-        pooled = np.add(harvest_a, harvest_b, out=ws.pooled)
-    else:
-        pooled = np.multiply(harvest_a, _rectenna_on(params, harvest_a, ws, ws.ok),
-                             out=ws.pooled)
-        pooled += np.multiply(harvest_b, _rectenna_on(params, harvest_b, ws, ws.flag),
-                              out=ws.scratch)
+        return np.add(harvest_a, harvest_b, out=ws.pooled)
+    pooled = np.multiply(harvest_a, _rectenna_on(params, harvest_a, ws, ws.ok),
+                         out=ws.pooled)
+    pooled += np.multiply(harvest_b, _rectenna_on(params, harvest_b, ws, ws.flag),
+                          out=ws.scratch)
+    return pooled
 
-    x_a, x_b = broadcast_factors(consts, theta)
+
+def _downlinks(consts: LinkConstants, g_a, g_b, pooled, theta,
+               ws: KernelWorkspace) -> tuple:
+    x_a, x_b = broadcast_factors(consts, theta, ws)
     down_a = np.multiply(x_a, g_a, out=ws.down_a)
     down_a *= pooled
     down_b = np.multiply(x_b, g_b, out=ws.down_b)
     down_b *= pooled
-    return up_a, up_b, down_a, down_b
+    return down_a, down_b
 
 
-def in_outage(params: SystemParams, snrs, ws: KernelWorkspace | None = None):
-    """True where any of the four links misses the decoding threshold.
+def link_snrs(params: SystemParams, consts: LinkConstants, g_a, g_b,
+              controls) -> tuple:
+    """The four link SNRs (uplink_a, uplink_b, downlink_a, downlink_b).
 
-    Equality counts as success; the uplinks compare against a threshold
-    lowered by _UPLINK_SLACK so the knee splits of the adaptive schemes
-    resolve to success regardless of rounding direction.
+    controls is the tuple scheme_controls returns.  The broadcast runs on
+    the pooled harvest of both links; with a rectenna sensitivity set, a
+    link whose harvested RF power stays below it contributes nothing.
     """
+    decode_a, decode_b, harvest_a, harvest_b, theta = controls
+    ws = _workspace(g_a, g_b, *controls)
+    up_a, up_b = _uplinks(params, consts, g_a, g_b, decode_a, decode_b, ws)
+    pooled = _pooled(params, harvest_a, harvest_b, ws)
+    return (up_a, up_b, *_downlinks(consts, g_a, g_b, pooled, theta, ws))
+
+
+def _uplinks_clear(params: SystemParams, up_a, up_b, ws: KernelWorkspace) -> None:
+    """Leave in ws.uplink where both uplinks decode, at a threshold lowered
+    by _UPLINK_SLACK: the adaptive knee splits succeed however they round."""
+    bar = params.snr_threshold * (1.0 - _UPLINK_SLACK)
+    np.greater_equal(up_a, bar, out=ws.uplink)
+    ws.uplink &= np.greater_equal(up_b, bar, out=ws.flag)
+
+
+def _all_clear(params: SystemParams, down_a, down_b, ws: KernelWorkspace):
+    """True where all four links decode, by ws.uplink for the uplinks;
+    equality counts as success."""
+    ok = np.greater_equal(down_a, params.snr_threshold, out=ws.ok)
+    ok &= np.greater_equal(down_b, params.snr_threshold, out=ws.flag)
+    ok &= ws.uplink
+    return ok
+
+
+def in_outage(params: SystemParams, snrs):
+    """True where any of the four links misses the decoding threshold, by
+    the tests of the two stages below."""
     up_a, up_b, down_a, down_b = snrs
-    if ws is None:
-        ws = _workspace(*snrs)
-    gamma_th = params.snr_threshold
-    uplink_bar = gamma_th * (1.0 - _UPLINK_SLACK)
-    ok = np.greater_equal(up_a, uplink_bar, out=ws.ok)
-    ok &= np.greater_equal(up_b, uplink_bar, out=ws.flag)
-    ok &= np.greater_equal(down_a, gamma_th, out=ws.flag)
-    ok &= np.greater_equal(down_b, gamma_th, out=ws.flag)
+    ws = _workspace(*snrs)
+    _uplinks_clear(params, up_a, up_b, ws)
+    ok = _all_clear(params, down_a, down_b, ws)
     return np.logical_not(ok, out=ok)
 
 
-def in_energy_outage(params: SystemParams, consts: LinkConstants, g_a, g_b,
-                     ws: KernelWorkspace | None = None):
-    """True where neither link's knee-split harvest reaches the rectenna
-    sensitivity, by the rectenna test link_snrs applies."""
-    if ws is None:
-        ws = _workspace(g_a, g_b)
-    harvest_a, harvest_b = _knee_harvest(consts, g_a, g_b, ws)
-    active = _rectenna_on(params, harvest_a, ws, ws.ok)
-    active |= _rectenna_on(params, harvest_b, ws, ws.flag)
+def split_stage(params: SystemParams, consts: LinkConstants, rho, g_a, g_b,
+                ws: KernelWorkspace) -> None:
+    """The theta-free kernel work at one operating point and stage_keys
+    split rho: leaves in ws the uplink verdict and pooled harvest that each
+    broadcast_stage after it reads, and the rectenna tests, if gated."""
+    decode_a, decode_b, harvest_a, harvest_b = _power_split(consts, rho, g_a, g_b, ws)
+    _uplinks_clear(params, *_uplinks(params, consts, g_a, g_b, decode_a, decode_b, ws), ws)
+    _pooled(params, harvest_a, harvest_b, ws)
+
+
+def broadcast_stage(params: SystemParams, consts: LinkConstants, theta, g_a, g_b,
+                    ws: KernelWorkspace) -> int:
+    """The outage count at stage_keys weight theta after the last
+    split_stage in ws, whose results alone it leaves in place."""
+    if theta is None:
+        theta = _equalizing_theta(consts, g_a, g_b, ws)
+    ok = _all_clear(params, *_downlinks(consts, g_a, g_b, ws.pooled, theta, ws), ws)
+    return ok.size - int(np.count_nonzero(ok))
+
+
+def rectennas_off(ws: KernelWorkspace):
+    """The energy outage after a gated knee split_stage in ws: true where
+    neither link's rectenna test passed."""
+    active = np.logical_or(ws.ok, ws.flag, out=ws.ok)
     return np.logical_not(active, out=active)
+

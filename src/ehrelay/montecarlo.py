@@ -25,9 +25,11 @@ whole-block pass, while a block never holds a block-sized array and its
 working set fits in a core's cache.
 
 mc_outages runs a batch of cells, such as all cells of a sweep, on each
-chunk drawn once, one cell's kernel after another in the one workspace.
-Each cell gets the bits it gets alone; the cells read common random
-numbers, so the errors of one batch's estimates are correlated.
+chunk drawn once.  Its cells are grouped once per batch by operating point
+and power split; per chunk, a group runs model.split_stage once, then one
+model.broadcast_stage, reduced to a count, per distinct theta.  Each cell
+gets the bits it gets alone; the cells read common random numbers, so the
+errors of one batch's estimates are correlated.
 """
 
 from __future__ import annotations
@@ -42,8 +44,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (KernelWorkspace, SchemeSpec, SystemParams, in_energy_outage,
-                    in_outage, link_constants, link_snrs, scheme_controls)
+from .model import (KernelWorkspace, SchemeSpec, SystemParams, broadcast_stage,
+                    rectennas_off, split_stage, stage_keys, stage_point)
 from .numerics import sample_exponential
 
 BLOCK_TRIALS = 1 << 18
@@ -125,20 +127,19 @@ def _chunks(params: SystemParams, seed: int, block_index: int, count: int):
 
 
 def _outage_block(cells: tuple, seed: int, block_index: int, count: int) -> list:
-    """Each _prepared cell's outage count over one block, energy outages for
-    ENERGY_OUTAGE; the gains are drawn at the first cell's fading means."""
-    hits = [0] * len(cells)
-    for g_a, g_b, ws in _chunks(cells[0][0], seed, block_index, count):
-        for i, (params, consts, scheme_id, canon) in enumerate(cells):
-            if scheme_id == ENERGY_OUTAGE:
-                outage = in_energy_outage(params, consts, g_a, g_b, ws)
-            else:
-                controls = scheme_controls(consts, scheme_id, canon, g_a, g_b, ws)
-                outage = in_outage(params, link_snrs(params, consts, g_a, g_b,
-                                                     controls, ws), ws)
-            # Reduced to a count before the next cell overwrites ws.
-            hits[i] += int(np.count_nonzero(outage))
-    return hits
+    """Each cell's outage count over one block, the energy outage's for an
+    ENERGY_OUTAGE cell; cells is a batch as _plan lays it out, and the gains
+    are drawn at its first group's fading means."""
+    groups, slots = cells
+    hits = [0] * (max(slots) + 1)
+    for g_a, g_b, ws in _chunks(groups[0][0], seed, block_index, count):
+        for params, consts, rho, thetas in groups:
+            split_stage(params, consts, rho, g_a, g_b, ws)
+            for slot, theta in thetas:
+                hits[slot] += (int(np.count_nonzero(rectennas_off(ws)))
+                               if theta == ENERGY_OUTAGE else
+                               broadcast_stage(params, consts, theta, g_a, g_b, ws))
+    return [hits[slot] for slot in slots]
 
 
 def _block_layout(trials: int) -> list[tuple[int, int]]:
@@ -228,7 +229,8 @@ atexit.register(_drop_pool)
 
 
 def _run_blocks(cells: tuple, cfg: McConfig) -> list:
-    """Each cell's outage count, summed over the trial blocks."""
+    """Each cell's outage count, summed over the trial blocks; cells is a
+    batch as _plan lays it out."""
     layout = _block_layout(cfg.trials)
     workers = _worker_count(cfg.shards, _usable_cores(), len(layout))
     if workers == 1 or not _may_fork():
@@ -258,13 +260,34 @@ def _estimate(hits: int, trials: int) -> McEstimate:
                       trials=trials)
 
 
-def _prepared(params: SystemParams, scheme_id: str, scheme_args) -> tuple:
-    """A cell checked and made (params, consts, scheme_id, canon)."""
-    if scheme_id == ENERGY_OUTAGE and params.circuit_sensitivity_dbm is None:
-        raise ValueError("energy outage requires circuit_sensitivity_dbm")
-    canon = (None if scheme_id == ENERGY_OUTAGE
-             else SchemeSpec(scheme_id, scheme_args or {}).canonical())
-    return params, link_constants(params), scheme_id, canon
+def _plan(cells) -> tuple:
+    """Check cells (params, scheme_id, scheme_args); lay them out as
+    (groups, slots).  A group (params, consts, rho, thetas) is one split
+    stage: a point, the model.stage_point of params, and its stage_keys rho,
+    with each distinct theta and the index of its count; an energy cell's
+    theta is ENERGY_OUTAGE, in its point's knee group.  slots holds each
+    cell's count index, one for all cells alike in what the kernel reads.
+    """
+    groups, slot_of, slots = {}, {}, []
+    for params, scheme_id, scheme_args in cells:
+        if scheme_id != ENERGY_OUTAGE:
+            rho, theta = stage_keys(scheme_id,
+                                    SchemeSpec(scheme_id, scheme_args or {}).canonical())
+        elif params.circuit_sensitivity_dbm is None:
+            raise ValueError("energy outage requires circuit_sensitivity_dbm")
+        elif scheme_args:
+            raise ValueError(f"unsupported arguments for {ENERGY_OUTAGE!r}: "
+                             f"{sorted(scheme_args)}")
+        else:
+            rho, theta = None, ENERGY_OUTAGE
+        point = stage_point(params)
+        if (point, rho, theta) not in slot_of:
+            slot = slot_of[point, rho, theta] = len(slot_of)
+            thetas = groups.setdefault((point, rho), (params, point[0], rho, []))[3]
+            # The rectenna tests are read before a broadcast overwrites them.
+            thetas.insert(0 if theta == ENERGY_OUTAGE else len(thetas), (slot, theta))
+        slots.append(slot_of[point, rho, theta])
+    return tuple(groups.values()), tuple(slots)
 
 
 def mc_outages(cells, cfg: McConfig) -> list:
@@ -272,12 +295,13 @@ def mc_outages(cells, cfg: McConfig) -> list:
     gives it, or as mc_energy_outage where scheme_id is ENERGY_OUTAGE.  All
     cells are checked before any trial runs, and must share the fading means.
     """
-    cells = tuple(_prepared(*cell) for cell in cells)
+    cells = tuple(cells)
+    plan = _plan(cells)
     if len({(p.fading_mean_a, p.fading_mean_b) for p, *_ in cells}) > 1:
         raise ValueError("the cells of one batch must share fading_mean_a and fading_mean_b")
     if not cells:
         return []
-    return [_estimate(hits, cfg.trials) for hits in _run_blocks(cells, cfg)]
+    return [_estimate(hits, cfg.trials) for hits in _run_blocks(plan, cfg)]
 
 
 def mc_outage(params: SystemParams, scheme_id: str, scheme_args,
@@ -293,8 +317,9 @@ def mc_outage(params: SystemParams, scheme_id: str, scheme_args,
 def mc_energy_outage(params: SystemParams, cfg: McConfig) -> McEstimate:
     """Estimate the probability that both links miss the rectenna threshold.
 
-    Links harvest under the knee split; link_snrs's rectenna test decides
-    (model.in_energy_outage).  params must set circuit_sensitivity_dbm.
+    Links harvest under the knee split; the rectenna tests of its
+    model.split_stage decide (model.rectennas_off).  params must set
+    circuit_sensitivity_dbm.
     """
     return mc_outages([(params, ENERGY_OUTAGE, None)], cfg)[0]
 

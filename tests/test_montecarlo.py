@@ -32,10 +32,11 @@ from ehrelay import (
     relative_error,
 )
 from ehrelay import montecarlo, sweeps
-from ehrelay.model import SchemeSpec, in_outage, link_snrs, scheme_controls
+from ehrelay.model import (SchemeSpec, broadcast_stage, in_outage, link_constants,
+                           link_snrs, scheme_controls, split_stage)
 from ehrelay.montecarlo import (BLOCK_TRIALS, CHUNK_TRIALS, ENERGY_OUTAGE,
                                 _block_layout, _block_rng, _chunks, _outage_block,
-                                _prepared, _splitmix64, _usable_cores,
+                                _plan, _splitmix64, _usable_cores,
                                 _worker_count, mc_outages)
 from ehrelay.numerics import sample_exponential
 
@@ -154,12 +155,9 @@ class TestBlockEvaluation:
                              ids=["ideal", "gated-20dBm"])
     @pytest.mark.parametrize("scheme_id", SCHEMES)
     def test_chunks_count_like_the_whole_block(self, params, scheme_id):
-        consts = derive_constants(params, 0.5)
-        canon = SchemeSpec(scheme_id).canonical()
         for count in (1, CHUNK_TRIALS - 1, CHUNK_TRIALS + 1, 213_568,
                       BLOCK_TRIALS):
-            chunked, = _outage_block(((params, consts, scheme_id, canon),),
-                                     5, 3, count)
+            chunked, = _outage_block(_plan([(params, scheme_id, None)]), 5, 3, count)
             assert chunked == _whole_block_hits(params, scheme_id, 5, 3, count)
 
     def test_chunk_stream_is_the_whole_block_draws(self):
@@ -181,10 +179,8 @@ class TestBlockEvaluation:
 
     def test_block_never_holds_a_block_sized_array(self):
         for params in (DEFAULTS, GATED):
-            consts = derive_constants(params, 0.5)
             for scheme_id in SCHEMES:
-                canon = SchemeSpec(scheme_id).canonical()
-                cells = ((params, consts, scheme_id, canon),)
+                cells = _plan([(params, scheme_id, None)])
                 assert _traced_peak(lambda: _outage_block(cells, 5, 3, BLOCK_TRIALS)) \
                     < ONE_BLOCK_ARRAY, (params, scheme_id)
         energy = McConfig(trials=BLOCK_TRIALS, seed=5)
@@ -207,6 +203,26 @@ MIXED_BATCH = (*((params, scheme_id, None) for params in (DEFAULTS, GATED)
                  for scheme_id in SCHEMES),
                (GATED, ENERGY_OUTAGE, None))
 
+# Two operating points interleaved; cells alike but for quad_order, or
+# alike outright; one theta at both points; static_equal at two rhos; and
+# an energy cell between the cells of its knee-split group.
+_M2 = dataclasses.replace(DEFAULTS, quad_order=2)
+GROUPED_BATCH = (
+    (DEFAULTS, "dynamic_ps", {"theta": 0.3}),
+    (GATED, "improved", None),
+    (_M2, "dynamic_ps", {"theta": 0.3}),
+    (DEFAULTS, "static_equal", {"rho": 0.3}),
+    (GATED, ENERGY_OUTAGE, None),
+    (GATED, "dynamic_ps", {"theta": 0.3}),
+    (_M2, "improved", {}),
+    (DEFAULTS, "static_equal", {"rho": 0.7}),
+    (DEFAULTS, "improved", None),
+    (GATED, "static_equal", None),
+    (DEFAULTS, "dynamic_ps", {"theta": 0.3}),
+    (GATED, "dynamic_ps", None),
+    (_M2, "static_equal", {"rho": 0.3}),
+)
+
 
 def _alone(cell, cfg):
     params, scheme_id, args = cell
@@ -216,10 +232,54 @@ def _alone(cell, cfg):
 
 
 class TestBatch:
-    @pytest.mark.parametrize("shards", [1, 2, 8])
-    def test_a_mixed_batch_equals_its_cells_alone(self, shards):
+    @pytest.mark.parametrize("batch,shards", [
+        *(pytest.param(MIXED_BATCH, s, id=str(s)) for s in (1, 2, 8)),
+        *(pytest.param(GROUPED_BATCH, s, id=f"grouped-{s}") for s in (1, 2, 8))])
+    def test_a_mixed_batch_equals_its_cells_alone(self, batch, shards):
         cfg = McConfig(trials=2 * BLOCK_TRIALS + 12345, seed=7, shards=shards)
-        assert mc_outages(MIXED_BATCH, cfg) == [_alone(c, cfg) for c in MIXED_BATCH]
+        assert mc_outages(batch, cfg) == [_alone(c, cfg) for c in batch]
+
+    def test_a_permuted_batch_gives_each_cell_its_estimate(self):
+        cfg = McConfig(trials=REF_TRIALS, seed=REF_SEED)
+        want = mc_outages(GROUPED_BATCH, cfg)
+        order = np.random.default_rng(3).permutation(len(GROUPED_BATCH))
+        assert mc_outages([GROUPED_BATCH[i] for i in order], cfg) == \
+            [want[i] for i in order]
+
+    def test_cells_share_their_stages(self, monkeypatch):
+        splits, broadcasts = [], []
+
+        def split(params, consts, rho, *rest):
+            splits.append(rho)
+            return split_stage(params, consts, rho, *rest)
+
+        def broadcast(params, consts, theta, *rest):
+            broadcasts.append(theta)
+            return broadcast_stage(params, consts, theta, *rest)
+
+        monkeypatch.setattr(montecarlo, "split_stage", split)
+        monkeypatch.setattr(montecarlo, "broadcast_stage", broadcast)
+        one_chunk = McConfig(trials=CHUNK_TRIALS, seed=1)
+        # fig 3's cells differ only in M; fig 4's 17 thetas share one knee
+        # split; fig 5's 4 adaptive cells per power share theirs, and its
+        # 3 static rhos each split alone.
+        for n, knee_splits, all_splits, cells in ((3, 1, 1, 1), (4, 1, 1, 17),
+                                                  (5, 5, 20, 35)):
+            splits.clear()
+            broadcasts.clear()
+            sweeps.fig(n, mc=one_chunk)
+            assert (splits.count(None), len(splits), len(broadcasts)) == \
+                (knee_splits, all_splits, cells), n
+
+    def test_equal_params_that_round_apart_keep_their_own_counts(self):
+        # np.float32(-90.0) == -90.0, yet its noise power rounds apart.
+        narrow = dataclasses.replace(DEFAULTS, noise_dbm=np.float32(-90.0))
+        assert narrow == DEFAULTS
+        cells = [(DEFAULTS, "improved", None), (narrow, "improved", None)]
+        groups, slots = _plan(cells)
+        assert (len(groups), slots) == (2, (0, 1))
+        cfg = McConfig(trials=CHUNK_TRIALS, seed=1)
+        assert mc_outages(cells, cfg) == [_alone(c, cfg) for c in cells]
 
     def test_a_batch_reproduces_the_frozen_hits(self):
         cfg = McConfig(trials=REF_TRIALS, seed=REF_SEED)
@@ -238,19 +298,33 @@ class TestBatch:
          "fading_mean"),
         ([(GATED, "improved", None), (DEFAULTS, ENERGY_OUTAGE, None)],
          "circuit_sensitivity_dbm"),
-    ], ids=["fading-means", "ungated-energy"])
+        ([(GATED, "improved", None), (GATED, ENERGY_OUTAGE, {"theta": 0.3})],
+         r"unsupported arguments for 'energy_outage': \['theta'\]"),
+    ], ids=["fading-means", "ungated-energy", "energy-arguments"])
     def test_a_bad_cell_fails_before_any_draw(self, cells, match, monkeypatch):
         monkeypatch.setattr(montecarlo, "_chunks", _no_draws)
         with pytest.raises(ValueError, match=match):
             mc_outages(cells, McConfig(trials=10))
 
+    @pytest.mark.parametrize("params", [DEFAULTS, GATED], ids=["ideal", "gated-20dBm"])
+    def test_an_improved_chunk_allocates_no_chunk_array(self, params):
+        # The gains and the workspace exist before the trace, as in a block.
+        g_a, g_b, ws = next(_chunks(params, 5, 3, CHUNK_TRIALS))
+        consts = link_constants(params)
+
+        def staged():
+            split_stage(params, consts, None, g_a, g_b, ws)
+            broadcast_stage(params, consts, None, g_a, g_b, ws)
+
+        assert _traced_peak(staged) < CHUNK_TRIALS * 8
+
     def test_a_fig5_block_never_holds_a_block_sized_array(self):
         spec = sweeps.FIGURES[5]
-        cells = tuple(_prepared(dataclasses.replace(spec.base, tx_power_dbm=v),
-                                scheme.scheme_id, scheme.args)
-                      for v in spec.values for scheme in spec.schemes)
+        cells = [(dataclasses.replace(spec.base, tx_power_dbm=v), scheme.scheme_id,
+                  scheme.args) for v in spec.values for scheme in spec.schemes]
         assert len(cells) == 35
-        assert _traced_peak(lambda: _outage_block(cells, 5, 3, BLOCK_TRIALS)) \
+        plan = _plan(cells)
+        assert _traced_peak(lambda: _outage_block(plan, 5, 3, BLOCK_TRIALS)) \
             < ONE_BLOCK_ARRAY
 
     def test_a_sweep_draws_each_chunk_once(self, monkeypatch):
