@@ -11,7 +11,6 @@ import argparse
 import dataclasses
 import json
 import sys
-from dataclasses import replace
 
 from .model import SchemeSpec, SystemParams, derive_constants
 from .montecarlo import McConfig
@@ -30,12 +29,6 @@ _OVERRIDE_FLAGS = {_RENAMED.get(f.name, f.name): f.name
                    for f in dataclasses.fields(SystemParams)}
 _FLAG_HELP = {"rate": "transmission rate in bit/s/Hz", "beta": "time allocation ratio",
               "m": "quadrature order", "sensitivity_dbm": "rectenna circuit sensitivity"}
-
-def _parse_values(text: str) -> tuple:
-    values = tuple(float(v) for v in text.split(",") if v.strip())
-    if not values:
-        raise ValueError("expected a comma-separated list of values")
-    return values
 
 
 def _add_common_flags(parser: argparse.ArgumentParser, *, mc: bool,
@@ -117,7 +110,8 @@ def cmd_sweep(args) -> int:
         if scheme.scheme_id == "dynamic_ps" and not scheme.args:
             scheme = SchemeSpec("dynamic_ps", {"theta": _theta(args)})
         schemes.append(scheme)
-    spec = SweepSpec(swept_param=args.param, values=_parse_values(args.values),
+    values = tuple(float(v) for v in args.values.split(",") if v.strip())
+    spec = SweepSpec(swept_param=args.param, values=values,
                      schemes=tuple(schemes), base=params, mc=cfg)
     _emit_result(run_sweep(spec), args)
     return 0

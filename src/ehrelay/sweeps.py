@@ -18,9 +18,10 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
-from .model import SchemeSpec, SystemParams, check_theta, link_constants
+from .model import (SchemeSpec, SystemParams, check_theta, link_constants,
+                    real_number)
 from .montecarlo import ENERGY_OUTAGE, McConfig, mc_outages, relative_error
 from .outage import (energy_outage, outage_capacity, outage_dynamic_ps,
                      outage_improved)
@@ -67,7 +68,7 @@ class SweepSpec:
     mc: McConfig
 
     def __post_init__(self) -> None:
-        values = tuple(float(v) for v in self.values)
+        values = tuple(real_number(f"values[{i}]", v) for i, v in enumerate(self.values))
         if not values:
             raise ValueError("values must be nonempty")
         if any(b <= a for a, b in zip(values, values[1:])):
@@ -211,6 +212,8 @@ def fig(n: int, overrides: dict | None = None,
     """
     if n not in FIGURES:
         raise ValueError(f"figure index must be one of {tuple(FIGURES)}, got {n!r}")
+    if unknown := sorted(set(overrides or {}) - {f.name for f in fields(SystemParams)}):
+        raise ValueError(f"overrides name no SystemParams field: {unknown}")
     spec = FIGURES[n]
     return run_sweep(replace(spec, base=replace(spec.base, **(overrides or {})),
                              mc=mc if mc is not None else spec.mc))

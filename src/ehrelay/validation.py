@@ -2,7 +2,9 @@
 
 Every criterion function is deterministic: fixed seeds, fixed grids, fixed
 trial budgets.  Timings go to stderr only, so the rendered report is
-byte-stable across runs and shard counts.
+byte-stable across runs and shard counts.  Criteria 5 and 6 run the one
+array kernel the simulator runs, model.split_stage then broadcast_stage,
+and read the SNRs and harvest terms it leaves in its KernelWorkspace.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import (SystemParams, broadcast_factors, derive_constants,
-                    link_constants, link_snrs, scheme_controls)
+from .model import (KernelWorkspace, SystemParams, broadcast_factors,
+                    broadcast_stage, derive_constants, link_constants, split_stage)
 from .montecarlo import McConfig, mc_outage, mc_outages, relative_error
 from .outage import (CaseFourGeometry, Scenario, _boundary_gain_a,
                      _boundary_gain_b, case4_geometry, cdf_t2_array,
@@ -149,13 +151,13 @@ def criterion_theta_optimality() -> CriterionResult:
     rng = np.random.default_rng(41)
     g_a, g_b = rng.exponential((params.fading_mean_a, params.fading_mean_b),
                                size=(200, 2)).T
-    controls = scheme_controls(consts, "improved", {}, g_a, g_b)
-    _, _, down_a, down_b = link_snrs(params, consts, g_a, g_b, controls)
-    best = np.minimum(down_a, down_b)
+    ws = KernelWorkspace(g_a.shape)
+    split_stage(params, consts, None, g_a, g_b, ws)
+    broadcast_stage(params, consts, None, g_a, g_b, ws)
+    best = np.minimum(ws.down_a, ws.down_b)
     grid = np.linspace(0.001, 0.999, 999)[:, None]
     x_a, x_b = broadcast_factors(consts, grid)
-    pooled = controls[2] + controls[3]
-    grid_best = (np.minimum(x_a * g_a, x_b * g_b) * pooled).max(axis=0)
+    grid_best = (np.minimum(x_a * g_a, x_b * g_b) * ws.pooled).max(axis=0)
     resolved = grid_best > 0.0
     worst = float(((best[resolved] - grid_best[resolved]) / grid_best[resolved])
                   .min(initial=math.inf))
@@ -186,23 +188,24 @@ def criterion_rho_optimality() -> CriterionResult:
         gains.append((g_a, g_b))
         scalings.append(rng.random((1000, 2)))
     g_a, g_b = np.array(gains).T
-    controls = scheme_controls(consts, "dynamic_ps", {"theta": 0.5}, g_a, g_b)
-    decode_a, decode_b, harvest_a, harvest_b, theta = controls
-    _, _, down_a, down_b = link_snrs(params, consts, g_a, g_b, controls)
-    best = np.minimum(down_a, down_b)
+    ws = KernelWorkspace(g_a.shape)
+    split_stage(params, consts, None, g_a, g_b, ws)
+    # The broadcast writes its downlink SNRs over the harvest terms.
+    harvest_a, harvest_b = ws.harvest_a.copy(), ws.harvest_b.copy()
+    broadcast_stage(params, consts, 0.5, g_a, g_b, ws)
+    best = np.minimum(ws.down_a, ws.down_b)
     # A smaller split harvests a fraction of each knee-split harvest term.
     draws = np.array(scalings)
     harvest = draws[:, :, 0] * harvest_a[:, None] + draws[:, :, 1] * harvest_b[:, None]
-    x_a, x_b = broadcast_factors(consts, theta)
+    x_a, x_b = broadcast_factors(consts, 0.5)
     sampled_best = (np.minimum(x_a * g_a, x_b * g_b)[:, None] * harvest).max(axis=1)
     beaten = int(np.count_nonzero(sampled_best > best * (1.0 + 1e-12)))
     uplink_ok = True
     for excess in (1e-6, 0.5, 1.0):
-        # Splitting past the knee leaves (1 - excess) of the decode fraction.
-        over = (decode_a * (1.0 - excess), decode_b * (1.0 - excess),
-                harvest_a, harvest_b, theta)
-        up_a, up_b, _, _ = link_snrs(params, consts, g_a, g_b, over)
-        uplink_ok &= bool(np.all(up_a < gamma_th) and np.all(up_b < gamma_th))
+        # Splitting past the knee leaves (1 - excess) of the decode fraction,
+        # and so of each knee-split uplink SNR.
+        uplink_ok &= bool(np.all(ws.up_a * (1.0 - excess) < gamma_th)
+                          and np.all(ws.up_b * (1.0 - excess) < gamma_th))
     detail = (f"realizations beaten by sampled splits={beaten}/200; "
               f"over-split uplink always below threshold={uplink_ok}")
     return CriterionResult(6, "split-ratio-optimality",

