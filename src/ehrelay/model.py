@@ -10,9 +10,8 @@ messages by a power allocation ratio theta.
 
 All arithmetic below is carried out in linear units (watts, dimensionless
 gains).  SystemParams converts its dBm / dBi inputs on every read, through
-properties: link_constants reads them once per configuration, the kernel
-once per call (once per stage and Monte Carlo chunk), and the outage tests
-likewise rederive the SNR threshold from the rate on every call.
+properties; link_constants reads them once per configuration, and the
+array kernel reads only the LinkConstants it returns.
 
 SchemeSpec is the catalogue of relay schemes: each id, its argument with
 default and range, and the "id:arg=value" text form live there only.
@@ -169,8 +168,8 @@ class SystemParams:
 class LinkConstants:
     """Precomputed linear-unit symbols of one configuration, free of theta.
 
-    The simulator, the improved scheme's closed form and the energy outage
-    read only these; the dynamic-PS closed form adds a theta part on top.
+    All that the array kernel reads of an operating point; the closed forms
+    read them too, and the dynamic-PS closed form adds a theta part on top.
     """
 
     z_a: float            # d_i^alpha / Lambda_i, Lambda_i the antenna/path factor
@@ -188,6 +187,10 @@ class LinkConstants:
     a_rate_b: float
     a_o: float            # varpi^2 * Z_A * Z_B * gamma_th / Y
     b_o: float            # varpi^2 * Z_A * Z_B + gamma_th / Y
+    snr_threshold: float  # gamma_th
+    snr_scale: float      # P / sigma^2
+    tx_power_w: float     # P
+    sensitivity_w: float  # rectenna threshold P_th; 0.0 for the ideal rectenna
 
 
 @dataclass(frozen=True)
@@ -261,6 +264,8 @@ def link_constants(params: SystemParams) -> LinkConstants:
         a_rate_a=z_a / params.fading_mean_a, a_rate_b=z_b / params.fading_mean_b,
         a_o=varpi_sq * z_a * z_b * gamma_th / y_big,
         b_o=varpi_sq * z_a * z_b + gamma_th / y_big,
+        snr_threshold=gamma_th, snr_scale=p_w / n_w, tx_power_w=p_w,
+        sensitivity_w=params.sensitivity_w,
     )
 
 
@@ -324,8 +329,7 @@ def derive_constants(params: SystemParams, theta: float,
     check_theta(theta)
     if link is None:
         link = link_constants(params)
-    z_a, z_b, varpi = link.z_a, link.z_b, link.varpi
-    gamma_th = params.snr_threshold
+    z_a, z_b, varpi, gamma_th = link.z_a, link.z_b, link.varpi, link.snr_threshold
     x_factor_a, x_factor_b = broadcast_factors(link, theta)
     delta_a = 0.5 * (varpi + math.sqrt(varpi ** 2 + 4.0 * gamma_th / (z_a * x_factor_a))) * z_a
     delta_b = 0.5 * (varpi + math.sqrt(varpi ** 2 + 4.0 * gamma_th / (z_b * x_factor_b))) * z_b
@@ -409,7 +413,7 @@ class SchemeSpec:
 
     @classmethod
     def parse(cls, text: str) -> SchemeSpec:
-        """The spec a label() text names."""
+        """The spec a label() text names; a key given twice raises ValueError."""
         scheme_id, _, arg_part = text.partition(":")
         args = {}
         if arg_part:
@@ -417,7 +421,9 @@ class SchemeSpec:
                 key, sep, value = piece.partition("=")
                 if not sep:
                     raise ValueError(f"bad scheme argument {piece!r}; expected key=value")
-                args[key.strip()] = float(value)
+                if (key := key.strip()) in args:
+                    raise ValueError(f"scheme argument {key!r} is given twice in {text!r}")
+                args[key] = float(value)
         return cls(scheme_id.strip(), args)
 
 
@@ -428,15 +434,6 @@ def stage_keys(scheme_id: str, canon: dict) -> tuple:
     if scheme_id == "static_equal":
         return canon["rho"], 0.5
     return None, canon.get("theta")
-
-
-def stage_point(params: SystemParams) -> tuple:
-    """The values of params that the two stages read, link_constants(params)
-    first: points alike in it, such as points alike but for quad_order, get
-    the same bits from one split_stage."""
-    return (link_constants(params), params.tx_power_w, params.noise_w,
-            params.snr_threshold, params.circuit_sensitivity_dbm is None,
-            params.sensitivity_w)
 
 
 def _power_split(consts: LinkConstants, rho, g_a, g_b, ws: KernelWorkspace) -> tuple:
@@ -485,56 +482,53 @@ def _equalizing_theta(consts: LinkConstants, g_a, g_b, ws: KernelWorkspace):
     return np.clip(theta, _THETA_LO, _THETA_HI, out=theta)
 
 
-def _rectenna_on(params: SystemParams, harvest, ws: KernelWorkspace, out):
+def _rectenna_on(consts: LinkConstants, harvest, ws: KernelWorkspace, out):
     """True where a link's harvested RF power reaches the rectenna sensitivity."""
-    power = np.multiply(harvest, params.tx_power_w, out=ws.scratch)
-    return np.greater_equal(power, params.sensitivity_w, out=out)
+    power = np.multiply(harvest, consts.tx_power_w, out=ws.scratch)
+    return np.greater_equal(power, consts.sensitivity_w, out=out)
 
 
-def _uplinks_clear(params: SystemParams, up_a, up_b, ws: KernelWorkspace) -> None:
+def _uplinks_clear(consts: LinkConstants, up_a, up_b, ws: KernelWorkspace) -> None:
     """Leave in ws.uplink where both uplinks decode, at a threshold lowered
     by _UPLINK_SLACK: the adaptive knee splits succeed however they round."""
-    bar = params.snr_threshold * (1.0 - _UPLINK_SLACK)
+    bar = consts.snr_threshold * (1.0 - _UPLINK_SLACK)
     np.greater_equal(up_a, bar, out=ws.uplink)
     ws.uplink &= np.greater_equal(up_b, bar, out=ws.flag)
 
 
-def _all_clear(params: SystemParams, down_a, down_b, ws: KernelWorkspace):
+def _all_clear(consts: LinkConstants, down_a, down_b, ws: KernelWorkspace):
     """True where all four links decode, by ws.uplink for the uplinks;
     equality counts as success."""
-    ok = np.greater_equal(down_a, params.snr_threshold, out=ws.ok)
-    ok &= np.greater_equal(down_b, params.snr_threshold, out=ws.flag)
+    ok = np.greater_equal(down_a, consts.snr_threshold, out=ws.ok)
+    ok &= np.greater_equal(down_b, consts.snr_threshold, out=ws.flag)
     ok &= ws.uplink
     return ok
 
 
-def split_stage(params: SystemParams, consts: LinkConstants, rho, g_a, g_b,
-                ws: KernelWorkspace) -> None:
-    """The theta-free kernel work at one operating point and stage_keys
-    split rho, for squared channel gains g_a and g_b: leaves in ws the
-    uplink SNRs (up_a, up_b), their verdict (uplink), the harvest terms
-    and their pooled sum (pooled), which each broadcast_stage after it
+def split_stage(consts: LinkConstants, rho, g_a, g_b, ws: KernelWorkspace) -> None:
+    """The theta-free kernel work at the operating point of consts and
+    stage_keys split rho, for squared channel gains g_a and g_b: leaves in
+    ws the uplink SNRs (up_a, up_b), their verdict (uplink), the harvest
+    terms and their pooled sum (pooled), which each broadcast_stage after it
     reads.  When gated, a link whose RF harvest misses the rectenna
     sensitivity adds nothing to the pool; each test stays in ws.ok, ws.flag."""
     decode_a, decode_b, harvest_a, harvest_b = _power_split(consts, rho, g_a, g_b, ws)
-    snr_scale = params.tx_power_w / params.noise_w
     up_a = np.multiply(g_a, decode_a, out=ws.up_a)
-    up_a *= snr_scale
+    up_a *= consts.snr_scale
     up_a /= consts.z_a
     up_b = np.multiply(g_b, decode_b, out=ws.up_b)
-    up_b *= snr_scale
+    up_b *= consts.snr_scale
     up_b /= consts.z_b
-    _uplinks_clear(params, up_a, up_b, ws)
-    if params.circuit_sensitivity_dbm is None:
+    _uplinks_clear(consts, up_a, up_b, ws)
+    if consts.sensitivity_w == 0.0:
         np.add(harvest_a, harvest_b, out=ws.pooled)
     else:
-        np.multiply(harvest_a, _rectenna_on(params, harvest_a, ws, ws.ok), out=ws.pooled)
-        ws.pooled += np.multiply(harvest_b, _rectenna_on(params, harvest_b, ws, ws.flag),
+        np.multiply(harvest_a, _rectenna_on(consts, harvest_a, ws, ws.ok), out=ws.pooled)
+        ws.pooled += np.multiply(harvest_b, _rectenna_on(consts, harvest_b, ws, ws.flag),
                                  out=ws.scratch)
 
 
-def broadcast_stage(params: SystemParams, consts: LinkConstants, theta, g_a, g_b,
-                    ws: KernelWorkspace) -> int:
+def broadcast_stage(consts: LinkConstants, theta, g_a, g_b, ws: KernelWorkspace) -> int:
     """The outage count at stage_keys weight theta after the last
     split_stage in ws.  Leaves the downlink SNRs in ws.down_a and ws.down_b,
     over the harvest terms, and where all four links decode in ws.ok; the
@@ -546,7 +540,7 @@ def broadcast_stage(params: SystemParams, consts: LinkConstants, theta, g_a, g_b
     down_a *= ws.pooled
     down_b = np.multiply(x_b, g_b, out=ws.down_b)
     down_b *= ws.pooled
-    ok = _all_clear(params, down_a, down_b, ws)
+    ok = _all_clear(consts, down_a, down_b, ws)
     return ok.size - int(np.count_nonzero(ok))
 
 

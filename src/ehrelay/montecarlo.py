@@ -25,8 +25,9 @@ whole-block pass, while a block never holds a block-sized array and its
 working set fits in a core's cache.
 
 mc_outages runs a batch of cells, such as all cells of a sweep, on each
-chunk drawn once.  Its cells are grouped once per batch by operating point
-and power split; per chunk, a group runs model.split_stage once, then one
+chunk drawn once.  Its cells are grouped once per batch by their
+model.LinkConstants, all that the kernel reads of an operating point, and
+power split; per chunk, a group runs model.split_stage once, then one
 model.broadcast_stage, reduced to a count, per distinct theta.  Each cell
 gets the bits it gets alone; the cells read common random numbers, so the
 errors of one batch's estimates are correlated.
@@ -45,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (KernelWorkspace, SchemeSpec, SystemParams, broadcast_stage,
-                    rectennas_off, split_stage, stage_keys, stage_point)
+                    link_constants, rectennas_off, split_stage, stage_keys)
 from .numerics import sample_exponential
 
 BLOCK_TRIALS = 1 << 18
@@ -108,8 +109,9 @@ class McEstimate:
             raise ValueError("std_error must be nonnegative")
 
 
-def _chunks(params: SystemParams, seed: int, block_index: int, count: int):
-    """Yield a block's trials as (g_a, g_b, ws), CHUNK_TRIALS at a time.
+def _chunks(means: tuple, seed: int, block_index: int, count: int):
+    """Yield a block's trials as (g_a, g_b, ws), CHUNK_TRIALS at a time,
+    drawn at the fading means (mean_a, mean_b).
 
     g_a, g_b and the kernel workspace ws are reused from chunk to chunk.
     """
@@ -122,23 +124,22 @@ def _chunks(params: SystemParams, seed: int, block_index: int, count: int):
         if m != size:
             size = m
             g_a, g_b, ws = np.empty(m), np.empty(m), KernelWorkspace(m)
-        yield (sample_exponential(rng_a, params.fading_mean_a, m, out=g_a),
-               sample_exponential(rng_b, params.fading_mean_b, m, out=g_b), ws)
+        yield (sample_exponential(rng_a, means[0], m, out=g_a),
+               sample_exponential(rng_b, means[1], m, out=g_b), ws)
 
 
 def _outage_block(cells: tuple, seed: int, block_index: int, count: int) -> list:
     """Each cell's outage count over one block, the energy outage's for an
-    ENERGY_OUTAGE cell; cells is a batch as _plan lays it out, and the gains
-    are drawn at its first group's fading means."""
-    groups, slots = cells
+    ENERGY_OUTAGE cell; cells is a batch as _plan lays it out."""
+    groups, slots, means = cells
     hits = [0] * (max(slots) + 1)
-    for g_a, g_b, ws in _chunks(groups[0][0], seed, block_index, count):
-        for params, consts, rho, thetas in groups:
-            split_stage(params, consts, rho, g_a, g_b, ws)
+    for g_a, g_b, ws in _chunks(means, seed, block_index, count):
+        for consts, rho, thetas in groups:
+            split_stage(consts, rho, g_a, g_b, ws)
             for slot, theta in thetas:
                 hits[slot] += (int(np.count_nonzero(rectennas_off(ws)))
                                if theta == ENERGY_OUTAGE else
-                               broadcast_stage(params, consts, theta, g_a, g_b, ws))
+                               broadcast_stage(consts, theta, g_a, g_b, ws))
     return [hits[slot] for slot in slots]
 
 
@@ -261,14 +262,15 @@ def _estimate(hits: int, trials: int) -> McEstimate:
 
 
 def _plan(cells) -> tuple:
-    """Check cells (params, scheme_id, scheme_args); lay them out as
-    (groups, slots).  A group (params, consts, rho, thetas) is one split
-    stage: a point, the model.stage_point of params, and its stage_keys rho,
-    with each distinct theta and the index of its count; an energy cell's
-    theta is ENERGY_OUTAGE, in its point's knee group.  slots holds each
-    cell's count index, one for all cells alike in what the kernel reads.
+    """Check a nonempty batch of cells (params, scheme_id, scheme_args); lay
+    it out as (groups, slots, means).  A group (consts, rho, thetas) is one
+    split stage: the link_constants of a point and a stage_keys rho, with
+    each distinct theta and the index of its count; an energy cell's theta
+    is ENERGY_OUTAGE, in its point's knee group.  slots holds each cell's
+    count index, one for all cells alike in what the kernel reads, and
+    means the fading means (mean_a, mean_b) that all cells share.
     """
-    groups, slot_of, slots = {}, {}, []
+    groups, slot_of, slots, means = {}, {}, [], set()
     for params, scheme_id, scheme_args in cells:
         if scheme_id != ENERGY_OUTAGE:
             rho, theta = stage_keys(scheme_id,
@@ -280,14 +282,17 @@ def _plan(cells) -> tuple:
                              f"{sorted(scheme_args)}")
         else:
             rho, theta = None, ENERGY_OUTAGE
-        point = stage_point(params)
-        if (point, rho, theta) not in slot_of:
-            slot = slot_of[point, rho, theta] = len(slot_of)
-            thetas = groups.setdefault((point, rho), (params, point[0], rho, []))[3]
+        consts = link_constants(params)
+        if (consts, rho, theta) not in slot_of:
+            slot = slot_of[consts, rho, theta] = len(slot_of)
+            thetas = groups.setdefault((consts, rho), (consts, rho, []))[2]
             # The rectenna tests are read before a broadcast overwrites them.
             thetas.insert(0 if theta == ENERGY_OUTAGE else len(thetas), (slot, theta))
-        slots.append(slot_of[point, rho, theta])
-    return tuple(groups.values()), tuple(slots)
+        slots.append(slot_of[consts, rho, theta])
+        means.add((params.fading_mean_a, params.fading_mean_b))
+    if len(means) > 1:
+        raise ValueError("the cells of one batch must share fading_mean_a and fading_mean_b")
+    return tuple(groups.values()), tuple(slots), means.pop()
 
 
 def mc_outages(cells, cfg: McConfig) -> list:
@@ -296,12 +301,9 @@ def mc_outages(cells, cfg: McConfig) -> list:
     cells are checked before any trial runs, and must share the fading means.
     """
     cells = tuple(cells)
-    plan = _plan(cells)
-    if len({(p.fading_mean_a, p.fading_mean_b) for p, *_ in cells}) > 1:
-        raise ValueError("the cells of one batch must share fading_mean_a and fading_mean_b")
     if not cells:
         return []
-    return [_estimate(hits, cfg.trials) for hits in _run_blocks(plan, cfg)]
+    return [_estimate(hits, cfg.trials) for hits in _run_blocks(_plan(cells), cfg)]
 
 
 def mc_outage(params: SystemParams, scheme_id: str, scheme_args,

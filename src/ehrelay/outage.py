@@ -219,7 +219,7 @@ def p_case3(params: SystemParams, consts: DerivedConstants) -> float:
                     - consts.delta_b / params.fading_mean_b)
 
 
-def case4_geometry(params: SystemParams, consts: DerivedConstants) -> CaseFourGeometry:
+def case4_geometry(consts: DerivedConstants) -> CaseFourGeometry:
     """Locate every boundary intersection and classify the region layout.
 
     Classification order matters: the empty layout is ruled out first, then
@@ -318,7 +318,7 @@ def outage_dynamic_ps(params: SystemParams, theta: float) -> float:
     success = (p_case1(params, consts)
                + p_case2(params, consts)
                + p_case3(params, consts)
-               + p_case4(params, consts, case4_geometry(params, consts)))
+               + p_case4(params, consts, case4_geometry(consts)))
     return _clamp_unit(1.0 - success)
 
 
@@ -408,7 +408,7 @@ def cdf_t3_array(consts: LinkConstants, t: np.ndarray) -> np.ndarray:
     return out
 
 
-def improved_integration_bound(consts: LinkConstants, gamma_th: float) -> float:
+def improved_integration_bound(consts: LinkConstants) -> float:
     """Largest t3 for which the decode window of t2 can be nonempty.
 
     The first candidate is the positive root of the window-collapse
@@ -417,22 +417,20 @@ def improved_integration_bound(consts: LinkConstants, gamma_th: float) -> float:
     candidate, which is kept as a guard.
     """
     root = 2.0 / (math.sqrt(consts.b_o ** 2 + 4.0 * consts.a_o) + consts.b_o)
-    return min(root, consts.y_big / gamma_th)
+    return min(root, consts.y_big / consts.snr_threshold)
 
 
-def _improved_window(consts: LinkConstants, gamma_th: float,
-                     t: float) -> tuple[float, float]:
+def _improved_window(consts: LinkConstants, t: float) -> tuple[float, float]:
     """Decode window (upper, lower) of t2 at a given t3 value."""
     upper = 1.0 / (consts.varpi * consts.z_a * consts.z_b * t) + consts.varpi
-    den = 1.0 - (gamma_th / consts.y_big) * t
+    den = 1.0 - (consts.snr_threshold / consts.y_big) * t
     lower = 2.0 * consts.varpi / den if den > 0.0 else math.inf
     return upper, lower
 
 
-def _improved_window_mass(consts: LinkConstants, gamma_th: float,
-                          t: float) -> float:
+def _improved_window_mass(consts: LinkConstants, t: float) -> float:
     """Probability that t2 falls inside the decode window at t3 = t."""
-    upper, lower = _improved_window(consts, gamma_th, t)
+    upper, lower = _improved_window(consts, t)
     return cdf_t2(consts, upper) - cdf_t2(consts, lower)
 
 
@@ -485,8 +483,7 @@ def outage_improved(params: SystemParams) -> float:
     consts = link_constants(params)
     if _uplinks_hopeless(consts):
         return 1.0
-    gamma_th = params.snr_threshold
-    t_max = improved_integration_bound(consts, gamma_th)
+    t_max = improved_integration_bound(consts)
     if not math.isfinite(t_max):
         return 0.0
     v_max = cdf_t3(consts, t_max)
@@ -495,7 +492,7 @@ def outage_improved(params: SystemParams) -> float:
 
     def miss_at_quantile(v: float) -> float:
         t = _quantile_t3(consts, v, t_max, v_max, ladder)
-        return 1.0 - _improved_window_mass(consts, gamma_th, t)
+        return 1.0 - _improved_window_mass(consts, t)
 
     missed = integrate_gc(rule, 0.0, v_max, miss_at_quantile)
     return _clamp_unit((1.0 - v_max) + missed)

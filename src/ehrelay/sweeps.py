@@ -79,6 +79,9 @@ class SweepSpec:
         schemes = tuple(self.schemes)
         if not schemes:
             raise ValueError("schemes must be nonempty")
+        for i, scheme in enumerate(schemes):
+            if not isinstance(scheme, SchemeSpec):
+                raise ValueError(f"schemes[{i}] must be a SchemeSpec, got {scheme!r}")
         dynamic = [s.label() for s in schemes if s.scheme_id == "dynamic_ps"]
         if self.swept_param == "theta" and len(dynamic) > 1:
             raise ValueError(f"a theta sweep takes one dynamic_ps scheme, got {dynamic}")
@@ -208,12 +211,15 @@ def fig(n: int, overrides: dict | None = None,
     """Run the sweep behind reference figure n, a key of FIGURES.
 
     overrides maps SystemParams field names to values that replace the
-    figure's own, so callers can move any figure to another operating point.
+    figure's own, so callers can move any figure to another operating point;
+    the field the figure sweeps, which each sweep value replaces, is refused.
     """
     if n not in FIGURES:
         raise ValueError(f"figure index must be one of {tuple(FIGURES)}, got {n!r}")
-    if unknown := sorted(set(overrides or {}) - {f.name for f in fields(SystemParams)}):
+    spec, overrides = FIGURES[n], overrides or {}
+    if unknown := sorted(set(overrides) - {f.name for f in fields(SystemParams)}):
         raise ValueError(f"overrides name no SystemParams field: {unknown}")
-    spec = FIGURES[n]
-    return run_sweep(replace(spec, base=replace(spec.base, **(overrides or {})),
+    if (swept := _SWEPT_FIELDS[spec.swept_param]) in overrides:
+        raise ValueError(f"figure {n} sweeps {swept}, so overrides cannot set it")
+    return run_sweep(replace(spec, base=replace(spec.base, **overrides),
                              mc=mc if mc is not None else spec.mc))

@@ -152,8 +152,8 @@ def criterion_theta_optimality() -> CriterionResult:
     g_a, g_b = rng.exponential((params.fading_mean_a, params.fading_mean_b),
                                size=(200, 2)).T
     ws = KernelWorkspace(g_a.shape)
-    split_stage(params, consts, None, g_a, g_b, ws)
-    broadcast_stage(params, consts, None, g_a, g_b, ws)
+    split_stage(consts, None, g_a, g_b, ws)
+    broadcast_stage(consts, None, g_a, g_b, ws)
     best = np.minimum(ws.down_a, ws.down_b)
     grid = np.linspace(0.001, 0.999, 999)[:, None]
     x_a, x_b = broadcast_factors(consts, grid)
@@ -174,7 +174,6 @@ def criterion_rho_optimality() -> CriterionResult:
     """No feasible split pair beats the knee splits; pushing past them kills the uplink."""
     params = SystemParams()
     consts = link_constants(params)
-    gamma_th = params.snr_threshold
     rng = np.random.default_rng(53)
     gains = []
     scalings = []
@@ -189,10 +188,10 @@ def criterion_rho_optimality() -> CriterionResult:
         scalings.append(rng.random((1000, 2)))
     g_a, g_b = np.array(gains).T
     ws = KernelWorkspace(g_a.shape)
-    split_stage(params, consts, None, g_a, g_b, ws)
+    split_stage(consts, None, g_a, g_b, ws)
     # The broadcast writes its downlink SNRs over the harvest terms.
     harvest_a, harvest_b = ws.harvest_a.copy(), ws.harvest_b.copy()
-    broadcast_stage(params, consts, 0.5, g_a, g_b, ws)
+    broadcast_stage(consts, 0.5, g_a, g_b, ws)
     best = np.minimum(ws.down_a, ws.down_b)
     # A smaller split harvests a fraction of each knee-split harvest term.
     draws = np.array(scalings)
@@ -204,8 +203,8 @@ def criterion_rho_optimality() -> CriterionResult:
     for excess in (1e-6, 0.5, 1.0):
         # Splitting past the knee leaves (1 - excess) of the decode fraction,
         # and so of each knee-split uplink SNR.
-        uplink_ok &= bool(np.all(ws.up_a * (1.0 - excess) < gamma_th)
-                          and np.all(ws.up_b * (1.0 - excess) < gamma_th))
+        uplink_ok &= bool(np.all(ws.up_a * (1.0 - excess) < consts.snr_threshold)
+                          and np.all(ws.up_b * (1.0 - excess) < consts.snr_threshold))
     detail = (f"realizations beaten by sampled splits={beaten}/200; "
               f"over-split uplink always below threshold={uplink_ok}")
     return CriterionResult(6, "split-ratio-optimality",
@@ -379,7 +378,7 @@ def criterion_case4_oracle() -> CriterionResult:
         )
         theta = float(rng.uniform(0.15, 0.85))
         consts = derive_constants(params, theta)
-        geom = case4_geometry(params, consts)
+        geom = case4_geometry(consts)
         counts[geom.scenario.name] = counts.get(geom.scenario.name, 0) + 1
         if geom.scenario is Scenario.One:
             continue

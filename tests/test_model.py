@@ -1,13 +1,16 @@
 """Core model: parameter handling, derived constants, the physics kernel."""
 
+import ast
 import dataclasses
 import math
+import pathlib
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from ehrelay.model import (
+    DerivedConstants,
     KernelWorkspace,
     SystemParams,
     _all_clear,
@@ -54,8 +57,8 @@ def _stages(g_a, g_b, rho=None, theta=0.5, params=DEFAULTS):
     as stage_keys gives them, on gains g_a and g_b."""
     g_a, g_b = np.array(g_a, float, ndmin=1), np.array(g_b, float, ndmin=1)
     consts, ws = link_constants(params), KernelWorkspace(g_a.shape)
-    split_stage(params, consts, rho, g_a, g_b, ws)
-    broadcast_stage(params, consts, theta, g_a, g_b, ws)
+    split_stage(consts, rho, g_a, g_b, ws)
+    broadcast_stage(consts, theta, g_a, g_b, ws)
     return ws
 
 
@@ -240,6 +243,27 @@ def test_link_constants_are_the_theta_free_part(theta):
     assert link.y_big == link.harvest_gain / (link.z_a * link.z_b)
 
 
+# The functions that build the constants; a field read only there is unused.
+_CONSTANTS_BUILDERS = {"link_constants", "derive_constants"}
+
+
+def test_every_constants_field_is_read():
+    """Each DerivedConstants field is read as an attribute somewhere in the
+    package outside the functions that build it."""
+    read = set()
+    for path in (pathlib.Path(__file__).parents[1] / "src" / "ehrelay").glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        built = {id(node) for builder in ast.walk(tree)
+                 if isinstance(builder, ast.FunctionDef) and builder.name in _CONSTANTS_BUILDERS
+                 for node in ast.walk(builder)}
+        read |= {node.attr for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                 and id(node) not in built}
+    fields = [f.name for f in dataclasses.fields(DerivedConstants)]
+    assert len(fields) == 23
+    assert [name for name in fields if name not in read] == []
+
+
 def test_derive_constants_theta_domain():
     with pytest.raises(ValueError):
         derive_constants(DEFAULTS, 0.0)
@@ -356,9 +380,9 @@ def test_improved_theta_reference_value():
 
 def _all_decode(params, up_a, up_b, down_a, down_b) -> bool:
     """Whether four link SNRs all decode, by the kernel's two tests."""
-    ws = KernelWorkspace(1)
-    _uplinks_clear(params, np.array([up_a]), np.array([up_b]), ws)
-    return bool(_all_clear(params, np.array([down_a]), np.array([down_b]), ws)[0])
+    consts, ws = link_constants(params), KernelWorkspace(1)
+    _uplinks_clear(consts, np.array([up_a]), np.array([up_b]), ws)
+    return bool(_all_clear(consts, np.array([down_a]), np.array([down_b]), ws)[0])
 
 
 def test_outage_indicator_inclusive_threshold():
@@ -371,7 +395,7 @@ def test_outage_indicator_inclusive_threshold():
 def test_rectenna_threshold_is_inclusive():
     # P is exactly 1 W at 30 dBm, so a harvest term equal to the
     # sensitivity delivers exactly the sensitivity.
-    gated = dataclasses.replace(DEFAULTS, circuit_sensitivity_dbm=-20.0)
+    gated = link_constants(dataclasses.replace(DEFAULTS, circuit_sensitivity_dbm=-20.0))
     assert gated.tx_power_w == 1.0
     floor = gated.sensitivity_w
     ws = KernelWorkspace(2)
@@ -406,11 +430,11 @@ def test_split_ratio_optimality(extra_a, extra_b, shrink_a, shrink_b):
     g_a = np.array([CONSTS.varpi * CONSTS.z_a + extra_a])
     g_b = np.array([CONSTS.varpi * CONSTS.z_b + extra_b])
     ws = KernelWorkspace(1)
-    split_stage(DEFAULTS, CONSTS, None, g_a, g_b, ws)
+    split_stage(CONSTS, None, g_a, g_b, ws)
     # Shrinking a split ratio shrinks its harvest term in proportion; read
     # them before the broadcast writes its downlinks over them.
     pooled = shrink_a * ws.harvest_a[0] + shrink_b * ws.harvest_b[0]
-    broadcast_stage(DEFAULTS, CONSTS, 0.5, g_a, g_b, ws)
+    broadcast_stage(CONSTS, 0.5, g_a, g_b, ws)
     x_a, x_b = broadcast_factors(CONSTS, 0.5)
     sub = min(x_a * g_a[0] * pooled, x_b * g_b[0] * pooled)
     assert sub <= min(ws.down_a[0], ws.down_b[0]) * (1.0 + 1e-12)

@@ -189,15 +189,15 @@ _GAIN = st.one_of(st.just(0.0), st.floats(1e-9, 8.0))
 def test_the_stages_give_the_oracle_outage_per_trial(point, gains, rho):
     params, theta, layout = ORACLE_POINTS[point]
     if layout is not None:
-        assert case4_geometry(params, derive_constants(params, theta)).scenario is layout
+        assert case4_geometry(derive_constants(params, theta)).scenario is layout
     g_a = np.array([a for a, _ in gains]) * params.fading_mean_a
     g_b = np.array([b for _, b in gains]) * params.fading_mean_b
     consts, ws = link_constants(params), KernelWorkspace(len(gains))
     for scheme_id, args in (("static_equal", {"rho": rho}),
                             ("dynamic_ps", {"theta": theta}), ("improved", {})):
         split_rho, weight = stage_keys(scheme_id, SchemeSpec(scheme_id, args).canonical())
-        split_stage(params, consts, split_rho, g_a, g_b, ws)
-        hits = broadcast_stage(params, consts, weight, g_a, g_b, ws)
+        split_stage(consts, split_rho, g_a, g_b, ws)
+        hits = broadcast_stage(consts, weight, g_a, g_b, ws)
         want = _oracle_outage(params, scheme_id, args, g_a, g_b)
         assert np.array_equal(~ws.ok, want), scheme_id
         assert hits == np.count_nonzero(want), scheme_id
@@ -236,7 +236,7 @@ class TestBlockEvaluation:
         params = dataclasses.replace(DEFAULTS, fading_mean_a=0.7, fading_mean_b=2.5)
         for count in BLOCK_COUNTS:
             chunks = [(g_a.copy(), g_b.copy())
-                      for g_a, g_b, _ in _chunks(params, 5, 3, count)]
+                      for g_a, g_b, _ in _chunks((0.7, 2.5), 5, 3, count)]
             assert [len(a) for a, _ in chunks[:-1]] == [CHUNK_TRIALS] * (len(chunks) - 1)
             whole_a, whole_b = _whole_block_gains(params, 5, 3, count)
             assert np.array_equal(np.concatenate([a for a, _ in chunks]), whole_a)
@@ -320,13 +320,13 @@ class TestBatch:
     def test_cells_share_their_stages(self, monkeypatch):
         splits, broadcasts = [], []
 
-        def split(params, consts, rho, *rest):
+        def split(consts, rho, *rest):
             splits.append(rho)
-            return split_stage(params, consts, rho, *rest)
+            return split_stage(consts, rho, *rest)
 
-        def broadcast(params, consts, theta, *rest):
+        def broadcast(consts, theta, *rest):
             broadcasts.append(theta)
-            return broadcast_stage(params, consts, theta, *rest)
+            return broadcast_stage(consts, theta, *rest)
 
         monkeypatch.setattr(montecarlo, "split_stage", split)
         monkeypatch.setattr(montecarlo, "broadcast_stage", broadcast)
@@ -347,7 +347,7 @@ class TestBatch:
         narrow = dataclasses.replace(DEFAULTS, noise_dbm=np.float32(-90.0))
         assert narrow == DEFAULTS
         cells = [(DEFAULTS, "improved", None), (narrow, "improved", None)]
-        groups, slots = _plan(cells)
+        groups, slots, _ = _plan(cells)
         assert (len(groups), slots) == (2, (0, 1))
         cfg = McConfig(trials=CHUNK_TRIALS, seed=1)
         assert mc_outages(cells, cfg) == [_alone(c, cfg) for c in cells]
@@ -380,12 +380,13 @@ class TestBatch:
     @pytest.mark.parametrize("params", [DEFAULTS, GATED], ids=["ideal", "gated-20dBm"])
     def test_an_improved_chunk_allocates_no_chunk_array(self, params):
         # The gains and the workspace exist before the trace, as in a block.
-        g_a, g_b, ws = next(_chunks(params, 5, 3, CHUNK_TRIALS))
+        means = (params.fading_mean_a, params.fading_mean_b)
+        g_a, g_b, ws = next(_chunks(means, 5, 3, CHUNK_TRIALS))
         consts = link_constants(params)
 
         def staged():
-            split_stage(params, consts, None, g_a, g_b, ws)
-            broadcast_stage(params, consts, None, g_a, g_b, ws)
+            split_stage(consts, None, g_a, g_b, ws)
+            broadcast_stage(consts, None, g_a, g_b, ws)
 
         assert _traced_peak(staged) < CHUNK_TRIALS * 8
 

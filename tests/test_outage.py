@@ -76,7 +76,7 @@ REF_ENERGY_OUTAGE = 0.011942196384193512
 
 DEFAULTS = SystemParams()
 CONSTS = derive_constants(DEFAULTS, 0.5)
-GEOMETRY = case4_geometry(DEFAULTS, CONSTS)
+GEOMETRY = case4_geometry(CONSTS)
 
 
 def _with(params=DEFAULTS, **kwargs):
@@ -147,7 +147,7 @@ def test_geometry_residuals():
 
 def test_geometry_symmetric_configuration():
     sym = _with(dist_a=10.0, dist_b=10.0)
-    g = case4_geometry(sym, derive_constants(sym, 0.5))
+    g = case4_geometry(derive_constants(sym, 0.5))
     assert g.x1 == pytest.approx(g.y1, rel=1e-12)
     assert g.q1 == pytest.approx(g.q2, rel=1e-12)
     assert g.x_delta == pytest.approx(g.y_delta, rel=1e-12)
@@ -165,7 +165,7 @@ def test_empty_scenario_contributes_nothing():
 def test_case4_invariant_under_role_swap():
     swapped = _with(dist_a=DEFAULTS.dist_b, dist_b=DEFAULTS.dist_a)
     c = derive_constants(swapped, 0.5)
-    assert p_case4(swapped, c, case4_geometry(swapped, c)) == pytest.approx(
+    assert p_case4(swapped, c, case4_geometry(c)) == pytest.approx(
         p_case4(DEFAULTS, CONSTS, GEOMETRY), rel=1e-12)
 
 
@@ -184,7 +184,7 @@ def test_case4_single_curve_layouts_match_oracle(layout):
     overrides, theta = SINGLE_CURVE_POINTS[layout]
     p = _with(tx_power_dbm=-70.0, rate_bps_hz=2.0, quad_order=40, **overrides)
     c = derive_constants(p, theta)
-    geom = case4_geometry(p, c)
+    geom = case4_geometry(c)
     assert geom.scenario is layout
     want = _oracle_case4(p, c, geom)
     assert want > 1e-3
@@ -256,7 +256,7 @@ def test_case_masses_are_probabilities_across_the_seeded_box():
         consts = derive_constants(params, theta)
         cases = (p_case1(params, consts), p_case2(params, consts),
                  p_case3(params, consts),
-                 p_case4(params, consts, case4_geometry(params, consts)))
+                 p_case4(params, consts, case4_geometry(consts)))
         assert all(type(p) is float and 0.0 <= p <= 1.0 for p in cases), params
         if _uplinks_hopeless(consts):
             hopeless += 1
@@ -289,7 +289,7 @@ LADDER_POINTS = {dbm: link_constants(_with(tx_power_dbm=dbm)) for dbm in (0.0, 3
        order=st.sampled_from(["ascending", "descending", "as drawn"]))
 def test_shared_ladder_gives_the_fresh_ladder_quantile(dbm, fractions, order):
     consts = LADDER_POINTS[dbm]
-    t_max = improved_integration_bound(consts, DEFAULTS.snr_threshold)
+    t_max = improved_integration_bound(consts)
     v_max = cdf_t3(consts, t_max)
     if order != "as drawn":
         fractions = sorted(fractions, reverse=order == "descending")
@@ -330,13 +330,13 @@ def test_improved_outage_evaluates_each_ladder_rung_once(monkeypatch, dbm, order
     assert outage_improved(params) == want
     # Outside the solver: v_max at the bound, then each rung of the ladder
     # once; inside it, never at a bracket end, whose CDF the ladder holds.
-    t_max = improved_integration_bound(link_constants(params), params.snr_threshold)
+    t_max = improved_integration_bound(link_constants(params))
     assert outside == [t_max * 2.0 ** -k for k in range(len(outside))]
     assert len(outside) >= 2
 
 
 def test_integration_bound():
-    t_max = improved_integration_bound(CONSTS, DEFAULTS.snr_threshold)
+    t_max = improved_integration_bound(CONSTS)
     assert t_max == pytest.approx(REF_T_MAX, rel=1e-12)
     # Defining quadratic of the window-closure point.
     assert CONSTS.a_o * t_max ** 2 + CONSTS.b_o * t_max == pytest.approx(1.0, rel=1e-9)
@@ -434,16 +434,17 @@ def test_cdfs_nondecreasing_on_dense_grids():
     assert np.all(np.diff(t3_vals) >= 0.0)
 
 
-def _window_mass_deriv(consts, gamma_th, t):
+def _window_mass_deriv(consts, t):
     """Derivative in t of the decode-window mass, in closed form.
 
     Only valid strictly inside (0, integration bound), where both window
     edges are finite.
     """
-    upper, lower = _improved_window(consts, gamma_th, t)
+    upper, lower = _improved_window(consts, t)
     d_upper = -1.0 / (consts.varpi * consts.z_a * consts.z_b * t * t)
-    den = 1.0 - (gamma_th / consts.y_big) * t
-    d_lower = 2.0 * consts.varpi * (gamma_th / consts.y_big) / (den * den)
+    slope = consts.snr_threshold / consts.y_big
+    den = 1.0 - slope * t
+    d_lower = 2.0 * consts.varpi * slope / (den * den)
     rate_a = consts.a_rate_a
     rate_b = consts.a_rate_b
     gap = rate_a - rate_b
@@ -464,15 +465,14 @@ def test_window_mass_derivative_matches_finite_differences():
     """
     p = _with(tx_power_dbm=5.0)
     c = derive_constants(p, 0.5)
-    gamma = p.snr_threshold
-    t_max = improved_integration_bound(c, gamma)
+    t_max = improved_integration_bound(c)
     resolved = 0
     for frac in np.linspace(0.02, 0.98, 25):
         t = frac * t_max
         h = t * 1e-5
-        fd = (_improved_window_mass(c, gamma, t + h)
-              - _improved_window_mass(c, gamma, t - h)) / (2.0 * h)
-        cf = _window_mass_deriv(c, gamma, t)
+        fd = (_improved_window_mass(c, t + h)
+              - _improved_window_mass(c, t - h)) / (2.0 * h)
+        cf = _window_mass_deriv(c, t)
         if abs(cf) >= 1e-8:
             resolved += 1
             assert fd == pytest.approx(cf, rel=1e-4)
@@ -572,7 +572,7 @@ def test_case_partition_sanity(tx_power, dist_a, dist_b, rate, beta, theta, orde
                      rate_bps_hz=rate, time_split=beta, quad_order=order)
     c = derive_constants(p, theta)
     terms = [p_case1(p, c), p_case2(p, c), p_case3(p, c),
-             p_case4(p, c, case4_geometry(p, c))]
+             p_case4(p, c, case4_geometry(c))]
     assert all(0.0 <= term <= 1.0 for term in terms)
     assert 0.0 <= sum(terms) <= 1.0 + 1e-12
 

@@ -99,6 +99,14 @@ class TestSchemeSpec:
         with pytest.raises(ValueError):
             SchemeSpec.parse("dynamic_ps:theta=high")
 
+    def test_parse_rejects_a_repeated_key(self, capsys):
+        text = "dynamic_ps:theta=0.3, theta=0.4"
+        with pytest.raises(ValueError, match="'theta' is given twice"):
+            SchemeSpec.parse(text)
+        assert main(["sweep", "--param", "rate", "--values", "2", "--trials", "64",
+                     "--scheme", text]) == 2
+        assert "'theta' is given twice" in capsys.readouterr().err
+
     def test_parse_inverts_every_emitted_label(self, monkeypatch, capsys):
         specs = []
 
@@ -144,6 +152,12 @@ class TestSweepSpecValidation:
     def test_values_must_be_real_numbers_naming_them(self, value, match):
         with pytest.raises(ValueError, match=rf"^values\[1\] {match}$"):
             _spec("rate", (0.5, value), (SchemeSpec("improved"),))
+
+    def test_schemes_must_be_scheme_specs_naming_them(self):
+        for schemes in (("improved",), (SchemeSpec("improved"), {"rho": 0.5})):
+            with pytest.raises(ValueError,
+                               match=rf"^schemes\[{len(schemes) - 1}\] must be a SchemeSpec"):
+                _spec("rate", (1.0,), schemes)
 
     def test_domain_checks(self):
         improved = (SchemeSpec("improved"),)
@@ -295,6 +309,16 @@ class TestFigures:
         with pytest.raises(ValueError,
                            match=r"^overrides name no SystemParams field: \['foo'\]$"):
             fig(3, {"foo": 1, "dist_a": 4.0})
+
+    @pytest.mark.parametrize("n,field", [(3, "quad_order"), (6, "dist_a"), (7, "rate_bps_hz"),
+                                         (9, "circuit_sensitivity_dbm")])
+    def test_overrides_cannot_set_the_swept_field(self, n, field):
+        with pytest.raises(ValueError, match=rf"^figure {n} sweeps {field}, "):
+            fig(n, {field: 2.0}, mc=FAST_MC)
+
+    def test_the_swept_field_flag_fails_fig(self, capsys):
+        assert main(["fig", "3", "--m", "2", "--trials", "64"]) == 2
+        assert "figure 3 sweeps quad_order" in capsys.readouterr().err
 
     def test_each_figure_is_a_sweep_spec_at_its_operating_point(self):
         moved = {6: SystemParams(rate_bps_hz=3.0),
