@@ -110,7 +110,11 @@ def cmd_sweep(args) -> int:
         if scheme.scheme_id == "dynamic_ps" and not scheme.args:
             scheme = SchemeSpec("dynamic_ps", {"theta": _theta(args)})
         schemes.append(scheme)
-    values = tuple(float(v) for v in args.values.split(",") if v.strip())
+    texts = args.values.split(",")
+    for i, text in enumerate(texts):
+        if not text.strip():
+            raise ValueError(f"values[{i}] is empty")
+    values = tuple(float(v) for v in texts)
     spec = SweepSpec(swept_param=args.param, values=values,
                      schemes=tuple(schemes), base=params, mc=cfg)
     _emit_result(run_sweep(spec), args)

@@ -508,7 +508,7 @@ def outage_capacity(params: SystemParams, p_out: float) -> float:
     return (1.0 - p_out) * params.rate_bps_hz * effective_time
 
 
-def energy_outage(params: SystemParams, consts: LinkConstants) -> float:
+def energy_outage(params: SystemParams) -> float:
     """Probability that neither link delivers usable harvested power.
 
     A link is dead when its harvested RF power under the adaptive split is
@@ -517,7 +517,8 @@ def energy_outage(params: SystemParams, consts: LinkConstants) -> float:
     -300 dBm at ordinary powers; mc_energy_outage refuses it, as its test
     power >= sensitivity would count a zero harvest as alive.
     """
-    level = consts.varpi + params.sensitivity_w / params.tx_power_w
+    consts = link_constants(params)
+    level = consts.varpi + consts.sensitivity_w / consts.tx_power_w
     miss_a = -math.expm1(-consts.a_rate_a * level)
     miss_b = -math.expm1(-consts.a_rate_b * level)
     return miss_a * miss_b

@@ -20,8 +20,7 @@ import io
 import json
 from dataclasses import dataclass, fields, replace
 
-from .model import (SchemeSpec, SystemParams, check_theta, link_constants,
-                    real_number)
+from .model import SchemeSpec, SystemParams, check_theta, real_number
 from .montecarlo import ENERGY_OUTAGE, McConfig, mc_outages, relative_error
 from .outage import (energy_outage, outage_capacity, outage_dynamic_ps,
                      outage_improved)
@@ -166,8 +165,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     rows = []
     for (v, label, point, scheme), est in zip(cells, estimates):
         if scheme is None:
-            rows.append(_row(v, label, energy_outage(point, link_constants(point)),
-                             est, None))
+            rows.append(_row(v, label, energy_outage(point), est, None))
         else:
             analytic = _analytic_outage(point, scheme)
             rows.append(_row(v, label, analytic, est, outage_capacity(

@@ -6,15 +6,20 @@ criteria reuse the exact implementations behind the `validate` CLI command,
 so the CLI and this gate can never drift apart.
 """
 
+import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.special
+from hypothesis import given, strategies as st
 
+from ehrelay import validation
 from ehrelay.model import SystemParams, derive_constants, link_constants
 from ehrelay.outage import cdf_t2_array, cdf_t3, cdf_t3_array
 from ehrelay.validation import (
+    _KS_BLOCK,
     _KS_CHUNK,
     CRITERIA,
     _inverse_product_ks,
@@ -98,7 +103,8 @@ def _one_pass_ks(sorted_samples, cdf) -> float:
     return float(gaps.max())
 
 
-@pytest.mark.parametrize("n", [1, _KS_CHUNK - 1, _KS_CHUNK + 1, 3 * _KS_CHUNK + 5])
+@pytest.mark.parametrize("n", [1, _KS_CHUNK - 1, _KS_CHUNK + 1, 3 * _KS_CHUNK + 5,
+                               _KS_BLOCK - 1, _KS_BLOCK, _KS_BLOCK + 1, 7 * _KS_BLOCK])
 def test_streamed_criterion_08_equals_the_one_pass_statistics(n):
     params = SystemParams(fading_mean_a=0.7, fading_mean_b=1.3)
     consts = link_constants(params)
@@ -110,13 +116,67 @@ def test_streamed_criterion_08_equals_the_one_pass_statistics(n):
     want_t2 = _one_pass_ks(pair_sum, lambda t: cdf_t2_array(consts, t))
     want_t3 = _one_pass_ks(inv_prod, lambda t: cdf_t3_array(consts, t))
 
-    assert _ks_statistic(pair_sum, lambda t: cdf_t2_array(consts, t)).hex() \
-        == want_t2.hex()
-    assert _ks_statistic(inv_prod, lambda t: cdf_t3_array(consts, t)).hex() \
-        == want_t3.hex()
     streamed = np.random.default_rng(47)
-    assert _pair_sum_ks(streamed, params, consts, n).hex() == want_t2.hex()
-    assert _inverse_product_ks(streamed, params, consts, n).hex() == want_t3.hex()
+    for got, want in ((_ks_statistic(pair_sum, lambda t: cdf_t2_array(consts, t)), want_t2),
+                      (_ks_statistic(inv_prod, lambda t: cdf_t3_array(consts, t)), want_t3),
+                      (_pair_sum_ks(streamed, params, consts, n), want_t2),
+                      (_inverse_product_ks(streamed, params, consts, n), want_t3)):
+        assert got[0].hex() == want.hex()
+        assert got[1] is True
+
+
+@given(st.lists(st.integers(0, 40), min_size=1, max_size=5 * _KS_BLOCK),
+       st.floats(0.2, 5.0), st.floats(0.2, 5.0), st.booleans())
+def test_block_bounds_give_the_one_pass_statistic(ticks, rate_a, rate_b, equal):
+    """Sorted samples with ties, not drawn from cdf_t2, so that the largest
+    gap can fall anywhere."""
+    consts = dataclasses.replace(link_constants(SystemParams()), a_rate_a=rate_a,
+                                 a_rate_b=rate_a if equal else rate_b)
+    samples = np.sort(np.array(ticks, dtype=float)) / 10.0
+    ks, along_samples = _ks_statistic(samples, lambda t: cdf_t2_array(consts, t))
+    assert ks.hex() == _one_pass_ks(samples, lambda t: cdf_t2_array(consts, t)).hex()
+    assert along_samples is True
+
+
+def test_criterion_08_evaluates_its_cdfs_at_few_samples(monkeypatch):
+    true_ks = validation._ks_statistic
+    samples = evaluated = 0
+
+    def counting_ks(sorted_samples, cdf):
+        nonlocal samples
+        samples += len(sorted_samples)
+
+        def counted(t):
+            nonlocal evaluated
+            evaluated += t.size
+            return cdf(t)
+        return true_ks(sorted_samples, counted)
+
+    monkeypatch.setattr(validation, "_ks_statistic", counting_ks)
+    assert criterion_variable_change_cdfs().passed
+    assert samples == 6_000_000
+    assert evaluated <= 0.05 * samples
+
+
+def test_criterion_08_fails_a_cdf_that_falls_between_grid_points(monkeypatch):
+    """A dip in cdf_t3 between two adjacent points of the 10,000-point grid,
+    wider than a few KS blocks, keeps the KS distance under its bound but
+    falls across block edges, so the monotone check fails criterion 8."""
+    true_cdf = validation.cdf_t3_array
+    consts = link_constants(SystemParams())
+    grid = np.geomspace(1e-8, 1e12, 10_000)
+    j = int(np.argmax(np.diff(true_cdf(consts, grid))))
+    lo, hi = np.interp((0.25, 0.75), (0.0, 1.0), grid[j:j + 2])
+
+    def dipped(consts, t):
+        return true_cdf(consts, t) - 5e-4 * ((t > lo) & (t < hi))
+
+    assert np.all(np.diff(dipped(consts, grid)) >= -1e-12)
+    monkeypatch.setattr(validation, "cdf_t3_array", dipped)
+    result = criterion_variable_change_cdfs()
+    assert not result.passed
+    assert "monotone=False; limits=True" in result.detail
+    assert float(re.search(r"max KS=(\S+) ", result.detail).group(1)) <= 0.002
 
 
 def test_criterion_09_success_region_oracle():

@@ -247,18 +247,35 @@ def test_link_constants_are_the_theta_free_part(theta):
 _CONSTANTS_BUILDERS = {"link_constants", "derive_constants"}
 
 
+def _constants_reads(node, receivers=frozenset()) -> set:
+    """Attribute names read under node, less the reads inside the constants
+    builders and the reads from a SystemParams, whose properties share some
+    field names: a parameter annotated SystemParams, or self in its methods."""
+    if isinstance(node, ast.FunctionDef):
+        if node.name in _CONSTANTS_BUILDERS:
+            return set()
+        arguments = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+        receivers = receivers | {a.arg for a in arguments
+                                 if isinstance(a.annotation, ast.Name)
+                                 and a.annotation.id == "SystemParams"}
+    elif isinstance(node, ast.ClassDef) and node.name == "SystemParams":
+        receivers = receivers | {"self"}
+    read = set()
+    if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            and not (isinstance(node.value, ast.Name) and node.value.id in receivers)):
+        read.add(node.attr)
+    for child in ast.iter_child_nodes(node):
+        read |= _constants_reads(child, receivers)
+    return read
+
+
 def test_every_constants_field_is_read():
     """Each DerivedConstants field is read as an attribute somewhere in the
-    package outside the functions that build it."""
+    package outside the functions that build it, and not from a
+    SystemParams."""
     read = set()
     for path in (pathlib.Path(__file__).parents[1] / "src" / "ehrelay").glob("*.py"):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        built = {id(node) for builder in ast.walk(tree)
-                 if isinstance(builder, ast.FunctionDef) and builder.name in _CONSTANTS_BUILDERS
-                 for node in ast.walk(builder)}
-        read |= {node.attr for node in ast.walk(tree)
-                 if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
-                 and id(node) not in built}
+        read |= _constants_reads(ast.parse(path.read_text(encoding="utf-8")))
     fields = [f.name for f in dataclasses.fields(DerivedConstants)]
     assert len(fields) == 23
     assert [name for name in fields if name not in read] == []

@@ -525,7 +525,7 @@ class TestAgreement:
     def test_energy_smoke(self):
         gated = dataclasses.replace(DEFAULTS, circuit_sensitivity_dbm=-20.0)
         est = mc_energy_outage(gated, McConfig(trials=200_000, seed=6))
-        analytic = energy_outage(gated, derive_constants(gated, 0.5))
+        analytic = energy_outage(gated)
         assert analytic == pytest.approx(REF_ENERGY_OUTAGE, rel=1e-9)
         assert abs(est.probability - analytic) < 4.0 * est.std_error
 

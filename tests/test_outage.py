@@ -493,18 +493,17 @@ def test_capacity_formula():
 
 def test_energy_outage_reference_and_limits():
     gated = _with(circuit_sensitivity_dbm=-20.0)
-    got = energy_outage(gated, derive_constants(gated, 0.5))
+    got = energy_outage(gated)
     assert got == pytest.approx(REF_ENERGY_OUTAGE, rel=1e-9)
     ungated = _with(circuit_sensitivity_dbm=-300.0)
-    assert energy_outage(ungated, derive_constants(ungated, 0.5)) < 1e-12
+    assert energy_outage(ungated) < 1e-12
 
 
 @pytest.mark.parametrize("tx_power_dbm", [10.0, 30.0, -20.0])
 def test_missing_sensitivity_is_the_zero_sensitivity_limit(tx_power_dbm):
     ideal = _with(tx_power_dbm=tx_power_dbm)
     faint = _with(ideal, circuit_sensitivity_dbm=-300.0)
-    assert energy_outage(ideal, link_constants(ideal)) == \
-        energy_outage(faint, link_constants(faint))
+    assert energy_outage(ideal) == energy_outage(faint)
 
 
 def test_energy_outage_symmetric_links_square():
@@ -512,7 +511,7 @@ def test_energy_outage_symmetric_links_square():
     c = derive_constants(sym, 0.5)
     level = c.varpi + sym.sensitivity_w / sym.tx_power_w
     single = -math.expm1(-c.a_rate_a * level)
-    assert energy_outage(sym, c) == pytest.approx(single ** 2, rel=1e-12)
+    assert energy_outage(sym) == pytest.approx(single ** 2, rel=1e-12)
 
 
 def test_diversity_slope_synthetic_inputs():
