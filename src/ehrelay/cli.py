@@ -18,7 +18,7 @@ from .sweeps import FIGURES, SWEEPABLE_PARAMS, SweepSpec, fig, run_sweep
 from .validation import all_passed, report_csv, run_all
 
 _SYSTEM_FIELDS = {f.name for f in dataclasses.fields(SystemParams)}
-_MC_FIELDS = {"trials", "seed", "shards"}
+_MC_FIELDS = {f.name for f in dataclasses.fields(McConfig)}
 
 # Every SystemParams field has an override flag --<destination> (dashed);
 # the destination is the field name unless renamed here.
@@ -110,12 +110,14 @@ def cmd_sweep(args) -> int:
         if scheme.scheme_id == "dynamic_ps" and not scheme.args:
             scheme = SchemeSpec("dynamic_ps", {"theta": _theta(args)})
         schemes.append(scheme)
-    texts = args.values.split(",")
-    for i, text in enumerate(texts):
-        if not text.strip():
-            raise ValueError(f"values[{i}] is empty")
-    values = tuple(float(v) for v in texts)
-    spec = SweepSpec(swept_param=args.param, values=values,
+    values = []
+    for i, text in enumerate(args.values.split(",")):
+        try:
+            values.append(float(text))
+        except ValueError:
+            problem = " is empty" if not text.strip() else f"={text!r} is not a number"
+            raise ValueError(f"values[{i}]{problem}") from None
+    spec = SweepSpec(swept_param=args.param, values=tuple(values),
                      schemes=tuple(schemes), base=params, mc=cfg)
     _emit_result(run_sweep(spec), args)
     return 0

@@ -9,9 +9,11 @@ power and decoding from the rest; the broadcast weights the two re-encoded
 messages by a power allocation ratio theta.
 
 All arithmetic below is carried out in linear units (watts, dimensionless
-gains).  SystemParams converts its dBm / dBi inputs on every read, through
-properties; link_constants reads them once per configuration, and the
-array kernel reads only the LinkConstants it returns.
+gains).  SystemParams holds the inputs, in dBm / dBi where given so, and
+the one derived value that its own checks read, the SNR threshold;
+link_constants converts the rest once per configuration, and the
+LinkConstants it returns is the one home of derived link values, all that
+the array kernel reads.
 
 SchemeSpec is the catalogue of relay schemes: each id, its argument with
 default and range, and the "id:arg=value" text form live there only.
@@ -144,25 +146,6 @@ class SystemParams:
         """Decoding threshold gamma_th; the rate is the single source of truth."""
         return 2.0 ** self.rate_bps_hz - 1.0
 
-    @property
-    def wavelength_m(self) -> float:
-        return SPEED_OF_LIGHT_M_S / self.carrier_freq_hz
-
-    @property
-    def tx_power_w(self) -> float:
-        return dbm_to_watts(self.tx_power_dbm)
-
-    @property
-    def noise_w(self) -> float:
-        return dbm_to_watts(self.noise_dbm)
-
-    @property
-    def sensitivity_w(self) -> float:
-        """Rectenna activation threshold in watts; the ideal case maps to 0."""
-        if self.circuit_sensitivity_dbm is None:
-            return 0.0
-        return dbm_to_watts(self.circuit_sensitivity_dbm)
-
 
 @dataclass(frozen=True)
 class LinkConstants:
@@ -227,7 +210,8 @@ def link_constants(params: SystemParams) -> LinkConstants:
         """Z = d^alpha / Lambda, Lambda the close-in antenna/path factor:
         free-space at d0, exponent alpha beyond it."""
         try:
-            common = params.wavelength_m ** 2 * params.ref_dist ** (alpha - 2.0) \
+            wavelength_m = SPEED_OF_LIGHT_M_S / params.carrier_freq_hz
+            common = wavelength_m ** 2 * params.ref_dist ** (alpha - 2.0) \
                 / (4.0 * math.pi) ** 2
             z = dist ** alpha / (dbi_to_linear(gain_dbi) * g_relay * common)
         except (OverflowError, ZeroDivisionError):
@@ -239,8 +223,8 @@ def link_constants(params: SystemParams) -> LinkConstants:
     z_a = path_factor(params.dist_a, params.gain_a_dbi, ("dist_a", "gain_a_dbi"))
     z_b = path_factor(params.dist_b, params.gain_b_dbi, ("dist_b", "gain_b_dbi"))
 
-    p_w = params.tx_power_w
-    n_w = params.noise_w
+    p_w = dbm_to_watts(params.tx_power_dbm)
+    n_w = dbm_to_watts(params.noise_dbm)
     gamma_th = params.snr_threshold
     varpi = gamma_th * n_w / p_w
     beta = params.time_split
@@ -265,7 +249,8 @@ def link_constants(params: SystemParams) -> LinkConstants:
         a_o=varpi_sq * z_a * z_b * gamma_th / y_big,
         b_o=varpi_sq * z_a * z_b + gamma_th / y_big,
         snr_threshold=gamma_th, snr_scale=p_w / n_w, tx_power_w=p_w,
-        sensitivity_w=params.sensitivity_w,
+        sensitivity_w=(0.0 if params.circuit_sensitivity_dbm is None
+                       else dbm_to_watts(params.circuit_sensitivity_dbm)),
     )
 
 
@@ -427,11 +412,12 @@ class SchemeSpec:
         return cls(scheme_id.strip(), args)
 
 
-def stage_keys(scheme_id: str, canon: dict) -> tuple:
-    """(rho, theta) of a scheme with canonical arguments canon: its power
+def stage_keys(scheme: SchemeSpec) -> tuple:
+    """(rho, theta) of a scheme, read off its canonical arguments: its power
     split, None for the knee split, and its broadcast weight, None for the
     per-trial equalizing one."""
-    if scheme_id == "static_equal":
+    canon = scheme.canonical()
+    if scheme.scheme_id == "static_equal":
         return canon["rho"], 0.5
     return None, canon.get("theta")
 

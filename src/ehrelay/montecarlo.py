@@ -36,6 +36,7 @@ errors of one batch's estimates are correlated.
 from __future__ import annotations
 
 import atexit
+import contextlib
 import math
 import os
 import signal
@@ -51,8 +52,8 @@ from .numerics import sample_exponential
 
 BLOCK_TRIALS = 1 << 18
 CHUNK_TRIALS = 1 << 14
-# The scheme_id of an mc_outages cell that estimates the energy outage.
-ENERGY_OUTAGE = "energy_outage"
+# The theta of a _plan group entry that counts the energy outage.
+_ENERGY = "energy"
 
 _MASK64 = (1 << 64) - 1
 
@@ -130,7 +131,7 @@ def _chunks(means: tuple, seed: int, block_index: int, count: int):
 
 def _outage_block(cells: tuple, seed: int, block_index: int, count: int) -> list:
     """Each cell's outage count over one block, the energy outage's for an
-    ENERGY_OUTAGE cell; cells is a batch as _plan lays it out."""
+    energy cell; cells is a batch as _plan lays it out."""
     groups, slots, means = cells
     hits = [0] * (max(slots) + 1)
     for g_a, g_b, ws in _chunks(means, seed, block_index, count):
@@ -138,7 +139,7 @@ def _outage_block(cells: tuple, seed: int, block_index: int, count: int) -> list
             split_stage(consts, rho, g_a, g_b, ws)
             for slot, theta in thetas:
                 hits[slot] += (int(np.count_nonzero(rectennas_off(ws)))
-                               if theta == ENERGY_OUTAGE else
+                               if theta == _ENERGY else
                                broadcast_stage(consts, theta, g_a, g_b, ws))
     return [hits[slot] for slot in slots]
 
@@ -229,6 +230,24 @@ def _drop_pool() -> None:
 atexit.register(_drop_pool)
 
 
+@contextlib.contextmanager
+def _ctrl_c_held():
+    """Hold a Ctrl-C back until the block is left, then raise it: a
+    KeyboardInterrupt inside ProcessPoolExecutor.submit can leave a task
+    recorded but never queued, which the interpreter's exit waits on forever."""
+    if threading.current_thread() is not threading.main_thread():
+        yield    # only the main thread handles signals
+        return
+    caught = []
+    previous = signal.signal(signal.SIGINT, lambda *_: caught.append(True))
+    try:
+        yield
+    finally:
+        signal.signal(signal.SIGINT, previous)
+        if caught:
+            signal.raise_signal(signal.SIGINT)
+
+
 def _run_blocks(cells: tuple, cfg: McConfig) -> list:
     """Each cell's outage count, summed over the trial blocks; cells is a
     batch as _plan lays it out."""
@@ -241,8 +260,9 @@ def _run_blocks(cells: tuple, cfg: McConfig) -> list:
     with _POOL_LOCK:
         pool, tasks = _pool(workers), []
         try:
-            tasks.extend(pool.submit(_outage_block, cells, cfg.seed, idx, n)
-                         for idx, n in layout)
+            with _ctrl_c_held():
+                tasks.extend(pool.submit(_outage_block, cells, cfg.seed, idx, n)
+                             for idx, n in layout)
             return [sum(column) for column in zip(*(task.result() for task in tasks))]
         except BrokenProcessPool:
             # A pool process died; the next call starts a fresh pool.
@@ -262,32 +282,25 @@ def _estimate(hits: int, trials: int) -> McEstimate:
 
 
 def _plan(cells) -> tuple:
-    """Check a nonempty batch of cells (params, scheme_id, scheme_args); lay
-    it out as (groups, slots, means).  A group (consts, rho, thetas) is one
-    split stage: the link_constants of a point and a stage_keys rho, with
-    each distinct theta and the index of its count; an energy cell's theta
-    is ENERGY_OUTAGE, in its point's knee group.  slots holds each cell's
-    count index, one for all cells alike in what the kernel reads, and
-    means the fading means (mean_a, mean_b) that all cells share.
+    """Check a nonempty batch of cells (params, scheme); lay it out as
+    (groups, slots, means).  A group (consts, rho, thetas) is one split
+    stage: the link_constants of a point and a stage_keys rho, with each
+    distinct theta and the index of its count; an energy cell's theta is
+    _ENERGY, in its point's knee group.  slots holds each cell's count
+    index, one for all cells alike in what the kernel reads, and means the
+    fading means (mean_a, mean_b) that all cells share.
     """
     groups, slot_of, slots, means = {}, {}, [], set()
-    for params, scheme_id, scheme_args in cells:
-        if scheme_id != ENERGY_OUTAGE:
-            rho, theta = stage_keys(scheme_id,
-                                    SchemeSpec(scheme_id, scheme_args or {}).canonical())
-        elif params.circuit_sensitivity_dbm is None:
-            raise ValueError("energy outage requires circuit_sensitivity_dbm")
-        elif scheme_args:
-            raise ValueError(f"unsupported arguments for {ENERGY_OUTAGE!r}: "
-                             f"{sorted(scheme_args)}")
-        else:
-            rho, theta = None, ENERGY_OUTAGE
+    for params, scheme in cells:
         consts = link_constants(params)
+        if scheme is None and consts.sensitivity_w == 0.0:
+            raise ValueError("energy outage requires circuit_sensitivity_dbm")
+        rho, theta = (None, _ENERGY) if scheme is None else stage_keys(scheme)
         if (consts, rho, theta) not in slot_of:
             slot = slot_of[consts, rho, theta] = len(slot_of)
             thetas = groups.setdefault((consts, rho), (consts, rho, []))[2]
             # The rectenna tests are read before a broadcast overwrites them.
-            thetas.insert(0 if theta == ENERGY_OUTAGE else len(thetas), (slot, theta))
+            thetas.insert(0 if theta == _ENERGY else len(thetas), (slot, theta))
         slots.append(slot_of[consts, rho, theta])
         means.add((params.fading_mean_a, params.fading_mean_b))
     if len(means) > 1:
@@ -296,8 +309,8 @@ def _plan(cells) -> tuple:
 
 
 def mc_outages(cells, cfg: McConfig) -> list:
-    """One estimate per cell (params, scheme_id, scheme_args), as mc_outage
-    gives it, or as mc_energy_outage where scheme_id is ENERGY_OUTAGE.  All
+    """One estimate per cell (params, scheme), scheme a SchemeSpec, as
+    mc_outage gives it, or as mc_energy_outage where scheme is None.  All
     cells are checked before any trial runs, and must share the fading means.
     """
     cells = tuple(cells)
@@ -313,7 +326,7 @@ def mc_outage(params: SystemParams, scheme_id: str, scheme_args,
     scheme_args (a dict, or None for the defaults) is checked as a
     SchemeSpec before any trial runs.
     """
-    return mc_outages([(params, scheme_id, scheme_args)], cfg)[0]
+    return mc_outages([(params, SchemeSpec(scheme_id, scheme_args or {}))], cfg)[0]
 
 
 def mc_energy_outage(params: SystemParams, cfg: McConfig) -> McEstimate:
@@ -323,7 +336,7 @@ def mc_energy_outage(params: SystemParams, cfg: McConfig) -> McEstimate:
     model.split_stage decide (model.rectennas_off).  params must set
     circuit_sensitivity_dbm.
     """
-    return mc_outages([(params, ENERGY_OUTAGE, None)], cfg)[0]
+    return mc_outages([(params, None)], cfg)[0]
 
 
 def relative_error(analytic: float, mc: McEstimate) -> float:

@@ -21,7 +21,7 @@ import json
 from dataclasses import dataclass, fields, replace
 
 from .model import SchemeSpec, SystemParams, check_theta, real_number
-from .montecarlo import ENERGY_OUTAGE, McConfig, mc_outages, relative_error
+from .montecarlo import McConfig, mc_outages, relative_error
 from .outage import (energy_outage, outage_capacity, outage_dynamic_ps,
                      outage_improved)
 
@@ -158,10 +158,8 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
                 scheme, label = SchemeSpec("dynamic_ps", {"theta": v}), "dynamic_ps"
             cells.append((v, label, point, scheme))
         if spec.swept_param == "sensitivity":
-            cells.append((v, ENERGY_OUTAGE, point, None))
-    estimates = mc_outages([(point, ENERGY_OUTAGE, None) if scheme is None
-                            else (point, scheme.scheme_id, scheme.args)
-                            for _, _, point, scheme in cells], spec.mc)
+            cells.append((v, "energy_outage", point, None))
+    estimates = mc_outages([(point, scheme) for _, _, point, scheme in cells], spec.mc)
     rows = []
     for (v, label, point, scheme), est in zip(cells, estimates):
         if scheme is None:

@@ -149,8 +149,8 @@ def criterion_scheme_ordering() -> CriterionResult:
     params = SystemParams()
     cfg = McConfig(trials=10_000_000, seed=31, shards=4)
     improved, dynamic, static = mc_outages(
-        [(params, "improved", {}), (params, "dynamic_ps", {"theta": 0.5}),
-         (params, "static_equal", {"rho": 0.5})], cfg)
+        [(params, SchemeSpec("improved")), (params, SchemeSpec("dynamic_ps", {"theta": 0.5})),
+         (params, SchemeSpec("static_equal", {"rho": 0.5}))], cfg)
     passed = True
     notes = [f"improved={_fmt(improved.probability)}",
              f"dynamic={_fmt(dynamic.probability)}",

@@ -12,6 +12,7 @@ from hypothesis import given, strategies as st
 from ehrelay.model import (
     DerivedConstants,
     KernelWorkspace,
+    SchemeSpec,
     SystemParams,
     _all_clear,
     _equalizing_theta,
@@ -72,9 +73,13 @@ def test_unit_conversions():
 
 def test_threshold_and_wavelength():
     assert DEFAULTS.snr_threshold == pytest.approx(3.0, rel=1e-15)
-    assert DEFAULTS.wavelength_m == pytest.approx(299792458.0 / 915e6, rel=1e-15)
-    assert DEFAULTS.sensitivity_w == 0.0
-    with_floor = dataclasses.replace(DEFAULTS, circuit_sensitivity_dbm=-20.0)
+    # At d0 = 1 m the path factor is the free-space one, G_i G_R (lambda/4pi)^2,
+    # with lambda = c/f.
+    free_space = dbi_to_linear(8.0) ** 2 * (299792458.0 / 915e6 / (4.0 * math.pi)) ** 2
+    assert DEFAULTS.dist_a ** DEFAULTS.path_loss_exp / CONSTS.z_a == \
+        pytest.approx(free_space, rel=1e-14)
+    assert CONSTS.sensitivity_w == 0.0
+    with_floor = link_constants(dataclasses.replace(DEFAULTS, circuit_sensitivity_dbm=-20.0))
     assert with_floor.sensitivity_w == pytest.approx(1e-5, rel=1e-12)
 
 
@@ -319,7 +324,8 @@ def test_uplink_boundary_convention():
     g_b = knee_b * (1.0 + 10.0 * rng.random(10_000))
     # Both adaptive schemes run the knee split, whose uplink verdict the
     # broadcasts leave in place.
-    assert stage_keys("dynamic_ps", DYNAMIC)[0] is stage_keys("improved", {})[0] is None
+    assert stage_keys(SchemeSpec("dynamic_ps", DYNAMIC))[0] is \
+        stage_keys(SchemeSpec("improved"))[0] is None
     for theta in (0.5, None):
         assert _stages(g_a, g_b, theta=theta).uplink.all()
 
@@ -353,7 +359,7 @@ def _power_splits(rho, g_a, g_b):
 
 def test_static_equal_decision():
     for rho in (0.5, 0.0, 0.7):
-        assert stage_keys("static_equal", {"rho": rho}) == (rho, 0.5)
+        assert stage_keys(SchemeSpec("static_equal", {"rho": rho})) == (rho, 0.5)
         assert _power_splits(rho, 2.0, 1.0) == (
             1.0 - rho, 1.0 - rho, rho * 2.0 / CONSTS.z_a, rho * 1.0 / CONSTS.z_b)
 

@@ -35,8 +35,7 @@ from ehrelay import (
 from ehrelay import montecarlo, sweeps
 from ehrelay.model import (_UPLINK_SLACK, KernelWorkspace, SchemeSpec, broadcast_stage,
                            link_constants, split_stage, stage_keys)
-from ehrelay.montecarlo import (BLOCK_TRIALS, CHUNK_TRIALS, ENERGY_OUTAGE,
-                                _block_layout, _block_rng, _chunks, _outage_block,
+from ehrelay.montecarlo import (BLOCK_TRIALS, CHUNK_TRIALS, _block_layout, _block_rng, _chunks, _outage_block,
                                 _plan, _splitmix64, _usable_cores,
                                 _worker_count, mc_outages)
 from ehrelay.numerics import sample_exponential
@@ -117,12 +116,12 @@ def _oracle_outage(params, scheme_id, args, g_a, g_b):
             decode_a, decode_b = np.minimum(c.knee_a / g_a, 1.0), np.minimum(c.knee_b / g_b, 1.0)
         harvest_a = np.maximum(g_a - c.knee_a, 0.0) / c.z_a
         harvest_b = np.maximum(g_b - c.knee_b, 0.0) / c.z_b
-    snr, gamma_th = params.tx_power_w / params.noise_w, params.snr_threshold
+    snr, gamma_th = c.snr_scale, c.snr_threshold
     bar = gamma_th * (1.0 - _UPLINK_SLACK)
     uplinks = (g_a * decode_a * snr / c.z_a >= bar) & (g_b * decode_b * snr / c.z_b >= bar)
     # A link whose RF harvest misses the rectenna sensitivity adds nothing;
     # the ideal sensitivity 0 passes every harvest.
-    tx, floor = params.tx_power_w, params.sensitivity_w
+    tx, floor = c.tx_power_w, c.sensitivity_w
     pooled = harvest_a * (tx * harvest_a >= floor) + harvest_b * (tx * harvest_b >= floor)
     if scheme_id == "improved":
         # The theta that equalizes the downlinks, 0.5 where both gains vanish.
@@ -160,7 +159,7 @@ def _whole_block_energy_hits(params, seed, block_index, count):
     g_a, g_b = _whole_block_gains(params, seed, block_index, count)
     harvest_a = np.maximum(g_a - consts.knee_a, 0.0) / consts.z_a
     harvest_b = np.maximum(g_b - consts.knee_b, 0.0) / consts.z_b
-    tx, floor = params.tx_power_w, params.sensitivity_w
+    tx, floor = consts.tx_power_w, consts.sensitivity_w
     return int(np.count_nonzero((tx * harvest_a < floor) & (tx * harvest_b < floor)))
 
 
@@ -195,7 +194,7 @@ def test_the_stages_give_the_oracle_outage_per_trial(point, gains, rho):
     consts, ws = link_constants(params), KernelWorkspace(len(gains))
     for scheme_id, args in (("static_equal", {"rho": rho}),
                             ("dynamic_ps", {"theta": theta}), ("improved", {})):
-        split_rho, weight = stage_keys(scheme_id, SchemeSpec(scheme_id, args).canonical())
+        split_rho, weight = stage_keys(SchemeSpec(scheme_id, args))
         split_stage(consts, split_rho, g_a, g_b, ws)
         hits = broadcast_stage(consts, weight, g_a, g_b, ws)
         want = _oracle_outage(params, scheme_id, args, g_a, g_b)
@@ -228,7 +227,7 @@ class TestBlockEvaluation:
     def test_chunks_count_like_the_whole_block(self, params, scheme_id):
         for count in (1, CHUNK_TRIALS - 1, CHUNK_TRIALS + 1, 213_568,
                       BLOCK_TRIALS):
-            chunked, = _outage_block(_plan([(params, scheme_id, None)]), 5, 3, count)
+            chunked, = _outage_block(_plan([(params, SchemeSpec(scheme_id))]), 5, 3, count)
             assert chunked == _whole_block_hits(params, scheme_id, 5, 3, count)
 
     def test_chunk_stream_is_the_whole_block_draws(self):
@@ -251,7 +250,7 @@ class TestBlockEvaluation:
     def test_block_never_holds_a_block_sized_array(self):
         for params in (DEFAULTS, GATED):
             for scheme_id in SCHEMES:
-                cells = _plan([(params, scheme_id, None)])
+                cells = _plan([(params, SchemeSpec(scheme_id))])
                 assert _traced_peak(lambda: _outage_block(cells, 5, 3, BLOCK_TRIALS)) \
                     < ONE_BLOCK_ARRAY, (params, scheme_id)
         energy = McConfig(trials=BLOCK_TRIALS, seed=5)
@@ -270,36 +269,36 @@ class TestBlockEvaluation:
 
 
 # Every scheme on both operating points, and an energy cell.
-MIXED_BATCH = (*((params, scheme_id, None) for params in (DEFAULTS, GATED)
+MIXED_BATCH = (*((params, SchemeSpec(scheme_id)) for params in (DEFAULTS, GATED)
                  for scheme_id in SCHEMES),
-               (GATED, ENERGY_OUTAGE, None))
+               (GATED, None))
 
 # Two operating points interleaved; cells alike but for quad_order, or
 # alike outright; one theta at both points; static_equal at two rhos; and
 # an energy cell between the cells of its knee-split group.
 _M2 = dataclasses.replace(DEFAULTS, quad_order=2)
 GROUPED_BATCH = (
-    (DEFAULTS, "dynamic_ps", {"theta": 0.3}),
-    (GATED, "improved", None),
-    (_M2, "dynamic_ps", {"theta": 0.3}),
-    (DEFAULTS, "static_equal", {"rho": 0.3}),
-    (GATED, ENERGY_OUTAGE, None),
-    (GATED, "dynamic_ps", {"theta": 0.3}),
-    (_M2, "improved", {}),
-    (DEFAULTS, "static_equal", {"rho": 0.7}),
-    (DEFAULTS, "improved", None),
-    (GATED, "static_equal", None),
-    (DEFAULTS, "dynamic_ps", {"theta": 0.3}),
-    (GATED, "dynamic_ps", None),
-    (_M2, "static_equal", {"rho": 0.3}),
+    (DEFAULTS, SchemeSpec("dynamic_ps", {"theta": 0.3})),
+    (GATED, SchemeSpec("improved")),
+    (_M2, SchemeSpec("dynamic_ps", {"theta": 0.3})),
+    (DEFAULTS, SchemeSpec("static_equal", {"rho": 0.3})),
+    (GATED, None),
+    (GATED, SchemeSpec("dynamic_ps", {"theta": 0.3})),
+    (_M2, SchemeSpec("improved")),
+    (DEFAULTS, SchemeSpec("static_equal", {"rho": 0.7})),
+    (DEFAULTS, SchemeSpec("improved")),
+    (GATED, SchemeSpec("static_equal")),
+    (DEFAULTS, SchemeSpec("dynamic_ps", {"theta": 0.3})),
+    (GATED, SchemeSpec("dynamic_ps")),
+    (_M2, SchemeSpec("static_equal", {"rho": 0.3})),
 )
 
 
 def _alone(cell, cfg):
-    params, scheme_id, args = cell
-    if scheme_id == ENERGY_OUTAGE:
+    params, scheme = cell
+    if scheme is None:
         return mc_energy_outage(params, cfg)
-    return mc_outage(params, scheme_id, args, cfg)
+    return mc_outage(params, scheme.scheme_id, scheme.args, cfg)
 
 
 class TestBatch:
@@ -346,7 +345,7 @@ class TestBatch:
         # np.float32(-90.0) == -90.0, yet its noise power rounds apart.
         narrow = dataclasses.replace(DEFAULTS, noise_dbm=np.float32(-90.0))
         assert narrow == DEFAULTS
-        cells = [(DEFAULTS, "improved", None), (narrow, "improved", None)]
+        cells = [(DEFAULTS, SchemeSpec("improved")), (narrow, SchemeSpec("improved"))]
         groups, slots, _ = _plan(cells)
         assert (len(groups), slots) == (2, (0, 1))
         cfg = McConfig(trials=CHUNK_TRIALS, seed=1)
@@ -364,14 +363,11 @@ class TestBatch:
         assert mc_outages([], McConfig(trials=10)) == []
 
     @pytest.mark.parametrize("cells,match", [
-        ([(DEFAULTS, "improved", None),
-          (dataclasses.replace(DEFAULTS, fading_mean_b=2.0), "improved", None)],
+        ([(DEFAULTS, SchemeSpec("improved")),
+          (dataclasses.replace(DEFAULTS, fading_mean_b=2.0), SchemeSpec("improved"))],
          "fading_mean"),
-        ([(GATED, "improved", None), (DEFAULTS, ENERGY_OUTAGE, None)],
-         "circuit_sensitivity_dbm"),
-        ([(GATED, "improved", None), (GATED, ENERGY_OUTAGE, {"theta": 0.3})],
-         r"unsupported arguments for 'energy_outage': \['theta'\]"),
-    ], ids=["fading-means", "ungated-energy", "energy-arguments"])
+        ([(GATED, SchemeSpec("improved")), (DEFAULTS, None)], "circuit_sensitivity_dbm"),
+    ], ids=["fading-means", "ungated-energy"])
     def test_a_bad_cell_fails_before_any_draw(self, cells, match, monkeypatch):
         monkeypatch.setattr(montecarlo, "_chunks", _no_draws)
         with pytest.raises(ValueError, match=match):
@@ -392,8 +388,8 @@ class TestBatch:
 
     def test_a_fig5_block_never_holds_a_block_sized_array(self):
         spec = sweeps.FIGURES[5]
-        cells = [(dataclasses.replace(spec.base, tx_power_dbm=v), scheme.scheme_id,
-                  scheme.args) for v in spec.values for scheme in spec.schemes]
+        cells = [(dataclasses.replace(spec.base, tx_power_dbm=v), scheme)
+                 for v in spec.values for scheme in spec.schemes]
         assert len(cells) == 35
         plan = _plan(cells)
         assert _traced_peak(lambda: _outage_block(plan, 5, 3, BLOCK_TRIALS)) \
@@ -703,6 +699,30 @@ class TestWorkerPool:
         time.sleep(0.2)
         assert mc_outage(DEFAULTS, "dynamic_ps", None, cfg) == want
         assert {p.pid for p in multiprocessing.active_children()} == workers
+
+    @needs_two_cores
+    def test_ctrl_c_while_submitting_waits_for_the_last_submit(self, monkeypatch):
+        # A KeyboardInterrupt inside ProcessPoolExecutor.submit can orphan a
+        # task, which the interpreter's exit then waits on forever.  So the
+        # Ctrl-C surfaces once every block is submitted, the blocks not yet
+        # started are cancelled, and the pool serves the next call.
+        cfg = McConfig(trials=12 * BLOCK_TRIALS, seed=6, shards=2)
+        want = mc_outage(DEFAULTS, "dynamic_ps", None, cfg)
+        pool, submitted = montecarlo._pool(2), []
+        submit = pool.submit
+
+        def interrupted(*args):
+            signal.raise_signal(signal.SIGINT)    # Ctrl-C lands mid-submission
+            submitted.append(submit(*args))
+            return submitted[-1]
+
+        monkeypatch.setattr(pool, "submit", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            mc_outage(DEFAULTS, "dynamic_ps", None, cfg)
+        monkeypatch.undo()
+        assert len(submitted) == 12
+        assert any(task.cancelled() for task in submitted)
+        assert mc_outage(DEFAULTS, "dynamic_ps", None, cfg) == want
 
     @needs_two_cores
     @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")

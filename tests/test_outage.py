@@ -509,7 +509,7 @@ def test_missing_sensitivity_is_the_zero_sensitivity_limit(tx_power_dbm):
 def test_energy_outage_symmetric_links_square():
     sym = _with(dist_a=10.0, dist_b=10.0, circuit_sensitivity_dbm=-20.0)
     c = derive_constants(sym, 0.5)
-    level = c.varpi + sym.sensitivity_w / sym.tx_power_w
+    level = c.varpi + c.sensitivity_w / c.tx_power_w
     single = -math.expm1(-c.a_rate_a * level)
     assert energy_outage(sym) == pytest.approx(single ** 2, rel=1e-12)
 

@@ -438,11 +438,13 @@ class TestCli:
         point = SystemParams(tx_power_dbm=20.0)
         assert float(rows[0][2]) == outage_dynamic_ps(point, 0.2)
 
-    @pytest.mark.parametrize("text,index", [("10,,20,", 1), ("10,20,", 2), (" ", 0)])
-    def test_sweep_refuses_an_empty_value(self, text, index, capsys):
+    @pytest.mark.parametrize("text,message", [
+        ("10,,20,", "values[1] is empty"), ("10,20,", "values[2] is empty"),
+        (" ", "values[0] is empty"), ("10,abc", "values[1]='abc' is not a number")])
+    def test_sweep_refuses_an_empty_value(self, text, message, capsys):
         assert main(["sweep", "--param", "tx_power", f"--values={text}",
                      "--trials", "64"]) == 2
-        assert capsys.readouterr().err == f"error: values[{index}] is empty\n"
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_sweep_json_and_out_file(self, tmp_path):
         target = tmp_path / "sweep.json"
