@@ -18,12 +18,28 @@ the array kernel reads.
 SchemeSpec is the catalogue of relay schemes: each id, its argument with
 default and range, and the "id:arg=value" text form live there only.
 
-The array kernel runs in two stages, its one entry: split_stage, the
-theta-free work that all schemes at one operating point and power split
-share, and broadcast_stage, which adds a broadcast weight theta and counts
-outages.  Both write into a KernelWorkspace: the Monte Carlo simulator
-keeps one per block, so a chunk allocates no arrays, and the acceptance
-criteria read the SNRs and harvest terms the stages leave in theirs.
+The array kernel reads a trial through its normalized gains u_x = g_x/Z_x.
+With eps = gamma_th*sigma^2/P (varpi), kappa = eta*beta/(1-2*beta) and
+pi = P_th/P (harvest_floor), the four links of a trial decode as follows;
+equality counts as success throughout.
+- Uplinks: the knee split (dynamic_ps, improved) decodes iff u_A >= eps and
+  u_B >= eps, and link x harvests h_x = u_x - eps; a fixed split rho decodes
+  iff (1-rho)*u_x >= eps for both links, and harvests h_x = rho*u_x.
+- Rectennas: link x adds h_x to the pool iff h_x >= pi; ideally, always.
+- Downlinks: at broadcast weight theta, with m = theta^2 + (1-theta)^2,
+  w_A = (1-theta)^2/m and w_B = theta^2/m, downlink x decodes iff
+  kappa*w_x*u_x*pool >= eps.  Both do iff a*pool >= eps, for the downlink
+  gain a = kappa*min(w_A*u_A, w_B*u_B).  The improved scheme's weight
+  sqrt(u_A)/(sqrt(u_A) + sqrt(u_B)) equalizes the two: a = kappa*u_A*u_B/U,
+  with U = u_A + u_B.
+With the ideal rectenna the pool is U - 2*eps (knee split) or rho*U, and a
+trial succeeds iff eps <= r*, its critical ratio:
+- knee split: r* = min(u_A, u_B, a*U/(1 + 2*a));
+- fixed rho: r* = min((1-rho)*min(u_A, u_B), rho*a*U).
+r* reads neither P, sigma^2 nor gamma_th, so one r* array serves every
+cell, such as every row of a transmit power, rate or M sweep, that shares
+Z_A, Z_B, kappa and the scheme's rho and theta.  The kernel functions
+below write into a KernelWorkspace.
 """
 
 from __future__ import annotations
@@ -161,6 +177,7 @@ class LinkConstants:
     knee_a: float         # varpi * Z_A: below it the A uplink cannot decode
     knee_b: float
     harvest_gain: float   # eta*beta*P / ((1-2*beta)*sigma^2): broadcast SNR per harvest
+    kappa: float          # eta*beta / (1-2*beta): harvest_gain / (P/sigma^2)
     y_big: float          # harvest_gain / (Z_A*Z_B)
     d_ratio_a: float      # Z_A / Z_B
     d_ratio_b: float      # Z_B / Z_A
@@ -171,9 +188,7 @@ class LinkConstants:
     a_o: float            # varpi^2 * Z_A * Z_B * gamma_th / Y
     b_o: float            # varpi^2 * Z_A * Z_B + gamma_th / Y
     snr_threshold: float  # gamma_th
-    snr_scale: float      # P / sigma^2
-    tx_power_w: float     # P
-    sensitivity_w: float  # rectenna threshold P_th; 0.0 for the ideal rectenna
+    harvest_floor: float  # P_th / P, the least harvest term a rectenna converts; 0.0 ideal
 
 
 @dataclass(frozen=True)
@@ -242,58 +257,32 @@ def link_constants(params: SystemParams) -> LinkConstants:
 
     return LinkConstants(
         z_a=z_a, z_b=z_b, varpi=varpi, knee_a=varpi * z_a, knee_b=varpi * z_b,
-        harvest_gain=harvest_gain, y_big=y_big,
+        harvest_gain=harvest_gain, kappa=params.eh_efficiency * beta / (1.0 - 2.0 * beta),
+        y_big=y_big,
         d_ratio_a=z_a / z_b, d_ratio_b=z_b / z_a,
         e_a=2.0 * varpi * z_a, e_b=2.0 * varpi * z_b,
         a_rate_a=z_a / params.fading_mean_a, a_rate_b=z_b / params.fading_mean_b,
         a_o=varpi_sq * z_a * z_b * gamma_th / y_big,
         b_o=varpi_sq * z_a * z_b + gamma_th / y_big,
-        snr_threshold=gamma_th, snr_scale=p_w / n_w, tx_power_w=p_w,
-        sensitivity_w=(0.0 if params.circuit_sensitivity_dbm is None
-                       else dbm_to_watts(params.circuit_sensitivity_dbm)),
+        snr_threshold=gamma_th,
+        harvest_floor=(0.0 if params.circuit_sensitivity_dbm is None
+                       else dbm_to_watts(params.circuit_sensitivity_dbm) / p_w),
     )
 
 
-class KernelWorkspace:
-    """Arrays the kernel below writes into, for batches of one shape.
-
-    Each kernel function writes every result and temporary into its
-    arrays instead of allocating, so a caller that evaluates batch after
-    batch allocates once.  Each call overwrites what the last call with the
-    same workspace returned; the uplink SNRs overwrite the decode fractions,
-    and the downlink SNRs the harvest terms once pooled.
-    """
-
-    def __init__(self, shape) -> None:
-        (self.decode_a, self.decode_b, self.harvest_a, self.harvest_b,
-         self.theta, self.pooled, self.scratch) = (np.empty(shape) for _ in range(7))
-        self.up_a, self.up_b = self.decode_a, self.decode_b
-        self.down_a, self.down_b = self.harvest_a, self.harvest_b
-        self.ok, self.flag, self.uplink = (np.empty(shape, dtype=bool) for _ in range(3))
-
-
-def broadcast_factors(consts: LinkConstants, theta,
-                      ws: KernelWorkspace | None = None) -> tuple:
-    """Downlink SNR coefficients (X_A, X_B) at weight theta (scalar or array).
+def broadcast_factors(consts: LinkConstants, theta: float) -> tuple:
+    """Downlink SNR coefficients (X_A, X_B) at weight theta, for the
+    dynamic-PS closed form.
 
     X_A carries (1-theta)^2 and X_B carries theta^2, both normalized by the
     total broadcast weight theta^2 + (1-theta)^2.  Each square is taken
-    once: a Python float theta's with Python's ** (pow), an array theta's by
-    NumPy, in place, in ws's down, scratch and theta arrays when given,
-    overwriting theta once read.  The two round apart in the last bit on
-    168 of 200,000 uniform doubles, so neither path may be routed through
-    the other without moving bits; a scalar theta stays a Python float.
+    once, with Python's ** (pow) on Python floats.
     """
-    spare = ws is not None and getattr(theta, "ndim", 0)
-    x_a = np.subtract(1.0, theta, out=ws.down_a) if spare else 1.0 - theta
-    x_a **= 2
-    x_b = np.square(theta, out=ws.down_b) if spare else theta ** 2
-    mix = np.add(x_b, x_a, out=ws.scratch) if spare else x_b + x_a
-    x_a *= consts.harvest_gain
-    x_a /= np.multiply(consts.z_a, mix, out=ws.theta) if spare else consts.z_a * mix
-    x_b *= consts.harvest_gain
-    x_b /= np.multiply(consts.z_b, mix, out=ws.theta) if spare else consts.z_b * mix
-    return x_a, x_b
+    x_a = (1.0 - theta) ** 2
+    x_b = theta ** 2
+    mix = x_b + x_a
+    return (x_a * consts.harvest_gain / (consts.z_a * mix),
+            x_b * consts.harvest_gain / (consts.z_b * mix))
 
 
 def check_theta(theta: float) -> None:
@@ -333,20 +322,6 @@ def derive_constants(params: SystemParams, theta: float,
                             delta_a=delta_a, delta_b=delta_b)
 
 
-# Extreme admissible values of the open-interval theta; a single vanishing
-# gain is nudged onto them so the optimizer formula stays inside (0, 1).
-_THETA_LO = float(np.nextafter(0.0, 1.0))
-_THETA_HI = float(np.nextafter(1.0, 0.0))
-
-# Relative slack on the uplink threshold comparison.  The adaptive schemes
-# harvest everything above decode feasibility, which parks the true uplink
-# SNR exactly on the threshold; a handful of ulps of slack makes that
-# boundary resolve to success (the model's inclusive convention) instead of
-# depending on rounding direction.  True sub-threshold events sit a
-# continuum away, so the slack does not bias them measurably.
-_UPLINK_SLACK = 16.0 * float(np.finfo(np.float64).eps)
-
-
 def _check_rho(rho: float) -> None:
     if not 0.0 <= rho <= 1.0:
         raise ValueError("rho must lie in [0, 1]")
@@ -375,8 +350,8 @@ class SchemeSpec:
         self.canonical()
 
     def canonical(self) -> dict:
-        """Every argument of the scheme, defaults filled in: what
-        stage_keys reads."""
+        """Every argument of the scheme, defaults filled in: what the
+        simulator reads of it."""
         if self.scheme_id not in _SCHEMES:
             raise ValueError(f"unknown scheme_id {self.scheme_id!r}; "
                              f"expected one of {tuple(_SCHEMES)}")
@@ -412,127 +387,95 @@ class SchemeSpec:
         return cls(scheme_id.strip(), args)
 
 
-def stage_keys(scheme: SchemeSpec) -> tuple:
-    """(rho, theta) of a scheme, read off its canonical arguments: its power
-    split, None for the knee split, and its broadcast weight, None for the
-    per-trial equalizing one."""
-    canon = scheme.canonical()
-    if scheme.scheme_id == "static_equal":
-        return canon["rho"], 0.5
-    return None, canon.get("theta")
+class KernelWorkspace:
+    """Arrays the kernel below writes into, for chunks of one shape, so
+    that a caller that evaluates chunk after chunk allocates once.
+
+    normalized_gains fills u_a, u_b, total (U) and low, which the later
+    calls of a chunk read; each writes its result over gain or pool.
+    """
+
+    def __init__(self, shape) -> None:
+        (self.u_a, self.u_b, self.total, self.low, self.gain, self.pool,
+         self.scratch) = (np.empty(shape) for _ in range(7))
+        self.on, self.flag = (np.empty(shape, dtype=bool) for _ in range(2))
 
 
-def _power_split(consts: LinkConstants, rho, g_a, g_b, ws: KernelWorkspace) -> tuple:
-    """(decode_a, decode_b, harvest_a, harvest_b) at stage_keys split rho:
-    the 1-rho fraction of each link left for information, and rho*g/Z, its
-    harvested-power term.  The knee split's fractions are min(knee/g, 1),
-    not 1-rho, so that the saturated uplink product g*decode reproduces the
-    knee exactly instead of through a cancellation."""
-    if rho is not None:
-        harvest_a = np.multiply(g_a, rho, out=ws.harvest_a)
-        harvest_a /= consts.z_a
-        harvest_b = np.multiply(g_b, rho, out=ws.harvest_b)
-        harvest_b /= consts.z_b
-        return 1.0 - rho, 1.0 - rho, harvest_a, harvest_b
-    with np.errstate(divide="ignore"):
-        decode_a = np.divide(consts.knee_a, g_a, out=ws.decode_a)
-        decode_b = np.divide(consts.knee_b, g_b, out=ws.decode_b)
-    np.minimum(decode_a, 1.0, out=decode_a)
-    np.minimum(decode_b, 1.0, out=decode_b)
-    # The knee split harvests max(g - knee, 0)/Z.
-    harvest_a = np.subtract(g_a, consts.knee_a, out=ws.harvest_a)
-    np.maximum(harvest_a, 0.0, out=harvest_a)
-    harvest_a /= consts.z_a
-    harvest_b = np.subtract(g_b, consts.knee_b, out=ws.harvest_b)
-    np.maximum(harvest_b, 0.0, out=harvest_b)
-    harvest_b /= consts.z_b
-    return decode_a, decode_b, harvest_a, harvest_b
+# The improved gain divides by U; where both gains vanish, U is 0 and this
+# floor makes the gain 0 (an outage) instead of 0/0.  No positive U is
+# below it, so it changes no other quotient.
+_SMALLEST_U = float(np.nextafter(0.0, 1.0))
 
 
-def _equalizing_theta(consts: LinkConstants, g_a, g_b, ws: KernelWorkspace):
-    """The improved scheme's theta, which equalizes the two downlink SNRs;
-    0.5, for determinism, where both gains vanish and every theta fails."""
-    side_a = np.multiply(g_a, consts.z_b, out=ws.theta)
-    np.sqrt(side_a, out=side_a)
-    denom = np.multiply(g_b, consts.z_a, out=ws.scratch)
-    np.sqrt(denom, out=denom)
-    denom += side_a
-    # The denominator vanishes only where both gains do; skip the
-    # masking when no realization is such.
-    if denom.min(initial=math.inf) > 0.0:
-        theta = np.divide(side_a, denom, out=side_a)
-    else:
-        positive = denom > 0.0
-        side_a[...] = np.where(positive, side_a / np.where(positive, denom, 1.0), 0.5)
-        theta = side_a
-    return np.clip(theta, _THETA_LO, _THETA_HI, out=theta)
+def normalized_gains(consts: LinkConstants, g_a, g_b, ws: KernelWorkspace) -> None:
+    """Fill ws with u_x = g_x/Z_x for squared channel gains g_a and g_b,
+    their sum U (ws.total) and the smaller one (ws.low)."""
+    np.divide(g_a, consts.z_a, out=ws.u_a)
+    np.divide(g_b, consts.z_b, out=ws.u_b)
+    np.add(ws.u_a, ws.u_b, out=ws.total)
+    np.minimum(ws.u_a, ws.u_b, out=ws.low)
 
 
-def _rectenna_on(consts: LinkConstants, harvest, ws: KernelWorkspace, out):
-    """True where a link's harvested RF power reaches the rectenna sensitivity."""
-    power = np.multiply(harvest, consts.tx_power_w, out=ws.scratch)
-    return np.greater_equal(power, consts.sensitivity_w, out=out)
-
-
-def _uplinks_clear(consts: LinkConstants, up_a, up_b, ws: KernelWorkspace) -> None:
-    """Leave in ws.uplink where both uplinks decode, at a threshold lowered
-    by _UPLINK_SLACK: the adaptive knee splits succeed however they round."""
-    bar = consts.snr_threshold * (1.0 - _UPLINK_SLACK)
-    np.greater_equal(up_a, bar, out=ws.uplink)
-    ws.uplink &= np.greater_equal(up_b, bar, out=ws.flag)
-
-
-def _all_clear(consts: LinkConstants, down_a, down_b, ws: KernelWorkspace):
-    """True where all four links decode, by ws.uplink for the uplinks;
-    equality counts as success."""
-    ok = np.greater_equal(down_a, consts.snr_threshold, out=ws.ok)
-    ok &= np.greater_equal(down_b, consts.snr_threshold, out=ws.flag)
-    ok &= ws.uplink
-    return ok
-
-
-def split_stage(consts: LinkConstants, rho, g_a, g_b, ws: KernelWorkspace) -> None:
-    """The theta-free kernel work at the operating point of consts and
-    stage_keys split rho, for squared channel gains g_a and g_b: leaves in
-    ws the uplink SNRs (up_a, up_b), their verdict (uplink), the harvest
-    terms and their pooled sum (pooled), which each broadcast_stage after it
-    reads.  When gated, a link whose RF harvest misses the rectenna
-    sensitivity adds nothing to the pool; each test stays in ws.ok, ws.flag."""
-    decode_a, decode_b, harvest_a, harvest_b = _power_split(consts, rho, g_a, g_b, ws)
-    up_a = np.multiply(g_a, decode_a, out=ws.up_a)
-    up_a *= consts.snr_scale
-    up_a /= consts.z_a
-    up_b = np.multiply(g_b, decode_b, out=ws.up_b)
-    up_b *= consts.snr_scale
-    up_b /= consts.z_b
-    _uplinks_clear(consts, up_a, up_b, ws)
-    if consts.sensitivity_w == 0.0:
-        np.add(harvest_a, harvest_b, out=ws.pooled)
-    else:
-        np.multiply(harvest_a, _rectenna_on(consts, harvest_a, ws, ws.ok), out=ws.pooled)
-        ws.pooled += np.multiply(harvest_b, _rectenna_on(consts, harvest_b, ws, ws.flag),
-                                 out=ws.scratch)
-
-
-def broadcast_stage(consts: LinkConstants, theta, g_a, g_b, ws: KernelWorkspace) -> int:
-    """The outage count at stage_keys weight theta after the last
-    split_stage in ws.  Leaves the downlink SNRs in ws.down_a and ws.down_b,
-    over the harvest terms, and where all four links decode in ws.ok; the
-    uplink results and the pooled harvest stay."""
+def downlink_gain(consts: LinkConstants, theta, ws: KernelWorkspace):
+    """The downlink gain a = kappa*min(w_A*u_A, w_B*u_B) at broadcast
+    weight theta, or at the per-trial equalizing weight where theta is
+    None, in ws.gain: both downlinks decode iff a*pool >= eps.  theta may
+    be an array that broadcasts against ws's shape, one weight per row."""
+    gain = ws.gain
     if theta is None:
-        theta = _equalizing_theta(consts, g_a, g_b, ws)
-    x_a, x_b = broadcast_factors(consts, theta, ws)
-    down_a = np.multiply(x_a, g_a, out=ws.down_a)
-    down_a *= ws.pooled
-    down_b = np.multiply(x_b, g_b, out=ws.down_b)
-    down_b *= ws.pooled
-    ok = _all_clear(consts, down_a, down_b, ws)
-    return ok.size - int(np.count_nonzero(ok))
+        np.multiply(ws.u_a, ws.u_b, out=gain)
+        gain *= consts.kappa
+        gain /= np.maximum(ws.total, _SMALLEST_U, out=ws.scratch)
+        return gain
+    mix = theta ** 2 + (1.0 - theta) ** 2
+    np.multiply(ws.u_a, consts.kappa * (1.0 - theta) ** 2 / mix, out=gain)
+    weak_b = np.multiply(ws.u_b, consts.kappa * theta ** 2 / mix, out=ws.scratch)
+    return np.minimum(gain, weak_b, out=gain)
 
 
-def rectennas_off(ws: KernelWorkspace):
-    """The energy outage after a gated knee split_stage in ws: true where
-    neither link's rectenna test passed."""
-    active = np.logical_or(ws.ok, ws.flag, out=ws.ok)
-    return np.logical_not(active, out=active)
+def critical_ratio(rho, gain, ws: KernelWorkspace):
+    """r*, the largest eps at which a trial succeeds with the ideal
+    rectenna, at power split rho (None: the knee split), from gain =
+    downlink_gain's a; written over gain."""
+    if rho is None:
+        spread = np.multiply(gain, 2.0, out=ws.scratch)
+        spread += 1.0
+        gain *= ws.total
+        gain /= spread
+        return np.minimum(gain, ws.low, out=gain)
+    gain *= ws.total
+    gain *= rho
+    return np.minimum(gain, np.multiply(ws.low, 1.0 - rho, out=ws.scratch), out=gain)
 
+
+def harvest_pool(rho, eps: float, floor: float, ws: KernelWorkspace):
+    """The pooled harvest at power split rho (None: the knee split),
+    threshold eps and rectenna floor pi, in ws.pool, and 0 where an uplink
+    fails: a trial succeeds iff downlink_gain's a times it is >= eps.
+    Gated (floor > 0), leaves in ws.on where some rectenna converts; with
+    floor 0 every harvest converts, and ws.on is not written.  Masks are
+    applied by multiplying, whose cost does not depend on the data."""
+    pool = ws.pool
+    if floor == 0.0:
+        if rho is None:
+            np.subtract(ws.total, 2.0 * eps, out=pool)
+        else:
+            np.multiply(ws.total, rho, out=pool)
+    else:
+        for u, on, harvest in ((ws.u_a, ws.on, pool), (ws.u_b, ws.flag, ws.scratch)):
+            if rho is None:
+                np.subtract(u, eps, out=harvest)
+            else:
+                np.multiply(u, rho, out=harvest)
+            harvest *= np.greater_equal(harvest, floor, out=on)
+        pool += ws.scratch
+        ws.on |= ws.flag
+    decoded = ws.low if rho is None else np.multiply(ws.low, 1.0 - rho, out=ws.scratch)
+    pool *= np.greater_equal(decoded, eps, out=ws.flag)
+    return pool
+
+
+def count_below(values, eps: float, ws: KernelWorkspace) -> int:
+    """How many of values (r*, or a times the pool) fall below eps: the
+    outage count, equality counting as success."""
+    return int(np.count_nonzero(np.less(values, eps, out=ws.flag)))

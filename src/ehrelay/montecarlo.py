@@ -25,12 +25,16 @@ whole-block pass, while a block never holds a block-sized array and its
 working set fits in a core's cache.
 
 mc_outages runs a batch of cells, such as all cells of a sweep, on each
-chunk drawn once.  Its cells are grouped once per batch by their
-model.LinkConstants, all that the kernel reads of an operating point, and
-power split; per chunk, a group runs model.split_stage once, then one
-model.broadcast_stage, reduced to a count, per distinct theta.  Each cell
-gets the bits it gets alone; the cells read common random numbers, so the
-errors of one batch's estimates are correlated.
+chunk drawn once.  A cell counts the trials that fail the direct test
+a*pool < eps, pool the model.harvest_pool of its (rho, eps, pi) (model's
+docstring states the algebra).  Cells are grouped by (Z_A, Z_B, kappa),
+one model.normalized_gains per group and chunk; the cells of one (rho,
+eps, pi) share a pool, and a (rho, theta) that meets several eps with the
+ideal rectenna gets one model.critical_ratio, r*, read once per cell.  r*
+and the direct test round apart by a few ulps, so where an r* lies within
+1e-14*eps of a cell's eps, the direct test counts the cell: a cell counts
+alike in any batch and alone.  The cells read common random numbers, so
+the errors of one batch's estimates are correlated.
 """
 
 from __future__ import annotations
@@ -46,13 +50,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (KernelWorkspace, SchemeSpec, SystemParams, broadcast_stage,
-                    link_constants, rectennas_off, split_stage, stage_keys)
+from .model import (KernelWorkspace, SchemeSpec, SystemParams, count_below,
+                    critical_ratio, downlink_gain, harvest_pool, link_constants,
+                    normalized_gains)
 from .numerics import sample_exponential
 
 BLOCK_TRIALS = 1 << 18
 CHUNK_TRIALS = 1 << 14
-# The theta of a _plan group entry that counts the energy outage.
+# The theta of a _plan pool test that counts the energy outage.
 _ENERGY = "energy"
 
 _MASK64 = (1 << 64) - 1
@@ -129,18 +134,41 @@ def _chunks(means: tuple, seed: int, block_index: int, count: int):
                sample_exponential(rng_b, means[1], m, out=g_b), ws)
 
 
+# r* and the direct test a*pool < eps round apart by a few ulps; they agree on
+# every r* more than eps*_TIE + _TIE_FLOOR (for a subnormal eps) from eps.
+_TIE, _TIE_FLOOR = 1e-14, 1e-300
+
+
+def _direct_count(consts, theta, eps: float, pool, ws: KernelWorkspace) -> int:
+    """How many trials fail a*pool < eps, a the downlink gain at theta."""
+    gain = downlink_gain(consts, theta, ws)
+    return count_below(np.multiply(gain, pool, out=gain), eps, ws)
+
+
 def _outage_block(cells: tuple, seed: int, block_index: int, count: int) -> list:
     """Each cell's outage count over one block, the energy outage's for an
     energy cell; cells is a batch as _plan lays it out."""
     groups, slots, means = cells
     hits = [0] * (max(slots) + 1)
     for g_a, g_b, ws in _chunks(means, seed, block_index, count):
-        for consts, rho, thetas in groups:
-            split_stage(consts, rho, g_a, g_b, ws)
-            for slot, theta in thetas:
-                hits[slot] += (int(np.count_nonzero(rectennas_off(ws)))
-                               if theta == _ENERGY else
-                               broadcast_stage(consts, theta, g_a, g_b, ws))
+        for consts, ratios, pools in groups:
+            normalized_gains(consts, g_a, g_b, ws)
+            for rho, theta, counts in ratios:
+                ratio = critical_ratio(rho, downlink_gain(consts, theta, ws), ws)
+                for slot, eps in counts:
+                    band = eps * _TIE + _TIE_FLOOR
+                    below = count_below(ratio, eps - band, ws)
+                    if below != count_below(ratio, eps + band, ws):
+                        # An r* within rounding of eps: count directly.
+                        below = _direct_count(consts, theta, eps,
+                                              harvest_pool(rho, eps, 0.0, ws), ws)
+                        ratio = critical_ratio(rho, downlink_gain(consts, theta, ws), ws)
+                    hits[slot] += below
+            for rho, eps, floor, tests in pools:
+                pool = harvest_pool(rho, eps, floor, ws)
+                for slot, theta in tests:
+                    hits[slot] += (ws.on.size - int(np.count_nonzero(ws.on)) if theta == _ENERGY
+                                   else _direct_count(consts, theta, eps, pool, ws))
     return [hits[slot] for slot in slots]
 
 
@@ -283,29 +311,50 @@ def _estimate(hits: int, trials: int) -> McEstimate:
 
 def _plan(cells) -> tuple:
     """Check a nonempty batch of cells (params, scheme); lay it out as
-    (groups, slots, means).  A group (consts, rho, thetas) is one split
-    stage: the link_constants of a point and a stage_keys rho, with each
-    distinct theta and the index of its count; an energy cell's theta is
-    _ENERGY, in its point's knee group.  slots holds each cell's count
-    index, one for all cells alike in what the kernel reads, and means the
-    fading means (mean_a, mean_b) that all cells share.
+    (groups, slots, means).
+
+    A group (consts, ratios, pools) holds the cells of one (Z_A, Z_B,
+    kappa), consts the link_constants of its first.  ratios lists (rho,
+    theta, counts), a split (None: the knee) and weight (None: equalizing)
+    with the (index, eps) of its ideal-rectenna cells, where there are
+    several; pools lists (rho, eps, pi, tests) with the (index, theta) of
+    each other cell, an energy cell's theta _ENERGY.  slots holds each
+    cell's count index, one per cell alike in what the kernel reads, and
+    means the fading means (mean_a, mean_b) that all cells share.
     """
-    groups, slot_of, slots, means = {}, {}, [], set()
+    slot_of, members, slots, means = {}, {}, [], set()
     for params, scheme in cells:
         consts = link_constants(params)
-        if scheme is None and consts.sensitivity_w == 0.0:
-            raise ValueError("energy outage requires circuit_sensitivity_dbm")
-        rho, theta = (None, _ENERGY) if scheme is None else stage_keys(scheme)
-        if (consts, rho, theta) not in slot_of:
-            slot = slot_of[consts, rho, theta] = len(slot_of)
-            thetas = groups.setdefault((consts, rho), (consts, rho, []))[2]
-            # The rectenna tests are read before a broadcast overwrites them.
-            thetas.insert(0 if theta == _ENERGY else len(thetas), (slot, theta))
-        slots.append(slot_of[consts, rho, theta])
+        if scheme is None:
+            if consts.harvest_floor == 0.0:
+                raise ValueError("energy outage requires circuit_sensitivity_dbm")
+            rho, theta = None, _ENERGY
+        elif scheme.scheme_id == "static_equal":
+            rho, theta = scheme.canonical()["rho"], 0.5
+        else:
+            rho, theta = None, scheme.canonical().get("theta")
+        key = ((consts.z_a, consts.z_b, consts.kappa), rho, theta,
+               consts.varpi, consts.harvest_floor)
+        if key not in slot_of:
+            slot_of[key] = len(slot_of)
+            members.setdefault(key[0], (consts, []))[1].append((slot_of[key], *key[1:]))
+        slots.append(slot_of[key])
         means.add((params.fading_mean_a, params.fading_mean_b))
     if len(means) > 1:
         raise ValueError("the cells of one batch must share fading_mean_a and fading_mean_b")
-    return tuple(groups.values()), tuple(slots), means.pop()
+    groups = []
+    for consts, found in members.values():
+        ideal, pools = {}, {}
+        for slot, rho, theta, eps, floor in found:
+            if floor == 0.0:
+                ideal.setdefault((rho, theta), []).append((slot, eps))
+        for slot, rho, theta, eps, floor in found:
+            if floor > 0.0 or len(ideal[rho, theta]) == 1:
+                pools.setdefault((rho, eps, floor), []).append((slot, theta))
+        groups.append((consts, tuple((*split, tuple(counts)) for split, counts
+                                     in ideal.items() if len(counts) > 1),
+                       tuple((*pool, tuple(tests)) for pool, tests in pools.items())))
+    return tuple(groups), tuple(slots), means.pop()
 
 
 def mc_outages(cells, cfg: McConfig) -> list:
@@ -333,8 +382,7 @@ def mc_energy_outage(params: SystemParams, cfg: McConfig) -> McEstimate:
     """Estimate the probability that both links miss the rectenna threshold.
 
     Links harvest under the knee split; the rectenna tests of its
-    model.split_stage decide (model.rectennas_off).  params must set
-    circuit_sensitivity_dbm.
+    model.harvest_pool decide.  params must set circuit_sensitivity_dbm.
     """
     return mc_outages([(params, None)], cfg)[0]
 

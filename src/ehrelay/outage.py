@@ -518,7 +518,7 @@ def energy_outage(params: SystemParams) -> float:
     power >= sensitivity would count a zero harvest as alive.
     """
     consts = link_constants(params)
-    level = consts.varpi + consts.sensitivity_w / consts.tx_power_w
+    level = consts.varpi + consts.harvest_floor
     miss_a = -math.expm1(-consts.a_rate_a * level)
     miss_b = -math.expm1(-consts.a_rate_b * level)
     return miss_a * miss_b

@@ -8,9 +8,9 @@ determinism checks rely on.
 
 All cells of a sweep are simulated in one montecarlo.mc_outages batch, so
 they read one draw of the gains per block: common random numbers, which
-leave the Monte Carlo errors of the rows of one sweep correlated.  Cells at
-one operating point and power split share the kernel's theta-free stage,
-and rows alike but for M, as in figure 3, share one simulated count.
+leave the Monte Carlo errors of the rows of one sweep correlated.  Cells
+share the kernel's passes as montecarlo's docstring says, and rows alike
+but for M, as in figure 3, share one simulated count.
 """
 
 from __future__ import annotations

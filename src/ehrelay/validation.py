@@ -2,9 +2,9 @@
 
 Every criterion function is deterministic: fixed seeds, fixed grids, fixed
 trial budgets.  Timings go to stderr only, so the rendered report is
-byte-stable across runs and shard counts.  Criteria 5 and 6 run the one
-array kernel the simulator runs, model.split_stage then broadcast_stage,
-and read the SNRs and harvest terms it leaves in its KernelWorkspace.
+byte-stable across runs and shard counts.  Criteria 5 and 6 run the
+simulator's kernel (model's docstring states the algebra); criterion 6
+checks its pool and r* against broadcast_factors.
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .model import (KernelWorkspace, SystemParams, broadcast_factors,
-                    broadcast_stage, derive_constants, link_constants, split_stage)
+                    critical_ratio, derive_constants, downlink_gain, harvest_pool,
+                    link_constants, normalized_gains)
 from .montecarlo import McConfig, mc_outage, mc_outages, relative_error
 from .outage import (CaseFourGeometry, Scenario, _boundary_gain_a,
                      _boundary_gain_b, case4_geometry, cdf_t2_array,
@@ -176,13 +177,14 @@ def criterion_theta_optimality() -> CriterionResult:
     rng = np.random.default_rng(41)
     g_a, g_b = rng.exponential((params.fading_mean_a, params.fading_mean_b),
                                size=(200, 2)).T
-    ws = KernelWorkspace(g_a.shape)
-    split_stage(consts, None, g_a, g_b, ws)
-    broadcast_stage(consts, None, g_a, g_b, ws)
-    best = np.minimum(ws.down_a, ws.down_b)
-    grid = np.linspace(0.001, 0.999, 999)[:, None]
-    x_a, x_b = broadcast_factors(consts, grid)
-    grid_best = (np.minimum(x_a * g_a, x_b * g_b) * ws.pooled).max(axis=0)
+    # The 999 grid weights run in 27 blocks of 37 rows.  No weight changes
+    # the pooled harvest, so the gains a compare as the downlink SNRs do.
+    ws = KernelWorkspace((37, len(g_a)))
+    normalized_gains(consts, g_a, g_b, ws)
+    best = downlink_gain(consts, None, ws)[0].copy()
+    grid_best = np.zeros_like(best)
+    for block in np.linspace(0.001, 0.999, 999).reshape(27, 37, 1):
+        np.maximum(grid_best, downlink_gain(consts, block, ws).max(axis=0), out=grid_best)
     resolved = grid_best > 0.0
     worst = float(((best[resolved] - grid_best[resolved]) / grid_best[resolved])
                   .min(initial=math.inf))
@@ -201,8 +203,10 @@ def criterion_rho_optimality() -> CriterionResult:
     consts = link_constants(params)
     rng = np.random.default_rng(53)
     gains = []
-    scalings = []
-    for _ in range(200):
+    # Each realization's 1000 sampled pairs of split fractions, drawn in
+    # place in the one array the check reads.
+    draws = np.empty((200, 1000, 2))
+    for sampled in draws:
         g_a = float(rng.exponential(params.fading_mean_a))
         while g_a <= consts.knee_a:
             g_a = float(rng.exponential(params.fading_mean_a))
@@ -210,26 +214,30 @@ def criterion_rho_optimality() -> CriterionResult:
         while g_b <= consts.knee_b:
             g_b = float(rng.exponential(params.fading_mean_b))
         gains.append((g_a, g_b))
-        scalings.append(rng.random((1000, 2)))
+        rng.random(out=sampled)
     g_a, g_b = np.array(gains).T
     ws = KernelWorkspace(g_a.shape)
-    split_stage(consts, None, g_a, g_b, ws)
-    # The broadcast writes its downlink SNRs over the harvest terms.
-    harvest_a, harvest_b = ws.harvest_a.copy(), ws.harvest_b.copy()
-    broadcast_stage(consts, 0.5, g_a, g_b, ws)
-    best = np.minimum(ws.down_a, ws.down_b)
-    # A smaller split harvests a fraction of each knee-split harvest term.
-    draws = np.array(scalings)
+    normalized_gains(consts, g_a, g_b, ws)
+    eps = consts.varpi
+    # The kernel's weaker downlink SNR at the knee splits: a times its
+    # pooled harvest, in units of eps, times P/sigma^2.
+    best = (downlink_gain(consts, 0.5, ws) * harvest_pool(None, eps, 0.0, ws)
+            * (consts.harvest_gain / consts.kappa))
+    # The knee split rho_x = 1 - eps/u_x harvests rho_x*u_x; a smaller split
+    # harvests a fraction of that, into the SNR broadcast_factors give.
+    harvest_a, harvest_b = ((1.0 - eps / u) * u for u in (ws.u_a, ws.u_b))
     harvest = draws[:, :, 0] * harvest_a[:, None] + draws[:, :, 1] * harvest_b[:, None]
     x_a, x_b = broadcast_factors(consts, 0.5)
     sampled_best = (np.minimum(x_a * g_a, x_b * g_b)[:, None] * harvest).max(axis=1)
     beaten = int(np.count_nonzero(sampled_best > best * (1.0 + 1e-12)))
     uplink_ok = True
     for excess in (1e-6, 0.5, 1.0):
-        # Splitting past the knee leaves (1 - excess) of the decode fraction,
-        # and so of each knee-split uplink SNR.
-        uplink_ok &= bool(np.all(ws.up_a * (1.0 - excess) < consts.snr_threshold)
-                          and np.all(ws.up_b * (1.0 - excess) < consts.snr_threshold))
+        # Splitting link x past its knee leaves (1 - excess) of its decode
+        # fraction eps/u_x; the kernel's r* must then fall below eps.
+        for u in (ws.u_a, ws.u_b):
+            rho = 1.0 - (1.0 - excess) * (eps / u)
+            ratio = critical_ratio(rho, downlink_gain(consts, 0.5, ws), ws)
+            uplink_ok &= bool(np.all(ratio < eps))
     detail = (f"realizations beaten by sampled splits={beaten}/200; "
               f"over-split uplink always below threshold={uplink_ok}")
     return CriterionResult(6, "split-ratio-optimality",

@@ -12,21 +12,17 @@ from hypothesis import given, strategies as st
 from ehrelay.model import (
     DerivedConstants,
     KernelWorkspace,
-    SchemeSpec,
     SystemParams,
-    _all_clear,
-    _equalizing_theta,
-    _power_split,
-    _rectenna_on,
-    _uplinks_clear,
     broadcast_factors,
-    broadcast_stage,
+    count_below,
+    critical_ratio,
     dbi_to_linear,
     dbm_to_watts,
     derive_constants,
+    downlink_gain,
+    harvest_pool,
     link_constants,
-    split_stage,
-    stage_keys,
+    normalized_gains,
 )
 
 # Frozen by scripts/compute_reference_values.py (mpmath, 50 digits),
@@ -52,15 +48,32 @@ CONSTS = derive_constants(DEFAULTS, 0.5)
 DYNAMIC = {"theta": 0.5}
 
 
-def _stages(g_a, g_b, rho=None, theta=0.5, params=DEFAULTS):
-    """The workspace after split_stage at split rho (None: the knee split)
-    and broadcast_stage at weight theta (None: the equalizing one), both
-    as stage_keys gives them, on gains g_a and g_b."""
+def _loaded(g_a, g_b, params=DEFAULTS):
+    """(consts, ws): the link constants of params and a workspace that
+    normalized_gains has filled from gains g_a and g_b."""
     g_a, g_b = np.array(g_a, float, ndmin=1), np.array(g_b, float, ndmin=1)
     consts, ws = link_constants(params), KernelWorkspace(g_a.shape)
-    split_stage(consts, rho, g_a, g_b, ws)
-    broadcast_stage(consts, theta, g_a, g_b, ws)
-    return ws
+    normalized_gains(consts, g_a, g_b, ws)
+    return consts, ws
+
+
+def _ratio(g_a, g_b, rho=None, theta=0.5, params=DEFAULTS):
+    """r* at power split rho (None: the knee split) and broadcast weight
+    theta (None: the equalizing one), on gains g_a and g_b."""
+    consts, ws = _loaded(g_a, g_b, params)
+    return critical_ratio(rho, downlink_gain(consts, theta, ws), ws).copy()
+
+
+def _pool(g_a, g_b, rho=None, params=DEFAULTS):
+    """harvest_pool's pool at split rho and the operating point's eps and
+    rectenna floor, with the workspace it leaves."""
+    consts, ws = _loaded(g_a, g_b, params)
+    return harvest_pool(rho, consts.varpi, consts.harvest_floor, ws).copy(), ws
+
+
+# Rich enough a B gain that neither downlink nor the B uplink limits r* at
+# the defaults: r* is then the A uplink's term.
+RICH_B = 1e7
 
 
 def test_unit_conversions():
@@ -78,9 +91,13 @@ def test_threshold_and_wavelength():
     free_space = dbi_to_linear(8.0) ** 2 * (299792458.0 / 915e6 / (4.0 * math.pi)) ** 2
     assert DEFAULTS.dist_a ** DEFAULTS.path_loss_exp / CONSTS.z_a == \
         pytest.approx(free_space, rel=1e-14)
-    assert CONSTS.sensitivity_w == 0.0
+    assert CONSTS.harvest_floor == 0.0
+    # P = 1 W at 30 dBm: pi = P_th / P is the sensitivity in watts.
     with_floor = link_constants(dataclasses.replace(DEFAULTS, circuit_sensitivity_dbm=-20.0))
-    assert with_floor.sensitivity_w == pytest.approx(1e-5, rel=1e-12)
+    assert with_floor.harvest_floor == pytest.approx(1e-5, rel=1e-12)
+    # P / sigma^2 is 1e12 at the reference point.
+    assert CONSTS.kappa == pytest.approx(CONSTS.harvest_gain / 1e12, rel=1e-12)
+    assert CONSTS.kappa == pytest.approx(0.6, rel=1e-12)
 
 
 def test_normalized_threshold_is_three_picounits():
@@ -282,7 +299,7 @@ def test_every_constants_field_is_read():
     for path in (pathlib.Path(__file__).parents[1] / "src" / "ehrelay").glob("*.py"):
         read |= _constants_reads(ast.parse(path.read_text(encoding="utf-8")))
     fields = [f.name for f in dataclasses.fields(DerivedConstants)]
-    assert len(fields) == 23
+    assert len(fields) == 22
     assert [name for name in fields if name not in read] == []
 
 
@@ -293,153 +310,160 @@ def test_derive_constants_theta_domain():
         derive_constants(DEFAULTS, 1.0)
 
 
-def test_uplink_boundary_values():
-    g_a = CONSTS.varpi * CONSTS.z_a
-    g_b = CONSTS.varpi * CONSTS.z_b
-    ws = _stages(g_a, g_b, rho=0.0)
-    assert ws.up_a[0] == pytest.approx(DEFAULTS.snr_threshold, rel=1e-12)
-    assert ws.up_b[0] == pytest.approx(DEFAULTS.snr_threshold, rel=1e-12)
+def test_knee_gains_normalize_onto_eps():
+    """The kernel's one convention: it compares each normalized gain
+    u = g/Z with eps, and equality decodes.  At the default point a gain on
+    its knee, g = knee = eps*Z, normalizes onto eps exactly."""
+    _, ws = _loaded(CONSTS.knee_a, CONSTS.knee_b)
+    assert ws.u_a[0] == ws.u_b[0] == CONSTS.varpi
+    assert ws.total[0] == 2.0 * CONSTS.varpi and ws.low[0] == CONSTS.varpi
 
-    ws = _stages(g_a, g_b, rho=1.0)
-    assert ws.up_a[0] == 0.0 and ws.up_b[0] == 0.0
+
+def test_uplink_boundary_values():
+    knee_a = CONSTS.knee_a
+    # At the knee, the A uplink bounds the knee split's r* at eps exactly,
+    # and a fixed split at (1 - rho) * eps.
+    assert _ratio(knee_a, RICH_B)[0] == CONSTS.varpi
+    assert _ratio(knee_a, RICH_B, rho=0.3)[0] == 0.7 * CONSTS.varpi
+    # rho = 1 leaves nothing to decode, rho = 0 nothing to harvest.
+    assert _ratio(knee_a, RICH_B, rho=1.0)[0] == 0.0
+    assert _ratio(knee_a, RICH_B, rho=0.0)[0] == 0.0
 
 
 def test_uplink_reference_value():
-    # P / sigma^2 is exactly 1e12 at the reference point, so the value is
-    # forced by the frozen z_a literal.
-    ws = _stages(DEFAULTS.fading_mean_a, 1.0, rho=0.3)
-    assert ws.up_a[0] == pytest.approx(0.7e12 / REF_Z_A, rel=1e-12)
+    # P / sigma^2 is exactly 1e12 at the reference point, so the uplink
+    # SNR 0.7e12 / Z_A is forced by the frozen z_a literal.
+    ratio = _ratio(DEFAULTS.fading_mean_a, RICH_B, rho=0.3)
+    assert ratio[0] * 1e12 == pytest.approx(0.7e12 / REF_Z_A, rel=1e-12)
 
 
 def test_uplink_boundary_convention():
-    """Adaptive knee splits decode whatever way the uplink product rounds.
-
-    Without the uplink slack a few percent of these gains land one ulp
-    below the threshold and would count as uplink outages.
-    """
+    """Above their knees, the knee split's uplinks always decode: its pool
+    is U - 2*eps and never zeroed, for both adaptive schemes."""
     rng = np.random.default_rng(2024)
-    knee_a = CONSTS.varpi * CONSTS.z_a
-    knee_b = CONSTS.varpi * CONSTS.z_b
-    g_a = knee_a * (1.0 + 10.0 * rng.random(10_000))
-    g_b = knee_b * (1.0 + 10.0 * rng.random(10_000))
-    # Both adaptive schemes run the knee split, whose uplink verdict the
-    # broadcasts leave in place.
-    assert stage_keys(SchemeSpec("dynamic_ps", DYNAMIC))[0] is \
-        stage_keys(SchemeSpec("improved"))[0] is None
-    for theta in (0.5, None):
-        assert _stages(g_a, g_b, theta=theta).uplink.all()
+    g_a = CONSTS.knee_a * (1.0 + 10.0 * rng.random(10_000))
+    g_b = CONSTS.knee_b * (1.0 + 10.0 * rng.random(10_000))
+    pool, ws = _pool(g_a, g_b)
+    assert (ws.low >= CONSTS.varpi).all()
+    assert np.array_equal(pool, ws.total - 2.0 * CONSTS.varpi)
 
-    dead = np.zeros(1)
-    assert _equalizing_theta(CONSTS, dead, dead, KernelWorkspace(1))[0] == 0.5
+    # Both gains dead: the equalizing gain is 0, not 0/0, and so is r*.
+    consts, ws = _loaded(0.0, 0.0)
+    assert downlink_gain(consts, None, ws)[0] == 0.0
     for theta in (0.5, None):
-        assert not _stages(dead, dead, theta=theta).ok.any()
+        assert _ratio(0.0, 0.0, theta=theta)[0] == 0.0
 
 
 def test_downlink_zero_without_harvest():
-    ws = _stages(2.0, 1.0, rho=0.0)
-    assert ws.down_a[0] == 0.0 and ws.down_b[0] == 0.0
+    pool, _ = _pool(2.0, 1.0, rho=0.0)
+    assert pool[0] == 0.0
+    assert _ratio(2.0, 1.0, rho=0.0)[0] == 0.0
 
 
 def test_downlink_reference_pair():
-    """Downlink pair at gains (2, 1) with the optimal, knee split ratios."""
+    """Downlink pair at gains (2, 1) with the optimal, knee split ratios:
+    the weaker downlink SNR is P/sigma^2 * a * pool."""
     rho_a = 1.0 - REF_VARPI * REF_Z_A / 2.0
     rho_b = 1.0 - REF_VARPI * REF_Z_B
     harvest = rho_a * 2.0 / REF_Z_A + rho_b * 1.0 / REF_Z_B
-    ws = _stages(2.0, 1.0)
-    assert ws.down_a[0] == pytest.approx(REF_X_FACTOR_A * 2.0 * harvest, rel=1e-12)
-    assert ws.down_b[0] == pytest.approx(REF_X_FACTOR_B * 1.0 * harvest, rel=1e-12)
-
-
-def _power_splits(rho, g_a, g_b):
-    """(decode_a, decode_b, harvest_a, harvest_b) that split_stage takes at
-    split rho, each as a float."""
-    split = _power_split(CONSTS, rho, np.array([g_a]), np.array([g_b]), KernelWorkspace(1))
-    return tuple(float(np.asarray(x).item()) for x in split)
+    pool, _ = _pool(2.0, 1.0)
+    assert pool[0] == pytest.approx(harvest, rel=1e-12)
+    consts, ws = _loaded(2.0, 1.0)
+    weaker = 1e12 * downlink_gain(consts, 0.5, ws)[0] * pool[0]
+    assert weaker == pytest.approx(
+        min(REF_X_FACTOR_A * 2.0, REF_X_FACTOR_B * 1.0) * harvest, rel=1e-12)
 
 
 def test_static_equal_decision():
     for rho in (0.5, 0.0, 0.7):
-        assert stage_keys(SchemeSpec("static_equal", {"rho": rho})) == (rho, 0.5)
-        assert _power_splits(rho, 2.0, 1.0) == (
-            1.0 - rho, 1.0 - rho, rho * 2.0 / CONSTS.z_a, rho * 1.0 / CONSTS.z_b)
+        consts, ws = _loaded(2.0, 1.0)
+        u_sum = 2.0 / CONSTS.z_a + 1.0 / CONSTS.z_b
+        assert harvest_pool(rho, consts.varpi, 0.0, ws)[0] == u_sum * rho
+        gain = downlink_gain(consts, 0.5, ws)
+        want = min((1.0 - rho) * (1.0 / CONSTS.z_b), rho * (gain[0] * u_sum))
+        assert critical_ratio(rho, gain, ws)[0] == want
 
 
 def test_dynamic_split_knee_values():
-    knee_a = CONSTS.varpi * CONSTS.z_a
-    knee_b = CONSTS.varpi * CONSTS.z_b
-    # The kernel reports 1 - rho as the decode fraction and rho*g/Z as the
-    # harvest term, so rho == 0 reads as decode 1 with nothing harvested.
-    assert _power_splits(None, knee_a, knee_b) == (1.0, 1.0, 0.0, 0.0)
+    knee_a, knee_b = CONSTS.knee_a, CONSTS.knee_b
+    # On both knees the uplinks just decode and nothing is harvested.
+    pool, _ = _pool(knee_a, knee_b)
+    assert pool[0] == 0.0
+    # Twice the knee harvests half of each link: eps of each.
+    pool, _ = _pool(2.0 * knee_a, 2.0 * knee_b)
+    assert pool[0] == 2.0 * CONSTS.varpi
+    # Below the knees the uplinks fail, and the pool is 0.
+    pool, _ = _pool(0.5 * knee_a, 0.1 * knee_b)
+    assert pool[0] == 0.0
 
-    decode_a, decode_b, _, _ = _power_splits(None, 2.0 * knee_a, 2.0 * knee_b)
-    assert 1.0 - decode_a == pytest.approx(0.5, rel=1e-12)
-    assert 1.0 - decode_b == pytest.approx(0.5, rel=1e-12)
 
-    assert _power_splits(None, 0.5 * knee_a, 0.1 * knee_b) == (1.0, 1.0, 0.0, 0.0)
+def _improved_gain(g_a, g_b):
+    consts, ws = _loaded(g_a, g_b)
+    return float(downlink_gain(consts, None, ws)[0])
 
 
-def _improved_theta(g_a, g_b):
-    theta = _equalizing_theta(CONSTS, np.array([g_a]), np.array([g_b]), KernelWorkspace(1))
-    return float(theta[0])
+def _theta_gain(g_a, g_b, theta):
+    consts, ws = _loaded(g_a, g_b)
+    return float(downlink_gain(consts, theta, ws)[0])
 
 
 def test_improved_theta_special_points():
     # Gains scaled so g_a * z_b equals g_b * z_a give the symmetric split.
-    assert _improved_theta(1.0, REF_Z_B / REF_Z_A) == pytest.approx(0.5, rel=1e-12)
+    g_b = REF_Z_B / REF_Z_A
+    assert _improved_gain(1.0, g_b) == pytest.approx(_theta_gain(1.0, g_b, 0.5), rel=1e-12)
 
-    theta = _improved_theta(1.0, 1e-30)
-    assert theta > 0.999999
-    assert theta < 1.0
+    # A vanishing B gain leaves nearly all the broadcast to B: a -> kappa*u_B.
+    assert _improved_gain(1.0, 1e-30) == pytest.approx(
+        CONSTS.kappa * 1e-30 / CONSTS.z_b, rel=1e-12)
 
-    # A single vanishing gain is nudged onto the ends of the open interval.
-    assert _improved_theta(1.0, 0.0) == np.nextafter(1.0, 0.0)
-    assert _improved_theta(0.0, 1.0) == np.nextafter(0.0, 1.0)
+    # A single vanishing gain leaves no downlink gain.
+    assert _improved_gain(1.0, 0.0) == 0.0
+    assert _improved_gain(0.0, 1.0) == 0.0
 
 
 def test_improved_theta_reference_value():
     want = math.sqrt(2.0 * REF_Z_B) / (math.sqrt(2.0 * REF_Z_B) + math.sqrt(REF_Z_A))
-    assert _improved_theta(2.0, 1.0) == pytest.approx(want, rel=1e-12)
-
-
-def _all_decode(params, up_a, up_b, down_a, down_b) -> bool:
-    """Whether four link SNRs all decode, by the kernel's two tests."""
-    consts, ws = link_constants(params), KernelWorkspace(1)
-    _uplinks_clear(consts, np.array([up_a]), np.array([up_b]), ws)
-    return bool(_all_clear(consts, np.array([down_a]), np.array([down_b]), ws)[0])
+    assert _improved_gain(2.0, 1.0) == pytest.approx(_theta_gain(2.0, 1.0, want), rel=1e-12)
 
 
 def test_outage_indicator_inclusive_threshold():
-    g = DEFAULTS.snr_threshold
-    assert _all_decode(DEFAULTS, g, g, g, g)
-    assert not _all_decode(DEFAULTS, g / 2.0, 1e9, 1e9, 1e9)
-    assert not _all_decode(DEFAULTS, 1e9, 1e9, 1e9, np.nextafter(g, 0.0))
+    eps = CONSTS.varpi
+    ws = KernelWorkspace(3)
+    assert count_below(np.array([eps, 2.0 * eps, 1.0]), eps, ws) == 0
+    assert count_below(np.array([np.nextafter(eps, 0.0), eps, 0.0]), eps, ws) == 2
 
 
 def test_rectenna_threshold_is_inclusive():
-    # P is exactly 1 W at 30 dBm, so a harvest term equal to the
-    # sensitivity delivers exactly the sensitivity.
     gated = link_constants(dataclasses.replace(DEFAULTS, circuit_sensitivity_dbm=-20.0))
-    assert gated.tx_power_w == 1.0
-    floor = gated.sensitivity_w
+    floor = gated.harvest_floor
     ws = KernelWorkspace(2)
-    on = _rectenna_on(gated, np.array([floor, np.nextafter(floor, 0.0)]), ws, ws.ok)
-    assert on.tolist() == [True, False]
+    # A split of 0.5 harvests half of u exactly; B harvests nothing.
+    ws.u_a[:] = [2.0 * floor, np.nextafter(2.0 * floor, 0.0)]
+    ws.u_b[:] = 0.0
+    ws.total[:] = ws.u_a
+    ws.low[:] = 0.0
+    harvest_pool(0.5, gated.varpi, floor, ws)
+    assert ws.on.tolist() == [True, False]
 
 
 def test_outage_indicator_vanishing_threshold():
     tiny_rate = dataclasses.replace(DEFAULTS, rate_bps_hz=1e-9)
-    assert _all_decode(tiny_rate, 1e-6, 1e-6, 1e-6, 1e-6)
+    eps = link_constants(tiny_rate).varpi
+    ratio = _ratio(1e-3, 1e-3, params=tiny_rate)
+    assert count_below(ratio, eps, KernelWorkspace(1)) == 0
 
 
 def test_scale_consistency():
-    """Shifting P and sigma^2 by the same dB amount changes nothing."""
+    """Shifting P and sigma^2 by the same dB amount changes nothing: r*
+    reads neither, and eps stays put."""
     shifted = dataclasses.replace(DEFAULTS, tx_power_dbm=37.0, noise_dbm=-83.0)
     c2 = derive_constants(shifted, 0.5)
     assert c2.varpi == pytest.approx(CONSTS.varpi, rel=1e-12)
-    s1 = _stages(0.8, 1.7)
-    s2 = _stages(0.8, 1.7, params=shifted)
-    for name in ("up_a", "up_b", "down_a", "down_b"):
-        assert getattr(s2, name)[0] == pytest.approx(getattr(s1, name)[0], rel=1e-9), name
+    for rho, theta in ((None, 0.5), (None, None), (0.3, 0.5)):
+        assert np.array_equal(_ratio(0.8, 1.7, rho, theta),
+                              _ratio(0.8, 1.7, rho, theta, params=shifted))
+    assert _pool(0.8, 1.7)[0][0] == pytest.approx(_pool(0.8, 1.7, params=shifted)[0][0],
+                                                   rel=1e-9)
 
 
 @given(
@@ -449,22 +473,35 @@ def test_scale_consistency():
     shrink_b=st.floats(min_value=0.0, max_value=1.0),
 )
 def test_split_ratio_optimality(extra_a, extra_b, shrink_a, shrink_b):
-    """No feasible smaller split beats the knee split; larger splits break the uplink."""
-    g_a = np.array([CONSTS.varpi * CONSTS.z_a + extra_a])
-    g_b = np.array([CONSTS.varpi * CONSTS.z_b + extra_b])
-    ws = KernelWorkspace(1)
-    split_stage(CONSTS, None, g_a, g_b, ws)
-    # Shrinking a split ratio shrinks its harvest term in proportion; read
-    # them before the broadcast writes its downlinks over them.
-    pooled = shrink_a * ws.harvest_a[0] + shrink_b * ws.harvest_b[0]
-    broadcast_stage(CONSTS, 0.5, g_a, g_b, ws)
-    x_a, x_b = broadcast_factors(CONSTS, 0.5)
-    sub = min(x_a * g_a[0] * pooled, x_b * g_b[0] * pooled)
-    assert sub <= min(ws.down_a[0], ws.down_b[0]) * (1.0 + 1e-12)
+    """No feasible smaller split beats the kernel's knee split; larger
+    splits break the uplink."""
+    g_a, g_b = CONSTS.knee_a + extra_a, CONSTS.knee_b + extra_b
+    consts, ws = _loaded(g_a, g_b)
+    eps, u_a, u_b, total = consts.varpi, ws.u_a[0], ws.u_b[0], ws.total[0]
+    # The kernel's weaker downlink SNR at the knee split: a times its
+    # pooled harvest, in units of eps, times P/sigma^2.
+    gain = downlink_gain(consts, 0.5, ws)[0]
+    pool = harvest_pool(None, eps, 0.0, ws)[0]
+    if not ws.flag[0]:
+        return  # g on a knee rounded below it: no split decodes
+    best = gain * pool * (consts.harvest_gain / consts.kappa)
+    # The knee split rho_x = 1 - eps/u_x harvests rho_x*u_x, the pool is
+    # their sum, and shrinking a split ratio shrinks its harvest term in
+    # proportion.  Rounding near the knee is a few ulps of U.
+    harvest_a, harvest_b = (1.0 - eps / u_a) * u_a, (1.0 - eps / u_b) * u_b
+    slack = 4.0 * np.spacing(total)
+    assert pool == pytest.approx(harvest_a + harvest_b, rel=1e-12, abs=slack)
+    x_a, x_b = broadcast_factors(consts, 0.5)
+    snr = min(x_a * g_a, x_b * g_b)
+    sub = snr * (shrink_a * harvest_a + shrink_b * harvest_b)
+    assert sub <= (best + snr * slack) * (1.0 + 1e-12)
 
-    # rho_a + (1 - rho_a) / 2 leaves half the decode fraction, and so half
-    # the uplink SNR.
-    assert 0.5 * ws.up_a[0] < DEFAULTS.snr_threshold
+    # rho_x + (1 - rho_x) / 2 leaves half the decode fraction eps/u_x, and
+    # so half of link x's uplink: r* falls below eps and the pool empties.
+    for u in (u_a, u_b):
+        rho = 1.0 - 0.5 * (eps / u)
+        assert critical_ratio(rho, downlink_gain(consts, 0.5, ws), ws)[0] < eps
+        assert harvest_pool(rho, eps, 0.0, ws)[0] == 0.0
 
 
 @given(
@@ -472,10 +509,17 @@ def test_split_ratio_optimality(extra_a, extra_b, shrink_a, shrink_b):
     g_b=st.floats(min_value=1e-12, max_value=20.0),
 )
 def test_improved_weight_equalizes_downlinks(g_a, g_b):
-    ws = _stages(g_a, g_b, theta=None)
+    """The improved gain kappa*u_A*u_B/U is the gain of the weight that
+    equalizes the two downlinks."""
+    consts, ws = _loaded(g_a, g_b)
+    theta = math.sqrt(ws.u_a[0]) / (math.sqrt(ws.u_a[0]) + math.sqrt(ws.u_b[0]))
+    weight_a = consts.kappa * (1.0 - theta) ** 2 / (theta ** 2 + (1.0 - theta) ** 2)
+    weight_b = consts.kappa * theta ** 2 / (theta ** 2 + (1.0 - theta) ** 2)
+    improved = downlink_gain(consts, None, ws)[0]
     # Extreme gain ratios park theta within ~5e-8 of 1, where the 1-theta
     # cancellation caps the achievable equality at roughly eps/(1-theta).
-    assert ws.down_a[0] == pytest.approx(ws.down_b[0], rel=1e-6, abs=1e-30)
+    assert weight_a * ws.u_a[0] == pytest.approx(improved, rel=1e-6, abs=1e-30)
+    assert weight_b * ws.u_b[0] == pytest.approx(improved, rel=1e-6, abs=1e-30)
 
 
 @given(
@@ -486,8 +530,8 @@ def test_improved_weight_equalizes_downlinks(g_a, g_b):
 )
 def test_downlinks_nondecreasing_in_split_ratios(g_a, g_b, rho, bump):
     # static_equal, the one fixed split any scheme runs, splits both links
-    # at one rho.
-    lo = _stages(g_a, g_b, rho=rho)
-    hi = _stages(g_a, g_b, rho=rho + bump * (1.0 - rho))
-    assert hi.down_a[0] >= lo.down_a[0] * (1.0 - 1e-12)
-    assert hi.down_b[0] >= lo.down_b[0] * (1.0 - 1e-12)
+    # at one rho; at eps 0 no uplink zeroes the pool.
+    consts, ws = _loaded(g_a, g_b)
+    lo = harvest_pool(rho, 0.0, 0.0, ws)[0]
+    hi = harvest_pool(rho + bump * (1.0 - rho), 0.0, 0.0, ws)[0]
+    assert hi >= lo * (1.0 - 1e-12)

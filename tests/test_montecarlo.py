@@ -33,13 +33,14 @@ from ehrelay import (
     relative_error,
 )
 from ehrelay import montecarlo, sweeps
-from ehrelay.model import (_UPLINK_SLACK, KernelWorkspace, SchemeSpec, broadcast_stage,
-                           link_constants, split_stage, stage_keys)
+from ehrelay.model import (KernelWorkspace, SchemeSpec, count_below, critical_ratio,
+                           downlink_gain, harvest_pool, link_constants, normalized_gains)
 from ehrelay.montecarlo import (BLOCK_TRIALS, CHUNK_TRIALS, _block_layout, _block_rng, _chunks, _outage_block,
                                 _plan, _splitmix64, _usable_cores,
                                 _worker_count, mc_outages)
 from ehrelay.numerics import sample_exponential
 from ehrelay.outage import Scenario, case4_geometry
+from ehrelay.validation import _DIVERSITY_GEOMETRY
 
 REF_OUTAGE_DYNAMIC = 0.00906277031472058
 REF_OUTAGE_IMPROVED = 0.005515817919810595
@@ -104,37 +105,54 @@ class TestDeterminism:
 
 def _oracle_outage(params, scheme_id, args, g_a, g_b):
     """Per-trial outage of a scheme at gain arrays g_a and g_b, from the
-    model equations in plain NumPy, in the order the kernel evaluates them."""
+    model equations in plain NumPy: each of the four links' SNR, over
+    P/sigma^2, against eps = gamma_th*sigma^2/P."""
     c = link_constants(params)
     canon = SchemeSpec(scheme_id, args or {}).canonical()
+    eps = c.varpi
+    u_a, u_b = g_a / c.z_a, g_b / c.z_b
     if scheme_id == "static_equal":
-        decode_a = decode_b = 1.0 - canon["rho"]
-        harvest_a, harvest_b = g_a * canon["rho"] / c.z_a, g_b * canon["rho"] / c.z_b
+        rho = canon["rho"]
+        uplinks = ((1.0 - rho) * u_a >= eps) & ((1.0 - rho) * u_b >= eps)
+        harvest_a, harvest_b = rho * u_a, rho * u_b
     else:
-        # The knee split harvests all beyond decode feasibility.
-        with np.errstate(divide="ignore"):
-            decode_a, decode_b = np.minimum(c.knee_a / g_a, 1.0), np.minimum(c.knee_b / g_b, 1.0)
-        harvest_a = np.maximum(g_a - c.knee_a, 0.0) / c.z_a
-        harvest_b = np.maximum(g_b - c.knee_b, 0.0) / c.z_b
-    snr, gamma_th = c.snr_scale, c.snr_threshold
-    bar = gamma_th * (1.0 - _UPLINK_SLACK)
-    uplinks = (g_a * decode_a * snr / c.z_a >= bar) & (g_b * decode_b * snr / c.z_b >= bar)
-    # A link whose RF harvest misses the rectenna sensitivity adds nothing;
-    # the ideal sensitivity 0 passes every harvest.
-    tx, floor = c.tx_power_w, c.sensitivity_w
-    pooled = harvest_a * (tx * harvest_a >= floor) + harvest_b * (tx * harvest_b >= floor)
+        # The knee split decodes from eps and harvests all beyond it.
+        uplinks = (u_a >= eps) & (u_b >= eps)
+        harvest_a, harvest_b = np.maximum(u_a - eps, 0.0), np.maximum(u_b - eps, 0.0)
+    # A link whose harvest misses the rectenna floor adds nothing; the
+    # ideal floor 0 passes every harvest.
+    floor = c.harvest_floor
+    pooled = harvest_a * (harvest_a >= floor) + harvest_b * (harvest_b >= floor)
     if scheme_id == "improved":
         # The theta that equalizes the downlinks, 0.5 where both gains vanish.
-        side_a, side_b = np.sqrt(g_a * c.z_b), np.sqrt(g_b * c.z_a)
+        side_a, side_b = np.sqrt(u_a), np.sqrt(u_b)
         with np.errstate(invalid="ignore"):
             theta = np.where(side_a + side_b > 0.0, side_a / (side_b + side_a), 0.5)
         theta = np.clip(theta, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
     else:
         theta = canon.get("theta", 0.5)
     mix = theta ** 2 + (1.0 - theta) ** 2
-    down_a = c.harvest_gain * (1.0 - theta) ** 2 / (c.z_a * mix) * g_a * pooled
-    down_b = c.harvest_gain * theta ** 2 / (c.z_b * mix) * g_b * pooled
-    return ~(uplinks & (down_a >= gamma_th) & (down_b >= gamma_th))
+    down_a = c.kappa * (1.0 - theta) ** 2 / mix * u_a * pooled
+    down_b = c.kappa * theta ** 2 / mix * u_b * pooled
+    return ~(uplinks & (down_a >= eps) & (down_b >= eps))
+
+
+def _kernel_outage(params, scheme_id, args, g_a, g_b, by_ratio):
+    """Per-trial outage of a scheme by the kernel: by its r* where by_ratio
+    (the ideal rectenna only), else by its pool, as montecarlo runs them."""
+    canon = SchemeSpec(scheme_id, args or {}).canonical()
+    rho = canon.get("rho")
+    theta = 0.5 if scheme_id == "static_equal" else canon.get("theta")
+    consts, ws = link_constants(params), KernelWorkspace(len(g_a))
+    normalized_gains(consts, g_a, g_b, ws)
+    gain = downlink_gain(consts, theta, ws)
+    if by_ratio:
+        values = critical_ratio(rho, gain, ws)
+    else:
+        values = gain * harvest_pool(rho, consts.varpi, consts.harvest_floor, ws)
+    outage = values < consts.varpi
+    assert count_below(values, consts.varpi, ws) == np.count_nonzero(outage)
+    return outage
 
 
 def _whole_block_hits(params, scheme_id, seed, block_index, count):
@@ -153,14 +171,13 @@ def _whole_block_gains(params, seed, block_index, count):
 
 
 def _whole_block_energy_hits(params, seed, block_index, count):
-    """Both links below the rectenna sensitivity under the knee split, in
-    one pass over the block's whole-drawn gains."""
-    consts = derive_constants(params, 0.5)
+    """Both links below the rectenna floor under the knee split, in one
+    pass over the block's whole-drawn gains."""
+    c = link_constants(params)
     g_a, g_b = _whole_block_gains(params, seed, block_index, count)
-    harvest_a = np.maximum(g_a - consts.knee_a, 0.0) / consts.z_a
-    harvest_b = np.maximum(g_b - consts.knee_b, 0.0) / consts.z_b
-    tx, floor = consts.tx_power_w, consts.sensitivity_w
-    return int(np.count_nonzero((tx * harvest_a < floor) & (tx * harvest_b < floor)))
+    harvest_a, harvest_b = g_a / c.z_a - c.varpi, g_b / c.z_b - c.varpi
+    floor = c.harvest_floor
+    return int(np.count_nonzero((harvest_a < floor) & (harvest_b < floor)))
 
 
 # Points at which dynamic_ps, at the theta given, falls in the single-curve
@@ -185,21 +202,133 @@ _GAIN = st.one_of(st.just(0.0), st.floats(1e-9, 8.0))
 @pytest.mark.parametrize("point", ORACLE_POINTS)
 @given(gains=st.lists(st.tuples(_GAIN, _GAIN), min_size=1, max_size=64),
        rho=st.floats(0.0, 1.0))
-def test_the_stages_give_the_oracle_outage_per_trial(point, gains, rho):
+def test_the_kernel_gives_the_oracle_outage_per_trial(point, gains, rho):
     params, theta, layout = ORACLE_POINTS[point]
     if layout is not None:
         assert case4_geometry(derive_constants(params, theta)).scenario is layout
     g_a = np.array([a for a, _ in gains]) * params.fading_mean_a
     g_b = np.array([b for _, b in gains]) * params.fading_mean_b
-    consts, ws = link_constants(params), KernelWorkspace(len(gains))
+    ideal = params.circuit_sensitivity_dbm is None
     for scheme_id, args in (("static_equal", {"rho": rho}),
                             ("dynamic_ps", {"theta": theta}), ("improved", {})):
-        split_rho, weight = stage_keys(SchemeSpec(scheme_id, args))
-        split_stage(consts, split_rho, g_a, g_b, ws)
-        hits = broadcast_stage(consts, weight, g_a, g_b, ws)
         want = _oracle_outage(params, scheme_id, args, g_a, g_b)
-        assert np.array_equal(~ws.ok, want), scheme_id
-        assert hits == np.count_nonzero(want), scheme_id
+        for by_ratio in (False, True)[:1 + ideal]:
+            got = _kernel_outage(params, scheme_id, args, g_a, g_b, by_ratio)
+            assert np.array_equal(got, want), (scheme_id, by_ratio)
+
+
+def _knee_cases(params):
+    """Gain pairs on and next to the A knee, B far above its own, and the
+    zero-gain pairs; the A knee normalizes onto eps exactly at params."""
+    c = link_constants(params)
+    assert c.knee_a / c.z_a == c.varpi
+    rich_b = 1e7 * params.fading_mean_b
+    below = float(np.nextafter(c.knee_a, 0.0))
+    assert below / c.z_a < c.varpi
+    return {"on-knee": (c.knee_a, rich_b), "below-knee": (below, rich_b),
+            "zero-a": (0.0, rich_b), "zero-b": (rich_b, 0.0), "both-zero": (0.0, 0.0)}
+
+
+@pytest.mark.parametrize("point", ["ideal", "gated-20dBm"])
+def test_exact_boundaries_decode_by_the_one_convention(point):
+    """A gain on its knee normalizes onto eps, u == eps, and equality
+    decodes: the trial succeeds there, and fails one ulp below.  A zero
+    gain is an outage, computed without a floating-point warning."""
+    params = ORACLE_POINTS[point][0]
+    cases = _knee_cases(params)
+    g_a = np.array([a for a, _ in cases.values()])
+    g_b = np.array([b for _, b in cases.values()])
+    want = [name != "on-knee" for name in cases]
+    ideal = params.circuit_sensitivity_dbm is None
+    for scheme_id, args in (("dynamic_ps", {"theta": 0.5}), ("improved", {})):
+        assert _oracle_outage(params, scheme_id, args, g_a, g_b).tolist() == want
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            for by_ratio in (False, True)[:1 + ideal]:
+                got = _kernel_outage(params, scheme_id, args, g_a, g_b, by_ratio)
+                assert got.tolist() == want, (scheme_id, by_ratio)
+    # The static split decodes only (1 - rho) of the knee gain: an outage.
+    static = _kernel_outage(params, "static_equal", {"rho": 0.5}, g_a, g_b, False)
+    assert static.all()
+
+
+NESTED_THETAS = (0.1, 0.3, 0.5, 0.8, 0.9)
+NESTED_RHOS = (0.3, 0.5, 0.7)
+_DIVERSITY = SystemParams(**_DIVERSITY_GEOMETRY)
+NESTING_POINTS = {
+    "default": DEFAULTS,
+    "diversity-40dB": dataclasses.replace(_DIVERSITY, tx_power_dbm=_DIVERSITY.noise_dbm + 40.0),
+    "diversity-70dB": dataclasses.replace(_DIVERSITY, tx_power_dbm=_DIVERSITY.noise_dbm + 70.0),
+    **{f"rate{rate:g}-{dbm:g}dBm": dataclasses.replace(DEFAULTS, rate_bps_hz=rate,
+                                                      tx_power_dbm=dbm)
+       for rate in (1.0, 3.0) for dbm in (10.0, 20.0)},
+    "gated-20dBm": GATED,
+}
+
+
+def _nesting_violations(params, g_a, g_b, ws) -> dict:
+    """How many trials break each nesting (better, worse), where
+    r*(improved) >= r*(dynamic_ps, theta) and r*(dynamic_ps, 1/2) >=
+    r*(static_equal, rho) should hold: with the ideal rectenna, an r* of
+    the worse above the better's; gated, a success of the worse where the
+    better fails.  ws is a workspace of the gains' shape."""
+    consts = link_constants(params)
+    eps, floor = consts.varpi, consts.harvest_floor
+    normalized_gains(consts, g_a, g_b, ws)
+
+    def level(rho, theta):
+        """Where a trial succeeds iff eps <= level: r*, or gated a*pool."""
+        gain = downlink_gain(consts, theta, ws)
+        if floor == 0.0:
+            return critical_ratio(rho, gain, ws).copy()
+        return gain * harvest_pool(rho, eps, floor, ws)
+
+    def broken(better, worse):
+        if floor == 0.0:
+            return int(np.count_nonzero(worse > better))
+        return int(np.count_nonzero((worse >= eps) & (better < eps)))
+
+    improved, half = level(None, None), level(None, 0.5)
+    found = {("improved", ("dynamic_ps", theta)): broken(improved, level(None, theta))
+             for theta in NESTED_THETAS}
+    found.update({(("dynamic_ps", 0.5), ("static_equal", rho)): broken(half, level(rho, 0.5))
+                  for rho in NESTED_RHOS})
+    return found
+
+
+@pytest.mark.parametrize("point", NESTING_POINTS)
+def test_schemes_nest_per_trial(point):
+    """On 2**20 simulator draws, no trial breaks the scheme nesting.
+
+    improved runs the knee split of dynamic_ps and picks, per trial, the
+    theta that maximizes the weaker downlink, so its downlink gain is the
+    largest over theta.  The knee split harvests, on each link, at least as
+    much as any fixed rho whose uplinks decode: (1 - rho)*u >= eps gives
+    rho*u <= u - eps.  A larger harvest also passes the rectenna test
+    whenever a smaller one does.  So a trial that improved fails, dynamic_ps
+    fails at every theta, and one that dynamic_ps at theta = 1/2 fails,
+    static_equal (which broadcasts at 1/2) fails at every rho: per trial,
+    r*(improved) >= r*(dynamic_ps, theta) >= r*(static_equal, rho) with the
+    ideal rectenna, and the verdicts nest when gated.
+    """
+    params = NESTING_POINTS[point]
+    means = (params.fading_mean_a, params.fading_mean_b)
+    total = {}
+    for block in range(4):
+        for g_a, g_b, ws in _chunks(means, 2024, block, BLOCK_TRIALS):
+            for pair, count in _nesting_violations(params, g_a, g_b, ws).items():
+                total[pair] = total.get(pair, 0) + count
+    assert len(total) == 8 and all(count == 0 for count in total.values()), total
+
+
+@pytest.mark.parametrize("point", [name for name, (_, _, layout) in ORACLE_POINTS.items()
+                                   if layout is not None])
+@given(gains=st.lists(st.tuples(_GAIN, _GAIN), min_size=1, max_size=64))
+def test_schemes_nest_per_trial_at_single_curve_layouts(point, gains):
+    params = ORACLE_POINTS[point][0]
+    g_a = np.array([a for a, _ in gains]) * params.fading_mean_a
+    g_b = np.array([b for _, b in gains]) * params.fading_mean_b
+    found = _nesting_violations(params, g_a, g_b, KernelWorkspace(len(gains)))
+    assert all(count == 0 for count in found.values()), found
 
 
 BLOCK_COUNTS = (1, CHUNK_TRIALS - 1, CHUNK_TRIALS + 1, 213_568, BLOCK_TRIALS)
@@ -316,40 +445,93 @@ class TestBatch:
         assert mc_outages([GROUPED_BATCH[i] for i in order], cfg) == \
             [want[i] for i in order]
 
-    def test_cells_share_their_stages(self, monkeypatch):
-        splits, broadcasts = [], []
+    def test_cells_share_their_kernel_passes(self, monkeypatch):
+        calls = {}
 
-        def split(consts, rho, *rest):
-            splits.append(rho)
-            return split_stage(consts, rho, *rest)
+        def counted(name):
+            kernel = getattr(montecarlo, name)
 
-        def broadcast(consts, theta, *rest):
-            broadcasts.append(theta)
-            return broadcast_stage(consts, theta, *rest)
+            def run(*args):
+                calls[name] = calls.get(name, 0) + 1
+                return kernel(*args)
+            return run
 
-        monkeypatch.setattr(montecarlo, "split_stage", split)
-        monkeypatch.setattr(montecarlo, "broadcast_stage", broadcast)
+        names = ("normalized_gains", "downlink_gain", "critical_ratio", "harvest_pool",
+                 "count_below")
+        for name in names:
+            monkeypatch.setattr(montecarlo, name, counted(name))
         one_chunk = McConfig(trials=CHUNK_TRIALS, seed=1)
-        # fig 3's cells differ only in M; fig 4's 17 thetas share one knee
-        # split; fig 5's 4 adaptive cells per power share theirs, and its
-        # 3 static rhos each split alone.
-        for n, knee_splits, all_splits, cells in ((3, 1, 1, 1), (4, 1, 1, 17),
-                                                  (5, 5, 20, 35)):
-            splits.clear()
-            broadcasts.clear()
+        # Per chunk: one u pass per figure, whose cells share Z_A, Z_B and
+        # kappa; one downlink gain per (rho, theta), which becomes an r*
+        # where it meets several eps (fig 5's powers, fig 7's rates) and is
+        # read against the one pool of its eps where it meets one (fig 3's
+        # cells differ only in M, fig 4's 17 thetas share one eps); one
+        # count per cell that the kernel tells apart, which against r*
+        # reads both edges of eps's rounding band.
+        for n, want in ((3, (1, 1, 0, 1, 1)), (4, (1, 17, 0, 1, 17)),
+                        (5, (1, 7, 7, 0, 70)), (7, (1, 3, 3, 0, 60))):
+            calls.clear()
             sweeps.fig(n, mc=one_chunk)
-            assert (splits.count(None), len(splits), len(broadcasts)) == \
-                (knee_splits, all_splits, cells), n
+            assert tuple(calls.get(name, 0) for name in names) == want, n
 
     def test_equal_params_that_round_apart_keep_their_own_counts(self):
-        # np.float32(-90.0) == -90.0, yet its noise power rounds apart.
+        # np.float32(-90.0) == -90.0, yet its noise power rounds apart: the
+        # two share a group and an r*, but not a count.
         narrow = dataclasses.replace(DEFAULTS, noise_dbm=np.float32(-90.0))
         assert narrow == DEFAULTS
         cells = [(DEFAULTS, SchemeSpec("improved")), (narrow, SchemeSpec("improved"))]
         groups, slots, _ = _plan(cells)
-        assert (len(groups), slots) == (2, (0, 1))
+        assert (len(groups), slots) == (1, (0, 1))
+        (_, ratios, pools), = groups
+        (_, _, counts), = ratios
+        assert (len(counts), pools) == (2, ())
         cfg = McConfig(trials=CHUNK_TRIALS, seed=1)
         assert mc_outages(cells, cfg) == [_alone(c, cfg) for c in cells]
+
+    @pytest.mark.parametrize("scheme", [SchemeSpec("dynamic_ps"), SchemeSpec("improved"),
+                                        SchemeSpec("static_equal", {"rho": 0.3})],
+                             ids=lambda spec: spec.scheme_id)
+    def test_trials_on_which_the_two_forms_round_apart_count_alike(self, scheme,
+                                                                 monkeypatch):
+        """r* < eps and the direct test a*pool < eps disagree on some trials
+        within an ulp or two of the downlink boundary.  A cell counted
+        against r* in a batch takes the direct test there, which it runs
+        alone, so the batch and the cell alone count alike."""
+        cells = [(DEFAULTS, scheme), (dataclasses.replace(DEFAULTS, tx_power_dbm=27.0), scheme)]
+        plan = _plan(cells)
+        (_, ratios, _), = plan[0]
+        assert [len(counts) for _, _, counts in ratios] == [2]
+        rho, theta, _ = ratios[0]
+        consts, eps = link_constants(DEFAULTS), link_constants(DEFAULTS).varpi
+        g_b = np.random.default_rng(0).exponential(1.0, 512) + 1e-3
+        ws = KernelWorkspace(g_b.shape)
+
+        def by_ratio(g_a):
+            normalized_gains(consts, g_a, g_b, ws)
+            return np.less(critical_ratio(rho, downlink_gain(consts, theta, ws), ws), eps)
+
+        # Bisect each g_A onto the downlink boundary of its g_B, then take
+        # its neighbours 3 ulps either way.
+        lo, hi = np.full_like(g_b, 1e-9), np.full_like(g_b, 1.0)
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            below = by_ratio(mid)
+            lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+        g_a = (hi + np.arange(-3, 4)[:, None] * np.spacing(hi)).ravel()
+        g_b = np.tile(g_b, 7)
+        ws = KernelWorkspace(g_a.shape)
+        ratio_says = int(np.count_nonzero(by_ratio(g_a)))
+        direct = count_below(downlink_gain(consts, theta, ws)
+                             * harvest_pool(rho, eps, 0.0, ws), eps, ws)
+        if rho is None:  # the knee split's two forms do round apart here
+            assert ratio_says != direct
+
+        def these_trials(means, seed, block_index, count):
+            yield g_a, g_b, KernelWorkspace(g_a.shape)
+
+        monkeypatch.setattr(montecarlo, "_chunks", these_trials)
+        assert _outage_block(plan, 1, 0, g_a.size)[0] == direct
+        assert _outage_block(_plan(cells[:1]), 1, 0, g_a.size) == [direct]
 
     def test_a_batch_reproduces_the_frozen_hits(self):
         cfg = McConfig(trials=REF_TRIALS, seed=REF_SEED)
@@ -379,12 +561,20 @@ class TestBatch:
         means = (params.fading_mean_a, params.fading_mean_b)
         g_a, g_b, ws = next(_chunks(means, 5, 3, CHUNK_TRIALS))
         consts = link_constants(params)
+        eps, floor = consts.varpi, consts.harvest_floor
 
-        def staged():
-            split_stage(consts, None, g_a, g_b, ws)
-            broadcast_stage(consts, None, g_a, g_b, ws)
+        def by_pool():
+            normalized_gains(consts, g_a, g_b, ws)
+            gain = downlink_gain(consts, None, ws)
+            pool = harvest_pool(None, eps, floor, ws)
+            count_below(np.multiply(gain, pool, out=gain), eps, ws)
 
-        assert _traced_peak(staged) < CHUNK_TRIALS * 8
+        def by_ratio():
+            normalized_gains(consts, g_a, g_b, ws)
+            count_below(critical_ratio(None, downlink_gain(consts, None, ws), ws), eps, ws)
+
+        for run in (by_pool, by_ratio) if floor == 0.0 else (by_pool,):
+            assert _traced_peak(run) < CHUNK_TRIALS * 8, run.__name__
 
     def test_a_fig5_block_never_holds_a_block_sized_array(self):
         spec = sweeps.FIGURES[5]
