@@ -41,7 +41,7 @@ def main():
         with open(path, "w", encoding="utf-8", newline="") as handle:
             handle.write(result.to_csv())
         print(f"fig{n}: {len(result.rows)} rows -> {path} "
-              f"({time.perf_counter() - start:.1f}s)")
+              f"({time.perf_counter() - start:.3f}s)")
 
 
 if __name__ == "__main__":

@@ -27,10 +27,10 @@ working set fits in a core's cache.
 mc_outages runs a batch of cells, such as all cells of a sweep, on each
 chunk drawn once.  A cell counts the trials that fail the direct test
 a*pool < eps, pool the model.harvest_pool of its (rho, eps, pi) (model's
-docstring states the algebra).  Cells are grouped by (Z_A, Z_B, kappa),
-one model.normalized_gains per group and chunk; the cells of one (rho,
-eps, pi) share a pool, and a (rho, theta) that meets several eps with the
-ideal rectenna gets one model.critical_ratio, r*, read once per cell.  r*
+docstring states the algebra).  Each kernel pass runs once per chunk and
+set of the inputs it reads: model.normalized_gains per (Z_A, Z_B), a pool
+per (rho, eps, pi), whatever the kappa, and an r* (model.critical_ratio)
+per downlink (kappa, rho, theta) at several ideal-rectenna eps.  r*
 and the direct test round apart by a few ulps, so where an r* lies within
 1e-14*eps of a cell's eps, the direct test counts the cell: a cell counts
 alike in any batch and alone.  The cells read common random numbers, so
@@ -153,22 +153,22 @@ def _outage_block(cells: tuple, seed: int, block_index: int, count: int) -> list
     for g_a, g_b, ws in _chunks(means, seed, block_index, count):
         for consts, ratios, pools in groups:
             normalized_gains(consts, g_a, g_b, ws)
-            for rho, theta, counts in ratios:
-                ratio = critical_ratio(rho, downlink_gain(consts, theta, ws), ws)
+            for link, rho, theta, counts in ratios:
+                ratio = critical_ratio(rho, downlink_gain(link, theta, ws), ws)
                 for slot, eps in counts:
                     band = eps * _TIE + _TIE_FLOOR
                     below = count_below(ratio, eps - band, ws)
                     if below != count_below(ratio, eps + band, ws):
                         # An r* within rounding of eps: count directly.
-                        below = _direct_count(consts, theta, eps,
+                        below = _direct_count(link, theta, eps,
                                               harvest_pool(rho, eps, 0.0, ws), ws)
-                        ratio = critical_ratio(rho, downlink_gain(consts, theta, ws), ws)
+                        ratio = critical_ratio(rho, downlink_gain(link, theta, ws), ws)
                     hits[slot] += below
             for rho, eps, floor, tests in pools:
                 pool = harvest_pool(rho, eps, floor, ws)
-                for slot, theta in tests:
+                for slot, link, theta in tests:
                     hits[slot] += (ws.on.size - int(np.count_nonzero(ws.on)) if theta == _ENERGY
-                                   else _direct_count(consts, theta, eps, pool, ws))
+                                   else _direct_count(link, theta, eps, pool, ws))
     return [hits[slot] for slot in slots]
 
 
@@ -311,16 +311,18 @@ def _estimate(hits: int, trials: int) -> McEstimate:
 
 def _plan(cells) -> tuple:
     """Check a nonempty batch of cells (params, scheme); lay it out as
-    (groups, slots, means).
+    (groups, slots, means), each kernel pass keyed on the inputs it reads.
 
-    A group (consts, ratios, pools) holds the cells of one (Z_A, Z_B,
-    kappa), consts the link_constants of its first.  ratios lists (rho,
-    theta, counts), a split (None: the knee) and weight (None: equalizing)
-    with the (index, eps) of its ideal-rectenna cells, where there are
-    several; pools lists (rho, eps, pi, tests) with the (index, theta) of
-    each other cell, an energy cell's theta _ENERGY.  slots holds each
-    cell's count index, one per cell alike in what the kernel reads, and
-    means the fading means (mean_a, mean_b) that all cells share.
+    A group (consts, ratios, pools) holds the cells of one (Z_A, Z_B),
+    consts the link_constants of its first.  ratios lists (link, rho,
+    theta, counts), a downlink (kappa, split, weight; None: the knee split,
+    the equalizing weight) with the (index, eps) of its ideal-rectenna
+    cells, where there are several, and link the link_constants whose
+    kappa it reads; pools lists (rho, eps, pi, tests) with the (index,
+    link, theta) of each other cell, whatever its kappa, an energy cell's
+    theta _ENERGY.  slots holds each cell's count index, one per cell alike
+    in what the kernel reads, and means the fading means (mean_a, mean_b)
+    that all cells share.
     """
     slot_of, members, slots, means = {}, {}, [], set()
     for params, scheme in cells:
@@ -333,11 +335,11 @@ def _plan(cells) -> tuple:
             rho, theta = scheme.canonical()["rho"], 0.5
         else:
             rho, theta = None, scheme.canonical().get("theta")
-        key = ((consts.z_a, consts.z_b, consts.kappa), rho, theta,
-               consts.varpi, consts.harvest_floor)
+        key = ((consts.z_a, consts.z_b), (consts.kappa, rho, theta), consts.varpi,
+               consts.harvest_floor)
         if key not in slot_of:
             slot_of[key] = len(slot_of)
-            members.setdefault(key[0], (consts, []))[1].append((slot_of[key], *key[1:]))
+            members.setdefault(key[0], (consts, []))[1].append((slot_of[key], consts, *key[1:]))
         slots.append(slot_of[key])
         means.add((params.fading_mean_a, params.fading_mean_b))
     if len(means) > 1:
@@ -345,14 +347,15 @@ def _plan(cells) -> tuple:
     groups = []
     for consts, found in members.values():
         ideal, pools = {}, {}
-        for slot, rho, theta, eps, floor in found:
+        for slot, link, downlink, eps, floor in found:
             if floor == 0.0:
-                ideal.setdefault((rho, theta), []).append((slot, eps))
-        for slot, rho, theta, eps, floor in found:
-            if floor > 0.0 or len(ideal[rho, theta]) == 1:
-                pools.setdefault((rho, eps, floor), []).append((slot, theta))
-        groups.append((consts, tuple((*split, tuple(counts)) for split, counts
-                                     in ideal.items() if len(counts) > 1),
+                ideal.setdefault(downlink, (link, []))[1].append((slot, eps))
+        for slot, link, (kappa, rho, theta), eps, floor in found:
+            if floor > 0.0 or len(ideal[kappa, rho, theta][1]) == 1:
+                pools.setdefault((rho, eps, floor), []).append((slot, link, theta))
+        ratios = tuple((link, rho, theta, tuple(counts))
+                       for (_, rho, theta), (link, counts) in ideal.items() if len(counts) > 1)
+        groups.append((consts, ratios,
                        tuple((*pool, tuple(tests)) for pool, tests in pools.items())))
     return tuple(groups), tuple(slots), means.pop()
 

@@ -32,7 +32,7 @@ class QuadratureRule:
 
     @classmethod
     def build(cls, order: int) -> "QuadratureRule":
-        if not (isinstance(order, (int, np.integer)) and order >= 1):
+        if isinstance(order, bool) or not (isinstance(order, (int, np.integer)) and order >= 1):
             raise ValueError("quadrature order must be an integer >= 1")
         order = int(order)
         rule = _RULES.get(order)

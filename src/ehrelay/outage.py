@@ -329,24 +329,13 @@ def cdf_t2(consts: LinkConstants, t: float) -> float:
     rearranged around expm1 because the printed form cancels catastrophically
     when the two rates approach each other.
     """
-    if t < 0.0:
+    if not t >= 0.0:
         raise ValueError("cdf_t2 requires t >= 0")
     if t == 0.0:
         return 0.0
     if math.isinf(t):
         return 1.0
-    rate_a = consts.a_rate_a
-    rate_b = consts.a_rate_b
-    gap = rate_a - rate_b
-    if abs(gap) <= 1e-9 * max(rate_a, rate_b):
-        return 1.0 - math.exp(-rate_b * t) - rate_b * t * math.exp(-rate_a * t)
-    # exp(-rate_a*t) - exp(-rate_b*t), anchored on the smaller rate so the
-    # expm1 argument is never positive.
-    if rate_a <= rate_b:
-        diff = -math.exp(-rate_a * t) * math.expm1(-(rate_b - rate_a) * t)
-    else:
-        diff = math.exp(-rate_b * t) * math.expm1(-(rate_a - rate_b) * t)
-    return 1.0 - math.exp(-rate_b * t) + (rate_b / gap) * diff
+    return _cdf_t2(consts, t, math.exp, math.expm1)
 
 
 def cdf_t2_array(consts: LinkConstants, t: np.ndarray) -> np.ndarray:
@@ -357,23 +346,29 @@ def cdf_t2_array(consts: LinkConstants, t: np.ndarray) -> np.ndarray:
     the twins agree to a few ulps, not bitwise.
     """
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0.0):
+    if not np.all(t >= 0.0):
         raise ValueError("cdf_t2 requires t >= 0")
     out = np.ones_like(t)
     finite = ~np.isinf(t)
-    t = t[finite]
+    out[finite] = _cdf_t2(consts, t[finite], np.exp, np.expm1)
+    return out
+
+
+def _cdf_t2(consts: LinkConstants, t, exp, expm1):
+    """cdf_t2 at a finite t >= 0, or an array of them, with the exp and
+    expm1 of math or of np."""
     rate_a = consts.a_rate_a
     rate_b = consts.a_rate_b
     gap = rate_a - rate_b
     if abs(gap) <= 1e-9 * max(rate_a, rate_b):
-        out[finite] = 1.0 - np.exp(-rate_b * t) - rate_b * t * np.exp(-rate_a * t)
-        return out
+        return 1.0 - exp(-rate_b * t) - rate_b * t * exp(-rate_a * t)
+    # exp(-rate_a*t) - exp(-rate_b*t), anchored on the smaller rate so the
+    # expm1 argument is never positive.
     if rate_a <= rate_b:
-        diff = -np.exp(-rate_a * t) * np.expm1(-(rate_b - rate_a) * t)
+        diff = -exp(-rate_a * t) * expm1(-(rate_b - rate_a) * t)
     else:
-        diff = np.exp(-rate_b * t) * np.expm1(-(rate_a - rate_b) * t)
-    out[finite] = 1.0 - np.exp(-rate_b * t) + (rate_b / gap) * diff
-    return out
+        diff = exp(-rate_b * t) * expm1(-(rate_a - rate_b) * t)
+    return 1.0 - exp(-rate_b * t) + (rate_b / gap) * diff
 
 
 def cdf_t3(consts: LinkConstants, t: float) -> float:

@@ -422,6 +422,14 @@ GROUPED_BATCH = (
     (_M2, SchemeSpec("static_equal", {"rho": 0.3})),
 )
 
+# Fig 8's beta sweep, ideal and with a -20 dBm rectenna, and an energy cell
+# at each gated beta: one u pass, and each pool read by all nine kappas.
+_FIG8 = sweeps.FIGURES[8]
+FIG8_BATCH = tuple(
+    (dataclasses.replace(_FIG8.base, time_split=beta, circuit_sensitivity_dbm=dbm), scheme)
+    for dbm in (None, -20.0) for beta in _FIG8.values
+    for scheme in (*_FIG8.schemes, *((None,) if dbm else ())))
+
 
 def _alone(cell, cfg):
     params, scheme = cell
@@ -433,7 +441,8 @@ def _alone(cell, cfg):
 class TestBatch:
     @pytest.mark.parametrize("batch,shards", [
         *(pytest.param(MIXED_BATCH, s, id=str(s)) for s in (1, 2, 8)),
-        *(pytest.param(GROUPED_BATCH, s, id=f"grouped-{s}") for s in (1, 2, 8))])
+        *(pytest.param(GROUPED_BATCH, s, id=f"grouped-{s}") for s in (1, 2, 8)),
+        *(pytest.param(FIG8_BATCH, s, id=f"fig8-{s}") for s in (1, 2, 8))])
     def test_a_mixed_batch_equals_its_cells_alone(self, batch, shards):
         cfg = McConfig(trials=2 * BLOCK_TRIALS + 12345, seed=7, shards=shards)
         assert mc_outages(batch, cfg) == [_alone(c, cfg) for c in batch]
@@ -461,15 +470,19 @@ class TestBatch:
         for name in names:
             monkeypatch.setattr(montecarlo, name, counted(name))
         one_chunk = McConfig(trials=CHUNK_TRIALS, seed=1)
-        # Per chunk: one u pass per figure, whose cells share Z_A, Z_B and
-        # kappa; one downlink gain per (rho, theta), which becomes an r*
-        # where it meets several eps (fig 5's powers, fig 7's rates) and is
-        # read against the one pool of its eps where it meets one (fig 3's
-        # cells differ only in M, fig 4's 17 thetas share one eps); one
-        # count per cell that the kernel tells apart, which against r*
-        # reads both edges of eps's rounding band.
+        # Per chunk, each kernel pass runs once for each distinct set of the
+        # inputs it reads: a u pass per (Z_A, Z_B) (fig 6's 9 distances); a
+        # downlink gain per (kappa, rho, theta), an r* where it meets several
+        # eps with the ideal rectenna (fig 5's powers, fig 7's rates), read
+        # against the pool of its eps otherwise (fig 3 moves only M, fig 4
+        # theta, fig 8 kappa; fig 9 gates); a pool per (rho, eps, pi),
+        # shared by every kappa (fig 8's 9 betas read 2); a count per cell
+        # that the kernel tells apart, which against r* reads both edges of
+        # eps's rounding band.
         for n, want in ((3, (1, 1, 0, 1, 1)), (4, (1, 17, 0, 1, 17)),
-                        (5, (1, 7, 7, 0, 70)), (7, (1, 3, 3, 0, 60))):
+                        (5, (1, 7, 7, 0, 70)), (6, (9, 27, 0, 18, 27)),
+                        (7, (1, 3, 3, 0, 60)), (8, (1, 27, 0, 2, 27)),
+                        (9, (1, 15, 0, 10, 15))):
             calls.clear()
             sweeps.fig(n, mc=one_chunk)
             assert tuple(calls.get(name, 0) for name in names) == want, n
@@ -483,7 +496,7 @@ class TestBatch:
         groups, slots, _ = _plan(cells)
         assert (len(groups), slots) == (1, (0, 1))
         (_, ratios, pools), = groups
-        (_, _, counts), = ratios
+        (_, _, _, counts), = ratios
         assert (len(counts), pools) == (2, ())
         cfg = McConfig(trials=CHUNK_TRIALS, seed=1)
         assert mc_outages(cells, cfg) == [_alone(c, cfg) for c in cells]
@@ -500,8 +513,8 @@ class TestBatch:
         cells = [(DEFAULTS, scheme), (dataclasses.replace(DEFAULTS, tx_power_dbm=27.0), scheme)]
         plan = _plan(cells)
         (_, ratios, _), = plan[0]
-        assert [len(counts) for _, _, counts in ratios] == [2]
-        rho, theta, _ = ratios[0]
+        assert [len(counts) for _, _, _, counts in ratios] == [2]
+        _, rho, theta, _ = ratios[0]
         consts, eps = link_constants(DEFAULTS), link_constants(DEFAULTS).varpi
         g_b = np.random.default_rng(0).exponential(1.0, 512) + 1e-3
         ws = KernelWorkspace(g_b.shape)

@@ -42,6 +42,8 @@ def test_rule_order_validation():
         QuadratureRule.build(0)
     with pytest.raises(ValueError):
         QuadratureRule.build(2.5)
+    with pytest.raises(ValueError):
+        QuadratureRule.build(True)
 
 
 def test_rule_is_built_once_per_order_and_read_only():

@@ -415,11 +415,21 @@ def test_cdf_t3_array_is_bit_identical_to_scalar(setting):
 
 
 def test_cdf_array_twins_reject_out_of_domain_t():
-    with pytest.raises(ValueError):
-        cdf_t2_array(CONSTS, np.array([1e-3, -1e-300]))
+    for bad in (-1e-300, math.nan):
+        with pytest.raises(ValueError):
+            cdf_t2_array(CONSTS, np.array([1e-3, bad]))
     for bad in (0.0, -1.0, math.nan):
         with pytest.raises(ValueError):
             cdf_t3_array(CONSTS, np.array([1.0, bad]))
+
+
+@pytest.mark.parametrize("cdf,bad", [(cdf_t2, -1e-300), (cdf_t2, math.nan),
+                                     (cdf_t3, 0.0), (cdf_t3, math.nan)])
+def test_scalar_cdfs_reject_out_of_domain_t(cdf, bad):
+    with pytest.raises(ValueError):
+        cdf(CONSTS, bad)
+    with pytest.raises(ValueError):
+        cdf(CONSTS, np.float64(bad))
 
 
 def test_cdfs_nondecreasing_on_dense_grids():
