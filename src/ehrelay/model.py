@@ -383,8 +383,15 @@ class SchemeSpec:
                     raise ValueError(f"bad scheme argument {piece!r}; expected key=value")
                 if (key := key.strip()) in args:
                     raise ValueError(f"scheme argument {key!r} is given twice in {text!r}")
-                args[key] = float(value)
+                try:
+                    args[key] = float(value)
+                except ValueError:
+                    raise ValueError(f"scheme argument {key}={value!r} is not a number "
+                                     f"in {text!r}") from None
         return cls(scheme_id.strip(), args)
+
+    def __hash__(self) -> int:
+        return hash((self.scheme_id, frozenset(self.args.items())))
 
 
 class KernelWorkspace:

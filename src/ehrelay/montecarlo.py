@@ -11,7 +11,7 @@ runs the blocks in the calling process.  More share them, one block per
 task, on a persistent pool of that many forked processes, made on first
 use; each block returns an integer hit count, and the counts are summed.
 A pool process ignores Ctrl-C, which its parent handles, and exits as soon
-as its parent is gone.
+as its parent is gone.  A process forked from one with a pool starts with none.
 
 A block of count trials takes g_A from the first count uniforms of its
 stream and g_B from the next count.  It streams them CHUNK_TRIALS at a
@@ -195,18 +195,27 @@ def _worker_count(shards: int, cores: int, blocks: int) -> int:
 
 @dataclass
 class _Pool:
-    """The persistent worker processes: their executor, its size, and the
-    pid of the process that made them (a forked child must make its own)."""
+    """The persistent worker processes: their executor and its size."""
 
     executor: object = None
     size: int = 0
-    owner: int = 0
 
 
 _POOL = _Pool()
 # Held while an estimate uses the pool, so that a call from another thread
 # cannot replace or drop the pool under it.
 _POOL_LOCK = threading.Lock()
+
+
+def _forget_pool_after_fork() -> None:
+    """In a forked child: the parent's pool is not its own, and a lock held
+    at the fork by a parent thread would stay locked in the child."""
+    global _POOL, _POOL_LOCK
+    _POOL, _POOL_LOCK = _Pool(), threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool_after_fork)
 
 
 def _may_fork() -> bool:
@@ -235,7 +244,7 @@ def _pool(workers: int):
     Forked workers start at once, with the package already imported, and a
     caller's script needs no __main__ guard, as it would under spawn.
     """
-    if _POOL.owner == os.getpid() and _POOL.size >= workers:
+    if _POOL.size >= workers:
         return _POOL.executor
     _drop_pool()
     import multiprocessing
@@ -243,15 +252,15 @@ def _pool(workers: int):
     _POOL.executor = ProcessPoolExecutor(
         workers, mp_context=multiprocessing.get_context("fork"),
         initializer=_init_worker, initargs=(os.getpid(),))
-    _POOL.size, _POOL.owner = workers, os.getpid()
+    _POOL.size = workers
     return _POOL.executor
 
 
 def _drop_pool() -> None:
-    """Shut down this process's pool, if it made one, and forget it."""
-    if _POOL.owner == os.getpid():
+    """Shut down this process's pool, if it has one, and forget it."""
+    if _POOL.executor is not None:
         _POOL.executor.shutdown(cancel_futures=True)
-    _POOL.executor, _POOL.size, _POOL.owner = None, 0, 0
+    _POOL.executor, _POOL.size = None, 0
 
 
 # Shut the pool down while the interpreter is whole, not in module teardown.

@@ -22,13 +22,13 @@ class QuadratureRule:
     Nodes are cos((2m-1)pi/(2M)) on (-1, 1); the weights already absorb the
     sqrt(1 - nu^2) factor that converts the Chebyshev weight into a plain
     integral, so integrate_gc needs no extra terms.  build() makes one rule
-    per order and hands the same object to every later caller, so its
-    arrays are read-only.
+    per order, its nodes and weights tuples of Python floats, and hands the
+    same object to every later caller.
     """
 
     order: int
-    nodes: np.ndarray    # reference nodes on (-1, 1), descending
-    weights: np.ndarray  # pi/(2M) * sqrt(1 - nu_m^2)
+    nodes: tuple    # reference nodes on (-1, 1), descending
+    weights: tuple  # pi/(2M) * sqrt(1 - nu_m^2)
 
     @classmethod
     def build(cls, order: int) -> "QuadratureRule":
@@ -40,9 +40,8 @@ class QuadratureRule:
             m = np.arange(1, order + 1)
             nodes = np.cos((2.0 * m - 1.0) * np.pi / (2.0 * order))
             weights = np.pi / (2.0 * order) * np.sqrt(1.0 - nodes ** 2)
-            nodes.flags.writeable = False
-            weights.flags.writeable = False
-            rule = _RULES[order] = cls(order=order, nodes=nodes, weights=weights)
+            rule = _RULES[order] = cls(order=order, nodes=tuple(nodes.tolist()),
+                                       weights=tuple(weights.tolist()))
         return rule
 
 
@@ -55,10 +54,10 @@ def integrate_gc(rule: QuadratureRule, a: float, b: float,
 
     A degenerate interval integrates to exactly 0; a reversed one is an
     error rather than a silent sign flip.  rule is normally the one cached
-    rule of its order from QuadratureRule.build.  The sum walks its nodes
-    and weights as Python floats, which give the IEEE results of np.float64
-    scalars at about half the cost: f is called with floats, and a
-    float-valued f gives a float.
+    rule of its order from QuadratureRule.build.  Its nodes and weights are
+    Python floats, which give the IEEE results of np.float64 scalars at
+    about half the cost: f is called with floats, and a float-valued f
+    gives a float.
     """
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError("integration bounds must be finite")
@@ -69,7 +68,7 @@ def integrate_gc(rule: QuadratureRule, a: float, b: float,
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
     total = 0.0
-    for nu, w in zip(rule.nodes.tolist(), rule.weights.tolist()):
+    for nu, w in zip(rule.nodes, rule.weights):
         total += w * f(half * nu + mid)
     return (b - a) * total
 

@@ -42,7 +42,6 @@ class Scenario(enum.Enum):
     TwoLow = "single-curve, A-side boundary"
     TwoHigh = "single-curve, B-side boundary"
     ThreeLow = "two-curve, A-side crossing"
-    ThreeHigh = "two-curve, B-side crossing"
 
 
 @dataclass(frozen=True)
@@ -178,8 +177,9 @@ def _strip(rule: QuadratureRule, lam_x: float, lam_y: float, c: float,
     return part - _slab(lam_x, lam_y, x_cap, lo, hi)
 
 
-def _one_knee(params: SystemParams, lam_x: float, lam_y: float, c: float, e: float,
-              d_ratio: float, delta_x: float, floor_y: float, delta_y: float) -> float:
+def _one_knee(params: SystemParams, consts: DerivedConstants, lam_x: float,
+              lam_y: float, c: float, e: float, d_ratio: float, delta_x: float,
+              floor_y: float, delta_y: float) -> float:
     """Success mass of the strip where only the x gain clears its knee.
 
     g_y runs from uplink feasibility floor_y to its knee delta_y; g_x must
@@ -187,7 +187,7 @@ def _one_knee(params: SystemParams, lam_x: float, lam_y: float, c: float, e: flo
     inner mass is a bare exponential, a slab in closed form; only the
     curved head goes through the quadrature rule.
     """
-    if not delta_y > floor_y:
+    if _uplinks_hopeless(consts) or not delta_y > floor_y:
         return 0.0
     kink = min(max(_knee_crossing(c, e, d_ratio, delta_x), floor_y), delta_y)
     head = _strip(_rule(params), lam_x, lam_y, c, e, d_ratio, floor_y, kink,
@@ -197,18 +197,14 @@ def _one_knee(params: SystemParams, lam_x: float, lam_y: float, c: float, e: flo
 
 def p_case1(params: SystemParams, consts: DerivedConstants) -> float:
     """Success mass of the strip where only the A gain clears its knee."""
-    if _uplinks_hopeless(consts):
-        return 0.0
-    return _one_knee(params, params.fading_mean_a, params.fading_mean_b,
+    return _one_knee(params, consts, params.fading_mean_a, params.fading_mean_b,
                      consts.c_a, consts.e_a, consts.d_ratio_a, consts.delta_a,
                      consts.knee_b, consts.delta_b)
 
 
 def p_case2(params: SystemParams, consts: DerivedConstants) -> float:
     """Mirror of p_case1 with the roles of the two terminals swapped."""
-    if _uplinks_hopeless(consts):
-        return 0.0
-    return _one_knee(params, params.fading_mean_b, params.fading_mean_a,
+    return _one_knee(params, consts, params.fading_mean_b, params.fading_mean_a,
                      consts.c_b, consts.e_b, consts.d_ratio_b, consts.delta_b,
                      consts.knee_a, consts.delta_a)
 
@@ -222,9 +218,21 @@ def p_case3(params: SystemParams, consts: DerivedConstants) -> float:
 def case4_geometry(consts: DerivedConstants) -> CaseFourGeometry:
     """Locate every boundary intersection and classify the region layout.
 
-    Classification order matters: the empty layout is ruled out first, then
-    the single-curve layouts, and only then the two-curve ones.  Boundary
-    ties use the comparisons exactly as written so results are deterministic.
+    The empty layout is ruled out first, then the B-side one, then the
+    A-side ones; ties use the comparisons exactly as written.
+
+    A B-side layout has one curve.  In u = g/Z units (the A knee is
+    delta_A = x1/Z_A) the A downlink needs alpha*a*P >= varpi and the B
+    downlink beta*b*P >= varpi, with harvest P = a + b - 2*varpi.  A B-side
+    layout (y_delta < q1 = knee_B) means beta*(delta_A - varpi) > 1.  A
+    crossing at a+ < delta_A would then need P+ > delta_A - varpi, from
+    alpha*a+*P+ = varpi = alpha*delta_A*(delta_A - varpi), and also
+    P+ < delta_A - varpi, because b+ = varpi/(beta*P+) < varpi.  So the
+    crossing lies at or past x1.
+
+    In exact arithmetic the empty layout never occurs: q2 = knee_A and
+    x_delta < delta_A, and likewise on the B side.  The guard stays, as
+    rounding reaches it where a knee lies within an ulp of its floor.
     """
     x1 = consts.delta_a
     y1 = consts.delta_b
@@ -249,10 +257,12 @@ def case4_geometry(consts: DerivedConstants) -> CaseFourGeometry:
 
     if max(q2, x_delta) >= x1 or max(q1, y_delta) >= y1:
         scenario = Scenario.One
+    elif y_delta < q1:
+        scenario = Scenario.TwoHigh
     elif x_plus <= max(q2, x_delta) or x_plus >= x1:
-        scenario = Scenario.TwoLow if y_delta >= q1 else Scenario.TwoHigh
+        scenario = Scenario.TwoLow
     else:
-        scenario = Scenario.ThreeLow if y_delta >= q1 else Scenario.ThreeHigh
+        scenario = Scenario.ThreeLow
 
     return CaseFourGeometry(x1=x1, y1=y1, q1=q1, q2=q2, x_delta=x_delta,
                             y_delta=y_delta, x_plus=x_plus, y_plus=y_plus,
@@ -263,8 +273,8 @@ def p_case4(params: SystemParams, consts: DerivedConstants,
             geom: CaseFourGeometry) -> float:
     """Success mass of the box where neither gain clears its knee.
 
-    Each non-empty layout is covered by one or two curve-bounded strips plus,
-    in the two-curve A-side layout, the rectangle beyond the crossing point.
+    A single-curve layout is one curve-bounded strip; the two-curve layout
+    adds a strip per curve and the rectangle beyond the crossing point.
     """
     if geom.scenario is Scenario.One or _uplinks_hopeless(consts):
         return 0.0
@@ -282,15 +292,12 @@ def p_case4(params: SystemParams, consts: DerivedConstants,
         value = strip_over_b(geom.y_delta, geom.y1, geom.x1)
     elif geom.scenario is Scenario.TwoHigh:
         value = strip_over_a(geom.x_delta, geom.x1, geom.y1)
-    elif geom.scenario is Scenario.ThreeLow:
+    else:
         corner = (math.exp(-geom.x_plus / lam_a) - math.exp(-geom.x1 / lam_a)) \
             * (math.exp(-geom.y_plus / lam_b) - math.exp(-geom.y1 / lam_b))
         value = corner \
             + strip_over_a(geom.x_delta, geom.x_plus, geom.y1) \
             + strip_over_b(geom.y_delta, geom.y_plus, geom.x1)
-    else:
-        value = strip_over_a(geom.x_plus, geom.x1, geom.y_plus) \
-            + strip_over_b(geom.y_plus, geom.y1, geom.x1)
 
     return _clamp_unit(value)
 
@@ -377,10 +384,7 @@ def cdf_t3(consts: LinkConstants, t: float) -> float:
         raise ValueError("cdf_t3 requires t > 0")
     if math.isinf(t):
         return 1.0
-    lam_a = consts.z_a / consts.a_rate_a
-    lam_b = consts.z_b / consts.a_rate_b
-    z = math.sqrt(4.0 / (lam_a * lam_b * t))
-    return z * numerics.bessel_k1(z)
+    return _cdf_t3(consts, t, math.sqrt, numerics.bessel_k1)
 
 
 def cdf_t3_array(consts: LinkConstants, t: np.ndarray) -> np.ndarray:
@@ -396,11 +400,16 @@ def cdf_t3_array(consts: LinkConstants, t: np.ndarray) -> np.ndarray:
         raise ValueError("cdf_t3 requires t > 0")
     out = np.ones_like(t)
     finite = ~np.isinf(t)
+    out[finite] = _cdf_t3(consts, t[finite], np.sqrt, scipy.special.k1)
+    return out
+
+
+def _cdf_t3(consts: LinkConstants, t, sqrt, k1):
+    """cdf_t3 at a finite t > 0, or an array of them, with sqrt and K1 to suit."""
     lam_a = consts.z_a / consts.a_rate_a
     lam_b = consts.z_b / consts.a_rate_b
-    z = np.sqrt(4.0 / (lam_a * lam_b * t[finite]))
-    out[finite] = z * scipy.special.k1(z)
-    return out
+    z = sqrt(4.0 / (lam_a * lam_b * t))
+    return z * k1(z)
 
 
 def improved_integration_bound(consts: LinkConstants) -> float:
@@ -467,10 +476,8 @@ def outage_improved(params: SystemParams) -> float:
     probability scale the rule integrates the deviation from full window
     mass, which keeps the exactly known tail term out of the quadrature sum
     and lets the default order resolve every regime the sweeps visit.
-    Each node inverts the CDF by bracketing on one halving ladder from the
-    bound, built once per call and shared by the nodes, so each rung costs
-    one cdf_t3 evaluation however many nodes pass it, and the root solver
-    reads its bracket ends' CDFs from the ladder.
+    Each node inverts the CDF on one halving ladder shared by the nodes
+    (_quantile_t3).
 
     The scheme picks theta per realization, so only the theta-free link
     constants enter.

@@ -23,9 +23,9 @@ from .model import (KernelWorkspace, SystemParams, broadcast_factors,
                     link_constants, normalized_gains)
 from .montecarlo import McConfig, mc_outage, mc_outages, relative_error
 from .outage import (CaseFourGeometry, Scenario, _boundary_gain_a,
-                     _boundary_gain_b, case4_geometry, cdf_t2_array,
-                     cdf_t3_array, diversity_slope, outage_dynamic_ps,
-                     outage_improved, p_case4)
+                     _boundary_gain_b, _knee_crossing, case4_geometry,
+                     cdf_t2_array, cdf_t3_array, diversity_slope,
+                     outage_dynamic_ps, outage_improved, p_case4)
 from .sweeps import FIGURES, SchemeSpec, SweepSpec, fig, run_sweep
 
 
@@ -263,31 +263,17 @@ def criterion_diversity() -> CriterionResult:
                            f"slope dynamic={_fmt(slope_dyn)}; improved={_fmt(slope_imp)}")
 
 
-def _pair_sum_ks(rng, params: SystemParams, consts, n: int) -> tuple:
-    """_ks_statistic of n draws of g_A/Z_A + g_B/Z_B against cdf_t2.
-
-    g_B is drawn chunk by chunk, which gives the values of one whole draw.
-    """
-    pair_sum = rng.exponential(params.fading_mean_a, n)
-    pair_sum /= consts.z_a
-    for lo in range(0, n, _KS_CHUNK):
-        hi = min(lo + _KS_CHUNK, n)
-        pair_sum[lo:hi] += rng.exponential(params.fading_mean_b, hi - lo) / consts.z_b
-    pair_sum.sort()
-    return _ks_statistic(pair_sum, lambda t: cdf_t2_array(consts, t))
-
-
-def _inverse_product_ks(rng, params: SystemParams, consts, n: int) -> tuple:
-    """_ks_statistic of n draws of 1/(g_A*g_B) against cdf_t3, g_B drawn as
-    in _pair_sum_ks."""
-    inv_prod = rng.exponential(params.fading_mean_a, n)
-    for lo in range(0, n, _KS_CHUNK):
-        hi = min(lo + _KS_CHUNK, n)
-        inv_prod[lo:hi] *= rng.exponential(params.fading_mean_b, hi - lo)
-    with np.errstate(divide="ignore"):
-        np.divide(1.0, inv_prod, out=inv_prod)
-    inv_prod.sort()
-    return _ks_statistic(inv_prod, lambda t: cdf_t3_array(consts, t))
+def _sampled_ks(rng, params: SystemParams, n: int, combine, cdf) -> tuple:
+    """_ks_statistic of n samples of combine(g_A, g_B) against cdf; g_B is
+    drawn chunk by chunk after all of g_A, which gives the values of one
+    whole draw, and combine writes each chunk's samples over its g_A."""
+    samples = rng.exponential(params.fading_mean_a, n)
+    with np.errstate(divide="ignore"):    # 1/(g_A*g_B) is inf where a gain is 0
+        for lo in range(0, n, _KS_CHUNK):
+            chunk = samples[lo:lo + _KS_CHUNK]
+            combine(chunk, rng.exponential(params.fading_mean_b, len(chunk)))
+    samples.sort()
+    return _ks_statistic(samples, cdf)
 
 
 def criterion_variable_change_cdfs() -> CriterionResult:
@@ -306,8 +292,12 @@ def criterion_variable_change_cdfs() -> CriterionResult:
     limits_ok = True
     for _, params in settings:
         consts = link_constants(params)
-        for draw_ks in (_pair_sum_ks, _inverse_product_ks):
-            ks, along_samples = draw_ks(rng, params, consts, n)
+        for combine, cdf_array in (
+                (lambda g_a, g_b: np.add(g_a / consts.z_a, g_b / consts.z_b, out=g_a),
+                 cdf_t2_array),
+                (lambda g_a, g_b: np.divide(1.0, g_a * g_b, out=g_a), cdf_t3_array)):
+            ks, along_samples = _sampled_ks(rng, params, n, combine,
+                                            lambda t: cdf_array(consts, t))
             worst_ks = max(worst_ks, ks)
             mono_ok &= along_samples
         grid_2 = cdf_t2_array(consts, np.geomspace(1e-12, 10.0, 10_000))
@@ -338,13 +328,11 @@ def _root_toward_zero(f, hi: float) -> float:
 
 def _crossing_root(consts, geom: CaseFourGeometry) -> float:
     """Locate the curve crossing by root-finding, independent of its closed form."""
-    from scipy.optimize import brentq
-
     def gap(x: float) -> float:
         return _boundary_gain_a(consts, _boundary_gain_b(consts, x)) - x
 
     # The B-curve is positive only left of its own zero; the crossing lies
-    # inside that span.
+    # inside that span, where gap rises from negative near zero to positive.
     zero_b = _root_toward_zero(lambda x: _boundary_gain_b(consts, x),
                                max(4.0 * geom.x1, 4.0 * geom.x_plus))
     hi = zero_b * (1.0 - 1e-12)
@@ -352,13 +340,7 @@ def _crossing_root(consts, geom: CaseFourGeometry) -> float:
         hi = zero_b - (zero_b - hi) * 0.5
         if zero_b - hi < zero_b * 1e-15:
             raise ArithmeticError("crossing bracket collapsed at the curve zero")
-    lo = 0.5 * hi
-    while gap(lo) >= 0.0:
-        lo *= 0.5
-        if lo < zero_b * 1e-300:
-            raise ArithmeticError("no sign change found for the crossing")
-    return brentq(gap, lo, hi, xtol=1e-280, rtol=4.0 * np.finfo(float).eps,
-                  maxiter=200)
+    return _root_toward_zero(lambda x: -gap(x), hi)
 
 
 def _oracle_case4(params: SystemParams, consts, geom: CaseFourGeometry) -> float:
@@ -368,15 +350,10 @@ def _oracle_case4(params: SystemParams, consts, geom: CaseFourGeometry) -> float
     lam_a = params.fading_mean_a
     lam_b = params.fading_mean_b
 
-    def x_lower(y: float) -> float:
-        shift = consts.e_b - y
-        inverse_b = (shift + math.sqrt(shift * shift
-                                       + 4.0 * consts.d_ratio_b * consts.c_b)) \
-            / (2.0 * consts.d_ratio_b)
-        return max(_boundary_gain_a(consts, y), inverse_b)
-
     def integrand(y: float) -> float:
-        xlo = x_lower(y)
+        # g_A clears the B-bound broadcast curve, and the A-bound one inverted.
+        xlo = max(_boundary_gain_a(consts, y),
+                  _knee_crossing(consts.c_b, consts.e_b, consts.d_ratio_b, y))
         if xlo >= geom.x1:
             return 0.0
         return (math.exp(-xlo / lam_a) - math.exp(-geom.x1 / lam_a)) \

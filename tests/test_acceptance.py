@@ -15,16 +15,15 @@ import pytest
 import scipy.special
 from hypothesis import given, strategies as st
 
-from ehrelay import validation
+from ehrelay import outage, validation
 from ehrelay.model import SystemParams, derive_constants, link_constants
-from ehrelay.outage import cdf_t2_array, cdf_t3, cdf_t3_array
+from ehrelay.outage import cdf_t2_array, cdf_t3, cdf_t3_array, outage_improved
 from ehrelay.validation import (
     _KS_BLOCK,
     _KS_CHUNK,
     CRITERIA,
-    _inverse_product_ks,
     _ks_statistic,
-    _pair_sum_ks,
+    _sampled_ks,
     criterion_capacity_shapes,
     criterion_case4_oracle,
     criterion_determinism,
@@ -117,10 +116,16 @@ def test_streamed_criterion_08_equals_the_one_pass_statistics(n):
     want_t3 = _one_pass_ks(inv_prod, lambda t: cdf_t3_array(consts, t))
 
     streamed = np.random.default_rng(47)
+    streamed_t2 = _sampled_ks(
+        streamed, params, n,
+        lambda g_a, g_b: np.add(g_a / consts.z_a, g_b / consts.z_b, out=g_a),
+        lambda t: cdf_t2_array(consts, t))
+    streamed_t3 = _sampled_ks(streamed, params, n,
+                              lambda g_a, g_b: np.divide(1.0, g_a * g_b, out=g_a),
+                              lambda t: cdf_t3_array(consts, t))
     for got, want in ((_ks_statistic(pair_sum, lambda t: cdf_t2_array(consts, t)), want_t2),
                       (_ks_statistic(inv_prod, lambda t: cdf_t3_array(consts, t)), want_t3),
-                      (_pair_sum_ks(streamed, params, consts, n), want_t2),
-                      (_inverse_product_ks(streamed, params, consts, n), want_t3)):
+                      (streamed_t2, want_t2), (streamed_t3, want_t3)):
         assert got[0].hex() == want.hex()
         assert got[1] is True
 
@@ -208,3 +213,18 @@ def test_gate_detects_an_injected_defect(monkeypatch):
     assert cdf_t3(consts, 1.0) == pytest.approx(1.05 * clean, rel=1e-12)
     result = criterion_variable_change_cdfs()
     assert not result.passed
+
+
+def test_gate_checks_the_t3_formula_the_closed_form_runs(monkeypatch):
+    """cdf_t3 and the gate's cdf_t3_array evaluate one formula, so a 10 %
+    error in it, which moves outage_improved, fails criterion 8."""
+    consts = link_constants(SystemParams())
+    clean_cdf, clean_outage = cdf_t3(consts, 1.0), outage_improved(SystemParams())
+    true_cdf = outage._cdf_t3
+    monkeypatch.setattr(outage, "_cdf_t3", lambda consts, t, sqrt, k1:
+                        true_cdf(consts, t / 1.1, sqrt, k1))
+    assert cdf_t3(consts, 1.1) == cdf_t3_array(consts, np.array([1.1]))[0] == clean_cdf
+    assert outage_improved(SystemParams()) != clean_outage
+    result = criterion_variable_change_cdfs()
+    assert not result.passed
+    assert float(re.search(r"max KS=(\S+) ", result.detail).group(1)) > 0.002

@@ -880,6 +880,37 @@ class TestWorkerPool:
         assert runs == [want] * 12
 
     @needs_two_cores
+    @pytest.mark.skipif(not hasattr(os, "register_at_fork"), reason="needs os.fork")
+    def test_a_child_forked_while_the_pool_is_in_use_gets_its_own(self):
+        # The child's copy of a held lock would stay locked for good; the
+        # child waits at most 60 s for its estimate, then is killed.
+        script = (
+            "import os, time\n"
+            "from ehrelay import McConfig, SystemParams, mc_outage, montecarlo\n"
+            "from ehrelay.montecarlo import BLOCK_TRIALS\n"
+            "cfg = McConfig(trials=2 * BLOCK_TRIALS, seed=5, shards=2)\n"
+            "want = mc_outage(SystemParams(), 'improved', None, cfg)\n"
+            "montecarlo._POOL_LOCK.acquire()\n"    # as another thread's estimate would
+            "pid = os.fork()\n"
+            "if pid == 0:\n"
+            "    same = mc_outage(SystemParams(), 'improved', None, cfg) == want\n"
+            "    montecarlo._drop_pool()\n"
+            "    os._exit(0 if same else 3)\n"
+            "montecarlo._POOL_LOCK.release()\n"
+            "deadline = time.monotonic() + 60.0\n"
+            "while not (ended := os.waitpid(pid, os.WNOHANG))[0]:\n"
+            "    if time.monotonic() > deadline:\n"
+            "        os.kill(pid, 9)\n"
+            "        ended = os.waitpid(pid, 0)\n"
+            "        print('hung')\n"
+            "        break\n"
+            "    time.sleep(0.05)\n"
+            "print('exit', os.waitstatus_to_exitcode(ended[1]))\n"
+        )
+        out, err = _run_script(script).communicate(timeout=300)
+        assert out.split() == ["exit", "0"], err
+
+    @needs_two_cores
     def test_a_broken_pool_raises_and_the_next_call_gets_a_fresh_pool(self):
         cfg = McConfig(trials=2 * BLOCK_TRIALS, seed=4, shards=2)
         want = mc_outage(DEFAULTS, "improved", None, cfg)

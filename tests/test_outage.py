@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 from scipy import integrate
 
 from ehrelay import (
@@ -189,6 +189,74 @@ def test_case4_single_curve_layouts_match_oracle(layout):
     want = _oracle_case4(p, c, geom)
     assert want > 1e-3
     assert p_case4(p, c, geom) == pytest.approx(want, rel=1e-7)
+
+
+# A wide box over the inputs the case-four geometry reads: about a fifth of
+# its uniform draws lay out on the B side, all of them below -20 dBm.
+WIDE_BOX = dict(tx_power_dbm=(-150.0, 60.0), rate_bps_hz=(0.05, 10.0),
+                dist_a=(1.0, 30.0), dist_b=(1.0, 30.0), time_split=(0.01, 0.49),
+                eh_efficiency=(0.05, 1.0))
+
+
+def _b_side_geometry(params, theta):
+    """The case-four geometry where its layout is on the B side
+    (y_delta < q1), else None; None too where the knees round onto the
+    uplink floors."""
+    try:
+        geom = case4_geometry(derive_constants(params, theta))
+    except ValueError:
+        return None
+    return geom if geom.scenario is not Scenario.One and geom.y_delta < geom.q1 else None
+
+
+@settings(deadline=None, max_examples=1000)
+@given(st.fixed_dictionaries({k: st.floats(*v) for k, v in WIDE_BOX.items()}),
+       st.floats(0.01, 0.99))
+def test_b_side_layouts_cross_at_or_past_the_knee(fields, theta):
+    """case4_geometry's proof: a B-side layout's curves cross at or past x1,
+    so no two-curve B-side layout exists."""
+    geom = _b_side_geometry(SystemParams(**fields), theta)
+    event(f"B side: {geom is not None}")
+    if geom is None:
+        return
+    assert geom.scenario is Scenario.TwoHigh
+    assert geom.x_plus >= geom.x1 * (1.0 - 1e-12)
+
+
+def test_b_side_layouts_match_the_oracle():
+    """Seeded B-side points of the wide box, fading means at the knees so the
+    corner mass is large enough to compare."""
+    rng = np.random.default_rng(7)
+    checked = 0
+    while checked < 4:
+        fields = {k: float(rng.uniform(*v)) for k, v in WIDE_BOX.items()}
+        theta = float(rng.uniform(0.01, 0.99))
+        geom = _b_side_geometry(SystemParams(**fields), theta)
+        if geom is None:
+            continue
+        p = SystemParams(**fields, fading_mean_a=geom.x1, fading_mean_b=geom.y1,
+                         quad_order=40)
+        c = derive_constants(p, theta)
+        want = _oracle_case4(p, c, geom)
+        if want < 1e-4:
+            continue
+        assert case4_geometry(c) == geom
+        assert p_case4(p, c, geom) == pytest.approx(want, rel=1e-7)
+        checked += 1
+
+
+def test_the_empty_layout_guard_holds_where_a_knee_rounds_onto_its_floor():
+    """In exact arithmetic the layout is never empty; here delta_B lies
+    1.4e-16 (relative) above knee_B, and rounding makes it so."""
+    params = SystemParams(tx_power_dbm=-230.2, rate_bps_hz=7.3, fading_mean_a=1e25,
+                          fading_mean_b=1e22)
+    consts = derive_constants(params, 0.88)
+    assert (consts.delta_b - consts.knee_b) / consts.knee_b < 2e-16
+    assert not _uplinks_hopeless(consts)
+    geom = case4_geometry(consts)
+    assert geom.scenario is Scenario.One
+    assert p_case4(params, consts, geom) == 0.0
+    assert 0.0 <= outage_dynamic_ps(params, 0.88) <= 1.0
 
 
 def test_dynamic_outage_reference_point():

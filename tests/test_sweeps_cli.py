@@ -99,6 +99,28 @@ class TestSchemeSpec:
         with pytest.raises(ValueError):
             SchemeSpec.parse("dynamic_ps:theta=high")
 
+    def test_parse_names_an_argument_that_is_no_number(self, capsys):
+        text = "dynamic_ps:theta=abc"
+        message = "scheme argument theta='abc' is not a number in 'dynamic_ps:theta=abc'"
+        with pytest.raises(ValueError) as caught:
+            SchemeSpec.parse(text)
+        assert str(caught.value) == message
+        assert main(["sweep", "--param", "rate", "--values", "2", "--trials", "64",
+                     "--scheme", text]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_hash_agrees_with_equality(self):
+        specs = [SchemeSpec("improved"), SchemeSpec.parse("improved"),
+                 SchemeSpec("dynamic_ps"), SchemeSpec("dynamic_ps", {"theta": 0.5}),
+                 SchemeSpec.parse("dynamic_ps:theta=0.5"),
+                 SchemeSpec("static_equal", {"rho": 1}),
+                 SchemeSpec("static_equal", {"rho": 1.0})]
+        for a in specs:
+            for b in specs:
+                assert (a == b) <= (hash(a) == hash(b))
+        assert len(set(specs)) == 4
+        assert {SchemeSpec("improved"): 1}[SchemeSpec.parse("improved")] == 1
+
     def test_parse_rejects_a_repeated_key(self, capsys):
         text = "dynamic_ps:theta=0.3, theta=0.4"
         with pytest.raises(ValueError, match="'theta' is given twice"):
