@@ -384,7 +384,11 @@ def cdf_t3(consts: LinkConstants, t: float) -> float:
         raise ValueError("cdf_t3 requires t > 0")
     if math.isinf(t):
         return 1.0
-    return _cdf_t3(consts, t, math.sqrt, numerics.bessel_k1)
+    try:
+        value = _cdf_t3(consts, t, math.sqrt, numerics.bessel_k1)
+    except ZeroDivisionError:    # lam_a*lam_b*t underflowed to 0: z is inf
+        return 0.0
+    return 0.0 if value != value else value    # nan: z*K1(z) at z = inf
 
 
 def cdf_t3_array(consts: LinkConstants, t: np.ndarray) -> np.ndarray:
@@ -393,19 +397,24 @@ def cdf_t3_array(consts: LinkConstants, t: np.ndarray) -> np.ndarray:
     K1 comes straight from scipy.special.k1, because numerics.bessel_k1 is
     scalar; an underflowed K1 is the correct value 0 of the deep left tail
     in both twins.  t = inf is masked out because z * K1(z) at z = 0 is
-    0 * inf.
+    0 * inf.  A t so small that z overflows gives 0.0, the limit, where
+    z * K1(z) is inf * 0.
     """
     t = np.asarray(t, dtype=float)
     if not np.all(t > 0.0):
         raise ValueError("cdf_t3 requires t > 0")
     out = np.ones_like(t)
     finite = ~np.isinf(t)
-    out[finite] = _cdf_t3(consts, t[finite], np.sqrt, scipy.special.k1)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        out[finite] = _cdf_t3(consts, t[finite], np.sqrt, scipy.special.k1)
+    out[np.isnan(out)] = 0.0
     return out
 
 
 def _cdf_t3(consts: LinkConstants, t, sqrt, k1):
-    """cdf_t3 at a finite t > 0, or an array of them, with sqrt and K1 to suit."""
+    """cdf_t3 at a finite t > 0, or an array of them, with sqrt and K1 to
+    suit.  nan where z overflows; ZeroDivisionError for a float t where
+    lam_a*lam_b*t underflows to 0."""
     lam_a = consts.z_a / consts.a_rate_a
     lam_b = consts.z_b / consts.a_rate_b
     z = sqrt(4.0 / (lam_a * lam_b * t))

@@ -5,6 +5,12 @@ trial budgets.  Timings go to stderr only, so the rendered report is
 byte-stable across runs and shard counts.  Criteria 5 and 6 run the
 simulator's kernel (model's docstring states the algebra); criterion 6
 checks its pool and r* against broadcast_factors.
+
+run_all runs the criteria that simulate on 1 shard only on a helper thread,
+beside the ones that wait on the worker pool, so that their interpreted
+work overlaps the pool's.  Progress lines on stderr come in the order the
+criteria end, and each one's seconds include the time it waited for the
+other thread.
 """
 
 from __future__ import annotations
@@ -501,17 +507,53 @@ CRITERIA = (
 )
 
 
+# The criteria whose simulations all run on 1 shard, in the calling process,
+# so that none submits work to the pool; run_all starts them on its helper
+# thread in this order, longest first.
+_HELPER_CRITERIA = (8, 9, 11, 5, 6, 7)
+
+
+def _run_criterion(fn, progress: bool) -> CriterionResult:
+    start = time.perf_counter()
+    result = fn()
+    if progress:
+        status = "PASS" if result.passed else "FAIL"
+        # One write per line, so that the two threads' lines never interleave.
+        sys.stderr.write(f"[{result.index:2d}] {status} {result.name} "
+                         f"({time.perf_counter() - start:.1f}s)\n")
+    return result
+
+
 def run_all(progress: bool = False) -> list:
-    results = []
-    for fn in CRITERIA:
-        start = time.perf_counter()
-        result = fn()
-        if progress:
-            status = "PASS" if result.passed else "FAIL"
-            print(f"[{result.index:2d}] {status} {result.name} "
-                  f"({time.perf_counter() - start:.1f}s)", file=sys.stderr)
-        results.append(result)
-    return results
+    """The result of each criterion in CRITERIA, read at each call, in
+    index order.
+
+    A criterion whose simulations all run on 1 shard runs on one helper
+    thread, in the order of _HELPER_CRITERIA.  The others run in index
+    order on the calling thread, which alone submits work to the pool and
+    so holds a Ctrl-C back during a submission (montecarlo._ctrl_c_held
+    does so on the main thread only).  With progress, each criterion
+    writes a line to stderr as it ends.  An exception from either thread
+    propagates once the calling thread meets it and the helper's running
+    criterion has ended; the helper's criteria that have not started by
+    then never run.
+    """
+    # Imported here, as only the gate runs a helper thread.
+    from concurrent.futures.thread import ThreadPoolExecutor
+
+    criteria = CRITERIA
+    helper = ThreadPoolExecutor(1)
+    try:
+        beside = {index: helper.submit(_run_criterion, criteria[index - 1], progress)
+                  for index in _HELPER_CRITERIA}
+        here = {index: _run_criterion(fn, progress)
+                for index, fn in enumerate(criteria, 1) if index not in beside}
+        return [here[index] if index in here else beside[index].result()
+                for index in range(1, len(criteria) + 1)]
+    finally:
+        # Wait for the running helper criterion: one still running at
+        # interpreter exit can turn a Ctrl-C's exit status 130 into 1.
+        helper.shutdown(cancel_futures=True)
 
 
 def report_csv(results) -> str:

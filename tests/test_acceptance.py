@@ -8,6 +8,8 @@ so the CLI and this gate can never drift apart.
 
 import dataclasses
 import re
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -15,7 +17,7 @@ import pytest
 import scipy.special
 from hypothesis import given, strategies as st
 
-from ehrelay import outage, validation
+from ehrelay import montecarlo, outage, validation
 from ehrelay.model import SystemParams, derive_constants, link_constants
 from ehrelay.outage import cdf_t2_array, cdf_t3, cdf_t3_array, outage_improved
 from ehrelay.validation import (
@@ -228,3 +230,91 @@ def test_gate_checks_the_t3_formula_the_closed_form_runs(monkeypatch):
     result = criterion_variable_change_cdfs()
     assert not result.passed
     assert float(re.search(r"max KS=(\S+) ", result.detail).group(1)) > 0.002
+
+
+def _fake_criteria(monkeypatch, body) -> dict:
+    """Patch CRITERIA with 12 passing fakes; fake i calls body(i), and the
+    returned dict maps i to the thread that ran it."""
+    threads = {}
+
+    def make(index):
+        def criterion():
+            threads[index] = threading.get_ident()
+            body(index)
+            return validation.CriterionResult(index, f"fake-{index}", True, "")
+        return criterion
+
+    monkeypatch.setattr(validation, "CRITERIA", tuple(make(i) for i in range(1, 13)))
+    return threads
+
+
+def test_run_all_runs_the_in_process_criteria_beside_the_others(monkeypatch, capsys):
+    # 1-4, 10 and 12 run estimates on more than 1 shard, and only the
+    # calling thread may submit to the pool.
+    assert set(validation._HELPER_CRITERIA) == {5, 6, 7, 8, 9, 11}
+    ended = threading.Event()
+
+    def body(index):
+        if index == 1:
+            # Criterion 1 ends only after the helper's first, criterion 8.
+            assert ended.wait(5.0)
+        elif index == 8:
+            ended.set()
+
+    threads = _fake_criteria(monkeypatch, body)
+    results = validation.run_all(progress=True)
+    assert [r.index for r in results] == list(range(1, 13))
+    here = threading.get_ident()
+    assert {threads[i] for i in range(1, 13)
+            if i not in validation._HELPER_CRITERIA} == {here}
+    helper = {threads[i] for i in validation._HELPER_CRITERIA}
+    assert len(helper) == 1 and here not in helper
+    lines = capsys.readouterr().err.splitlines()
+    assert sorted(lines) == sorted(f"[{i:2d}] PASS fake-{i} (0.0s)" for i in range(1, 13))
+    assert lines.index("[ 8] PASS fake-8 (0.0s)") < lines.index("[ 1] PASS fake-1 (0.0s)")
+
+
+def test_run_all_raises_the_error_of_a_helper_criterion(monkeypatch):
+    def body(index):
+        if index == 9:
+            raise ZeroDivisionError("fake criterion 9")
+
+    _fake_criteria(monkeypatch, body)
+    with pytest.raises(ZeroDivisionError, match="fake criterion 9"):
+        validation.run_all()
+
+
+def test_a_ctrl_c_in_a_calling_thread_criterion_drops_the_helpers_queue(monkeypatch):
+    # All six helper criteria would take 1.8 s; only the first one runs.
+    started, first = [], threading.Event()
+
+    def body(index):
+        if index in validation._HELPER_CRITERIA:
+            started.append(index)
+            first.set()
+            time.sleep(0.3)
+        elif index == 1:
+            assert first.wait(5.0)
+            raise KeyboardInterrupt
+
+    _fake_criteria(monkeypatch, body)
+    before = set(threading.enumerate())
+    start = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        validation.run_all()
+    assert time.perf_counter() - start < 1.0
+    assert started == [validation._HELPER_CRITERIA[0]]
+    # run_all leaves no thread behind.
+    assert set(threading.enumerate()) <= before
+
+
+@pytest.mark.parametrize("index", sorted(validation._HELPER_CRITERIA))
+def test_helper_criteria_never_reach_the_pool(monkeypatch, index):
+    """With 8 usable cores, an estimate on more than 1 shard would ask
+    montecarlo._pool for workers."""
+    def no_pool(workers):
+        raise AssertionError(f"criterion {index} asked the pool for {workers} workers")
+
+    monkeypatch.setattr(montecarlo, "_usable_cores", lambda: 8)
+    monkeypatch.setattr(montecarlo, "_pool", no_pool)
+    assert CRITERIA[index - 1]().passed

@@ -482,6 +482,19 @@ def test_cdf_t3_array_is_bit_identical_to_scalar(setting):
     assert got[-1] == 1.0
 
 
+def test_cdf_t3_twins_give_the_limit_where_z_overflows():
+    """0.0, with no warning, at a t so small that z = sqrt(4/(lam_a*lam_b*t))
+    overflows: at the defaults lam_a*lam_b = 1, and at fading means 0.01 the
+    product lam_a*lam_b*t itself underflows to 0 at 5e-324."""
+    small = derive_constants(_with(fading_mean_a=0.01, fading_mean_b=0.01), 0.5)
+    assert (small.z_a / small.a_rate_a) * (small.z_b / small.a_rate_b) * 5e-324 == 0.0
+    for consts in (CONSTS, small):
+        for t in (1e-308, 5e-324):
+            assert cdf_t3(consts, t) == 0.0
+        got = cdf_t3_array(consts, np.array([5e-324, 1e-308, 1.0]))
+        assert got.tolist() == [0.0, 0.0, cdf_t3(consts, 1.0)]
+
+
 def test_cdf_array_twins_reject_out_of_domain_t():
     for bad in (-1e-300, math.nan):
         with pytest.raises(ValueError):
