@@ -125,11 +125,12 @@ class SystemParams:
         object.__setattr__(self, "quad_order", int(order))
         for name, value in vars(self).items():
             # quad_order is an int by now, finite however large; only the
-            # sensitivity may be None.
+            # sensitivity may be None.  A float32 stored as given would set
+            # the closed forms' precision.
             if name == "quad_order" or (value is None
                                         and name == "circuit_sensitivity_dbm"):
                 continue
-            real_number(name, value)
+            object.__setattr__(self, name, real_number(name, value))
         for name, to_linear in _DB_FIELDS.items():
             value = getattr(self, name)
             if value is None:

@@ -7,11 +7,12 @@ worker processes.  That is what makes estimates bit-identical across shard
 counts and across runs.
 
 An estimate runs on min(shards, usable cores, blocks) workers.  One worker
-runs the blocks in the calling process.  More share them, one block per
-task, on a persistent pool of that many forked processes, made on first
-use; each block returns an integer hit count, and the counts are summed.
-A pool process ignores Ctrl-C, which its parent handles, and exits as soon
-as its parent is gone.  A process forked from one with a pool starts with none.
+runs the blocks in the calling process.  More are a persistent pool of
+forked processes, sent a block at a time down a pipe each; the integer hit
+counts they send back are summed.  A pool process leaves Ctrl-C to its
+parent and exits at EOF, once its parent is gone.  Any error in a pooled
+estimate, a Ctrl-C or a dead pool process (RuntimeError) among them, drops
+the pool.  A process forked from one with a pool starts with none.
 
 A block of count trials takes g_A from the first count uniforms of its
 stream and g_B from the next count.  It streams them CHUNK_TRIALS at a
@@ -43,9 +44,9 @@ import atexit
 import contextlib
 import math
 import os
+import pickle
 import signal
 import threading
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,6 +94,8 @@ class McConfig:
             raise ValueError("seed must be an integer")
         if not (_is_integer(self.shards) and 1 <= self.shards <= self.trials):
             raise ValueError("shards must be an integer in [1, trials]")
+        for name in ("trials", "seed", "shards"):    # numpy ints overflow in _splitmix64
+            object.__setattr__(self, name, int(getattr(self, name)))
 
 
 def _is_integer(value) -> bool:
@@ -193,15 +196,8 @@ def _worker_count(shards: int, cores: int, blocks: int) -> int:
     return min(shards, cores, blocks)
 
 
-@dataclass
-class _Pool:
-    """The persistent worker processes: their executor and its size."""
-
-    executor: object = None
-    size: int = 0
-
-
-_POOL = _Pool()
+# The persistent pool: (process, the parent's end of its pipe) pairs.
+_POOL: list = []
 # Held while an estimate uses the pool, so that a call from another thread
 # cannot replace or drop the pool under it.
 _POOL_LOCK = threading.Lock()
@@ -209,9 +205,16 @@ _POOL_LOCK = threading.Lock()
 
 def _forget_pool_after_fork() -> None:
     """In a forked child: the parent's pool is not its own, and a lock held
-    at the fork by a parent thread would stay locked in the child."""
+    at the fork by a parent thread would stay locked in the child.  A pool
+    process reads EOF once no one else holds its parent's pipe end, and the
+    exit of a child that still listed the pool as its children would end it."""
     global _POOL, _POOL_LOCK
-    _POOL, _POOL_LOCK = _Pool(), threading.Lock()
+    if _POOL:
+        from multiprocessing.process import _children
+        _children.difference_update(process for process, _ in _POOL)
+    for _, conn in _POOL:
+        conn.close()
+    _POOL, _POOL_LOCK = [], threading.Lock()
 
 
 if hasattr(os, "register_at_fork"):
@@ -224,65 +227,66 @@ def _may_fork() -> bool:
     return not multiprocessing.current_process().daemon
 
 
-def _watch_parent(parent: int) -> None:
-    while os.getppid() == parent:
-        time.sleep(0.2)
-    os._exit(1)
-
-
-def _init_worker(parent: int) -> None:
-    """Run in each pool process as it starts: Ctrl-C is the parent's to
-    handle, and an orphan exits rather than wait on its task queue forever."""
+def _serve(conn, parent_end) -> None:
+    """A pool process: run each block sent down conn and send back its
+    counts until EOF, which comes once the parent, the only other holder of
+    parent_end, is gone.  Ctrl-C is the parent's to handle."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    threading.Thread(target=_watch_parent, args=(parent,), daemon=True).start()
+    parent_end.close()
+    with contextlib.suppress(EOFError, ConnectionError):
+        while True:
+            conn.send(_outage_block(*conn.recv()))
 
 
-def _pool(workers: int):
+def _pool(workers: int) -> list:
     """The pool, made on first use and remade when a call needs more workers.
 
     The multiprocessing imports wait until here: most processes never fork.
     Forked workers start at once, with the package already imported, and a
     caller's script needs no __main__ guard, as it would under spawn.
     """
-    if _POOL.size >= workers:
-        return _POOL.executor
+    if len(_POOL) >= workers:
+        return _POOL
     _drop_pool()
     import multiprocessing
-    from concurrent.futures.process import ProcessPoolExecutor
-    _POOL.executor = ProcessPoolExecutor(
-        workers, mp_context=multiprocessing.get_context("fork"),
-        initializer=_init_worker, initargs=(os.getpid(),))
-    _POOL.size = workers
-    return _POOL.executor
+    context = multiprocessing.get_context("fork")
+    for _ in range(workers):
+        mine, theirs = context.Pipe()
+        process = context.Process(target=_serve, args=(theirs, mine), daemon=True)
+        process.start()
+        _POOL.append((process, mine))
+        theirs.close()
+    return _POOL
 
 
 def _drop_pool() -> None:
-    """Shut down this process's pool, if it has one, and forget it."""
-    if _POOL.executor is not None:
-        _POOL.executor.shutdown(cancel_futures=True)
-    _POOL.executor, _POOL.size = None, 0
+    """End this process's pool, if it has one, and forget it."""
+    while _POOL:
+        process, conn = _POOL.pop()
+        process.terminate()
+        process.join()
+        conn.close()
 
 
-# Shut the pool down while the interpreter is whole, not in module teardown.
+# End the pool while the interpreter is whole, not in module teardown.
 atexit.register(_drop_pool)
 
 
-@contextlib.contextmanager
-def _ctrl_c_held():
-    """Hold a Ctrl-C back until the block is left, then raise it: a
-    KeyboardInterrupt inside ProcessPoolExecutor.submit can leave a task
-    recorded but never queued, which the interpreter's exit waits on forever."""
-    if threading.current_thread() is not threading.main_thread():
-        yield    # only the main thread handles signals
-        return
-    caught = []
-    previous = signal.signal(signal.SIGINT, lambda *_: caught.append(True))
-    try:
-        yield
-    finally:
-        signal.signal(signal.SIGINT, previous)
-        if caught:
-            signal.raise_signal(signal.SIGINT)
+def _share_blocks(pool: list, cells: tuple, seed: int, layout: list) -> list:
+    """Each block's counts, run on the processes of pool, the next block
+    going to whichever process answers first."""
+    from multiprocessing.connection import wait
+    todo, idle, busy, counts = layout[::-1], [conn for _, conn in pool], [], []
+    while todo or busy:
+        while todo and idle:
+            # Not send(): a traceback that keeps its BytesIO view leaks a BufferError.
+            idle[-1].send_bytes(pickle.dumps((cells, seed, *todo.pop())))
+            busy.append(idle.pop())
+        for conn in wait(busy):
+            counts.append(conn.recv())
+            busy.remove(conn)
+            idle.append(conn)
+    return counts
 
 
 def _run_blocks(cells: tuple, cfg: McConfig) -> list:
@@ -292,23 +296,18 @@ def _run_blocks(cells: tuple, cfg: McConfig) -> list:
     workers = _worker_count(cfg.shards, _usable_cores(), len(layout))
     if workers == 1 or not _may_fork():
         counts = [_outage_block(cells, cfg.seed, idx, n) for idx, n in layout]
-        return [sum(column) for column in zip(*counts)]
-    from concurrent.futures.process import BrokenProcessPool
-    with _POOL_LOCK:
-        pool, tasks = _pool(workers), []
-        try:
-            with _ctrl_c_held():
-                tasks.extend(pool.submit(_outage_block, cells, cfg.seed, idx, n)
-                             for idx, n in layout)
-            return [sum(column) for column in zip(*(task.result() for task in tasks))]
-        except BrokenProcessPool:
-            # A pool process died; the next call starts a fresh pool.
-            _drop_pool()
-            raise
-        finally:
-            # After an error or Ctrl-C, the blocks not yet started never run.
-            for task in tasks:
-                task.cancel()
+    else:
+        with _POOL_LOCK:
+            try:
+                counts = _share_blocks(_pool(workers)[:workers], cells, cfg.seed, layout)
+            except BaseException as error:
+                # A Ctrl-C too: a pool process may still hold a block of
+                # this call, so the next call starts a fresh pool.
+                _drop_pool()
+                if isinstance(error, (EOFError, ConnectionError)):
+                    raise RuntimeError("a Monte Carlo pool process died") from error
+                raise
+    return [sum(column) for column in zip(*counts)]
 
 
 def _estimate(hits: int, trials: int) -> McEstimate:

@@ -7,7 +7,7 @@ simulator's kernel (model's docstring states the algebra); criterion 6
 checks its pool and r* against broadcast_factors.
 
 run_all runs the criteria that simulate on 1 shard only on a helper thread,
-beside the ones that wait on the worker pool, so that their interpreted
+beside the ones that wait on the worker pool, only so that their interpreted
 work overlaps the pool's.  Progress lines on stderr come in the order the
 criteria end, and each one's seconds include the time it waited for the
 other thread.
@@ -529,11 +529,10 @@ def run_all(progress: bool = False) -> list:
     index order.
 
     A criterion whose simulations all run on 1 shard runs on one helper
-    thread, in the order of _HELPER_CRITERIA.  The others run in index
-    order on the calling thread, which alone submits work to the pool and
-    so holds a Ctrl-C back during a submission (montecarlo._ctrl_c_held
-    does so on the main thread only).  With progress, each criterion
-    writes a line to stderr as it ends.  An exception from either thread
+    thread, in the order of _HELPER_CRITERIA.  The others, which wait on
+    the worker pool, run in index order on the calling thread, so that the
+    two threads' work overlaps.  With progress, each criterion writes a
+    line to stderr as it ends.  An exception from either thread
     propagates once the calling thread meets it and the helper's running
     criterion has ended; the helper's criteria that have not started by
     then never run.

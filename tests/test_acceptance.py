@@ -249,8 +249,8 @@ def _fake_criteria(monkeypatch, body) -> dict:
 
 
 def test_run_all_runs_the_in_process_criteria_beside_the_others(monkeypatch, capsys):
-    # 1-4, 10 and 12 run estimates on more than 1 shard, and only the
-    # calling thread may submit to the pool.
+    # 1-4, 10 and 12 run estimates on more than 1 shard and wait on the
+    # pool; the others run beside them.
     assert set(validation._HELPER_CRITERIA) == {5, 6, 7, 8, 9, 11}
     ended = threading.Event()
 

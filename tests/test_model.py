@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from ehrelay import outage_dynamic_ps, outage_improved
 from ehrelay.model import (
     DerivedConstants,
     KernelWorkspace,
@@ -228,6 +229,20 @@ def test_params_take_numpy_scalars_and_a_missing_sensitivity():
                          circuit_sensitivity_dbm=None)
     assert point == SystemParams(tx_power_dbm=20.0, dist_a=6.0,
                                  eh_efficiency=0.5, quad_order=7)
+
+
+@pytest.mark.parametrize("cast", [np.float32, np.float64, int])
+def test_params_store_real_fields_as_floats(cast):
+    # A float32 field would set the closed forms' precision, and the
+    # improved form's root finder would then fail to converge.
+    given = {"dist_a": cast(5), "tx_power_dbm": cast(30), "rate_bps_hz": cast(2),
+             "circuit_sensitivity_dbm": cast(-20)}
+    point = SystemParams(**given)
+    plain = SystemParams(**{name: float(value) for name, value in given.items()})
+    assert all(type(value) is float for name, value in vars(point).items()
+               if name != "quad_order")
+    assert outage_dynamic_ps(point, 0.5) == outage_dynamic_ps(plain, 0.5)
+    assert outage_improved(point) == outage_improved(plain)
 
 
 @pytest.mark.parametrize("field,value", [

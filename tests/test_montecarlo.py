@@ -12,7 +12,6 @@ import threading
 import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -487,11 +486,15 @@ class TestBatch:
             sweeps.fig(n, mc=one_chunk)
             assert tuple(calls.get(name, 0) for name in names) == want, n
 
-    def test_equal_params_that_round_apart_keep_their_own_counts(self):
-        # np.float32(-90.0) == -90.0, yet its noise power rounds apart: the
-        # two share a group and an r*, but not a count.
-        narrow = dataclasses.replace(DEFAULTS, noise_dbm=np.float32(-90.0))
-        assert narrow == DEFAULTS
+    def test_params_a_rounding_apart_keep_their_own_counts(self):
+        # A noise level one ulp from the defaults' gives a varpi that rounds
+        # apart and the same kappa: the two share a group and an r*, but not
+        # a count.  np.float32(-90.0) is stored as -90.0, the defaults' cell.
+        float32 = dataclasses.replace(DEFAULTS, noise_dbm=np.float32(-90.0))
+        assert _plan([(DEFAULTS, SchemeSpec("improved")),
+                      (float32, SchemeSpec("improved"))])[1] == (0, 0)
+        narrow = dataclasses.replace(DEFAULTS, noise_dbm=float(np.nextafter(-90.0, 0.0)))
+        assert link_constants(narrow).varpi != link_constants(DEFAULTS).varpi
         cells = [(DEFAULTS, SchemeSpec("improved")), (narrow, SchemeSpec("improved"))]
         groups, slots, _ = _plan(cells)
         assert (len(groups), slots) == (1, (0, 1))
@@ -687,6 +690,22 @@ class TestEstimator:
         cfg = McConfig(trials=np.int64(100), seed=np.int64(3), shards=np.int64(2))
         assert cfg == McConfig(trials=100, seed=3, shards=2)
 
+    @pytest.mark.parametrize("field,value", [
+        ("seed", np.int64(3)),
+        ("trials", np.int64(4096)),
+        ("trials", np.uint8(200)),
+        ("trials", np.int32(3 * BLOCK_TRIALS)),
+        ("shards", np.int64(2)),
+    ])
+    def test_numpy_integers_estimate_as_their_ints(self, field, value):
+        # Numpy integers would overflow in the seed mixing and the counts.
+        cfg = McConfig(**{"trials": 4096, "seed": 1, field: value})
+        assert all(type(getattr(cfg, name)) is int for name in ("trials", "seed", "shards"))
+        est = mc_outage(DEFAULTS, "improved", None, cfg)
+        assert est == mc_outage(DEFAULTS, "improved", None,
+                                dataclasses.replace(cfg, **{field: int(value)}))
+        assert type(est.probability) is float and type(est.trials) is int
+
 
 class TestSchemeArguments:
     def test_unknown_scheme(self):
@@ -817,19 +836,37 @@ class TestWorkerPool:
 
     def test_one_worker_estimates_start_no_process(self):
         script = (
-            "import multiprocessing, sys\n"
-            "from ehrelay import McConfig, SystemParams, mc_energy_outage, mc_outage\n"
+            "import multiprocessing\n"
+            "from ehrelay import McConfig, SystemParams, mc_energy_outage, mc_outage, montecarlo\n"
             "from ehrelay.montecarlo import BLOCK_TRIALS\n"
             "gated = SystemParams(circuit_sensitivity_dbm=-20.0)\n"
             "for cfg in (McConfig(trials=BLOCK_TRIALS, seed=1, shards=8),\n"
             "            McConfig(trials=3 * BLOCK_TRIALS, seed=1, shards=1)):\n"
             "    mc_outage(gated, 'improved', None, cfg)\n"
             "    mc_energy_outage(gated, cfg)\n"
-            "print(len(multiprocessing.active_children()),\n"
-            "      'concurrent.futures.process' in sys.modules)\n"
+            "print(len(multiprocessing.active_children()), len(montecarlo._POOL))\n"
         )
         out, err = _run_script(script).communicate(timeout=300)
-        assert out.split() == ["0", "False"], err
+        assert out.split() == ["0", "0"], err
+
+    @needs_two_cores
+    def test_a_pool_estimate_leaves_one_thread_per_process(self):
+        # The calling process starts no thread to run its pool, and a pool
+        # process runs on its main thread alone.
+        script = (
+            "import multiprocessing, os, sys, threading\n"
+            "from ehrelay import McConfig, SystemParams, mc_outage\n"
+            "from ehrelay.montecarlo import BLOCK_TRIALS\n"
+            "cfg = McConfig(trials=2 * BLOCK_TRIALS, seed=1, shards=2)\n"
+            "mc_outage(SystemParams(), 'improved', None, cfg)\n"
+            "workers = multiprocessing.active_children()\n"
+            "tasks = ([len(os.listdir(f'/proc/{p.pid}/task')) for p in workers]\n"
+            "         if os.path.isdir('/proc/self') else [1] * len(workers))\n"
+            "print(threading.active_count(), 'concurrent.futures.process' in sys.modules,\n"
+            "      len(workers), *tasks)\n"
+        )
+        out, err = _run_script(script).communicate(timeout=300)
+        assert out.split() == ["1", "False", "2", "1", "1"], err
 
     def test_a_daemonic_worker_estimates_in_process(self):
         # A multiprocessing.Pool worker may start no process of its own.
@@ -911,17 +948,54 @@ class TestWorkerPool:
         assert out.split() == ["exit", "0"], err
 
     @needs_two_cores
-    def test_a_broken_pool_raises_and_the_next_call_gets_a_fresh_pool(self):
+    @pytest.mark.skipif(not hasattr(os, "register_at_fork"), reason="needs os.fork")
+    def test_a_forked_child_that_exits_leaves_the_pool_alone(self):
+        # A child's exit ends the daemonic processes multiprocessing lists as
+        # its children, and a forked child inherits the parent's list.
+        script = (
+            "import os, sys\n"
+            "from ehrelay import McConfig, SystemParams, mc_outage\n"
+            "from ehrelay.montecarlo import BLOCK_TRIALS\n"
+            "cfg = McConfig(trials=2 * BLOCK_TRIALS, seed=5, shards=2)\n"
+            "want = mc_outage(SystemParams(), 'improved', None, cfg)\n"
+            "pid = os.fork()\n"
+            "if pid == 0:\n"
+            "    sys.exit(0)\n"
+            "os.waitpid(pid, 0)\n"
+            "print(mc_outage(SystemParams(), 'improved', None, cfg) == want)\n"
+        )
+        out, err = _run_script(script).communicate(timeout=300)
+        assert (out.split(), err) == (["True"], "")
+
+    @needs_two_cores
+    @pytest.mark.parametrize("noticed_by", [BrokenPipeError, EOFError])
+    def test_a_broken_pool_raises_and_the_next_call_gets_a_fresh_pool(self, monkeypatch,
+                                                                      noticed_by):
+        # A worker dead before the estimate fails the send of its first
+        # block; one that dies on its block fails the receive of the counts.
         cfg = McConfig(trials=2 * BLOCK_TRIALS, seed=4, shards=2)
         want = mc_outage(DEFAULTS, "improved", None, cfg)
-        victim = multiprocessing.active_children()[0]
-        os.kill(victim.pid, signal.SIGKILL)
-        assert multiprocessing.connection.wait([victim.sentinel], timeout=30)
-        time.sleep(0.2)    # let the pool see its process die
-        with pytest.raises(BrokenProcessPool):
+        if noticed_by is BrokenPipeError:
+            # Joined, not just its sentinel seen: a process's pipe ends may
+            # close after its sentinel, and a send just before reads ECONNRESET.
+            victim = multiprocessing.active_children()[-1]
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.join(timeout=30)
+            assert not victim.is_alive()
+        else:
+            # The fresh pool forks with the patched module, so every
+            # worker exits on the first block it is sent.
+            montecarlo._drop_pool()
+            monkeypatch.setattr(montecarlo, "_outage_block", lambda *block: os._exit(1))
+            montecarlo._pool(2)
+            monkeypatch.undo()
+        pool = [process.pid for process, _ in montecarlo._POOL]
+        with pytest.raises(RuntimeError, match="pool process died") as raised:
             mc_outage(DEFAULTS, "improved", None, cfg)
+        assert type(raised.value.__cause__) is noticed_by
+        assert all(map(_is_gone, pool))
         assert mc_outage(DEFAULTS, "improved", None, cfg) == want
-        assert victim.pid not in {p.pid for p in multiprocessing.active_children()}
+        assert not set(pool) & {p.pid for p in multiprocessing.active_children()}
 
     @needs_two_cores
     def test_pool_processes_leave_ctrl_c_to_the_parent(self):
@@ -935,35 +1009,41 @@ class TestWorkerPool:
         assert {p.pid for p in multiprocessing.active_children()} == workers
 
     @needs_two_cores
-    def test_ctrl_c_while_submitting_waits_for_the_last_submit(self, monkeypatch):
-        # A KeyboardInterrupt inside ProcessPoolExecutor.submit can orphan a
-        # task, which the interpreter's exit then waits on forever.  So the
-        # Ctrl-C surfaces once every block is submitted, the blocks not yet
-        # started are cancelled, and the pool serves the next call.
+    def test_ctrl_c_during_an_estimate_drops_the_pool(self, monkeypatch):
+        # A Ctrl-C as the first block is sent: the estimate raises it, no
+        # pool process outlives it, and the next call gets a fresh pool.
         cfg = McConfig(trials=12 * BLOCK_TRIALS, seed=6, shards=2)
         want = mc_outage(DEFAULTS, "dynamic_ps", None, cfg)
-        pool, submitted = montecarlo._pool(2), []
-        submit = pool.submit
+        pool = [process.pid for process, _ in montecarlo._POOL]
+        send, sent = multiprocessing.connection.Connection.send_bytes, []
 
-        def interrupted(*args):
-            signal.raise_signal(signal.SIGINT)    # Ctrl-C lands mid-submission
-            submitted.append(submit(*args))
-            return submitted[-1]
+        def interrupted(conn, obj):
+            sent.append(obj)
+            if len(sent) == 1:
+                signal.raise_signal(signal.SIGINT)
+            send(conn, obj)
 
-        monkeypatch.setattr(pool, "submit", interrupted)
+        monkeypatch.setattr(multiprocessing.connection.Connection, "send_bytes", interrupted)
         with pytest.raises(KeyboardInterrupt):
             mc_outage(DEFAULTS, "dynamic_ps", None, cfg)
         monkeypatch.undo()
-        assert len(submitted) == 12
-        assert any(task.cancelled() for task in submitted)
+        assert len(sent) == 1
+        assert all(map(_is_gone, pool))
+        assert not montecarlo._POOL
         assert mc_outage(DEFAULTS, "dynamic_ps", None, cfg) == want
 
     @needs_two_cores
     @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
-    @pytest.mark.parametrize("stop", ["sigkill", "ctrl_c"])
+    @pytest.mark.parametrize("stop", ["sigkill", "sigkill_beside_a_child", "ctrl_c"])
     def test_pool_processes_end_with_their_parent(self, tmp_path, stop):
         # SIGKILL reaches the parent alone; Ctrl-C reaches its whole
         # process group, the pool included, which leaves it to the parent.
+        # A child forked beside the pool, which outlives the parent, must
+        # not hold the parent's pipe ends open.
+        child = ("import os, time\n"
+                 "if os.fork() == 0:\n"
+                 "    time.sleep(60)\n"
+                 "    os._exit(0)\n") if stop == "sigkill_beside_a_child" else ""
         script = (
             "import multiprocessing\n"
             "from ehrelay import McConfig, SystemParams, mc_outage\n"
@@ -972,6 +1052,7 @@ class TestWorkerPool:
             "    cfg = McConfig(trials=blocks * BLOCK_TRIALS, seed=1, shards=2)\n"
             "    mc_outage(SystemParams(), 'improved', None, cfg)\n"
             "run(2)\n"
+            + child +
             "print(*(p.pid for p in multiprocessing.active_children()), flush=True)\n"
             "run(4000)\n"    # far longer than this test waits
         )
@@ -988,7 +1069,7 @@ class TestWorkerPool:
             assert len(workers) == 2, errors.read_text(encoding="utf-8")
             time.sleep(0.5)    # the long estimate is now running on them
             assert not any(map(_is_gone, workers))
-            if stop == "sigkill":
+            if stop.startswith("sigkill"):
                 parent.kill()
             else:
                 os.killpg(parent.pid, signal.SIGINT)
@@ -1005,6 +1086,10 @@ class TestWorkerPool:
             survivors = [pid for pid in workers if not _is_gone(pid)]
             for pid in survivors:
                 os.kill(pid, signal.SIGKILL)
+            try:    # the forked child, if any
+                os.killpg(parent.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
         assert not survivors, "pool processes outlived their parent"
         if stop == "ctrl_c":
             assert "KeyboardInterrupt" in errors.read_text(encoding="utf-8")
