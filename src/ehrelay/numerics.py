@@ -73,18 +73,18 @@ def integrate_gc(rule: QuadratureRule, a: float, b: float,
     return (b - a) * total
 
 
-def _brentq(f: Callable[[float], float], lo: float, hi: float, f_lo: float,
-            f_hi: float, xtol: float, rtol: float, maxiter: int) -> float:
-    """Root of f between lo and hi by Brent's method (Brent, 1973).
+def _brentq(f: Callable[[float], float], target: float, lo: float, hi: float,
+            f_lo: float, f_hi: float, xtol: float, rtol: float, maxiter: int) -> float:
+    """Root of f(x) - target between lo and hi by Brent's method (Brent, 1973).
 
     A line-by-line port of the C loop behind scipy.optimize.brentq: with
-    f_lo = f(lo) and f_hi = f(hi) it returns the same root, bit for bit,
-    without evaluating f at either end again.  A zero divisor in the step
-    formula bisects, as the IEEE inf or NaN it yields in C fails the step
-    test there.  ValueError for a NaN value of f or ends of one sign;
-    RuntimeError when maxiter iterations do not converge.
+    f_lo = f(lo) and f_hi = f(hi) it returns scipy's root of f - target, bit
+    for bit, without evaluating f at either end again.  A zero divisor in
+    the step formula bisects, as the IEEE inf or NaN it yields in C fails
+    the step test there.  ValueError for a NaN value of f or ends of one
+    sign; RuntimeError when maxiter iterations do not converge.
     """
-    xpre, xcur, fpre, fcur = lo, hi, f_lo, f_hi
+    xpre, xcur, fpre, fcur = lo, hi, f_lo - target, f_hi - target
     if math.isnan(fpre) or math.isnan(fcur):
         raise ValueError("f is NaN at a bracket end; solver cannot continue")
     if fpre == 0.0:
@@ -133,7 +133,7 @@ def _brentq(f: Callable[[float], float], lo: float, hi: float, f_lo: float,
             xcur += scur
         else:
             xcur += delta if sbis > 0 else -delta
-        fcur = f(xcur)
+        fcur = f(xcur) - target
         if math.isnan(fcur):
             raise ValueError(f"f is NaN at x={xcur!r}; solver cannot continue")
     raise RuntimeError(f"failed to converge after {maxiter} iterations, "
@@ -141,13 +141,8 @@ def _brentq(f: Callable[[float], float], lo: float, hi: float, f_lo: float,
 
 
 def bessel_k1(x: float) -> float:
-    """Modified Bessel function of the second kind, order one.
-
-    Valid for x > 0.  Beyond x of roughly 700 the value underflows to 0,
-    which is the correct value of the deep left tail of cdf_t3, its caller.
-    """
-    if not x > 0.0:
-        raise ValueError("bessel_k1 requires x > 0")
+    """Modified Bessel function of the second kind, order one, of a float
+    x > 0, as a float; 0.0 beyond x of roughly 700, where it underflows."""
     return float(scipy.special.k1(x))
 
 

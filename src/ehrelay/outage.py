@@ -123,9 +123,6 @@ def _exp_curve_integral(rule: QuadratureRule, c_over: float, k_lin: float,
         # The integrand underflows long before the pole; nudge off it.
         lo = min(hi, c_over / _DEAD_EXPONENT) * 2.0 ** -52
 
-    def exponent(y: float) -> float:
-        return c_over / y + k_lin * y
-
     # Panel edges, descending from hi to lo.  Below `floor` the 1/y term
     # alone keeps the integrand under exp(-45), so one panel suffices there.
     floor = min(hi, max(lo, c_over / _DEAD_EXPONENT))
@@ -137,24 +134,28 @@ def _exp_curve_integral(rule: QuadratureRule, c_over: float, k_lin: float,
     if lo < floor:
         edges.append(lo)
 
+    exp = math.exp
     total = 0.0
     for a, b in zip(edges[1:], edges[:-1]):
-        g_a = exponent(a)
-        g_b = exponent(b)
+        g_a = c_over / a + k_lin * a
+        g_b = c_over / b + k_lin * b
         d_g = g_b - g_a
         if d_g == 0.0:
-            total += (b - a) * math.exp(-g_a)
+            total += (b - a) * exp(-g_a)
         elif abs(d_g) <= 30.0:
-            total += math.exp(-g_a) * -math.expm1(-d_g) * (b - a) / d_g
+            total += exp(-g_a) * -math.expm1(-d_g) * (b - a) / d_g
         else:
-            total += (math.exp(-g_a) - math.exp(-g_b)) * (b - a) / d_g
+            total += (exp(-g_a) - exp(-g_b)) * (b - a) / d_g
         slope = d_g / (b - a)
-
-        def bowing(y: float, a: float = a, g_a: float = g_a,
-                   slope: float = slope) -> float:
-            return math.exp(-exponent(y)) - math.exp(-(g_a + slope * (y - a)))
-
-        total += integrate_gc(rule, a, b, bowing)
+        # integrate_gc of the curve minus its chord: same operations, same order.
+        half = 0.5 * (b - a)
+        mid = 0.5 * (a + b)
+        bowing = 0.0
+        for nu, w in zip(rule.nodes, rule.weights):
+            y = half * nu + mid
+            bowing += w * (exp(-(c_over / y + k_lin * y))
+                           - exp(-(g_a + slope * (y - a))))
+        total += (b - a) * bowing
     return total
 
 
@@ -385,7 +386,7 @@ def cdf_t3(consts: LinkConstants, t: float) -> float:
     if math.isinf(t):
         return 1.0
     try:
-        value = _cdf_t3(consts, t, math.sqrt, numerics.bessel_k1)
+        value = _cdf_t3(consts, math.sqrt, numerics.bessel_k1, float)(t)
     except ZeroDivisionError:    # lam_a*lam_b*t underflowed to 0: z is inf
         return 0.0
     return 0.0 if value != value else value    # nan: z*K1(z) at z = inf
@@ -394,11 +395,10 @@ def cdf_t3(consts: LinkConstants, t: float) -> float:
 def cdf_t3_array(consts: LinkConstants, t: np.ndarray) -> np.ndarray:
     """cdf_t3 over an array of t, bit-identical to the scalar twin.
 
-    K1 comes straight from scipy.special.k1, because numerics.bessel_k1 is
-    scalar; an underflowed K1 is the correct value 0 of the deep left tail
-    in both twins.  t = inf is masked out because z * K1(z) at z = 0 is
-    0 * inf.  A t so small that z overflows gives 0.0, the limit, where
-    z * K1(z) is inf * 0.
+    K1 comes straight from scipy.special.k1, as numerics.bessel_k1 is scalar;
+    an underflowed K1 is the correct value 0 of the deep left tail in both
+    twins.  t = inf is masked out because z * K1(z) at z = 0 is 0 * inf.  A t
+    so small that z overflows gives 0.0, the limit, where z*K1(z) is inf*0.
     """
     t = np.asarray(t, dtype=float)
     if not np.all(t > 0.0):
@@ -406,19 +406,21 @@ def cdf_t3_array(consts: LinkConstants, t: np.ndarray) -> np.ndarray:
     out = np.ones_like(t)
     finite = ~np.isinf(t)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        out[finite] = _cdf_t3(consts, t[finite], np.sqrt, scipy.special.k1)
+        out[finite] = _cdf_t3(consts, np.sqrt, scipy.special.k1, np.asarray)(t[finite])
     out[np.isnan(out)] = 0.0
     return out
 
 
-def _cdf_t3(consts: LinkConstants, t, sqrt, k1):
-    """cdf_t3 at a finite t > 0, or an array of them, with sqrt and K1 to
-    suit.  nan where z overflows; ZeroDivisionError for a float t where
-    lam_a*lam_b*t underflows to 0."""
-    lam_a = consts.z_a / consts.a_rate_a
-    lam_b = consts.z_b / consts.a_rate_b
-    z = sqrt(4.0 / (lam_a * lam_b * t))
-    return z * k1(z)
+def _cdf_t3(consts: LinkConstants, sqrt, k1, real):
+    """The one t3 CDF formula z*K1(z), z = sqrt(4/(lam_a*lam_b*t)), of a finite
+    t > 0 or an array of them; sqrt, k1 and real (float or np.asarray) suit t.
+    nan where z overflows; ZeroDivisionError where a float lam_a*lam_b*t is 0."""
+    lam_ab = (consts.z_a / consts.a_rate_a) * (consts.z_b / consts.a_rate_b)
+
+    def cdf(t):
+        z = sqrt(4.0 / (lam_ab * t))
+        return z * real(k1(z))
+    return cdf
 
 
 def improved_integration_bound(consts: LinkConstants) -> float:
@@ -447,30 +449,32 @@ def _improved_window_mass(consts: LinkConstants, t: float) -> float:
     return cdf_t2(consts, upper) - cdf_t2(consts, lower)
 
 
-def _quantile_t3(consts: LinkConstants, v: float, t_hi: float, cdf_hi: float,
-                 ladder: list) -> float:
+def _quantile_t3(cdf, v: float, t_hi: float, cdf_hi: float, ladder: list) -> float:
     """Value of the reciprocal gain product whose CDF equals v, below t_hi.
 
-    cdf_hi is cdf_t3 at t_hi.  The bracket is the first rung of the halving
-    ladder t_hi * 2**-k, k >= 1, whose CDF is at most v.  ladder holds the
-    (t, cdf_t3) rungs walked so far and grows here as needed, so calls that
-    share it, all with the same t_hi, evaluate each rung once.  Halving is
-    exact, so a shared ladder gives every v the bracket, and the Brent
-    solver the iterates, of a fresh one; the solver takes both bracket
-    ends' CDFs from the ladder instead of evaluating them again.
+    cdf is the t3 formula from _cdf_t3, cdf_hi its value at t_hi.  The
+    bracket is the first rung of the halving ladder t_hi * 2**-k, k >= 1,
+    whose CDF is at most v.  ladder holds the (t, cdf) rungs walked so far
+    and grows here as needed, so calls that share it, all with the same
+    t_hi, evaluate each rung once.  Halving is exact, so a shared ladder
+    gives every v the bracket, and the Brent solver the iterates, of a fresh
+    one; the solver takes both bracket ends' CDFs from the ladder, and each
+    of its steps is one call of cdf.  A rung lies within a halving of a t
+    whose CDF exceeds v > 0, so z < 746 * 2**0.5 there: far from the z
+    overflow and product underflow that cdf_t3 maps to 0.0.
     """
     hi = t_hi
     k = 0
     while True:
         if k == len(ladder):
-            ladder.append((0.5 * hi, cdf_t3(consts, 0.5 * hi)))
+            ladder.append((0.5 * hi, cdf(0.5 * hi)))
         lo, cdf_lo = ladder[k]
         if not cdf_lo > v:
             break
         hi, cdf_hi = lo, cdf_lo
         k += 1
-    return _brentq(lambda t: cdf_t3(consts, t) - v, lo, hi, cdf_lo - v,
-                   cdf_hi - v, xtol=1e-30, rtol=1e-15, maxiter=200)
+    return _brentq(cdf, v, lo, hi, cdf_lo, cdf_hi,
+                   xtol=1e-30, rtol=1e-15, maxiter=200)
 
 
 def outage_improved(params: SystemParams) -> float:
@@ -485,8 +489,8 @@ def outage_improved(params: SystemParams) -> float:
     probability scale the rule integrates the deviation from full window
     mass, which keeps the exactly known tail term out of the quadrature sum
     and lets the default order resolve every regime the sweeps visit.
-    Each node inverts the CDF on one halving ladder shared by the nodes
-    (_quantile_t3).
+    Each node inverts the CDF, a formula built once per call, on one
+    halving ladder shared by the nodes (_quantile_t3).
 
     The scheme picks theta per realization, so only the theta-free link
     constants enter.
@@ -499,10 +503,11 @@ def outage_improved(params: SystemParams) -> float:
         return 0.0
     v_max = cdf_t3(consts, t_max)
     rule = _rule(params)
+    cdf = _cdf_t3(consts, math.sqrt, scipy.special.k1, float)
     ladder: list = []
 
     def miss_at_quantile(v: float) -> float:
-        t = _quantile_t3(consts, v, t_max, v_max, ladder)
+        t = _quantile_t3(cdf, v, t_max, v_max, ladder)
         return 1.0 - _improved_window_mass(consts, t)
 
     missed = integrate_gc(rule, 0.0, v_max, miss_at_quantile)

@@ -209,10 +209,12 @@ def test_gate_detects_an_injected_defect(monkeypatch):
     gate's array CDF evaluate, so the defect reaches both paths.
     """
     consts = derive_constants(SystemParams(), 0.5)
-    clean = cdf_t3(consts, 1.0)
+    clean, clean_outage = cdf_t3(consts, 1.0), outage_improved(SystemParams())
     true_k1 = scipy.special.k1
     monkeypatch.setattr(scipy.special, "k1", lambda x: 1.05 * true_k1(x))
     assert cdf_t3(consts, 1.0) == pytest.approx(1.05 * clean, rel=1e-12)
+    # outage_improved's solver reads scipy.special.k1 per call, not at import.
+    assert outage_improved(SystemParams()) != clean_outage
     result = criterion_variable_change_cdfs()
     assert not result.passed
 
@@ -222,9 +224,9 @@ def test_gate_checks_the_t3_formula_the_closed_form_runs(monkeypatch):
     error in it, which moves outage_improved, fails criterion 8."""
     consts = link_constants(SystemParams())
     clean_cdf, clean_outage = cdf_t3(consts, 1.0), outage_improved(SystemParams())
-    true_cdf = outage._cdf_t3
-    monkeypatch.setattr(outage, "_cdf_t3", lambda consts, t, sqrt, k1:
-                        true_cdf(consts, t / 1.1, sqrt, k1))
+    true_formula = outage._cdf_t3
+    monkeypatch.setattr(outage, "_cdf_t3", lambda consts, *ops: (
+        lambda t, cdf=true_formula(consts, *ops): cdf(t / 1.1)))
     assert cdf_t3(consts, 1.1) == cdf_t3_array(consts, np.array([1.1]))[0] == clean_cdf
     assert outage_improved(SystemParams()) != clean_outage
     result = criterion_variable_change_cdfs()

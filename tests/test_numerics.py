@@ -184,8 +184,9 @@ def _outcome(solve):
         return type(err)
 
 
-def _brent_outcomes(f, lo, hi, xtol, rtol, maxiter):
-    """(port, scipy) outcomes, and the zero divisors the port met."""
+def _brent_outcomes(f, lo, hi, xtol, rtol, maxiter, target=0.0):
+    """(port, scipy) outcomes for the root of f(x) - target, and the zero
+    divisors the port met."""
     zero_divisions = 0
 
     def trace(frame, event, arg):
@@ -204,10 +205,12 @@ def _brent_outcomes(f, lo, hi, xtol, rtol, maxiter):
     previous = sys.gettrace()
     sys.settrace(enter)
     try:
-        ported = _outcome(lambda: _brentq(f, lo, hi, f_lo, f_hi, xtol, rtol, maxiter))
+        ported = _outcome(lambda: _brentq(f, target, lo, hi, f_lo, f_hi, xtol,
+                                          rtol, maxiter))
     finally:
         sys.settrace(previous)
-    wanted = _outcome(lambda: brentq(f, lo, hi, xtol=xtol, rtol=rtol, maxiter=maxiter))
+    wanted = _outcome(lambda: brentq(lambda x: f(x) - target, lo, hi,
+                                     xtol=xtol, rtol=rtol, maxiter=maxiter))
     return ported, wanted, zero_divisions
 
 
@@ -222,9 +225,14 @@ def test_brent_port_matches_scipy_bitwise(family):
         hi = lo + width
         # About one bracket in six holds no root.
         f = family(rng, lo + width * rng.uniform(-0.1, 1.1))
-        for xtol, rtol in BRENT_TOLERANCES:
-            ported, wanted, divisions = _brent_outcomes(f, lo, hi, xtol, rtol, 200)
-            assert ported == wanted, (family.__name__, lo, hi, xtol, rtol)
+        # Target 0 at every tolerance, and at the first, the one the closed
+        # form solves with, the value f takes three tenths into the bracket.
+        targets = [(0.0, tolerances) for tolerances in BRENT_TOLERANCES]
+        targets.append((f(lo + 0.3 * width), BRENT_TOLERANCES[0]))
+        for target, (xtol, rtol) in targets:
+            ported, wanted, divisions = _brent_outcomes(f, lo, hi, xtol, rtol, 200,
+                                                        target)
+            assert ported == wanted, (family.__name__, lo, hi, xtol, rtol, target)
             seen.add(ported if isinstance(ported, type) else float)
             zero_divisions += divisions
     assert seen == {float, ValueError}
@@ -256,11 +264,7 @@ def test_bessel_small_argument_limit():
     assert 1e-6 * bessel_k1(1e-6) == pytest.approx(1.0, abs=1e-5)
 
 
-def test_bessel_domain_and_underflow():
-    with pytest.raises(ValueError):
-        bessel_k1(0.0)
-    with pytest.raises(ValueError):
-        bessel_k1(-1.0)
+def test_bessel_underflows_to_zero():
     # Underflow is the correct 0 of cdf_t3's deep left tail, not an event.
     assert bessel_k1(800.0) == 0.0
 

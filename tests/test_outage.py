@@ -5,8 +5,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings, strategies as st
+import scipy.special
+from hypothesis import assume, event, given, settings, strategies as st
 from scipy import integrate
+from scipy.optimize import brentq
 
 from ehrelay import (
     McConfig,
@@ -21,7 +23,7 @@ from ehrelay import (
 )
 from ehrelay import outage
 from ehrelay.model import link_constants
-from ehrelay.numerics import QuadratureRule, bessel_k1
+from ehrelay.numerics import QuadratureRule, bessel_k1, integrate_gc
 from ehrelay.outage import (
     CaseFourGeometry,
     Scenario,
@@ -351,12 +353,18 @@ def test_improved_beats_dynamic_at_reference_point():
 LADDER_POINTS = {dbm: link_constants(_with(tx_power_dbm=dbm)) for dbm in (0.0, 30.0, 60.0)}
 
 
+def _solver_cdf(consts):
+    """The t3 CDF formula as outage_improved builds it for its solver."""
+    return outage._cdf_t3(consts, math.sqrt, scipy.special.k1, float)
+
+
 @settings(max_examples=40, deadline=None)
 @given(dbm=st.sampled_from(sorted(LADDER_POINTS)),
        fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12),
        order=st.sampled_from(["ascending", "descending", "as drawn"]))
 def test_shared_ladder_gives_the_fresh_ladder_quantile(dbm, fractions, order):
     consts = LADDER_POINTS[dbm]
+    cdf = _solver_cdf(consts)
     t_max = improved_integration_bound(consts)
     v_max = cdf_t3(consts, t_max)
     if order != "as drawn":
@@ -364,10 +372,56 @@ def test_shared_ladder_gives_the_fresh_ladder_quantile(dbm, fractions, order):
     ladder = []
     for u in fractions:
         v = u * v_max
-        shared = _quantile_t3(consts, v, t_max, v_max, ladder)
-        assert shared.hex() == _quantile_t3(consts, v, t_max, v_max, []).hex()
+        shared = _quantile_t3(cdf, v, t_max, v_max, ladder)
+        assert shared.hex() == _quantile_t3(cdf, v, t_max, v_max, []).hex()
     assert [t for t, _ in ladder] == [t_max * 2.0 ** -k
                                       for k in range(1, len(ladder) + 1)]
+
+
+# The analytic-grid box of operating points; each field is drawn uniformly.
+GRID_BOX = dict(tx_power_dbm=(0.0, 70.0), dist_a=(1.0, 20.0), dist_b=(1.0, 20.0),
+                rate_bps_hz=(0.5, 5.0), time_split=(0.05, 0.45),
+                eh_efficiency=(0.2, 1.0), gain_a_dbi=(0.0, 14.0),
+                gain_b_dbi=(0.0, 14.0), gain_relay_dbi=(0.0, 14.0),
+                fading_mean_a=(0.5, 2.0), fading_mean_b=(0.5, 2.0))
+
+
+def _t3_written_out(consts, t):
+    """cdf_t3 with lam_a*lam_b*t formed left to right, as it was before the
+    product lam_a*lam_b was hoisted out of the per-t work."""
+    lam_a = consts.z_a / consts.a_rate_a
+    lam_b = consts.z_b / consts.a_rate_b
+    z = math.sqrt(4.0 / (lam_a * lam_b * t))
+    return z * float(scipy.special.k1(z))
+
+
+@settings(max_examples=150, deadline=None)
+@given(fields=st.fixed_dictionaries({k: st.floats(*v) for k, v in GRID_BOX.items()}),
+       order=st.sampled_from([5, 10, 20, 40]),
+       node=st.integers(0, 39),
+       fraction=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       at_node=st.booleans())
+def test_quantile_t3_returns_scipys_root(fields, order, node, fraction, at_node):
+    """At box points, for v at one of outage_improved's quadrature nodes or
+    anywhere in (0, v_max), the solver's root is scipy's, bit for bit, on the
+    ladder bracket: for cdf_t3 and for the formula written out."""
+    consts = link_constants(SystemParams(**fields, quad_order=order))
+    t_max = improved_integration_bound(consts)
+    v_max = cdf_t3(consts, t_max)
+    rule = QuadratureRule.build(order)
+    u = 0.5 * rule.nodes[node % order] + 0.5 if at_node else fraction
+    v = u * v_max
+    assume(0.0 < v < v_max)
+    ladder = []
+    got = _quantile_t3(_solver_cdf(consts), v, t_max, v_max, ladder)
+    rungs = [(t_max, v_max)] + ladder
+    k = next(i for i, (_, cdf) in enumerate(rungs) if not cdf > v)
+    lo, hi = rungs[k][0], rungs[k - 1][0]
+    assert [cdf for _, cdf in rungs] == [cdf_t3(consts, t) for t, _ in rungs]
+    for reference in (cdf_t3, _t3_written_out):
+        want = brentq(lambda t: reference(consts, t) - v, lo, hi,
+                      xtol=1e-30, rtol=1e-15, maxiter=200)
+        assert got.hex() == want.hex(), reference.__name__
 
 
 @pytest.mark.parametrize("dbm", sorted(LADDER_POINTS))
@@ -375,25 +429,32 @@ def test_shared_ladder_gives_the_fresh_ladder_quantile(dbm, fractions, order):
 def test_improved_outage_evaluates_each_ladder_rung_once(monkeypatch, dbm, order):
     params = _with(tx_power_dbm=dbm, quad_order=order)
     want = outage_improved(params)
+    real_formula = outage._cdf_t3
     real_brentq = outage._brentq
     brackets = []
     outside = []
     inside = []
+    solver_calls = []
 
-    def cdf_t3_spy(consts, t):
-        (inside if brackets else outside).append(t)
-        return cdf_t3(consts, t)
+    def formula_spy(consts, *ops):
+        cdf = real_formula(consts, *ops)
 
-    def brentq_spy(f, lo, hi, *args, **kwargs):
+        def spied(t):
+            (inside if brackets else outside).append(t)
+            return cdf(t)
+        return spied
+
+    def brentq_spy(f, target, lo, hi, *args, **kwargs):
         brackets.append((lo, hi))
         try:
-            return real_brentq(f, lo, hi, *args, **kwargs)
+            return real_brentq(f, target, lo, hi, *args, **kwargs)
         finally:
             ends = brackets.pop()
             assert not set(inside) & set(ends)
+            solver_calls.append(len(inside))
             inside.clear()
 
-    monkeypatch.setattr(outage, "cdf_t3", cdf_t3_spy)
+    monkeypatch.setattr(outage, "_cdf_t3", formula_spy)
     monkeypatch.setattr(outage, "_brentq", brentq_spy)
     assert outage_improved(params) == want
     # Outside the solver: v_max at the bound, then each rung of the ladder
@@ -401,6 +462,10 @@ def test_improved_outage_evaluates_each_ladder_rung_once(monkeypatch, dbm, order
     t_max = improved_integration_bound(link_constants(params))
     assert outside == [t_max * 2.0 ** -k for k in range(len(outside))]
     assert len(outside) >= 2
+    # The spy sees the solver's evaluations: one solve per node, each of
+    # them evaluating the formula.
+    assert len(solver_calls) == order
+    assert min(solver_calls) >= 1
 
 
 def test_integration_bound():
@@ -480,6 +545,14 @@ def test_cdf_t3_array_is_bit_identical_to_scalar(setting):
     assert got.shape == t.shape
     assert np.array_equal(got, want)
     assert got[-1] == 1.0
+
+
+def test_cdf_t3_is_zero_where_k1_underflows():
+    """At the defaults lam_a*lam_b = 1, so t = 1e-6 gives z = 2000: K1
+    underflows to 0 while z stays finite."""
+    assert scipy.special.k1(math.sqrt(4.0 / 1e-6)) == 0.0
+    assert cdf_t3(CONSTS, 1e-6) == 0.0
+    assert cdf_t3_array(CONSTS, np.array([1e-6])).tolist() == [0.0]
 
 
 def test_cdf_t3_twins_give_the_limit_where_z_overflows():
@@ -644,6 +717,79 @@ def test_exp_curve_integral_matches_adaptive_quadrature():
     # Pure exponential case is closed-form exact.
     got = _exp_curve_integral(rule, 0.0, 3.0, 0.0, 2.0)
     assert got == pytest.approx((1.0 - math.exp(-6.0)) / 3.0, rel=1e-12)
+
+
+def _exp_curve_integral_by_integrate_gc(rule, c_over, k_lin, lo, hi):
+    """_exp_curve_integral as it was before its node loop was inlined: each
+    panel's bowing is a closure over the exponent, summed by integrate_gc."""
+    if not hi > lo:
+        return 0.0
+    if c_over == 0.0:
+        if k_lin == 0.0:
+            return hi - lo
+        return math.exp(-k_lin * lo) * -math.expm1(-k_lin * (hi - lo)) / k_lin
+    if lo <= 0.0:
+        lo = min(hi, c_over / 45.0) * 2.0 ** -52
+
+    def exponent(y):
+        return c_over / y + k_lin * y
+
+    floor = min(hi, max(lo, c_over / 45.0))
+    edges = [hi]
+    while edges[-1] > 16.0 * floor:
+        edges.append(edges[-1] / 16.0)
+    if edges[-1] > floor:
+        edges.append(floor)
+    if lo < floor:
+        edges.append(lo)
+    total = 0.0
+    for a, b in zip(edges[1:], edges[:-1]):
+        g_a = exponent(a)
+        g_b = exponent(b)
+        d_g = g_b - g_a
+        if d_g == 0.0:
+            total += (b - a) * math.exp(-g_a)
+        elif abs(d_g) <= 30.0:
+            total += math.exp(-g_a) * -math.expm1(-d_g) * (b - a) / d_g
+        else:
+            total += (math.exp(-g_a) - math.exp(-g_b)) * (b - a) / d_g
+        slope = d_g / (b - a)
+
+        def bowing(y, a=a, g_a=g_a, slope=slope):
+            return math.exp(-exponent(y)) - math.exp(-(g_a + slope * (y - a)))
+
+        total += integrate_gc(rule, a, b, bowing)
+    return total
+
+
+def _bits_or_error(evaluate):
+    try:
+        return evaluate().hex()
+    except ArithmeticError as err:    # exp overflows for a steep negative k_lin
+        return type(err)
+
+
+def _decades(lo, hi):
+    return st.floats(lo, hi).map(lambda e: 10.0 ** e)
+
+
+@settings(deadline=None, max_examples=400)
+@given(order=st.sampled_from([2, 5, 10, 20, 40]),
+       c_over=st.one_of(st.just(0.0), _decades(-14.0, 6.0)),
+       k_lin=st.one_of(st.just(0.0), _decades(-8.0, 4.0),
+                       _decades(-8.0, 2.5).map(lambda k: -k)),
+       lo=st.one_of(st.just(0.0), _decades(-12.0, 2.0)),
+       span=_decades(-6.0, 4.0))
+def test_exp_curve_integral_node_loop_is_integrate_gc(order, c_over, k_lin, lo, span):
+    """The inlined node loop gives each panel's integrate_gc sum bit for bit,
+    so the whole integral keeps its bits."""
+    rule = QuadratureRule.build(order)
+    hi = lo + span * max(lo, 1e-3)
+    got = _bits_or_error(lambda: _exp_curve_integral(rule, c_over, k_lin, lo, hi))
+    want = _bits_or_error(lambda: _exp_curve_integral_by_integrate_gc(
+        rule, c_over, k_lin, lo, hi))
+    event(f"{'error' if isinstance(want, type) else 'value'}")
+    assert got == want
 
 
 @settings(deadline=None, max_examples=25)
