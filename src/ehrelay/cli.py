@@ -2,7 +2,8 @@
 
 Configuration resolves in three layers: built-in defaults, then a JSON
 config file, then explicit flags.  Every run prints CSV (or JSON with
---json) so downstream plotting needs no code from this package.
+--json) so downstream plotting needs no code from this package; `fig`
+given --outdir writes one file per figure instead, all from one batch.
 """
 
 from __future__ import annotations
@@ -10,11 +11,14 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
+import time
 
 from .model import SchemeSpec, SystemParams, derive_constants
 from .montecarlo import McConfig
-from .sweeps import FIGURES, SWEEPABLE_PARAMS, SweepSpec, fig, run_sweep
+from .sweeps import (FIGURES, SWEEPABLE_PARAMS, SweepSpec, _figure_spec,
+                     run_sweep, run_sweeps)
 from .validation import all_passed, report_csv, run_all
 
 _SYSTEM_FIELDS = {f.name for f in dataclasses.fields(SystemParams)}
@@ -98,8 +102,8 @@ def _emit(text: str, out_path: str | None) -> None:
             handle.write(text)
 
 
-def _emit_result(result, args) -> None:
-    _emit(result.to_json() if args.json else result.to_csv(), args.out)
+def _emit_result(result, args, out_path: str | None) -> None:
+    _emit(result.to_json() if args.json else result.to_csv(), out_path)
 
 
 def cmd_sweep(args) -> int:
@@ -119,14 +123,31 @@ def cmd_sweep(args) -> int:
             raise ValueError(f"values[{i}]{problem}") from None
     spec = SweepSpec(swept_param=args.param, values=tuple(values),
                      schemes=tuple(schemes), base=params, mc=cfg)
-    _emit_result(run_sweep(spec), args)
+    _emit_result(run_sweep(spec), args, args.out)
     return 0
 
 
 def cmd_fig(args) -> int:
+    if len(set(args.n)) < len(args.n):
+        raise ValueError(f"each figure may be given once, got {args.n}")
+    if args.outdir is None and len(args.n) > 1:
+        raise ValueError("several figures need --outdir")
+    if args.outdir is not None and args.out is not None:
+        raise ValueError("--out and --outdir exclude each other")
     _, cfg, system = _resolve(args)
-    result = fig(args.n, overrides=system or None, mc=cfg)
-    _emit_result(result, args)
+    specs = [_figure_spec(n, system, cfg) for n in args.n]
+    if args.outdir is None:
+        _emit_result(run_sweeps(specs)[0], args, args.out)
+        return 0
+    os.makedirs(args.outdir, exist_ok=True)
+    start = time.perf_counter()
+    results = run_sweeps(specs)
+    seconds = time.perf_counter() - start
+    for n, result in zip(args.n, results):
+        path = os.path.join(args.outdir, f"fig{n}.{'json' if args.json else 'csv'}")
+        _emit_result(result, args, path)
+        print(f"fig{n}: {len(result.rows)} rows -> {path}", file=sys.stderr)
+    print(f"{len(specs)} figures in one batch: {seconds:.3f}s", file=sys.stderr)
     return 0
 
 
@@ -177,10 +198,13 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common_flags(p_sweep, mc=True, theta=True)
     p_sweep.set_defaults(func=cmd_sweep)
 
-    p_fig = sub.add_parser("fig", help="reproduce a canned experiment table")
-    p_fig.add_argument("n", type=int, choices=tuple(FIGURES),
-                       help="experiment index")
+    p_fig = sub.add_parser("fig", help="reproduce canned experiment tables")
+    p_fig.add_argument("n", type=int, nargs="+", choices=tuple(FIGURES),
+                       help="experiment index; several need --outdir")
     _add_common_flags(p_fig, mc=True, theta=False)
+    p_fig.add_argument("--outdir", metavar="DIR",
+                       help="write fig<n>.csv (.json with --json) here for "
+                            "each n, all simulated in one batch")
     p_fig.set_defaults(func=cmd_fig)
 
     p_val = sub.add_parser("validate", help="run the acceptance criteria suite")

@@ -6,9 +6,11 @@ outage where one exists, the Monte Carlo estimate, and the outage capacity.
 The CSV serialization is byte-stable for a fixed spec and seed, which the
 determinism checks rely on.
 
-All cells of a sweep are simulated in one montecarlo.mc_outages batch, so
-they read one draw of the gains per block: common random numbers, which
-leave the Monte Carlo errors of the rows of one sweep correlated.  Cells
+run_sweeps simulates all cells of several sweeps, such as the reference
+figures, in one montecarlo.mc_outages batch, so they read one draw of the
+gains per block: common random numbers, which leave the Monte Carlo errors
+of the rows correlated.  A cell counts alike in any batch, so each table is
+the one its sweep gives alone, and run_sweep is the one-sweep batch.  Cells
 share the kernel's passes as montecarlo's docstring says, and rows alike
 but for M, as in figure 3, share one simulated count.
 """
@@ -67,6 +69,10 @@ class SweepSpec:
     mc: McConfig
 
     def __post_init__(self) -> None:
+        for name, kind in (("base", SystemParams), ("mc", McConfig)):
+            if not isinstance(getattr(self, name), kind):
+                raise ValueError(f"{name} must be a {kind.__name__}, "
+                                 f"got {getattr(self, name)!r}")
         values = tuple(real_number(f"values[{i}]", v) for i, v in enumerate(self.values))
         if not values:
             raise ValueError("values must be nonempty")
@@ -147,29 +153,40 @@ def _row(v: float, label: str, analytic, est, capacity) -> SweepRow:
                     capacity=capacity, relative_error=rel)
 
 
-def run_sweep(spec: SweepSpec) -> SweepResult:
-    """Evaluate every (value, scheme) cell of the sweep."""
-    cells = []    # (value, label, point, scheme), scheme None for the energy row
-    for v in spec.values:
-        point = _apply_param(spec.base, spec.swept_param, v)
-        for scheme in spec.schemes:
-            label = scheme.label()
-            if spec.swept_param == "theta" and scheme.scheme_id == "dynamic_ps":
-                scheme, label = SchemeSpec("dynamic_ps", {"theta": v}), "dynamic_ps"
-            cells.append((v, label, point, scheme))
-        if spec.swept_param == "sensitivity":
-            cells.append((v, "energy_outage", point, None))
-    estimates = mc_outages([(point, scheme) for _, _, point, scheme in cells], spec.mc)
-    rows = []
-    for (v, label, point, scheme), est in zip(cells, estimates):
+def run_sweeps(specs) -> list:
+    """One SweepResult per spec of a nonempty sequence, in order, every
+    (value, scheme) cell of every spec simulated in one batch.  A batch has
+    one (seed, trials, shards), so the specs must share their mc."""
+    if len({spec.mc for spec in specs}) != 1:
+        raise ValueError(f"a batch of sweeps takes one mc, got {[s.mc for s in specs]}")
+    tables = [[] for _ in specs]
+    cells = []    # (rows, value, label, point, scheme), scheme None for the energy row
+    for rows, spec in zip(tables, specs):
+        for v in spec.values:
+            point = _apply_param(spec.base, spec.swept_param, v)
+            for scheme in spec.schemes:
+                label = scheme.label()
+                if spec.swept_param == "theta" and scheme.scheme_id == "dynamic_ps":
+                    scheme, label = SchemeSpec("dynamic_ps", {"theta": v}), "dynamic_ps"
+                cells.append((rows, v, label, point, scheme))
+            if spec.swept_param == "sensitivity":
+                cells.append((rows, v, "energy_outage", point, None))
+    estimates = mc_outages([(point, scheme) for *_, point, scheme in cells], specs[0].mc)
+    for (rows, v, label, point, scheme), est in zip(cells, estimates):
         if scheme is None:
             rows.append(_row(v, label, energy_outage(point), est, None))
         else:
             analytic = _analytic_outage(point, scheme)
             rows.append(_row(v, label, analytic, est, outage_capacity(
                 point, est.probability if analytic is None else analytic)))
-    rows.sort(key=lambda r: (r.param_value, r.scheme_id))
-    return SweepResult(swept_param=spec.swept_param, rows=tuple(rows))
+    for rows in tables:
+        rows.sort(key=lambda r: (r.param_value, r.scheme_id))
+    return [SweepResult(spec.swept_param, tuple(rows)) for spec, rows in zip(specs, tables)]
+
+
+def run_sweep(spec: SweepSpec) -> SweepResult:
+    """Evaluate every (value, scheme) cell of the sweep."""
+    return run_sweeps((spec,))[0]
 
 
 _DYNAMIC = SchemeSpec("dynamic_ps", {"theta": 0.5})
@@ -185,7 +202,7 @@ def _figure(swept_param: str, values: tuple, schemes: tuple, **changes) -> Sweep
 
 
 # The reference experiments by figure index: the one definition that fig(),
-# the CLI, the figure script and the acceptance criteria read.
+# `ehrelay fig` and the acceptance criteria read.
 FIGURES = {
     3: _figure("M", (2.0, 3.0, 5.0, 10.0, 20.0), (_DYNAMIC,)),
     4: _figure("theta", tuple(round(0.05 * k, 2) for k in range(2, 19)), (_DYNAMIC,)),
@@ -202,6 +219,19 @@ FIGURES = {
 }
 
 
+def _figure_spec(n: int, overrides: dict | None, mc: McConfig | None) -> SweepSpec:
+    """FIGURES[n] moved by overrides, on mc where given; see fig()."""
+    if n not in FIGURES:
+        raise ValueError(f"figure index must be one of {tuple(FIGURES)}, got {n!r}")
+    spec, overrides = FIGURES[n], overrides or {}
+    if unknown := sorted(set(overrides) - {f.name for f in fields(SystemParams)}):
+        raise ValueError(f"overrides name no SystemParams field: {unknown}")
+    if (swept := _SWEPT_FIELDS[spec.swept_param]) in overrides:
+        raise ValueError(f"figure {n} sweeps {swept}, so overrides cannot set it")
+    return replace(spec, base=replace(spec.base, **overrides),
+                   mc=mc if mc is not None else spec.mc)
+
+
 def fig(n: int, overrides: dict | None = None,
         mc: McConfig | None = None) -> SweepResult:
     """Run the sweep behind reference figure n, a key of FIGURES.
@@ -210,12 +240,4 @@ def fig(n: int, overrides: dict | None = None,
     figure's own, so callers can move any figure to another operating point;
     the field the figure sweeps, which each sweep value replaces, is refused.
     """
-    if n not in FIGURES:
-        raise ValueError(f"figure index must be one of {tuple(FIGURES)}, got {n!r}")
-    spec, overrides = FIGURES[n], overrides or {}
-    if unknown := sorted(set(overrides) - {f.name for f in fields(SystemParams)}):
-        raise ValueError(f"overrides name no SystemParams field: {unknown}")
-    if (swept := _SWEPT_FIELDS[spec.swept_param]) in overrides:
-        raise ValueError(f"figure {n} sweeps {swept}, so overrides cannot set it")
-    return run_sweep(replace(spec, base=replace(spec.base, **overrides),
-                             mc=mc if mc is not None else spec.mc))
+    return run_sweep(_figure_spec(n, overrides, mc))

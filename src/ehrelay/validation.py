@@ -32,7 +32,7 @@ from .outage import (CaseFourGeometry, Scenario, _boundary_gain_a,
                      _boundary_gain_b, _knee_crossing, case4_geometry,
                      cdf_t2_array, cdf_t3_array, diversity_slope,
                      outage_dynamic_ps, outage_improved, p_case4)
-from .sweeps import FIGURES, SchemeSpec, SweepSpec, fig, run_sweep
+from .sweeps import SchemeSpec, SweepSpec, _figure_spec, fig, run_sweep, run_sweeps
 
 
 @dataclass(frozen=True)
@@ -446,15 +446,16 @@ def criterion_capacity_shapes() -> CriterionResult:
     cfg = McConfig(trials=2048, seed=83)
     analytic_schemes = (SchemeSpec("improved"), SchemeSpec("dynamic_ps", {"theta": 0.5}))
 
-    rate_sweep = fig(7, mc=cfg)
+    # One batch; every cell is a single block, which counts alike in any batch.
+    rate_sweep, beta_sweep, third, dist_sweep = run_sweeps((
+        _figure_spec(7, None, cfg), _figure_spec(8, None, cfg),
+        replace(_figure_spec(8, None, cfg), values=(1.0 / 3.0,), schemes=analytic_schemes),
+        _figure_spec(6, None, cfg)))
     rate_ok = True
     for scheme in analytic_schemes:
         caps = [r.capacity for r in rate_sweep.rows if r.scheme_id == scheme.label()]
         rate_ok &= _unimodal(caps, "max")
 
-    beta_sweep = fig(8, mc=cfg)
-    third = run_sweep(replace(FIGURES[8], values=(1.0 / 3.0,),
-                              schemes=analytic_schemes, mc=cfg))
     peak_ok = True
     for scheme in analytic_schemes:
         below = [r.capacity for r in beta_sweep.rows
@@ -462,7 +463,6 @@ def criterion_capacity_shapes() -> CriterionResult:
         cap_third, = (r.capacity for r in third.rows if r.scheme_id == scheme.label())
         peak_ok &= cap_third >= max(below) * (1.0 - 1e-12)
 
-    dist_sweep = fig(6, mc=cfg)
     dist_ok = True
     for scheme in analytic_schemes:
         outs = [r.analytic_outage for r in dist_sweep.rows

@@ -3,11 +3,10 @@
 import argparse
 import csv
 import dataclasses
-import importlib.util
 import io
 import json
 import math
-import pathlib
+import re
 
 import pytest
 
@@ -29,7 +28,9 @@ from ehrelay import (
 )
 from ehrelay.cli import main
 from ehrelay.model import link_constants
-from ehrelay.sweeps import CSV_COLUMNS, FIGURES, SWEEPABLE_PARAMS, _apply_param
+from ehrelay.montecarlo import BLOCK_TRIALS
+from ehrelay.sweeps import (CSV_COLUMNS, FIGURES, SWEEPABLE_PARAMS, _apply_param,
+                            run_sweeps)
 
 REF_Z_A = 2849.964970428562
 
@@ -226,6 +227,16 @@ class TestSweepSpecValidation:
         _spec("theta", (0.3, 0.6), (dynamic[0], SchemeSpec("improved")))
         _spec("rate", (1.0,), dynamic)
 
+    @pytest.mark.parametrize("field,value", [
+        ("base", {"dist_a": 5.0}),
+        ("mc", None),
+        ("mc", {"trials": 64}),
+    ])
+    def test_base_and_mc_must_be_their_types_naming_them(self, field, value):
+        with pytest.raises(ValueError, match=rf"^{field} must be a "
+                           rf"{'SystemParams' if field == 'base' else 'McConfig'}, got "):
+            dataclasses.replace(FIGURES[7], **{field: value})
+
     def test_schemes_validated_up_front(self):
         with pytest.raises(ValueError):
             _spec("rate", (1.0,), ())
@@ -360,27 +371,29 @@ class TestFigures:
         assert (fig(n, overrides={"rate_bps_hz": 4.0}, mc=FAST_MC).to_csv()
                 == run_sweep(by_hand).to_csv())
 
-    def test_cli_and_script_offer_exactly_the_table(self, monkeypatch, tmp_path):
+    def test_cli_offers_exactly_the_table(self):
         parser = ehrelay.cli._build_parser()
         sub = next(a for a in parser._actions
                    if isinstance(a, argparse._SubParsersAction))
         index = next(a for a in sub.choices["fig"]._actions if a.dest == "n")
         assert tuple(index.choices) == tuple(FIGURES)
 
-        path = pathlib.Path(__file__).parents[1] / "scripts" / "reproduce_figures.py"
-        loader = importlib.util.spec_from_file_location("reproduce_figures", path)
-        script = importlib.util.module_from_spec(loader)
-        loader.loader.exec_module(script)
-        ran = []
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_one_batch_of_every_figure_equals_each_figure_alone(self, shards):
+        # Two blocks, the second partial, so that 2 shards reach the pool.
+        cfg = McConfig(trials=BLOCK_TRIALS + 4096, seed=5, shards=shards)
+        batch = run_sweeps([dataclasses.replace(spec, mc=cfg) for spec in FIGURES.values()])
+        assert [r.to_csv() for r in batch] == [fig(n, mc=cfg).to_csv() for n in FIGURES]
 
-        def record(n, mc):
-            ran.append(n)
-            return run_sweep(_spec("rate", (2.0,), (SchemeSpec("improved"),)))
+    def test_a_batch_of_mixed_mc_fails_before_any_simulation(self, monkeypatch):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("Monte Carlo ran before the batch was rejected")
 
-        monkeypatch.setattr(script, "fig", record)
-        monkeypatch.setattr("sys.argv", ["reproduce_figures.py", "--outdir", str(tmp_path)])
-        script.main()
-        assert ran == list(FIGURES)
+        monkeypatch.setattr(ehrelay.sweeps, "mc_outages", no_simulation)
+        specs = [dataclasses.replace(FIGURES[3], mc=FAST_MC),
+                 dataclasses.replace(FIGURES[7], mc=dataclasses.replace(FAST_MC, seed=8))]
+        with pytest.raises(ValueError, match="a batch of sweeps takes one mc"):
+            run_sweeps(specs)
 
     @pytest.mark.parametrize("n,point", [
         (6, {"dist_a": 2.0, "dist_b": 18.0}),
@@ -492,6 +505,55 @@ class TestCli:
         assert rc == 0
         body = _parse_csv(capsys.readouterr().out)
         assert len(body) == 5
+
+    def test_fig_outdir_runs_every_figure_in_one_batch(self, monkeypatch, tmp_path,
+                                                       capsys):
+        cells = []
+        simulate = ehrelay.sweeps.mc_outages
+
+        def spy(batch, cfg):
+            cells.append(len(batch))
+            return simulate(batch, cfg)
+
+        monkeypatch.setattr(ehrelay.sweeps, "mc_outages", spy)
+        outdir = tmp_path / "figs"
+        assert main(["fig", *map(str, FIGURES), "--trials", "2048",
+                     "--outdir", str(outdir)]) == 0
+        assert cells == [161]
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        *written, last = captured.err.splitlines()
+        rows = {n: len(_parse_csv((outdir / f"fig{n}.csv").read_text())) for n in FIGURES}
+        assert written == [f"fig{n}: {rows[n]} rows -> {outdir / f'fig{n}.csv'}"
+                           for n in FIGURES]
+        assert re.fullmatch(r"7 figures in one batch: \d+\.\d{3}s", last)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_fig_outdir_files_equal_one_figure_runs(self, fmt, tmp_path):
+        flags = ["--trials", "2048", "--seed", "3", "--dist-b", "12"]
+        flags += ["--json"] if fmt == "json" else []
+        assert main(["fig", "3", "8", "9", *flags, "--outdir", str(tmp_path)]) == 0
+        for n in (3, 8, 9):
+            alone = tmp_path / f"alone{n}.{fmt}"
+            assert main(["fig", str(n), *flags, "--out", str(alone)]) == 0
+            assert (tmp_path / f"fig{n}.{fmt}").read_bytes() == alone.read_bytes()
+
+    @pytest.mark.parametrize("argv,message", [
+        (["fig", "3", "4"], "several figures need --outdir"),
+        (["fig", "3", "--out", "x.csv", "--outdir", "figs"],
+         "--out and --outdir exclude each other"),
+        (["fig", "3", "4", "3", "--outdir", "figs"], "each figure may be given once"),
+    ])
+    def test_fig_usage_errors_exit_2(self, argv, message, monkeypatch, tmp_path,
+                                     capsys):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("Monte Carlo ran before the usage error")
+
+        monkeypatch.setattr(ehrelay.sweeps, "mc_outages", no_simulation)
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     def test_params_text_output(self, capsys):
         rc = main(["params"])
