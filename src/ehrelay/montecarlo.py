@@ -8,11 +8,13 @@ counts and across runs.
 
 An estimate runs on min(shards, usable cores, blocks) workers.  One worker
 runs the blocks in the calling process.  More are a persistent pool of
-forked processes, sent a block at a time down a pipe each; the integer hit
-counts they send back are summed.  A pool process leaves Ctrl-C to its
-parent and exits at EOF, once its parent is gone.  Any error in a pooled
-estimate, a Ctrl-C or a dead pool process (RuntimeError) among them, drops
-the pool.  A process forked from one with a pool starts with none.
+forked processes, the package's one way to run work in parallel: it runs
+calls (fn, args), such as blocks, one at a time down a pipe each, fn named
+by pickle and run as the module global the pool process forked with.  A
+pool process leaves Ctrl-C to its parent and exits at EOF, once its parent
+is gone.  Any error in a pooled batch of calls, a call's own, a Ctrl-C or a
+dead pool process (RuntimeError) among them, drops the pool.  A process
+forked from one with a pool starts with none.
 
 A block of count trials takes g_A from the first count uniforms of its
 stream and g_B from the next count.  It streams them CHUNK_TRIALS at a
@@ -47,6 +49,7 @@ import os
 import pickle
 import signal
 import threading
+import traceback
 from dataclasses import dataclass
 
 import numpy as np
@@ -198,8 +201,8 @@ def _worker_count(shards: int, cores: int, blocks: int) -> int:
 
 # The persistent pool: (process, the parent's end of its pipe) pairs.
 _POOL: list = []
-# Held while an estimate uses the pool, so that a call from another thread
-# cannot replace or drop the pool under it.
+# Held while a batch of calls uses the pool, so that a batch from another
+# thread cannot replace or drop the pool under it.
 _POOL_LOCK = threading.Lock()
 
 
@@ -228,14 +231,21 @@ def _may_fork() -> bool:
 
 
 def _serve(conn, parent_end) -> None:
-    """A pool process: run each block sent down conn and send back its
-    counts until EOF, which comes once the parent, the only other holder of
-    parent_end, is gone.  Ctrl-C is the parent's to handle."""
+    """A pool process: answer each call (fn, args) sent down conn with (True,
+    its value) or, its traceback printed, (False, its exception) until EOF,
+    once the parent, parent_end's only other holder, is gone.  Ctrl-C is the
+    parent's to handle."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     parent_end.close()
     with contextlib.suppress(EOFError, ConnectionError):
         while True:
-            conn.send(_outage_block(*conn.recv()))
+            fn, args = conn.recv()
+            try:
+                reply = (True, fn(*args))
+            except Exception as error:
+                traceback.print_exc()
+                reply = (False, error)
+            conn.send(reply)
 
 
 def _pool(workers: int) -> list:
@@ -272,41 +282,51 @@ def _drop_pool() -> None:
 atexit.register(_drop_pool)
 
 
-def _share_blocks(pool: list, cells: tuple, seed: int, layout: list) -> list:
-    """Each block's counts, run on the processes of pool, the next block
-    going to whichever process answers first."""
+def _share_calls(pool: list, calls: list) -> list:
+    """The value of each call (fn, args), in call order, run on the processes
+    of pool, the next call going to whichever is free first; a call's
+    exception is raised here."""
     from multiprocessing.connection import wait
-    todo, idle, busy, counts = layout[::-1], [conn for _, conn in pool], [], []
-    while todo or busy:
+    todo, idle, running = list(enumerate(calls))[::-1], [conn for _, conn in pool], {}
+    values = [None] * len(calls)
+    while todo or running:
         while todo and idle:
+            index, call = todo.pop()
             # Not send(): a traceback that keeps its BytesIO view leaks a BufferError.
-            idle[-1].send_bytes(pickle.dumps((cells, seed, *todo.pop())))
-            busy.append(idle.pop())
-        for conn in wait(busy):
-            counts.append(conn.recv())
-            busy.remove(conn)
+            idle[-1].send_bytes(pickle.dumps(call))
+            running[idle.pop()] = index
+        for conn in wait(running):
+            done, value = conn.recv()
+            if not done:
+                raise value
+            values[running.pop(conn)] = value
             idle.append(conn)
-    return counts
+    return values
+
+
+def _run_calls(calls: list, workers: int) -> list:
+    """The value of each call (fn, args), in call order: on the pool where
+    workers > 1 and this process may fork, else in the calling process."""
+    if workers <= 1 or not _may_fork():
+        return [fn(*args) for fn, args in calls]
+    with _POOL_LOCK:
+        try:
+            return _share_calls(_pool(workers)[:workers], calls)
+        except BaseException as error:
+            # A Ctrl-C too: a pool process may still hold a call of this
+            # batch, so the next batch starts a fresh pool.
+            _drop_pool()
+            if isinstance(error, (EOFError, ConnectionError)):
+                raise RuntimeError("a Monte Carlo pool process died") from error
+            raise
 
 
 def _run_blocks(cells: tuple, cfg: McConfig) -> list:
     """Each cell's outage count, summed over the trial blocks; cells is a
     batch as _plan lays it out."""
     layout = _block_layout(cfg.trials)
-    workers = _worker_count(cfg.shards, _usable_cores(), len(layout))
-    if workers == 1 or not _may_fork():
-        counts = [_outage_block(cells, cfg.seed, idx, n) for idx, n in layout]
-    else:
-        with _POOL_LOCK:
-            try:
-                counts = _share_blocks(_pool(workers)[:workers], cells, cfg.seed, layout)
-            except BaseException as error:
-                # A Ctrl-C too: a pool process may still hold a block of
-                # this call, so the next call starts a fresh pool.
-                _drop_pool()
-                if isinstance(error, (EOFError, ConnectionError)):
-                    raise RuntimeError("a Monte Carlo pool process died") from error
-                raise
+    counts = _run_calls([(_outage_block, (cells, cfg.seed, idx, n)) for idx, n in layout],
+                        _worker_count(cfg.shards, _usable_cores(), len(layout)))
     return [sum(column) for column in zip(*counts)]
 
 

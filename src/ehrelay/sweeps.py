@@ -154,9 +154,11 @@ def _row(v: float, label: str, analytic, est, capacity) -> SweepRow:
 
 
 def run_sweeps(specs) -> list:
-    """One SweepResult per spec of a nonempty sequence, in order, every
+    """One SweepResult per spec of a nonempty iterable, in order, every
     (value, scheme) cell of every spec simulated in one batch.  A batch has
     one (seed, trials, shards), so the specs must share their mc."""
+    if not (specs := tuple(specs)):
+        raise ValueError("a batch of sweeps takes at least one spec, got none")
     if len({spec.mc for spec in specs}) != 1:
         raise ValueError(f"a batch of sweeps takes one mc, got {[s.mc for s in specs]}")
     tables = [[] for _ in specs]

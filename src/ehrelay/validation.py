@@ -6,11 +6,10 @@ byte-stable across runs and shard counts.  Criteria 5 and 6 run the
 simulator's kernel (model's docstring states the algebra); criterion 6
 checks its pool and r* against broadcast_factors.
 
-run_all runs the criteria that simulate on 1 shard only on a helper thread,
-beside the ones that wait on the worker pool, only so that their interpreted
-work overlaps the pool's.  Progress lines on stderr come in the order the
-criteria end, and each one's seconds include the time it waited for the
-other thread.
+run_all runs all criteria but the last as calls on the Monte Carlo pool,
+which overlaps them and runs their estimates in process, moving none.  The
+last, determinism, compares pooled estimates with in-process ones, so the
+caller runs it.  Progress lines come as criteria end, each with its seconds.
 """
 
 from __future__ import annotations
@@ -27,7 +26,8 @@ import numpy as np
 from .model import (KernelWorkspace, SystemParams, broadcast_factors,
                     critical_ratio, derive_constants, downlink_gain, harvest_pool,
                     link_constants, normalized_gains)
-from .montecarlo import McConfig, mc_outage, mc_outages, relative_error
+from .montecarlo import (McConfig, _run_calls, _usable_cores, mc_outage, mc_outages,
+                         relative_error)
 from .outage import (CaseFourGeometry, Scenario, _boundary_gain_a,
                      _boundary_gain_b, _knee_crossing, case4_geometry,
                      cdf_t2_array, cdf_t3_array, diversity_slope,
@@ -507,52 +507,30 @@ CRITERIA = (
 )
 
 
-# The criteria whose simulations all run on 1 shard, in the calling process,
-# so that none submits work to the pool; run_all starts them on its helper
-# thread in this order, longest first.
-_HELPER_CRITERIA = (8, 9, 11, 5, 6, 7)
-
-
-def _run_criterion(fn, progress: bool) -> CriterionResult:
+def _run_criterion(index: int, progress: bool) -> CriterionResult:
     start = time.perf_counter()
-    result = fn()
+    result = CRITERIA[index - 1]()
     if progress:
         status = "PASS" if result.passed else "FAIL"
-        # One write per line, so that the two threads' lines never interleave.
+        # One flushed write per line: no two processes' lines interleave.
         sys.stderr.write(f"[{result.index:2d}] {status} {result.name} "
                          f"({time.perf_counter() - start:.1f}s)\n")
+        sys.stderr.flush()
     return result
 
 
 def run_all(progress: bool = False) -> list:
-    """The result of each criterion in CRITERIA, read at each call, in
-    index order.
+    """The result of each criterion in CRITERIA, in index order.
 
-    A criterion whose simulations all run on 1 shard runs on one helper
-    thread, in the order of _HELPER_CRITERIA.  The others, which wait on
-    the worker pool, run in index order on the calling thread, so that the
-    two threads' work overlaps.  With progress, each criterion writes a
-    line to stderr as it ends.  An exception from either thread
-    propagates once the calling thread meets it and the helper's running
-    criterion has ended; the helper's criteria that have not started by
-    then never run.
+    All but the last run in index order as calls on the Monte Carlo pool,
+    on up to one process per usable core, which runs the CRITERIA it forked
+    with; the last then runs here.  With progress, each criterion writes a
+    line to stderr as it ends.  A criterion's exception is raised here and
+    drops the pool, so the criteria still queued never run.
     """
-    # Imported here, as only the gate runs a helper thread.
-    from concurrent.futures.thread import ThreadPoolExecutor
-
-    criteria = CRITERIA
-    helper = ThreadPoolExecutor(1)
-    try:
-        beside = {index: helper.submit(_run_criterion, criteria[index - 1], progress)
-                  for index in _HELPER_CRITERIA}
-        here = {index: _run_criterion(fn, progress)
-                for index, fn in enumerate(criteria, 1) if index not in beside}
-        return [here[index] if index in here else beside[index].result()
-                for index in range(1, len(criteria) + 1)]
-    finally:
-        # Wait for the running helper criterion: one still running at
-        # interpreter exit can turn a Ctrl-C's exit status 130 into 1.
-        helper.shutdown(cancel_futures=True)
+    calls = [(_run_criterion, (index, progress)) for index in range(1, len(CRITERIA))]
+    return [*_run_calls(calls, min(_usable_cores(), len(calls))),
+            _run_criterion(len(CRITERIA), progress)]
 
 
 def report_csv(results) -> str:

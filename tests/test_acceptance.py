@@ -7,8 +7,9 @@ so the CLI and this gate can never drift apart.
 """
 
 import dataclasses
+import os
 import re
-import threading
+import signal
 import time
 import tracemalloc
 
@@ -234,89 +235,102 @@ def test_gate_checks_the_t3_formula_the_closed_form_runs(monkeypatch):
     assert float(re.search(r"max KS=(\S+) ", result.detail).group(1)) > 0.002
 
 
-def _fake_criteria(monkeypatch, body) -> dict:
-    """Patch CRITERIA with 12 passing fakes; fake i calls body(i), and the
-    returned dict maps i to the thread that ran it."""
-    threads = {}
-
-    def make(index):
-        def criterion():
-            threads[index] = threading.get_ident()
-            body(index)
-            return validation.CriterionResult(index, f"fake-{index}", True, "")
-        return criterion
-
-    monkeypatch.setattr(validation, "CRITERIA", tuple(make(i) for i in range(1, 13)))
-    return threads
+# run_all sends criteria 1-11 to pool processes only where 2 cores are usable.
+needs_two_cores = pytest.mark.skipif(montecarlo._usable_cores() < 2,
+                                     reason="a pool needs 2 usable cores")
 
 
-def test_run_all_runs_the_in_process_criteria_beside_the_others(monkeypatch, capsys):
-    # 1-4, 10 and 12 run estimates on more than 1 shard and wait on the
-    # pool; the others run beside them.
-    assert set(validation._HELPER_CRITERIA) == {5, 6, 7, 8, 9, 11}
-    ended = threading.Event()
+@pytest.fixture
+def fake_criteria(monkeypatch):
+    """install(body) patches CRITERIA with 12 passing fakes; fake i calls
+    body(i) and gives the pid that ran it as its detail.  A pool process
+    runs the CRITERIA it forked with, so the pool is dropped before the
+    fakes go in, and again after the test, so that no later run_all gets a
+    pool that runs fakes."""
+    def install(body):
+        def make(index):
+            def criterion():
+                body(index)
+                return validation.CriterionResult(index, f"fake-{index}", True,
+                                                  str(os.getpid()))
+            return criterion
+        monkeypatch.setattr(validation, "CRITERIA", tuple(make(i) for i in range(1, 13)))
 
-    def body(index):
-        if index == 1:
-            # Criterion 1 ends only after the helper's first, criterion 8.
-            assert ended.wait(5.0)
-        elif index == 8:
-            ended.set()
+    montecarlo._drop_pool()
+    yield install
+    montecarlo._drop_pool()
 
-    threads = _fake_criteria(monkeypatch, body)
+
+@needs_two_cores
+def test_run_all_runs_criteria_1_to_11_on_the_pool(fake_criteria, capfd):
+    fake_criteria(lambda index: None)
     results = validation.run_all(progress=True)
     assert [r.index for r in results] == list(range(1, 13))
-    here = threading.get_ident()
-    assert {threads[i] for i in range(1, 13)
-            if i not in validation._HELPER_CRITERIA} == {here}
-    helper = {threads[i] for i in validation._HELPER_CRITERIA}
-    assert len(helper) == 1 and here not in helper
-    lines = capsys.readouterr().err.splitlines()
+    pids = [int(r.detail) for r in results]
+    assert os.getpid() not in pids[:11] and len(set(pids[:11])) >= 2
+    assert pids[11] == os.getpid()
+    # capsys would not see the lines the pool processes write.
+    lines = capfd.readouterr().err.splitlines()
     assert sorted(lines) == sorted(f"[{i:2d}] PASS fake-{i} (0.0s)" for i in range(1, 13))
-    assert lines.index("[ 8] PASS fake-8 (0.0s)") < lines.index("[ 1] PASS fake-1 (0.0s)")
 
 
-def test_run_all_raises_the_error_of_a_helper_criterion(monkeypatch):
+def test_run_all_raises_the_error_of_a_pool_criterion(fake_criteria, capfd):
     def body(index):
         if index == 9:
             raise ZeroDivisionError("fake criterion 9")
 
-    _fake_criteria(monkeypatch, body)
+    fake_criteria(body)
     with pytest.raises(ZeroDivisionError, match="fake criterion 9"):
         validation.run_all()
+    assert not montecarlo._POOL
+    if montecarlo._usable_cores() >= 2:
+        # The pool process printed the traceback of the criterion.
+        assert "ZeroDivisionError: fake criterion 9" in capfd.readouterr().err
 
 
-def test_a_ctrl_c_in_a_calling_thread_criterion_drops_the_helpers_queue(monkeypatch):
-    # All six helper criteria would take 1.8 s; only the first one runs.
-    started, first = [], threading.Event()
+@needs_two_cores
+def test_a_ctrl_c_while_pool_criteria_run_ends_the_pool(fake_criteria):
+    # Criteria 1-11 sleep 1 s each; a Ctrl-C 0.3 s in ends them all.
+    # A timer signal sends it: a thread would be running as run_all forks the pool.
+    fake_criteria(lambda index: time.sleep(1.0) if index < 12 else None)
+    pids = []
 
-    def body(index):
-        if index in validation._HELPER_CRITERIA:
-            started.append(index)
-            first.set()
-            time.sleep(0.3)
-        elif index == 1:
-            assert first.wait(5.0)
-            raise KeyboardInterrupt
+    def ctrl_c(signum, frame):
+        pids.extend(process.pid for process, _ in montecarlo._POOL)
+        os.kill(os.getpid(), signal.SIGINT)
 
-    _fake_criteria(monkeypatch, body)
-    before = set(threading.enumerate())
+    alarm = signal.signal(signal.SIGALRM, ctrl_c)
     start = time.perf_counter()
-    with pytest.raises(KeyboardInterrupt):
-        validation.run_all()
+    signal.setitimer(signal.ITIMER_REAL, 0.3)
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            validation.run_all()
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, alarm)
     assert time.perf_counter() - start < 1.0
-    assert started == [validation._HELPER_CRITERIA[0]]
-    # run_all leaves no thread behind.
-    assert set(threading.enumerate()) <= before
+    assert len(pids) >= 2 and not montecarlo._POOL
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
 
 
-@pytest.mark.parametrize("index", sorted(validation._HELPER_CRITERIA))
-def test_helper_criteria_never_reach_the_pool(monkeypatch, index):
-    """With 8 usable cores, an estimate on more than 1 shard would ask
-    montecarlo._pool for workers."""
-    def no_pool(workers):
-        raise AssertionError(f"criterion {index} asked the pool for {workers} workers")
+def test_run_all_runs_criterion_12_where_it_can_reach_the_pool(fake_criteria, monkeypatch):
+    """In a pool process the determinism check's runs on 4 and 8 shards
+    would all run in process, and compare nothing."""
+    asked, pool = [], montecarlo._pool
 
-    monkeypatch.setattr(montecarlo, "_usable_cores", lambda: 8)
-    monkeypatch.setattr(montecarlo, "_pool", no_pool)
-    assert CRITERIA[index - 1]().passed
+    def spy(workers):
+        asked.append(workers)
+        return pool(workers)
+
+    def determinism():
+        monkeypatch.setattr(montecarlo, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(montecarlo, "_pool", spy)
+        return criterion_determinism()
+
+    fake_criteria(lambda index: None)
+    monkeypatch.setattr(validation, "CRITERIA", validation.CRITERIA[:11] + (determinism,))
+    results = validation.run_all()
+    assert results[11].passed
+    assert asked and min(asked) >= 2

@@ -395,6 +395,12 @@ class TestFigures:
         with pytest.raises(ValueError, match="a batch of sweeps takes one mc"):
             run_sweeps(specs)
 
+    def test_a_batch_takes_any_iterable_of_specs_but_an_empty_one(self):
+        specs = [dataclasses.replace(FIGURES[n], mc=FAST_MC) for n in (3, 7)]
+        assert run_sweeps(iter(specs)) == run_sweeps(specs)
+        with pytest.raises(ValueError, match="at least one spec, got none"):
+            run_sweeps(iter(()))
+
     @pytest.mark.parametrize("n,point", [
         (6, {"dist_a": 2.0, "dist_b": 18.0}),
         (8, {"tx_power_dbm": 20.0, "time_split": 0.05}),
