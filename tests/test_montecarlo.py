@@ -5,6 +5,7 @@ import math
 import multiprocessing
 import multiprocessing.connection
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -816,6 +817,52 @@ def _is_gone(pid: int) -> bool:
 # of a single process is never made, so the pool tests need two cores.
 needs_two_cores = pytest.mark.skipif(_usable_cores() < 2,
                                      reason="a pool needs 2 usable cores")
+
+
+def _pid_after(delay: float, tag: int) -> tuple:
+    """A call for the pool: tag and the pid that ran it, delay s late."""
+    time.sleep(delay)
+    return tag, os.getpid()
+
+
+def _fail(message: str) -> None:
+    raise ValueError(message)
+
+
+class TestRunCalls:
+    @pytest.mark.parametrize("workers", [1, pytest.param(2, marks=needs_two_cores)])
+    def test_values_come_back_in_call_order(self, workers):
+        # The first call ends last, so the pool answers out of order.
+        calls = [(_pid_after, (0.3 if tag == 0 else 0.0, tag)) for tag in range(5)]
+        values = montecarlo._run_calls(calls, workers)
+        assert [tag for tag, _ in values] == list(range(5))
+        pids = {pid for _, pid in values}
+        assert pids == {os.getpid()} if workers == 1 else os.getpid() not in pids
+
+    def test_calls_run_in_the_caller_where_it_may_not_fork(self, monkeypatch):
+        montecarlo._drop_pool()
+        monkeypatch.setattr(montecarlo, "_may_fork", lambda: False)
+        assert montecarlo._run_calls([(os.getpid, ())] * 3, 2) == [os.getpid()] * 3
+        assert not montecarlo._POOL
+
+    @needs_two_cores
+    def test_a_pool_call_raises_its_own_error_and_drops_the_pool(self, capfd):
+        calls = [(_pid_after, (0.0, 0)), (_fail, ("fake block",)), (_pid_after, (0.0, 2))]
+        with pytest.raises(ValueError, match="fake block"):
+            montecarlo._run_calls(calls, 2)
+        assert not montecarlo._POOL
+        # The pool process printed the call's traceback.
+        err = capfd.readouterr().err
+        assert "in _fail" in err and "ValueError: fake block" in err
+        values = montecarlo._run_calls([(_pid_after, (0.0, tag)) for tag in range(3)], 2)
+        assert [tag for tag, _ in values] == [0, 1, 2]
+
+    @needs_two_cores
+    def test_a_call_that_does_not_pickle_fails_in_the_caller(self):
+        # A closure has no module-global name for a pool process to find.
+        with pytest.raises((pickle.PicklingError, AttributeError)):
+            montecarlo._run_calls([(lambda: 1, ())] * 2, 2)
+        assert not montecarlo._POOL
 
 
 class TestWorkerPool:
