@@ -152,7 +152,10 @@ def cmd_fig(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    results = run_all(progress=True)
+    results = run_all()
+    for r in results:
+        print(f"[{r.index:2d}] {'PASS' if r.passed else 'FAIL'} {r.name} ({r.seconds:.1f}s)",
+              file=sys.stderr)
     if args.json:
         payload = [{"criterion": r.index, "name": r.name,
                     "status": "PASS" if r.passed else "FAIL",

@@ -6,15 +6,16 @@ depends only on (seed, trials), never on how blocks are distributed over
 worker processes.  That is what makes estimates bit-identical across shard
 counts and across runs.
 
-An estimate runs on min(shards, usable cores, blocks) workers.  One worker
-runs the blocks in the calling process.  More are a persistent pool of
-forked processes, the package's one way to run work in parallel: it runs
-calls (fn, args), such as blocks, one at a time down a pipe each, fn named
-by pickle and run as the module global the pool process forked with.  A
-pool process leaves Ctrl-C to its parent and exits at EOF, once its parent
-is gone.  Any error in a pooled batch of calls, a call's own, a Ctrl-C or a
-dead pool process (RuntimeError) among them, drops the pool.  A process
-forked from one with a pool starts with none.
+A batch of calls (fn, args), such as an estimate's blocks, runs on
+min(its cap, usable cores, calls) workers, an estimate's cap its shards.
+One worker runs the calls in the calling process.  More are a persistent
+pool of forked processes, the package's one way to run work in parallel:
+it runs calls one at a time down a pipe each, fn named by pickle and run
+as the module global the pool process forked with.  A pool process leaves
+Ctrl-C to its parent and exits at EOF, once its parent is gone.  Any error
+in a pooled batch of calls, a call's own, a Ctrl-C or a dead pool process
+(RuntimeError) among them, drops the pool.  A process forked from one with
+a pool starts with none.
 
 A block of count trials takes g_A from the first count uniforms of its
 stream and g_B from the next count.  It streams them CHUNK_TRIALS at a
@@ -193,12 +194,6 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-def _worker_count(shards: int, cores: int, blocks: int) -> int:
-    """Workers an estimate runs on: no more than its shards, the usable
-    cores or its blocks, since more would only share a core or idle."""
-    return min(shards, cores, blocks)
-
-
 # The persistent pool: (process, the parent's end of its pipe) pairs.
 _POOL: list = []
 # Held while a batch of calls uses the pool, so that a batch from another
@@ -304,9 +299,12 @@ def _share_calls(pool: list, calls: list) -> list:
     return values
 
 
-def _run_calls(calls: list, workers: int) -> list:
-    """The value of each call (fn, args), in call order: on the pool where
-    workers > 1 and this process may fork, else in the calling process."""
+def _run_calls(calls: list, most: int) -> list:
+    """The value of each call (fn, args), in call order, run on no more
+    workers than most, the usable cores or the calls, since more would only
+    share a core or idle: on the pool where that is more than one and this
+    process may fork, else in the calling process."""
+    workers = min(most, _usable_cores(), len(calls))
     if workers <= 1 or not _may_fork():
         return [fn(*args) for fn, args in calls]
     with _POOL_LOCK:
@@ -324,10 +322,8 @@ def _run_calls(calls: list, workers: int) -> list:
 def _run_blocks(cells: tuple, cfg: McConfig) -> list:
     """Each cell's outage count, summed over the trial blocks; cells is a
     batch as _plan lays it out."""
-    layout = _block_layout(cfg.trials)
-    counts = _run_calls([(_outage_block, (cells, cfg.seed, idx, n)) for idx, n in layout],
-                        _worker_count(cfg.shards, _usable_cores(), len(layout)))
-    return [sum(column) for column in zip(*counts)]
+    calls = [(_outage_block, (cells, cfg.seed, idx, n)) for idx, n in _block_layout(cfg.trials)]
+    return [sum(column) for column in zip(*_run_calls(calls, cfg.shards))]
 
 
 def _estimate(hits: int, trials: int) -> McEstimate:

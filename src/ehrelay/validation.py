@@ -1,15 +1,16 @@
 """Self-contained acceptance checks tying the closed forms to simulation.
 
 Every criterion function is deterministic: fixed seeds, fixed grids, fixed
-trial budgets.  Timings go to stderr only, so the rendered report is
-byte-stable across runs and shard counts.  Criteria 5 and 6 run the
-simulator's kernel (model's docstring states the algebra); criterion 6
-checks its pool and r* against broadcast_factors.
+trial budgets.  Each result carries its criterion's seconds, timed in the
+process that ran it; no comparison, report or payload reads them, so the
+rendered report is byte-stable across runs and shard counts.  Criteria 5
+and 6 run the simulator's kernel (model's docstring states the algebra);
+criterion 6 checks its pool and r* against broadcast_factors.
 
 run_all runs all criteria but the last as calls on the Monte Carlo pool,
 which overlaps them and runs their estimates in process, moving none.  The
 last, determinism, compares pooled estimates with in-process ones, so the
-caller runs it.  Progress lines come as criteria end, each with its seconds.
+caller runs it.
 """
 
 from __future__ import annotations
@@ -17,17 +18,15 @@ from __future__ import annotations
 import csv
 import io
 import math
-import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .model import (KernelWorkspace, SystemParams, broadcast_factors,
                     critical_ratio, derive_constants, downlink_gain, harvest_pool,
                     link_constants, normalized_gains)
-from .montecarlo import (McConfig, _run_calls, _usable_cores, mc_outage, mc_outages,
-                         relative_error)
+from .montecarlo import McConfig, _run_calls, mc_outage, mc_outages, relative_error
 from .outage import (CaseFourGeometry, Scenario, _boundary_gain_a,
                      _boundary_gain_b, _knee_crossing, case4_geometry,
                      cdf_t2_array, cdf_t3_array, diversity_slope,
@@ -37,10 +36,14 @@ from .sweeps import SchemeSpec, SweepSpec, _figure_spec, fig, run_sweep, run_swe
 
 @dataclass(frozen=True)
 class CriterionResult:
+    """A criterion's verdict; seconds, its own time where run_all ran it,
+    takes no part in comparisons."""
+
     index: int
     name: str
     passed: bool
     detail: str
+    seconds: float | None = field(default=None, compare=False)
 
 
 def _fmt(value: float) -> str:
@@ -507,30 +510,24 @@ CRITERIA = (
 )
 
 
-def _run_criterion(index: int, progress: bool) -> CriterionResult:
+def _run_criterion(index: int) -> CriterionResult:
+    """Criterion index's result, with its seconds timed in this process."""
     start = time.perf_counter()
     result = CRITERIA[index - 1]()
-    if progress:
-        status = "PASS" if result.passed else "FAIL"
-        # One flushed write per line: no two processes' lines interleave.
-        sys.stderr.write(f"[{result.index:2d}] {status} {result.name} "
-                         f"({time.perf_counter() - start:.1f}s)\n")
-        sys.stderr.flush()
-    return result
+    return replace(result, seconds=time.perf_counter() - start)
 
 
-def run_all(progress: bool = False) -> list:
-    """The result of each criterion in CRITERIA, in index order.
+def run_all() -> list:
+    """The result of each criterion in CRITERIA, in index order, each with
+    its seconds; nothing is written.
 
     All but the last run in index order as calls on the Monte Carlo pool,
     on up to one process per usable core, which runs the CRITERIA it forked
-    with; the last then runs here.  With progress, each criterion writes a
-    line to stderr as it ends.  A criterion's exception is raised here and
-    drops the pool, so the criteria still queued never run.
+    with; the last then runs here.  A criterion's exception is raised here
+    and drops the pool, so the criteria still queued never run.
     """
-    calls = [(_run_criterion, (index, progress)) for index in range(1, len(CRITERIA))]
-    return [*_run_calls(calls, min(_usable_cores(), len(calls))),
-            _run_criterion(len(CRITERIA), progress)]
+    calls = [(_run_criterion, (index,)) for index in range(1, len(CRITERIA))]
+    return [*_run_calls(calls, len(calls)), _run_criterion(len(CRITERIA))]
 
 
 def report_csv(results) -> str:

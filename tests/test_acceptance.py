@@ -263,15 +263,17 @@ def fake_criteria(monkeypatch):
 
 @needs_two_cores
 def test_run_all_runs_criteria_1_to_11_on_the_pool(fake_criteria, capfd):
-    fake_criteria(lambda index: None)
-    results = validation.run_all(progress=True)
+    # Fake 3 sleeps 0.2 s in the pool process that runs it.
+    fake_criteria(lambda index: time.sleep(0.2) if index == 3 else None)
+    results = validation.run_all()
     assert [r.index for r in results] == list(range(1, 13))
     pids = [int(r.detail) for r in results]
     assert os.getpid() not in pids[:11] and len(set(pids[:11])) >= 2
     assert pids[11] == os.getpid()
-    # capsys would not see the lines the pool processes write.
-    lines = capfd.readouterr().err.splitlines()
-    assert sorted(lines) == sorted(f"[{i:2d}] PASS fake-{i} (0.0s)" for i in range(1, 13))
+    assert all(isinstance(r.seconds, float) and r.seconds >= 0.0 for r in results)
+    assert results[2].seconds >= 0.2
+    # capsys would not see what the pool processes write.
+    assert capfd.readouterr().err == ""
 
 
 def test_run_all_raises_the_error_of_a_pool_criterion(fake_criteria, capfd):

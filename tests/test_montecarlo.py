@@ -36,8 +36,7 @@ from ehrelay import montecarlo, sweeps
 from ehrelay.model import (KernelWorkspace, SchemeSpec, count_below, critical_ratio,
                            downlink_gain, harvest_pool, link_constants, normalized_gains)
 from ehrelay.montecarlo import (BLOCK_TRIALS, CHUNK_TRIALS, _block_layout, _block_rng, _chunks, _outage_block,
-                                _plan, _splitmix64, _usable_cores,
-                                _worker_count, mc_outages)
+                                _plan, _splitmix64, _usable_cores, mc_outages)
 from ehrelay.numerics import sample_exponential
 from ehrelay.outage import Scenario, case4_geometry
 from ehrelay.validation import _DIVERSITY_GEOMETRY
@@ -865,21 +864,45 @@ class TestRunCalls:
         assert not montecarlo._POOL
 
 
+@pytest.fixture
+def pool_requests(monkeypatch):
+    """The worker count of each montecarlo._pool call, which goes through.
+    The pool is dropped after the test: one made under patched usable
+    cores may hold more processes than later tests expect."""
+    asked, pool = [], montecarlo._pool
+
+    def spy(workers):
+        asked.append(workers)
+        return pool(workers)
+
+    monkeypatch.setattr(montecarlo, "_pool", spy)
+    yield asked
+    montecarlo._drop_pool()
+
+
 class TestWorkerPool:
-    @pytest.mark.parametrize("shards,cores,blocks,workers", [
-        (1, 8, 40, 1),      # one shard runs in-process
-        (8, 8, 1, 1),       # so does one block
+    @pytest.mark.parametrize("most,cores,calls,workers", [
+        (1, 8, 40, 1),      # a cap of one runs in-process
+        (8, 8, 1, 1),       # so does one call
         (4, 2, 40, 2),      # no more workers than cores
-        (8, 16, 3, 3),      # nor than blocks
+        (8, 16, 3, 3),      # nor than calls
         (2, 2, 2, 2),
     ])
-    def test_worker_count_rule(self, shards, cores, blocks, workers):
-        assert _worker_count(shards, cores, blocks) == workers
+    def test_worker_count_rule(self, most, cores, calls, workers, monkeypatch,
+                               pool_requests):
+        monkeypatch.setattr(montecarlo, "_usable_cores", lambda: cores)
+        pids = montecarlo._run_calls([(os.getpid, ())] * calls, most)
+        assert len(pids) == calls
+        if workers == 1:
+            assert pool_requests == [] and set(pids) == {os.getpid()}
+        else:
+            assert pool_requests == [workers] and os.getpid() not in pids
 
-    def test_worker_count_never_passes_the_usable_cores(self):
+    def test_worker_count_never_passes_the_usable_cores(self, pool_requests):
         cores = _usable_cores()
         assert 1 <= cores <= os.cpu_count()
-        assert _worker_count(10**6, cores, 10**6) == cores
+        montecarlo._run_calls([(os.getpid, ())] * (cores + 1), 10**6)
+        assert pool_requests == ([cores] if cores > 1 else [])
 
     def test_one_worker_estimates_start_no_process(self):
         script = (

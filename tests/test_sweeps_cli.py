@@ -24,6 +24,7 @@ from ehrelay import (
     mc_outage,
     outage_dynamic_ps,
     outage_improved,
+    report_csv,
     run_sweep,
 )
 from ehrelay.cli import main
@@ -718,14 +719,44 @@ class TestCli:
 
     def test_validate_exit_codes(self, monkeypatch, capsys):
         passing = [CriterionResult(index=i, name=f"check_{i}", passed=True,
-                                   detail="ok") for i in range(1, 13)]
-        monkeypatch.setattr(ehrelay.cli, "run_all", lambda progress: passing)
+                                   detail="ok", seconds=0.0) for i in range(1, 13)]
+        monkeypatch.setattr(ehrelay.cli, "run_all", lambda: passing)
         assert main(["validate"]) == 0
         capsys.readouterr()
 
         failing = passing[:-1] + [CriterionResult(index=12, name="check_12",
-                                                  passed=False, detail="off")]
-        monkeypatch.setattr(ehrelay.cli, "run_all", lambda progress: failing)
+                                                  passed=False, detail="off", seconds=0.0)]
+        monkeypatch.setattr(ehrelay.cli, "run_all", lambda: failing)
         assert main(["validate", "--json"]) == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload[-1]["status"] == "FAIL"
+
+    def test_validate_writes_one_line_per_criterion_in_index_order(self, monkeypatch,
+                                                                     capsys):
+        results = [CriterionResult(index=i, name=f"check_{i}", passed=i != 5,
+                                   detail="ok", seconds=0.3 * i) for i in range(1, 13)]
+        monkeypatch.setattr(ehrelay.cli, "run_all", lambda: results)
+        assert main(["validate"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == report_csv(results)
+        assert captured.err.splitlines() == [
+            f"[{i:2d}] {'FAIL' if i == 5 else 'PASS'} check_{i} ({0.3 * i:.1f}s)"
+            for i in range(1, 13)]
+        assert captured.err.splitlines()[:2] == ["[ 1] PASS check_1 (0.3s)",
+                                                 "[ 2] PASS check_2 (0.6s)"]
+
+    def test_results_that_differ_only_in_seconds_report_alike(self, monkeypatch, capsys):
+        def results(scale):
+            return [CriterionResult(index=i, name=f"check_{i}", passed=i != 4,
+                                    detail=f"value={i}", seconds=scale * i)
+                    for i in range(1, 13)]
+
+        fast, slow = results(0.5), results(7.0)
+        assert fast == slow and fast[3].seconds != slow[3].seconds
+        assert report_csv(fast) == report_csv(slow)
+        payloads = []
+        for run in (fast, slow):
+            monkeypatch.setattr(ehrelay.cli, "run_all", lambda run=run: run)
+            assert main(["validate", "--json"]) == 1
+            payloads.append(capsys.readouterr().out)
+        assert payloads[0] == payloads[1]
