@@ -216,8 +216,8 @@ def link_constants(params: SystemParams) -> LinkConstants:
 
     SystemParams has ruled out an SNR threshold that rounds to 0 or
     overflows.  Raises ValueError, naming the inputs involved, where a path
-    factor, the product of the two or varpi**2 overflows or vanishes, which
-    would otherwise surface as an OverflowError or ZeroDivisionError.
+    factor, Y or varpi**2 overflows or vanishes (Y and varpi**2 do at extreme
+    SNR), which would otherwise surface as an OverflowError or division by 0.
     """
     alpha = params.path_loss_exp
     g_relay = dbi_to_linear(params.gain_relay_dbi)
@@ -246,15 +246,17 @@ def link_constants(params: SystemParams) -> LinkConstants:
     beta = params.time_split
     harvest_gain = params.eh_efficiency * beta * p_w / ((1.0 - 2.0 * beta) * n_w)
     y_big = harvest_gain / (z_a * z_b) if z_a * z_b > 0.0 else 0.0
-    if not y_big > 0.0:
+    if not 0.0 < y_big < math.inf:
         raise _out_of_range(params, "Y = harvest_gain / (Z_A * Z_B)",
                             ("tx_power_dbm", "noise_dbm", "dist_a", "dist_b",
                              "gain_a_dbi", "gain_b_dbi", "gain_relay_dbi"))
     try:
         varpi_sq = varpi ** 2
     except OverflowError:
+        varpi_sq = math.inf
+    if not 0.0 < varpi_sq < math.inf:
         raise _out_of_range(params, "varpi**2",
-                            ("tx_power_dbm", "noise_dbm", "rate_bps_hz")) from None
+                            ("tx_power_dbm", "noise_dbm", "rate_bps_hz"))
 
     return LinkConstants(
         z_a=z_a, z_b=z_b, varpi=varpi, knee_a=varpi * z_a, knee_b=varpi * z_b,

@@ -137,8 +137,8 @@ def _chunks(means: tuple, seed: int, block_index: int, count: int):
         if m != size:
             size = m
             g_a, g_b, ws = np.empty(m), np.empty(m), KernelWorkspace(m)
-        yield (sample_exponential(rng_a, means[0], m, out=g_a),
-               sample_exponential(rng_b, means[1], m, out=g_b), ws)
+        yield (sample_exponential(rng_a, means[0], out=g_a),
+               sample_exponential(rng_b, means[1], out=g_b), ws)
 
 
 # r* and the direct test a*pool < eps round apart by a few ulps; they agree on

