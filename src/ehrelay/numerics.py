@@ -2,17 +2,18 @@
 
 The closed-form outage expressions reduce every remaining integral to a
 fixed-order Gauss-Chebyshev (first kind) sum, so the rule used by the
-analysis and the one validated in tests are the same object.
+analysis and the one validated in tests are the same object.  Scalar K1
+comes from scipy.special.cython_special, which runs the cephes routine of
+the scipy.special.k1 ufunc without its dispatch.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.special
+from scipy.special import cython_special
 
 
 @dataclass(frozen=True)
@@ -71,15 +72,19 @@ def _brentq(f: Callable[[float], float], target: float, lo: float, hi: float,
             f_lo: float, f_hi: float, xtol: float, rtol: float, maxiter: int) -> float:
     """Root of f(x) - target between lo and hi by Brent's method (Brent, 1973).
 
-    A line-by-line port of the C loop behind scipy.optimize.brentq: with
-    f_lo = f(lo) and f_hi = f(hi) it returns scipy's root of f - target, bit
-    for bit, without evaluating f at either end again.  A zero divisor in
-    the step formula bisects, as the IEEE inf or NaN it yields in C fails
-    the step test there.  ValueError for a NaN value of f or ends of one
-    sign; RuntimeError when maxiter iterations do not converge.
+    A port of the C loop behind scipy.optimize.brentq: with f_lo = f(lo) and
+    f_hi = f(hi) it returns scipy's root of f - target, bit for bit, without
+    evaluating f at either end again.  It does the C loop's IEEE operations
+    in the same order, forming each |.| once.  A zero divisor in the step
+    formula bisects, as the IEEE inf or NaN it yields in C fails the step
+    test there.  Under scipy's tolerance rules, xtol > 0 and rtol >= 4*eps,
+    every step moves x, so the x differences the formula divides by are
+    never 0 and only its last divisor, den, is tested.  ValueError for a
+    NaN value of f or ends of one sign; RuntimeError when maxiter
+    iterations do not converge.
     """
     xpre, xcur, fpre, fcur = lo, hi, f_lo - target, f_hi - target
-    if math.isnan(fpre) or math.isnan(fcur):
+    if fpre != fpre or fcur != fcur:
         raise ValueError("f is NaN at a bracket end; solver cannot continue")
     if fpre == 0.0:
         return xpre
@@ -88,47 +93,59 @@ def _brentq(f: Callable[[float], float], target: float, lo: float, hi: float,
     if (fpre < 0.0) == (fcur < 0.0):
         raise ValueError("f(lo) and f(hi) must have different signs")
     xblk = fblk = spre = scur = 0.0
+    # |fpre|, |fblk|, |spre| and |scur| travel with their values.
+    a_pre = abs(fpre)
+    a_blk = a_spre = a_scur = 0.0
     for _ in range(maxiter):
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
+        a_cur = abs(fcur)
+        # C also requires fpre != 0 and fcur != 0 here.  fpre never is 0, and
+        # where fcur is, the loop returns xcur below whatever this sets.
+        if (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk, a_blk = xpre, fpre, a_pre
             spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
+            a_spre = a_scur = abs(spre)
+        if a_blk < a_cur:
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
+            a_pre, a_cur, a_blk = a_cur, a_blk, a_cur
 
         delta = (xtol + rtol * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
+        a_sbis = abs(sbis)
+        if fcur == 0.0 or a_sbis < delta:
             return xcur
 
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            try:
-                if xpre == xblk:
-                    # interpolate
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
-                else:
-                    # extrapolate
-                    dpre = (fpre - fcur) / (xpre - xcur)
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = -fcur * (fblk * dblk - fpre * dpre) \
-                        / (dblk * dpre * (fblk - fpre))
-            except ZeroDivisionError:
-                stry = math.nan
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+        if a_spre > delta and a_cur < a_pre:
+            if xpre == xblk:
+                # interpolate
+                num = -fcur * (xcur - xpre)
+                den = fcur - fpre
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                num = -fcur * (fblk * dblk - fpre * dpre)
+                den = dblk * dpre * (fblk - fpre)
+            lim = 3 * a_sbis - delta    # C's MIN(|spre|, lim) below
+            if den and 2 * (a_try := abs(stry := num / den)) \
+                    < (a_spre if a_spre < lim else lim):
                 # good short step
                 spre, scur = scur, stry
+                a_spre, a_scur = a_scur, a_try
             else:
                 spre = scur = sbis
+                a_spre = a_scur = a_sbis
         else:
             spre = scur = sbis
+            a_spre = a_scur = a_sbis
 
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
+        xpre, fpre, a_pre = xcur, fcur, a_cur
+        if a_scur > delta:
             xcur += scur
         else:
             xcur += delta if sbis > 0 else -delta
         fcur = f(xcur) - target
-        if math.isnan(fcur):
+        if fcur != fcur:
             raise ValueError(f"f is NaN at x={xcur!r}; solver cannot continue")
     raise RuntimeError(f"failed to converge after {maxiter} iterations, "
                        f"value is {xcur!r}")
@@ -136,8 +153,12 @@ def _brentq(f: Callable[[float], float], target: float, lo: float, hi: float,
 
 def bessel_k1(x: float) -> float:
     """Modified Bessel function of the second kind, order one, of a float
-    x > 0, as a float; 0.0 beyond x of roughly 700, where it underflows."""
-    return float(scipy.special.k1(x))
+    x > 0, as a float; 0.0 beyond x of roughly 700, where it underflows.
+
+    cython_special.k1 returns the float of float(scipy.special.k1(x)), bit
+    for bit, at about half the cost of the ufunc's scalar call.
+    """
+    return cython_special.k1(x)
 
 
 def sample_exponential(rng: np.random.Generator, mean: float,

@@ -28,6 +28,7 @@ from functools import partial
 
 import numpy as np
 import scipy.special
+from scipy.special import cython_special
 
 from . import numerics
 from .model import (DerivedConstants, LinkConstants, SystemParams, check_theta,
@@ -248,6 +249,10 @@ def case4_geometry(consts: DerivedConstants) -> CaseFourGeometry:
               + math.sqrt(consts.c_b ** 2 * consts.e_a ** 2
                           + 4.0 * consts.d_ratio_a * consts.c_b ** 2 * c_sum)) \
         / (2.0 * c_sum)
+    if x_plus == 0.0:
+        # c_b*e_a and c_b**2 underflow at extreme SNR, before varpi**2 does.
+        raise ValueError("tx_power_dbm against noise_dbm leaves the floating-"
+                         "point range: the case-four crossing x_plus underflows to 0")
     y_plus = _boundary_gain_b(consts, x_plus)
 
     points = (x1, y1, q1, q2, x_delta, y_delta, x_plus, y_plus)
@@ -383,7 +388,7 @@ def cdf_t3(consts: LinkConstants, t: float) -> float:
     if math.isinf(t):
         return 1.0
     try:
-        value = _cdf_t3(consts, math.sqrt, numerics.bessel_k1, float)(t)
+        value = _cdf_t3(consts, math.sqrt, numerics.bessel_k1)(t)
     except ZeroDivisionError:    # lam_a*lam_b*t underflowed to 0: z is inf
         return 0.0
     return 0.0 if value != value else value    # nan: z*K1(z) at z = inf
@@ -392,10 +397,11 @@ def cdf_t3(consts: LinkConstants, t: float) -> float:
 def cdf_t3_array(consts: LinkConstants, t: np.ndarray) -> np.ndarray:
     """cdf_t3 over an array of t, bit-identical to the scalar twin.
 
-    K1 comes straight from scipy.special.k1, as numerics.bessel_k1 is scalar;
-    an underflowed K1 is the correct value 0 of the deep left tail in both
-    twins.  t = inf is masked out because z * K1(z) at z = 0 is 0 * inf.  A t
-    so small that z overflows gives 0.0, the limit, where z*K1(z) is inf*0.
+    K1 comes from the scipy.special.k1 ufunc, and the scalar twin's from
+    cython_special.k1, the same cephes routine; an underflowed K1 is the
+    correct value 0 of the deep left tail in both twins.  t = inf is masked
+    out because z * K1(z) at z = 0 is 0 * inf.  A t so small that z
+    overflows gives 0.0, the limit, where z*K1(z) is inf*0.
     """
     t = np.asarray(t, dtype=float)
     if not np.all(t > 0.0):
@@ -403,20 +409,21 @@ def cdf_t3_array(consts: LinkConstants, t: np.ndarray) -> np.ndarray:
     out = np.ones_like(t)
     finite = ~np.isinf(t)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        out[finite] = _cdf_t3(consts, np.sqrt, scipy.special.k1, np.asarray)(t[finite])
+        out[finite] = _cdf_t3(consts, np.sqrt, scipy.special.k1)(t[finite])
     out[np.isnan(out)] = 0.0
     return out
 
 
-def _cdf_t3(consts: LinkConstants, sqrt, k1, real):
+def _cdf_t3(consts: LinkConstants, sqrt, k1):
     """The one t3 CDF formula z*K1(z), z = sqrt(4/(lam_a*lam_b*t)), of a finite
-    t > 0 or an array of them; sqrt, k1 and real (float or np.asarray) suit t.
-    nan where z overflows; ZeroDivisionError where a float lam_a*lam_b*t is 0."""
+    t > 0 or an array of them; sqrt and k1 take and give what t is, a float
+    or an array.  nan where z overflows; ZeroDivisionError where a float
+    lam_a*lam_b*t is 0."""
     lam_ab = (consts.z_a / consts.a_rate_a) * (consts.z_b / consts.a_rate_b)
 
     def cdf(t):
         z = sqrt(4.0 / (lam_ab * t))
-        return z * real(k1(z))
+        return z * k1(z)
     return cdf
 
 
@@ -451,17 +458,20 @@ def _quantile_t3(cdf, v: float, t_hi: float, cdf_hi: float, ladder: list) -> flo
 
     cdf is the t3 formula from _cdf_t3, cdf_hi its value at t_hi.  The
     bracket is the first rung of the halving ladder t_hi * 2**-k, k >= 1,
-    whose CDF is at most v.  ladder holds the (t, cdf) rungs walked so far
-    and grows here as needed, so calls that share it, all with the same
-    t_hi, evaluate each rung once.  Halving is exact, so a shared ladder
-    gives every v the bracket, and the Brent solver the iterates, of a fresh
-    one; the solver takes both bracket ends' CDFs from the ladder, and each
-    of its steps is one call of cdf.  A rung lies within a halving of a t
+    whose CDF is at most v.  ladder holds the (t, cdf) rungs walked so far,
+    the last of them the previous call's bracket end, and grows here as
+    needed.  Calls that share it, all with the same t_hi, come in
+    non-increasing v, as integrate_gc's nodes do: every rung above the last
+    then has a CDF above v, so the walk resumes at the last rung, and each
+    rung is evaluated once.  Halving is exact, so a shared ladder gives
+    every v the bracket, and the Brent solver the iterates, of a fresh one;
+    the solver takes both bracket ends' CDFs from the ladder, and each of
+    its steps is one call of cdf.  A rung lies within a halving of a t
     whose CDF exceeds v > 0, so z < 746 * 2**0.5 there: far from the z
     overflow and product underflow that cdf_t3 maps to 0.0.
     """
-    hi = t_hi
-    k = 0
+    k = max(len(ladder) - 1, 0)
+    hi, cdf_hi = ladder[k - 1] if k else (t_hi, cdf_hi)
     while True:
         if k == len(ladder):
             ladder.append((0.5 * hi, cdf(0.5 * hi)))
@@ -470,8 +480,7 @@ def _quantile_t3(cdf, v: float, t_hi: float, cdf_hi: float, ladder: list) -> flo
             break
         hi, cdf_hi = lo, cdf_lo
         k += 1
-    return _brentq(cdf, v, lo, hi, cdf_lo, cdf_hi,
-                   xtol=1e-30, rtol=1e-15, maxiter=200)
+    return _brentq(cdf, v, lo, hi, cdf_lo, cdf_hi, 1e-30, 1e-15, 200)
 
 
 def outage_improved(params: SystemParams) -> float:
@@ -487,7 +496,9 @@ def outage_improved(params: SystemParams) -> float:
     mass, which keeps the exactly known tail term out of the quadrature sum
     and lets the default order resolve every regime the sweeps visit.
     Each node inverts the CDF, a formula built once per call, on one
-    halving ladder shared by the nodes (_quantile_t3).
+    halving ladder shared by the nodes: integrate_gc visits them in
+    descending v, so each node resumes the walk at the previous node's
+    bracket (_quantile_t3).
 
     The scheme picks theta per realization, so only the theta-free link
     constants enter.
@@ -500,7 +511,7 @@ def outage_improved(params: SystemParams) -> float:
         return 0.0
     v_max = cdf_t3(consts, t_max)
     rule = _rule(params)
-    cdf = _cdf_t3(consts, math.sqrt, scipy.special.k1, float)
+    cdf = _cdf_t3(consts, math.sqrt, cython_special.k1)
     ladder: list = []
 
     def miss_at_quantile(v: float) -> float:

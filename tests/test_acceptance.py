@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 import scipy.special
 from hypothesis import given, strategies as st
+from scipy.special import cython_special
 
 from ehrelay import montecarlo, outage, validation
 from ehrelay.model import SystemParams, derive_constants, link_constants
@@ -206,15 +207,16 @@ def test_criterion_12_determinism():
 def test_gate_detects_an_injected_defect(monkeypatch):
     """Corrupting a low-level kernel must flip the CDF criterion to FAIL.
 
-    scipy.special.k1 is the one K1 both the scalar closed-form CDF and the
-    gate's array CDF evaluate, so the defect reaches both paths.
+    The gate's array CDF evaluates K1 by the scipy.special.k1 ufunc, and the
+    scalar closed-form CDF and the solver by cython_special.k1, the same
+    cephes routine; the defect goes into both, so it reaches every path.
     """
     consts = derive_constants(SystemParams(), 0.5)
     clean, clean_outage = cdf_t3(consts, 1.0), outage_improved(SystemParams())
-    true_k1 = scipy.special.k1
-    monkeypatch.setattr(scipy.special, "k1", lambda x: 1.05 * true_k1(x))
+    for module in (scipy.special, cython_special):
+        monkeypatch.setattr(module, "k1", lambda x, k1=module.k1: 1.05 * k1(x))
     assert cdf_t3(consts, 1.0) == pytest.approx(1.05 * clean, rel=1e-12)
-    # outage_improved's solver reads scipy.special.k1 per call, not at import.
+    # outage_improved's solver reads cython_special.k1 per call, not at import.
     assert outage_improved(SystemParams()) != clean_outage
     result = criterion_variable_change_cdfs()
     assert not result.passed

@@ -174,20 +174,25 @@ def _outcome(solve):
 
 def _brent_outcomes(f, lo, hi, xtol, rtol, maxiter, target=0.0):
     """(port, scipy) outcomes for the root of f(x) - target, and the zero
-    divisors the port met."""
-    zero_divisions = 0
+    divisors the port met.
 
-    def trace(frame, event, arg):
-        nonlocal zero_divisions
-        if event == "exception" and arg[0] is ZeroDivisionError:
-            zero_divisions += 1
-        return trace
+    The port calls f once per step, and a step that tried to interpolate
+    bound a fresh lim.  So each call of f from the port shows whether its
+    step tried, and whether a zero divisor left den at 0 there.  The last
+    lim seen is held, so that a later one cannot reuse its id.
+    """
+    zero_divisions = 0
+    tried = None
 
     def enter(frame, event, arg):
-        if frame.f_code is not _brentq.__code__:
-            return None
-        frame.f_trace_lines = False
-        return trace
+        nonlocal zero_divisions, tried
+        caller = frame.f_back
+        if caller is not None and caller.f_code is _brentq.__code__:
+            step = caller.f_locals
+            if step.get("lim") is not tried:
+                tried = step["lim"]
+                zero_divisions += not step["den"]
+        return None
 
     f_lo, f_hi = f(lo), f(hi)
     previous = sys.gettrace()

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import scipy.special
 from hypothesis import assume, event, given, settings, strategies as st
 from scipy import integrate
 from scipy.optimize import brentq
+from scipy.special import cython_special
 
 from ehrelay import (
     McConfig,
@@ -355,25 +357,37 @@ LADDER_POINTS = {dbm: link_constants(_with(tx_power_dbm=dbm)) for dbm in (0.0, 3
 
 def _solver_cdf(consts):
     """The t3 CDF formula as outage_improved builds it for its solver."""
-    return outage._cdf_t3(consts, math.sqrt, scipy.special.k1, float)
+    return outage._cdf_t3(consts, math.sqrt, cython_special.k1)
 
 
 @settings(max_examples=40, deadline=None)
 @given(dbm=st.sampled_from(sorted(LADDER_POINTS)),
-       fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12),
-       order=st.sampled_from(["ascending", "descending", "as drawn"]))
-def test_shared_ladder_gives_the_fresh_ladder_quantile(dbm, fractions, order):
+       fractions=st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                          min_size=1, max_size=12))
+def test_resumed_ladder_gives_the_fresh_walk(dbm, fractions):
+    """Solves that share a ladder, in descending v as integrate_gc's nodes
+    come, each get the bracket and the root of a walk from t_max."""
     consts = LADDER_POINTS[dbm]
     cdf = _solver_cdf(consts)
     t_max = improved_integration_bound(consts)
     v_max = cdf_t3(consts, t_max)
-    if order != "as drawn":
-        fractions = sorted(fractions, reverse=order == "descending")
+    levels = sorted((u * v_max for u in fractions), reverse=True)
+    assume(all(0.0 < v < v_max for v in levels))
+    real_brentq = outage._brentq
+    brackets = []
+
+    def solver_spy(f, target, lo, hi, *args):
+        brackets.append((lo.hex(), hi.hex()))
+        return real_brentq(f, target, lo, hi, *args)
+
     ladder = []
-    for u in fractions:
-        v = u * v_max
-        shared = _quantile_t3(cdf, v, t_max, v_max, ladder)
-        assert shared.hex() == _quantile_t3(cdf, v, t_max, v_max, []).hex()
+    with mock.patch.object(outage, "_brentq", solver_spy):
+        for v in levels:
+            resumed = _quantile_t3(cdf, v, t_max, v_max, ladder).hex()
+            fresh = []
+            assert _quantile_t3(cdf, v, t_max, v_max, fresh).hex() == resumed
+            assert brackets.pop() == brackets.pop()
+            assert ladder == fresh
     assert [t for t, _ in ladder] == [t_max * 2.0 ** -k
                                       for k in range(1, len(ladder) + 1)]
 
@@ -561,6 +575,28 @@ def test_cdf_t3_array_is_bit_identical_to_scalar(setting):
     assert got[-1] == 1.0
 
 
+def test_scalar_k1_is_the_ufunc_bit_for_bit(monkeypatch):
+    """bessel_k1, which cdf_t3 calls, and the K1 that outage_improved's solver
+    calls both give float(scipy.special.k1(z)), bit for bit: over both cephes
+    branches (z <= 2 and z > 2), at tiny z, and where K1 underflows to 0.0
+    past z of about 700.  test_cdf_t3_array_is_bit_identical_to_scalar holds
+    the two CDF twins to the same bits."""
+    formulas = []
+    real_formula = outage._cdf_t3
+    monkeypatch.setattr(outage, "_cdf_t3", lambda consts, sqrt, k1: (
+        formulas.append(k1) or real_formula(consts, sqrt, k1)))
+    outage_improved(DEFAULTS)
+    solver_k1 = formulas[-1]
+    tiny = [5e-324, 1e-320, 1e-310, 1e-300, 1e-100, 1e-10]
+    underflow = [700.0, 705.0, 710.0, 740.0, 746.0, 800.0, 1e10, math.inf]
+    zs = tiny + np.geomspace(1e-3, 800.0, 20_001).tolist() + underflow
+    assert min(zs) <= 2.0 < max(zs)
+    for z in zs:
+        want = float(scipy.special.k1(z)).hex()
+        assert bessel_k1(z).hex() == want and solver_k1(z).hex() == want, z
+    assert bessel_k1(746.0) == solver_k1(746.0) == 0.0
+
+
 def test_cdf_t3_is_zero_where_k1_underflows():
     """At the defaults lam_a*lam_b = 1, so t = 1e-6 gives z = 2000: K1
     underflows to 0 while z stays finite."""
@@ -657,13 +693,19 @@ def test_window_mass_derivative_matches_finite_differences():
     assert resolved >= 5
 
 
-@pytest.mark.parametrize("geometry", [{}, _DIVERSITY_GEOMETRY],
-                         ids=["default", "diversity"])
+# High-gain antennas 1 cm from the relay: the case-four crossing x_plus
+# underflows to 0 at transmit powers where varpi**2 is still a normal float.
+_CENTIMETRE_GEOMETRY = dict(gain_a_dbi=60.0, gain_b_dbi=60.0, gain_relay_dbi=60.0,
+                            dist_a=0.01, dist_b=0.01)
+
+
+@pytest.mark.parametrize("geometry", [{}, _DIVERSITY_GEOMETRY, _CENTIMETRE_GEOMETRY],
+                         ids=["default", "diversity", "60dBi-1cm"])
 def test_extreme_snr_gives_a_probability_or_a_value_error(geometry):
     """Over transmit powers far past any link budget and noise floors from
-    -3000 to 500 dBm, where Y overflows and varpi**2 underflows, each closed
-    form returns a probability or raises the ValueError that names the
-    transmit power."""
+    -3000 to 500 dBm, where Y overflows and varpi**2 or x_plus underflows,
+    each closed form returns a probability or raises the ValueError that
+    names the transmit power."""
     for noise_dbm in (-3000.0, -700.0, -90.0, 0.0, 500.0):
         for tx_power_dbm in np.linspace(-300.0, 3000.0, 120).tolist():
             params = _with(tx_power_dbm=tx_power_dbm, noise_dbm=noise_dbm, **geometry)
