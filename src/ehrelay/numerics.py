@@ -2,9 +2,9 @@
 
 The closed-form outage expressions reduce every remaining integral to a
 fixed-order Gauss-Chebyshev (first kind) sum, so the rule used by the
-analysis and the one validated in tests are the same object.  Scalar K1
-comes from scipy.special.cython_special, which runs the cephes routine of
-the scipy.special.k1 ufunc without its dispatch.
+analysis and the one validated in tests are the same object.  The one
+scalar K1, bessel_k1, is scipy.special.cython_special.k1, which runs the
+cephes routine of the scipy.special.k1 ufunc without its dispatch.
 """
 
 from __future__ import annotations
@@ -151,14 +151,9 @@ def _brentq(f: Callable[[float], float], target: float, lo: float, hi: float,
                        f"value is {xcur!r}")
 
 
-def bessel_k1(x: float) -> float:
-    """Modified Bessel function of the second kind, order one, of a float
-    x > 0, as a float; 0.0 beyond x of roughly 700, where it underflows.
-
-    cython_special.k1 returns the float of float(scipy.special.k1(x)), bit
-    for bit, at about half the cost of the ufunc's scalar call.
-    """
-    return cython_special.k1(x)
+# The one scalar K1: float(scipy.special.k1(x)) bit for bit, at about half
+# the ufunc's scalar cost; cdf_t3 and the solver read it from here when called.
+bessel_k1 = cython_special.k1
 
 
 def sample_exponential(rng: np.random.Generator, mean: float,

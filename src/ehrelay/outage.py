@@ -27,12 +27,10 @@ from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
-import scipy.special
-from scipy.special import cython_special
 
 from . import numerics
-from .model import (DerivedConstants, LinkConstants, SystemParams, check_theta,
-                    derive_constants, link_constants)
+from .model import (DerivedConstants, LinkConstants, SystemParams, _out_of_range,
+                    check_theta, derive_constants, link_constants)
 from .numerics import QuadratureRule, _brentq, integrate_gc
 
 
@@ -307,6 +305,10 @@ def p_case4(params: SystemParams, consts: DerivedConstants,
     return _clamp_unit(value)
 
 
+# The inputs that set the scale of a gain against the noise floor.
+_SCALE_FIELDS = ("tx_power_dbm", "noise_dbm", "fading_mean_a", "fading_mean_b")
+
+
 def _uplinks_hopeless(consts: LinkConstants) -> bool:
     """True where P(both uplinks decode), a bound on every scheme's success, is
     below half an ulp of 1: outage rounds to 1.0 and the closed forms overflow,
@@ -321,16 +323,22 @@ def outage_dynamic_ps(params: SystemParams, theta: float) -> float:
     can stray outside [0, 1] by the rule's truncation error; at order 2 the
     overshoot reaches the percent scale.  The result is clamped rather than
     rejected so convergence studies can evaluate deliberately coarse orders.
+    ValueError, naming the inputs involved, where a case strip overflows.
     """
     check_theta(theta)
     link = link_constants(params)
     if _uplinks_hopeless(link):
         return 1.0
     consts = derive_constants(params, theta, link)
-    success = (p_case1(params, consts)
-               + p_case2(params, consts)
-               + p_case3(params, consts)
-               + p_case4(params, consts, case4_geometry(consts)))
+    try:
+        success = (p_case1(params, consts)
+                   + p_case2(params, consts)
+                   + p_case3(params, consts)
+                   + p_case4(params, consts, case4_geometry(consts)))
+    except OverflowError as err:
+        # A strip's factor exp(-e/lam_x) can underflow where its integral
+        # overflows; a log-space strip product would remove the case.
+        raise _out_of_range(params, "a case strip", _SCALE_FIELDS) from err
     return _clamp_unit(1.0 - success)
 
 
@@ -348,25 +356,9 @@ def cdf_t2(consts: LinkConstants, t: float) -> float:
     return _cdf_t2(consts, t, math.exp, math.expm1)
 
 
-def cdf_t2_array(consts: LinkConstants, t: np.ndarray) -> np.ndarray:
-    """cdf_t2 over an array of t, the same branches elementwise.
-
-    The closed forms keep calling the scalar twin, which is faster for one
-    point.  np.exp and math.exp differ in the last bit on some inputs, so
-    the twins agree to a few ulps, not bitwise.
-    """
-    t = np.asarray(t, dtype=float)
-    if not np.all(t >= 0.0):
-        raise ValueError("cdf_t2 requires t >= 0")
-    out = np.ones_like(t)
-    finite = ~np.isinf(t)
-    out[finite] = _cdf_t2(consts, t[finite], np.exp, np.expm1)
-    return out
-
-
 def _cdf_t2(consts: LinkConstants, t, exp, expm1):
-    """cdf_t2 at a finite t >= 0, or an array of them, with the exp and
-    expm1 of math or of np."""
+    """The one t2 CDF formula at a finite t >= 0 with math's exp and expm1,
+    or at an array of them with np's (criterion 8's), a few ulps apart."""
     rate_a = consts.a_rate_a
     rate_b = consts.a_rate_b
     gap = rate_a - rate_b
@@ -394,37 +386,23 @@ def cdf_t3(consts: LinkConstants, t: float) -> float:
     return 0.0 if value != value else value    # nan: z*K1(z) at z = inf
 
 
-def cdf_t3_array(consts: LinkConstants, t: np.ndarray) -> np.ndarray:
-    """cdf_t3 over an array of t, bit-identical to the scalar twin.
-
-    K1 comes from the scipy.special.k1 ufunc, and the scalar twin's from
-    cython_special.k1, the same cephes routine; an underflowed K1 is the
-    correct value 0 of the deep left tail in both twins.  t = inf is masked
-    out because z * K1(z) at z = 0 is 0 * inf.  A t so small that z
-    overflows gives 0.0, the limit, where z*K1(z) is inf*0.
-    """
-    t = np.asarray(t, dtype=float)
-    if not np.all(t > 0.0):
-        raise ValueError("cdf_t3 requires t > 0")
-    out = np.ones_like(t)
-    finite = ~np.isinf(t)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        out[finite] = _cdf_t3(consts, np.sqrt, scipy.special.k1)(t[finite])
-    out[np.isnan(out)] = 0.0
-    return out
-
-
 def _cdf_t3(consts: LinkConstants, sqrt, k1):
     """The one t3 CDF formula z*K1(z), z = sqrt(4/(lam_a*lam_b*t)), of a finite
-    t > 0 or an array of them; sqrt and k1 take and give what t is, a float
-    or an array.  nan where z overflows; ZeroDivisionError where a float
-    lam_a*lam_b*t is 0."""
-    lam_ab = (consts.z_a / consts.a_rate_a) * (consts.z_b / consts.a_rate_b)
+    t > 0 with math.sqrt and numerics.bessel_k1, or of an array of them with
+    np.sqrt and the scipy.special.k1 ufunc (criterion 8's), bit for bit; nan
+    where z overflows; ZeroDivisionError where a float lam_a*lam_b*t is 0."""
+    lam_ab = _t3_scale(consts)
 
     def cdf(t):
         z = sqrt(4.0 / (lam_ab * t))
         return z * k1(z)
     return cdf
+
+
+def _t3_scale(consts: LinkConstants) -> float:
+    """lam_a*lam_b, the scale of t3 = 1/(g_A*g_B); ZeroDivisionError where a
+    rate Z/fading_mean has underflowed to 0."""
+    return (consts.z_a / consts.a_rate_a) * (consts.z_b / consts.a_rate_b)
 
 
 def improved_integration_bound(consts: LinkConstants) -> float:
@@ -501,17 +479,28 @@ def outage_improved(params: SystemParams) -> float:
     bracket (_quantile_t3).
 
     The scheme picks theta per realization, so only the theta-free link
-    constants enter.
+    constants enter.  ValueError, naming the inputs involved, where extreme
+    inputs push the window-collapse quadratic or lam_a*lam_b*t_max out of
+    the floating-point range.
     """
     consts = link_constants(params)
     if _uplinks_hopeless(consts):
         return 1.0
+    # Checked past the guard: b_o**2 and a_o also overflow far below the
+    # noise, where the outage is 1.0.
+    if not consts.b_o * consts.b_o + 4.0 * consts.a_o < math.inf:
+        raise _out_of_range(params, "b_o**2 + 4*a_o of the window-collapse bound",
+                            ("tx_power_dbm", "noise_dbm", "rate_bps_hz"))
     t_max = improved_integration_bound(consts)
     if not math.isfinite(t_max):
         return 0.0
+    if not (min(consts.a_rate_a, consts.a_rate_b) > 0.0
+            and _t3_scale(consts) * t_max < math.inf):
+        # Else z is 0 at t_max, where the t3 formula reads 0*inf.
+        raise _out_of_range(params, "lam_a*lam_b*t of the t3 CDF", _SCALE_FIELDS)
     v_max = cdf_t3(consts, t_max)
     rule = _rule(params)
-    cdf = _cdf_t3(consts, math.sqrt, cython_special.k1)
+    cdf = _cdf_t3(consts, math.sqrt, numerics.bessel_k1)
     ladder: list = []
 
     def miss_at_quantile(v: float) -> float:

@@ -22,15 +22,16 @@ import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+import scipy.special
 
-from .model import (KernelWorkspace, SystemParams, broadcast_factors,
+from . import outage
+from .model import (KernelWorkspace, LinkConstants, SystemParams, broadcast_factors,
                     critical_ratio, derive_constants, downlink_gain, harvest_pool,
                     link_constants, normalized_gains)
 from .montecarlo import McConfig, _run_calls, mc_outage, mc_outages, relative_error
 from .outage import (CaseFourGeometry, Scenario, _boundary_gain_a,
                      _boundary_gain_b, _knee_crossing, case4_geometry,
-                     cdf_t2_array, cdf_t3_array, diversity_slope,
-                     outage_dynamic_ps, outage_improved, p_case4)
+                     diversity_slope, outage_dynamic_ps, outage_improved, p_case4)
 from .sweeps import FIGURES, SchemeSpec, SweepSpec, _figure_spec, run_sweep, run_sweeps
 
 
@@ -285,6 +286,21 @@ def _sampled_ks(rng, params: SystemParams, n: int, combine, cdf) -> tuple:
     return _ks_statistic(samples, cdf)
 
 
+def _array_cdfs(consts: LinkConstants) -> tuple:
+    """Criterion 8's t2 and t3 CDFs over float arrays: cdf_t2's and cdf_t3's
+    own formulas, read from outage when called, on numpy and the
+    scipy.special.k1 ufunc.  t3 = inf, a sampled gain of 0, gives 1.0; the
+    criterion reaches no other edge of the formulas."""
+    t3_formula = outage._cdf_t3(consts, np.sqrt, scipy.special.k1)
+
+    def cdf_t3(t):
+        out = np.ones_like(t)
+        finite = t < np.inf
+        out[finite] = t3_formula(t[finite])
+        return out
+    return (lambda t: outage._cdf_t2(consts, t, np.exp, np.expm1)), cdf_t3
+
+
 def criterion_variable_change_cdfs() -> CriterionResult:
     """Both change-of-variable CDFs match sampling and behave like CDFs."""
     settings = (
@@ -301,16 +317,16 @@ def criterion_variable_change_cdfs() -> CriterionResult:
     limits_ok = True
     for _, params in settings:
         consts = link_constants(params)
-        for combine, cdf_array in (
+        cdf_t2, cdf_t3 = _array_cdfs(consts)
+        for combine, cdf in (
                 (lambda g_a, g_b: np.add(g_a / consts.z_a, g_b / consts.z_b, out=g_a),
-                 cdf_t2_array),
-                (lambda g_a, g_b: np.divide(1.0, g_a * g_b, out=g_a), cdf_t3_array)):
-            ks, along_samples = _sampled_ks(rng, params, n, combine,
-                                            lambda t: cdf_array(consts, t))
+                 cdf_t2),
+                (lambda g_a, g_b: np.divide(1.0, g_a * g_b, out=g_a), cdf_t3)):
+            ks, along_samples = _sampled_ks(rng, params, n, combine, cdf)
             worst_ks = max(worst_ks, ks)
             mono_ok &= along_samples
-        grid_2 = cdf_t2_array(consts, np.geomspace(1e-12, 10.0, 10_000))
-        grid_3 = cdf_t3_array(consts, np.geomspace(1e-8, 1e12, 10_000))
+        grid_2 = cdf_t2(np.geomspace(1e-12, 10.0, 10_000))
+        grid_3 = cdf_t3(np.geomspace(1e-8, 1e12, 10_000))
         for series in (grid_2, grid_3):
             mono_ok &= bool(np.all(series[1:] >= series[:-1] - 1e-12))
             limits_ok &= bool(series[0] <= 1e-6 and 1.0 - series[-1] <= 1e-6)

@@ -17,15 +17,15 @@ import numpy as np
 import pytest
 import scipy.special
 from hypothesis import given, strategies as st
-from scipy.special import cython_special
 
-from ehrelay import montecarlo, outage, validation
+from ehrelay import montecarlo, numerics, outage, validation
 from ehrelay.model import SystemParams, derive_constants, link_constants
-from ehrelay.outage import cdf_t2_array, cdf_t3, cdf_t3_array, outage_improved
+from ehrelay.outage import cdf_t3, outage_improved
 from ehrelay.validation import (
     _KS_BLOCK,
     _KS_CHUNK,
     CRITERIA,
+    _array_cdfs,
     _ks_statistic,
     _sampled_ks,
     criterion_capacity_shapes,
@@ -116,19 +116,18 @@ def test_streamed_criterion_08_equals_the_one_pass_statistics(n):
                        + rng.exponential(params.fading_mean_b, n) / consts.z_b)
     inv_prod = np.sort(1.0 / (rng.exponential(params.fading_mean_a, n)
                               * rng.exponential(params.fading_mean_b, n)))
-    want_t2 = _one_pass_ks(pair_sum, lambda t: cdf_t2_array(consts, t))
-    want_t3 = _one_pass_ks(inv_prod, lambda t: cdf_t3_array(consts, t))
+    gate_t2, gate_t3 = _array_cdfs(consts)
+    want_t2 = _one_pass_ks(pair_sum, gate_t2)
+    want_t3 = _one_pass_ks(inv_prod, gate_t3)
 
     streamed = np.random.default_rng(47)
     streamed_t2 = _sampled_ks(
         streamed, params, n,
-        lambda g_a, g_b: np.add(g_a / consts.z_a, g_b / consts.z_b, out=g_a),
-        lambda t: cdf_t2_array(consts, t))
+        lambda g_a, g_b: np.add(g_a / consts.z_a, g_b / consts.z_b, out=g_a), gate_t2)
     streamed_t3 = _sampled_ks(streamed, params, n,
-                              lambda g_a, g_b: np.divide(1.0, g_a * g_b, out=g_a),
-                              lambda t: cdf_t3_array(consts, t))
-    for got, want in ((_ks_statistic(pair_sum, lambda t: cdf_t2_array(consts, t)), want_t2),
-                      (_ks_statistic(inv_prod, lambda t: cdf_t3_array(consts, t)), want_t3),
+                              lambda g_a, g_b: np.divide(1.0, g_a * g_b, out=g_a), gate_t3)
+    for got, want in ((_ks_statistic(pair_sum, gate_t2), want_t2),
+                      (_ks_statistic(inv_prod, gate_t3), want_t3),
                       (streamed_t2, want_t2), (streamed_t3, want_t3)):
         assert got[0].hex() == want.hex()
         assert got[1] is True
@@ -142,8 +141,9 @@ def test_block_bounds_give_the_one_pass_statistic(ticks, rate_a, rate_b, equal):
     consts = dataclasses.replace(link_constants(SystemParams()), a_rate_a=rate_a,
                                  a_rate_b=rate_a if equal else rate_b)
     samples = np.sort(np.array(ticks, dtype=float)) / 10.0
-    ks, along_samples = _ks_statistic(samples, lambda t: cdf_t2_array(consts, t))
-    assert ks.hex() == _one_pass_ks(samples, lambda t: cdf_t2_array(consts, t)).hex()
+    gate_t2, _ = _array_cdfs(consts)
+    ks, along_samples = _ks_statistic(samples, gate_t2)
+    assert ks.hex() == _one_pass_ks(samples, gate_t2).hex()
     assert along_samples is True
 
 
@@ -171,17 +171,18 @@ def test_criterion_08_fails_a_cdf_that_falls_between_grid_points(monkeypatch):
     """A dip in cdf_t3 between two adjacent points of the 10,000-point grid,
     wider than a few KS blocks, keeps the KS distance under its bound but
     falls across block edges, so the monotone check fails criterion 8."""
-    true_cdf = validation.cdf_t3_array
+    true_cdfs = validation._array_cdfs
     consts = link_constants(SystemParams())
     grid = np.geomspace(1e-8, 1e12, 10_000)
-    j = int(np.argmax(np.diff(true_cdf(consts, grid))))
+    j = int(np.argmax(np.diff(true_cdfs(consts)[1](grid))))
     lo, hi = np.interp((0.25, 0.75), (0.0, 1.0), grid[j:j + 2])
 
-    def dipped(consts, t):
-        return true_cdf(consts, t) - 5e-4 * ((t > lo) & (t < hi))
+    def dipped_cdfs(consts):
+        gate_t2, gate_t3 = true_cdfs(consts)
+        return gate_t2, lambda t: gate_t3(t) - 5e-4 * ((t > lo) & (t < hi))
 
-    assert np.all(np.diff(dipped(consts, grid)) >= -1e-12)
-    monkeypatch.setattr(validation, "cdf_t3_array", dipped)
+    assert np.all(np.diff(dipped_cdfs(consts)[1](grid)) >= -1e-12)
+    monkeypatch.setattr(validation, "_array_cdfs", dipped_cdfs)
     result = criterion_variable_change_cdfs()
     assert not result.passed
     assert "monotone=False; limits=True" in result.detail
@@ -207,30 +208,31 @@ def test_criterion_12_determinism():
 def test_gate_detects_an_injected_defect(monkeypatch):
     """Corrupting a low-level kernel must flip the CDF criterion to FAIL.
 
-    The gate's array CDF evaluates K1 by the scipy.special.k1 ufunc, and the
-    scalar closed-form CDF and the solver by cython_special.k1, the same
+    The gate's t3 CDF evaluates K1 by the scipy.special.k1 ufunc, and the
+    scalar closed-form CDF and the solver by numerics.bessel_k1, the same
     cephes routine; the defect goes into both, so it reaches every path.
     """
     consts = derive_constants(SystemParams(), 0.5)
     clean, clean_outage = cdf_t3(consts, 1.0), outage_improved(SystemParams())
-    for module in (scipy.special, cython_special):
-        monkeypatch.setattr(module, "k1", lambda x, k1=module.k1: 1.05 * k1(x))
+    for module, name in ((scipy.special, "k1"), (numerics, "bessel_k1")):
+        monkeypatch.setattr(module, name, lambda x, k1=getattr(module, name): 1.05 * k1(x))
     assert cdf_t3(consts, 1.0) == pytest.approx(1.05 * clean, rel=1e-12)
-    # outage_improved's solver reads cython_special.k1 per call, not at import.
+    # outage_improved's solver reads numerics.bessel_k1 per call, not at import.
     assert outage_improved(SystemParams()) != clean_outage
     result = criterion_variable_change_cdfs()
     assert not result.passed
 
 
 def test_gate_checks_the_t3_formula_the_closed_form_runs(monkeypatch):
-    """cdf_t3 and the gate's cdf_t3_array evaluate one formula, so a 10 %
-    error in it, which moves outage_improved, fails criterion 8."""
+    """cdf_t3 and the gate's t3 CDF evaluate one formula, so a 10 % error
+    in it, which moves outage_improved, fails criterion 8."""
     consts = link_constants(SystemParams())
     clean_cdf, clean_outage = cdf_t3(consts, 1.0), outage_improved(SystemParams())
     true_formula = outage._cdf_t3
     monkeypatch.setattr(outage, "_cdf_t3", lambda consts, *ops: (
         lambda t, cdf=true_formula(consts, *ops): cdf(t / 1.1)))
-    assert cdf_t3(consts, 1.1) == cdf_t3_array(consts, np.array([1.1]))[0] == clean_cdf
+    _, gate_t3 = _array_cdfs(consts)
+    assert cdf_t3(consts, 1.1) == gate_t3(np.array([1.1]))[0] == clean_cdf
     assert outage_improved(SystemParams()) != clean_outage
     result = criterion_variable_change_cdfs()
     assert not result.passed

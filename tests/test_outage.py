@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -23,7 +24,7 @@ from ehrelay import (
     outage_dynamic_ps,
     outage_improved,
 )
-from ehrelay import outage
+from ehrelay import numerics, outage
 from ehrelay.model import link_constants
 from ehrelay.numerics import QuadratureRule, bessel_k1, integrate_gc
 from ehrelay.outage import (
@@ -36,16 +37,14 @@ from ehrelay.outage import (
     _uplinks_hopeless,
     case4_geometry,
     cdf_t2,
-    cdf_t2_array,
     cdf_t3,
-    cdf_t3_array,
     improved_integration_bound,
     p_case1,
     p_case2,
     p_case3,
     p_case4,
 )
-from ehrelay.validation import _DIVERSITY_GEOMETRY, _oracle_case4
+from ehrelay.validation import _DIVERSITY_GEOMETRY, _array_cdfs, _oracle_case4
 
 # Frozen by scripts/compute_reference_values.py: adaptive integration of the
 # exact case integrands, root-finding on the boundary equations, and a 2-D
@@ -357,7 +356,7 @@ LADDER_POINTS = {dbm: link_constants(_with(tx_power_dbm=dbm)) for dbm in (0.0, 3
 
 def _solver_cdf(consts):
     """The t3 CDF formula as outage_improved builds it for its solver."""
-    return outage._cdf_t3(consts, math.sqrt, cython_special.k1)
+    return outage._cdf_t3(consts, math.sqrt, numerics.bessel_k1)
 
 
 @settings(max_examples=40, deadline=None)
@@ -492,7 +491,8 @@ def test_integration_bound():
 def test_cdf_t2_reference_and_limits():
     for t, want in REF_CDF_T2.items():
         assert cdf_t2(CONSTS, t) == pytest.approx(want, rel=1e-12)
-    assert cdf_t2_array(CONSTS, np.array(list(REF_CDF_T2))).tolist() \
+    gate_t2, _ = _array_cdfs(CONSTS)
+    assert gate_t2(np.array(list(REF_CDF_T2))).tolist() \
         == pytest.approx(list(REF_CDF_T2.values()), rel=1e-12)
     assert cdf_t2(CONSTS, 1.0) == pytest.approx(1.0, abs=1e-12)
 
@@ -508,7 +508,8 @@ def test_cdf_t2_is_plus_zero_at_zero_on_every_branch(geometry, branch):
     rate_a, rate_b = consts.a_rate_a, consts.a_rate_b
     assert branch == ("equal rates" if rate_a == rate_b else
                       "rate_a < rate_b" if rate_a < rate_b else "rate_a > rate_b")
-    for value in (cdf_t2(consts, 0.0), float(cdf_t2_array(consts, np.zeros(1))[0])):
+    gate_t2, _ = _array_cdfs(consts)
+    for value in (cdf_t2(consts, 0.0), float(gate_t2(np.zeros(1))[0])):
         assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
 
@@ -529,7 +530,8 @@ def test_cdf_t2_near_equal_rates_are_stable():
 def test_cdf_t3_reference_and_limits():
     for t, want in REF_CDF_T3.items():
         assert cdf_t3(CONSTS, t) == pytest.approx(want, rel=1e-12)
-    assert cdf_t3_array(CONSTS, np.array(list(REF_CDF_T3))).tolist() \
+    _, gate_t3 = _array_cdfs(CONSTS)
+    assert gate_t3(np.array(list(REF_CDF_T3))).tolist() \
         == pytest.approx(list(REF_CDF_T3.values()), rel=1e-12)
     # Unit fading means make the t=1 value exactly 2 K1(2).
     assert cdf_t3(CONSTS, 1.0) == pytest.approx(2.0 * bessel_k1(2.0), rel=1e-12)
@@ -554,33 +556,72 @@ T3_SETTINGS = {
 
 
 @pytest.mark.parametrize("setting", sorted(T2_RATE_SETTINGS))
-def test_cdf_t2_array_agrees_with_scalar(setting):
+def test_gate_t2_agrees_with_cdf_t2(setting):
+    """Criterion 8's t2 CDF, the formula of cdf_t2 on numpy's exp and expm1,
+    is within a few ulps of cdf_t2 on each rate branch."""
     consts = T2_RATE_SETTINGS[setting]
-    t = np.concatenate([np.geomspace(1e-12, 1e3, 200_000), [0.0, math.inf]])
-    got = cdf_t2_array(consts, t)
+    gate_t2, _ = _array_cdfs(consts)
+    t = np.append(np.geomspace(1e-12, 1e3, 200_000), 0.0)
+    got = gate_t2(t)
     want = np.array([cdf_t2(consts, float(x)) for x in t])
     assert got.shape == t.shape
     assert np.max(np.abs(got - want)) <= 4.0 * np.finfo(float).eps
-    assert got[-2] == 0.0 and got[-1] == 1.0
+    assert got[-1] == 0.0
 
 
 @pytest.mark.parametrize("setting", sorted(T3_SETTINGS))
-def test_cdf_t3_array_is_bit_identical_to_scalar(setting):
+def test_gate_t3_is_bit_identical_to_cdf_t3(setting):
+    """Criterion 8's t3 CDF, the formula of cdf_t3 on np.sqrt and the
+    scipy.special.k1 ufunc, gives cdf_t3's bits, and 1.0 at t = inf, where
+    a sampled gain is 0."""
     consts = T3_SETTINGS[setting]
+    _, gate_t3 = _array_cdfs(consts)
     t = np.append(np.geomspace(1e-10, 1e14, 200_000), math.inf)
-    got = cdf_t3_array(consts, t)
+    got = gate_t3(t)
     want = np.array([cdf_t3(consts, float(x)) for x in t])
     assert got.shape == t.shape
     assert np.array_equal(got, want)
     assert got[-1] == 1.0
 
 
+def test_the_scalar_k1_is_one_function():
+    assert numerics.bessel_k1 is cython_special.k1
+
+
+def test_every_t3_formula_evaluation_goes_through_bessel_k1(monkeypatch):
+    """outage_improved reads numerics.bessel_k1 when called, so a spy there
+    sees every evaluation of the t3 formula, its solver's too, not only
+    v_max's: 80 at the defaults (M = 10)."""
+    want = outage_improved(DEFAULTS)
+    k1_calls = formula_calls = 0
+    real_k1, real_formula = numerics.bessel_k1, outage._cdf_t3
+
+    def k1_spy(z):
+        nonlocal k1_calls
+        k1_calls += 1
+        return real_k1(z)
+
+    def formula_spy(consts, *ops):
+        cdf = real_formula(consts, *ops)
+
+        def counted(t):
+            nonlocal formula_calls
+            formula_calls += 1
+            return cdf(t)
+        return counted
+
+    monkeypatch.setattr(numerics, "bessel_k1", k1_spy)
+    monkeypatch.setattr(outage, "_cdf_t3", formula_spy)
+    assert outage_improved(DEFAULTS) == want
+    assert k1_calls == formula_calls > 5 * DEFAULTS.quad_order
+
+
 def test_scalar_k1_is_the_ufunc_bit_for_bit(monkeypatch):
     """bessel_k1, which cdf_t3 calls, and the K1 that outage_improved's solver
     calls both give float(scipy.special.k1(z)), bit for bit: over both cephes
     branches (z <= 2 and z > 2), at tiny z, and where K1 underflows to 0.0
-    past z of about 700.  test_cdf_t3_array_is_bit_identical_to_scalar holds
-    the two CDF twins to the same bits."""
+    past z of about 700.  test_gate_t3_is_bit_identical_to_cdf_t3 holds
+    criterion 8's t3 CDF, on the ufunc, to the same bits."""
     formulas = []
     real_formula = outage._cdf_t3
     monkeypatch.setattr(outage, "_cdf_t3", lambda consts, sqrt, k1: (
@@ -602,10 +643,11 @@ def test_cdf_t3_is_zero_where_k1_underflows():
     underflows to 0 while z stays finite."""
     assert scipy.special.k1(math.sqrt(4.0 / 1e-6)) == 0.0
     assert cdf_t3(CONSTS, 1e-6) == 0.0
-    assert cdf_t3_array(CONSTS, np.array([1e-6])).tolist() == [0.0]
+    _, gate_t3 = _array_cdfs(CONSTS)
+    assert gate_t3(np.array([1e-6])).tolist() == [0.0]
 
 
-def test_cdf_t3_twins_give_the_limit_where_z_overflows():
+def test_cdf_t3_gives_the_limit_where_z_overflows():
     """0.0, with no warning, at a t so small that z = sqrt(4/(lam_a*lam_b*t))
     overflows: at the defaults lam_a*lam_b = 1, and at fading means 0.01 the
     product lam_a*lam_b*t itself underflows to 0 at 5e-324."""
@@ -614,17 +656,6 @@ def test_cdf_t3_twins_give_the_limit_where_z_overflows():
     for consts in (CONSTS, small):
         for t in (1e-308, 5e-324):
             assert cdf_t3(consts, t) == 0.0
-        got = cdf_t3_array(consts, np.array([5e-324, 1e-308, 1.0]))
-        assert got.tolist() == [0.0, 0.0, cdf_t3(consts, 1.0)]
-
-
-def test_cdf_array_twins_reject_out_of_domain_t():
-    for bad in (-1e-300, math.nan):
-        with pytest.raises(ValueError):
-            cdf_t2_array(CONSTS, np.array([1e-3, bad]))
-    for bad in (0.0, -1.0, math.nan):
-        with pytest.raises(ValueError):
-            cdf_t3_array(CONSTS, np.array([1.0, bad]))
 
 
 @pytest.mark.parametrize("cdf,bad", [(cdf_t2, -1e-300), (cdf_t2, math.nan),
@@ -716,6 +747,57 @@ def test_extreme_snr_gives_a_probability_or_a_value_error(geometry):
                     assert "tx_power_dbm" in str(err)
                 else:
                     assert type(value) is float and 0.0 <= value <= 1.0
+
+
+# Extreme fading means.  A: Z_B/fading_mean_b underflows to 0, so lam_b is
+# inf.  B: b_o**2 overflows.  C: a_o is inf.  D: a dynamic-PS strip's
+# integral overflows where its exp(-e/lam_x) factor underflows.  Per scheme,
+# the outage (a float) or the input the ValueError must name (a str).
+EXTREME_FADING_POINTS = {
+    "A": (dict(path_loss_exp=6.0, dist_b=0.002, gain_b_dbi=97.0, gain_relay_dbi=94.0,
+               fading_mean_b=1e296),
+          {"improved": "fading_mean_b", "dynamic_ps": 4.3298697960381105e-15}),
+    "B": (dict(tx_power_dbm=454.0, noise_dbm=31.0, path_loss_exp=7.5, dist_a=5564.0,
+               dist_b=43922.0, fading_mean_a=1e92, fading_mean_b=1e90,
+               rate_bps_hz=292.0),
+          {"improved": "rate_bps_hz", "dynamic_ps": "tx_power_dbm"}),
+    "C": (dict(tx_power_dbm=1228.0, fading_mean_a=1e145, fading_mean_b=1e108,
+               rate_bps_hz=675.0),
+          {"improved": "rate_bps_hz", "dynamic_ps": "tx_power_dbm"}),
+    "D": (dict(tx_power_dbm=1324.0, noise_dbm=-292.0, fading_mean_a=1e-109),
+          {"improved": 0.0, "dynamic_ps": "fading_mean_a"}),
+}
+
+
+@pytest.mark.parametrize("point", sorted(EXTREME_FADING_POINTS))
+@pytest.mark.parametrize("scheme", ["improved", "dynamic_ps"])
+def test_extreme_fading_means_give_a_probability_or_name_an_input(point, scheme):
+    fields, outcomes = EXTREME_FADING_POINTS[point]
+    params = SystemParams(**fields)
+    evaluate = outage_improved if scheme == "improved" \
+        else (lambda p: outage_dynamic_ps(p, 0.5))
+    want = outcomes[scheme]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if isinstance(want, str):
+            with pytest.raises(ValueError, match=want):
+                evaluate(params)
+        else:
+            assert evaluate(params) == want
+
+
+@pytest.mark.parametrize("fading_mean", [1e150, 1e153, 1e200])
+def test_improved_outage_never_reads_the_t3_cdf_at_z_zero(fading_mean):
+    """Once lam_a*lam_b*t_max overflows, z is 0 at the window bound and the
+    formula reads 0*inf; cdf_t3 would map that to 0.0 and the outage to a
+    wrong 1.0, above the dynamic-PS outage it never exceeds."""
+    params = _with(fading_mean_a=fading_mean, fading_mean_b=fading_mean)
+    try:
+        value = outage_improved(params)
+    except ValueError as err:
+        assert "fading_mean_a" in str(err)
+    else:
+        assert value <= outage_dynamic_ps(params, 0.5)
 
 
 def test_capacity_formula():
