@@ -55,9 +55,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (KernelWorkspace, SchemeSpec, SystemParams, count_below,
-                    critical_ratio, downlink_gain, harvest_pool, link_constants,
-                    normalized_gains)
+from .model import (_PATH_FIELDS, KernelWorkspace, SchemeSpec, SystemParams,
+                    _out_of_range, count_below, critical_ratio, downlink_gain,
+                    harvest_pool, link_constants, normalized_gains)
 from .numerics import sample_exponential
 
 BLOCK_TRIALS = 1 << 18
@@ -333,6 +333,31 @@ def _estimate(hits: int, trials: int) -> McEstimate:
                       trials=trials)
 
 
+# The largest draw of sample_exponential over its mean: -log(2**-53), from
+# its largest uniform, 1 - 2**-53.
+_LARGEST_DRAW = 53.0 * math.log(2.0)    # 36.74
+_REACH_FIELDS = ("fading_mean_a", "fading_mean_b", "dist_a", "dist_b", "gain_a_dbi",
+                 "gain_b_dbi") + _PATH_FIELDS
+
+
+def _check_reach(params: SystemParams, consts, energy: bool) -> None:
+    """Raise the ValueError naming the inputs involved where a value the
+    kernel forms could overflow at the largest draws, _LARGEST_DRAW times
+    the fading means: where U = u_A + u_B, times 2*max(1, kappa)*min(u_A,
+    u_B) but for an energy cell, is inf.  That product bounds u_A*u_B,
+    kappa*u_A*u_B, a*U and a*pool, its factor 2 covering their rounding.
+    An overflowed pool times a failed uplink's 0 is NaN, which the test
+    a*pool < eps would count as a success."""
+    u_a = _LARGEST_DRAW * params.fading_mean_a / consts.z_a
+    u_b = _LARGEST_DRAW * params.fading_mean_b / consts.z_b
+    reach = u_a + u_b
+    if not energy:
+        reach *= 2.0 * max(1.0, consts.kappa) * min(u_a, u_b)
+    if not reach < math.inf:
+        raise _out_of_range(params, "a Monte Carlo kernel product at the largest "
+                            "draws, 36.74 times the fading means,", _REACH_FIELDS)
+
+
 def _plan(cells) -> tuple:
     """Check a nonempty batch of cells (params, scheme); lay it out as
     (groups, slots, means), each kernel pass keyed on the inputs it reads.
@@ -346,11 +371,13 @@ def _plan(cells) -> tuple:
     link, theta) of each other cell, whatever its kappa, an energy cell's
     theta _ENERGY.  slots holds each cell's count index, one per cell alike
     in what the kernel reads, and means the fading means (mean_a, mean_b)
-    that all cells share.
+    that all cells share.  _check_reach raises where a kernel product could
+    overflow.
     """
     slot_of, members, slots, means = {}, {}, [], set()
     for params, scheme in cells:
         consts = link_constants(params)
+        _check_reach(params, consts, scheme is None)
         if scheme is None:
             if consts.harvest_floor == 0.0:
                 raise ValueError("energy outage requires circuit_sensitivity_dbm")

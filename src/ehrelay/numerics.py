@@ -69,34 +69,29 @@ def integrate_gc(rule: QuadratureRule, a: float, b: float,
 
 
 def _brentq(f: Callable[[float], float], target: float, lo: float, hi: float,
-            f_lo: float, f_hi: float, xtol: float, rtol: float, maxiter: int) -> float:
+            f_lo: float, f_hi: float) -> float:
     """Root of f(x) - target between lo and hi by Brent's method (Brent, 1973).
 
-    A port of the C loop behind scipy.optimize.brentq: with f_lo = f(lo) and
-    f_hi = f(hi) it returns scipy's root of f - target, bit for bit, without
-    evaluating f at either end again.  It does the C loop's IEEE operations
-    in the same order, forming each |.| once.  A zero divisor in the step
-    formula bisects, as the IEEE inf or NaN it yields in C fails the step
-    test there.  Under scipy's tolerance rules, xtol > 0 and rtol >= 4*eps,
-    every step moves x, so the x differences the formula divides by are
-    never 0 and only its last divisor, den, is tested.  ValueError for a
-    NaN value of f or ends of one sign; RuntimeError when maxiter
-    iterations do not converge.
+    A port of the C loop behind scipy.optimize.brentq at xtol=1e-30,
+    rtol=1e-15 and maxiter=200, for outage._quantile_t3: with f_lo = f(lo)
+    and f_hi = f(hi) it returns scipy's root of f - target, bit for bit,
+    without evaluating f at either end again.  It does the C loop's IEEE
+    operations in the same order, forming each |.| once.  The bracket holds
+    f_lo - target <= 0 < f_hi - target with f finite on it, so scipy's NaN
+    and sign checks, which it cannot fail, are left out.  A zero divisor in
+    the step formula bisects, as the IEEE inf or NaN it yields in C fails
+    the step test there.  At these tolerances every step moves x, so only
+    the formula's last divisor, den, can be 0.  RuntimeError after 200
+    iterations.
     """
     xpre, xcur, fpre, fcur = lo, hi, f_lo - target, f_hi - target
-    if fpre != fpre or fcur != fcur:
-        raise ValueError("f is NaN at a bracket end; solver cannot continue")
     if fpre == 0.0:
         return xpre
-    if fcur == 0.0:
-        return xcur
-    if (fpre < 0.0) == (fcur < 0.0):
-        raise ValueError("f(lo) and f(hi) must have different signs")
     xblk = fblk = spre = scur = 0.0
     # |fpre|, |fblk|, |spre| and |scur| travel with their values.
     a_pre = abs(fpre)
     a_blk = a_spre = a_scur = 0.0
-    for _ in range(maxiter):
+    for _ in range(200):
         a_cur = abs(fcur)
         # C also requires fpre != 0 and fcur != 0 here.  fpre never is 0, and
         # where fcur is, the loop returns xcur below whatever this sets.
@@ -109,7 +104,7 @@ def _brentq(f: Callable[[float], float], target: float, lo: float, hi: float,
             fpre, fcur, fblk = fcur, fblk, fcur
             a_pre, a_cur, a_blk = a_cur, a_blk, a_cur
 
-        delta = (xtol + rtol * abs(xcur)) / 2
+        delta = (1e-30 + 1e-15 * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         a_sbis = abs(sbis)
         if fcur == 0.0 or a_sbis < delta:
@@ -145,10 +140,7 @@ def _brentq(f: Callable[[float], float], target: float, lo: float, hi: float,
         else:
             xcur += delta if sbis > 0 else -delta
         fcur = f(xcur) - target
-        if fcur != fcur:
-            raise ValueError(f"f is NaN at x={xcur!r}; solver cannot continue")
-    raise RuntimeError(f"failed to converge after {maxiter} iterations, "
-                       f"value is {xcur!r}")
+    raise RuntimeError(f"failed to converge after 200 iterations, value is {xcur!r}")
 
 
 # The one scalar K1: float(scipy.special.k1(x)) bit for bit, at about half

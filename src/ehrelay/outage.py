@@ -374,23 +374,26 @@ def _cdf_t2(consts: LinkConstants, t, exp, expm1):
 
 
 def cdf_t3(consts: LinkConstants, t: float) -> float:
-    """CDF of the reciprocal gain product 1/(g_A*g_B)."""
+    """CDF of the reciprocal gain product 1/(g_A*g_B), the formula's limit
+    at its ends: 1.0 at t = inf and where lam_a or lam_b is inf (a rate
+    Z/fading_mean is 0), and for z = sqrt(4/(lam_a*lam_b*t)) 0.0 at z = inf
+    and 1.0 at z = 0."""
     if not t > 0.0:
         raise ValueError("cdf_t3 requires t > 0")
-    if math.isinf(t):
+    if math.isinf(t) or not min(consts.a_rate_a, consts.a_rate_b) > 0.0:
         return 1.0
-    try:
-        value = _cdf_t3(consts, math.sqrt, numerics.bessel_k1)(t)
-    except ZeroDivisionError:    # lam_a*lam_b*t underflowed to 0: z is inf
-        return 0.0
-    return 0.0 if value != value else value    # nan: z*K1(z) at z = inf
+    scaled = _t3_scale(consts) * t
+    z = math.sqrt(4.0 / scaled) if scaled > 0.0 else math.inf
+    if 0.0 < z < math.inf:
+        return _cdf_t3(consts, math.sqrt, numerics.bessel_k1)(t)
+    return 1.0 if z == 0.0 else 0.0
 
 
 def _cdf_t3(consts: LinkConstants, sqrt, k1):
     """The one t3 CDF formula z*K1(z), z = sqrt(4/(lam_a*lam_b*t)), of a finite
     t > 0 with math.sqrt and numerics.bessel_k1, or of an array of them with
     np.sqrt and the scipy.special.k1 ufunc (criterion 8's), bit for bit; nan
-    where z overflows; ZeroDivisionError where a float lam_a*lam_b*t is 0."""
+    where z is inf or 0; ZeroDivisionError where a float lam_a*lam_b*t is 0."""
     lam_ab = _t3_scale(consts)
 
     def cdf(t):
@@ -417,48 +420,44 @@ def improved_integration_bound(consts: LinkConstants) -> float:
     return min(root, consts.y_big / consts.snr_threshold)
 
 
-def _improved_window(consts: LinkConstants, t: float) -> tuple[float, float]:
-    """Decode window (upper, lower) of t2 at a given t3 value."""
+def _window_mass(consts: LinkConstants, t: float) -> float:
+    """Probability that t2 falls inside its decode window at t3 = t, between
+    2*varpi/(1 - t*gamma_th/Y) (inf from the pole on) and
+    1/(varpi*Z_A*Z_B*t) + varpi."""
     upper = 1.0 / (consts.varpi * consts.z_a * consts.z_b * t) + consts.varpi
     den = 1.0 - (consts.snr_threshold / consts.y_big) * t
     lower = 2.0 * consts.varpi / den if den > 0.0 else math.inf
-    return upper, lower
-
-
-def _improved_window_mass(consts: LinkConstants, t: float) -> float:
-    """Probability that t2 falls inside the decode window at t3 = t."""
-    upper, lower = _improved_window(consts, t)
     return cdf_t2(consts, upper) - cdf_t2(consts, lower)
 
 
-def _quantile_t3(cdf, v: float, t_hi: float, cdf_hi: float, ladder: list) -> float:
-    """Value of the reciprocal gain product whose CDF equals v, below t_hi.
+def _quantile_t3(cdf, v: float, ladder: list) -> float:
+    """Value of the reciprocal gain product whose CDF equals v.
 
-    cdf is the t3 formula from _cdf_t3, cdf_hi its value at t_hi.  The
-    bracket is the first rung of the halving ladder t_hi * 2**-k, k >= 1,
-    whose CDF is at most v.  ladder holds the (t, cdf) rungs walked so far,
-    the last of them the previous call's bracket end, and grows here as
-    needed.  Calls that share it, all with the same t_hi, come in
-    non-increasing v, as integrate_gc's nodes do: every rung above the last
-    then has a CDF above v, so the walk resumes at the last rung, and each
-    rung is evaluated once.  Halving is exact, so a shared ladder gives
-    every v the bracket, and the Brent solver the iterates, of a fresh one;
-    the solver takes both bracket ends' CDFs from the ladder, and each of
-    its steps is one call of cdf.  A rung lies within a halving of a t
-    whose CDF exceeds v > 0, so z < 746 * 2**0.5 there: far from the z
-    overflow and product underflow that cdf_t3 maps to 0.0.
+    cdf is the t3 formula from _cdf_t3.  ladder holds the (t, cdf) rungs
+    t_max * 2**-k walked so far, from rung 0 at the bound, whose CDF v_max
+    exceeds v, and grows here as needed.  The bracket is the first rung
+    whose CDF is at most v and the rung above it.  Calls that share a
+    ladder come in non-increasing v, as integrate_gc's nodes do:
+    every rung above the last then has a CDF above v, so the walk resumes
+    at the last rung, and each rung is evaluated once.  Halving is exact,
+    so a shared ladder gives every v the bracket, and the Brent solver the
+    iterates, of a fresh one; the solver takes both bracket ends' CDFs from
+    the ladder, and each of its steps is one call of cdf.  A rung lies
+    within a halving of a t whose CDF exceeds v > 0, so z < 746 * 2**0.5
+    there, and outage_improved has checked z > 0 at t_max: the formula is
+    finite on the bracket.
     """
-    k = max(len(ladder) - 1, 0)
-    hi, cdf_hi = ladder[k - 1] if k else (t_hi, cdf_hi)
+    k = max(len(ladder) - 1, 1)
     while True:
         if k == len(ladder):
-            ladder.append((0.5 * hi, cdf(0.5 * hi)))
+            t = 0.5 * ladder[-1][0]
+            ladder.append((t, cdf(t)))
         lo, cdf_lo = ladder[k]
         if not cdf_lo > v:
             break
-        hi, cdf_hi = lo, cdf_lo
         k += 1
-    return _brentq(cdf, v, lo, hi, cdf_lo, cdf_hi, 1e-30, 1e-15, 200)
+    hi, cdf_hi = ladder[k - 1]
+    return _brentq(cdf, v, lo, hi, cdf_lo, cdf_hi)
 
 
 def outage_improved(params: SystemParams) -> float:
@@ -474,8 +473,8 @@ def outage_improved(params: SystemParams) -> float:
     mass, which keeps the exactly known tail term out of the quadrature sum
     and lets the default order resolve every regime the sweeps visit.
     Each node inverts the CDF, a formula built once per call, on one
-    halving ladder shared by the nodes: integrate_gc visits them in
-    descending v, so each node resumes the walk at the previous node's
+    halving ladder from t_max shared by the nodes: integrate_gc visits them
+    in descending v, so each node resumes the walk at the previous node's
     bracket (_quantile_t3).
 
     The scheme picks theta per realization, so only the theta-free link
@@ -501,11 +500,10 @@ def outage_improved(params: SystemParams) -> float:
     v_max = cdf_t3(consts, t_max)
     rule = _rule(params)
     cdf = _cdf_t3(consts, math.sqrt, numerics.bessel_k1)
-    ladder: list = []
+    ladder = [(t_max, v_max)]
 
     def miss_at_quantile(v: float) -> float:
-        t = _quantile_t3(cdf, v, t_max, v_max, ladder)
-        return 1.0 - _improved_window_mass(consts, t)
+        return 1.0 - _window_mass(consts, _quantile_t3(cdf, v, ladder))
 
     missed = integrate_gc(rule, 0.0, v_max, miss_at_quantile)
     return _clamp_unit((1.0 - v_max) + missed)

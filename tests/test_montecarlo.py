@@ -1,6 +1,7 @@
 """Simulator determinism, estimator statistics, and agreement smoke checks."""
 
 import dataclasses
+import itertools
 import math
 import multiprocessing
 import multiprocessing.connection
@@ -12,6 +13,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -790,6 +792,55 @@ class TestDegenerateRegimes:
         ungated = dataclasses.replace(DEFAULTS, circuit_sensitivity_dbm=-300.0)
         est = mc_energy_outage(ungated, McConfig(trials=50_000, seed=1))
         assert est.probability == 0.0
+
+
+# tests/test_outage.py's EXTREME_FADING_POINTS A, where Z_B/fading_mean_b
+# underflows to 0, and fading means past the bound of
+# montecarlo._check_reach, which at the defaults lies at 3.16e156.
+EXTREME_FADING = {
+    "A": SystemParams(path_loss_exp=6.0, dist_b=0.002, gain_b_dbi=97.0,
+                      gain_relay_dbi=94.0, fading_mean_b=1e296),
+    "1e160": dataclasses.replace(DEFAULTS, fading_mean_a=1e160, fading_mean_b=1e160),
+    "3.2e156": dataclasses.replace(DEFAULTS, fading_mean_a=3.2e156, fading_mean_b=3.2e156),
+}
+
+
+@pytest.mark.parametrize("point", sorted(EXTREME_FADING))
+@pytest.mark.parametrize("scheme_id", SCHEMES)
+def test_extreme_fading_means_fail_before_any_draw(point, scheme_id, monkeypatch):
+    monkeypatch.setattr(montecarlo, "_chunks", _no_draws)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="fading_mean_a=.*fading_mean_b=.*dist_b="):
+            mc_outage(EXTREME_FADING[point], scheme_id, None, McConfig(trials=2000, seed=1))
+
+
+def _largest_or_no_draws():
+    """A sample_exponential whose calls give, in turn, the g_A and g_B of
+    a chunk: over each 4 trials (max, max), (max, 0), (0, max) and (0, 0),
+    max the largest draw sample_exponential can give at the mean."""
+    patterns = itertools.cycle([np.array([1.0, 1.0, 0.0, 0.0]),
+                                np.array([1.0, 0.0, 1.0, 0.0])])
+
+    def draw(rng, mean, out):
+        largest = np.log1p(-(1.0 - 2.0 ** -53)) * -mean
+        return np.multiply(np.resize(next(patterns), out.size), largest, out=out)
+    return draw
+
+
+@pytest.mark.parametrize("params", [DEFAULTS, GATED], ids=["ideal", "gated-20dBm"])
+@pytest.mark.parametrize("scheme_id", SCHEMES)
+def test_the_largest_draws_inside_the_bound_count_each_failed_uplink(params, scheme_id,
+                                                                     monkeypatch):
+    """Just inside the fading-mean bound the kernel forms no inf or NaN at
+    the largest draws, so the 3 trials in 4 with a 0 gain, whose uplink
+    fails, all count as outages."""
+    inside = dataclasses.replace(params, fading_mean_a=3.1e156, fading_mean_b=3.1e156)
+    monkeypatch.setattr(montecarlo, "sample_exponential", _largest_or_no_draws())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        estimate = mc_outage(inside, scheme_id, None, McConfig(trials=4096, seed=1))
+    assert estimate.probability == 0.75
 
 
 def _run_script(script: str, stderr=subprocess.PIPE, **popen) -> subprocess.Popen:

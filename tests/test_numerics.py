@@ -161,9 +161,6 @@ def _step(rng, root):
     return lambda x: below if x < root else above
 
 
-BRENT_TOLERANCES = [(1e-30, 1e-15), (2e-12, 8.9e-16), (1e-3, 1e-6)]
-
-
 def _outcome(solve):
     """The root's bits, or the type of the error solving raised."""
     try:
@@ -172,9 +169,10 @@ def _outcome(solve):
         return type(err)
 
 
-def _brent_outcomes(f, lo, hi, xtol, rtol, maxiter, target=0.0):
-    """(port, scipy) outcomes for the root of f(x) - target, and the zero
-    divisors the port met.
+def _brent_outcomes(f, lo, hi, target=0.0, trace=False):
+    """(port, scipy) outcomes for the root of f(x) - target, scipy's at the
+    port's xtol=1e-30, rtol=1e-15 and maxiter=200, and, where trace is
+    set, the zero divisors the port met.
 
     The port calls f once per step, and a step that tried to interpolate
     bound a fresh lim.  So each call of f from the port shows whether its
@@ -196,55 +194,51 @@ def _brent_outcomes(f, lo, hi, xtol, rtol, maxiter, target=0.0):
 
     f_lo, f_hi = f(lo), f(hi)
     previous = sys.gettrace()
-    sys.settrace(enter)
+    if trace:
+        sys.settrace(enter)
     try:
-        ported = _outcome(lambda: _brentq(f, target, lo, hi, f_lo, f_hi, xtol,
-                                          rtol, maxiter))
+        ported = _outcome(lambda: _brentq(f, target, lo, hi, f_lo, f_hi))
     finally:
         sys.settrace(previous)
     wanted = _outcome(lambda: brentq(lambda x: f(x) - target, lo, hi,
-                                     xtol=xtol, rtol=rtol, maxiter=maxiter))
+                                     xtol=1e-30, rtol=1e-15, maxiter=200))
     return ported, wanted, zero_divisions
 
 
 @pytest.mark.parametrize("family", [_smooth, _flat, _odd_power, _step])
 def test_brent_port_matches_scipy_bitwise(family):
     rng = np.random.default_rng(sum(map(ord, family.__name__)))
-    seen = set()
-    zero_divisions = 0
+    solved = zero_divisions = 0
     for _ in range(2500):
         width = 10.0 ** rng.uniform(-6, 2)
         lo = rng.normal() * 10.0 ** rng.uniform(-3, 3)
         hi = lo + width
-        # About one bracket in six holds no root.
+        # Every family increases.  About one bracket in six holds no root
+        # of f, a bracket the port's one caller never passes.
         f = family(rng, lo + width * rng.uniform(-0.1, 1.1))
-        # Target 0 at every tolerance, and at the first, the one the closed
-        # form solves with, the value f takes three tenths into the bracket.
-        targets = [(0.0, tolerances) for tolerances in BRENT_TOLERANCES]
-        targets.append((f(lo + 0.3 * width), BRENT_TOLERANCES[0]))
-        for target, (xtol, rtol) in targets:
-            ported, wanted, divisions = _brent_outcomes(f, lo, hi, xtol, rtol, 200,
-                                                        target)
-            assert ported == wanted, (family.__name__, lo, hi, xtol, rtol, target)
-            seen.add(ported if isinstance(ported, type) else float)
+        for target in (0.0, f(lo + 0.3 * width)):
+            if not f(lo) - target <= 0.0 <= f(hi) - target:
+                continue
+            # Only _flat's values reach a zero divisor; tracing is slow.
+            ported, wanted, divisions = _brent_outcomes(f, lo, hi, target,
+                                                        trace=family is _flat)
+            assert ported == wanted, (family.__name__, lo, hi, target)
+            solved += 1
             zero_divisions += divisions
-    assert seen == {float, ValueError}
+    assert solved > 4000
     if family is _flat:
         assert zero_divisions > 0
 
 
 def test_brent_port_errors_match_scipy():
-    f = lambda x: math.expm1(x) - 0.5
     cases = [
-        (f, 1.0, 2.0, 200, ValueError),                            # one sign
-        (lambda x: x if x < 0.0 else math.nan, -1.0, 1.0, 200, ValueError),  # NaN end
-        (lambda x: math.nan if 0.2 < x < 0.8 else x - 0.5, 0.0, 1.0, 200,
-         ValueError),                                              # NaN inside
-        (f, 0.0, 1.0, 3, RuntimeError),                            # out of iterations
-        (lambda x: x - 0.25, 0.0, 0.25, 0, (0.25).hex()),          # zero at an end
+        (lambda x: x - 0.25, 0.0, 0.25, (0.25).hex()),       # zero at hi
+        (lambda x: x - 0.25, 0.25, 1.0, (0.25).hex()),       # zero at lo
+        # Bisection from 1e300 down to the tolerance takes over 1000 steps.
+        (lambda x: -1.0 if x < 0.0 else 1.0, -1e300, 1e300, RuntimeError),
     ]
-    for fn, lo, hi, maxiter, want in cases:
-        ported, wanted, _ = _brent_outcomes(fn, lo, hi, 1e-30, 1e-15, maxiter)
+    for fn, lo, hi, want in cases:
+        ported, wanted, _ = _brent_outcomes(fn, lo, hi)
         assert ported == wanted == want
 
 

@@ -31,10 +31,9 @@ from ehrelay.outage import (
     CaseFourGeometry,
     Scenario,
     _exp_curve_integral,
-    _improved_window,
-    _improved_window_mass,
     _quantile_t3,
     _uplinks_hopeless,
+    _window_mass,
     case4_geometry,
     cdf_t2,
     cdf_t3,
@@ -379,16 +378,15 @@ def test_resumed_ladder_gives_the_fresh_walk(dbm, fractions):
         brackets.append((lo.hex(), hi.hex()))
         return real_brentq(f, target, lo, hi, *args)
 
-    ladder = []
+    ladder = [(t_max, v_max)]
     with mock.patch.object(outage, "_brentq", solver_spy):
         for v in levels:
-            resumed = _quantile_t3(cdf, v, t_max, v_max, ladder).hex()
-            fresh = []
-            assert _quantile_t3(cdf, v, t_max, v_max, fresh).hex() == resumed
+            resumed = _quantile_t3(cdf, v, ladder).hex()
+            fresh = [(t_max, v_max)]
+            assert _quantile_t3(cdf, v, fresh).hex() == resumed
             assert brackets.pop() == brackets.pop()
             assert ladder == fresh
-    assert [t for t, _ in ladder] == [t_max * 2.0 ** -k
-                                      for k in range(1, len(ladder) + 1)]
+    assert [t for t, _ in ladder] == [t_max * 2.0 ** -k for k in range(len(ladder))]
 
 
 # The analytic-grid box of operating points; each field is drawn uniformly.
@@ -425,9 +423,8 @@ def test_quantile_t3_returns_scipys_root(fields, order, node, fraction, at_node)
     u = 0.5 * rule.nodes[node % order] + 0.5 if at_node else fraction
     v = u * v_max
     assume(0.0 < v < v_max)
-    ladder = []
-    got = _quantile_t3(_solver_cdf(consts), v, t_max, v_max, ladder)
-    rungs = [(t_max, v_max)] + ladder
+    rungs = [(t_max, v_max)]
+    got = _quantile_t3(_solver_cdf(consts), v, rungs)
     k = next(i for i, (_, cdf) in enumerate(rungs) if not cdf > v)
     lo, hi = rungs[k][0], rungs[k - 1][0]
     assert [cdf for _, cdf in rungs] == [cdf_t3(consts, t) for t, _ in rungs]
@@ -658,6 +655,22 @@ def test_cdf_t3_gives_the_limit_where_z_overflows():
             assert cdf_t3(consts, t) == 0.0
 
 
+def test_cdf_t3_gives_the_limit_where_z_is_zero():
+    """1.0, with no warning, where z = sqrt(4/(lam_a*lam_b*t)) is 0: at
+    fading means 3.2 lam_a*lam_b*t overflows from about 1e307 on, and at
+    EXTREME_FADING_POINTS A lam_b is inf, as Z_B/fading_mean_b is 0."""
+    large = link_constants(_with(fading_mean_a=3.2, fading_mean_b=3.2))
+    assert (large.z_a / large.a_rate_a) * (large.z_b / large.a_rate_b) * 1e308 == math.inf
+    at_a = link_constants(SystemParams(**EXTREME_FADING_POINTS["A"][0]))
+    assert at_a.a_rate_b == 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t in (1e305, 1e308, 1.7e308):
+            assert cdf_t3(large, t) == 1.0
+        for t in (5e-324, 1e-300, 1.0, 1e300):
+            assert cdf_t3(at_a, t) == 1.0
+
+
 @pytest.mark.parametrize("cdf,bad", [(cdf_t2, -1e-300), (cdf_t2, math.nan),
                                      (cdf_t3, 0.0), (cdf_t3, math.nan)])
 def test_scalar_cdfs_reject_out_of_domain_t(cdf, bad):
@@ -685,7 +698,8 @@ def _window_mass_deriv(consts, t):
     Only valid strictly inside (0, integration bound), where both window
     edges are finite.
     """
-    upper, lower = _improved_window(consts, t)
+    upper = 1.0 / (consts.varpi * consts.z_a * consts.z_b * t) + consts.varpi
+    lower = 2.0 * consts.varpi / (1.0 - consts.snr_threshold / consts.y_big * t)
     d_upper = -1.0 / (consts.varpi * consts.z_a * consts.z_b * t * t)
     slope = consts.snr_threshold / consts.y_big
     den = 1.0 - slope * t
@@ -715,8 +729,7 @@ def test_window_mass_derivative_matches_finite_differences():
     for frac in np.linspace(0.02, 0.98, 25):
         t = frac * t_max
         h = t * 1e-5
-        fd = (_improved_window_mass(c, t + h)
-              - _improved_window_mass(c, t - h)) / (2.0 * h)
+        fd = (_window_mass(c, t + h) - _window_mass(c, t - h)) / (2.0 * h)
         cf = _window_mass_deriv(c, t)
         if abs(cf) >= 1e-8:
             resolved += 1
@@ -789,8 +802,9 @@ def test_extreme_fading_means_give_a_probability_or_name_an_input(point, scheme)
 @pytest.mark.parametrize("fading_mean", [1e150, 1e153, 1e200])
 def test_improved_outage_never_reads_the_t3_cdf_at_z_zero(fading_mean):
     """Once lam_a*lam_b*t_max overflows, z is 0 at the window bound and the
-    formula reads 0*inf; cdf_t3 would map that to 0.0 and the outage to a
-    wrong 1.0, above the dynamic-PS outage it never exceeds."""
+    formula reads 0*inf on the ladder's first rungs, which the solver
+    cannot bracket; before the check, the outage read a wrong 1.0, above
+    the dynamic-PS outage it never exceeds."""
     params = _with(fading_mean_a=fading_mean, fading_mean_b=fading_mean)
     try:
         value = outage_improved(params)
