@@ -324,6 +324,8 @@ def outage_dynamic_ps(params: SystemParams, theta: float) -> float:
     overshoot reaches the percent scale.  The result is clamped rather than
     rejected so convergence studies can evaluate deliberately coarse orders.
     ValueError, naming the inputs involved, where a case strip overflows.
+    The form assumes the ideal rectenna: it ignores circuit_sensitivity_dbm,
+    so at a gated point it gives the ungated outage.
     """
     check_theta(theta)
     link = link_constants(params)
@@ -480,7 +482,8 @@ def outage_improved(params: SystemParams) -> float:
     The scheme picks theta per realization, so only the theta-free link
     constants enter.  ValueError, naming the inputs involved, where extreme
     inputs push the window-collapse quadratic or lam_a*lam_b*t_max out of
-    the floating-point range.
+    the floating-point range.  Like outage_dynamic_ps, it assumes the ideal
+    rectenna and ignores circuit_sensitivity_dbm.
     """
     consts = link_constants(params)
     if _uplinks_hopeless(consts):

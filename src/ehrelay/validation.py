@@ -5,7 +5,9 @@ trial budgets.  Each result carries its criterion's seconds, timed in the
 process that ran it; no comparison, report or payload reads them, so the
 rendered report is byte-stable across runs and shard counts.  Criteria 5
 and 6 run the simulator's kernel (model's docstring states the algebra);
-criterion 6 checks its pool and r* against broadcast_factors.
+criterion 6 checks its pool and r* against broadcast_factors.  Criteria 5
+and 11 evaluate figures' closed forms at the points fig() evaluates, with no
+Monte Carlo cell; criteria 4 and 10 each simulate their cells in one batch.
 
 run_all runs all criteria but the last as calls on the Monte Carlo pool,
 which overlaps them and runs their estimates in process, moving none.  The
@@ -25,14 +27,15 @@ import numpy as np
 import scipy.special
 
 from . import outage
-from .model import (KernelWorkspace, LinkConstants, SystemParams, broadcast_factors,
-                    critical_ratio, derive_constants, downlink_gain, harvest_pool,
-                    link_constants, normalized_gains)
+from .model import (KernelWorkspace, LinkConstants, SchemeSpec, SystemParams,
+                    broadcast_factors, critical_ratio, derive_constants, downlink_gain,
+                    harvest_pool, link_constants, normalized_gains)
 from .montecarlo import McConfig, _run_calls, mc_outage, mc_outages, relative_error
 from .outage import (CaseFourGeometry, Scenario, _boundary_gain_a,
                      _boundary_gain_b, _knee_crossing, case4_geometry,
-                     diversity_slope, outage_dynamic_ps, outage_improved, p_case4)
-from .sweeps import FIGURES, SchemeSpec, SweepSpec, _figure_spec, run_sweep, run_sweeps
+                     diversity_slope, energy_outage, outage_capacity,
+                     outage_dynamic_ps, outage_improved, p_case4)
+from .sweeps import FIGURES, SweepSpec, _apply_param, run_sweep
 
 
 @dataclass(frozen=True)
@@ -443,50 +446,42 @@ def criterion_case4_oracle() -> CriterionResult:
 
 def criterion_energy_outage() -> CriterionResult:
     """Closed-form energy outage matches simulation; gating only hurts."""
-    cfg = McConfig(trials=1_000_000, seed=71, shards=4)
-    plain = mc_outage(SystemParams(), "dynamic_ps", {"theta": 0.5}, cfg)
-    rows = run_sweep(SweepSpec("sensitivity", (-30.0, -20.0, -10.0),
-                               (SchemeSpec("dynamic_ps", {"theta": 0.5}),),
-                               SystemParams(), cfg)).rows
+    dynamic = SchemeSpec("dynamic_ps", {"theta": 0.5})
+    points = [replace(SystemParams(), circuit_sensitivity_dbm=dbm)
+              for dbm in (-30.0, -20.0, -10.0)]
+    # One batch: the plain cell, then per point the gated cell and the energy outage.
+    cells = [(SystemParams(), dynamic),
+             *((p, scheme) for p in points for scheme in (dynamic, None))]
+    plain, *cells = mc_outages(cells, McConfig(trials=1_000_000, seed=71, shards=4))
     passed = True
     gaps = []
-    # Rows sort by label: per value, the gated scheme, then the energy outage.
-    for gated, energy in zip(rows[::2], rows[1::2]):
-        gap = abs(energy.analytic_outage - energy.mc_outage)
-        passed &= gap <= 3.0 * energy.mc_std_error
-        gaps.append(f"P_th={energy.param_value:g}: |gap|={_fmt(gap)} "
-                    f"(3se={_fmt(3 * energy.mc_std_error)})")
-        passed &= gated.mc_outage >= plain.probability
+    for point, gated, energy in zip(points, cells[::2], cells[1::2]):
+        gap = abs(energy_outage(point) - energy.probability)
+        passed &= gap <= 3.0 * energy.std_error
+        gaps.append(f"P_th={point.circuit_sensitivity_dbm:g}: |gap|={_fmt(gap)} "
+                    f"(3se={_fmt(3 * energy.std_error)})")
+        passed &= gated.probability >= plain.probability
     return CriterionResult(10, "energy-outage", passed, "; ".join(gaps))
 
 
+def _figure_points(n: int, values=None) -> list:
+    """The operating points fig(n) evaluates, or its points at values."""
+    spec = FIGURES[n]
+    return [_apply_param(spec.base, spec.swept_param, v) for v in values or spec.values]
+
+
 def criterion_capacity_shapes() -> CriterionResult:
-    """Rate, time-split, and distance sweeps show the documented shapes."""
-    cfg = McConfig(trials=2048, seed=83)
-    analytic_schemes = (SchemeSpec("improved"), SchemeSpec("dynamic_ps", {"theta": 0.5}))
-
-    # One batch; every cell is a single block, which counts alike in any batch.
-    rate_sweep, beta_sweep, third, dist_sweep = run_sweeps((
-        _figure_spec(7, None, cfg), _figure_spec(8, None, cfg),
-        replace(_figure_spec(8, None, cfg), values=(1.0 / 3.0,), schemes=analytic_schemes),
-        _figure_spec(6, None, cfg)))
-    rate_ok = True
-    for scheme in analytic_schemes:
-        caps = [r.capacity for r in rate_sweep.rows if r.scheme_id == scheme.label()]
-        rate_ok &= _unimodal(caps, "max")
-
-    peak_ok = True
-    for scheme in analytic_schemes:
-        below = [r.capacity for r in beta_sweep.rows
-                 if r.scheme_id == scheme.label() and r.param_value < 1.0 / 3.0]
-        cap_third, = (r.capacity for r in third.rows if r.scheme_id == scheme.label())
-        peak_ok &= cap_third >= max(below) * (1.0 - 1e-12)
-
-    dist_ok = True
-    for scheme in analytic_schemes:
-        outs = [r.analytic_outage for r in dist_sweep.rows
-                if r.scheme_id == scheme.label()]
-        dist_ok &= _unimodal(outs, "max")
+    """Rate, time-split, and distance sweeps show the documented shapes in
+    the closed forms at the points of figures 7, 8 and 6."""
+    rate_ok = peak_ok = dist_ok = True
+    for outage_at in (outage_improved, lambda p: outage_dynamic_ps(p, 0.5)):
+        def capacity(point):
+            return outage_capacity(point, outage_at(point))
+        rate_ok &= _unimodal(map(capacity, _figure_points(7)), "max")
+        below = [capacity(p) for p in _figure_points(8) if p.time_split < 1.0 / 3.0]
+        third, = map(capacity, _figure_points(8, (1.0 / 3.0,)))
+        peak_ok &= third >= max(below) * (1.0 - 1e-12)
+        dist_ok &= _unimodal(map(outage_at, _figure_points(6)), "max")
 
     passed = rate_ok and peak_ok and dist_ok
     detail = (f"rate capacity interior peak={rate_ok}; "

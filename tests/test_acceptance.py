@@ -10,6 +10,7 @@ import dataclasses
 import os
 import re
 import signal
+import sys
 import time
 import tracemalloc
 
@@ -203,6 +204,32 @@ def test_criterion_11_capacity_shapes():
 
 def test_criterion_12_determinism():
     _check(criterion_determinism)
+
+
+def _mutate(monkeypatch, name, mutant):
+    """Bind mutant in place of outage's name at every ehrelay module that
+    binds it, so a criterion meets it wherever it reads the name."""
+    true = getattr(outage, name)
+    modules = [m for key, m in sys.modules.items() if key.split(".")[0] == "ehrelay"]
+    for module in modules:
+        if getattr(module, name, None) is true:
+            monkeypatch.setattr(module, name, mutant)
+
+
+def test_criterion_10_fails_an_energy_outage_off_by_one_percent(monkeypatch):
+    _mutate(monkeypatch, "energy_outage", lambda p, true=outage.energy_outage: 1.01 * true(p))
+    assert not criterion_energy_outage().passed
+
+
+@pytest.mark.parametrize("name", ["outage_improved", "outage_dynamic_ps"])
+def test_criterion_11_fails_a_flat_closed_form(monkeypatch, name):
+    """At a constant outage of 0.5 the rate capacity rises with the rate,
+    and the distance outage has no interior maximum."""
+    _mutate(monkeypatch, name, lambda *args: 0.5)
+    result = criterion_capacity_shapes()
+    assert not result.passed
+    assert "rate capacity interior peak=False" in result.detail
+    assert "distance outage interior max=False" in result.detail
 
 
 def test_gate_detects_an_injected_defect(monkeypatch):

@@ -31,7 +31,6 @@ from ehrelay import (
     mc_outage,
     outage_capacity,
     outage_dynamic_ps,
-    outage_improved,
     relative_error,
 )
 from ehrelay import montecarlo, sweeps

@@ -871,6 +871,39 @@ def test_diversity_slope_validation():
         diversity_slope(DEFAULTS, lambda point: 0.0, [40.0, 50.0, 60.0])
 
 
+def test_high_snr_outage_follows_the_eps_log_law():
+    """As eps = gamma_th/s -> 0, s the transmit SNR, an outage needs one
+    uplink gain small while the other stays of order 1, so
+    P_out = C*eps*ln(1/eps) + O(eps), C = Z_A*Z_B/(2*kappa*lam_A*lam_B)*w.
+    dynamic_ps at theta has w = m/(1-theta)^2 + m/theta^2, with
+    m = theta^2 + (1-theta)^2; improved, whose theta tends to 0 with u_A,
+    has w = 2.  Each decade of s then adds C*gamma_th*ln 10 to s*P_out.
+    M = 40 resolves that increment to 1e-4 from 100 dB, where M = 10 sits
+    about 1e-3 above it; past 130 dB the complement's rounding drifts it."""
+    params = _with(**_DIVERSITY_GEOMETRY)
+    link = link_constants(params)
+    per_weight = (link.z_a * link.z_b * link.snr_threshold * math.log(10.0)
+                  / (2.0 * link.kappa * params.fading_mean_a * params.fading_mean_b))
+
+    def offsets(evaluate, weight, order, snr_grid):
+        """Relative offsets from the law of s*P_out's per-decade increments."""
+        scaled = [10.0 ** (db / 10.0) * evaluate(
+                      _with(params, quad_order=order, tx_power_dbm=params.noise_dbm + db))
+                  for db in snr_grid]
+        return [(b - a) / (per_weight * weight) - 1.0 for a, b in zip(scaled, scaled[1:])]
+
+    assert 2.0 * per_weight == pytest.approx(20.860, abs=1e-3)
+    assert max(map(abs, offsets(outage_improved, 2.0, 10, range(70, 131, 10)))) <= 5e-5
+    for theta, increment in ((0.3, 79.560), (0.5, 41.719), (0.8, 188.388)):
+        m = theta ** 2 + (1.0 - theta) ** 2
+        weight = m / (1.0 - theta) ** 2 + m / theta ** 2
+        assert per_weight * weight == pytest.approx(increment, abs=1e-3)
+        coarse, fine = (offsets(lambda p: outage_dynamic_ps(p, theta), weight, order,
+                                range(90, 131, 10)) for order in (10, 40))
+        assert max(map(abs, fine[1:])) <= 1e-4
+        assert all(abs(c) > abs(f) for c, f in zip(coarse, fine))
+
+
 def test_exp_curve_integral_matches_adaptive_quadrature():
     rule = QuadratureRule.build(20)
     cases = [

@@ -30,8 +30,7 @@ from ehrelay import (
 from ehrelay.cli import main
 from ehrelay.model import link_constants
 from ehrelay.montecarlo import BLOCK_TRIALS
-from ehrelay.sweeps import (CSV_COLUMNS, FIGURES, SWEEPABLE_PARAMS, _apply_param,
-                            run_sweeps)
+from ehrelay.sweeps import CSV_COLUMNS, FIGURES, _apply_param, run_sweeps
 
 REF_Z_A = 2849.964970428562
 
