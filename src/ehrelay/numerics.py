@@ -4,11 +4,14 @@ The closed-form outage expressions reduce every remaining integral to a
 fixed-order Gauss-Chebyshev (first kind) sum, so the rule used by the
 analysis and the one validated in tests are the same object.  The one
 scalar K1, bessel_k1, is scipy.special.cython_special.k1, which runs the
-cephes routine of the scipy.special.k1 ufunc without its dispatch.
+cephes routine of the scipy.special.k1 ufunc without its dispatch.  The
+root finder is the improved form's t3 quantile solver: it evaluates the t3
+CDF z*K1(z) in its own loop, so that a step makes no Python call but K1's.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -68,22 +71,26 @@ def integrate_gc(rule: QuadratureRule, a: float, b: float,
     return (b - a) * total
 
 
-def _brentq(f: Callable[[float], float], target: float, lo: float, hi: float,
-            f_lo: float, f_hi: float) -> float:
-    """Root of f(x) - target between lo and hi by Brent's method (Brent, 1973).
+def _brentq(lam_ab: float, k1: Callable[[float], float], target: float,
+            lo: float, hi: float, f_lo: float, f_hi: float) -> float:
+    """The t between lo and hi at which the t3 CDF z*k1(z), with
+    z = sqrt(4/(lam_ab*t)), equals target, by Brent's method (Brent, 1973).
 
-    A port of the C loop behind scipy.optimize.brentq at xtol=1e-30,
-    rtol=1e-15 and maxiter=200, for outage._quantile_t3: with f_lo = f(lo)
-    and f_hi = f(hi) it returns scipy's root of f - target, bit for bit,
-    without evaluating f at either end again.  It does the C loop's IEEE
+    The solver of outage._quantile_t3, whose t3 formula, outage._cdf_t3, it
+    evaluates in its loop with the same operations, so that a step costs no
+    Python call but k1's.  A port of the C loop behind scipy.optimize.brentq
+    at xtol=1e-30, rtol=1e-15 and maxiter=200: with f_lo and f_hi the CDF at
+    lo and hi it returns scipy's root of that CDF minus target, bit for bit,
+    without evaluating it at either end again.  It does the C loop's IEEE
     operations in the same order, forming each |.| once.  The bracket holds
-    f_lo - target <= 0 < f_hi - target with f finite on it, so scipy's NaN
-    and sign checks, which it cannot fail, are left out.  A zero divisor in
-    the step formula bisects, as the IEEE inf or NaN it yields in C fails
+    f_lo - target <= 0 < f_hi - target with the CDF finite on it, so scipy's
+    NaN and sign checks, which it cannot fail, are left out.  A zero divisor
+    in the step formula bisects, as the IEEE inf or NaN it yields in C fails
     the step test there.  At these tolerances every step moves x, so only
     the formula's last divisor, den, can be 0.  RuntimeError after 200
     iterations.
     """
+    sqrt = math.sqrt
     xpre, xcur, fpre, fcur = lo, hi, f_lo - target, f_hi - target
     if fpre == 0.0:
         return xpre
@@ -139,7 +146,8 @@ def _brentq(f: Callable[[float], float], target: float, lo: float, hi: float,
             xcur += scur
         else:
             xcur += delta if sbis > 0 else -delta
-        fcur = f(xcur) - target
+        z = sqrt(4.0 / (lam_ab * xcur))
+        fcur = z * k1(z) - target
     raise RuntimeError(f"failed to converge after 200 iterations, value is {xcur!r}")
 
 

@@ -12,7 +12,10 @@ For the jointly optimized scheme the outage collapses, after a change of
 variables to the combined uplink rate t2 = g_A/Z_A + g_B/Z_B and the product
 term t3 = 1/(g_A*g_B), to a single quadrature over t3 with the t2 mass
 inside a decode window.  The two variables are treated as independent,
-which is the approximation the tolerance tests measure.
+which is the approximation the tolerance tests measure.  Each of their CDFs
+is one formula, which _cdf_t2 and _cdf_t3 build once per set of link
+constants; the Brent solver of the t3 quantile evaluates a copy of the t3
+formula in its loop, which the tests hold to the formula bit for bit.
 
 All remaining integrals use the same fixed-order Gauss-Chebyshev rule as
 the published expressions, so quadrature order is a visible model knob, not
@@ -355,24 +358,37 @@ def cdf_t2(consts: LinkConstants, t: float) -> float:
         raise ValueError("cdf_t2 requires t >= 0")
     if math.isinf(t):
         return 1.0
-    return _cdf_t2(consts, t, math.exp, math.expm1)
+    return _cdf_t2(consts, math.exp, math.expm1)(t)
 
 
-def _cdf_t2(consts: LinkConstants, t, exp, expm1):
-    """The one t2 CDF formula at a finite t >= 0 with math's exp and expm1,
-    or at an array of them with np's (criterion 8's), a few ulps apart."""
+def _cdf_t2(consts: LinkConstants, exp, expm1):
+    """The one t2 CDF formula, of a finite t >= 0 with math's exp and expm1,
+    or of an array of them with np's (criterion 8's), a few ulps apart.  The
+    rate branch, rate_b/gap and the expm1 rate are fixed once per consts."""
     rate_a = consts.a_rate_a
     rate_b = consts.a_rate_b
+    neg_a = -rate_a
+    neg_b = -rate_b
     gap = rate_a - rate_b
     if abs(gap) <= 1e-9 * max(rate_a, rate_b):
-        return 1.0 - exp(-rate_b * t) - rate_b * t * exp(-rate_a * t)
+        def cdf(t):
+            return 1.0 - exp(neg_b * t) - rate_b * t * exp(neg_a * t)
+        return cdf
+    ratio = rate_b / gap
     # exp(-rate_a*t) - exp(-rate_b*t), anchored on the smaller rate so the
     # expm1 argument is never positive.
     if rate_a <= rate_b:
-        diff = -exp(-rate_a * t) * expm1(-(rate_b - rate_a) * t)
+        spread = -(rate_b - rate_a)
+
+        def cdf(t):
+            return 1.0 - exp(neg_b * t) + ratio * (-exp(neg_a * t) * expm1(spread * t))
     else:
-        diff = exp(-rate_b * t) * expm1(-(rate_a - rate_b) * t)
-    return 1.0 - exp(-rate_b * t) + (rate_b / gap) * diff
+        spread = -(rate_a - rate_b)
+
+        def cdf(t):
+            tail_b = exp(neg_b * t)
+            return 1.0 - tail_b + ratio * (tail_b * expm1(spread * t))
+    return cdf
 
 
 def cdf_t3(consts: LinkConstants, t: float) -> float:
@@ -422,44 +438,64 @@ def improved_integration_bound(consts: LinkConstants) -> float:
     return min(root, consts.y_big / consts.snr_threshold)
 
 
-def _window_mass(consts: LinkConstants, t: float) -> float:
-    """Probability that t2 falls inside its decode window at t3 = t, between
-    2*varpi/(1 - t*gamma_th/Y) (inf from the pole on) and
-    1/(varpi*Z_A*Z_B*t) + varpi."""
-    upper = 1.0 / (consts.varpi * consts.z_a * consts.z_b * t) + consts.varpi
-    den = 1.0 - (consts.snr_threshold / consts.y_big) * t
-    lower = 2.0 * consts.varpi / den if den > 0.0 else math.inf
-    return cdf_t2(consts, upper) - cdf_t2(consts, lower)
+def _window_mass(consts: LinkConstants):
+    """The probability that t2 falls inside its decode window, as a function
+    of t3 = t > 0: the window runs from 2*varpi/(1 - t*gamma_th/Y) (inf from
+    the pole on) to 1/(varpi*Z_A*Z_B*t) + varpi.  cdf_t2's formula and the
+    window's coefficients are built once; an edge at inf has CDF 1.0, as in
+    cdf_t2."""
+    cdf = _cdf_t2(consts, math.exp, math.expm1)
+    varpi = consts.varpi
+    scale = varpi * consts.z_a * consts.z_b
+    slope = consts.snr_threshold / consts.y_big
+    two_varpi = 2.0 * varpi
+    inf = math.inf
+
+    def mass(t):
+        upper = 1.0 / (scale * t) + varpi
+        den = 1.0 - slope * t
+        lower = two_varpi / den if den > 0.0 else inf
+        return ((cdf(upper) if upper < inf else 1.0)
+                - (cdf(lower) if lower < inf else 1.0))
+    return mass
 
 
-def _quantile_t3(cdf, v: float, ladder: list) -> float:
-    """Value of the reciprocal gain product whose CDF equals v.
+def _quantile_t3(consts: LinkConstants, ladder: list):
+    """The quantile function of the reciprocal gain product: v to the t
+    whose CDF equals v.
 
-    cdf is the t3 formula from _cdf_t3.  ladder holds the (t, cdf) rungs
-    t_max * 2**-k walked so far, from rung 0 at the bound, whose CDF v_max
-    exceeds v, and grows here as needed.  The bracket is the first rung
-    whose CDF is at most v and the rung above it.  Calls that share a
-    ladder come in non-increasing v, as integrate_gc's nodes do:
+    ladder holds the (t, cdf) rungs t_max * 2**-k walked so far, from rung
+    0 at the bound, whose CDF v_max exceeds v, and grows here as needed;
+    each rung's CDF is the t3 formula from _cdf_t3.  The bracket is the
+    first rung whose CDF is at most v and the rung above it.  Calls that
+    share a ladder come in non-increasing v, as integrate_gc's nodes do:
     every rung above the last then has a CDF above v, so the walk resumes
     at the last rung, and each rung is evaluated once.  Halving is exact,
     so a shared ladder gives every v the bracket, and the Brent solver the
-    iterates, of a fresh one; the solver takes both bracket ends' CDFs from
-    the ladder, and each of its steps is one call of cdf.  A rung lies
-    within a halving of a t whose CDF exceeds v > 0, so z < 746 * 2**0.5
+    iterates, of a fresh one.  The solver, numerics._brentq, takes both
+    bracket ends' CDFs from the ladder and evaluates the same formula on
+    lam_a*lam_b and numerics.bessel_k1, read here, in its own loop.  A rung
+    lies within a halving of a t whose CDF exceeds v > 0, so z < 746 * 2**0.5
     there, and outage_improved has checked z > 0 at t_max: the formula is
     finite on the bracket.
     """
-    k = max(len(ladder) - 1, 1)
-    while True:
-        if k == len(ladder):
-            t = 0.5 * ladder[-1][0]
-            ladder.append((t, cdf(t)))
-        lo, cdf_lo = ladder[k]
-        if not cdf_lo > v:
-            break
-        k += 1
-    hi, cdf_hi = ladder[k - 1]
-    return _brentq(cdf, v, lo, hi, cdf_lo, cdf_hi)
+    lam_ab = _t3_scale(consts)
+    k1 = numerics.bessel_k1
+    cdf = _cdf_t3(consts, math.sqrt, k1)
+
+    def quantile(v: float) -> float:
+        k = max(len(ladder) - 1, 1)
+        while True:
+            if k == len(ladder):
+                t = 0.5 * ladder[-1][0]
+                ladder.append((t, cdf(t)))
+            lo, cdf_lo = ladder[k]
+            if not cdf_lo > v:
+                break
+            k += 1
+        hi, cdf_hi = ladder[k - 1]
+        return _brentq(lam_ab, k1, v, lo, hi, cdf_lo, cdf_hi)
+    return quantile
 
 
 def outage_improved(params: SystemParams) -> float:
@@ -474,10 +510,10 @@ def outage_improved(params: SystemParams) -> float:
     probability scale the rule integrates the deviation from full window
     mass, which keeps the exactly known tail term out of the quadrature sum
     and lets the default order resolve every regime the sweeps visit.
-    Each node inverts the CDF, a formula built once per call, on one
-    halving ladder from t_max shared by the nodes: integrate_gc visits them
-    in descending v, so each node resumes the walk at the previous node's
-    bracket (_quantile_t3).
+    Each node inverts the CDF on one halving ladder from t_max shared by
+    the nodes: integrate_gc visits them in descending v, so each node
+    resumes the walk at the previous node's bracket (_quantile_t3).  The
+    quantile function and the decode-window mass are built once per call.
 
     The scheme picks theta per realization, so only the theta-free link
     constants enter.  ValueError, naming the inputs involved, where extreme
@@ -502,11 +538,11 @@ def outage_improved(params: SystemParams) -> float:
         raise _out_of_range(params, "lam_a*lam_b*t of the t3 CDF", _SCALE_FIELDS)
     v_max = cdf_t3(consts, t_max)
     rule = _rule(params)
-    cdf = _cdf_t3(consts, math.sqrt, numerics.bessel_k1)
-    ladder = [(t_max, v_max)]
+    quantile = _quantile_t3(consts, [(t_max, v_max)])
+    window = _window_mass(consts)
 
     def miss_at_quantile(v: float) -> float:
-        return 1.0 - _window_mass(consts, _quantile_t3(cdf, v, ladder))
+        return 1.0 - window(quantile(v))
 
     missed = integrate_gc(rule, 0.0, v_max, miss_at_quantile)
     return _clamp_unit((1.0 - v_max) + missed)

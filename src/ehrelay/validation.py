@@ -301,7 +301,7 @@ def _array_cdfs(consts: LinkConstants) -> tuple:
         finite = t < np.inf
         out[finite] = t3_formula(t[finite])
         return out
-    return (lambda t: outage._cdf_t2(consts, t, np.exp, np.expm1)), cdf_t3
+    return outage._cdf_t2(consts, np.exp, np.expm1), cdf_t3
 
 
 def criterion_variable_change_cdfs() -> CriterionResult:

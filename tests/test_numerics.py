@@ -169,13 +169,27 @@ def _outcome(solve):
         return type(err)
 
 
-def _brent_outcomes(f, lo, hi, target=0.0, trace=False):
-    """(port, scipy) outcomes for the root of f(x) - target, scipy's at the
-    port's xtol=1e-30, rtol=1e-15 and maxiter=200, and, where trace is
-    set, the zero divisors the port met.
+def _t3_objective(f, scale):
+    """(k1, g): a K1 of f's shape, k1(z) = f(4/(scale*z**2))/z, and the t3
+    objective g(x) = z*k1(z), z = sqrt(4/(scale*x)), that the port evaluates
+    in its loop; g(x) is f at the x that z rounds back to."""
+    def k1(z):
+        return f(4.0 / (scale * z * z)) / z
 
-    The port calls f once per step, and a step that tried to interpolate
-    bound a fresh lim.  So each call of f from the port shows whether its
+    def g(x):
+        z = math.sqrt(4.0 / (scale * x))
+        return z * k1(z)
+    return k1, g
+
+
+def _brent_outcomes(f, lo, hi, target=0.0, scale=1.0, trace=False):
+    """(port, scipy) outcomes for the root of g(x) - target on 0 < lo < hi,
+    with (k1, g) = _t3_objective(f, scale): the port's from k1, scipy's from
+    g at the port's xtol=1e-30, rtol=1e-15 and maxiter=200; and, where
+    trace is set, the zero divisors the port met.
+
+    The port calls k1 once per step, and a step that tried to interpolate
+    bound a fresh lim.  So each call of k1 from the port shows whether its
     step tried, and whether a zero divisor left den at 0 there.  The last
     lim seen is held, so that a later one cannot reuse its id.
     """
@@ -192,37 +206,43 @@ def _brent_outcomes(f, lo, hi, target=0.0, trace=False):
                 zero_divisions += not step["den"]
         return None
 
-    f_lo, f_hi = f(lo), f(hi)
+    k1, g = _t3_objective(f, scale)
+    g_lo, g_hi = g(lo), g(hi)
     previous = sys.gettrace()
     if trace:
         sys.settrace(enter)
     try:
-        ported = _outcome(lambda: _brentq(f, target, lo, hi, f_lo, f_hi))
+        ported = _outcome(lambda: _brentq(scale, k1, target, lo, hi, g_lo, g_hi))
     finally:
         sys.settrace(previous)
-    wanted = _outcome(lambda: brentq(lambda x: f(x) - target, lo, hi,
+    wanted = _outcome(lambda: brentq(lambda x: g(x) - target, lo, hi,
                                      xtol=1e-30, rtol=1e-15, maxiter=200))
     return ported, wanted, zero_divisions
 
 
 @pytest.mark.parametrize("family", [_smooth, _flat, _odd_power, _step])
 def test_brent_port_matches_scipy_bitwise(family):
+    """The port, outage._quantile_t3's solver, evaluates the t3 objective in
+    its loop; a K1 of each family's shape makes that objective the family,
+    on positive brackets, as t3 brackets are."""
     rng = np.random.default_rng(sum(map(ord, family.__name__)))
     solved = zero_divisions = 0
     for _ in range(2500):
         width = 10.0 ** rng.uniform(-6, 2)
-        lo = rng.normal() * 10.0 ** rng.uniform(-3, 3)
+        lo = 10.0 ** rng.uniform(-3, 3)
         hi = lo + width
+        scale = 10.0 ** rng.uniform(-3, 3)
         # Every family increases.  About one bracket in six holds no root
         # of f, a bracket the port's one caller never passes.
         f = family(rng, lo + width * rng.uniform(-0.1, 1.1))
-        for target in (0.0, f(lo + 0.3 * width)):
-            if not f(lo) - target <= 0.0 <= f(hi) - target:
+        _, g = _t3_objective(f, scale)
+        for target in (0.0, g(lo + 0.3 * width)):
+            if not g(lo) - target <= 0.0 <= g(hi) - target:
                 continue
             # Only _flat's values reach a zero divisor; tracing is slow.
-            ported, wanted, divisions = _brent_outcomes(f, lo, hi, target,
+            ported, wanted, divisions = _brent_outcomes(f, lo, hi, target, scale,
                                                         trace=family is _flat)
-            assert ported == wanted, (family.__name__, lo, hi, target)
+            assert ported == wanted, (family.__name__, lo, hi, target, scale)
             solved += 1
             zero_divisions += divisions
     assert solved > 4000
@@ -231,11 +251,13 @@ def test_brent_port_matches_scipy_bitwise(family):
 
 
 def test_brent_port_errors_match_scipy():
+    """At scale 1, x = 4/z**2 is exact at x = 1/16, 1/4 and 1, so the
+    objective is x - 0.25 there: a zero at either bracket end returns it."""
     cases = [
-        (lambda x: x - 0.25, 0.0, 0.25, (0.25).hex()),       # zero at hi
+        (lambda x: x - 0.25, 0.0625, 0.25, (0.25).hex()),    # zero at hi
         (lambda x: x - 0.25, 0.25, 1.0, (0.25).hex()),       # zero at lo
         # Bisection from 1e300 down to the tolerance takes over 1000 steps.
-        (lambda x: -1.0 if x < 0.0 else 1.0, -1e300, 1e300, RuntimeError),
+        (lambda x: -1.0 if x < 1.0 else 1.0, 1e-300, 1e300, RuntimeError),
     ]
     for fn, lo, hi, want in cases:
         ported, wanted, _ = _brent_outcomes(fn, lo, hi)

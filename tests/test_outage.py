@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import sys
 import warnings
 from unittest import mock
 
@@ -353,11 +354,6 @@ def test_improved_beats_dynamic_at_reference_point():
 LADDER_POINTS = {dbm: link_constants(_with(tx_power_dbm=dbm)) for dbm in (0.0, 30.0, 60.0)}
 
 
-def _solver_cdf(consts):
-    """The t3 CDF formula as outage_improved builds it for its solver."""
-    return outage._cdf_t3(consts, math.sqrt, numerics.bessel_k1)
-
-
 @settings(max_examples=40, deadline=None)
 @given(dbm=st.sampled_from(sorted(LADDER_POINTS)),
        fractions=st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
@@ -366,7 +362,6 @@ def test_resumed_ladder_gives_the_fresh_walk(dbm, fractions):
     """Solves that share a ladder, in descending v as integrate_gc's nodes
     come, each get the bracket and the root of a walk from t_max."""
     consts = LADDER_POINTS[dbm]
-    cdf = _solver_cdf(consts)
     t_max = improved_integration_bound(consts)
     v_max = cdf_t3(consts, t_max)
     levels = sorted((u * v_max for u in fractions), reverse=True)
@@ -374,16 +369,17 @@ def test_resumed_ladder_gives_the_fresh_walk(dbm, fractions):
     real_brentq = outage._brentq
     brackets = []
 
-    def solver_spy(f, target, lo, hi, *args):
+    def solver_spy(lam_ab, k1, target, lo, hi, *args):
         brackets.append((lo.hex(), hi.hex()))
-        return real_brentq(f, target, lo, hi, *args)
+        return real_brentq(lam_ab, k1, target, lo, hi, *args)
 
     ladder = [(t_max, v_max)]
     with mock.patch.object(outage, "_brentq", solver_spy):
+        quantile = _quantile_t3(consts, ladder)
         for v in levels:
-            resumed = _quantile_t3(cdf, v, ladder).hex()
+            resumed = quantile(v).hex()
             fresh = [(t_max, v_max)]
-            assert _quantile_t3(cdf, v, fresh).hex() == resumed
+            assert _quantile_t3(consts, fresh)(v).hex() == resumed
             assert brackets.pop() == brackets.pop()
             assert ladder == fresh
     assert [t for t, _ in ladder] == [t_max * 2.0 ** -k for k in range(len(ladder))]
@@ -395,6 +391,66 @@ GRID_BOX = dict(tx_power_dbm=(0.0, 70.0), dist_a=(1.0, 20.0), dist_b=(1.0, 20.0)
                 eh_efficiency=(0.2, 1.0), gain_a_dbi=(0.0, 14.0),
                 gain_b_dbi=(0.0, 14.0), gain_relay_dbi=(0.0, 14.0),
                 fading_mean_a=(0.5, 2.0), fading_mean_b=(0.5, 2.0))
+
+
+def _t2_written_out(consts, t):
+    """cdf_t2 as one expression per rate branch, as it was before the rate
+    branch, rate_b/gap and the expm1 rate were fixed once per consts, with
+    its 1.0 at t = inf."""
+    if math.isinf(t):
+        return 1.0
+    rate_a = consts.a_rate_a
+    rate_b = consts.a_rate_b
+    gap = rate_a - rate_b
+    if abs(gap) <= 1e-9 * max(rate_a, rate_b):
+        return 1.0 - math.exp(-rate_b * t) - rate_b * t * math.exp(-rate_a * t)
+    if rate_a <= rate_b:
+        diff = -math.exp(-rate_a * t) * math.expm1(-(rate_b - rate_a) * t)
+    else:
+        diff = math.exp(-rate_b * t) * math.expm1(-(rate_a - rate_b) * t)
+    return 1.0 - math.exp(-rate_b * t) + (rate_b / gap) * diff
+
+
+def _window_written_out(consts, t):
+    """The decode-window mass at t3 = t, its coefficients formed per t."""
+    upper = 1.0 / (consts.varpi * consts.z_a * consts.z_b * t) + consts.varpi
+    den = 1.0 - (consts.snr_threshold / consts.y_big) * t
+    lower = 2.0 * consts.varpi / den if den > 0.0 else math.inf
+    return _t2_written_out(consts, upper) - _t2_written_out(consts, lower)
+
+
+T2_BRANCHES = {
+    "distinct": lambda c: c,
+    "swapped": lambda c: dataclasses.replace(c, a_rate_a=c.a_rate_b, a_rate_b=c.a_rate_a),
+    "equal": lambda c: dataclasses.replace(c, a_rate_b=c.a_rate_a),
+    "near-equal": lambda c: dataclasses.replace(c, a_rate_b=c.a_rate_a * (1.0 + 1e-12)),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(fields=st.fixed_dictionaries({k: st.floats(*v) for k, v in GRID_BOX.items()}),
+       branch=st.sampled_from(sorted(T2_BRANCHES)),
+       scaled=st.lists(st.floats(1e-9, 1e3), min_size=1, max_size=8),
+       fractions=st.lists(st.floats(1e-9, 1.0), min_size=1, max_size=8))
+def test_t2_builder_is_the_written_out_formula(fields, branch, scaled, fractions):
+    """cdf_t2, whose formula _cdf_t2 builds once per consts, gives the bits
+    of the formula written out per t on every rate branch at box points, at
+    0 and at t = x/rate_a; the decode-window mass that outage_improved
+    builds once per call gives those of the window written out per t, on
+    (0, t_max] and past the window's pole, where its lower edge is inf."""
+    consts = T2_BRANCHES[branch](link_constants(SystemParams(**fields)))
+    rate_a, rate_b = consts.a_rate_a, consts.a_rate_b
+    # Box points can draw tied rates, which take the equal-rate branch.
+    assume((abs(rate_a - rate_b) <= 1e-9 * max(rate_a, rate_b))
+           == (branch in ("equal", "near-equal")))
+    for t in [0.0] + [x / rate_a for x in scaled]:
+        assert cdf_t2(consts, t).hex() == _t2_written_out(consts, t).hex(), t
+    window = _window_mass(consts)
+    t_max = improved_integration_bound(consts)
+    past_pole = 1.5 * consts.y_big / consts.snr_threshold
+    for t in [u * t_max for u in fractions] + [past_pole]:
+        assert window(t).hex() == _window_written_out(consts, t).hex(), t
+    event(branch)
 
 
 def _t3_written_out(consts, t):
@@ -415,7 +471,8 @@ def _t3_written_out(consts, t):
 def test_quantile_t3_returns_scipys_root(fields, order, node, fraction, at_node):
     """At box points, for v at one of outage_improved's quadrature nodes or
     anywhere in (0, v_max), the solver's root is scipy's, bit for bit, on the
-    ladder bracket: for cdf_t3 and for the formula written out."""
+    ladder bracket: for cdf_t3 and for the formula written out.  So the
+    copy of the t3 formula in the solver's loop is cdf_t3's."""
     consts = link_constants(SystemParams(**fields, quad_order=order))
     t_max = improved_integration_bound(consts)
     v_max = cdf_t3(consts, t_max)
@@ -424,7 +481,7 @@ def test_quantile_t3_returns_scipys_root(fields, order, node, fraction, at_node)
     v = u * v_max
     assume(0.0 < v < v_max)
     rungs = [(t_max, v_max)]
-    got = _quantile_t3(_solver_cdf(consts), v, rungs)
+    got = _quantile_t3(consts, rungs)(v)
     k = next(i for i, (_, cdf) in enumerate(rungs) if not cdf > v)
     lo, hi = rungs[k][0], rungs[k - 1][0]
     assert [cdf for _, cdf in rungs] == [cdf_t3(consts, t) for t, _ in rungs]
@@ -441,39 +498,44 @@ def test_improved_outage_evaluates_each_ladder_rung_once(monkeypatch, dbm, order
     want = outage_improved(params)
     real_formula = outage._cdf_t3
     real_brentq = outage._brentq
-    brackets = []
+    solving = []
     outside = []
-    inside = []
     solver_calls = []
 
     def formula_spy(consts, *ops):
         cdf = real_formula(consts, *ops)
 
         def spied(t):
-            (inside if brackets else outside).append(t)
+            assert not solving
+            outside.append(t)
             return cdf(t)
         return spied
 
-    def brentq_spy(f, target, lo, hi, *args, **kwargs):
-        brackets.append((lo, hi))
+    def brentq_spy(lam_ab, k1, target, lo, hi, *args):
+        inside = []
+
+        def k1_spy(z):
+            # The solver's iterate, whose objective this K1 call evaluates.
+            inside.append(sys._getframe(1).f_locals["xcur"])
+            return k1(z)
+        solving.append((lo, hi))
         try:
-            return real_brentq(f, target, lo, hi, *args, **kwargs)
+            return real_brentq(lam_ab, k1_spy, target, lo, hi, *args)
         finally:
-            ends = brackets.pop()
-            assert not set(inside) & set(ends)
+            solving.pop()
+            assert not set(inside) & {lo, hi}
             solver_calls.append(len(inside))
-            inside.clear()
 
     monkeypatch.setattr(outage, "_cdf_t3", formula_spy)
     monkeypatch.setattr(outage, "_brentq", brentq_spy)
     assert outage_improved(params) == want
-    # Outside the solver: v_max at the bound, then each rung of the ladder
-    # once; inside it, never at a bracket end, whose CDF the ladder holds.
+    # The formula, outside the solver only: v_max at the bound, then each
+    # rung of the ladder once.  The solver's objective, in its loop, is
+    # never at a bracket end, whose CDF the ladder holds.
     t_max = improved_integration_bound(link_constants(params))
     assert outside == [t_max * 2.0 ** -k for k in range(len(outside))]
     assert len(outside) >= 2
-    # The spy sees the solver's evaluations: one solve per node, each of
-    # them evaluating the formula.
+    # One solve per node, each of them evaluating its objective.
     assert len(solver_calls) == order
     assert min(solver_calls) >= 1
 
@@ -587,16 +649,29 @@ def test_the_scalar_k1_is_one_function():
 
 def test_every_t3_formula_evaluation_goes_through_bessel_k1(monkeypatch):
     """outage_improved reads numerics.bessel_k1 when called, so a spy there
-    sees every evaluation of the t3 formula, its solver's too, not only
-    v_max's: 80 at the defaults (M = 10)."""
+    sees every evaluation of the t3 formula, v_max's and the ladder's, and
+    of the solver's objective, its copy in the solver's loop: 80 at the
+    defaults (M = 10)."""
     want = outage_improved(DEFAULTS)
-    k1_calls = formula_calls = 0
+    k1_calls = formula_calls = solver_k1_calls = 0
+    solving = False
     real_k1, real_formula = numerics.bessel_k1, outage._cdf_t3
+    real_brentq = outage._brentq
 
     def k1_spy(z):
-        nonlocal k1_calls
+        nonlocal k1_calls, solver_k1_calls
         k1_calls += 1
+        solver_k1_calls += solving
         return real_k1(z)
+
+    def brentq_spy(lam_ab, k1, *args):
+        nonlocal solving
+        assert k1 is k1_spy
+        solving = True
+        try:
+            return real_brentq(lam_ab, k1, *args)
+        finally:
+            solving = False
 
     def formula_spy(consts, *ops):
         cdf = real_formula(consts, *ops)
@@ -609,8 +684,10 @@ def test_every_t3_formula_evaluation_goes_through_bessel_k1(monkeypatch):
 
     monkeypatch.setattr(numerics, "bessel_k1", k1_spy)
     monkeypatch.setattr(outage, "_cdf_t3", formula_spy)
+    monkeypatch.setattr(outage, "_brentq", brentq_spy)
     assert outage_improved(DEFAULTS) == want
-    assert k1_calls == formula_calls > 5 * DEFAULTS.quad_order
+    assert k1_calls == formula_calls + solver_k1_calls > 5 * DEFAULTS.quad_order
+    assert formula_calls >= 2 and solver_k1_calls >= DEFAULTS.quad_order
 
 
 def test_scalar_k1_is_the_ufunc_bit_for_bit(monkeypatch):
@@ -619,12 +696,12 @@ def test_scalar_k1_is_the_ufunc_bit_for_bit(monkeypatch):
     branches (z <= 2 and z > 2), at tiny z, and where K1 underflows to 0.0
     past z of about 700.  test_gate_t3_is_bit_identical_to_cdf_t3 holds
     criterion 8's t3 CDF, on the ufunc, to the same bits."""
-    formulas = []
-    real_formula = outage._cdf_t3
-    monkeypatch.setattr(outage, "_cdf_t3", lambda consts, sqrt, k1: (
-        formulas.append(k1) or real_formula(consts, sqrt, k1)))
+    solver_k1s = []
+    real_brentq = outage._brentq
+    monkeypatch.setattr(outage, "_brentq", lambda lam_ab, k1, *args: (
+        solver_k1s.append(k1) or real_brentq(lam_ab, k1, *args)))
     outage_improved(DEFAULTS)
-    solver_k1 = formulas[-1]
+    solver_k1 = solver_k1s[-1]
     tiny = [5e-324, 1e-320, 1e-310, 1e-300, 1e-100, 1e-10]
     underflow = [700.0, 705.0, 710.0, 740.0, 746.0, 800.0, 1e10, math.inf]
     zs = tiny + np.geomspace(1e-3, 800.0, 20_001).tolist() + underflow
@@ -725,11 +802,12 @@ def test_window_mass_derivative_matches_finite_differences():
     p = _with(tx_power_dbm=5.0)
     c = derive_constants(p, 0.5)
     t_max = improved_integration_bound(c)
+    window = _window_mass(c)
     resolved = 0
     for frac in np.linspace(0.02, 0.98, 25):
         t = frac * t_max
         h = t * 1e-5
-        fd = (_window_mass(c, t + h) - _window_mass(c, t - h)) / (2.0 * h)
+        fd = (window(t + h) - window(t - h)) / (2.0 * h)
         cf = _window_mass_deriv(c, t)
         if abs(cf) >= 1e-8:
             resolved += 1
