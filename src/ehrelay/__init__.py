@@ -7,7 +7,7 @@ plumbing that reproduces the reference experiments as CSV tables.
 
 from .model import (DerivedConstants, SchemeSpec, SystemParams, dbi_to_linear,
                     dbm_to_watts, derive_constants)
-from .montecarlo import McConfig, McEstimate, mc_energy_outage, mc_outage, relative_error
+from .montecarlo import McConfig, McEstimate, mc_energy_outage, mc_outage
 from .outage import (diversity_slope, energy_outage, outage_capacity,
                      outage_dynamic_ps, outage_improved)
 from .sweeps import SweepResult, SweepRow, SweepSpec, fig, run_sweep
@@ -35,7 +35,6 @@ __all__ = [
     "outage_capacity",
     "outage_dynamic_ps",
     "outage_improved",
-    "relative_error",
     "report_csv",
     "run_all",
     "run_sweep",

@@ -122,8 +122,8 @@ def cmd_sweep(args) -> int:
             problem = " is empty" if not text.strip() else f"={text!r} is not a number"
             raise ValueError(f"values[{i}]{problem}") from None
     spec = SweepSpec(swept_param=args.param, values=tuple(values),
-                     schemes=tuple(schemes), base=params, mc=cfg)
-    _emit_result(run_sweep(spec), args, args.out)
+                     schemes=tuple(schemes), base=params)
+    _emit_result(run_sweep(spec, cfg), args, args.out)
     return 0
 
 
@@ -135,13 +135,13 @@ def cmd_fig(args) -> int:
     if args.outdir is not None and args.out is not None:
         raise ValueError("--out and --outdir exclude each other")
     _, cfg, system = _resolve(args)
-    specs = [_figure_spec(n, system, cfg) for n in args.n]
+    specs = [_figure_spec(n, system) for n in args.n]
     if args.outdir is None:
-        _emit_result(run_sweeps(specs)[0], args, args.out)
+        _emit_result(run_sweeps(specs, cfg)[0], args, args.out)
         return 0
     os.makedirs(args.outdir, exist_ok=True)
     start = time.perf_counter()
-    results = run_sweeps(specs)
+    results = run_sweeps(specs, cfg)
     seconds = time.perf_counter() - start
     for n, result in zip(args.n, results):
         path = os.path.join(args.outdir, f"fig{n}.{'json' if args.json else 'csv'}")

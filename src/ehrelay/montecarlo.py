@@ -441,7 +441,7 @@ def mc_energy_outage(params: SystemParams, cfg: McConfig) -> McEstimate:
     return mc_outages([(params, None)], cfg)[0]
 
 
-def relative_error(analytic: float, mc: McEstimate) -> float:
+def _relative_error(analytic: float, mc: McEstimate) -> float:
     """Relative deviation of a closed form from its simulated value."""
     if mc.probability == 0.0:
         raise ValueError("relative error is undefined for a zero simulated probability")

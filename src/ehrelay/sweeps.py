@@ -3,14 +3,15 @@
 Every experiment is a sweep of one parameter against a list of relay
 schemes; each (value, scheme) pair yields one row holding the closed-form
 outage where one exists, the Monte Carlo estimate, and the outage capacity.
-The CSV serialization is byte-stable for a fixed spec and seed, which the
-determinism checks rely on.
+The CSV serialization is byte-stable for a fixed spec, seed and trial
+count, which the determinism checks rely on.
 
 run_sweeps simulates all cells of several sweeps, such as the reference
-figures, in one montecarlo.mc_outages batch, so they read one draw of the
-gains per block: common random numbers, which leave the Monte Carlo errors
-of the rows correlated.  A cell counts alike in any batch, so each table is
-the one its sweep gives alone, and run_sweep is the one-sweep batch.  Cells
+figures, in one montecarlo.mc_outages batch at one budget, the McConfig it
+takes (a SweepSpec holds none), so they read one draw of the gains per
+block: common random numbers, which leave the Monte Carlo errors of the
+rows correlated.  A cell counts alike in any batch, so each table is the
+one its sweep gives alone, and run_sweep is the one-sweep batch.  Cells
 share the kernel's passes as montecarlo's docstring says, and rows alike
 but for M, as in figure 3, share one simulated count.
 """
@@ -23,7 +24,7 @@ import json
 from dataclasses import dataclass, fields, replace
 
 from .model import SchemeSpec, SystemParams, check_theta, real_number
-from .montecarlo import McConfig, mc_outages, relative_error
+from .montecarlo import McConfig, _relative_error, mc_outages
 from .outage import (energy_outage, outage_capacity, outage_dynamic_ps,
                      outage_improved)
 
@@ -59,20 +60,17 @@ class SweepSpec:
     dist_b is adjusted so the terminal separation base.dist_a + base.dist_b
     stays fixed.  A sensitivity sweep additionally reports the energy outage
     as its own pseudo-scheme row per value.  A theta sweep sets the theta of
-    its dynamic_ps scheme, so it takes at most one.
+    its dynamic_ps scheme, so it takes at most one.  No scheme label repeats.
     """
 
     swept_param: str
     values: tuple
     schemes: tuple
     base: SystemParams
-    mc: McConfig
 
     def __post_init__(self) -> None:
-        for name, kind in (("base", SystemParams), ("mc", McConfig)):
-            if not isinstance(getattr(self, name), kind):
-                raise ValueError(f"{name} must be a {kind.__name__}, "
-                                 f"got {getattr(self, name)!r}")
+        if not isinstance(self.base, SystemParams):
+            raise ValueError(f"base must be a SystemParams, got {self.base!r}")
         values = tuple(real_number(f"values[{i}]", v) for i, v in enumerate(self.values))
         if not values:
             raise ValueError("values must be nonempty")
@@ -84,9 +82,13 @@ class SweepSpec:
         schemes = tuple(self.schemes)
         if not schemes:
             raise ValueError("schemes must be nonempty")
+        seen = set()
         for i, scheme in enumerate(schemes):
             if not isinstance(scheme, SchemeSpec):
                 raise ValueError(f"schemes[{i}] must be a SchemeSpec, got {scheme!r}")
+            if (label := scheme.label()) in seen:
+                raise ValueError(f"scheme {label!r} is given twice")
+            seen.add(label)
         dynamic = [s.label() for s in schemes if s.scheme_id == "dynamic_ps"]
         if self.swept_param == "theta" and len(dynamic) > 1:
             raise ValueError(f"a theta sweep takes one dynamic_ps scheme, got {dynamic}")
@@ -147,20 +149,20 @@ def _analytic_outage(params: SystemParams, scheme: SchemeSpec):
 def _row(v: float, label: str, analytic, est, capacity) -> SweepRow:
     rel = None
     if analytic is not None and est.probability > 0.0:
-        rel = relative_error(analytic, est)
+        rel = _relative_error(analytic, est)
     return SweepRow(param_value=v, scheme_id=label, analytic_outage=analytic,
                     mc_outage=est.probability, mc_std_error=est.std_error,
                     capacity=capacity, relative_error=rel)
 
 
-def run_sweeps(specs) -> list:
+def run_sweeps(specs, mc: McConfig) -> list:
     """One SweepResult per spec of a nonempty iterable, in order, every
-    (value, scheme) cell of every spec simulated in one batch.  A batch has
-    one (seed, trials, shards), so the specs must share their mc."""
+    (value, scheme) cell of every spec simulated in one batch at the one
+    budget mc, a McConfig."""
+    if not isinstance(mc, McConfig):
+        raise ValueError(f"mc must be a McConfig, got {mc!r}")
     if not (specs := tuple(specs)):
         raise ValueError("a batch of sweeps takes at least one spec, got none")
-    if len({spec.mc for spec in specs}) != 1:
-        raise ValueError(f"a batch of sweeps takes one mc, got {[s.mc for s in specs]}")
     tables = [[] for _ in specs]
     cells = []    # (rows, value, label, point, scheme), scheme None for the energy row
     for rows, spec in zip(tables, specs):
@@ -173,7 +175,7 @@ def run_sweeps(specs) -> list:
                 cells.append((rows, v, label, point, scheme))
             if spec.swept_param == "sensitivity":
                 cells.append((rows, v, "energy_outage", point, None))
-    estimates = mc_outages([(point, scheme) for *_, point, scheme in cells], specs[0].mc)
+    estimates = mc_outages([(point, scheme) for *_, point, scheme in cells], mc)
     for (rows, v, label, point, scheme), est in zip(cells, estimates):
         if scheme is None:
             rows.append(_row(v, label, energy_outage(point), est, None))
@@ -186,9 +188,9 @@ def run_sweeps(specs) -> list:
     return [SweepResult(spec.swept_param, tuple(rows)) for spec, rows in zip(specs, tables)]
 
 
-def run_sweep(spec: SweepSpec) -> SweepResult:
-    """Evaluate every (value, scheme) cell of the sweep."""
-    return run_sweeps((spec,))[0]
+def run_sweep(spec: SweepSpec, mc: McConfig) -> SweepResult:
+    """Evaluate every (value, scheme) cell of the sweep at the budget mc."""
+    return run_sweeps((spec,), mc)[0]
 
 
 _DYNAMIC = SchemeSpec("dynamic_ps", {"theta": 0.5})
@@ -199,8 +201,7 @@ _FIG_SCHEMES = (SchemeSpec("improved"), _DYNAMIC,
 
 def _figure(swept_param: str, values: tuple, schemes: tuple, **changes) -> SweepSpec:
     """A reference experiment; changes move its operating point off the defaults."""
-    return SweepSpec(swept_param, values, schemes,
-                     base=replace(SystemParams(), **changes), mc=McConfig())
+    return SweepSpec(swept_param, values, schemes, base=replace(SystemParams(), **changes))
 
 
 # The reference experiments by figure index: the one definition that fig(),
@@ -221,8 +222,8 @@ FIGURES = {
 }
 
 
-def _figure_spec(n: int, overrides: dict | None, mc: McConfig | None) -> SweepSpec:
-    """FIGURES[n] moved by overrides, on mc where given; see fig()."""
+def _figure_spec(n: int, overrides: dict | None) -> SweepSpec:
+    """FIGURES[n] moved by overrides; see fig()."""
     if n not in FIGURES:
         raise ValueError(f"figure index must be one of {tuple(FIGURES)}, got {n!r}")
     spec, overrides = FIGURES[n], overrides or {}
@@ -230,8 +231,7 @@ def _figure_spec(n: int, overrides: dict | None, mc: McConfig | None) -> SweepSp
         raise ValueError(f"overrides name no SystemParams field: {unknown}")
     if (swept := _SWEPT_FIELDS[spec.swept_param]) in overrides:
         raise ValueError(f"figure {n} sweeps {swept}, so overrides cannot set it")
-    return replace(spec, base=replace(spec.base, **overrides),
-                   mc=mc if mc is not None else spec.mc)
+    return replace(spec, base=replace(spec.base, **overrides))
 
 
 def fig(n: int, overrides: dict | None = None,
@@ -241,5 +241,6 @@ def fig(n: int, overrides: dict | None = None,
     overrides maps SystemParams field names to values that replace the
     figure's own, so callers can move any figure to another operating point;
     the field the figure sweeps, which each sweep value replaces, is refused.
+    mc is the Monte Carlo budget, McConfig() where None.
     """
-    return run_sweep(_figure_spec(n, overrides, mc))
+    return run_sweep(_figure_spec(n, overrides), McConfig() if mc is None else mc)

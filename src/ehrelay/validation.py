@@ -30,7 +30,7 @@ from . import outage
 from .model import (KernelWorkspace, LinkConstants, SchemeSpec, SystemParams,
                     broadcast_factors, critical_ratio, derive_constants, downlink_gain,
                     harvest_pool, link_constants, normalized_gains)
-from .montecarlo import McConfig, _run_calls, mc_outage, mc_outages, relative_error
+from .montecarlo import McConfig, _relative_error, _run_calls, mc_outage, mc_outages
 from .outage import (CaseFourGeometry, Scenario, _boundary_gain_a,
                      _boundary_gain_b, _knee_crossing, case4_geometry,
                      diversity_slope, energy_outage, outage_capacity,
@@ -117,7 +117,7 @@ def criterion_quadrature() -> CriterionResult:
     mc = mc_outage(params, "dynamic_ps", {"theta": 0.5},
                    McConfig(trials=10_000_000, seed=11, shards=4))
     orders = (2, 3, 5, 10, 20)
-    deltas = [relative_error(outage_dynamic_ps(replace(params, quad_order=m), 0.5), mc)
+    deltas = [_relative_error(outage_dynamic_ps(replace(params, quad_order=m), 0.5), mc)
               for m in orders]
     by_order = dict(zip(orders, deltas))
     inversions = sum(1 for a, b in zip(deltas, deltas[1:]) if b > a)
@@ -127,12 +127,12 @@ def criterion_quadrature() -> CriterionResult:
     return CriterionResult(1, "quadrature-fidelity", passed, detail)
 
 
-def _agreement(spec: SweepSpec) -> tuple:
-    """Worst |closed form - MC| / max(3 se, 5e-3) over the cells of a sweep,
-    and whether every cell stays within that tolerance."""
+def _agreement(spec: SweepSpec, mc: McConfig) -> tuple:
+    """Worst |closed form - MC| / max(3 se, 5e-3) over the cells of a sweep
+    run at the budget mc, and whether every cell stays within that tolerance."""
     worst = 0.0
     passed = True
-    for row in run_sweep(spec).rows:
+    for row in run_sweep(spec, mc).rows:
         gap = abs(row.analytic_outage - row.mc_outage)
         tol = max(3.0 * row.mc_std_error, 5e-3)
         worst = max(worst, gap / tol)
@@ -143,8 +143,8 @@ def _agreement(spec: SweepSpec) -> tuple:
 def criterion_dynamic_agreement() -> CriterionResult:
     """Closed-form dynamic-split outage tracks simulation over a theta x rate grid."""
     schemes = tuple(SchemeSpec("dynamic_ps", {"theta": t}) for t in (0.3, 0.5, 0.8))
-    worst, passed = _agreement(SweepSpec("rate", (1.0, 2.0, 3.0), schemes, SystemParams(),
-                                         McConfig(trials=1_000_000, seed=23, shards=4)))
+    worst, passed = _agreement(SweepSpec("rate", (1.0, 2.0, 3.0), schemes, SystemParams()),
+                               McConfig(trials=1_000_000, seed=23, shards=4))
     return CriterionResult(2, "dynamic-ps-agreement", passed,
                            f"max |analytic-mc|/tol={_fmt(worst)} over 9 cells")
 
@@ -152,8 +152,8 @@ def criterion_dynamic_agreement() -> CriterionResult:
 def criterion_improved_agreement() -> CriterionResult:
     """Closed-form improved-scheme outage tracks simulation over transmit power."""
     worst, passed = _agreement(SweepSpec("tx_power", (10.0, 15.0, 20.0, 25.0, 30.0),
-                                         (SchemeSpec("improved"),), SystemParams(),
-                                         McConfig(trials=1_000_000, seed=29, shards=4)))
+                                         (SchemeSpec("improved"),), SystemParams()),
+                               McConfig(trials=1_000_000, seed=29, shards=4))
     return CriterionResult(3, "improved-agreement", passed,
                            f"max |analytic-mc|/tol={_fmt(worst)} over 5 powers")
 
@@ -494,12 +494,11 @@ def criterion_determinism() -> CriterionResult:
     """Identical seeds give identical bytes regardless of shard count."""
     schemes = (SchemeSpec("dynamic_ps", {"theta": 0.5}), SchemeSpec("improved"))
     outputs = set()
+    spec = SweepSpec(swept_param="tx_power", values=(20.0, 30.0),
+                     schemes=schemes, base=SystemParams())
     # One run per shard count, then a rerun of the first.
     for shards in (1, 4, 8, 1):
-        spec = SweepSpec(swept_param="tx_power", values=(20.0, 30.0),
-                         schemes=schemes, base=SystemParams(),
-                         mc=McConfig(trials=600_000, seed=91, shards=shards))
-        outputs.add(run_sweep(spec).to_csv())
+        outputs.add(run_sweep(spec, McConfig(trials=600_000, seed=91, shards=shards)).to_csv())
     passed = len(outputs) == 1
     return CriterionResult(12, "determinism", passed,
                            f"identical CSV across shards 1/4/8 and rerun={passed}")

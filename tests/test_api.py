@@ -30,7 +30,6 @@ PUBLIC = [
     "outage_capacity",
     "outage_dynamic_ps",
     "outage_improved",
-    "relative_error",
     "report_csv",
     "run_all",
     "run_sweep",

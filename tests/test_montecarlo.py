@@ -31,13 +31,12 @@ from ehrelay import (
     mc_outage,
     outage_capacity,
     outage_dynamic_ps,
-    relative_error,
 )
 from ehrelay import montecarlo, sweeps
 from ehrelay.model import (KernelWorkspace, SchemeSpec, count_below, critical_ratio,
                            downlink_gain, harvest_pool, link_constants, normalized_gains)
 from ehrelay.montecarlo import (BLOCK_TRIALS, CHUNK_TRIALS, _block_layout, _block_rng, _chunks, _outage_block,
-                                _plan, _splitmix64, _usable_cores, mc_outages)
+                                _plan, _relative_error, _splitmix64, _usable_cores, mc_outages)
 from ehrelay.numerics import sample_exponential
 from ehrelay.outage import Scenario, case4_geometry
 from ehrelay.validation import _DIVERSITY_GEOMETRY
@@ -653,11 +652,11 @@ class TestEstimator:
 
     def test_relative_error(self):
         est = McEstimate(probability=0.01, std_error=0.001, trials=10_000)
-        assert relative_error(0.01, est) == 0.0
-        assert relative_error(0.0101, est) == pytest.approx(0.01, rel=1e-9)
+        assert _relative_error(0.01, est) == 0.0
+        assert _relative_error(0.0101, est) == pytest.approx(0.01, rel=1e-9)
         zero = McEstimate(probability=0.0, std_error=0.0, trials=10_000)
         with pytest.raises(ValueError):
-            relative_error(0.01, zero)
+            _relative_error(0.01, zero)
 
     def test_estimate_validation(self):
         with pytest.raises(ValueError):

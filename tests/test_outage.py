@@ -26,7 +26,8 @@ from ehrelay import (
     outage_improved,
 )
 from ehrelay import numerics, outage
-from ehrelay.model import link_constants
+from ehrelay.model import (KernelWorkspace, critical_ratio, downlink_gain, harvest_pool,
+                           link_constants, normalized_gains)
 from ehrelay.numerics import QuadratureRule, bessel_k1, integrate_gc
 from ehrelay.outage import (
     CaseFourGeometry,
@@ -1131,3 +1132,111 @@ def test_analytic_matches_simulation_across_figure_ranges():
                                                   shards=4))
         tol = max(3.0 * est.std_error, 5e-3)
         assert abs(analytic - est.probability) <= tol, (scheme, args, overrides)
+
+
+# Exact invariance laws.  Swap: exchanging terminals A and B (distances,
+# antenna gains, fading means) and taking theta to 1 - theta leaves every
+# outage unchanged.  eps-scaling: r* reads neither P, sigma^2 nor gamma_th,
+# so two points with equal eps = gamma_th*sigma^2/P have equal outages.  The
+# points: 200 seeded draws from a wide box, then each single-curve layout
+# point and its mirror.
+def _law_points():
+    rng = np.random.default_rng(22)
+    points = []
+    for _ in range(200):
+        params = _with(tx_power_dbm=rng.uniform(0.0, 70.0),
+                       dist_a=rng.uniform(1.0, 20.0), dist_b=rng.uniform(1.0, 20.0),
+                       rate_bps_hz=rng.uniform(0.5, 5.0),
+                       gain_a_dbi=rng.uniform(0.0, 14.0), gain_b_dbi=rng.uniform(0.0, 14.0),
+                       fading_mean_a=10.0 ** rng.uniform(-1.0, 1.0),
+                       fading_mean_b=10.0 ** rng.uniform(-1.0, 1.0),
+                       quad_order=int(rng.choice([5, 10, 20, 40])))
+        points.append((params, rng.uniform(0.15, 0.85)))
+    for overrides, theta in SINGLE_CURVE_POINTS.values():
+        params = _with(tx_power_dbm=-70.0, rate_bps_hz=2.0, quad_order=40, **overrides)
+        points += [(params, theta), (_mirror(params), 1.0 - theta)]
+    return points
+
+
+def _mirror(params):
+    """params with terminals A and B swapped."""
+    return _with(params, dist_a=params.dist_b, dist_b=params.dist_a,
+                 gain_a_dbi=params.gain_b_dbi, gain_b_dbi=params.gain_a_dbi,
+                 fading_mean_a=params.fading_mean_b, fading_mean_b=params.fading_mean_a)
+
+
+def _law_gap(a, b):
+    """|a - b| over the laws' bound, max(1e-9 relative, 4*2**-53 absolute)."""
+    return abs(a - b) / max(1e-9 * max(abs(a), abs(b)), 4.0 * 2.0 ** -53)
+
+
+def test_outages_are_invariant_under_the_terminal_swap():
+    gaps = {}
+    for params, theta in _law_points():
+        mirror = _mirror(params)
+        gaps[params, theta] = max(_law_gap(outage_dynamic_ps(params, theta),
+                                           outage_dynamic_ps(mirror, 1.0 - theta)),
+                                  _law_gap(outage_improved(params), outage_improved(mirror)))
+        for sensitivity in (None, -20.0):
+            gated = _with(params, circuit_sensitivity_dbm=sensitivity)
+            assert energy_outage(gated) == energy_outage(_mirror(gated))
+    worst = max(gaps, key=gaps.get)
+    assert gaps[worst] <= 1.0, worst
+
+
+def test_outages_depend_on_power_and_rate_only_through_eps():
+    """(U, P) and (U', P + 10*log10(gamma'/gamma) dB) share eps."""
+    rng = np.random.default_rng(23)
+    gaps = {}
+    for params, theta in _law_points():
+        rate = rng.uniform(0.5, 5.0)
+        shift = 10.0 * math.log10((2.0 ** rate - 1.0) / params.snr_threshold)
+        moved = _with(params, rate_bps_hz=rate, tx_power_dbm=params.tx_power_dbm + shift)
+        gaps[params, theta] = max(_law_gap(outage_dynamic_ps(params, theta),
+                                           outage_dynamic_ps(moved, theta)),
+                                  _law_gap(outage_improved(params), outage_improved(moved)))
+    worst = max(gaps, key=gaps.get)
+    assert gaps[worst] <= 1.0, worst
+
+
+def _kernel_levels(params, rho, theta, g_a, g_b):
+    """Per trial: r* with the ideal rectenna; gated, whether a*pool < eps,
+    the kernel's outage verdict."""
+    consts, ws = link_constants(params), KernelWorkspace(g_a.shape)
+    normalized_gains(consts, g_a, g_b, ws)
+    gain = downlink_gain(consts, theta, ws)
+    if consts.harvest_floor == 0.0:
+        return critical_ratio(rho, gain, ws).copy()
+    return gain * harvest_pool(rho, consts.varpi, consts.harvest_floor, ws) < consts.varpi
+
+
+# Terminals 1 and 1.5 m from the relay, where the uplink term min(u_A, u_B)
+# sets r* in 1% to 17% of the trials at a symmetric weight; far from the
+# relay, as at the box points, the downlink term sets it.
+_NEAR_RELAY = dict(tx_power_dbm=40.0, dist_a=1.0, dist_b=1.5, gain_a_dbi=14.0,
+                   gain_b_dbi=12.0, fading_mean_a=10.0, fading_mean_b=6.0)
+
+
+@pytest.mark.parametrize("gate_db", [None, 35.0])
+def test_kernel_is_invariant_under_the_terminal_swap(gate_db):
+    """The mirrored point, fed each trial's gains swapped, gives the same r*
+    bit for bit where the weight is symmetric (theta = 1/2, the equalizing
+    weight, static_equal's 1/2) and within 1e-15 at theta = 0.3 against 0.7,
+    as 1 - 0.7 is not 0.3.  Gated, the rectenna sensitivity gate_db below
+    the transmit power, where 0.2% to 99% of the trials are outages, each
+    trial gets the same verdict."""
+    rng = np.random.default_rng(24)
+    for params in [params for params, _ in _law_points()[:3]] + [_with(**_NEAR_RELAY)]:
+        if gate_db is not None:
+            params = _with(params, circuit_sensitivity_dbm=params.tx_power_dbm - gate_db)
+        g_a = rng.exponential(params.fading_mean_a, 1 << 16)
+        g_b = rng.exponential(params.fading_mean_b, 1 << 16)
+        for rho, theta, exact in ((None, 0.5, True), (None, None, True),
+                                  (0.4, 0.5, True), (None, 0.3, False)):
+            mirror_theta = None if theta is None else 1.0 - theta
+            levels = _kernel_levels(params, rho, theta, g_a, g_b)
+            mirrored = _kernel_levels(_mirror(params), rho, mirror_theta, g_b, g_a)
+            if exact or gate_db is not None:
+                np.testing.assert_array_equal(levels, mirrored)
+            else:
+                np.testing.assert_allclose(levels, mirrored, rtol=1e-15, atol=0.0)

@@ -37,9 +37,9 @@ REF_Z_A = 2849.964970428562
 FAST_MC = McConfig(trials=4096, seed=7)
 
 
-def _spec(param, values, schemes, base=None, mc=FAST_MC):
+def _spec(param, values, schemes, base=None):
     return SweepSpec(swept_param=param, values=values, schemes=schemes,
-                     base=base or SystemParams(), mc=mc)
+                     base=base or SystemParams())
 
 
 def _parse_csv(text):
@@ -133,9 +133,9 @@ class TestSchemeSpec:
     def test_parse_inverts_every_emitted_label(self, monkeypatch, capsys):
         specs = []
 
-        def capture(spec):
+        def capture(spec, mc):
             specs.append(spec)
-            return run_sweep(spec)
+            return run_sweep(spec, mc)
 
         monkeypatch.setattr(ehrelay.sweeps, "run_sweep", capture)
         labels = set()
@@ -227,15 +227,17 @@ class TestSweepSpecValidation:
         _spec("theta", (0.3, 0.6), (dynamic[0], SchemeSpec("improved")))
         _spec("rate", (1.0,), dynamic)
 
-    @pytest.mark.parametrize("field,value", [
-        ("base", {"dist_a": 5.0}),
-        ("mc", None),
-        ("mc", {"trials": 64}),
-    ])
-    def test_base_and_mc_must_be_their_types_naming_them(self, field, value):
-        with pytest.raises(ValueError, match=rf"^{field} must be a "
-                           rf"{'SystemParams' if field == 'base' else 'McConfig'}, got "):
-            dataclasses.replace(FIGURES[7], **{field: value})
+    def test_base_must_be_a_system_params_naming_it(self):
+        with pytest.raises(ValueError, match=r"^base must be a SystemParams, got "):
+            dataclasses.replace(FIGURES[7], base={"dist_a": 5.0})
+
+    def test_a_scheme_given_twice_fails_naming_its_label(self):
+        for schemes, label in (
+                ((SchemeSpec("improved"), SchemeSpec("improved")), "improved"),
+                ((SchemeSpec("dynamic_ps", {"theta": 0.3}), SchemeSpec("improved"),
+                  SchemeSpec.parse("dynamic_ps:theta=0.30")), "dynamic_ps:theta=0.3")):
+            with pytest.raises(ValueError, match=rf"^scheme '{label}' is given twice$"):
+                _spec("tx_power", (30.0,), schemes)
 
     def test_schemes_validated_up_front(self):
         with pytest.raises(ValueError):
@@ -277,7 +279,7 @@ class TestRunSweep:
         schemes = (SchemeSpec("improved"),
                    SchemeSpec("dynamic_ps", {"theta": 0.5}),
                    SchemeSpec("static_equal", {"rho": 0.5}))
-        result = run_sweep(_spec("rate", (2.0,), schemes))
+        result = run_sweep(_spec("rate", (2.0,), schemes), FAST_MC)
         assert [r.scheme_id for r in result.rows] == [
             "dynamic_ps:theta=0.5", "improved", "static_equal:rho=0.5"]
         for row in result.rows:
@@ -290,7 +292,7 @@ class TestRunSweep:
 
     def test_csv_serialization(self):
         schemes = (SchemeSpec("static_equal", {"rho": 0.5}),)
-        result = run_sweep(_spec("rate", (2.0,), schemes))
+        result = run_sweep(_spec("rate", (2.0,), schemes), FAST_MC)
         body = _parse_csv(result.to_csv())
         assert len(body) == 1
         row = body[0]
@@ -300,7 +302,7 @@ class TestRunSweep:
         assert float(row[3]) == result.rows[0].mc_outage
 
     def test_json_serialization(self):
-        result = run_sweep(_spec("rate", (2.0,), (SchemeSpec("improved"),)))
+        result = run_sweep(_spec("rate", (2.0,), (SchemeSpec("improved"),)), FAST_MC)
         payload = json.loads(result.to_json())
         assert len(payload) == 1
         assert set(payload[0]) == set(CSV_COLUMNS)
@@ -310,8 +312,8 @@ class TestRunSweep:
     def test_theta_sweep_is_v_shaped(self):
         values = tuple(round(0.1 * k, 1) for k in range(1, 10))
         result = run_sweep(_spec(
-            "theta", values, (SchemeSpec("dynamic_ps", {"theta": 0.5}),),
-            mc=McConfig(trials=2048, seed=7)))
+            "theta", values, (SchemeSpec("dynamic_ps", {"theta": 0.5}),)),
+            McConfig(trials=2048, seed=7))
         assert [r.scheme_id for r in result.rows] == ["dynamic_ps"] * 9
         analytic = [r.analytic_outage for r in result.rows]
         for v, got in zip(values, analytic):
@@ -325,9 +327,8 @@ class TestRunSweep:
     def test_csv_is_shard_invariant(self):
         def table(shards):
             spec = _spec("tx_power", (10.0, 30.0),
-                         (SchemeSpec("dynamic_ps", {"theta": 0.5}),),
-                         mc=McConfig(trials=20_000, seed=12, shards=shards))
-            return run_sweep(spec).to_csv()
+                         (SchemeSpec("dynamic_ps", {"theta": 0.5}),))
+            return run_sweep(spec, McConfig(trials=20_000, seed=12, shards=shards)).to_csv()
 
         assert table(1) == table(2)
 
@@ -353,12 +354,16 @@ class TestFigures:
         assert main(["fig", "3", "--m", "2", "--trials", "64"]) == 2
         assert "figure 3 sweeps quad_order" in capsys.readouterr().err
 
-    def test_each_figure_is_a_sweep_spec_at_its_operating_point(self):
+    def test_each_figure_is_a_sweep_spec_at_its_operating_point(self, monkeypatch):
         moved = {6: SystemParams(rate_bps_hz=3.0),
                  8: SystemParams(tx_power_dbm=20.0, rate_bps_hz=5.0)}
+        budgets = []
+        monkeypatch.setattr(ehrelay.sweeps, "run_sweep",
+                            lambda spec, mc: budgets.append(mc))
         for n, spec in FIGURES.items():
             assert type(spec) is SweepSpec
-            assert spec.mc == McConfig()
+            fig(n)
+            assert budgets.pop() == McConfig()
             assert spec.base == moved.get(n, SystemParams())
 
     @pytest.mark.parametrize("n", [6, 8])
@@ -366,10 +371,9 @@ class TestFigures:
         spec = FIGURES[n]
         by_hand = SweepSpec(swept_param=spec.swept_param, values=spec.values,
                             schemes=spec.schemes,
-                            base=dataclasses.replace(spec.base, rate_bps_hz=4.0),
-                            mc=FAST_MC)
+                            base=dataclasses.replace(spec.base, rate_bps_hz=4.0))
         assert (fig(n, overrides={"rate_bps_hz": 4.0}, mc=FAST_MC).to_csv()
-                == run_sweep(by_hand).to_csv())
+                == run_sweep(by_hand, FAST_MC).to_csv())
 
     def test_cli_offers_exactly_the_table(self):
         parser = ehrelay.cli._build_parser()
@@ -382,24 +386,25 @@ class TestFigures:
     def test_one_batch_of_every_figure_equals_each_figure_alone(self, shards):
         # Two blocks, the second partial, so that 2 shards reach the pool.
         cfg = McConfig(trials=BLOCK_TRIALS + 4096, seed=5, shards=shards)
-        batch = run_sweeps([dataclasses.replace(spec, mc=cfg) for spec in FIGURES.values()])
+        batch = run_sweeps(FIGURES.values(), cfg)
         assert [r.to_csv() for r in batch] == [fig(n, mc=cfg).to_csv() for n in FIGURES]
 
-    def test_a_batch_of_mixed_mc_fails_before_any_simulation(self, monkeypatch):
+    @pytest.mark.parametrize("mc", [None, {"trials": 64}])
+    def test_a_batch_budget_must_be_a_mc_config_naming_it(self, mc, monkeypatch):
         def no_simulation(*args, **kwargs):
             raise AssertionError("Monte Carlo ran before the batch was rejected")
 
         monkeypatch.setattr(ehrelay.sweeps, "mc_outages", no_simulation)
-        specs = [dataclasses.replace(FIGURES[3], mc=FAST_MC),
-                 dataclasses.replace(FIGURES[7], mc=dataclasses.replace(FAST_MC, seed=8))]
-        with pytest.raises(ValueError, match="a batch of sweeps takes one mc"):
-            run_sweeps(specs)
+        with pytest.raises(ValueError, match=r"^mc must be a McConfig, got "):
+            run_sweeps([FIGURES[3], FIGURES[7]], mc)
+        with pytest.raises(ValueError, match=r"^mc must be a McConfig, got "):
+            run_sweep(FIGURES[3], mc)
 
     def test_a_batch_takes_any_iterable_of_specs_but_an_empty_one(self):
-        specs = [dataclasses.replace(FIGURES[n], mc=FAST_MC) for n in (3, 7)]
-        assert run_sweeps(iter(specs)) == run_sweeps(specs)
+        specs = [FIGURES[n] for n in (3, 7)]
+        assert run_sweeps(iter(specs), FAST_MC) == run_sweeps(specs, FAST_MC)
         with pytest.raises(ValueError, match="at least one spec, got none"):
-            run_sweeps(iter(()))
+            run_sweeps(iter(()), FAST_MC)
 
     @pytest.mark.parametrize("n,point", [
         (6, {"dist_a": 2.0, "dist_b": 18.0}),
@@ -470,8 +475,8 @@ class TestCli:
         stock = capsys.readouterr().out
         explicit = (SchemeSpec("improved"), SchemeSpec("dynamic_ps", {"theta": 0.5}),
                     SchemeSpec("static_equal", {"rho": 0.5}))
-        assert stock == run_sweep(_spec("tx_power", (20.0,), explicit,
-                                        mc=McConfig(trials=2048, seed=7))).to_csv()
+        assert stock == run_sweep(_spec("tx_power", (20.0,), explicit),
+                                  McConfig(trials=2048, seed=7)).to_csv()
         assert main(argv + ["--theta", "0.2"]) == 0
         rows = _parse_csv(capsys.readouterr().out)
         assert [row[1] for row in rows] == [
@@ -549,6 +554,8 @@ class TestCli:
         (["fig", "3", "--out", "x.csv", "--outdir", "figs"],
          "--out and --outdir exclude each other"),
         (["fig", "3", "4", "3", "--outdir", "figs"], "each figure may be given once"),
+        (["sweep", "--param", "tx_power", "--values", "30", "--scheme", "improved",
+          "--scheme", "improved"], "scheme 'improved' is given twice"),
     ])
     def test_fig_usage_errors_exit_2(self, argv, message, monkeypatch, tmp_path,
                                      capsys):
