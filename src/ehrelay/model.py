@@ -100,12 +100,9 @@ class SystemParams:
     noise_dbm: float = -90.0          # noise variance sigma^2
     eh_efficiency: float = 0.6        # energy conversion efficiency eta, in (0, 1]
     time_split: float = 1.0 / 3.0     # time allocation ratio beta, in (0, 0.5)
-    block_duration: float = 1.0       # block length T in seconds
     path_loss_exp: float = 2.7        # path loss exponent alpha
     dist_a: float = 5.0               # A-R distance in meters
     dist_b: float = 15.0              # B-R distance in meters
-    ref_dist: float = 1.0             # close-in reference distance d0 in meters
-    carrier_freq_hz: float = 915e6    # carrier frequency (sets the wavelength)
     gain_a_dbi: float = 8.0           # antenna gain at A
     gain_b_dbi: float = 8.0           # antenna gain at B
     gain_relay_dbi: float = 8.0       # antenna gain at R
@@ -146,8 +143,7 @@ class SystemParams:
             raise ValueError("time_split must lie strictly between 0 and 0.5")
         if not 0.0 < self.eh_efficiency <= 1.0:
             raise ValueError("eh_efficiency must lie in (0, 1]")
-        for name in ("block_duration", "path_loss_exp", "dist_a", "dist_b",
-                     "ref_dist", "carrier_freq_hz", "fading_mean_a",
+        for name in ("path_loss_exp", "dist_a", "dist_b", "fading_mean_a",
                      "fading_mean_b", "rate_bps_hz"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be strictly positive")
@@ -203,7 +199,10 @@ class DerivedConstants(LinkConstants):
 
 
 # Inputs every path factor Z depends on besides its own distance and gain.
-_PATH_FIELDS = ("path_loss_exp", "ref_dist", "carrier_freq_hz", "gain_relay_dbi")
+_PATH_FIELDS = ("path_loss_exp", "gain_relay_dbi")
+# (lambda/4pi)^2 at the fixed 915 MHz carrier and d0 = 1 m; another f or d0
+# is the gain_relay_dbi offset 20*log10(915e6/f) + 10*(alpha-2)*log10(d0).
+_FREE_SPACE = (SPEED_OF_LIGHT_M_S / 915e6) ** 2 / (4.0 * math.pi) ** 2
 
 
 def _out_of_range(params: SystemParams, symbol: str, fields) -> ValueError:
@@ -223,13 +222,10 @@ def link_constants(params: SystemParams) -> LinkConstants:
     g_relay = dbi_to_linear(params.gain_relay_dbi)
 
     def path_factor(dist: float, gain_dbi: float, fields: tuple) -> float:
-        """Z = d^alpha / Lambda, Lambda the close-in antenna/path factor:
-        free-space at d0, exponent alpha beyond it."""
+        """Z = d^alpha / Lambda, Lambda = G_i*G_R*(lambda/4pi)^2 the close-in
+        antenna/path factor: free space at d0, exponent alpha beyond it."""
         try:
-            wavelength_m = SPEED_OF_LIGHT_M_S / params.carrier_freq_hz
-            common = wavelength_m ** 2 * params.ref_dist ** (alpha - 2.0) \
-                / (4.0 * math.pi) ** 2
-            z = dist ** alpha / (dbi_to_linear(gain_dbi) * g_relay * common)
+            z = dist ** alpha / (dbi_to_linear(gain_dbi) * g_relay * _FREE_SPACE)
         except (OverflowError, ZeroDivisionError):
             z = math.inf
         if not 0.0 < z < math.inf:

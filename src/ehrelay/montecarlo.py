@@ -401,6 +401,7 @@ def _plan(cells) -> tuple:
         for slot, link, downlink, eps, floor in found:
             if floor == 0.0:
                 ideal.setdefault(downlink, (link, []))[1].append((slot, eps))
+        # Neither count path alone, r* or the direct test, runs the figures as fast.
         for slot, link, (kappa, rho, theta), eps, floor in found:
             if floor > 0.0 or len(ideal[kappa, rho, theta][1]) == 1:
                 pools.setdefault((rho, eps, floor), []).append((slot, link, theta))

@@ -549,13 +549,12 @@ def outage_improved(params: SystemParams) -> float:
 
 
 def outage_capacity(params: SystemParams, p_out: float) -> float:
-    """Throughput discounted by outage over the effective transmission time."""
+    """Throughput discounted by outage over the effective transmission time,
+    per unit block length."""
     if not 0.0 <= p_out <= 1.0:
         raise ValueError("p_out must lie in [0, 1]")
     beta = params.time_split
-    effective_time = min(beta * params.block_duration,
-                         (1.0 - 2.0 * beta) * params.block_duration)
-    return (1.0 - p_out) * params.rate_bps_hz * effective_time
+    return (1.0 - p_out) * params.rate_bps_hz * min(beta, 1.0 - 2.0 * beta)
 
 
 def energy_outage(params: SystemParams) -> float:

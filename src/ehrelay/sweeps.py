@@ -60,7 +60,8 @@ class SweepSpec:
     dist_b is adjusted so the terminal separation base.dist_a + base.dist_b
     stays fixed.  A sensitivity sweep additionally reports the energy outage
     as its own pseudo-scheme row per value.  A theta sweep sets the theta of
-    its dynamic_ps scheme, so it takes at most one.  No scheme label repeats.
+    its dynamic_ps scheme, so it takes at most one.  No two schemes run
+    alike, whatever their labels.
     """
 
     swept_param: str
@@ -86,9 +87,9 @@ class SweepSpec:
         for i, scheme in enumerate(schemes):
             if not isinstance(scheme, SchemeSpec):
                 raise ValueError(f"schemes[{i}] must be a SchemeSpec, got {scheme!r}")
-            if (label := scheme.label()) in seen:
-                raise ValueError(f"scheme {label!r} is given twice")
-            seen.add(label)
+            if (runs := (scheme.scheme_id, tuple(scheme.canonical().items()))) in seen:
+                raise ValueError(f"scheme {scheme.label()!r} is given twice")
+            seen.add(runs)
         dynamic = [s.label() for s in schemes if s.scheme_id == "dynamic_ps"]
         if self.swept_param == "theta" and len(dynamic) > 1:
             raise ValueError(f"a theta sweep takes one dynamic_ps scheme, got {dynamic}")

@@ -92,6 +92,16 @@ def test_threshold_and_wavelength():
     free_space = dbi_to_linear(8.0) ** 2 * (299792458.0 / 915e6 / (4.0 * math.pi)) ** 2
     assert DEFAULTS.dist_a ** DEFAULTS.path_loss_exp / CONSTS.z_a == \
         pytest.approx(free_space, rel=1e-14)
+    # The carrier (915 MHz) and d0 (1 m) are fixed: another carrier f or d0
+    # is a relay gain offset of 20*log10(915e6/f) + 10*(alpha-2)*log10(d0).
+    carrier, d0 = 2.4e9, 0.5
+    alpha = DEFAULTS.path_loss_exp
+    lam = dbi_to_linear(8.0) ** 2 * (299792458.0 / carrier / (4.0 * math.pi)) ** 2 \
+        * d0 ** (alpha - 2.0)
+    moved = link_constants(dataclasses.replace(
+        DEFAULTS, gain_relay_dbi=8.0 + 20.0 * math.log10(915e6 / carrier)
+        + 10.0 * (alpha - 2.0) * math.log10(d0)))
+    assert DEFAULTS.dist_a ** alpha / moved.z_a == pytest.approx(lam, rel=1e-12)
     assert CONSTS.harvest_floor == 0.0
     # P = 1 W at 30 dBm: pi = P_th / P is the sensitivity in watts.
     with_floor = link_constants(dataclasses.replace(DEFAULTS, circuit_sensitivity_dbm=-20.0))

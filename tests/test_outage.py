@@ -899,6 +899,9 @@ def test_capacity_formula():
     assert outage_capacity(DEFAULTS, 0.0) == pytest.approx(2.0 / 3.0, rel=1e-12)
     quarter = _with(time_split=0.25)
     assert outage_capacity(quarter, 0.5) == pytest.approx(0.25, rel=1e-12)
+    # Past beta = 1/3 the relay's broadcast slot, 1 - 2*beta, is the shorter.
+    wide = _with(time_split=0.4)
+    assert outage_capacity(wide, 0.25) == (1.0 - 0.25) * wide.rate_bps_hz * (1.0 - 2.0 * 0.4)
     with pytest.raises(ValueError):
         outage_capacity(DEFAULTS, -0.1)
     with pytest.raises(ValueError):

@@ -11,6 +11,7 @@ import re
 import pytest
 
 import ehrelay.cli
+import ehrelay.montecarlo
 import ehrelay.sweeps
 from ehrelay import (
     CriterionResult,
@@ -238,6 +239,26 @@ class TestSweepSpecValidation:
                   SchemeSpec.parse("dynamic_ps:theta=0.30")), "dynamic_ps:theta=0.3")):
             with pytest.raises(ValueError, match=rf"^scheme '{label}' is given twice$"):
                 _spec("tx_power", (30.0,), schemes)
+
+    def test_one_scheme_under_two_labels_fails_naming_the_later_label(
+            self, monkeypatch, capsys):
+        # A label omits the defaults its spec leaves out, so the same run can
+        # carry two labels; the check compares what runs.
+        for default, spelled in (("static_equal", {"rho": 0.5}),
+                                 ("dynamic_ps", {"theta": 0.5})):
+            spelled = SchemeSpec(default, spelled)
+            for schemes in ((SchemeSpec(default), spelled), (spelled, SchemeSpec(default))):
+                with pytest.raises(ValueError, match=rf"^scheme '{schemes[1].label()}' "
+                                                     r"is given twice$"):
+                    _spec("tx_power", (30.0,), schemes)
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a gain was drawn before the usage error")
+
+        monkeypatch.setattr(ehrelay.montecarlo, "_chunks", no_draw)
+        assert main(["sweep", "--param", "tx_power", "--values", "30",
+                     "--scheme", "static_equal", "--scheme", "static_equal:rho=0.5"]) == 2
+        assert "scheme 'static_equal:rho=0.5' is given twice" in capsys.readouterr().err
 
     def test_schemes_validated_up_front(self):
         with pytest.raises(ValueError):
@@ -601,6 +622,10 @@ class TestCli:
         bad.write_text(json.dumps({"nonsense": 1}))
         assert main(["params", "--config", str(bad)]) == 2
         assert "error:" in capsys.readouterr().err
+        for fixed in ("carrier_freq_hz", "ref_dist", "block_duration"):
+            bad.write_text(json.dumps({fixed: 1.0}))
+            assert main(["params", "--config", str(bad)]) == 2
+            assert f"unknown config fields: ['{fixed}']" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag,value,field,cause", [
         ("--rate", "1e-17", "rate_bps_hz", "rounds to 0"),
@@ -662,6 +687,8 @@ class TestCli:
         ["fig", "3", "--theta", "0.9"],
         ["params", "--trials", "5", "--shards", "3"],
         ["validate", "--seed", "3"],
+        # The carrier, d0 and the block length are constants of the model.
+        ["params", "--carrier-freq-hz", "2.4e9"],
     ])
     def test_flags_a_subcommand_ignores_are_usage_errors(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
