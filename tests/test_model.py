@@ -233,6 +233,15 @@ def test_params_reject_integers_past_the_float_range_naming_them(field):
         SystemParams(**{field: 10 ** 400})
 
 
+@pytest.mark.parametrize("name", ["carrier_freq_hz", "ref_dist", "block_duration"])
+def test_model_constants_are_not_params(name):
+    # The carrier (915 MHz), d0 (1 m) and the block length are fixed by the
+    # model; a point cannot set them, nor does it carry them.
+    assert name not in {f.name for f in dataclasses.fields(SystemParams)}
+    with pytest.raises(TypeError, match=name):
+        SystemParams(**{name: 1.0})
+
+
 def test_params_take_numpy_scalars_and_a_missing_sensitivity():
     point = SystemParams(tx_power_dbm=np.float64(20.0), dist_a=np.int64(6),
                          eh_efficiency=np.float32(0.5), quad_order=np.int64(7),
