@@ -3,9 +3,10 @@
 Recomputes every frozen literal in tests/ from first principles, without
 importing the package: derived constants through mpmath at 50 digits,
 region geometry through root-finding on the boundary equations, the case
-masses through adaptive integration of the exact integrands, and the
-jointly optimized scheme through a 2-D integration of the exact four-link
-success event.  Run and diff the output when a constant changes:
+masses through adaptive integration of the exact integrands, the dynamic
+PS outage through a 1-D mpmath integral of its closed-form success
+threshold, and the jointly optimized scheme through a 2-D integration of
+the exact four-link success event.  Run and diff the output when a constant changes:
 
     python3 scripts/compute_reference_values.py
 """
@@ -184,6 +185,45 @@ ref4, err4 = integrate.quad(case4_integrand, lo_b, y1, limit=800,
 show("case4", ref4)
 success = ref1 + ref2 + float(mp.e ** (-C["delta_a"] - C["delta_b"])) + ref4
 show("outage_dynamic_ps", 1.0 - success)
+
+section("dynamic PS scheme, exact success event, 1-D integration over g_B")
+
+
+def dynamic_outage_exact(theta):
+    """P(g_B < knee_B) plus the integral over g_B >= knee_B of
+    P(g_A < g*(g_B)) f_B(g_B), where g*(g_B), the least g_A at which all
+    four links decode, is the largest of knee_A and the roots of the two
+    downlink conditions X_x * g_x * pool = gamma_th."""
+    c = constants(mp.mpf(theta))
+    z_a, z_b, gamma = c["z_a"], c["z_b"], c["gamma_th"]
+    x_a, x_b = c["x_factor_a"], c["x_factor_b"]
+    knee_a, knee_b = c["varpi"] * z_a, c["varpi"] * z_b
+
+    def positive_root(qa, qb):
+        """The positive root of qa*x**2 + qb*x - gamma, without cancellation."""
+        disc = mp.sqrt(qb ** 2 + 4 * qa * gamma)
+        return 2 * gamma / (disc + qb) if qb >= 0 else (disc - qb) / (2 * qa)
+
+    def threshold_a(g_b):
+        h_b = (g_b - knee_b) / z_b
+        linear = knee_a + z_a * (gamma / (x_b * g_b) - h_b)
+        return max(knee_a, linear, positive_root(x_a / z_a, x_a * (h_b - knee_a / z_a)))
+
+    # g* kinks where the weaker downlink changes sides, on x_a*g_a = x_b*g_b.
+    slope = x_b / x_a
+    kink = positive_root(x_b * (slope / z_a + 1 / z_b),
+                         -x_b * (knee_a / z_a + knee_b / z_b))
+
+    def integrand(g_b):
+        return (-mp.expm1(-threshold_a(g_b) / FADING_MEAN_A)
+                * mp.exp(-g_b / FADING_MEAN_B) / FADING_MEAN_B)
+
+    return (-mp.expm1(-knee_b / FADING_MEAN_B)
+            + mp.quad(integrand, [knee_b, kink, mp.inf]))
+
+
+for theta in (0.3, 0.5, 0.8):
+    show(f"dynamic_outage_exact(theta={theta!r})", dynamic_outage_exact(theta))
 
 section("jointly optimized scheme, exact success event, 2-D integration")
 

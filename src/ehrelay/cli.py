@@ -88,10 +88,9 @@ def _resolve(args) -> tuple[SystemParams, McConfig, dict]:
     return SystemParams(**system), McConfig(**mc), system
 
 
-def _theta(args) -> float:
-    """--theta, or the dynamic_ps default when the flag is absent."""
-    given = {} if args.theta is None else {"theta": args.theta}
-    return SchemeSpec("dynamic_ps", given).canonical()["theta"]
+def _dynamic(args) -> SchemeSpec:
+    """The dynamic_ps scheme at --theta, or at its default when the flag is absent."""
+    return SchemeSpec("dynamic_ps", {} if args.theta is None else {"theta": args.theta})
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -107,12 +106,15 @@ def _emit_result(result, args, out_path: str | None) -> None:
 
 
 def cmd_sweep(args) -> int:
+    if args.param == "theta" and args.theta is not None:
+        raise ValueError("--theta has no use in a theta sweep: its values set theta")
     params, cfg, _ = _resolve(args)
     schemes = []
     for text in args.scheme or ("improved", "dynamic_ps", "static_equal:rho=0.5"):
         scheme = SchemeSpec.parse(text)
-        if scheme.scheme_id == "dynamic_ps" and not scheme.args:
-            scheme = SchemeSpec("dynamic_ps", {"theta": _theta(args)})
+        # parse refuses an argument without "=", so a text with none gives none.
+        if scheme.scheme_id == "dynamic_ps" and "=" not in text:
+            scheme = _dynamic(args)
         schemes.append(scheme)
     values = []
     for i, text in enumerate(args.values.split(",")):
@@ -168,7 +170,7 @@ def cmd_validate(args) -> int:
 
 def cmd_params(args) -> int:
     params, _, _ = _resolve(args)
-    theta = _theta(args)
+    theta = _dynamic(args).args["theta"]
     payload = {"theta": theta, "system": dataclasses.asdict(params),
                "derived": dataclasses.asdict(derive_constants(params, theta))}
     if args.json:

@@ -334,41 +334,35 @@ _SCHEMES = {"static_equal": {"rho": (0.5, _check_rho)},
 
 @dataclass(frozen=True)
 class SchemeSpec:
-    """One relay scheme with the control arguments given for it.
+    """One relay scheme and the control arguments it runs with.
 
-    Construction raises ValueError for an unknown scheme, an argument the
-    scheme does not take, or a value out of its range.  The text form is
-    "id" or "id:key=value,...", each value in the shortest form that parses
-    back to it.
+    Construction resolves the arguments once into args, a new dict holding
+    every argument of the scheme, given or defaulted, as a float (-0.0 as
+    0.0), so equal specs run alike, hash alike and share one label.  It
+    raises ValueError for an unknown scheme, an argument the scheme does not
+    take, or a value out of its range.  The text form, label()'s, is "id" or
+    "id:key=value,...", each value in the shortest form that parses back.
     """
 
     scheme_id: str
     args: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        self.canonical()
-
-    def canonical(self) -> dict:
-        """Every argument of the scheme, defaults filled in: what the
-        simulator reads of it."""
         if self.scheme_id not in _SCHEMES:
             raise ValueError(f"unknown scheme_id {self.scheme_id!r}; "
                              f"expected one of {tuple(_SCHEMES)}")
-        args = dict(self.args)
-        canon = {}
+        given, args = dict(self.args), {}
         for name, (default, check) in _SCHEMES[self.scheme_id].items():
-            canon[name] = real_number(name, args.pop(name, default))
-            check(canon[name])
-        if args:
-            raise ValueError(f"unsupported arguments for {self.scheme_id!r}: {sorted(args)}")
-        return canon
+            # Adding 0.0 turns -0.0 into 0.0 and leaves every other float as is.
+            args[name] = real_number(name, given.pop(name, default)) + 0.0
+            check(args[name])
+        if given:
+            raise ValueError(f"unsupported arguments for {self.scheme_id!r}: {sorted(given)}")
+        object.__setattr__(self, "args", args)
 
     def label(self) -> str:
-        if not self.args:
-            return self.scheme_id
-        parts = ",".join(f"{k}={str(float(v)).removesuffix('.0')}"
-                         for k, v in sorted(self.args.items()))
-        return f"{self.scheme_id}:{parts}"
+        parts = ",".join(f"{k}={v}".removesuffix(".0") for k, v in sorted(self.args.items()))
+        return f"{self.scheme_id}:{parts}" if parts else self.scheme_id
 
     @classmethod
     def parse(cls, text: str) -> SchemeSpec:

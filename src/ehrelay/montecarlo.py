@@ -383,9 +383,9 @@ def _plan(cells) -> tuple:
                 raise ValueError("energy outage requires circuit_sensitivity_dbm")
             rho, theta = None, _ENERGY
         elif scheme.scheme_id == "static_equal":
-            rho, theta = scheme.canonical()["rho"], 0.5
+            rho, theta = scheme.args["rho"], 0.5
         else:
-            rho, theta = None, scheme.canonical().get("theta")
+            rho, theta = None, scheme.args.get("theta")
         key = ((consts.z_a, consts.z_b), (consts.kappa, rho, theta), consts.varpi,
                consts.harvest_floor)
         if key not in slot_of:

@@ -4,7 +4,9 @@ Every experiment is a sweep of one parameter against a list of relay
 schemes; each (value, scheme) pair yields one row holding the closed-form
 outage where one exists, the Monte Carlo estimate, and the outage capacity.
 The CSV serialization is byte-stable for a fixed spec, seed and trial
-count, which the determinism checks rely on.
+count, which the determinism checks rely on.  A row's scheme is its spec's
+label, which spells every argument, defaults included; a theta sweep's rows
+carry the family label dynamic_ps, the swept value setting their theta.
 
 run_sweeps simulates all cells of several sweeps, such as the reference
 figures, in one montecarlo.mc_outages batch at one budget, the McConfig it
@@ -60,8 +62,8 @@ class SweepSpec:
     dist_b is adjusted so the terminal separation base.dist_a + base.dist_b
     stays fixed.  A sensitivity sweep additionally reports the energy outage
     as its own pseudo-scheme row per value.  A theta sweep sets the theta of
-    its dynamic_ps scheme, so it takes at most one.  No two schemes run
-    alike, whatever their labels.
+    its dynamic_ps scheme, so it takes at most one.  No scheme may be given
+    twice: equal specs run alike and share one label.
     """
 
     swept_param: str
@@ -87,9 +89,9 @@ class SweepSpec:
         for i, scheme in enumerate(schemes):
             if not isinstance(scheme, SchemeSpec):
                 raise ValueError(f"schemes[{i}] must be a SchemeSpec, got {scheme!r}")
-            if (runs := (scheme.scheme_id, tuple(scheme.canonical().items()))) in seen:
+            if scheme in seen:
                 raise ValueError(f"scheme {scheme.label()!r} is given twice")
-            seen.add(runs)
+            seen.add(scheme)
         dynamic = [s.label() for s in schemes if s.scheme_id == "dynamic_ps"]
         if self.swept_param == "theta" and len(dynamic) > 1:
             raise ValueError(f"a theta sweep takes one dynamic_ps scheme, got {dynamic}")
@@ -141,7 +143,7 @@ def _apply_param(base: SystemParams, name: str, v: float) -> SystemParams:
 def _analytic_outage(params: SystemParams, scheme: SchemeSpec):
     """Closed-form outage where one exists; the static baseline has none."""
     if scheme.scheme_id == "dynamic_ps":
-        return outage_dynamic_ps(params, scheme.canonical()["theta"])
+        return outage_dynamic_ps(params, scheme.args["theta"])
     if scheme.scheme_id == "improved":
         return outage_improved(params)
     return None

@@ -107,11 +107,11 @@ def _oracle_outage(params, scheme_id, args, g_a, g_b):
     model equations in plain NumPy: each of the four links' SNR, over
     P/sigma^2, against eps = gamma_th*sigma^2/P."""
     c = link_constants(params)
-    canon = SchemeSpec(scheme_id, args or {}).canonical()
+    resolved = SchemeSpec(scheme_id, args or {}).args
     eps = c.varpi
     u_a, u_b = g_a / c.z_a, g_b / c.z_b
     if scheme_id == "static_equal":
-        rho = canon["rho"]
+        rho = resolved["rho"]
         uplinks = ((1.0 - rho) * u_a >= eps) & ((1.0 - rho) * u_b >= eps)
         harvest_a, harvest_b = rho * u_a, rho * u_b
     else:
@@ -129,7 +129,7 @@ def _oracle_outage(params, scheme_id, args, g_a, g_b):
             theta = np.where(side_a + side_b > 0.0, side_a / (side_b + side_a), 0.5)
         theta = np.clip(theta, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
     else:
-        theta = canon.get("theta", 0.5)
+        theta = resolved.get("theta", 0.5)
     mix = theta ** 2 + (1.0 - theta) ** 2
     down_a = c.kappa * (1.0 - theta) ** 2 / mix * u_a * pooled
     down_b = c.kappa * theta ** 2 / mix * u_b * pooled
@@ -139,9 +139,9 @@ def _oracle_outage(params, scheme_id, args, g_a, g_b):
 def _kernel_outage(params, scheme_id, args, g_a, g_b, by_ratio):
     """Per-trial outage of a scheme by the kernel: by its r* where by_ratio
     (the ideal rectenna only), else by its pool, as montecarlo runs them."""
-    canon = SchemeSpec(scheme_id, args or {}).canonical()
-    rho = canon.get("rho")
-    theta = 0.5 if scheme_id == "static_equal" else canon.get("theta")
+    resolved = SchemeSpec(scheme_id, args or {}).args
+    rho = resolved.get("rho")
+    theta = 0.5 if scheme_id == "static_equal" else resolved.get("theta")
     consts, ws = link_constants(params), KernelWorkspace(len(g_a))
     normalized_gains(consts, g_a, g_b, ws)
     gain = downlink_gain(consts, theta, ws)

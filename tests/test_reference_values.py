@@ -26,6 +26,7 @@ PRINTED_KEYS = {
     "REF_OUTAGE_DYNAMIC": "outage_dynamic_ps",
     "REF_OUTAGE_IMPROVED": "improved_outage_exact(P=30 dBm)",
     "REF_IMPROVED": "improved_outage_exact(P={:g} dBm)",
+    "REF_DYNAMIC_EXACT": "dynamic_outage_exact(theta={!r})",
     "REF_GEOMETRY": "{}",
     "REF_CDF_T2": "cdf_t2({!r})",
     "REF_CDF_T3": "cdf_t3({!r})",

@@ -9,6 +9,7 @@ import math
 import re
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 import ehrelay.cli
 import ehrelay.montecarlo
@@ -43,6 +44,27 @@ def _spec(param, values, schemes, base=None):
                      base=base or SystemParams())
 
 
+# Each argument a scheme takes, and in-range values for it: ints, floats and
+# both zeros, drawn often from a few values so that equal specs come up.
+_SCHEME_ARGS = {
+    "static_equal": ("rho", st.sampled_from([0, 1, 0.0, -0.0, 0.5, 1.0, 0.25])
+                     | st.floats(0.0, 1.0)),
+    "dynamic_ps": ("theta", st.sampled_from([0.5, 0.3])
+                   | st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+}
+
+
+@st.composite
+def _scheme_specs(draw):
+    """A SchemeSpec of any scheme, its argument given or omitted."""
+    scheme_id = draw(st.sampled_from(["improved", "static_equal", "dynamic_ps"]))
+    args = {}
+    if scheme_id in _SCHEME_ARGS and draw(st.booleans()):
+        name, values = _SCHEME_ARGS[scheme_id]
+        args[name] = draw(values)
+    return SchemeSpec(scheme_id, args)
+
+
 def _parse_csv(text):
     rows = list(csv.reader(io.StringIO(text)))
     assert rows[0] == list(CSV_COLUMNS)
@@ -68,11 +90,43 @@ class TestSchemeSpec:
             assert SchemeSpec.parse(spec.label()) == spec
         assert SchemeSpec("static_equal", {"rho": 1}).label() == "static_equal:rho=1"
 
-    def test_canonical_fills_defaults(self):
-        assert SchemeSpec("static_equal").canonical() == {"rho": 0.5}
-        assert SchemeSpec("dynamic_ps").canonical() == {"theta": 0.5}
-        assert SchemeSpec("dynamic_ps", {"theta": 0.3}).canonical() == {"theta": 0.3}
-        assert SchemeSpec("improved").canonical() == {}
+    def test_args_hold_every_argument_resolved(self):
+        assert SchemeSpec("static_equal").args == {"rho": 0.5}
+        assert SchemeSpec("dynamic_ps").args == {"theta": 0.5}
+        assert SchemeSpec("dynamic_ps", {"theta": 0.3}).args == {"theta": 0.3}
+        assert SchemeSpec("improved").args == {}
+        assert SchemeSpec("static_equal") == SchemeSpec("static_equal", {"rho": 0.5})
+        assert SchemeSpec("static_equal").label() == "static_equal:rho=0.5"
+        assert SchemeSpec("dynamic_ps").label() == "dynamic_ps:theta=0.5"
+        rho = SchemeSpec("static_equal", {"rho": 1}).args["rho"]
+        assert type(rho) is float and rho == 1.0
+        zero = SchemeSpec("static_equal", {"rho": -0.0})
+        assert math.copysign(1.0, zero.args["rho"]) == 1.0
+        assert zero.label() == "static_equal:rho=0"
+        assert zero == SchemeSpec("static_equal", {"rho": 0})
+
+    @given(_scheme_specs(), _scheme_specs())
+    @example(SchemeSpec("static_equal", {"rho": -0.0}), SchemeSpec("static_equal", {"rho": 0}))
+    @example(SchemeSpec("dynamic_ps"), SchemeSpec("dynamic_ps", {"theta": 0.5}))
+    def test_equal_specs_share_one_label_and_hash(self, a, b):
+        assert (a == b) == (a.label() == b.label())
+        if a == b:
+            assert hash(a) == hash(b)
+        for spec in (a, b):
+            assert SchemeSpec.parse(spec.label()) == spec
+            for value in spec.args.values():
+                assert type(value) is float and math.copysign(1.0, value) == 1.0
+
+    def test_a_spec_ignores_later_changes_to_the_dict_it_was_built_from(self):
+        built_from = {"theta": 0.3}
+        scheme = SchemeSpec("dynamic_ps", built_from)
+        spec = _spec("rate", (2.0,), (scheme,))
+        label, digest, rows = scheme.label(), hash(scheme), run_sweep(spec, FAST_MC).rows
+        assert label == "dynamic_ps:theta=0.3"
+        for theta in (0.9, 5.0):
+            built_from["theta"] = theta
+            assert (scheme.label(), hash(scheme)) == (label, digest)
+            assert run_sweep(spec, FAST_MC).rows == rows
 
     @pytest.mark.parametrize("scheme_id,args,match", [
         ("oracle", {}, "unknown scheme_id 'oracle'"),
@@ -120,7 +174,8 @@ class TestSchemeSpec:
         for a in specs:
             for b in specs:
                 assert (a == b) <= (hash(a) == hash(b))
-        assert len(set(specs)) == 4
+        # improved, dynamic_ps at its default 0.5, and static_equal at rho 1.
+        assert len(set(specs)) == 3
         assert {SchemeSpec("improved"): 1}[SchemeSpec.parse("improved")] == 1
 
     def test_parse_rejects_a_repeated_key(self, capsys):
@@ -147,7 +202,9 @@ class TestSchemeSpec:
         labels |= {row[1] for row in _parse_csv(capsys.readouterr().out)}
         assert {"dynamic_ps", "improved", "dynamic_ps:theta=0.5",
                 "static_equal:rho=0.3"} <= labels
-        for label in labels:
+        # Figure 4's rows carry the family label: the swept value sets their theta.
+        assert SchemeSpec.parse("dynamic_ps").scheme_id == "dynamic_ps"
+        for label in labels - {"dynamic_ps"}:
             assert SchemeSpec.parse(label).label() == label
         assert len(specs) == len(FIGURES)
         for scheme in (s for spec in specs for s in spec.schemes):
@@ -242,8 +299,8 @@ class TestSweepSpecValidation:
 
     def test_one_scheme_under_two_labels_fails_naming_the_later_label(
             self, monkeypatch, capsys):
-        # A label omits the defaults its spec leaves out, so the same run can
-        # carry two labels; the check compares what runs.
+        # A spec resolves the defaults it leaves out, so both specs of a pair
+        # run alike and print the later one's label.
         for default, spelled in (("static_equal", {"rho": 0.5}),
                                  ("dynamic_ps", {"theta": 0.5})):
             spelled = SchemeSpec(default, spelled)
@@ -504,6 +561,22 @@ class TestCli:
             "dynamic_ps:theta=0.2", "improved", "static_equal:rho=0.5"]
         point = SystemParams(tx_power_dbm=20.0)
         assert float(rows[0][2]) == outage_dynamic_ps(point, 0.2)
+
+    def test_a_scheme_given_without_its_default_prints_it(self, capsys):
+        assert main(["sweep", "--param", "tx_power", "--values", "30",
+                     "--trials", "64", "--scheme", "static_equal"]) == 0
+        assert [row[1] for row in _parse_csv(capsys.readouterr().out)] == [
+            "static_equal:rho=0.5"]
+
+    def test_theta_flag_in_a_theta_sweep_is_a_usage_error(self, monkeypatch, capsys):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a gain was drawn before the usage error")
+
+        monkeypatch.setattr(ehrelay.montecarlo, "_chunks", no_draw)
+        assert main(["sweep", "--param", "theta", "--values", "0.3,0.6",
+                     "--theta", "0.9", "--trials", "2000"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --theta ") and "theta sweep" in err
 
     @pytest.mark.parametrize("text,message", [
         ("10,,20,", "values[1] is empty"), ("10,20,", "values[2] is empty"),
