@@ -109,13 +109,18 @@ def cmd_sweep(args) -> int:
     if args.param == "theta" and args.theta is not None:
         raise ValueError("--theta has no use in a theta sweep: its values set theta")
     params, cfg, _ = _resolve(args)
-    schemes = []
+    schemes, fixed = [], []
     for text in args.scheme or ("improved", "dynamic_ps", "static_equal:rho=0.5"):
         scheme = SchemeSpec.parse(text)
         # parse refuses an argument without "=", so a text with none gives none.
         if scheme.scheme_id == "dynamic_ps" and "=" not in text:
             scheme = _dynamic(args)
+        elif scheme.scheme_id == "dynamic_ps" and args.param == "theta":
+            fixed.append(text)
         schemes.append(scheme)
+    if fixed:
+        raise ValueError(f"a theta sweep's values set theta, so no --scheme may set it: "
+                         f"got {fixed}")
     values = []
     for i, text in enumerate(args.values.split(",")):
         try:

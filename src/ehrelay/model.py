@@ -332,15 +332,32 @@ _SCHEMES = {"static_equal": {"rho": (0.5, _check_rho)},
             "improved": {}}
 
 
+class _SchemeArgs(dict):
+    """A SchemeSpec's resolved arguments: a dict that refuses every change,
+    so no holder of a spec can change what it runs.  Being a dict, it still
+    pickles, copies, converts under dataclasses.asdict and writes as JSON."""
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("a SchemeSpec's args are read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _refuse
+    clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):
+        # Pickle's default for a dict subclass refills it item by item.
+        return type(self), (dict(self),)
+
+
 @dataclass(frozen=True)
 class SchemeSpec:
     """One relay scheme and the control arguments it runs with.
 
-    Construction resolves the arguments once into args, a new dict holding
-    every argument of the scheme, given or defaulted, as a float (-0.0 as
-    0.0), so equal specs run alike, hash alike and share one label.  It
-    raises ValueError for an unknown scheme, an argument the scheme does not
-    take, or a value out of its range.  The text form, label()'s, is "id" or
+    Construction resolves the arguments once into args, a new read-only
+    dict holding every argument of the scheme, given or defaulted, as a
+    float (-0.0 as 0.0), so equal specs run alike, hash alike and share one
+    label, and no holder of a spec can change what it runs.  It raises
+    ValueError for an unknown scheme, an argument the scheme does not take,
+    or a value out of its range.  The text form, label()'s, is "id" or
     "id:key=value,...", each value in the shortest form that parses back.
     """
 
@@ -358,7 +375,7 @@ class SchemeSpec:
             check(args[name])
         if given:
             raise ValueError(f"unsupported arguments for {self.scheme_id!r}: {sorted(given)}")
-        object.__setattr__(self, "args", args)
+        object.__setattr__(self, "args", _SchemeArgs(args))
 
     def label(self) -> str:
         parts = ",".join(f"{k}={v}".removesuffix(".0") for k, v in sorted(self.args.items()))

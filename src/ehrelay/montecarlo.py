@@ -247,8 +247,11 @@ def _pool(workers: int) -> list:
     """The pool, made on first use and remade when a call needs more workers.
 
     The multiprocessing imports wait until here: most processes never fork.
-    Forked workers start at once, with the package already imported, and a
-    caller's script needs no __main__ guard, as it would under spawn.
+    Forked workers start at once, with the modules the parent has imported
+    by then, and a caller's script needs no __main__ guard, as it would
+    under spawn.  The package loads its layers on first use, so a call that
+    needs one the parent had not loaded, such as scipy's K1, imports it in
+    the worker, once per process.
     """
     if len(_POOL) >= workers:
         return _POOL

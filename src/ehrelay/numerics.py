@@ -4,7 +4,8 @@ The closed-form outage expressions reduce every remaining integral to a
 fixed-order Gauss-Chebyshev (first kind) sum, so the rule used by the
 analysis and the one validated in tests are the same object.  The one
 scalar K1, bessel_k1, is scipy.special.cython_special.k1, which runs the
-cephes routine of the scipy.special.k1 ufunc without its dispatch.  The
+cephes routine of the scipy.special.k1 ufunc without its dispatch; it is
+bound on its first read, so this module loads numpy but not scipy.  The
 root finder is the improved form's t3 quantile solver: it evaluates the t3
 CDF z*K1(z) in its own loop, so that a step makes no Python call but K1's.
 """
@@ -16,7 +17,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import cython_special
 
 
 @dataclass(frozen=True)
@@ -151,9 +151,18 @@ def _brentq(lam_ab: float, k1: Callable[[float], float], target: float,
     raise RuntimeError(f"failed to converge after 200 iterations, value is {xcur!r}")
 
 
-# The one scalar K1: float(scipy.special.k1(x)) bit for bit, at about half
-# the ufunc's scalar cost; cdf_t3 and the solver read it from here when called.
-bessel_k1 = cython_special.k1
+def __getattr__(name: str):
+    """Bind bessel_k1, the one scalar K1, on its first read: it is
+    scipy.special.cython_special.k1, float(scipy.special.k1(x)) bit for bit
+    at about half the ufunc's scalar cost.  cdf_t3 and the solver read
+    numerics.bessel_k1 when called, so scipy.special loads with the first
+    K1 a process evaluates; from then on the name is a module global, and
+    each K1 is a direct call."""
+    if name != "bessel_k1":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from scipy.special import cython_special
+    globals()["bessel_k1"] = k1 = cython_special.k1
+    return k1
 
 
 def sample_exponential(rng: np.random.Generator, mean: float,

@@ -24,7 +24,6 @@ import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.special
 
 from . import outage
 from .model import (KernelWorkspace, LinkConstants, SchemeSpec, SystemParams,
@@ -294,7 +293,11 @@ def _array_cdfs(consts: LinkConstants) -> tuple:
     own formulas, read from outage when called, on numpy and the
     scipy.special.k1 ufunc.  t3 = inf, a sampled gain of 0, gives 1.0; the
     criterion reaches no other edge of the formulas."""
-    t3_formula = outage._cdf_t3(consts, np.sqrt, scipy.special.k1)
+    # Imported where used, as the oracle's solvers are, so that importing
+    # this module loads no scipy.
+    from scipy.special import k1
+
+    t3_formula = outage._cdf_t3(consts, np.sqrt, k1)
 
     def cdf_t3(t):
         out = np.ones_like(t)
@@ -536,6 +539,11 @@ def run_all() -> list:
     with; the last then runs here.  A criterion's exception is raised here
     and drops the pool, so the criteria still queued never run.
     """
+    # The criteria evaluate K1, whose first read imports scipy.special.
+    # Binding it here, before a first pool forks, spares each pool process
+    # that import.
+    from .numerics import bessel_k1  # noqa: F401
+
     calls = [(_run_criterion, (index,)) for index in range(1, len(CRITERIA))]
     return [*_run_calls(calls, len(calls)), _run_criterion(len(CRITERIA))]
 

@@ -1,11 +1,13 @@
 """Sweep tables, canned experiments, and the command-line interface."""
 
 import argparse
+import copy
 import csv
 import dataclasses
 import io
 import json
 import math
+import pickle
 import re
 
 import pytest
@@ -127,6 +129,37 @@ class TestSchemeSpec:
             built_from["theta"] = theta
             assert (scheme.label(), hash(scheme)) == (label, digest)
             assert run_sweep(spec, FAST_MC).rows == rows
+
+    def test_a_spec_s_args_are_read_only(self):
+        scheme = SchemeSpec("dynamic_ps", {"theta": 0.3})
+        with pytest.raises(TypeError, match="read-only"):
+            scheme.args["theta"] = 5.0
+        for method, call_args in (("__delitem__", ("theta",)), ("__ior__", ({"theta": 5.0},)),
+                                  ("update", ({"theta": 5.0},)), ("setdefault", ("rho", 5.0)),
+                                  ("pop", ("theta",)), ("popitem", ()), ("clear", ())):
+            with pytest.raises(TypeError, match="read-only"):
+                getattr(scheme.args, method)(*call_args)
+        assert scheme.args == {"theta": 0.3}
+        assert (scheme.label(), hash(scheme)) == ("dynamic_ps:theta=0.3",
+                                                  hash(SchemeSpec("dynamic_ps", {"theta": 0.3})))
+
+    @pytest.mark.parametrize("scheme", [
+        SchemeSpec("improved"), SchemeSpec("dynamic_ps", {"theta": 0.3}),
+        SchemeSpec("static_equal", {"rho": -0.0})])
+    def test_a_spec_survives_pickle_copy_and_replace(self, scheme):
+        copies = (pickle.loads(pickle.dumps(scheme)), copy.deepcopy(scheme),
+                  copy.copy(scheme), dataclasses.replace(scheme))
+        for other in copies:
+            assert other == scheme
+            assert (other.label(), hash(other)) == (scheme.label(), hash(scheme))
+            assert dict(other.args) == dict(scheme.args)
+        # As at construction from a plain dict, args convert and write as one.
+        assert dataclasses.asdict(scheme) == {"scheme_id": scheme.scheme_id,
+                                              "args": dict(scheme.args)}
+        assert json.loads(json.dumps(scheme.args)) == scheme.args
+        # A sweep spec holds its schemes, and copies with them.
+        spec = _spec("rate", (2.0,), (scheme,))
+        assert pickle.loads(pickle.dumps(spec)) == copy.deepcopy(spec) == spec
 
     @pytest.mark.parametrize("scheme_id,args,match", [
         ("oracle", {}, "unknown scheme_id 'oracle'"),
@@ -577,6 +610,27 @@ class TestCli:
                      "--theta", "0.9", "--trials", "2000"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: --theta ") and "theta sweep" in err
+
+    @pytest.mark.parametrize("texts", [
+        ("dynamic_ps:theta=0.2",), ("improved", "dynamic_ps:theta=0.5")])
+    def test_a_scheme_theta_in_a_theta_sweep_is_a_usage_error(self, texts, monkeypatch,
+                                                               capsys):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a gain was drawn before the usage error")
+
+        monkeypatch.setattr(ehrelay.montecarlo, "_chunks", no_draw)
+        argv = ["sweep", "--param", "theta", "--values", "0.3", "--trials", "2000"]
+        assert main(argv + [arg for text in texts for arg in ("--scheme", text)]) == 2
+        err = capsys.readouterr().err
+        assert err == ("error: a theta sweep's values set theta, so no --scheme may set it: "
+                       f"got {[texts[-1]]}\n")
+
+    def test_a_bare_dynamic_ps_scheme_still_sweeps_theta(self, capsys):
+        assert main(["sweep", "--param", "theta", "--values", "0.3", "--trials", "64",
+                     "--scheme", "dynamic_ps"]) == 0
+        rows = _parse_csv(capsys.readouterr().out)
+        assert [row[:2] for row in rows] == [["0.3", "dynamic_ps"]]
+        assert float(rows[0][2]) == outage_dynamic_ps(SystemParams(), 0.3)
 
     @pytest.mark.parametrize("text,message", [
         ("10,,20,", "values[1] is empty"), ("10,20,", "values[2] is empty"),
