@@ -18,7 +18,7 @@ import time
 from .model import SchemeSpec, SystemParams, derive_constants
 from .montecarlo import McConfig
 from .sweeps import (FIGURES, SWEEPABLE_PARAMS, SweepSpec, _figure_spec,
-                     run_sweep, run_sweeps)
+                     _refuse_swept_override, run_sweep, run_sweeps)
 from .validation import all_passed, report_csv, run_all
 
 _SYSTEM_FIELDS = {f.name for f in dataclasses.fields(SystemParams)}
@@ -106,9 +106,9 @@ def _emit_result(result, args, out_path: str | None) -> None:
 
 
 def cmd_sweep(args) -> int:
-    if args.param == "theta" and args.theta is not None:
-        raise ValueError("--theta has no use in a theta sweep: its values set theta")
-    params, cfg, _ = _resolve(args)
+    params, cfg, system = _resolve(args)
+    given = set(system) | ({"theta"} if args.theta is not None else set())
+    _refuse_swept_override(f"--param {args.param}", args.param, given)
     schemes, fixed = [], []
     for text in args.scheme or ("improved", "dynamic_ps", "static_equal:rho=0.5"):
         scheme = SchemeSpec.parse(text)

@@ -30,9 +30,9 @@ from .montecarlo import McConfig, _relative_error, mc_outages
 from .outage import (energy_outage, outage_capacity, outage_dynamic_ps,
                      outage_improved)
 
-# Each swept name and the SystemParams field it sets; theta is the
-# dynamic_ps argument and sets none.
-_SWEPT_FIELDS = {"M": "quad_order", "theta": None, "tx_power": "tx_power_dbm",
+# Each swept name and the field it sets at each value: a SystemParams field,
+# or theta, the dynamic_ps argument.
+_SWEPT_FIELDS = {"M": "quad_order", "theta": "theta", "tx_power": "tx_power_dbm",
                  "dist_a": "dist_a", "rate": "rate_bps_hz", "beta": "time_split",
                  "sensitivity": "circuit_sensitivity_dbm"}
 SWEEPABLE_PARAMS = tuple(_SWEPT_FIELDS)
@@ -62,7 +62,7 @@ class SweepSpec:
     dist_b is adjusted so the terminal separation base.dist_a + base.dist_b
     stays fixed.  A sensitivity sweep additionally reports the energy outage
     as its own pseudo-scheme row per value.  A theta sweep sets the theta of
-    its dynamic_ps scheme, so it takes at most one.  No scheme may be given
+    its dynamic_ps scheme, so it takes exactly one.  No scheme may be given
     twice: equal specs run alike and share one label.
     """
 
@@ -93,7 +93,7 @@ class SweepSpec:
                 raise ValueError(f"scheme {scheme.label()!r} is given twice")
             seen.add(scheme)
         dynamic = [s.label() for s in schemes if s.scheme_id == "dynamic_ps"]
-        if self.swept_param == "theta" and len(dynamic) > 1:
+        if self.swept_param == "theta" and len(dynamic) != 1:
             raise ValueError(f"a theta sweep takes one dynamic_ps scheme, got {dynamic}")
         object.__setattr__(self, "schemes", schemes)
 
@@ -138,6 +138,14 @@ def _apply_param(base: SystemParams, name: str, v: float) -> SystemParams:
     except ValueError as exc:
         raise ValueError(f"dist_a={v!r} must lie inside the terminal separation "
                          f"dist_a + dist_b = {separation!r} ({exc})") from exc
+
+
+def _refuse_swept_override(what: str, swept_param: str, overrides) -> None:
+    """Refuse an override of the field the sweep what sets at each value,
+    which the values would silently replace; fig() and `ehrelay sweep` share
+    this rule."""
+    if (swept := _SWEPT_FIELDS[swept_param]) in overrides:
+        raise ValueError(f"{what} sweeps {swept}, so overrides cannot set it")
 
 
 def _analytic_outage(params: SystemParams, scheme: SchemeSpec):
@@ -232,8 +240,7 @@ def _figure_spec(n: int, overrides: dict | None) -> SweepSpec:
     spec, overrides = FIGURES[n], overrides or {}
     if unknown := sorted(set(overrides) - {f.name for f in fields(SystemParams)}):
         raise ValueError(f"overrides name no SystemParams field: {unknown}")
-    if (swept := _SWEPT_FIELDS[spec.swept_param]) in overrides:
-        raise ValueError(f"figure {n} sweeps {swept}, so overrides cannot set it")
+    _refuse_swept_override(f"figure {n}", spec.swept_param, overrides)
     return replace(spec, base=replace(spec.base, **overrides))
 
 

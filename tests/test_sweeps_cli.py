@@ -9,6 +9,7 @@ import json
 import math
 import pickle
 import re
+import warnings
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -314,9 +315,25 @@ class TestSweepSpecValidation:
                      "--scheme", "dynamic_ps:theta=0.2",
                      "--scheme", "dynamic_ps:theta=0.9", "--trials", "64"]) == 2
         assert "dynamic_ps:theta=0.9" in capsys.readouterr().err
-        # One dynamic_ps row next to other schemes, or none at all, still sweeps.
+        # One dynamic_ps row next to other schemes still sweeps, and another
+        # sweep takes any number.
         _spec("theta", (0.3, 0.6), (dynamic[0], SchemeSpec("improved")))
         _spec("rate", (1.0,), dynamic)
+
+    @pytest.mark.parametrize("texts", [("improved",), ("improved", "static_equal")])
+    def test_a_theta_sweep_without_dynamic_ps_fails_before_any_simulation(
+            self, texts, monkeypatch, capsys):
+        # Its rows would differ only in the param column.
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("Monte Carlo ran before the spec was rejected")
+
+        monkeypatch.setattr(ehrelay.sweeps, "mc_outages", no_simulation)
+        message = "a theta sweep takes one dynamic_ps scheme, got []"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            _spec("theta", (0.3, 0.6), tuple(map(SchemeSpec.parse, texts)))
+        assert main(["sweep", "--param", "theta", "--values", "0.3,0.6",
+                     *(arg for text in texts for arg in ("--scheme", text))]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_base_must_be_a_system_params_naming_it(self):
         with pytest.raises(ValueError, match=r"^base must be a SystemParams, got "):
@@ -598,8 +615,8 @@ class TestCli:
     def test_a_scheme_given_without_its_default_prints_it(self, capsys):
         assert main(["sweep", "--param", "tx_power", "--values", "30",
                      "--trials", "64", "--scheme", "static_equal"]) == 0
-        assert [row[1] for row in _parse_csv(capsys.readouterr().out)] == [
-            "static_equal:rho=0.5"]
+        assert [row[:2] for row in _parse_csv(capsys.readouterr().out)] == [
+            ["30.0", "static_equal:rho=0.5"]]
 
     def test_theta_flag_in_a_theta_sweep_is_a_usage_error(self, monkeypatch, capsys):
         def no_draw(*args, **kwargs):
@@ -608,8 +625,43 @@ class TestCli:
         monkeypatch.setattr(ehrelay.montecarlo, "_chunks", no_draw)
         assert main(["sweep", "--param", "theta", "--values", "0.3,0.6",
                      "--theta", "0.9", "--trials", "2000"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: --theta ") and "theta sweep" in err
+        assert capsys.readouterr().err == (
+            "error: --param theta sweeps theta, so overrides cannot set it\n")
+
+    @pytest.mark.parametrize("param,override,field", [
+        ("M", ["--m", "5"], "quad_order"),
+        ("M", {"quad_order": 5}, "quad_order"),
+        ("tx_power", ["--tx-power-dbm", "10"], "tx_power_dbm"),
+        ("tx_power", {"tx_power_dbm": 10.0}, "tx_power_dbm"),
+        ("rate", ["--rate", "3"], "rate_bps_hz"),
+        ("rate", {"rate_bps_hz": 3.0}, "rate_bps_hz"),
+        ("beta", ["--beta", "0.4"], "time_split"),
+        ("sensitivity", ["--sensitivity-dbm", "-25"], "circuit_sensitivity_dbm"),
+        ("dist_a", ["--dist-a", "6"], "dist_a"),
+    ], ids=["M-flag", "M-config", "tx_power-flag", "tx_power-config", "rate-flag",
+            "rate-config", "beta-flag", "sensitivity-flag", "dist_a-flag"])
+    def test_sweep_refuses_an_override_of_the_swept_field(
+            self, param, override, field, tmp_path, monkeypatch, capsys):
+        # Each sweep value would replace the override, as in fig.
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a gain was drawn before the usage error")
+
+        monkeypatch.setattr(ehrelay.montecarlo, "_chunks", no_draw)
+        if isinstance(override, dict):
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps(override))
+            override = ["--config", str(config)]
+        value = {"beta": "0.3", "sensitivity": "-20"}.get(param, "4")
+        assert main(["sweep", "--param", param, "--values", value, *override]) == 2
+        assert capsys.readouterr().err == (
+            f"error: --param {param} sweeps {field}, so overrides cannot set it\n")
+
+    def test_a_dist_a_sweep_takes_dist_b_to_move_the_separation(self, capsys):
+        assert main(["sweep", "--param", "dist_a", "--values", "4", "--dist-b", "16",
+                     "--scheme", "improved", "--trials", "64"]) == 0
+        row, = _parse_csv(capsys.readouterr().out)
+        point = SystemParams(dist_a=4.0, dist_b=SystemParams().dist_a + 16.0 - 4.0)
+        assert float(row[2]) == outage_improved(point)
 
     @pytest.mark.parametrize("texts", [
         ("dynamic_ps:theta=0.2",), ("improved", "dynamic_ps:theta=0.5")])
@@ -639,6 +691,40 @@ class TestCli:
         assert main(["sweep", "--param", "tx_power", f"--values={text}",
                      "--trials", "64"]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_a_hopeless_power_sweep_prints_certain_outage(self, capsys):
+        # At -150 dBm outage_dynamic_ps reaches its low-SNR guard.
+        assert main(["sweep", "--param", "tx_power", "--values=-150,-80",
+                     "--scheme", "dynamic_ps:theta=0.8"]) == 0
+        rows = _parse_csv(capsys.readouterr().out)
+        assert [row[:3] for row in rows] == [["-150.0", "dynamic_ps:theta=0.8", "1.0"],
+                                              ["-80.0", "dynamic_ps:theta=0.8", "1.0"]]
+
+    @pytest.mark.parametrize("argv,config,cause", [
+        (["params"], {"tx_power_dbm": True}, "tx_power_dbm must be"),
+        (["sweep", "--param", "tx_power", "--values", "20"], {"dist_a": "5"},
+         "dist_a must be"),
+        # The power at which varpi**2 underflows to 0.
+        (["sweep", "--param", "tx_power", "--values", "1700", "--scheme", "dynamic_ps",
+          "--trials", "2000"], None, "tx_power_dbm"),
+        # The point where Z_B/fading_mean_b underflows to 0.
+        (["sweep", "--param", "tx_power", "--values", "30", "--scheme", "improved",
+          "--path-loss-exp", "6", "--dist-b", "0.002", "--gain-b-dbi", "97",
+          "--gain-relay-dbi", "94", "--fading-mean-b", "1e296", "--trials", "2000"],
+         None, "fading_mean_b"),
+    ], ids=["json-true", "json-string", "tx-power-1700", "fading-mean-1e296"])
+    def test_an_unusable_input_exits_2_naming_it_with_no_warning(
+            self, argv, config, cause, tmp_path, capsys):
+        if config is not None:
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(config))
+            argv = argv + ["--config", str(path)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == 2
+        assert caught == []
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and cause in err
 
     def test_sweep_json_and_out_file(self, tmp_path):
         target = tmp_path / "sweep.json"
