@@ -13,10 +13,23 @@ cd "$(dirname "$0")/.."
 steps=(package_size tier1 tier1_durations readme perfbench_tests import_cost
        analytic_grid figures figures_alone validate validate_processes)
 
-# The line count of src/ehrelay is tracked next to the benchmark numbers; it
-# runs before the tests so that a failure cannot skip it.
+# The line count of src/ehrelay and the knobs a caller can set, the fields of
+# SystemParams and McConfig and each subcommand's options (--help aside), are
+# tracked next to the benchmark numbers; it runs before the tests so that a
+# failure cannot skip it.
 package_size() {
   { echo '### wc -l src/ehrelay/*.py'; echo '```'; wc -l src/ehrelay/*.py; echo '```'; } >> "$GITHUB_STEP_SUMMARY"
+  PYTHONPATH=src python - >> "$GITHUB_STEP_SUMMARY" <<'EOF'
+import argparse, dataclasses
+from ehrelay import McConfig, SystemParams
+from ehrelay.cli import _build_parser
+print('### Knobs: settable fields and options\n\n| knob set | count |\n|---|---|')
+for cls in (SystemParams, McConfig):
+    print(f'| {cls.__name__} fields | {len(dataclasses.fields(cls))} |')
+for name, parser in _build_parser()._subparsers._group_actions[0].choices.items():
+    options = [a for a in parser._actions if a.option_strings and not isinstance(a, argparse._HelpAction)]
+    print(f'| ehrelay {name} options | {len(options)} |')
+EOF
 }
 
 # -X dev adds the interpreter's debug checks (allocator hooks, fault handler,

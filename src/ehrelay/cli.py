@@ -17,7 +17,7 @@ import time
 
 from .model import SchemeSpec, SystemParams, derive_constants
 from .montecarlo import McConfig
-from .sweeps import (FIGURES, SWEEPABLE_PARAMS, SweepSpec, _figure_spec,
+from .sweeps import (_FIG_SCHEMES, FIGURES, SWEEPABLE_PARAMS, SweepSpec, _figure_spec,
                      _refuse_swept_override, run_sweep, run_sweeps)
 from .validation import all_passed, report_csv, run_all
 
@@ -35,11 +35,10 @@ _FLAG_HELP = {"rate": "transmission rate in bit/s/Hz", "beta": "time allocation 
               "m": "quadrature order", "sensitivity_dbm": "rectenna circuit sensitivity"}
 
 
-def _add_common_flags(parser: argparse.ArgumentParser, *, mc: bool,
-                      theta: bool) -> None:
+def _add_common_flags(parser: argparse.ArgumentParser, *, mc: bool) -> None:
     """Register only the flags the subcommand reads; others are usage errors."""
-    parser.add_argument("--config", metavar="PATH",
-                        help="JSON file with SystemParams/McConfig fields")
+    parser.add_argument("--config", metavar="PATH", help="JSON file with SystemParams"
+                        f"{'/McConfig' if mc else ''} fields")
     if mc:
         parser.add_argument("--seed", type=int, help="simulation seed")
         parser.add_argument("--trials", type=int, help="Monte Carlo trials per point")
@@ -53,10 +52,6 @@ def _add_common_flags(parser: argparse.ArgumentParser, *, mc: bool,
     for dest in _OVERRIDE_FLAGS:
         group.add_argument("--" + dest.replace("_", "-"), dest=dest, type=float,
                            help=_FLAG_HELP.get(dest))
-    if theta:
-        group.add_argument("--theta", type=float, dest="theta",
-                           help="broadcast weight of a dynamic_ps scheme given "
-                                "without one, the default sweep's included")
 
 
 def _load_config(path: str | None) -> dict:
@@ -72,11 +67,15 @@ def _load_config(path: str | None) -> dict:
     return data
 
 
-def _resolve(args) -> tuple[SystemParams, McConfig, dict]:
-    """Layer defaults, config file, and flags; track explicit system fields."""
+def _resolve(args, *, simulates: bool = True) -> tuple[SystemParams, McConfig, dict]:
+    """Layer defaults, config file, and flags; track explicit system fields.
+    A subcommand that simulates nothing refuses McConfig fields in its config."""
     config = _load_config(args.config)
     system: dict = {k: v for k, v in config.items() if k in _SYSTEM_FIELDS}
     mc: dict = {k: v for k, v in config.items() if k in _MC_FIELDS}
+    if mc and not simulates:
+        raise ValueError(f"{args.command} simulates nothing, so its config takes no "
+                         f"{sorted(mc)}")
     for flag, field in _OVERRIDE_FLAGS.items():
         value = getattr(args, flag, None)
         if value is not None:
@@ -86,11 +85,6 @@ def _resolve(args) -> tuple[SystemParams, McConfig, dict]:
         if value is not None:
             mc[field] = value
     return SystemParams(**system), McConfig(**mc), system
-
-
-def _dynamic(args) -> SchemeSpec:
-    """The dynamic_ps scheme at --theta, or at its default when the flag is absent."""
-    return SchemeSpec("dynamic_ps", {} if args.theta is None else {"theta": args.theta})
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -107,17 +101,12 @@ def _emit_result(result, args, out_path: str | None) -> None:
 
 def cmd_sweep(args) -> int:
     params, cfg, system = _resolve(args)
-    given = set(system) | ({"theta"} if args.theta is not None else set())
-    _refuse_swept_override(f"--param {args.param}", args.param, given)
-    schemes, fixed = [], []
-    for text in args.scheme or ("improved", "dynamic_ps", "static_equal:rho=0.5"):
-        scheme = SchemeSpec.parse(text)
-        # parse refuses an argument without "=", so a text with none gives none.
-        if scheme.scheme_id == "dynamic_ps" and "=" not in text:
-            scheme = _dynamic(args)
-        elif scheme.scheme_id == "dynamic_ps" and args.param == "theta":
-            fixed.append(text)
-        schemes.append(scheme)
+    _refuse_swept_override(f"--param {args.param}", args.param, system)
+    texts = args.scheme or ()
+    schemes = tuple(map(SchemeSpec.parse, texts)) or _FIG_SCHEMES
+    # parse refuses an argument without "=", so a text with none gives none.
+    fixed = [text for text, scheme in zip(texts, schemes)
+             if args.param == "theta" and scheme.scheme_id == "dynamic_ps" and "=" in text]
     if fixed:
         raise ValueError(f"a theta sweep's values set theta, so no --scheme may set it: "
                          f"got {fixed}")
@@ -129,7 +118,7 @@ def cmd_sweep(args) -> int:
             problem = " is empty" if not text.strip() else f"={text!r} is not a number"
             raise ValueError(f"values[{i}]{problem}") from None
     spec = SweepSpec(swept_param=args.param, values=tuple(values),
-                     schemes=tuple(schemes), base=params)
+                     schemes=schemes, base=params)
     _emit_result(run_sweep(spec, cfg), args, args.out)
     return 0
 
@@ -174,8 +163,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_params(args) -> int:
-    params, _, _ = _resolve(args)
-    theta = _dynamic(args).args["theta"]
+    params, _, _ = _resolve(args, simulates=False)
+    theta = args.theta
     payload = {"theta": theta, "system": dataclasses.asdict(params),
                "derived": dataclasses.asdict(derive_constants(params, theta))}
     if args.json:
@@ -205,13 +194,13 @@ def _build_parser() -> argparse.ArgumentParser:
                               "dynamic_ps:theta=0.3, static_equal:rho=0.5 "
                               "(repeatable; default improved, dynamic_ps "
                               "and static_equal:rho=0.5)")
-    _add_common_flags(p_sweep, mc=True, theta=True)
+    _add_common_flags(p_sweep, mc=True)
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_fig = sub.add_parser("fig", help="reproduce canned experiment tables")
     p_fig.add_argument("n", type=int, nargs="+", choices=tuple(FIGURES),
                        help="experiment index; several need --outdir")
-    _add_common_flags(p_fig, mc=True, theta=False)
+    _add_common_flags(p_fig, mc=True)
     p_fig.add_argument("--outdir", metavar="DIR",
                        help="write fig<n>.csv (.json with --json) here for "
                             "each n, all simulated in one batch")
@@ -223,7 +212,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_val.set_defaults(func=cmd_validate)
 
     p_par = sub.add_parser("params", help="print resolved derived constants")
-    _add_common_flags(p_par, mc=False, theta=True)
+    _add_common_flags(p_par, mc=False)
+    p_par.add_argument("--theta", type=float, default=SchemeSpec("dynamic_ps").args["theta"],
+                       help="broadcast weight of the dynamic-PS part (default %(default)s)")
     p_par.set_defaults(func=cmd_params)
 
     return parser

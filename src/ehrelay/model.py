@@ -13,7 +13,9 @@ gains).  SystemParams holds the inputs, in dBm / dBi where given so, and
 the one derived value that its own checks read, the SNR threshold;
 link_constants converts the rest once per configuration, and the
 LinkConstants it returns is the one home of derived link values, all that
-the array kernel reads.
+the array kernel reads.  The noise variance sigma^2 is a constant of the
+model, NOISE_DBM = -90 dBm, as the 915 MHz carrier is: tx_power_dbm alone
+sets the transmit SNR P/sigma^2.
 
 SchemeSpec is the catalogue of relay schemes: each id, its argument with
 default and range, and the "id:arg=value" text form live there only.
@@ -83,9 +85,9 @@ def real_number(name: str, value) -> float:
 
 
 # Fields given in dB units, with their conversion to linear units.
-_DB_FIELDS = {"tx_power_dbm": dbm_to_watts, "noise_dbm": dbm_to_watts,
-               "circuit_sensitivity_dbm": dbm_to_watts, "gain_a_dbi": dbi_to_linear,
-               "gain_b_dbi": dbi_to_linear, "gain_relay_dbi": dbi_to_linear}
+_DB_FIELDS = {"tx_power_dbm": dbm_to_watts, "circuit_sensitivity_dbm": dbm_to_watts,
+               "gain_a_dbi": dbi_to_linear, "gain_b_dbi": dbi_to_linear,
+               "gain_relay_dbi": dbi_to_linear}
 
 
 @dataclass(frozen=True)
@@ -97,7 +99,6 @@ class SystemParams:
     """
 
     tx_power_dbm: float = 30.0        # terminal transmit power P
-    noise_dbm: float = -90.0          # noise variance sigma^2
     eh_efficiency: float = 0.6        # energy conversion efficiency eta, in (0, 1]
     time_split: float = 1.0 / 3.0     # time allocation ratio beta, in (0, 0.5)
     path_loss_exp: float = 2.7        # path loss exponent alpha
@@ -203,6 +204,10 @@ _PATH_FIELDS = ("path_loss_exp", "gain_relay_dbi")
 # (lambda/4pi)^2 at the fixed 915 MHz carrier and d0 = 1 m; another f or d0
 # is the gain_relay_dbi offset 20*log10(915e6/f) + 10*(alpha-2)*log10(d0).
 _FREE_SPACE = (SPEED_OF_LIGHT_M_S / 915e6) ** 2 / (4.0 * math.pi) ** 2
+# sigma^2; another floor of N dBm is the offset -(N+90) dB on tx_power_dbm
+# and circuit_sensitivity_dbm, as P enters only through P/sigma^2 and P_th/P.
+NOISE_DBM = -90.0
+_NOISE_W = dbm_to_watts(NOISE_DBM)
 
 
 def _out_of_range(params: SystemParams, symbol: str, fields) -> ValueError:
@@ -236,23 +241,21 @@ def link_constants(params: SystemParams) -> LinkConstants:
     z_b = path_factor(params.dist_b, params.gain_b_dbi, ("dist_b", "gain_b_dbi"))
 
     p_w = dbm_to_watts(params.tx_power_dbm)
-    n_w = dbm_to_watts(params.noise_dbm)
     gamma_th = params.snr_threshold
-    varpi = gamma_th * n_w / p_w
+    varpi = gamma_th * _NOISE_W / p_w
     beta = params.time_split
-    harvest_gain = params.eh_efficiency * beta * p_w / ((1.0 - 2.0 * beta) * n_w)
+    harvest_gain = params.eh_efficiency * beta * p_w / ((1.0 - 2.0 * beta) * _NOISE_W)
     y_big = harvest_gain / (z_a * z_b) if z_a * z_b > 0.0 else 0.0
     if not 0.0 < y_big < math.inf:
         raise _out_of_range(params, "Y = harvest_gain / (Z_A * Z_B)",
-                            ("tx_power_dbm", "noise_dbm", "dist_a", "dist_b",
+                            ("tx_power_dbm", "dist_a", "dist_b",
                              "gain_a_dbi", "gain_b_dbi", "gain_relay_dbi"))
     try:
         varpi_sq = varpi ** 2
     except OverflowError:
         varpi_sq = math.inf
     if not 0.0 < varpi_sq < math.inf:
-        raise _out_of_range(params, "varpi**2",
-                            ("tx_power_dbm", "noise_dbm", "rate_bps_hz"))
+        raise _out_of_range(params, "varpi**2", ("tx_power_dbm", "rate_bps_hz"))
 
     return LinkConstants(
         z_a=z_a, z_b=z_b, varpi=varpi, knee_a=varpi * z_a, knee_b=varpi * z_b,
@@ -311,9 +314,8 @@ def derive_constants(params: SystemParams, theta: float,
     # the decode boundary unless the harvest term drowns in rounding.
     if not (delta_a > link.knee_a and delta_b > link.knee_b):
         raise ValueError(
-            f"tx_power_dbm={params.tx_power_dbm!r} against noise_dbm="
-            f"{params.noise_dbm!r} at theta={theta!r} leaves no harvest "
-            "margin: the decode knees round onto the uplink floor")
+            f"tx_power_dbm={params.tx_power_dbm!r} at theta={theta!r} leaves no "
+            "harvest margin: the decode knees round onto the uplink floor")
 
     return DerivedConstants(**vars(link),
                             c_a=gamma_th * z_a / x_factor_b,

@@ -32,8 +32,8 @@ from functools import partial
 import numpy as np
 
 from . import numerics
-from .model import (DerivedConstants, LinkConstants, SystemParams, _out_of_range,
-                    check_theta, derive_constants, link_constants)
+from .model import (NOISE_DBM, DerivedConstants, LinkConstants, SystemParams,
+                    _out_of_range, check_theta, derive_constants, link_constants)
 from .numerics import QuadratureRule, _brentq, integrate_gc
 
 
@@ -252,8 +252,8 @@ def case4_geometry(consts: DerivedConstants) -> CaseFourGeometry:
         / (2.0 * c_sum)
     if x_plus == 0.0:
         # c_b*e_a and c_b**2 underflow at extreme SNR, before varpi**2 does.
-        raise ValueError("tx_power_dbm against noise_dbm leaves the floating-"
-                         "point range: the case-four crossing x_plus underflows to 0")
+        raise ValueError("tx_power_dbm leaves the floating-point range: "
+                         "the case-four crossing x_plus underflows to 0")
     y_plus = _boundary_gain_b(consts, x_plus)
 
     points = (x1, y1, q1, q2, x_delta, y_delta, x_plus, y_plus)
@@ -309,7 +309,7 @@ def p_case4(params: SystemParams, consts: DerivedConstants,
 
 
 # The inputs that set the scale of a gain against the noise floor.
-_SCALE_FIELDS = ("tx_power_dbm", "noise_dbm", "fading_mean_a", "fading_mean_b")
+_SCALE_FIELDS = ("tx_power_dbm", "fading_mean_a", "fading_mean_b")
 
 
 def _uplinks_hopeless(consts: LinkConstants) -> bool:
@@ -528,7 +528,7 @@ def outage_improved(params: SystemParams) -> float:
     # noise, where the outage is 1.0.
     if not consts.b_o * consts.b_o + 4.0 * consts.a_o < math.inf:
         raise _out_of_range(params, "b_o**2 + 4*a_o of the window-collapse bound",
-                            ("tx_power_dbm", "noise_dbm", "rate_bps_hz"))
+                            ("tx_power_dbm", "rate_bps_hz"))
     t_max = improved_integration_bound(consts)
     if not math.isfinite(t_max):
         return 0.0
@@ -577,9 +577,10 @@ def diversity_slope(params: SystemParams, evaluate, snr_grid) -> float:
     """Least-squares slope of -log10(outage) against log10(transmit SNR).
 
     snr_grid lists transmit-SNR points in dB, ascending, at least three of
-    them; each point rescales the transmit power against the fixed noise
-    floor.  evaluate maps params to an outage probability, for example
-    outage_improved or lambda p: outage_dynamic_ps(p, 0.5).
+    them; the point at snr_db sets tx_power_dbm = NOISE_DBM + snr_db, on
+    the model's fixed noise floor.  evaluate maps params to an outage
+    probability, for example outage_improved or
+    lambda p: outage_dynamic_ps(p, 0.5).
     """
     grid = [float(v) for v in snr_grid]
     if len(grid) < 3:
@@ -590,7 +591,7 @@ def diversity_slope(params: SystemParams, evaluate, snr_grid) -> float:
     decades = []
     neg_log_out = []
     for snr_db in grid:
-        point = replace(params, tx_power_dbm=params.noise_dbm + snr_db)
+        point = replace(params, tx_power_dbm=NOISE_DBM + snr_db)
         p_out = evaluate(point)
         if p_out <= 0.0:
             raise ValueError(f"outage is zero at {snr_db} dB; slope undefined")

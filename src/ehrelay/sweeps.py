@@ -62,7 +62,8 @@ class SweepSpec:
     dist_b is adjusted so the terminal separation base.dist_a + base.dist_b
     stays fixed.  A sensitivity sweep additionally reports the energy outage
     as its own pseudo-scheme row per value.  A theta sweep sets the theta of
-    its dynamic_ps scheme, so it takes exactly one.  No scheme may be given
+    its dynamic_ps scheme, so it takes exactly one, SchemeSpec("dynamic_ps"):
+    a spec at another theta would not run at it.  No scheme may be given
     twice: equal specs run alike and share one label.
     """
 
@@ -95,6 +96,9 @@ class SweepSpec:
         dynamic = [s.label() for s in schemes if s.scheme_id == "dynamic_ps"]
         if self.swept_param == "theta" and len(dynamic) != 1:
             raise ValueError(f"a theta sweep takes one dynamic_ps scheme, got {dynamic}")
+        if self.swept_param == "theta" and SchemeSpec("dynamic_ps") not in schemes:
+            raise ValueError("a theta sweep's values set theta, so its dynamic_ps scheme "
+                             f"must be SchemeSpec('dynamic_ps'), got {dynamic[0]}")
         object.__setattr__(self, "schemes", schemes)
 
 

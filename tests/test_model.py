@@ -213,7 +213,6 @@ def test_quad_order_rejects_other_values_naming_them(value):
 @pytest.mark.parametrize("field,value", [
     ("dist_a", "5"),
     ("tx_power_dbm", True),
-    ("noise_dbm", False),
     ("circuit_sensitivity_dbm", True),
     ("rate_bps_hz", np.bool_(True)),
     ("gain_relay_dbi", None),
@@ -233,10 +232,12 @@ def test_params_reject_integers_past_the_float_range_naming_them(field):
         SystemParams(**{field: 10 ** 400})
 
 
-@pytest.mark.parametrize("name", ["carrier_freq_hz", "ref_dist", "block_duration"])
+@pytest.mark.parametrize("name", ["carrier_freq_hz", "ref_dist", "block_duration",
+                                  "noise_dbm"])
 def test_model_constants_are_not_params(name):
-    # The carrier (915 MHz), d0 (1 m) and the block length are fixed by the
-    # model; a point cannot set them, nor does it carry them.
+    # The carrier (915 MHz), d0 (1 m), the block length and the noise floor
+    # (-90 dBm) are fixed by the model; a point cannot set them, nor does it
+    # carry them.
     assert name not in {f.name for f in dataclasses.fields(SystemParams)}
     with pytest.raises(TypeError, match=name):
         SystemParams(**{name: 1.0})
@@ -267,7 +268,6 @@ def test_params_store_real_fields_as_floats(cast):
 @pytest.mark.parametrize("field,value", [
     ("tx_power_dbm", math.nan),
     ("tx_power_dbm", math.inf),
-    ("noise_dbm", -math.inf),
     ("gain_relay_dbi", math.nan),
     ("dist_a", math.inf),
     ("fading_mean_b", math.inf),
@@ -275,7 +275,6 @@ def test_params_store_real_fields_as_floats(cast):
     ("circuit_sensitivity_dbm", math.nan),
     # Finite dB values whose linear value rounds to 0 or overflows.
     ("tx_power_dbm", -3400.0),
-    ("noise_dbm", 4000.0),
     ("gain_a_dbi", -4000.0),
     ("circuit_sensitivity_dbm", -3400.0),
     # Finite rates whose SNR threshold 2**rate - 1 overflows or rounds to 0.
@@ -488,16 +487,16 @@ def test_outage_indicator_vanishing_threshold():
 
 
 def test_scale_consistency():
-    """Shifting P and sigma^2 by the same dB amount changes nothing: r*
-    reads neither, and eps stays put."""
-    shifted = dataclasses.replace(DEFAULTS, tx_power_dbm=37.0, noise_dbm=-83.0)
-    c2 = derive_constants(shifted, 0.5)
-    assert c2.varpi == pytest.approx(CONSTS.varpi, rel=1e-12)
+    """Shifting P moves eps alone: r* does not read P, and the knee split's
+    pool is U - 2*eps."""
+    shifted = dataclasses.replace(DEFAULTS, tx_power_dbm=37.0)
+    eps = link_constants(shifted).varpi
+    assert eps == pytest.approx(CONSTS.varpi * 10.0 ** -0.7, rel=1e-12)
     for rho, theta in ((None, 0.5), (None, None), (0.3, 0.5)):
         assert np.array_equal(_ratio(0.8, 1.7, rho, theta),
                               _ratio(0.8, 1.7, rho, theta, params=shifted))
-    assert _pool(0.8, 1.7)[0][0] == pytest.approx(_pool(0.8, 1.7, params=shifted)[0][0],
-                                                   rel=1e-9)
+    assert _pool(0.8, 1.7)[0][0] + 2.0 * CONSTS.varpi == pytest.approx(
+        _pool(0.8, 1.7, params=shifted)[0][0] + 2.0 * eps, rel=1e-9)
 
 
 @given(

@@ -33,8 +33,9 @@ from ehrelay import (
     outage_dynamic_ps,
 )
 from ehrelay import montecarlo, sweeps
-from ehrelay.model import (KernelWorkspace, SchemeSpec, count_below, critical_ratio,
-                           downlink_gain, harvest_pool, link_constants, normalized_gains)
+from ehrelay.model import (NOISE_DBM, KernelWorkspace, SchemeSpec, count_below,
+                           critical_ratio, downlink_gain, harvest_pool, link_constants,
+                           normalized_gains)
 from ehrelay.montecarlo import (BLOCK_TRIALS, CHUNK_TRIALS, _block_layout, _block_rng, _chunks, _outage_block,
                                 _plan, _relative_error, _splitmix64, _usable_cores, mc_outages)
 from ehrelay.numerics import sample_exponential
@@ -255,8 +256,8 @@ NESTED_RHOS = (0.3, 0.5, 0.7)
 _DIVERSITY = SystemParams(**_DIVERSITY_GEOMETRY)
 NESTING_POINTS = {
     "default": DEFAULTS,
-    "diversity-40dB": dataclasses.replace(_DIVERSITY, tx_power_dbm=_DIVERSITY.noise_dbm + 40.0),
-    "diversity-70dB": dataclasses.replace(_DIVERSITY, tx_power_dbm=_DIVERSITY.noise_dbm + 70.0),
+    "diversity-40dB": dataclasses.replace(_DIVERSITY, tx_power_dbm=NOISE_DBM + 40.0),
+    "diversity-70dB": dataclasses.replace(_DIVERSITY, tx_power_dbm=NOISE_DBM + 70.0),
     **{f"rate{rate:g}-{dbm:g}dBm": dataclasses.replace(DEFAULTS, rate_bps_hz=rate,
                                                       tx_power_dbm=dbm)
        for rate in (1.0, 3.0) for dbm in (10.0, 20.0)},
@@ -487,13 +488,14 @@ class TestBatch:
             assert tuple(calls.get(name, 0) for name in names) == want, n
 
     def test_params_a_rounding_apart_keep_their_own_counts(self):
-        # A noise level one ulp from the defaults' gives a varpi that rounds
-        # apart and the same kappa: the two share a group and an r*, but not
-        # a count.  np.float32(-90.0) is stored as -90.0, the defaults' cell.
-        float32 = dataclasses.replace(DEFAULTS, noise_dbm=np.float32(-90.0))
+        # A transmit power one ulp from the defaults' gives a varpi that
+        # rounds apart and the same kappa: the two share a group and an r*,
+        # but not a count.  np.float32(30.0) is stored as 30.0, the defaults'
+        # cell.
+        float32 = dataclasses.replace(DEFAULTS, tx_power_dbm=np.float32(30.0))
         assert _plan([(DEFAULTS, SchemeSpec("improved")),
                       (float32, SchemeSpec("improved"))])[1] == (0, 0)
-        narrow = dataclasses.replace(DEFAULTS, noise_dbm=float(np.nextafter(-90.0, 0.0)))
+        narrow = dataclasses.replace(DEFAULTS, tx_power_dbm=float(np.nextafter(30.0, 0.0)))
         assert link_constants(narrow).varpi != link_constants(DEFAULTS).varpi
         cells = [(DEFAULTS, SchemeSpec("improved")), (narrow, SchemeSpec("improved"))]
         groups, slots, _ = _plan(cells)

@@ -26,8 +26,8 @@ from ehrelay import (
     outage_improved,
 )
 from ehrelay import numerics, outage
-from ehrelay.model import (KernelWorkspace, critical_ratio, downlink_gain, harvest_pool,
-                           link_constants, normalized_gains)
+from ehrelay.model import (NOISE_DBM, KernelWorkspace, critical_ratio, downlink_gain,
+                           harvest_pool, link_constants, normalized_gains)
 from ehrelay.numerics import QuadratureRule, bessel_k1, integrate_gc
 from ehrelay.outage import (
     CaseFourGeometry,
@@ -305,16 +305,16 @@ def test_estimators_agree_on_the_sure_outage_far_below_the_noise():
 
 
 def _seeded_box(count, seed=2026):
-    """Points far past the figures: transmit power -130..80 dBm, noise
-    -120..-60 dBm, fading means log-uniform over 0.01..1000, M in
-    {5, 10, 40} and theta in (0.01, 0.99)."""
+    """Points far past the figures: the transmit SNR of a power of
+    -130..80 dBm against a noise floor of -120..-60 dBm, fading means
+    log-uniform over 0.01..1000, M in {5, 10, 40} and theta in (0.01, 0.99)."""
     rng = np.random.default_rng(seed)
     tx = rng.uniform(-130.0, 80.0, count)
     noise = rng.uniform(-120.0, -60.0, count)
     means = 10.0 ** rng.uniform(-2.0, 3.0, (2, count))
     orders = rng.choice((5, 10, 40), count)
     theta = rng.uniform(0.01, 0.99, count)
-    return [(SystemParams(tx_power_dbm=float(tx[i]), noise_dbm=float(noise[i]),
+    return [(SystemParams(tx_power_dbm=float(tx[i] - noise[i] + NOISE_DBM),
                           fading_mean_a=float(means[0, i]),
                           fading_mean_b=float(means[1, i]), quad_order=int(orders[i])),
              float(theta[i])) for i in range(count)]
@@ -825,16 +825,17 @@ _CENTIMETRE_GEOMETRY = dict(gain_a_dbi=60.0, gain_b_dbi=60.0, gain_relay_dbi=60.
 @pytest.mark.parametrize("geometry", [{}, _DIVERSITY_GEOMETRY, _CENTIMETRE_GEOMETRY],
                          ids=["default", "diversity", "60dBi-1cm"])
 def test_extreme_snr_gives_a_probability_or_a_value_error(geometry):
-    """Over transmit powers far past any link budget and noise floors from
-    -3000 to 500 dBm, where Y overflows and varpi**2 or x_plus underflows,
-    each closed form returns a probability or raises the ValueError that
-    names the transmit power."""
+    """Over the transmit SNRs of powers far past any link budget against
+    noise floors from -3000 to 500 dBm, where Y overflows and varpi**2 or
+    x_plus underflows, each closed form returns a probability or raises
+    the ValueError that names the transmit power; past about 3110 dBm,
+    SystemParams does."""
     for noise_dbm in (-3000.0, -700.0, -90.0, 0.0, 500.0):
         for tx_power_dbm in np.linspace(-300.0, 3000.0, 120).tolist():
-            params = _with(tx_power_dbm=tx_power_dbm, noise_dbm=noise_dbm, **geometry)
+            snr_db = tx_power_dbm - noise_dbm
             for evaluate in (outage_improved, lambda p: outage_dynamic_ps(p, 0.5)):
                 try:
-                    value = evaluate(params)
+                    value = evaluate(_with(tx_power_dbm=NOISE_DBM + snr_db, **geometry))
                 except ValueError as err:
                     assert "tx_power_dbm" in str(err)
                 else:
@@ -843,20 +844,21 @@ def test_extreme_snr_gives_a_probability_or_a_value_error(geometry):
 
 # Extreme fading means.  A: Z_B/fading_mean_b underflows to 0, so lam_b is
 # inf.  B: b_o**2 overflows.  C: a_o is inf.  D: a dynamic-PS strip's
-# integral overflows where its exp(-e/lam_x) factor underflows.  Per scheme,
-# the outage (a float) or the input the ValueError must name (a str).
+# integral overflows where its exp(-e/lam_x) factor underflows; rounding
+# decides where, as at 1526 dBm it returns 0.0.  Per scheme, the outage (a
+# float) or the input the ValueError must name (a str).
 EXTREME_FADING_POINTS = {
     "A": (dict(path_loss_exp=6.0, dist_b=0.002, gain_b_dbi=97.0, gain_relay_dbi=94.0,
                fading_mean_b=1e296),
           {"improved": "fading_mean_b", "dynamic_ps": 4.3298697960381105e-15}),
-    "B": (dict(tx_power_dbm=454.0, noise_dbm=31.0, path_loss_exp=7.5, dist_a=5564.0,
+    "B": (dict(tx_power_dbm=333.0, path_loss_exp=7.5, dist_a=5564.0,
                dist_b=43922.0, fading_mean_a=1e92, fading_mean_b=1e90,
                rate_bps_hz=292.0),
           {"improved": "rate_bps_hz", "dynamic_ps": "tx_power_dbm"}),
     "C": (dict(tx_power_dbm=1228.0, fading_mean_a=1e145, fading_mean_b=1e108,
                rate_bps_hz=675.0),
           {"improved": "rate_bps_hz", "dynamic_ps": "tx_power_dbm"}),
-    "D": (dict(tx_power_dbm=1324.0, noise_dbm=-292.0, fading_mean_a=1e-109),
+    "D": (dict(tx_power_dbm=1526.5, fading_mean_a=1e-109),
           {"improved": 0.0, "dynamic_ps": "fading_mean_a"}),
 }
 
@@ -933,7 +935,7 @@ def test_energy_outage_symmetric_links_square():
 
 def test_diversity_slope_synthetic_inputs():
     def log_linear(point):
-        return 10.0 ** (-(point.tx_power_dbm - point.noise_dbm) / 10.0)
+        return 10.0 ** (-(point.tx_power_dbm - NOISE_DBM) / 10.0)
 
     grid = [40.0, 50.0, 60.0, 70.0]
     assert diversity_slope(DEFAULTS, log_linear, grid) == pytest.approx(1.0, abs=1e-9)
@@ -970,7 +972,7 @@ def test_high_snr_outage_follows_the_eps_log_law():
     def offsets(evaluate, weight, order, snr_grid):
         """Relative offsets from the law of s*P_out's per-decade increments."""
         scaled = [10.0 ** (db / 10.0) * evaluate(
-                      _with(params, quad_order=order, tx_power_dbm=params.noise_dbm + db))
+                      _with(params, quad_order=order, tx_power_dbm=NOISE_DBM + db))
                   for db in snr_grid]
         return [(b - a) / (per_weight * weight) - 1.0 for a, b in zip(scaled, scaled[1:])]
 

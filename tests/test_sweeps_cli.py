@@ -7,6 +7,7 @@ import dataclasses
 import io
 import json
 import math
+import pathlib
 import pickle
 import re
 import warnings
@@ -315,9 +316,14 @@ class TestSweepSpecValidation:
                      "--scheme", "dynamic_ps:theta=0.2",
                      "--scheme", "dynamic_ps:theta=0.9", "--trials", "64"]) == 2
         assert "dynamic_ps:theta=0.9" in capsys.readouterr().err
-        # One dynamic_ps row next to other schemes still sweeps, and another
-        # sweep takes any number.
-        _spec("theta", (0.3, 0.6), (dynamic[0], SchemeSpec("improved")))
+        # One dynamic_ps row next to other schemes still sweeps if it is
+        # SchemeSpec("dynamic_ps"), since the values replace its theta; a
+        # spec at another theta would not run at it.  Another sweep takes
+        # any number.
+        with pytest.raises(ValueError, match=r"must be SchemeSpec\('dynamic_ps'\), "
+                           r"got dynamic_ps:theta=0.2$"):
+            _spec("theta", (0.3, 0.6), (dynamic[0], SchemeSpec("improved")))
+        _spec("theta", (0.3, 0.6), (SchemeSpec("dynamic_ps"), SchemeSpec("improved")))
         _spec("rate", (1.0,), dynamic)
 
     @pytest.mark.parametrize("texts", [("improved",), ("improved", "static_equal")])
@@ -596,37 +602,19 @@ class TestCli:
         assert len(body) == 2
         assert body[0][1] == "dynamic_ps:theta=0.5"
 
-    def test_default_sweep_takes_theta_from_the_flag(self, capsys):
-        argv = ["sweep", "--param", "tx_power", "--values", "20",
-                "--trials", "2048", "--seed", "7"]
-        assert main(argv) == 0
-        stock = capsys.readouterr().out
+    def test_default_sweep_runs_the_three_figure_schemes(self, capsys):
+        assert main(["sweep", "--param", "tx_power", "--values", "20",
+                     "--trials", "2048", "--seed", "7"]) == 0
         explicit = (SchemeSpec("improved"), SchemeSpec("dynamic_ps", {"theta": 0.5}),
                     SchemeSpec("static_equal", {"rho": 0.5}))
-        assert stock == run_sweep(_spec("tx_power", (20.0,), explicit),
-                                  McConfig(trials=2048, seed=7)).to_csv()
-        assert main(argv + ["--theta", "0.2"]) == 0
-        rows = _parse_csv(capsys.readouterr().out)
-        assert [row[1] for row in rows] == [
-            "dynamic_ps:theta=0.2", "improved", "static_equal:rho=0.5"]
-        point = SystemParams(tx_power_dbm=20.0)
-        assert float(rows[0][2]) == outage_dynamic_ps(point, 0.2)
+        assert capsys.readouterr().out == run_sweep(
+            _spec("tx_power", (20.0,), explicit), McConfig(trials=2048, seed=7)).to_csv()
 
     def test_a_scheme_given_without_its_default_prints_it(self, capsys):
         assert main(["sweep", "--param", "tx_power", "--values", "30",
                      "--trials", "64", "--scheme", "static_equal"]) == 0
         assert [row[:2] for row in _parse_csv(capsys.readouterr().out)] == [
             ["30.0", "static_equal:rho=0.5"]]
-
-    def test_theta_flag_in_a_theta_sweep_is_a_usage_error(self, monkeypatch, capsys):
-        def no_draw(*args, **kwargs):
-            raise AssertionError("a gain was drawn before the usage error")
-
-        monkeypatch.setattr(ehrelay.montecarlo, "_chunks", no_draw)
-        assert main(["sweep", "--param", "theta", "--values", "0.3,0.6",
-                     "--theta", "0.9", "--trials", "2000"]) == 2
-        assert capsys.readouterr().err == (
-            "error: --param theta sweeps theta, so overrides cannot set it\n")
 
     @pytest.mark.parametrize("param,override,field", [
         ("M", ["--m", "5"], "quad_order"),
@@ -819,12 +807,27 @@ class TestCli:
 
     def test_config_file_layering(self, tmp_path, capsys):
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"rate_bps_hz": 3.0, "trials": 2048}))
+        config.write_text(json.dumps({"rate_bps_hz": 3.0}))
         rc = main(["params", "--json", "--config", str(config),
                    "--rate", "4.0"])
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["system"]["rate_bps_hz"] == 4.0
+
+    @pytest.mark.parametrize("fields,named", [
+        ({"trials": 5, "seed": 3}, "['seed', 'trials']"),
+        ({"trials": 0}, "['trials']"),
+        ({"shards": 2, "rate_bps_hz": 3.0}, "['shards']"),
+    ])
+    def test_params_config_refuses_monte_carlo_fields(self, fields, named, tmp_path,
+                                                      capsys):
+        # params simulates nothing, as its lack of --trials, --seed and
+        # --shards says; a config that sets them is no less an error.
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(fields))
+        assert main(["params", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: params simulates nothing, so its config takes no {named}\n")
 
     def test_bad_inputs_exit_2(self, tmp_path, capsys):
         assert main(["sweep", "--param", "rate", "--values", "3,1",
@@ -835,7 +838,7 @@ class TestCli:
         bad.write_text(json.dumps({"nonsense": 1}))
         assert main(["params", "--config", str(bad)]) == 2
         assert "error:" in capsys.readouterr().err
-        for fixed in ("carrier_freq_hz", "ref_dist", "block_duration"):
+        for fixed in ("carrier_freq_hz", "ref_dist", "block_duration", "noise_dbm"):
             bad.write_text(json.dumps({fixed: 1.0}))
             assert main(["params", "--config", str(bad)]) == 2
             assert f"unknown config fields: ['{fixed}']" in capsys.readouterr().err
@@ -898,10 +901,17 @@ class TestCli:
 
     @pytest.mark.parametrize("argv", [
         ["fig", "3", "--theta", "0.9"],
+        # A dynamic_ps weight comes from --scheme dynamic_ps:theta=x alone.
+        ["sweep", "--param", "rate", "--values", "2", "--theta", "0.3"],
         ["params", "--trials", "5", "--shards", "3"],
         ["validate", "--seed", "3"],
-        # The carrier, d0 and the block length are constants of the model.
+        # The carrier, d0, the block length and the noise floor are constants
+        # of the model.
         ["params", "--carrier-freq-hz", "2.4e9"],
+        ["sweep", "--param", "rate", "--values", "2", "--noise-dbm", "-80"],
+        ["fig", "3", "--noise-dbm", "-80"],
+        ["params", "--noise-dbm", "-80"],
+        ["validate", "--noise-dbm", "-80"],
     ])
     def test_flags_a_subcommand_ignores_are_usage_errors(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -934,7 +944,7 @@ class TestCli:
         pytest.param("dist_a", 10 ** 400, id="dist_a-10**400"),
         ("tx_power_dbm", True),
         ("quad_order", True),
-        ("noise_dbm", None),
+        ("eh_efficiency", None),
         ("trials", True),
         ("seed", False),
         ("shards", True),
@@ -1017,3 +1027,33 @@ class TestCli:
             assert main(["validate", "--json"]) == 1
             payloads.append(capsys.readouterr().out)
         assert payloads[0] == payloads[1]
+
+
+def _readme_flags(commands):
+    """(subcommand, flag) for each --flag of README.md in an `ehrelay ...`
+    command of a sh block or in a code span; the subcommand is the word
+    after ehrelay, or a span's first word, where that is one of commands,
+    else None."""
+    text = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    fence = re.compile(r"^```(\w*)\n(.*?)^```$", re.M | re.S)
+    fragments = [line for lang, body in fence.findall(text) if lang == "sh"
+                 for line in body.replace("\\\n", " ").splitlines()
+                 if line.startswith("ehrelay ")]
+    fragments += re.findall(r"`([^`]+)`", fence.sub("", text))
+    uses = []
+    for fragment in fragments:
+        words = fragment.split()
+        words = words[1:] if words[0] == "ehrelay" else words
+        command = words[0] if words and words[0] in commands else None
+        uses += [(command, flag) for flag in re.findall(r"(?<![\w-])--[a-z][\w-]*", fragment)]
+    return uses
+
+
+def test_every_flag_the_readme_names_is_an_option_of_its_subcommand():
+    parsers = ehrelay.cli._build_parser()._subparsers._group_actions[0].choices
+    options = {name: set(parser._option_string_actions) for name, parser in parsers.items()}
+    uses = _readme_flags(set(parsers))
+    assert ("sweep", "--scheme") in uses and (None, "--theta") in uses
+    unknown = [(command, flag) for command, flag in uses
+               if flag not in (options[command] if command else set().union(*options.values()))]
+    assert unknown == []
