@@ -14,9 +14,9 @@ steps=(package_size tier1 tier1_durations readme perfbench_tests import_cost
        analytic_grid figures figures_alone validate validate_processes)
 
 # The line count of src/ehrelay and the knobs a caller can set, the fields of
-# SystemParams and McConfig and each subcommand's options (--help aside), are
-# tracked next to the benchmark numbers; it runs before the tests so that a
-# failure cannot skip it.
+# SystemParams and McConfig and each subcommand's options (--help aside), with
+# the options' total over all subcommands, are tracked next to the benchmark
+# numbers; it runs before the tests so that a failure cannot skip it.
 package_size() {
   { echo '### wc -l src/ehrelay/*.py'; echo '```'; wc -l src/ehrelay/*.py; echo '```'; } >> "$GITHUB_STEP_SUMMARY"
   PYTHONPATH=src python - >> "$GITHUB_STEP_SUMMARY" <<'EOF'
@@ -26,9 +26,12 @@ from ehrelay.cli import _build_parser
 print('### Knobs: settable fields and options\n\n| knob set | count |\n|---|---|')
 for cls in (SystemParams, McConfig):
     print(f'| {cls.__name__} fields | {len(dataclasses.fields(cls))} |')
+total = 0
 for name, parser in _build_parser()._subparsers._group_actions[0].choices.items():
     options = [a for a in parser._actions if a.option_strings and not isinstance(a, argparse._HelpAction)]
     print(f'| ehrelay {name} options | {len(options)} |')
+    total += len(options)
+print(f'| ehrelay options, all subcommands | {total} |')
 EOF
 }
 
@@ -119,7 +122,7 @@ figures() {
 # bytes of the seed-2024, 2-shard batch that figures checked.
 figures_alone() {
   for n in 3 4 5 6 7 8 9; do
-    PYTHONPATH=src python -m ehrelay.cli fig "$n" --trials 1000000 --seed 2024 --shards 2 --out "$RUNNER_TEMP/cli-fig$n.csv"
+    PYTHONPATH=src python -m ehrelay.cli fig "$n" --trials 1000000 --seed 2024 --shards 2 > "$RUNNER_TEMP/cli-fig$n.csv"
     cmp "$RUNNER_TEMP/cli-fig$n.csv" "$RUNNER_TEMP/figs-2024-2/fig$n.csv"
   done
 }
@@ -130,7 +133,7 @@ figures_alone() {
 # RuntimeWarning fails it, in the pool processes too.
 validate() {
   local rc=0 want
-  PYTHONPATH=src python -W error::RuntimeWarning -m ehrelay.cli validate --out "$RUNNER_TEMP/validate.csv" 2> "$RUNNER_TEMP/validate.err" || rc=$?
+  PYTHONPATH=src python -W error::RuntimeWarning -m ehrelay.cli validate > "$RUNNER_TEMP/validate.csv" 2> "$RUNNER_TEMP/validate.err" || rc=$?
   cat "$RUNNER_TEMP/validate.err"
   { echo '### ehrelay validate, seconds per criterion'; echo '```'; cat "$RUNNER_TEMP/validate.err"; echo '```'; } >> "$GITHUB_STEP_SUMMARY"
   test "$rc" -eq 0
@@ -148,10 +151,10 @@ validate() {
 # python restores its default, starts the session and execs validate.
 validate_processes() {
   local sid pid rc=0
-  PYTHONPATH=src setsid -w sh -c 'echo $$ > "$RUNNER_TEMP/validate.sid"; exec python -m ehrelay.cli validate --out "$RUNNER_TEMP/session.csv" 2> /dev/null'
+  PYTHONPATH=src setsid -w sh -c 'echo $$ > "$RUNNER_TEMP/validate.sid"; exec python -m ehrelay.cli validate > "$RUNNER_TEMP/session.csv" 2> /dev/null'
   sid=$(cat "$RUNNER_TEMP/validate.sid")
   if pgrep -s "$sid"; then ps -o pid,stat,args -s "$sid"; exit 1; fi
-  PYTHONPATH=src python -c 'import os, signal, sys; signal.signal(signal.SIGINT, signal.SIG_DFL); os.setsid(); os.execvp(sys.executable, [sys.executable, *sys.argv[1:]])' -m ehrelay.cli validate --out "$RUNNER_TEMP/sigint.csv" 2> /dev/null &
+  PYTHONPATH=src python -c 'import os, signal, sys; signal.signal(signal.SIGINT, signal.SIG_DFL); os.setsid(); os.execvp(sys.executable, [sys.executable, *sys.argv[1:]])' -m ehrelay.cli validate > "$RUNNER_TEMP/sigint.csv" 2> /dev/null &
   pid=$!
   sleep 0.8
   kill -INT "$pid"; sleep 0.005; kill -INT "$pid"

@@ -1,9 +1,11 @@
 """Command-line front end: sweeps, canned experiments, validation, audit.
 
-Configuration resolves in three layers: built-in defaults, then a JSON
-config file, then explicit flags.  Every run prints CSV (or JSON with
---json) so downstream plotting needs no code from this package; `fig`
-given --outdir writes one file per figure instead, all from one batch.
+Every input comes from argv, read over the built-in defaults; an argument
+@FILE stands for the arguments FILE holds, one a line, and where one flag
+is given twice the later one wins.  Every run prints its result to stdout,
+as CSV (params: a listing) or JSON with --json, so downstream plotting
+needs no code from this package; `fig` given --outdir writes one file per
+figure instead, all from one batch.
 """
 
 from __future__ import annotations
@@ -21,9 +23,6 @@ from .sweeps import (_FIG_SCHEMES, FIGURES, SWEEPABLE_PARAMS, SweepSpec, _figure
                      _refuse_swept_override, run_sweep, run_sweeps)
 from .validation import all_passed, report_csv, run_all
 
-_SYSTEM_FIELDS = {f.name for f in dataclasses.fields(SystemParams)}
-_MC_FIELDS = {f.name for f in dataclasses.fields(McConfig)}
-
 # Every SystemParams field has an override flag --<destination> (dashed);
 # the destination is the field name unless renamed here.
 _RENAMED = {"rate_bps_hz": "rate", "time_split": "beta", "quad_order": "m",
@@ -37,15 +36,12 @@ _FLAG_HELP = {"rate": "transmission rate in bit/s/Hz", "beta": "time allocation 
 
 def _add_common_flags(parser: argparse.ArgumentParser, *, mc: bool) -> None:
     """Register only the flags the subcommand reads; others are usage errors."""
-    parser.add_argument("--config", metavar="PATH", help="JSON file with SystemParams"
-                        f"{'/McConfig' if mc else ''} fields")
     if mc:
         parser.add_argument("--seed", type=int, help="simulation seed")
         parser.add_argument("--trials", type=int, help="Monte Carlo trials per point")
         parser.add_argument("--shards", type=int,
                             help="simulation worker processes, at most; "
                                  "the usable cores cap them too")
-    parser.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
     parser.add_argument("--json", action="store_true",
                         help="emit JSON instead of CSV")
     group = parser.add_argument_group("parameter overrides")
@@ -54,49 +50,17 @@ def _add_common_flags(parser: argparse.ArgumentParser, *, mc: bool) -> None:
                            help=_FLAG_HELP.get(dest))
 
 
-def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
-    with open(path, encoding="utf-8") as handle:
-        data = json.load(handle)
-    if not isinstance(data, dict):
-        raise ValueError("config file must hold a JSON object")
-    unknown = set(data) - _SYSTEM_FIELDS - _MC_FIELDS
-    if unknown:
-        raise ValueError(f"unknown config fields: {sorted(unknown)}")
-    return data
-
-
-def _resolve(args, *, simulates: bool = True) -> tuple[SystemParams, McConfig, dict]:
-    """Layer defaults, config file, and flags; track explicit system fields.
-    A subcommand that simulates nothing refuses McConfig fields in its config."""
-    config = _load_config(args.config)
-    system: dict = {k: v for k, v in config.items() if k in _SYSTEM_FIELDS}
-    mc: dict = {k: v for k, v in config.items() if k in _MC_FIELDS}
-    if mc and not simulates:
-        raise ValueError(f"{args.command} simulates nothing, so its config takes no "
-                         f"{sorted(mc)}")
-    for flag, field in _OVERRIDE_FLAGS.items():
-        value = getattr(args, flag, None)
-        if value is not None:
-            system[field] = value
-    for field in _MC_FIELDS:
-        value = getattr(args, field, None)
-        if value is not None:
-            mc[field] = value
+def _resolve(args) -> tuple[SystemParams, McConfig, dict]:
+    """Overlay the defaults with the flags given; return the system fields set."""
+    system = {field: getattr(args, flag) for flag, field in _OVERRIDE_FLAGS.items()
+              if getattr(args, flag) is not None}
+    mc = {f.name: getattr(args, f.name) for f in dataclasses.fields(McConfig)
+          if getattr(args, f.name, None) is not None}
     return SystemParams(**system), McConfig(**mc), system
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path is None:
-        sys.stdout.write(text)
-    else:
-        with open(out_path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
-
-
-def _emit_result(result, args, out_path: str | None) -> None:
-    _emit(result.to_json() if args.json else result.to_csv(), out_path)
+def _render(result, args) -> str:
+    return result.to_json() if args.json else result.to_csv()
 
 
 def cmd_sweep(args) -> int:
@@ -119,7 +83,7 @@ def cmd_sweep(args) -> int:
             raise ValueError(f"values[{i}]{problem}") from None
     spec = SweepSpec(swept_param=args.param, values=tuple(values),
                      schemes=schemes, base=params)
-    _emit_result(run_sweep(spec, cfg), args, args.out)
+    sys.stdout.write(_render(run_sweep(spec, cfg), args))
     return 0
 
 
@@ -128,12 +92,10 @@ def cmd_fig(args) -> int:
         raise ValueError(f"each figure may be given once, got {args.n}")
     if args.outdir is None and len(args.n) > 1:
         raise ValueError("several figures need --outdir")
-    if args.outdir is not None and args.out is not None:
-        raise ValueError("--out and --outdir exclude each other")
     _, cfg, system = _resolve(args)
     specs = [_figure_spec(n, system) for n in args.n]
     if args.outdir is None:
-        _emit_result(run_sweeps(specs, cfg)[0], args, args.out)
+        sys.stdout.write(_render(run_sweeps(specs, cfg)[0], args))
         return 0
     os.makedirs(args.outdir, exist_ok=True)
     start = time.perf_counter()
@@ -141,7 +103,8 @@ def cmd_fig(args) -> int:
     seconds = time.perf_counter() - start
     for n, result in zip(args.n, results):
         path = os.path.join(args.outdir, f"fig{n}.{'json' if args.json else 'csv'}")
-        _emit_result(result, args, path)
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(_render(result, args))
         print(f"fig{n}: {len(result.rows)} rows -> {path}", file=sys.stderr)
     print(f"{len(specs)} figures in one batch: {seconds:.3f}s", file=sys.stderr)
     return 0
@@ -156,36 +119,39 @@ def cmd_validate(args) -> int:
         payload = [{"criterion": r.index, "name": r.name,
                     "status": "PASS" if r.passed else "FAIL",
                     "measured": r.detail} for r in results]
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
+        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
     else:
-        _emit(report_csv(results), args.out)
+        sys.stdout.write(report_csv(results))
     return 0 if all_passed(results) else 1
 
 
 def cmd_params(args) -> int:
-    params, _, _ = _resolve(args, simulates=False)
+    params, _, _ = _resolve(args)
     theta = args.theta
     payload = {"theta": theta, "system": dataclasses.asdict(params),
                "derived": dataclasses.asdict(derive_constants(params, theta))}
     if args.json:
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
+        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
         return 0
     lines = [f"resolved constants at theta = {theta!r}"]
     for section in ("system", "derived"):
         lines += ["", f"[{section}]"]
         lines += [f"{name} = {value!r}" for name, value in payload[section].items()]
-    _emit("\n".join(lines) + "\n", args.out)
+    sys.stdout.write("\n".join(lines) + "\n")
     return 0
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="ehrelay",
+        prog="ehrelay", fromfile_prefix_chars="@",
         description="Outage analysis of a three-step energy-harvesting "
-                    "two-way relay network")
+                    "two-way relay network. An argument @FILE stands for the "
+                    "arguments FILE holds, one a line; a later argument wins.")
     sub = parser.add_subparsers(dest="command", required=True)
+    # No subcommand takes a prefix for a flag: --out names no --outdir.
 
-    p_sweep = sub.add_parser("sweep", help="sweep one parameter over schemes")
+    p_sweep = sub.add_parser("sweep", allow_abbrev=False,
+                             help="sweep one parameter over schemes")
     p_sweep.add_argument("--param", required=True, choices=SWEEPABLE_PARAMS)
     p_sweep.add_argument("--values", required=True,
                          help="comma-separated sweep values")
@@ -197,7 +163,8 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common_flags(p_sweep, mc=True)
     p_sweep.set_defaults(func=cmd_sweep)
 
-    p_fig = sub.add_parser("fig", help="reproduce canned experiment tables")
+    p_fig = sub.add_parser("fig", allow_abbrev=False,
+                           help="reproduce canned experiment tables")
     p_fig.add_argument("n", type=int, nargs="+", choices=tuple(FIGURES),
                        help="experiment index; several need --outdir")
     _add_common_flags(p_fig, mc=True)
@@ -206,12 +173,13 @@ def _build_parser() -> argparse.ArgumentParser:
                             "each n, all simulated in one batch")
     p_fig.set_defaults(func=cmd_fig)
 
-    p_val = sub.add_parser("validate", help="run the acceptance criteria suite")
-    p_val.add_argument("--out", metavar="PATH")
-    p_val.add_argument("--json", action="store_true")
+    p_val = sub.add_parser("validate", allow_abbrev=False,
+                           help="run the acceptance criteria suite")
+    p_val.add_argument("--json", action="store_true", help="emit JSON instead of CSV")
     p_val.set_defaults(func=cmd_validate)
 
-    p_par = sub.add_parser("params", help="print resolved derived constants")
+    p_par = sub.add_parser("params", allow_abbrev=False,
+                           help="print resolved derived constants")
     _add_common_flags(p_par, mc=False)
     p_par.add_argument("--theta", type=float, default=SchemeSpec("dynamic_ps").args["theta"],
                        help="broadcast weight of the dynamic-PS part (default %(default)s)")

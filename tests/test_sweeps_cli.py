@@ -618,16 +618,16 @@ class TestCli:
 
     @pytest.mark.parametrize("param,override,field", [
         ("M", ["--m", "5"], "quad_order"),
-        ("M", {"quad_order": 5}, "quad_order"),
+        ("M", "--m=5", "quad_order"),
         ("tx_power", ["--tx-power-dbm", "10"], "tx_power_dbm"),
-        ("tx_power", {"tx_power_dbm": 10.0}, "tx_power_dbm"),
+        ("tx_power", "--tx-power-dbm=10", "tx_power_dbm"),
         ("rate", ["--rate", "3"], "rate_bps_hz"),
-        ("rate", {"rate_bps_hz": 3.0}, "rate_bps_hz"),
+        ("rate", "--rate=3", "rate_bps_hz"),
         ("beta", ["--beta", "0.4"], "time_split"),
         ("sensitivity", ["--sensitivity-dbm", "-25"], "circuit_sensitivity_dbm"),
         ("dist_a", ["--dist-a", "6"], "dist_a"),
-    ], ids=["M-flag", "M-config", "tx_power-flag", "tx_power-config", "rate-flag",
-            "rate-config", "beta-flag", "sensitivity-flag", "dist_a-flag"])
+    ], ids=["M-flag", "M-preset", "tx_power-flag", "tx_power-preset", "rate-flag",
+            "rate-preset", "beta-flag", "sensitivity-flag", "dist_a-flag"])
     def test_sweep_refuses_an_override_of_the_swept_field(
             self, param, override, field, tmp_path, monkeypatch, capsys):
         # Each sweep value would replace the override, as in fig.
@@ -635,10 +635,10 @@ class TestCli:
             raise AssertionError("a gain was drawn before the usage error")
 
         monkeypatch.setattr(ehrelay.montecarlo, "_chunks", no_draw)
-        if isinstance(override, dict):
-            config = tmp_path / "config.json"
-            config.write_text(json.dumps(override))
-            override = ["--config", str(config)]
+        if isinstance(override, str):
+            preset = tmp_path / "preset.args"
+            preset.write_text(override + "\n")
+            override = [f"@{preset}"]
         value = {"beta": "0.3", "sensitivity": "-20"}.get(param, "4")
         assert main(["sweep", "--param", param, "--values", value, *override]) == 2
         assert capsys.readouterr().err == (
@@ -688,9 +688,9 @@ class TestCli:
         assert [row[:3] for row in rows] == [["-150.0", "dynamic_ps:theta=0.8", "1.0"],
                                               ["-80.0", "dynamic_ps:theta=0.8", "1.0"]]
 
-    @pytest.mark.parametrize("argv,config,cause", [
-        (["params"], {"tx_power_dbm": True}, "tx_power_dbm must be"),
-        (["sweep", "--param", "tx_power", "--values", "20"], {"dist_a": "5"},
+    @pytest.mark.parametrize("argv,preset,cause", [
+        (["params"], "--tx-power-dbm=inf", "tx_power_dbm must be"),
+        (["sweep", "--param", "tx_power", "--values", "20"], "--dist-a=nan",
          "dist_a must be"),
         # The power at which varpi**2 underflows to 0.
         (["sweep", "--param", "tx_power", "--values", "1700", "--scheme", "dynamic_ps",
@@ -700,13 +700,13 @@ class TestCli:
           "--path-loss-exp", "6", "--dist-b", "0.002", "--gain-b-dbi", "97",
           "--gain-relay-dbi", "94", "--fading-mean-b", "1e296", "--trials", "2000"],
          None, "fading_mean_b"),
-    ], ids=["json-true", "json-string", "tx-power-1700", "fading-mean-1e296"])
+    ], ids=["preset-inf", "preset-nan", "tx-power-1700", "fading-mean-1e296"])
     def test_an_unusable_input_exits_2_naming_it_with_no_warning(
-            self, argv, config, cause, tmp_path, capsys):
-        if config is not None:
-            path = tmp_path / "config.json"
-            path.write_text(json.dumps(config))
-            argv = argv + ["--config", str(path)]
+            self, argv, preset, cause, tmp_path, capsys):
+        if preset is not None:
+            path = tmp_path / "preset.args"
+            path.write_text(preset + "\n")
+            argv = argv + [f"@{path}"]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert main(argv) == 2
@@ -714,13 +714,12 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error:") and cause in err
 
-    def test_sweep_json_and_out_file(self, tmp_path):
-        target = tmp_path / "sweep.json"
+    def test_sweep_json_to_stdout(self, capsys):
         rc = main(["sweep", "--param", "rate", "--values", "2",
                    "--scheme", "improved", "--trials", "2048", "--seed", "7",
-                   "--json", "--out", str(target)])
+                   "--json"])
         assert rc == 0
-        payload = json.loads(target.read_text())
+        payload = json.loads(capsys.readouterr().out)
         assert payload[0]["scheme"] == "improved"
 
     def test_sweep_respects_overrides(self, capsys):
@@ -762,19 +761,18 @@ class TestCli:
         assert re.fullmatch(r"7 figures in one batch: \d+\.\d{3}s", last)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_fig_outdir_files_equal_one_figure_runs(self, fmt, tmp_path):
+    def test_fig_outdir_files_equal_one_figure_runs(self, fmt, tmp_path, capsys):
         flags = ["--trials", "2048", "--seed", "3", "--dist-b", "12"]
         flags += ["--json"] if fmt == "json" else []
         assert main(["fig", "3", "8", "9", *flags, "--outdir", str(tmp_path)]) == 0
+        capsys.readouterr()
         for n in (3, 8, 9):
-            alone = tmp_path / f"alone{n}.{fmt}"
-            assert main(["fig", str(n), *flags, "--out", str(alone)]) == 0
-            assert (tmp_path / f"fig{n}.{fmt}").read_bytes() == alone.read_bytes()
+            assert main(["fig", str(n), *flags]) == 0
+            alone = capsys.readouterr().out.encode("ascii")
+            assert (tmp_path / f"fig{n}.{fmt}").read_bytes() == alone
 
     @pytest.mark.parametrize("argv,message", [
         (["fig", "3", "4"], "several figures need --outdir"),
-        (["fig", "3", "--out", "x.csv", "--outdir", "figs"],
-         "--out and --outdir exclude each other"),
         (["fig", "3", "4", "3", "--outdir", "figs"], "each figure may be given once"),
         (["sweep", "--param", "tx_power", "--values", "30", "--scheme", "improved",
           "--scheme", "improved"], "scheme 'improved' is given twice"),
@@ -805,43 +803,49 @@ class TestCli:
         assert payload["system"]["quad_order"] == 5
         assert payload["derived"]["z_a"] == pytest.approx(REF_Z_A, rel=1e-12)
 
-    def test_config_file_layering(self, tmp_path, capsys):
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({"rate_bps_hz": 3.0}))
-        rc = main(["params", "--json", "--config", str(config),
-                   "--rate", "4.0"])
-        assert rc == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["system"]["rate_bps_hz"] == 4.0
+    def test_a_preset_file_reads_as_its_flags_given_inline(self, tmp_path, capsys):
+        # @FILE holds one argument a line; of a flag given twice the later wins.
+        flags = ["--param=rate", "--values=1,2", "--scheme=dynamic_ps:theta=0.5",
+                 "--seed=7", "--dist-a=10"]
+        preset = tmp_path / "preset.args"
+        preset.write_text("".join(flag + "\n" for flag in flags))
+        assert main(["sweep", *flags, "--trials", "2048"]) == 0
+        inline = capsys.readouterr().out
+        assert main(["sweep", f"@{preset}", "--trials", "2048"]) == 0
+        assert capsys.readouterr().out == inline
+        preset.write_text("--rate=3.0\n")
+        for argv, rate in ((["--json", f"@{preset}", "--rate", "4.0"], 4.0),
+                           (["--json", "--rate", "4.0", f"@{preset}"], 3.0)):
+            assert main(["params", *argv]) == 0
+            assert json.loads(capsys.readouterr().out)["system"]["rate_bps_hz"] == rate
+        preset.write_text("--trials=5\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["params", f"@{preset}"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --trials=5" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("fields,named", [
-        ({"trials": 5, "seed": 3}, "['seed', 'trials']"),
-        ({"trials": 0}, "['trials']"),
-        ({"shards": 2, "rate_bps_hz": 3.0}, "['shards']"),
+    @pytest.mark.parametrize("lines,named", [
+        (["--trials=5", "--seed=3"], "--trials=5 --seed=3"),
+        (["--trials=0"], "--trials=0"),
+        (["--shards=2", "--rate=3.0"], "--shards=2"),
     ])
-    def test_params_config_refuses_monte_carlo_fields(self, fields, named, tmp_path,
-                                                      capsys):
+    def test_a_params_preset_refuses_monte_carlo_flags(self, lines, named, tmp_path,
+                                                       capsys):
         # params simulates nothing, as its lack of --trials, --seed and
-        # --shards says; a config that sets them is no less an error.
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps(fields))
-        assert main(["params", "--config", str(config)]) == 2
-        assert capsys.readouterr().err == (
-            f"error: params simulates nothing, so its config takes no {named}\n")
+        # --shards says; a preset that sets them is no less an error.
+        preset = tmp_path / "preset.args"
+        preset.write_text("".join(line + "\n" for line in lines))
+        with pytest.raises(SystemExit) as exc:
+            main(["params", f"@{preset}"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(f"error: unrecognized arguments: {named}\n")
 
-    def test_bad_inputs_exit_2(self, tmp_path, capsys):
+    def test_bad_inputs_exit_2(self, capsys):
         assert main(["sweep", "--param", "rate", "--values", "3,1",
                      "--trials", "64"]) == 2
         assert main(["sweep", "--param", "rate", "--values", "1",
                      "--scheme", "oracle", "--trials", "64"]) == 2
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"nonsense": 1}))
-        assert main(["params", "--config", str(bad)]) == 2
         assert "error:" in capsys.readouterr().err
-        for fixed in ("carrier_freq_hz", "ref_dist", "block_duration", "noise_dbm"):
-            bad.write_text(json.dumps({fixed: 1.0}))
-            assert main(["params", "--config", str(bad)]) == 2
-            assert f"unknown config fields: ['{fixed}']" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag,value,field,cause", [
         ("--rate", "1e-17", "rate_bps_hz", "rounds to 0"),
@@ -908,10 +912,17 @@ class TestCli:
         # The carrier, d0, the block length and the noise floor are constants
         # of the model.
         ["params", "--carrier-freq-hz", "2.4e9"],
+        ["params", "--ref-dist", "1"],
+        ["params", "--block-duration", "1"],
         ["sweep", "--param", "rate", "--values", "2", "--noise-dbm", "-80"],
         ["fig", "3", "--noise-dbm", "-80"],
         ["params", "--noise-dbm", "-80"],
         ["validate", "--noise-dbm", "-80"],
+        # Input comes from argv alone (presets through @FILE) and output goes
+        # to stdout, or to fig --outdir.
+        *([*command, f"{option}=x"] for command in (
+            ["sweep", "--param", "rate", "--values", "2"], ["fig", "3"], ["params"],
+            ["validate"]) for option in ("--config", "--out")),
     ])
     def test_flags_a_subcommand_ignores_are_usage_errors(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -919,41 +930,32 @@ class TestCli:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
-    def test_config_rejects_fractional_quad_order(self, tmp_path, capsys):
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({"quad_order": 10.7}))
-        assert main(["params", "--config", str(config)]) == 2
+    def test_a_preset_rejects_fractional_quad_order(self, tmp_path, capsys):
+        preset = tmp_path / "preset.args"
+        preset.write_text("--m=10.7\n")
+        assert main(["params", f"@{preset}"]) == 2
         assert "quad_order must be an integer" in capsys.readouterr().err
-        config.write_text(json.dumps({"quad_order": 12.0}))
-        assert main(["params", "--json", "--config", str(config)]) == 0
+        preset.write_text("--m=12.0\n")
+        assert main(["params", "--json", f"@{preset}"]) == 0
         assert json.loads(capsys.readouterr().out)["system"]["quad_order"] == 12
 
-    def test_config_that_is_no_json_object_exits_2(self, tmp_path, capsys):
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps([1, 2]))
-        assert main(["params", "--config", str(config)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "config file must hold a JSON object" in err
-
-    @pytest.mark.parametrize("command", [
-        ["params"],
-        ["sweep", "--param", "tx_power", "--values", "20"],
+    # A preset carries text, so a JSON-only value such as true or null cannot
+    # reach a field; SystemParams and McConfig refuse those in Python.
+    @pytest.mark.parametrize("command,line,field", [
+        *((command, line, field)
+          for command in (["params"], ["sweep", "--param", "tx_power", "--values", "20"])
+          for line, field in (("--dist-a=1e400", "dist_a"),
+                              ("--tx-power-dbm=nan", "tx_power_dbm"),
+                              ("--m=inf", "quad_order"),
+                              ("--eh-efficiency=-inf", "eh_efficiency"))),
+        (["sweep", "--param", "tx_power", "--values", "20"], "--trials=0", "trials"),
+        (["sweep", "--param", "tx_power", "--values", "20"], "--shards=0", "shards"),
     ])
-    @pytest.mark.parametrize("field,value", [
-        ("dist_a", "5"),
-        pytest.param("dist_a", 10 ** 400, id="dist_a-10**400"),
-        ("tx_power_dbm", True),
-        ("quad_order", True),
-        ("eh_efficiency", None),
-        ("trials", True),
-        ("seed", False),
-        ("shards", True),
-    ])
-    def test_config_of_the_wrong_type_fails_naming_the_field(
-            self, tmp_path, capsys, command, field, value):
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({field: value}))
-        assert main(command + ["--config", str(config)]) == 2
+    def test_a_preset_value_its_field_refuses_fails_naming_the_field(
+            self, tmp_path, capsys, command, line, field):
+        preset = tmp_path / "preset.args"
+        preset.write_text(line + "\n")
+        assert main(command + [f"@{preset}"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and field in err
 
