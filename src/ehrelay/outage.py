@@ -232,6 +232,13 @@ def case4_geometry(consts: DerivedConstants) -> CaseFourGeometry:
     P+ < delta_A - varpi, because b+ = varpi/(beta*P+) < varpi.  So the
     crossing lies at or past x1.
 
+    The layout is told apart by that condition's product form, alpha*delta_A
+    < beta*varpi, which is c_A*x1 < c_B*knee_A, rather than by y_delta < q1.
+    Where the gains dwarf c_A and c_B the two curves run almost parallel and
+    y_delta - q1 falls far below an ulp of either while the crossing still
+    lies a part in 1e8 or more away from x1, so the rounded comparison can
+    put an A-side layout on the B side; each product carries one rounding.
+
     In exact arithmetic the empty layout never occurs: q2 = knee_A and
     x_delta < delta_A, and likewise on the B side.  The guard stays, as
     rounding reaches it where a knee lies within an ulp of its floor.
@@ -263,7 +270,7 @@ def case4_geometry(consts: DerivedConstants) -> CaseFourGeometry:
 
     if max(q2, x_delta) >= x1 or max(q1, y_delta) >= y1:
         scenario = Scenario.One
-    elif y_delta < q1:
+    elif consts.c_a * x1 < consts.c_b * consts.knee_a:
         scenario = Scenario.TwoHigh
     elif x_plus <= max(q2, x_delta) or x_plus >= x1:
         scenario = Scenario.TwoLow

@@ -4,12 +4,13 @@ import dataclasses
 import math
 import sys
 import warnings
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.special
-from hypothesis import assume, event, given, settings, strategies as st
+from hypothesis import assume, event, example, given, settings, strategies as st
 from scipy import integrate
 from scipy.optimize import brentq
 from scipy.special import cython_special
@@ -204,18 +205,38 @@ WIDE_BOX = dict(tx_power_dbm=(-150.0, 60.0), rate_bps_hz=(0.05, 10.0),
 
 def _b_side_geometry(params, theta):
     """The case-four geometry where its layout is on the B side
-    (y_delta < q1), else None; None too where the knees round onto the
-    uplink floors."""
+    (y_delta < q1 = knee_B, that is c_A*x1 < c_B*knee_A), else None; None
+    too where the knees round onto the uplink floors.  The side is decided
+    on the products of the constants, in exact rationals: y_delta - q1 can
+    lie far below an ulp of either where the side is plain."""
     try:
-        geom = case4_geometry(derive_constants(params, theta))
+        consts = derive_constants(params, theta)
+        geom = case4_geometry(consts)
     except ValueError:
         return None
-    return geom if geom.scenario is not Scenario.One and geom.y_delta < geom.q1 else None
+    b_side = (Fraction(consts.c_a) * Fraction(geom.x1)
+              < Fraction(consts.c_b) * Fraction(consts.knee_a))
+    return geom if geom.scenario is not Scenario.One and b_side else None
+
+
+# At theta = 0.5, c_A = c_B and x1 > knee_A put every layout on the A side,
+# but here y_delta rounds below q1, 3.6e-7 under it in exact arithmetic.
+THETA_HALF_CORNER = (dict(tx_power_dbm=-150.0, rate_bps_hz=7.5, dist_a=2.0,
+                          dist_b=1.0, time_split=0.375, eh_efficiency=1.0), 0.5)
+
+
+def test_a_side_layout_whose_y_delta_rounds_below_q1_stays_a_side():
+    fields, theta = THETA_HALF_CORNER
+    geom = case4_geometry(derive_constants(SystemParams(**fields), theta))
+    assert geom.y_delta < geom.q1
+    assert max(geom.q2, geom.x_delta) < geom.x_plus < geom.x1
+    assert geom.scenario is Scenario.ThreeLow
 
 
 @settings(deadline=None, max_examples=1000)
 @given(st.fixed_dictionaries({k: st.floats(*v) for k, v in WIDE_BOX.items()}),
        st.floats(0.01, 0.99))
+@example(*THETA_HALF_CORNER)
 def test_b_side_layouts_cross_at_or_past_the_knee(fields, theta):
     """case4_geometry's proof: a B-side layout's curves cross at or past x1,
     so no two-curve B-side layout exists."""
