@@ -2,17 +2,17 @@
 
 Every input comes from argv, read over the built-in defaults; an argument
 @FILE stands for the arguments FILE holds, one a line, and where one flag
-is given twice the later one wins.  Every run prints its result to stdout,
-as CSV (params: a listing) or JSON with --json, so downstream plotting
-needs no code from this package; `fig` given --outdir writes one file per
-figure instead, all from one batch.
+is given twice the later one wins.  Each input has one name: the override
+flag of a SystemParams field is the field's name, dashed, and --param takes
+the field's name.  Every run prints its result to stdout as CSV (params: a
+listing), so downstream plotting needs no code from this package; `fig`
+given --outdir writes one CSV file per figure instead, all from one batch.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 import time
@@ -23,15 +23,14 @@ from .sweeps import (_FIG_SCHEMES, FIGURES, SWEEPABLE_PARAMS, SweepSpec, _figure
                      _refuse_swept_override, run_sweep, run_sweeps)
 from .validation import all_passed, report_csv, run_all
 
-# Every SystemParams field has an override flag --<destination> (dashed);
-# the destination is the field name unless renamed here.
-_RENAMED = {"rate_bps_hz": "rate", "time_split": "beta", "quad_order": "m",
-            "circuit_sensitivity_dbm": "sensitivity_dbm"}
-# flag destination -> SystemParams field
-_OVERRIDE_FLAGS = {_RENAMED.get(f.name, f.name): f.name
-                   for f in dataclasses.fields(SystemParams)}
-_FLAG_HELP = {"rate": "transmission rate in bit/s/Hz", "beta": "time allocation ratio",
-              "m": "quadrature order", "sensitivity_dbm": "rectenna circuit sensitivity"}
+# Every SystemParams field has the override flag --<field> (dashed).
+_OVERRIDE_FLAGS = tuple(f.name for f in dataclasses.fields(SystemParams))
+
+
+class _Parser(argparse.ArgumentParser):
+    def convert_arg_line_to_args(self, arg_line: str) -> list:
+        """A preset line is one argument; a blank line is none."""
+        return [arg_line] if arg_line.strip() else []
 
 
 def _add_common_flags(parser: argparse.ArgumentParser, *, mc: bool) -> None:
@@ -41,26 +40,19 @@ def _add_common_flags(parser: argparse.ArgumentParser, *, mc: bool) -> None:
         parser.add_argument("--trials", type=int, help="Monte Carlo trials per point")
         parser.add_argument("--shards", type=int,
                             help="simulation worker processes, at most; "
-                                 "the usable cores cap them too")
-    parser.add_argument("--json", action="store_true",
-                        help="emit JSON instead of CSV")
+                                 "the usable cores and the trial blocks cap them too")
     group = parser.add_argument_group("parameter overrides")
-    for dest in _OVERRIDE_FLAGS:
-        group.add_argument("--" + dest.replace("_", "-"), dest=dest, type=float,
-                           help=_FLAG_HELP.get(dest))
+    for field in _OVERRIDE_FLAGS:
+        group.add_argument("--" + field.replace("_", "-"), type=float)
 
 
 def _resolve(args) -> tuple[SystemParams, McConfig, dict]:
     """Overlay the defaults with the flags given; return the system fields set."""
-    system = {field: getattr(args, flag) for flag, field in _OVERRIDE_FLAGS.items()
-              if getattr(args, flag) is not None}
+    system = {field: getattr(args, field) for field in _OVERRIDE_FLAGS
+              if getattr(args, field) is not None}
     mc = {f.name: getattr(args, f.name) for f in dataclasses.fields(McConfig)
           if getattr(args, f.name, None) is not None}
     return SystemParams(**system), McConfig(**mc), system
-
-
-def _render(result, args) -> str:
-    return result.to_json() if args.json else result.to_csv()
 
 
 def cmd_sweep(args) -> int:
@@ -83,7 +75,7 @@ def cmd_sweep(args) -> int:
             raise ValueError(f"values[{i}]{problem}") from None
     spec = SweepSpec(swept_param=args.param, values=tuple(values),
                      schemes=schemes, base=params)
-    sys.stdout.write(_render(run_sweep(spec, cfg), args))
+    sys.stdout.write(run_sweep(spec, cfg).to_csv())
     return 0
 
 
@@ -95,16 +87,16 @@ def cmd_fig(args) -> int:
     _, cfg, system = _resolve(args)
     specs = [_figure_spec(n, system) for n in args.n]
     if args.outdir is None:
-        sys.stdout.write(_render(run_sweeps(specs, cfg)[0], args))
+        sys.stdout.write(run_sweeps(specs, cfg)[0].to_csv())
         return 0
     os.makedirs(args.outdir, exist_ok=True)
     start = time.perf_counter()
     results = run_sweeps(specs, cfg)
     seconds = time.perf_counter() - start
     for n, result in zip(args.n, results):
-        path = os.path.join(args.outdir, f"fig{n}.{'json' if args.json else 'csv'}")
+        path = os.path.join(args.outdir, f"fig{n}.csv")
         with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(_render(result, args))
+            handle.write(result.to_csv())
         print(f"fig{n}: {len(result.rows)} rows -> {path}", file=sys.stderr)
     print(f"{len(specs)} figures in one batch: {seconds:.3f}s", file=sys.stderr)
     return 0
@@ -115,38 +107,28 @@ def cmd_validate(args) -> int:
     for r in results:
         print(f"[{r.index:2d}] {'PASS' if r.passed else 'FAIL'} {r.name} ({r.seconds:.1f}s)",
               file=sys.stderr)
-    if args.json:
-        payload = [{"criterion": r.index, "name": r.name,
-                    "status": "PASS" if r.passed else "FAIL",
-                    "measured": r.detail} for r in results]
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
-    else:
-        sys.stdout.write(report_csv(results))
+    sys.stdout.write(report_csv(results))
     return 0 if all_passed(results) else 1
 
 
 def cmd_params(args) -> int:
     params, _, _ = _resolve(args)
     theta = args.theta
-    payload = {"theta": theta, "system": dataclasses.asdict(params),
-               "derived": dataclasses.asdict(derive_constants(params, theta))}
-    if args.json:
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
-        return 0
     lines = [f"resolved constants at theta = {theta!r}"]
-    for section in ("system", "derived"):
+    for section, values in (("system", params), ("derived", derive_constants(params, theta))):
         lines += ["", f"[{section}]"]
-        lines += [f"{name} = {value!r}" for name, value in payload[section].items()]
+        lines += [f"{name} = {value!r}" for name, value in dataclasses.asdict(values).items()]
     sys.stdout.write("\n".join(lines) + "\n")
     return 0
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ehrelay", fromfile_prefix_chars="@",
         description="Outage analysis of a three-step energy-harvesting "
                     "two-way relay network. An argument @FILE stands for the "
-                    "arguments FILE holds, one a line; a later argument wins.")
+                    "arguments FILE holds, one a line, blank lines skipped; a "
+                    "later argument wins.")
     sub = parser.add_subparsers(dest="command", required=True)
     # No subcommand takes a prefix for a flag: --out names no --outdir.
 
@@ -169,13 +151,12 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="experiment index; several need --outdir")
     _add_common_flags(p_fig, mc=True)
     p_fig.add_argument("--outdir", metavar="DIR",
-                       help="write fig<n>.csv (.json with --json) here for "
-                            "each n, all simulated in one batch")
+                       help="write fig<n>.csv here for each n, all simulated "
+                            "in one batch")
     p_fig.set_defaults(func=cmd_fig)
 
     p_val = sub.add_parser("validate", allow_abbrev=False,
                            help="run the acceptance criteria suite")
-    p_val.add_argument("--json", action="store_true", help="emit JSON instead of CSV")
     p_val.set_defaults(func=cmd_validate)
 
     p_par = sub.add_parser("params", allow_abbrev=False,

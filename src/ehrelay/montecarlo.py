@@ -96,8 +96,8 @@ class McConfig:
             raise ValueError("trials must be an integer >= 1")
         if not _is_integer(self.seed):
             raise ValueError("seed must be an integer")
-        if not (_is_integer(self.shards) and 1 <= self.shards <= self.trials):
-            raise ValueError("shards must be an integer in [1, trials]")
+        if not (_is_integer(self.shards) and self.shards >= 1):
+            raise ValueError("shards must be an integer >= 1")
         for name in ("trials", "seed", "shards"):    # numpy ints overflow in _splitmix64
             object.__setattr__(self, name, int(getattr(self, name)))
 

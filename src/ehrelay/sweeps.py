@@ -7,6 +7,8 @@ The CSV serialization is byte-stable for a fixed spec, seed and trial
 count, which the determinism checks rely on.  A row's scheme is its spec's
 label, which spells every argument, defaults included; a theta sweep's rows
 carry the family label dynamic_ps, the swept value setting their theta.
+A sweep names what it sweeps as SystemParams does, by the field's name, or
+theta, the dynamic_ps argument.
 
 run_sweeps simulates all cells of several sweeps, such as the reference
 figures, in one montecarlo.mc_outages batch at one budget, the McConfig it
@@ -22,7 +24,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass, fields, replace
 
 from .model import SchemeSpec, SystemParams, check_theta, real_number
@@ -30,12 +31,11 @@ from .montecarlo import McConfig, _relative_error, mc_outages
 from .outage import (energy_outage, outage_capacity, outage_dynamic_ps,
                      outage_improved)
 
-# Each swept name and the field it sets at each value: a SystemParams field,
-# or theta, the dynamic_ps argument.
-_SWEPT_FIELDS = {"M": "quad_order", "theta": "theta", "tx_power": "tx_power_dbm",
-                 "dist_a": "dist_a", "rate": "rate_bps_hz", "beta": "time_split",
-                 "sensitivity": "circuit_sensitivity_dbm"}
-SWEEPABLE_PARAMS = tuple(_SWEPT_FIELDS)
+# What a sweep may set at each value: a SystemParams field, or theta, the
+# dynamic_ps argument.  The fading means are no such field, since every cell
+# of a simulated batch shares them.
+SWEEPABLE_PARAMS = ("quad_order", "theta", "tx_power_dbm", "dist_a", "rate_bps_hz",
+                    "time_split", "circuit_sensitivity_dbm")
 
 CSV_COLUMNS = ("param", "scheme", "analytic", "mc", "mc_stderr", "capacity",
                "rel_err")
@@ -60,7 +60,7 @@ class SweepSpec:
 
     A dist_a sweep moves the relay along the line between the terminals:
     dist_b is adjusted so the terminal separation base.dist_a + base.dist_b
-    stays fixed.  A sensitivity sweep additionally reports the energy outage
+    stays fixed.  A circuit_sensitivity_dbm sweep also reports the energy outage
     as its own pseudo-scheme row per value.  A theta sweep sets the theta of
     its dynamic_ps scheme, so it takes exactly one, SchemeSpec("dynamic_ps"):
     a spec at another theta would not run at it.  No scheme may be given
@@ -116,10 +116,6 @@ class SweepResult:
                              for v in vars(row).values()])
         return buf.getvalue()
 
-    def to_json(self) -> str:
-        payload = [dict(zip(CSV_COLUMNS, vars(row).values())) for row in self.rows]
-        return json.dumps(payload, indent=2) + "\n"
-
 
 def _cell(value) -> str:
     return "" if value is None else repr(float(value))
@@ -128,17 +124,16 @@ def _cell(value) -> str:
 def _apply_param(base: SystemParams, name: str, v: float) -> SystemParams:
     """The operating point at swept value v; raises ValueError where v is
     out of range, mostly through SystemParams's own checks."""
-    if name not in _SWEPT_FIELDS:
+    if name not in SWEEPABLE_PARAMS:
         raise ValueError(f"swept_param must be one of {SWEEPABLE_PARAMS}, got {name!r}")
     if name == "theta":
         check_theta(v)
         return base
-    changes = {_SWEPT_FIELDS[name]: v}
     if name != "dist_a":
-        return replace(base, **changes)
+        return replace(base, **{name: v})
     separation = base.dist_a + base.dist_b
     try:
-        return replace(base, **changes, dist_b=separation - v)
+        return replace(base, dist_a=v, dist_b=separation - v)
     except ValueError as exc:
         raise ValueError(f"dist_a={v!r} must lie inside the terminal separation "
                          f"dist_a + dist_b = {separation!r} ({exc})") from exc
@@ -148,8 +143,8 @@ def _refuse_swept_override(what: str, swept_param: str, overrides) -> None:
     """Refuse an override of the field the sweep what sets at each value,
     which the values would silently replace; fig() and `ehrelay sweep` share
     this rule."""
-    if (swept := _SWEPT_FIELDS[swept_param]) in overrides:
-        raise ValueError(f"{what} sweeps {swept}, so overrides cannot set it")
+    if swept_param in overrides:
+        raise ValueError(f"{what} sweeps {swept_param}, so overrides cannot set it")
 
 
 def _analytic_outage(params: SystemParams, scheme: SchemeSpec):
@@ -188,7 +183,7 @@ def run_sweeps(specs, mc: McConfig) -> list:
                 if spec.swept_param == "theta" and scheme.scheme_id == "dynamic_ps":
                     scheme, label = SchemeSpec("dynamic_ps", {"theta": v}), "dynamic_ps"
                 cells.append((rows, v, label, point, scheme))
-            if spec.swept_param == "sensitivity":
+            if spec.swept_param == "circuit_sensitivity_dbm":
                 cells.append((rows, v, "energy_outage", point, None))
     estimates = mc_outages([(point, scheme) for *_, point, scheme in cells], mc)
     for (rows, v, label, point, scheme), est in zip(cells, estimates):
@@ -222,18 +217,18 @@ def _figure(swept_param: str, values: tuple, schemes: tuple, **changes) -> Sweep
 # The reference experiments by figure index: the one definition that fig(),
 # `ehrelay fig` and the acceptance criteria read.
 FIGURES = {
-    3: _figure("M", (2.0, 3.0, 5.0, 10.0, 20.0), (_DYNAMIC,)),
+    3: _figure("quad_order", (2.0, 3.0, 5.0, 10.0, 20.0), (_DYNAMIC,)),
     4: _figure("theta", tuple(round(0.05 * k, 2) for k in range(2, 19)), (_DYNAMIC,)),
-    5: _figure("tx_power", (10.0, 15.0, 20.0, 25.0, 30.0),
+    5: _figure("tx_power_dbm", (10.0, 15.0, 20.0, 25.0, 30.0),
                (SchemeSpec("improved"),
                 *(SchemeSpec("dynamic_ps", {"theta": t}) for t in (0.3, 0.5, 0.8)),
                 *(SchemeSpec("static_equal", {"rho": r}) for r in (0.3, 0.5, 0.7)))),
     6: _figure("dist_a", tuple(float(d) for d in range(2, 19, 2)), _FIG_SCHEMES,
                rate_bps_hz=3.0),
-    7: _figure("rate", tuple(float(u) for u in range(1, 11)), _FIG_SCHEMES),
-    8: _figure("beta", tuple(round(0.05 * k, 2) for k in range(1, 10)), _FIG_SCHEMES,
+    7: _figure("rate_bps_hz", tuple(float(u) for u in range(1, 11)), _FIG_SCHEMES),
+    8: _figure("time_split", tuple(round(0.05 * k, 2) for k in range(1, 10)), _FIG_SCHEMES,
                tx_power_dbm=20.0, rate_bps_hz=5.0),
-    9: _figure("sensitivity", (-30.0, -25.0, -20.0, -15.0, -10.0), _FIG_SCHEMES),
+    9: _figure("circuit_sensitivity_dbm", (-30.0, -25.0, -20.0, -15.0, -10.0), _FIG_SCHEMES),
 }
 
 

@@ -142,7 +142,8 @@ def _agreement(spec: SweepSpec, mc: McConfig) -> tuple:
 def criterion_dynamic_agreement() -> CriterionResult:
     """Closed-form dynamic-split outage tracks simulation over a theta x rate grid."""
     schemes = tuple(SchemeSpec("dynamic_ps", {"theta": t}) for t in (0.3, 0.5, 0.8))
-    worst, passed = _agreement(SweepSpec("rate", (1.0, 2.0, 3.0), schemes, SystemParams()),
+    worst, passed = _agreement(SweepSpec("rate_bps_hz", (1.0, 2.0, 3.0), schemes,
+                                         SystemParams()),
                                McConfig(trials=1_000_000, seed=23, shards=4))
     return CriterionResult(2, "dynamic-ps-agreement", passed,
                            f"max |analytic-mc|/tol={_fmt(worst)} over 9 cells")
@@ -150,7 +151,7 @@ def criterion_dynamic_agreement() -> CriterionResult:
 
 def criterion_improved_agreement() -> CriterionResult:
     """Closed-form improved-scheme outage tracks simulation over transmit power."""
-    worst, passed = _agreement(SweepSpec("tx_power", (10.0, 15.0, 20.0, 25.0, 30.0),
+    worst, passed = _agreement(SweepSpec("tx_power_dbm", (10.0, 15.0, 20.0, 25.0, 30.0),
                                          (SchemeSpec("improved"),), SystemParams()),
                                McConfig(trials=1_000_000, seed=29, shards=4))
     return CriterionResult(3, "improved-agreement", passed,
@@ -497,7 +498,7 @@ def criterion_determinism() -> CriterionResult:
     """Identical seeds give identical bytes regardless of shard count."""
     schemes = (SchemeSpec("dynamic_ps", {"theta": 0.5}), SchemeSpec("improved"))
     outputs = set()
-    spec = SweepSpec(swept_param="tx_power", values=(20.0, 30.0),
+    spec = SweepSpec(swept_param="tx_power_dbm", values=(20.0, 30.0),
                      schemes=schemes, base=SystemParams())
     # One run per shard count, then a rerun of the first.
     for shards in (1, 4, 8, 1):

@@ -671,12 +671,17 @@ class TestEstimator:
             McConfig(trials=0)
         with pytest.raises(ValueError):
             McConfig(trials=2.5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="shards must be an integer >= 1"):
             McConfig(trials=100, shards=0)
         with pytest.raises(ValueError):
-            McConfig(trials=100, shards=101)
-        with pytest.raises(ValueError):
             McConfig(trials=100, seed="x")
+
+    def test_shards_beyond_the_trials_give_the_bits_of_one(self):
+        # shards only caps the workers, which the blocks cap too.
+        many = McConfig(trials=100, seed=3, shards=200)
+        assert many.shards == 200
+        assert (mc_outage(DEFAULTS, "improved", None, many)
+                == mc_outage(DEFAULTS, "improved", None, dataclasses.replace(many, shards=1)))
 
     @pytest.mark.parametrize("kwargs,field", [
         ({"trials": True}, "trials"),

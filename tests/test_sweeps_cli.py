@@ -36,7 +36,8 @@ from ehrelay import (
 from ehrelay.cli import main
 from ehrelay.model import link_constants
 from ehrelay.montecarlo import BLOCK_TRIALS
-from ehrelay.sweeps import CSV_COLUMNS, FIGURES, _apply_param, run_sweeps
+from ehrelay.sweeps import (CSV_COLUMNS, FIGURES, SWEEPABLE_PARAMS, _apply_param,
+                            run_sweeps)
 
 REF_Z_A = 2849.964970428562
 
@@ -73,6 +74,16 @@ def _parse_csv(text):
     rows = list(csv.reader(io.StringIO(text)))
     assert rows[0] == list(CSV_COLUMNS)
     return rows[1:]
+
+
+def _params_listing(argv, capsys):
+    """The text of each value that `ehrelay params argv` lists, by name; its
+    heading's theta under "theta"."""
+    assert main(["params", *argv]) == 0
+    heading, *lines = capsys.readouterr().out.splitlines()
+    listing = dict(line.split(" = ") for line in lines if " = " in line)
+    listing["theta"] = heading.removeprefix("resolved constants at theta = ")
+    return listing
 
 
 class TestSchemeSpec:
@@ -124,7 +135,7 @@ class TestSchemeSpec:
     def test_a_spec_ignores_later_changes_to_the_dict_it_was_built_from(self):
         built_from = {"theta": 0.3}
         scheme = SchemeSpec("dynamic_ps", built_from)
-        spec = _spec("rate", (2.0,), (scheme,))
+        spec = _spec("rate_bps_hz", (2.0,), (scheme,))
         label, digest, rows = scheme.label(), hash(scheme), run_sweep(spec, FAST_MC).rows
         assert label == "dynamic_ps:theta=0.3"
         for theta in (0.9, 5.0):
@@ -160,7 +171,7 @@ class TestSchemeSpec:
                                               "args": dict(scheme.args)}
         assert json.loads(json.dumps(scheme.args)) == scheme.args
         # A sweep spec holds its schemes, and copies with them.
-        spec = _spec("rate", (2.0,), (scheme,))
+        spec = _spec("rate_bps_hz", (2.0,), (scheme,))
         assert pickle.loads(pickle.dumps(spec)) == copy.deepcopy(spec) == spec
 
     @pytest.mark.parametrize("scheme_id,args,match", [
@@ -196,7 +207,7 @@ class TestSchemeSpec:
         with pytest.raises(ValueError) as caught:
             SchemeSpec.parse(text)
         assert str(caught.value) == message
-        assert main(["sweep", "--param", "rate", "--values", "2", "--trials", "64",
+        assert main(["sweep", "--param", "rate_bps_hz", "--values", "2", "--trials", "64",
                      "--scheme", text]) == 2
         assert message in capsys.readouterr().err
 
@@ -217,7 +228,7 @@ class TestSchemeSpec:
         text = "dynamic_ps:theta=0.3, theta=0.4"
         with pytest.raises(ValueError, match="'theta' is given twice"):
             SchemeSpec.parse(text)
-        assert main(["sweep", "--param", "rate", "--values", "2", "--trials", "64",
+        assert main(["sweep", "--param", "rate_bps_hz", "--values", "2", "--trials", "64",
                      "--scheme", text]) == 2
         assert "'theta' is given twice" in capsys.readouterr().err
 
@@ -233,7 +244,7 @@ class TestSchemeSpec:
         for n in FIGURES:
             labels |= {r.scheme_id for r in fig(n, mc=McConfig(trials=64, seed=1)).rows
                        if r.scheme_id != "energy_outage"}
-        assert main(["sweep", "--param", "rate", "--values", "2", "--trials", "64"]) == 0
+        assert main(["sweep", "--param", "rate_bps_hz", "--values", "2", "--trials", "64"]) == 0
         labels |= {row[1] for row in _parse_csv(capsys.readouterr().out)}
         assert {"dynamic_ps", "improved", "dynamic_ps:theta=0.5",
                 "static_equal:rho=0.3"} <= labels
@@ -253,11 +264,11 @@ class TestSweepSpecValidation:
 
     def test_values_must_be_nonempty_and_increasing(self):
         with pytest.raises(ValueError):
-            _spec("rate", (), (SchemeSpec("improved"),))
+            _spec("rate_bps_hz", (), (SchemeSpec("improved"),))
         with pytest.raises(ValueError):
-            _spec("rate", (2.0, 2.0), (SchemeSpec("improved"),))
+            _spec("rate_bps_hz", (2.0, 2.0), (SchemeSpec("improved"),))
         with pytest.raises(ValueError):
-            _spec("rate", (3.0, 1.0), (SchemeSpec("improved"),))
+            _spec("rate_bps_hz", (3.0, 1.0), (SchemeSpec("improved"),))
 
     @pytest.mark.parametrize("value,match", [
         (True, "must be a real number, got True"),
@@ -267,32 +278,32 @@ class TestSweepSpecValidation:
     ])
     def test_values_must_be_real_numbers_naming_them(self, value, match):
         with pytest.raises(ValueError, match=rf"^values\[1\] {match}$"):
-            _spec("rate", (0.5, value), (SchemeSpec("improved"),))
+            _spec("rate_bps_hz", (0.5, value), (SchemeSpec("improved"),))
 
     def test_schemes_must_be_scheme_specs_naming_them(self):
         for schemes in (("improved",), (SchemeSpec("improved"), {"rho": 0.5})):
             with pytest.raises(ValueError,
                                match=rf"^schemes\[{len(schemes) - 1}\] must be a SchemeSpec"):
-                _spec("rate", (1.0,), schemes)
+                _spec("rate_bps_hz", (1.0,), schemes)
 
     def test_domain_checks(self):
         improved = (SchemeSpec("improved"),)
         with pytest.raises(ValueError):
             _spec("theta", (0.5, 1.0), improved)
         with pytest.raises(ValueError):
-            _spec("M", (2.5,), improved)
+            _spec("quad_order", (2.5,), improved)
         with pytest.raises(ValueError):
             _spec("dist_a", (20.0,), improved)
         with pytest.raises(ValueError):
-            _spec("beta", (0.5,), improved)
+            _spec("time_split", (0.5,), improved)
         with pytest.raises(ValueError):
-            _spec("rate", (0.0,), improved)
+            _spec("rate_bps_hz", (0.0,), improved)
 
     @pytest.mark.parametrize("param,values", [
-        ("rate", (1.0, 2000.0)),
-        ("sensitivity", (-30.0, 5000.0)),
-        ("tx_power", (10.0, 5000.0)),
-    ])
+        ("rate_bps_hz", (1.0, 2000.0)),
+        ("circuit_sensitivity_dbm", (-30.0, 5000.0)),
+        ("tx_power_dbm", (10.0, 5000.0)),
+    ], ids=["rate", "sensitivity", "tx_power"])
     def test_out_of_range_values_fail_before_any_simulation(
             self, param, values, monkeypatch, capsys):
         def no_simulation(*args, **kwargs):
@@ -324,7 +335,7 @@ class TestSweepSpecValidation:
                            r"got dynamic_ps:theta=0.2$"):
             _spec("theta", (0.3, 0.6), (dynamic[0], SchemeSpec("improved")))
         _spec("theta", (0.3, 0.6), (SchemeSpec("dynamic_ps"), SchemeSpec("improved")))
-        _spec("rate", (1.0,), dynamic)
+        _spec("rate_bps_hz", (1.0,), dynamic)
 
     @pytest.mark.parametrize("texts", [("improved",), ("improved", "static_equal")])
     def test_a_theta_sweep_without_dynamic_ps_fails_before_any_simulation(
@@ -351,7 +362,7 @@ class TestSweepSpecValidation:
                 ((SchemeSpec("dynamic_ps", {"theta": 0.3}), SchemeSpec("improved"),
                   SchemeSpec.parse("dynamic_ps:theta=0.30")), "dynamic_ps:theta=0.3")):
             with pytest.raises(ValueError, match=rf"^scheme '{label}' is given twice$"):
-                _spec("tx_power", (30.0,), schemes)
+                _spec("tx_power_dbm", (30.0,), schemes)
 
     def test_one_scheme_under_two_labels_fails_naming_the_later_label(
             self, monkeypatch, capsys):
@@ -363,23 +374,23 @@ class TestSweepSpecValidation:
             for schemes in ((SchemeSpec(default), spelled), (spelled, SchemeSpec(default))):
                 with pytest.raises(ValueError, match=rf"^scheme '{schemes[1].label()}' "
                                                      r"is given twice$"):
-                    _spec("tx_power", (30.0,), schemes)
+                    _spec("tx_power_dbm", (30.0,), schemes)
 
         def no_draw(*args, **kwargs):
             raise AssertionError("a gain was drawn before the usage error")
 
         monkeypatch.setattr(ehrelay.montecarlo, "_chunks", no_draw)
-        assert main(["sweep", "--param", "tx_power", "--values", "30",
+        assert main(["sweep", "--param", "tx_power_dbm", "--values", "30",
                      "--scheme", "static_equal", "--scheme", "static_equal:rho=0.5"]) == 2
         assert "scheme 'static_equal:rho=0.5' is given twice" in capsys.readouterr().err
 
     def test_schemes_validated_up_front(self):
         with pytest.raises(ValueError):
-            _spec("rate", (1.0,), ())
+            _spec("rate_bps_hz", (1.0,), ())
         with pytest.raises(ValueError):
-            _spec("rate", (1.0,), (SchemeSpec("dynamic_ps", {"theta": 1.0}),))
+            _spec("rate_bps_hz", (1.0,), (SchemeSpec("dynamic_ps", {"theta": 1.0}),))
         with pytest.raises(ValueError):
-            _spec("rate", (1.0,), (SchemeSpec("improved", {"rho": 0.5}),))
+            _spec("rate_bps_hz", (1.0,), (SchemeSpec("improved", {"rho": 0.5}),))
 
 
 class TestApplyParam:
@@ -389,13 +400,13 @@ class TestApplyParam:
         assert moved.dist_b == 16.0
 
     def test_order_and_sensitivity(self):
-        assert _apply_param(SystemParams(), "M", 5.0).quad_order == 5
-        gated = _apply_param(SystemParams(), "sensitivity", -20.0)
+        assert _apply_param(SystemParams(), "quad_order", 5.0).quad_order == 5
+        gated = _apply_param(SystemParams(), "circuit_sensitivity_dbm", -20.0)
         assert gated.circuit_sensitivity_dbm == -20.0
 
     def test_order_values_are_checked_by_system_params(self):
         with pytest.raises(ValueError, match="quad_order must be an integer >= 1, got 2.5"):
-            _apply_param(SystemParams(), "M", 2.5)
+            _apply_param(SystemParams(), "quad_order", 2.5)
 
     def test_theta_leaves_system_untouched(self):
         base = SystemParams()
@@ -413,7 +424,7 @@ class TestRunSweep:
         schemes = (SchemeSpec("improved"),
                    SchemeSpec("dynamic_ps", {"theta": 0.5}),
                    SchemeSpec("static_equal", {"rho": 0.5}))
-        result = run_sweep(_spec("rate", (2.0,), schemes), FAST_MC)
+        result = run_sweep(_spec("rate_bps_hz", (2.0,), schemes), FAST_MC)
         assert [r.scheme_id for r in result.rows] == [
             "dynamic_ps:theta=0.5", "improved", "static_equal:rho=0.5"]
         for row in result.rows:
@@ -426,7 +437,7 @@ class TestRunSweep:
 
     def test_csv_serialization(self):
         schemes = (SchemeSpec("static_equal", {"rho": 0.5}),)
-        result = run_sweep(_spec("rate", (2.0,), schemes), FAST_MC)
+        result = run_sweep(_spec("rate_bps_hz", (2.0,), schemes), FAST_MC)
         body = _parse_csv(result.to_csv())
         assert len(body) == 1
         row = body[0]
@@ -434,14 +445,6 @@ class TestRunSweep:
         assert row[1] == "static_equal:rho=0.5"
         assert row[2] == "" and row[6] == ""
         assert float(row[3]) == result.rows[0].mc_outage
-
-    def test_json_serialization(self):
-        result = run_sweep(_spec("rate", (2.0,), (SchemeSpec("improved"),)), FAST_MC)
-        payload = json.loads(result.to_json())
-        assert len(payload) == 1
-        assert set(payload[0]) == set(CSV_COLUMNS)
-        assert payload[0]["scheme"] == "improved"
-        assert payload[0]["analytic"] == result.rows[0].analytic_outage
 
     def test_theta_sweep_is_v_shaped(self):
         values = tuple(round(0.1 * k, 1) for k in range(1, 10))
@@ -460,7 +463,7 @@ class TestRunSweep:
 
     def test_csv_is_shard_invariant(self):
         def table(shards):
-            spec = _spec("tx_power", (10.0, 30.0),
+            spec = _spec("tx_power_dbm", (10.0, 30.0),
                          (SchemeSpec("dynamic_ps", {"theta": 0.5}),))
             return run_sweep(spec, McConfig(trials=20_000, seed=12, shards=shards)).to_csv()
 
@@ -485,7 +488,7 @@ class TestFigures:
             fig(n, {field: 2.0}, mc=FAST_MC)
 
     def test_the_swept_field_flag_fails_fig(self, capsys):
-        assert main(["fig", "3", "--m", "2", "--trials", "64"]) == 2
+        assert main(["fig", "3", "--quad-order", "2", "--trials", "64"]) == 2
         assert "figure 3 sweeps quad_order" in capsys.readouterr().err
 
     def test_each_figure_is_a_sweep_spec_at_its_operating_point(self, monkeypatch):
@@ -553,7 +556,7 @@ class TestFigures:
 
     def test_quadrature_order_sweep(self):
         result = fig(3, mc=FAST_MC)
-        assert result.swept_param == "M"
+        assert result.swept_param == "quad_order"
         assert [r.param_value for r in result.rows] == [2.0, 3.0, 5.0, 10.0, 20.0]
         for row in result.rows:
             assert row.scheme_id == "dynamic_ps:theta=0.5"
@@ -594,7 +597,7 @@ class TestFigures:
 
 class TestCli:
     def test_sweep_writes_csv_to_stdout(self, capsys):
-        rc = main(["sweep", "--param", "rate", "--values", "1,2",
+        rc = main(["sweep", "--param", "rate_bps_hz", "--values", "1,2",
                    "--scheme", "dynamic_ps:theta=0.5",
                    "--trials", "2048", "--seed", "7"])
         assert rc == 0
@@ -603,33 +606,34 @@ class TestCli:
         assert body[0][1] == "dynamic_ps:theta=0.5"
 
     def test_default_sweep_runs_the_three_figure_schemes(self, capsys):
-        assert main(["sweep", "--param", "tx_power", "--values", "20",
+        assert main(["sweep", "--param", "tx_power_dbm", "--values", "20",
                      "--trials", "2048", "--seed", "7"]) == 0
         explicit = (SchemeSpec("improved"), SchemeSpec("dynamic_ps", {"theta": 0.5}),
                     SchemeSpec("static_equal", {"rho": 0.5}))
         assert capsys.readouterr().out == run_sweep(
-            _spec("tx_power", (20.0,), explicit), McConfig(trials=2048, seed=7)).to_csv()
+            _spec("tx_power_dbm", (20.0,), explicit), McConfig(trials=2048, seed=7)).to_csv()
 
     def test_a_scheme_given_without_its_default_prints_it(self, capsys):
-        assert main(["sweep", "--param", "tx_power", "--values", "30",
+        assert main(["sweep", "--param", "tx_power_dbm", "--values", "30",
                      "--trials", "64", "--scheme", "static_equal"]) == 0
         assert [row[:2] for row in _parse_csv(capsys.readouterr().out)] == [
             ["30.0", "static_equal:rho=0.5"]]
 
-    @pytest.mark.parametrize("param,override,field", [
-        ("M", ["--m", "5"], "quad_order"),
-        ("M", "--m=5", "quad_order"),
-        ("tx_power", ["--tx-power-dbm", "10"], "tx_power_dbm"),
-        ("tx_power", "--tx-power-dbm=10", "tx_power_dbm"),
-        ("rate", ["--rate", "3"], "rate_bps_hz"),
-        ("rate", "--rate=3", "rate_bps_hz"),
-        ("beta", ["--beta", "0.4"], "time_split"),
-        ("sensitivity", ["--sensitivity-dbm", "-25"], "circuit_sensitivity_dbm"),
-        ("dist_a", ["--dist-a", "6"], "dist_a"),
+    # The ids name each swept quantity as the paper does (M, beta) or in words.
+    @pytest.mark.parametrize("field,override", [
+        ("quad_order", ["--quad-order", "5"]),
+        ("quad_order", "--quad-order=5"),
+        ("tx_power_dbm", ["--tx-power-dbm", "10"]),
+        ("tx_power_dbm", "--tx-power-dbm=10"),
+        ("rate_bps_hz", ["--rate-bps-hz", "3"]),
+        ("rate_bps_hz", "--rate-bps-hz=3"),
+        ("time_split", ["--time-split", "0.4"]),
+        ("circuit_sensitivity_dbm", ["--circuit-sensitivity-dbm", "-25"]),
+        ("dist_a", ["--dist-a", "6"]),
     ], ids=["M-flag", "M-preset", "tx_power-flag", "tx_power-preset", "rate-flag",
             "rate-preset", "beta-flag", "sensitivity-flag", "dist_a-flag"])
     def test_sweep_refuses_an_override_of_the_swept_field(
-            self, param, override, field, tmp_path, monkeypatch, capsys):
+            self, field, override, tmp_path, monkeypatch, capsys):
         # Each sweep value would replace the override, as in fig.
         def no_draw(*args, **kwargs):
             raise AssertionError("a gain was drawn before the usage error")
@@ -639,10 +643,10 @@ class TestCli:
             preset = tmp_path / "preset.args"
             preset.write_text(override + "\n")
             override = [f"@{preset}"]
-        value = {"beta": "0.3", "sensitivity": "-20"}.get(param, "4")
-        assert main(["sweep", "--param", param, "--values", value, *override]) == 2
+        value = {"time_split": "0.3", "circuit_sensitivity_dbm": "-20"}.get(field, "4")
+        assert main(["sweep", "--param", field, "--values", value, *override]) == 2
         assert capsys.readouterr().err == (
-            f"error: --param {param} sweeps {field}, so overrides cannot set it\n")
+            f"error: --param {field} sweeps {field}, so overrides cannot set it\n")
 
     def test_a_dist_a_sweep_takes_dist_b_to_move_the_separation(self, capsys):
         assert main(["sweep", "--param", "dist_a", "--values", "4", "--dist-b", "16",
@@ -676,13 +680,13 @@ class TestCli:
         ("10,,20,", "values[1] is empty"), ("10,20,", "values[2] is empty"),
         (" ", "values[0] is empty"), ("10,abc", "values[1]='abc' is not a number")])
     def test_sweep_refuses_an_empty_value(self, text, message, capsys):
-        assert main(["sweep", "--param", "tx_power", f"--values={text}",
+        assert main(["sweep", "--param", "tx_power_dbm", f"--values={text}",
                      "--trials", "64"]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_a_hopeless_power_sweep_prints_certain_outage(self, capsys):
         # At -150 dBm outage_dynamic_ps reaches its low-SNR guard.
-        assert main(["sweep", "--param", "tx_power", "--values=-150,-80",
+        assert main(["sweep", "--param", "tx_power_dbm", "--values=-150,-80",
                      "--scheme", "dynamic_ps:theta=0.8"]) == 0
         rows = _parse_csv(capsys.readouterr().out)
         assert [row[:3] for row in rows] == [["-150.0", "dynamic_ps:theta=0.8", "1.0"],
@@ -690,13 +694,13 @@ class TestCli:
 
     @pytest.mark.parametrize("argv,preset,cause", [
         (["params"], "--tx-power-dbm=inf", "tx_power_dbm must be"),
-        (["sweep", "--param", "tx_power", "--values", "20"], "--dist-a=nan",
+        (["sweep", "--param", "tx_power_dbm", "--values", "20"], "--dist-a=nan",
          "dist_a must be"),
         # The power at which varpi**2 underflows to 0.
-        (["sweep", "--param", "tx_power", "--values", "1700", "--scheme", "dynamic_ps",
+        (["sweep", "--param", "tx_power_dbm", "--values", "1700", "--scheme", "dynamic_ps",
           "--trials", "2000"], None, "tx_power_dbm"),
         # The point where Z_B/fading_mean_b underflows to 0.
-        (["sweep", "--param", "tx_power", "--values", "30", "--scheme", "improved",
+        (["sweep", "--param", "tx_power_dbm", "--values", "30", "--scheme", "improved",
           "--path-loss-exp", "6", "--dist-b", "0.002", "--gain-b-dbi", "97",
           "--gain-relay-dbi", "94", "--fading-mean-b", "1e296", "--trials", "2000"],
          None, "fading_mean_b"),
@@ -714,16 +718,8 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error:") and cause in err
 
-    def test_sweep_json_to_stdout(self, capsys):
-        rc = main(["sweep", "--param", "rate", "--values", "2",
-                   "--scheme", "improved", "--trials", "2048", "--seed", "7",
-                   "--json"])
-        assert rc == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload[0]["scheme"] == "improved"
-
     def test_sweep_respects_overrides(self, capsys):
-        argv = ["sweep", "--param", "rate", "--values", "2",
+        argv = ["sweep", "--param", "rate_bps_hz", "--values", "2",
                 "--scheme", "dynamic_ps:theta=0.5",
                 "--trials", "2048", "--seed", "7"]
         main(argv)
@@ -760,21 +756,21 @@ class TestCli:
                            for n in FIGURES]
         assert re.fullmatch(r"7 figures in one batch: \d+\.\d{3}s", last)
 
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_fig_outdir_files_equal_one_figure_runs(self, fmt, tmp_path, capsys):
+    def test_fig_outdir_files_equal_one_figure_runs(self, tmp_path, capsys):
         flags = ["--trials", "2048", "--seed", "3", "--dist-b", "12"]
-        flags += ["--json"] if fmt == "json" else []
         assert main(["fig", "3", "8", "9", *flags, "--outdir", str(tmp_path)]) == 0
         capsys.readouterr()
         for n in (3, 8, 9):
             assert main(["fig", str(n), *flags]) == 0
             alone = capsys.readouterr().out.encode("ascii")
-            assert (tmp_path / f"fig{n}.{fmt}").read_bytes() == alone
+            assert (tmp_path / f"fig{n}.csv").read_bytes() == alone
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "fig3.csv", "fig8.csv", "fig9.csv"]
 
     @pytest.mark.parametrize("argv,message", [
         (["fig", "3", "4"], "several figures need --outdir"),
         (["fig", "3", "4", "3", "--outdir", "figs"], "each figure may be given once"),
-        (["sweep", "--param", "tx_power", "--values", "30", "--scheme", "improved",
+        (["sweep", "--param", "tx_power_dbm", "--values", "30", "--scheme", "improved",
           "--scheme", "improved"], "scheme 'improved' is given twice"),
     ])
     def test_fig_usage_errors_exit_2(self, argv, message, monkeypatch, tmp_path,
@@ -795,17 +791,15 @@ class TestCli:
         assert "[system]" in text and "[derived]" in text
         assert "tx_power_dbm = 30.0" in text
 
-    def test_params_json_reports_derived_constants(self, capsys):
-        rc = main(["params", "--json", "--m", "5"])
-        assert rc == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["theta"] == 0.5
-        assert payload["system"]["quad_order"] == 5
-        assert payload["derived"]["z_a"] == pytest.approx(REF_Z_A, rel=1e-12)
+    def test_params_reports_derived_constants(self, capsys):
+        listing = _params_listing(["--quad-order", "5"], capsys)
+        assert listing["theta"] == "0.5"
+        assert listing["quad_order"] == "5"
+        assert float(listing["z_a"]) == pytest.approx(REF_Z_A, rel=1e-12)
 
     def test_a_preset_file_reads_as_its_flags_given_inline(self, tmp_path, capsys):
         # @FILE holds one argument a line; of a flag given twice the later wins.
-        flags = ["--param=rate", "--values=1,2", "--scheme=dynamic_ps:theta=0.5",
+        flags = ["--param=rate_bps_hz", "--values=1,2", "--scheme=dynamic_ps:theta=0.5",
                  "--seed=7", "--dist-a=10"]
         preset = tmp_path / "preset.args"
         preset.write_text("".join(flag + "\n" for flag in flags))
@@ -813,11 +807,10 @@ class TestCli:
         inline = capsys.readouterr().out
         assert main(["sweep", f"@{preset}", "--trials", "2048"]) == 0
         assert capsys.readouterr().out == inline
-        preset.write_text("--rate=3.0\n")
-        for argv, rate in ((["--json", f"@{preset}", "--rate", "4.0"], 4.0),
-                           (["--json", "--rate", "4.0", f"@{preset}"], 3.0)):
-            assert main(["params", *argv]) == 0
-            assert json.loads(capsys.readouterr().out)["system"]["rate_bps_hz"] == rate
+        preset.write_text("--rate-bps-hz=3.0\n")
+        for argv, rate in (([f"@{preset}", "--rate-bps-hz", "4.0"], "4.0"),
+                           (["--rate-bps-hz", "4.0", f"@{preset}"], "3.0")):
+            assert _params_listing(argv, capsys)["rate_bps_hz"] == rate
         preset.write_text("--trials=5\n")
         with pytest.raises(SystemExit) as exc:
             main(["params", f"@{preset}"])
@@ -827,7 +820,7 @@ class TestCli:
     @pytest.mark.parametrize("lines,named", [
         (["--trials=5", "--seed=3"], "--trials=5 --seed=3"),
         (["--trials=0"], "--trials=0"),
-        (["--shards=2", "--rate=3.0"], "--shards=2"),
+        (["--shards=2", "--rate-bps-hz=3.0"], "--shards=2"),
     ])
     def test_a_params_preset_refuses_monte_carlo_flags(self, lines, named, tmp_path,
                                                        capsys):
@@ -841,14 +834,14 @@ class TestCli:
         assert capsys.readouterr().err.endswith(f"error: unrecognized arguments: {named}\n")
 
     def test_bad_inputs_exit_2(self, capsys):
-        assert main(["sweep", "--param", "rate", "--values", "3,1",
+        assert main(["sweep", "--param", "rate_bps_hz", "--values", "3,1",
                      "--trials", "64"]) == 2
-        assert main(["sweep", "--param", "rate", "--values", "1",
+        assert main(["sweep", "--param", "rate_bps_hz", "--values", "1",
                      "--scheme", "oracle", "--trials", "64"]) == 2
         assert "error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag,value,field,cause", [
-        ("--rate", "1e-17", "rate_bps_hz", "rounds to 0"),
+        ("--rate-bps-hz", "1e-17", "rate_bps_hz", "rounds to 0"),
         ("--tx-power-dbm", "-300", "tx_power_dbm", "knees round"),
     ])
     def test_degenerate_constants_raise_value_error(self, flag, value, field,
@@ -870,8 +863,8 @@ class TestCli:
         assert err.startswith("error:") and cause in err
 
     @pytest.mark.parametrize("fields,argv", [
-        ({"rate_bps_hz": 1100.0}, ["--rate", "1100"]),
-        ({"rate_bps_hz": 2000.0}, ["--rate", "2000"]),
+        ({"rate_bps_hz": 1100.0}, ["--rate-bps-hz", "1100"]),
+        ({"rate_bps_hz": 2000.0}, ["--rate-bps-hz", "2000"]),
         ({"tx_power_dbm": -2000.0}, ["--tx-power-dbm=-2000"]),
         ({"tx_power_dbm": 1700.0}, ["--tx-power-dbm", "1700"]),
         ({"tx_power_dbm": 3000.0}, ["--tx-power-dbm", "3000"]),
@@ -906,7 +899,7 @@ class TestCli:
     @pytest.mark.parametrize("argv", [
         ["fig", "3", "--theta", "0.9"],
         # A dynamic_ps weight comes from --scheme dynamic_ps:theta=x alone.
-        ["sweep", "--param", "rate", "--values", "2", "--theta", "0.3"],
+        ["sweep", "--param", "rate_bps_hz", "--values", "2", "--theta", "0.3"],
         ["params", "--trials", "5", "--shards", "3"],
         ["validate", "--seed", "3"],
         # The carrier, d0, the block length and the noise floor are constants
@@ -914,15 +907,22 @@ class TestCli:
         ["params", "--carrier-freq-hz", "2.4e9"],
         ["params", "--ref-dist", "1"],
         ["params", "--block-duration", "1"],
-        ["sweep", "--param", "rate", "--values", "2", "--noise-dbm", "-80"],
+        ["sweep", "--param", "rate_bps_hz", "--values", "2", "--noise-dbm", "-80"],
         ["fig", "3", "--noise-dbm", "-80"],
         ["params", "--noise-dbm", "-80"],
         ["validate", "--noise-dbm", "-80"],
         # Input comes from argv alone (presets through @FILE) and output goes
         # to stdout, or to fig --outdir.
         *([*command, f"{option}=x"] for command in (
-            ["sweep", "--param", "rate", "--values", "2"], ["fig", "3"], ["params"],
+            ["sweep", "--param", "rate_bps_hz", "--values", "2"], ["fig", "3"], ["params"],
             ["validate"]) for option in ("--config", "--out")),
+        # Output is CSV alone, or params's listing, and each field has one
+        # flag, its name dashed.
+        *([*command, "--json"] for command in (
+            ["sweep", "--param", "rate_bps_hz", "--values", "2"], ["fig", "3"], ["params"],
+            ["validate"])),
+        ["sweep", "--param", "rate_bps_hz", "--values", "2", "--m", "5"],
+        *(["params", flag, "3"] for flag in ("--m", "--rate", "--beta", "--sensitivity-dbm")),
     ])
     def test_flags_a_subcommand_ignores_are_usage_errors(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -930,26 +930,40 @@ class TestCli:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    def test_a_preset_skips_blank_lines(self, tmp_path, capsys):
+        preset = tmp_path / "far.args"
+        preset.write_text("\n--dist-a=10\n\n   \n--dist-b=14\n\t\n")
+        listing = _params_listing([f"@{preset}"], capsys)
+        assert (listing["dist_a"], listing["dist_b"]) == ("10.0", "14.0")
+        assert listing == _params_listing(["--dist-a=10", "--dist-b=14"], capsys)
+
+    def test_shards_beyond_the_trials_run_as_one(self, capsys):
+        # shards caps the workers; the blocks cap them too.
+        argv = ["sweep", "--param", "tx_power_dbm", "--values", "10", "--trials", "100"]
+        assert main([*argv, "--shards", "1"]) == 0
+        one = capsys.readouterr().out
+        assert main([*argv, "--shards", "200"]) == 0
+        assert capsys.readouterr().out == one
+
     def test_a_preset_rejects_fractional_quad_order(self, tmp_path, capsys):
         preset = tmp_path / "preset.args"
-        preset.write_text("--m=10.7\n")
+        preset.write_text("--quad-order=10.7\n")
         assert main(["params", f"@{preset}"]) == 2
         assert "quad_order must be an integer" in capsys.readouterr().err
-        preset.write_text("--m=12.0\n")
-        assert main(["params", "--json", f"@{preset}"]) == 0
-        assert json.loads(capsys.readouterr().out)["system"]["quad_order"] == 12
+        preset.write_text("--quad-order=12.0\n")
+        assert _params_listing([f"@{preset}"], capsys)["quad_order"] == "12"
 
     # A preset carries text, so a JSON-only value such as true or null cannot
     # reach a field; SystemParams and McConfig refuse those in Python.
     @pytest.mark.parametrize("command,line,field", [
         *((command, line, field)
-          for command in (["params"], ["sweep", "--param", "tx_power", "--values", "20"])
+          for command in (["params"], ["sweep", "--param", "tx_power_dbm", "--values", "20"])
           for line, field in (("--dist-a=1e400", "dist_a"),
                               ("--tx-power-dbm=nan", "tx_power_dbm"),
-                              ("--m=inf", "quad_order"),
+                              ("--quad-order=inf", "quad_order"),
                               ("--eh-efficiency=-inf", "eh_efficiency"))),
-        (["sweep", "--param", "tx_power", "--values", "20"], "--trials=0", "trials"),
-        (["sweep", "--param", "tx_power", "--values", "20"], "--shards=0", "shards"),
+        (["sweep", "--param", "tx_power_dbm", "--values", "20"], "--trials=0", "trials"),
+        (["sweep", "--param", "tx_power_dbm", "--values", "20"], "--shards=0", "shards"),
     ])
     def test_a_preset_value_its_field_refuses_fails_naming_the_field(
             self, tmp_path, capsys, command, line, field):
@@ -960,30 +974,28 @@ class TestCli:
         assert err.startswith("error:") and field in err
 
     def test_integral_float_order_is_stored_as_an_int(self, capsys):
-        assert main(["params", "--m", "7.0", "--json"]) == 0
-        out = capsys.readouterr().out
-        assert '"quad_order": 7,' in out
-        assert main(["params", "--m", "7.0"]) == 0
+        assert main(["params", "--quad-order", "7.0"]) == 0
         assert "quad_order = 7\n" in capsys.readouterr().out
 
     @pytest.mark.parametrize("argv", [
-        ["params", "--m", "2.5"],
-        ["sweep", "--param", "M", "--values", "2.5", "--trials", "64"],
+        ["params", "--quad-order", "2.5"],
+        ["sweep", "--param", "quad_order", "--values", "2.5", "--trials", "64"],
     ])
     def test_fractional_order_fails_naming_quad_order(self, argv, capsys):
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "quad_order" in err
 
-    def test_params_text_lists_the_json_payload(self, capsys):
-        assert main(["params", "--json", "--m", "5"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert main(["params", "--m", "5"]) == 0
+    def test_params_lists_every_resolved_field(self, capsys):
+        assert main(["params", "--quad-order", "5", "--theta", "0.3"]) == 0
         text = capsys.readouterr().out
-        want = [f"resolved constants at theta = {payload['theta']!r}"]
-        for section in ("system", "derived"):
+        params = SystemParams(quad_order=5)
+        want = ["resolved constants at theta = 0.3"]
+        for section, values in (("system", params),
+                                ("derived", derive_constants(params, 0.3))):
             want += ["", f"[{section}]"]
-            want += [f"{name} = {value!r}" for name, value in payload[section].items()]
+            want += [f"{f.name} = {getattr(values, f.name)!r}"
+                     for f in dataclasses.fields(values)]
         assert text == "\n".join(want) + "\n"
 
     def test_validate_exit_codes(self, monkeypatch, capsys):
@@ -996,9 +1008,9 @@ class TestCli:
         failing = passing[:-1] + [CriterionResult(index=12, name="check_12",
                                                   passed=False, detail="off", seconds=0.0)]
         monkeypatch.setattr(ehrelay.cli, "run_all", lambda: failing)
-        assert main(["validate", "--json"]) == 1
-        payload = json.loads(capsys.readouterr().out)
-        assert payload[-1]["status"] == "FAIL"
+        assert main(["validate"]) == 1
+        report = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert report[-1]["status"] == "FAIL"
 
     def test_validate_writes_one_line_per_criterion_in_index_order(self, monkeypatch,
                                                                      capsys):
@@ -1023,27 +1035,34 @@ class TestCli:
         fast, slow = results(0.5), results(7.0)
         assert fast == slow and fast[3].seconds != slow[3].seconds
         assert report_csv(fast) == report_csv(slow)
-        payloads = []
+        reports = []
         for run in (fast, slow):
             monkeypatch.setattr(ehrelay.cli, "run_all", lambda run=run: run)
-            assert main(["validate", "--json"]) == 1
-            payloads.append(capsys.readouterr().out)
-        assert payloads[0] == payloads[1]
+            assert main(["validate"]) == 1
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1]
+
+
+_README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+_FENCE = re.compile(r"^```(\w*)\n(.*?)^```$", re.M | re.S)
+
+
+def _readme_fragments():
+    """Each `ehrelay ...` command of a sh block of README.md, and each code
+    span outside the blocks."""
+    text = _README.read_text()
+    fragments = [line for lang, body in _FENCE.findall(text) if lang == "sh"
+                 for line in body.replace("\\\n", " ").splitlines()
+                 if line.startswith("ehrelay ")]
+    return fragments + re.findall(r"`([^`]+)`", _FENCE.sub("", text))
 
 
 def _readme_flags(commands):
-    """(subcommand, flag) for each --flag of README.md in an `ehrelay ...`
-    command of a sh block or in a code span; the subcommand is the word
-    after ehrelay, or a span's first word, where that is one of commands,
-    else None."""
-    text = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
-    fence = re.compile(r"^```(\w*)\n(.*?)^```$", re.M | re.S)
-    fragments = [line for lang, body in fence.findall(text) if lang == "sh"
-                 for line in body.replace("\\\n", " ").splitlines()
-                 if line.startswith("ehrelay ")]
-    fragments += re.findall(r"`([^`]+)`", fence.sub("", text))
+    """(subcommand, flag) for each --flag of a README.md fragment; the
+    subcommand is the word after ehrelay, or a span's first word, where that
+    is one of commands, else None."""
     uses = []
-    for fragment in fragments:
+    for fragment in _readme_fragments():
         words = fragment.split()
         words = words[1:] if words[0] == "ehrelay" else words
         command = words[0] if words and words[0] in commands else None
@@ -1059,3 +1078,33 @@ def test_every_flag_the_readme_names_is_an_option_of_its_subcommand():
     unknown = [(command, flag) for command, flag in uses
                if flag not in (options[command] if command else set().union(*options.values()))]
     assert unknown == []
+    # Each swept name, given to --param or to SweepSpec in the Python block.
+    swept = [name for fragment in _readme_fragments()
+             for name in re.findall(r"--param[\s=](\S+)", fragment)]
+    swept += [name for lang, body in _FENCE.findall(_README.read_text()) if lang == "python"
+              for name in re.findall(r'SweepSpec\("(\w+)"', body)]
+    assert "tx_power_dbm" in swept
+    assert [name for name in swept if name not in SWEEPABLE_PARAMS] == []
+
+
+def test_each_input_has_one_name(capsys):
+    """The override flags of sweep, fig and params are the SystemParams
+    fields, dashed, and a sweep names what it sweeps by the same names."""
+    fields = [f.name for f in dataclasses.fields(SystemParams)]
+    parsers = ehrelay.cli._build_parser()._subparsers._group_actions[0].choices
+    for command in ("sweep", "fig", "params"):
+        group, = (g for g in parsers[command]._action_groups
+                  if g.title == "parameter overrides")
+        assert [(a.option_strings, a.dest) for a in group._group_actions] == [
+            (["--" + name.replace("_", "-")], name) for name in fields]
+    param, = (a for a in parsers["sweep"]._actions if a.dest == "param")
+    assert tuple(param.choices) == SWEEPABLE_PARAMS
+    assert set(SWEEPABLE_PARAMS) <= {*fields, "theta"}
+    assert {spec.swept_param for spec in FIGURES.values()} <= set(SWEEPABLE_PARAMS)
+    for name in ("M", "tx_power", "rate", "beta", "sensitivity"):
+        with pytest.raises(ValueError, match="swept_param must be one of"):
+            _spec(name, (3.0,), (SchemeSpec("improved"),))
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--param", name, "--values", "3"])
+        assert exc.value.code == 2
+        assert f"invalid choice: '{name}'" in capsys.readouterr().err
