@@ -96,21 +96,24 @@ EOF
 }
 
 # The 1e6-trial figures against the sha256s the benchmark reference records
-# (the file is only read): every recorded seed, 2024-2031, on 2 shards, and
-# seed 2024 on 1, where every block runs in the calling process, so that one
-# set of hashes also shows the figures shard-invariant.  A trial within a few
-# ulps of an outage boundary could flip a count; eight seeds give each cell
-# 8M trials to show one on.  Each run writes all seven figures from one
-# batch.  A RuntimeWarning fails it; the forked pool processes inherit the
-# filter.
+# (the file is only read): every recorded seed, 2024-2031, on the machine's
+# usable cores, and seed 2024 under taskset -c 0, one core, where every
+# block runs in the calling process, so that one set of hashes also shows
+# the figures the same on any worker count.  A trial within a few ulps of an
+# outage boundary could flip a count; eight seeds give each cell 8M trials
+# to show one on.  Each run writes all seven figures from one batch.  A
+# RuntimeWarning fails it; the forked pool processes inherit the filter.
 figures() {
-  for run in 2024:1 2024:2 2025:2 2026:2 2027:2 2028:2 2029:2 2030:2 2031:2; do
-    seed="${run%:*}"; shards="${run#*:}"
-    out="$RUNNER_TEMP/figs-$seed-$shards"
-    PYTHONPATH=src python -W error::RuntimeWarning -m ehrelay.cli fig 3 4 5 6 7 8 9 --trials 1000000 --seed "$seed" --shards "$shards" --outdir "$out" 2> "$out.log"
+  local run seed cores out pin
+  for run in 2024:one 2024:all 2025:all 2026:all 2027:all 2028:all 2029:all 2030:all 2031:all; do
+    seed="${run%:*}"; cores="${run#*:}"
+    out="$RUNNER_TEMP/figs-$seed-$cores"
+    pin=()
+    if [ "$cores" = one ]; then pin=(taskset -c 0); fi
+    PYTHONPATH=src "${pin[@]}" python -W error::RuntimeWarning -m ehrelay.cli fig 3 4 5 6 7 8 9 --trials 1000000 --seed "$seed" --outdir "$out" 2> "$out.log"
     cat "$out.log"
-    if [ "$run" = 2024:1 ]; then
-      { echo '### ehrelay fig 3 4 5 6 7 8 9, 1e6 trials, seed 2024, 1 shard'; echo '```'; cat "$out.log"; echo '```'; } >> "$GITHUB_STEP_SUMMARY"
+    if [ "$run" = 2024:one ]; then
+      { echo '### ehrelay fig 3 4 5 6 7 8 9, 1e6 trials, seed 2024, one core (taskset -c 0)'; echo '```'; cat "$out.log"; echo '```'; } >> "$GITHUB_STEP_SUMMARY"
     fi
     python -c "import json; want = json.load(open('perfbench/reference/figures.json'))['sets']['$seed']['csv_sha256']; print(''.join(f'{h}  $out/fig{n}.csv\n' for n, h in want.items()), end='')" > "$out.sha256"
     test "$(wc -l < "$out.sha256")" -eq 7
@@ -119,11 +122,11 @@ figures() {
 }
 
 # A cell counts alike in any batch, so each one-figure run must give the
-# bytes of the seed-2024, 2-shard batch that figures checked.
+# bytes of the seed-2024 batch on every usable core that figures checked.
 figures_alone() {
   for n in 3 4 5 6 7 8 9; do
-    PYTHONPATH=src python -m ehrelay.cli fig "$n" --trials 1000000 --seed 2024 --shards 2 > "$RUNNER_TEMP/cli-fig$n.csv"
-    cmp "$RUNNER_TEMP/cli-fig$n.csv" "$RUNNER_TEMP/figs-2024-2/fig$n.csv"
+    PYTHONPATH=src python -m ehrelay.cli fig "$n" --trials 1000000 --seed 2024 > "$RUNNER_TEMP/cli-fig$n.csv"
+    cmp "$RUNNER_TEMP/cli-fig$n.csv" "$RUNNER_TEMP/figs-2024-all/fig$n.csv"
   done
 }
 

@@ -7,6 +7,8 @@ flag of a SystemParams field is the field's name, dashed, and --param takes
 the field's name.  Every run prints its result to stdout as CSV (params: a
 listing), so downstream plotting needs no code from this package; `fig`
 given --outdir writes one CSV file per figure instead, all from one batch.
+A simulation runs on every usable core (the affinity mask, so `taskset -c 0`
+keeps it in one process), and its output is the same on any core count.
 """
 
 from __future__ import annotations
@@ -28,6 +30,10 @@ _OVERRIDE_FLAGS = tuple(f.name for f in dataclasses.fields(SystemParams))
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, allow_abbrev=False, **kwargs):
+        """No flag is read from a prefix: --out names no --outdir."""
+        super().__init__(*args, allow_abbrev=allow_abbrev, **kwargs)
+
     def convert_arg_line_to_args(self, arg_line: str) -> list:
         """A preset line is one argument; a blank line is none."""
         return [arg_line] if arg_line.strip() else []
@@ -38,9 +44,6 @@ def _add_common_flags(parser: argparse.ArgumentParser, *, mc: bool) -> None:
     if mc:
         parser.add_argument("--seed", type=int, help="simulation seed")
         parser.add_argument("--trials", type=int, help="Monte Carlo trials per point")
-        parser.add_argument("--shards", type=int,
-                            help="simulation worker processes, at most; "
-                                 "the usable cores and the trial blocks cap them too")
     group = parser.add_argument_group("parameter overrides")
     for field in _OVERRIDE_FLAGS:
         group.add_argument("--" + field.replace("_", "-"), type=float)
@@ -50,9 +53,9 @@ def _resolve(args) -> tuple[SystemParams, McConfig, dict]:
     """Overlay the defaults with the flags given; return the system fields set."""
     system = {field: getattr(args, field) for field in _OVERRIDE_FLAGS
               if getattr(args, field) is not None}
-    mc = {f.name: getattr(args, f.name) for f in dataclasses.fields(McConfig)
-          if getattr(args, f.name, None) is not None}
-    return SystemParams(**system), McConfig(**mc), system
+    mc = {name: getattr(args, name) for name in ("trials", "seed")
+          if getattr(args, name, None) is not None}
+    return SystemParams(**system), McConfig(**mc, shards=os.cpu_count() or 1), system
 
 
 def cmd_sweep(args) -> int:
@@ -130,10 +133,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     "arguments FILE holds, one a line, blank lines skipped; a "
                     "later argument wins.")
     sub = parser.add_subparsers(dest="command", required=True)
-    # No subcommand takes a prefix for a flag: --out names no --outdir.
 
-    p_sweep = sub.add_parser("sweep", allow_abbrev=False,
-                             help="sweep one parameter over schemes")
+    p_sweep = sub.add_parser("sweep", help="sweep one parameter over schemes")
     p_sweep.add_argument("--param", required=True, choices=SWEEPABLE_PARAMS)
     p_sweep.add_argument("--values", required=True,
                          help="comma-separated sweep values")
@@ -145,8 +146,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common_flags(p_sweep, mc=True)
     p_sweep.set_defaults(func=cmd_sweep)
 
-    p_fig = sub.add_parser("fig", allow_abbrev=False,
-                           help="reproduce canned experiment tables")
+    p_fig = sub.add_parser("fig", help="reproduce canned experiment tables")
     p_fig.add_argument("n", type=int, nargs="+", choices=tuple(FIGURES),
                        help="experiment index; several need --outdir")
     _add_common_flags(p_fig, mc=True)
@@ -155,12 +155,10 @@ def _build_parser() -> argparse.ArgumentParser:
                             "in one batch")
     p_fig.set_defaults(func=cmd_fig)
 
-    p_val = sub.add_parser("validate", allow_abbrev=False,
-                           help="run the acceptance criteria suite")
+    p_val = sub.add_parser("validate", help="run the acceptance criteria suite")
     p_val.set_defaults(func=cmd_validate)
 
-    p_par = sub.add_parser("params", allow_abbrev=False,
-                           help="print resolved derived constants")
+    p_par = sub.add_parser("params", help="print resolved derived constants")
     _add_common_flags(p_par, mc=False)
     p_par.add_argument("--theta", type=float, default=SchemeSpec("dynamic_ps").args["theta"],
                        help="broadcast weight of the dynamic-PS part (default %(default)s)")

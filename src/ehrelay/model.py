@@ -120,9 +120,11 @@ class SystemParams:
             or (isinstance(order, float) and order.is_integer()))
         if not integral or order < 1:
             raise ValueError(f"quad_order must be an integer >= 1, got {order!r}")
+        if order > 1 << 16:     # the closed forms hold M-long node arrays
+            raise ValueError(f"quad_order must be at most 2**16 = 65536, got {order!r}")
         object.__setattr__(self, "quad_order", int(order))
         for name, value in vars(self).items():
-            # quad_order is an int by now, finite however large; only the
+            # quad_order is an int by now, at most 2**16; only the
             # sensitivity may be None.  A float32 stored as given would set
             # the closed forms' precision.
             if name == "quad_order" or (value is None

@@ -76,13 +76,14 @@ def _splitmix64(value: int) -> int:
 
 
 def _block_rng(seed: int, block_index: int) -> np.random.Generator:
-    return np.random.default_rng((seed & _MASK64) ^ _splitmix64(block_index))
+    return np.random.default_rng(seed ^ _splitmix64(block_index))
 
 
 @dataclass(frozen=True)
 class McConfig:
     """Simulation budget and reproducibility knobs.
 
+    seed lies in [0, 2**64), as the block seeds do, so no two share a stream.
     shards caps the worker processes an estimate runs on; the usable cores
     and the block count cap them too, and no count changes the estimate.
     """
@@ -94,8 +95,8 @@ class McConfig:
     def __post_init__(self) -> None:
         if not (_is_integer(self.trials) and self.trials >= 1):
             raise ValueError("trials must be an integer >= 1")
-        if not _is_integer(self.seed):
-            raise ValueError("seed must be an integer")
+        if not (_is_integer(self.seed) and 0 <= int(self.seed) < 1 << 64):
+            raise ValueError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
         if not (_is_integer(self.shards) and self.shards >= 1):
             raise ValueError("shards must be an integer >= 1")
         for name in ("trials", "seed", "shards"):    # numpy ints overflow in _splitmix64
@@ -220,9 +221,10 @@ if hasattr(os, "register_at_fork"):
 
 
 def _may_fork() -> bool:
-    """False in a daemonic multiprocessing worker, which may start no process."""
+    """False on a platform without fork, and in a daemonic multiprocessing
+    worker, which may start no process."""
     import multiprocessing
-    return not multiprocessing.current_process().daemon
+    return hasattr(os, "fork") and not multiprocessing.current_process().daemon
 
 
 def _serve(conn, parent_end) -> None:

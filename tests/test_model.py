@@ -199,8 +199,19 @@ def test_quad_order_takes_integral_values_and_stores_an_int():
         order = SystemParams(quad_order=value).quad_order
         assert order == 12 and type(order) is int
     assert SystemParams(quad_order=12.0) == SystemParams(quad_order=12)
-    # An int is never converted to float, so a huge one raises no OverflowError.
-    assert SystemParams(quad_order=10 ** 400).quad_order == 10 ** 400
+    # An int is never converted to float, so a huge one is refused by its
+    # bound, not by an OverflowError.
+    with pytest.raises(ValueError, match=r"^quad_order must be at most 2\*\*16 = 65536"):
+        SystemParams(quad_order=10 ** 400)
+
+
+def test_quad_order_is_at_most_2_to_the_16():
+    # The closed forms hold M-long node arrays; 1e20 failed inside numpy.
+    assert SystemParams(quad_order=1 << 16).quad_order == 65536
+    for value in ((1 << 16) + 1, 1e20, np.int64(10 ** 9)):
+        with pytest.raises(ValueError) as exc:
+            SystemParams(quad_order=value)
+        assert str(exc.value) == f"quad_order must be at most 2**16 = 65536, got {value!r}"
 
 
 @pytest.mark.parametrize("value", [2.5, math.nan, math.inf, 0, 0.0, -3, "12", None])

@@ -676,6 +676,23 @@ class TestEstimator:
         with pytest.raises(ValueError):
             McConfig(trials=100, seed="x")
 
+    @pytest.mark.parametrize("seed", [-1, 1 << 64, (1 << 64) + 3, np.int64(-1)])
+    def test_config_refuses_a_seed_outside_64_bits(self, seed):
+        # Block seeds are 64-bit, so 0 and 2**64 would share one stream.
+        with pytest.raises(ValueError, match=r"^seed must be an integer in \[0, 2\*\*64\)"):
+            McConfig(trials=100, seed=seed)
+
+    @pytest.mark.parametrize("seed,probability", [
+        (0, 0.19705),
+        ((1 << 64) - 1, 0.20385),
+        (np.uint64((1 << 64) - 1), 0.20385),
+    ])
+    def test_config_takes_every_64_bit_seed(self, seed, probability):
+        cfg = McConfig(trials=20_000, seed=seed)
+        assert cfg.seed == int(seed) and type(cfg.seed) is int
+        point = dataclasses.replace(DEFAULTS, tx_power_dbm=10.0)
+        assert mc_outage(point, "improved", {}, cfg).probability == probability
+
     def test_shards_beyond_the_trials_give_the_bits_of_one(self):
         # shards only caps the workers, which the blocks cap too.
         many = McConfig(trials=100, seed=3, shards=200)
@@ -899,6 +916,15 @@ class TestRunCalls:
         monkeypatch.setattr(montecarlo, "_may_fork", lambda: False)
         assert montecarlo._run_calls([(os.getpid, ())] * 3, 2) == [os.getpid()] * 3
         assert not montecarlo._POOL
+
+    def test_calls_run_in_the_caller_on_a_platform_without_fork(self, monkeypatch):
+        def no_pool(workers):
+            raise AssertionError("a pool was started")
+
+        monkeypatch.setattr(montecarlo, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(montecarlo, "_pool", no_pool)
+        monkeypatch.delattr(os, "fork")
+        assert montecarlo._run_calls([(os.getpid, ())] * 3, 2) == [os.getpid()] * 3
 
     @needs_two_cores
     def test_a_pool_call_raises_its_own_error_and_drops_the_pool(self, capfd):

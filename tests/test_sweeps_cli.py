@@ -756,6 +756,48 @@ class TestCli:
                            for n in FIGURES]
         assert re.fullmatch(r"7 figures in one batch: \d+\.\d{3}s", last)
 
+    @pytest.mark.parametrize("argv,runner", [
+        (["sweep", "--param", "tx_power_dbm", "--values", "20"], "run_sweep"),
+        (["fig", "3"], "run_sweeps"),
+    ])
+    def test_a_simulation_may_use_every_usable_core(self, argv, runner, monkeypatch,
+                                                     capsys):
+        configs = []
+        run = getattr(ehrelay.cli, runner)
+
+        def spy(specs, cfg):
+            configs.append(cfg)
+            return run(specs, cfg)
+
+        monkeypatch.setattr(ehrelay.cli, runner, spy)
+        assert main([*argv, "--trials", "64"]) == 0
+        cfg, = configs
+        assert cfg.shards >= ehrelay.montecarlo._usable_cores()
+
+    def test_output_is_the_same_on_one_and_two_usable_cores(self, monkeypatch, capsys):
+        # Two blocks, the second partial, so that two cores reach the pool.
+        argv = ["sweep", "--param", "tx_power_dbm", "--values", "10,20", "--scheme",
+                "improved", "--trials", str(BLOCK_TRIALS + 4096), "--seed", "9"]
+        pooled = []
+        share = ehrelay.montecarlo._share_calls
+
+        def spy(pool, calls):
+            pooled.append(len(pool))
+            return share(pool, calls)
+
+        monkeypatch.setattr(ehrelay.montecarlo, "_share_calls", spy)
+        outputs = []
+        try:
+            for cores in (1, 2):
+                monkeypatch.setattr(ehrelay.montecarlo, "_usable_cores", lambda: cores)
+                assert main(argv) == 0
+                outputs.append(capsys.readouterr().out)
+        finally:
+            # A pool made under patched cores may outnumber the real ones.
+            ehrelay.montecarlo._drop_pool()
+        assert pooled == [2]
+        assert outputs[0] == outputs[1]
+
     def test_fig_outdir_files_equal_one_figure_runs(self, tmp_path, capsys):
         flags = ["--trials", "2048", "--seed", "3", "--dist-b", "12"]
         assert main(["fig", "3", "8", "9", *flags, "--outdir", str(tmp_path)]) == 0
@@ -824,8 +866,9 @@ class TestCli:
     ])
     def test_a_params_preset_refuses_monte_carlo_flags(self, lines, named, tmp_path,
                                                        capsys):
-        # params simulates nothing, as its lack of --trials, --seed and
-        # --shards says; a preset that sets them is no less an error.
+        # params simulates nothing, as its lack of --trials and --seed says;
+        # a preset that sets them, or --shards, which no subcommand takes, is
+        # no less an error.
         preset = tmp_path / "preset.args"
         preset.write_text("".join(line + "\n" for line in lines))
         with pytest.raises(SystemExit) as exc:
@@ -902,6 +945,9 @@ class TestCli:
         ["sweep", "--param", "rate_bps_hz", "--values", "2", "--theta", "0.3"],
         ["params", "--trials", "5", "--shards", "3"],
         ["validate", "--seed", "3"],
+        # The usable cores set the worker count.
+        ["fig", "3", "--shards", "2"],
+        ["sweep", "--param", "tx_power_dbm", "--values", "20", "--shards", "2"],
         # The carrier, d0, the block length and the noise floor are constants
         # of the model.
         ["params", "--carrier-freq-hz", "2.4e9"],
@@ -937,14 +983,6 @@ class TestCli:
         assert (listing["dist_a"], listing["dist_b"]) == ("10.0", "14.0")
         assert listing == _params_listing(["--dist-a=10", "--dist-b=14"], capsys)
 
-    def test_shards_beyond_the_trials_run_as_one(self, capsys):
-        # shards caps the workers; the blocks cap them too.
-        argv = ["sweep", "--param", "tx_power_dbm", "--values", "10", "--trials", "100"]
-        assert main([*argv, "--shards", "1"]) == 0
-        one = capsys.readouterr().out
-        assert main([*argv, "--shards", "200"]) == 0
-        assert capsys.readouterr().out == one
-
     def test_a_preset_rejects_fractional_quad_order(self, tmp_path, capsys):
         preset = tmp_path / "preset.args"
         preset.write_text("--quad-order=10.7\n")
@@ -963,7 +1001,7 @@ class TestCli:
                               ("--quad-order=inf", "quad_order"),
                               ("--eh-efficiency=-inf", "eh_efficiency"))),
         (["sweep", "--param", "tx_power_dbm", "--values", "20"], "--trials=0", "trials"),
-        (["sweep", "--param", "tx_power_dbm", "--values", "20"], "--shards=0", "shards"),
+        (["sweep", "--param", "tx_power_dbm", "--values", "20"], "--seed=-1", "seed"),
     ])
     def test_a_preset_value_its_field_refuses_fails_naming_the_field(
             self, tmp_path, capsys, command, line, field):
